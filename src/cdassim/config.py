@@ -54,7 +54,8 @@ _SCHEMA = {
     "out_dir": (lambda v: isinstance(v, str) and len(v) > 0, "must be a non-empty string"),
     "noise": {
         "sigma_T": (lambda v: _is_number(v) and v >= 0, "must be a number >= 0"),
-        # zero is legal: noiseless twin setups measure the temperature exactly
+        # zero is legal for simulate only (a noiseless twin measures the
+        # temperature exactly); the filters need a positive variance
         "obs_variance": (lambda v: _is_number(v) and v >= 0, "must be a number >= 0"),
         "sigma_theta": (lambda v: _is_number(v) and v >= 0, "must be a number >= 0"),
     },

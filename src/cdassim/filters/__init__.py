@@ -17,7 +17,7 @@ from cdassim.filters.linalg import (
     solve_spd,
     symmetrize,
 )
-from cdassim.filters.montecarlo import member_generators, propagate_members
+from cdassim.filters.montecarlo import propagate_members
 from cdassim.filters.pf import (
     DegenerateWeightsError,
     PfStepInfo,
@@ -53,7 +53,6 @@ __all__ = [
     "condition_number",
     "solve_spd",
     "symmetrize",
-    "member_generators",
     "propagate_members",
     "DegenerateWeightsError",
     "PfStepInfo",

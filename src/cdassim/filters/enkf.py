@@ -1,8 +1,9 @@
 """Ensemble Kalman filter with perturbed observations.
 
 The analysis step perturbs the observation once per member with fresh
-measurement noise, estimates the cross and innovation covariances from the
-sample deviations with 1/(N-1) normalization, adds the measurement-noise
+measurement noise, drawn as one ``(dim_obs, N)`` block from a single noise
+stream, estimates the cross and innovation covariances from the sample
+deviations with 1/(N-1) normalization, adds the measurement-noise
 covariance to the innovation covariance, and applies one shared gain to
 every member.
 """
@@ -12,49 +13,39 @@ import numpy as np
 
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, posterior_summary
 from cdassim.filters.linalg import chol_psd, solve_spd
-from cdassim.filters.montecarlo import propagate_members, resolve_member_rngs
-from cdassim.sde import SdeModel
+from cdassim.filters.montecarlo import propagate_members
+from cdassim.sde import NoiseStream, SdeModel
 
 __all__ = ["enkf_predict", "enkf_update"]
 
 
-def enkf_predict(model: SdeModel, ensemble: Ensemble, u, t1: float, noise,
+def enkf_predict(model: SdeModel, ensemble: Ensemble, u, t1: float, noise: NoiseStream,
                  substeps: int = 10) -> Ensemble:
-    """Propagate every member through the SDE to ``t1``.
-
-    ``noise`` is a parent stream (member substreams derived per call) or a
-    sequence of per-member generators.
-    """
-    rngs = resolve_member_rngs(noise, ensemble.size)
-    X = propagate_members(model, ensemble.members, u, ensemble.time, t1, rngs, substeps)
+    """Propagate every member through the SDE to ``t1`` with increments from ``noise``."""
+    X = propagate_members(model, ensemble.members, u, ensemble.time, t1, noise, substeps)
     return Ensemble(X, t1)
 
 
 def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarray,
-                noise) -> tuple[Ensemble, GaussianBelief, np.ndarray, np.ndarray]:
+                noise: NoiseStream) -> tuple[Ensemble, GaussianBelief, np.ndarray, np.ndarray]:
     """Perturbed-observation analysis.
 
     Returns (posterior ensemble, Gaussian summary, innovation against the
     ensemble-mean prediction, innovation covariance). Each member sees its
-    own perturbed copy ``y + v_i`` with ``v_i ~ N(0, R)`` drawn from that
-    member's noise stream.
+    own perturbed copy ``y + v_i`` with ``v_i ~ N(0, R)``; the standard
+    normals behind every ``v_i`` are one ``(dim_obs, N)`` draw of ``noise``.
     """
     X = ensemble.members
     t = ensemble.time
     n, N = X.shape
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    rngs = resolve_member_rngs(noise, N)
 
     Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
     if Yp.shape != (y.size, N):
         raise ValueError(f"measurement map returned {Yp.shape}, expected {(y.size, N)}")
 
-    LR = chol_psd(R)
-    V = np.empty((y.size, N))
-    for i in range(N):
-        V[:, i] = rngs[i].standard_normal(y.size)
-    V = LR @ V
+    V = chol_psd(R) @ noise.generator().standard_normal((y.size, N))
     E = (y[:, None] + V) - Yp  # per-member innovations
 
     Xd = X - X.mean(axis=1, keepdims=True)

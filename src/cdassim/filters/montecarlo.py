@@ -1,60 +1,38 @@
 """Shared sample-propagation machinery for the ensemble and particle filters.
 
-Every member owns its own counter-based noise substream, so propagation is
-reproducible regardless of how members are scheduled. Operations accept
-either a parent :class:`NoiseStream` (per-member substreams are derived
-fresh on every call, making the operation a pure, replayable function) or a
-pre-built sequence of generators (the stateful fast path used by the runner,
-which derives each member's stream once per run and consumes it step by step).
+Each propagation takes one counter-based :class:`NoiseStream` and draws the
+Wiener increments of every member and substep from it as one
+``(substeps, dim_noise, N)`` block. The operation is therefore a pure,
+replayable function of its stream; callers give each role and assimilation
+step its own stream, so no stream is consumed twice.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from cdassim.filters.kalman import DivergenceError
 from cdassim.sde import IntegrationError, NoiseStream, SdeModel, _as_input, euler_maruyama_step
 
-__all__ = ["member_generators", "resolve_member_rngs", "propagate_members"]
-
-
-def member_generators(stream: NoiseStream, n: int) -> list[np.random.Generator]:
-    """One persistent generator per member, derived as stream.child(i)."""
-    return [stream.child(i).generator() for i in range(n)]
-
-
-def resolve_member_rngs(noise, n: int) -> Sequence[np.random.Generator]:
-    if isinstance(noise, NoiseStream):
-        return member_generators(noise, n)
-    if len(noise) < n:
-        raise ValueError(f"need {n} member generators, got {len(noise)}")
-    return noise
+__all__ = ["propagate_members"]
 
 
 def propagate_members(model: SdeModel, X: np.ndarray, u, t0: float, t1: float,
-                      rngs: Sequence[np.random.Generator], substeps: int) -> np.ndarray:
+                      noise: NoiseStream, substeps: int) -> np.ndarray:
     """Euler-Maruyama propagation of column members from ``t0`` to ``t1``.
 
-    Member ``i`` draws its ``(substeps, dim_noise)`` increments from
-    ``rngs[i]`` in one call; the substep arithmetic itself is vectorized
-    across members, which is equivalent to independent integration because
-    members never interact.
+    All increments come from one ``(substeps, dim_noise, N)`` standard-normal
+    draw of ``noise``: substep ``j`` of member ``i`` uses ``block[j, :, i]``.
+    The substep arithmetic is vectorized across members, which is equivalent
+    to independent integration because members never interact.
     """
     if t1 < t0:
         raise ValueError("cannot propagate backwards in time")
     if t1 == t0:
         return X.copy()
-    n_members = X.shape[1]
-    n_w = model.dim_noise
     h = (t1 - t0) / substeps
-    scale = np.sqrt(h)
     u_of = _as_input(u)
-    # (substeps, n_w, N): one independent increment block per member
-    draws = np.empty((substeps, n_w, n_members))
-    for i in range(n_members):
-        draws[:, :, i] = rngs[i].standard_normal((substeps, n_w))
-    draws *= scale
+    shape = (substeps, model.dim_noise, X.shape[1])
+    draws = noise.generator().standard_normal(shape) * np.sqrt(h)
 
     X = X.copy()
     for j in range(substeps):

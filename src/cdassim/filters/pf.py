@@ -6,6 +6,9 @@ weights only when every particle is incompatible with the data, which is
 reported as an error rather than silently uniformized. Resampling is
 systematic (one uniform offset, n_p strata) and triggered by an effective
 sample size below half the particle count unless configured otherwise.
+
+A step takes one noise stream: it draws the propagation increments as one
+block from the stream itself and the resampling offset from its child 0.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import scipy.linalg
 
 from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.montecarlo import propagate_members, resolve_member_rngs
+from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import NoiseStream, SdeModel
 
 __all__ = [
@@ -79,14 +82,13 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return 1.0 / s
 
 
-def systematic_resample(particles: ParticleSet, noise) -> ParticleSet:
+def systematic_resample(particles: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     """Systematic (single-offset stratified) resampling to uniform weights.
 
     Uses one uniform draw u ~ U[0,1): stratum k picks the particle whose
     cumulative weight first reaches (k + u) / n_p. Uniform input weights
     therefore reproduce every particle exactly once.
     """
-    rng = noise.generator() if isinstance(noise, NoiseStream) else noise
     n = particles.size
     u0 = rng.uniform() / n
     positions = u0 + np.arange(n) / n
@@ -104,25 +106,18 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def pf_step(model: SdeModel, particles: ParticleSet, u, t1: float, y: np.ndarray,
-            R: np.ndarray, noise, resample: ResamplePolicy = ResamplePolicy(),
+            R: np.ndarray, noise: NoiseStream, resample: ResamplePolicy = ResamplePolicy(),
             substeps: int = 10) -> tuple[ParticleSet, PfStepInfo]:
     """One propagate/reweight/resample cycle; returns (particles, diagnostics).
 
-    ``noise`` is a parent stream (children 0..n_p-1 propagate the particles
-    and child n_p drives resampling) or a tuple ``(member_rngs, resample_rng)``
-    of pre-built generators.
+    ``noise`` itself supplies the propagation increments (one block for all
+    particles, see :func:`propagate_members`) and ``noise.child(0)`` the
+    uniform offset of systematic resampling, drawn only when resampling.
     """
     n_p = particles.size
-    if isinstance(noise, NoiseStream):
-        prop_noise = noise
-        resample_rng = noise.child(n_p).generator()
-    else:
-        prop_noise, resample_rng = noise
-    rngs = resolve_member_rngs(prop_noise, n_p)
-
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    X = propagate_members(model, particles.particles, u, particles.time, t1, rngs, substeps)
+    X = propagate_members(model, particles.particles, u, particles.time, t1, noise, substeps)
     propagated = ParticleSet(X, particles.weights, t1)
     prior = posterior_summary(propagated)
 
@@ -144,7 +139,8 @@ def pf_step(model: SdeModel, particles: ParticleSet, u, t1: float, y: np.ndarray
     Re = (dY * w) @ dY.T + R
     ess = effective_sample_size(w)
     do_resample = resample.should_resample(ess, n_p)
-    out = systematic_resample(weighted, resample_rng) if do_resample else weighted
+    out = (systematic_resample(weighted, noise.child(0).generator()) if do_resample
+           else weighted)
     info = PfStepInfo(
         posterior=posterior,
         prior=prior,

@@ -3,10 +3,13 @@
 One call runs a whole assimilation pass: predict to each measurement time,
 update, and record per-step diagnostics (moments, innovations, NIS, timing)
 in a :class:`FilterOutput`. Reproducibility comes from fixed child-stream
-roles under the configured noise stream: sample-based filters derive their
-initial draw, per-member propagation substreams, per-member observation
-perturbations, and the resampling stream from the tags below, so two runs
-with the same stream are bitwise identical no matter how work is scheduled.
+roles under the configured noise stream. Sample-based filters draw their
+initial members from role ``STREAM_INIT``; step ``k`` (the 0-based index
+into the measurement times) draws from one block stream per role,
+``stream.child(role).child(k)``: ``STREAM_PROPAGATE`` for EnKF propagation
+and the whole PF step, resampling included, and ``STREAM_PERTURB`` for the
+EnKF observation perturbations. Two runs with the same stream are therefore
+bitwise identical no matter how work is scheduled.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from cdassim.filters.kalman import (
     kalman_update,
 )
 from cdassim.filters.linalg import FactorizationError, SingularInnovationError, chol_psd
-from cdassim.filters.montecarlo import member_generators
 from cdassim.filters.pf import DegenerateWeightsError, ResamplePolicy, pf_step
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 from cdassim.sde import NoiseSpec, NoiseStream, SdeModel
@@ -40,7 +42,6 @@ __all__ = [
     "STREAM_INIT",
     "STREAM_PROPAGATE",
     "STREAM_PERTURB",
-    "STREAM_RESAMPLE",
     "FilterConfig",
     "FilterRunError",
     "run_filter",
@@ -52,7 +53,6 @@ FILTER_KINDS = ("ekf", "ukf", "enkf", "pf")
 STREAM_INIT = 0
 STREAM_PROPAGATE = 1
 STREAM_PERTURB = 2
-STREAM_RESAMPLE = 3
 
 
 class FilterRunError(RuntimeError):
@@ -179,13 +179,12 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
             raise ValueError(f"{kind} requires a noise stream in the config")
         size = config.ensemble_size if kind == "enkf" else config.particle_count
         X0 = _initial_members(config, model, size)
-        prop_rngs = member_generators(config.stream.child(STREAM_PROPAGATE), size)
+        propagate_root = config.stream.child(STREAM_PROPAGATE)
         if kind == "enkf":
             ensemble = Ensemble(X0, config.initial.time)
-            perturb_rngs = member_generators(config.stream.child(STREAM_PERTURB), size)
+            perturb_root = config.stream.child(STREAM_PERTURB)
         else:
             particles = ParticleSet(X0, np.full(size, 1.0 / size), config.initial.time)
-            resample_rng = config.stream.child(STREAM_RESAMPLE).generator()
             out.ess = np.empty(n_steps)
             out.resampled = np.zeros(n_steps, dtype=bool)
 
@@ -203,12 +202,14 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 belief, e, Re = ukf_update(prior, model, y, R, config.scaling)
                 post = belief
             elif kind == "enkf":
-                ensemble = enkf_predict(model, ensemble, u, t1, prop_rngs, config.substeps)
+                ensemble = enkf_predict(model, ensemble, u, t1, propagate_root.child(k),
+                                        config.substeps)
                 prior = posterior_summary(ensemble)
-                ensemble, post, e, Re = enkf_update(ensemble, model, y, R, perturb_rngs)
+                ensemble, post, e, Re = enkf_update(ensemble, model, y, R,
+                                                    perturb_root.child(k))
             else:
                 particles, info = pf_step(
-                    model, particles, u, t1, y, R, (prop_rngs, resample_rng),
+                    model, particles, u, t1, y, R, propagate_root.child(k),
                     config.resample, config.substeps)
                 prior = info.prior
                 post = (posterior_summary(particles) if config.pf_resampled_summary

@@ -187,6 +187,10 @@ class MetricsReport:
 
 def _filter_config(config: ExperimentConfig, kind: str, *, size: int | None = None,
                    stream_tag: int | None = None) -> FilterConfig:
+    # the config schema admits a noiseless measurement for simulate; every
+    # filter needs a positive-definite measurement covariance
+    if config.obs_variance <= 0:
+        raise ValueError("noise.obs_variance must be > 0 to run a filter")
     tag = FILTER_STREAM[kind] if stream_tag is None else stream_tag
     kwargs = {}
     if size is not None:

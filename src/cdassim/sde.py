@@ -65,8 +65,8 @@ class NoiseStream:
     Streams are counter-based (Philox keyed by ``(seed, stream_id)``):
     the same handle always replays the identical sequence, regardless of
     what other streams were consumed, in which order, or on which worker.
-    Hierarchies of independent substreams (one per ensemble member,
-    particle, or harness role) are derived with :meth:`child`.
+    Hierarchies of independent substreams (one per harness role, filter
+    noise role, or assimilation step) are derived with :meth:`child`.
     """
 
     seed: int

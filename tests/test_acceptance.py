@@ -17,7 +17,6 @@ from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, cstr3_drift
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
 from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.montecarlo import member_generators
 from cdassim.filters.pf import ResamplePolicy, pf_step
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, run_filter
 from cdassim.harness import (
@@ -138,21 +137,21 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
     init_rng = NoiseStream(SEED, 910).generator()
     errs = {"enkf": np.zeros((N_SEEDS, len(sizes))), "pf": np.zeros((N_SEEDS, len(sizes)))}
     for j, n in enumerate(sizes):
-        # one keyed generator set per member stream; successive replicates
-        # consume successive counter blocks, which is what makes 20 runs
-        # affordable at n = 1e5 (keyed construction alone costs ~14 us each)
-        prop_e = member_generators(NoiseStream(SEED, 920 + j), n)
-        pert_e = member_generators(NoiseStream(SEED, 930 + j), n)
-        prop_p = member_generators(NoiseStream(SEED, 940 + j), n)
-        resample_rng = NoiseStream(SEED, 950 + j).generator()
+        # replicate r draws each role's noise as one block from child r of
+        # that role's stream, so a replicate costs a few vectorized draws
+        # whatever n is
+        prop_e = NoiseStream(SEED, 920 + j)
+        pert_e = NoiseStream(SEED, 930 + j)
+        prop_p = NoiseStream(SEED, 940 + j)
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
-            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), None, OU_DT, prop_e, 10)
-            _, post, _, _ = enkf_update(ens, model, y1, Rm, pert_e)
+            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), None, OU_DT,
+                               prop_e.child(r), 10)
+            _, post, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
             errs["enkf"][r, j] = abs(float(post.mean[0]) - kf_mean)
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
             _, info = pf_step(model, particles, None, OU_DT, y1, Rm,
-                              (prop_p, resample_rng), ResamplePolicy(), 10)
+                              prop_p.child(r), ResamplePolicy(), 10)
             errs["pf"][r, j] = abs(float(info.posterior.mean[0]) - kf_mean)
     slopes = {kind: float(np.polyfit(np.log10(sizes), np.log10(errs[kind].mean(axis=0)), 1)[0])
               for kind in errs}

@@ -176,6 +176,14 @@ def test_missing_and_invalid_config_exit_1(tmp_path, monkeypatch, capsys):
     assert "noise.sigma_T" in err and "unknown key: typo" in err
 
 
+def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "noiseless.json"
+    cfgfile.write_text(json.dumps({**SMALL, "noise": {"obs_variance": 0}}))
+    assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
+    assert "noise.obs_variance" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1():
     for argv in (["frobnicate"], ["estimate", "--frobnicate"],
                  ["estimate", "--filters", "kf"], ["sweep", "--filters", "ekf"],

@@ -350,8 +350,7 @@ class TestMomentConsistency:
         stream = NoiseStream(909)
         rng = stream.child(0).generator()
         X0 = mean0[:, None] + np.linalg.cholesky(P0) @ rng.standard_normal((4, n))
-        rngs = [stream.child(1 + i).generator() for i in range(n)]
-        X1 = propagate_members(m, X0, exp.flow, 0.0, 10.0, rngs, substeps=100)
+        X1 = propagate_members(m, X0, exp.flow, 0.0, 10.0, stream.child(1), substeps=100)
         mc_mean = X1.mean(axis=1)
         se = X1.std(axis=1, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(pred.mean - mc_mean) <= 4.0 * se + 1e-3)

@@ -6,7 +6,7 @@ from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.kalman import DivergenceError
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.montecarlo import member_generators, propagate_members
+from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import NoiseStream, SdeModel
 
 
@@ -23,23 +23,14 @@ def scalar_ou(a=1.0, sigma=0.5):
     )
 
 
-def test_member_generators_are_independent_and_replayable():
-    stream = NoiseStream(99)
-    first = [g.standard_normal(4) for g in member_generators(stream, 3)]
-    again = [g.standard_normal(4) for g in member_generators(stream, 3)]
-    for d, e in zip(first, again):
-        assert np.array_equal(d, e)
-    assert not np.allclose(first[0], first[1])
-
-
 def test_propagate_members_matches_discrete_chain_moments():
     # the per-substep update has exactly computable mean and variance, so
     # the sample statistics must match them to Monte Carlo accuracy
     a, sigma, x0, t1 = 0.8, 0.5, 2.0, 1.0
     K, N = 40, 20000
     model = scalar_ou(a, sigma)
-    rngs = member_generators(NoiseStream(7, 3), N)
-    X1 = propagate_members(model, np.full((1, N), x0), np.zeros(1), 0.0, t1, rngs, K)
+    X1 = propagate_members(model, np.full((1, N), x0), np.zeros(1), 0.0, t1,
+                           NoiseStream(7, 3), K)
     h = t1 / K
     factor = 1.0 - a * h
     mean_exact = x0 * factor**K
@@ -51,12 +42,39 @@ def test_propagate_members_matches_discrete_chain_moments():
 def test_propagate_members_time_edges():
     model = scalar_ou()
     X = np.array([[1.0, 2.0]])
-    rngs = member_generators(NoiseStream(1), 2)
-    same = propagate_members(model, X, np.zeros(1), 3.0, 3.0, rngs, 10)
+    noise = NoiseStream(1)
+    same = propagate_members(model, X, np.zeros(1), 3.0, 3.0, noise, 10)
     assert np.array_equal(same, X)
     assert same is not X
     with pytest.raises(ValueError):
-        propagate_members(model, X, np.zeros(1), 3.0, 2.0, rngs, 10)
+        propagate_members(model, X, np.zeros(1), 3.0, 2.0, noise, 10)
+
+
+def test_propagate_members_is_euler_maruyama_over_one_block():
+    # every increment comes from one (substeps, n_w, N) draw of the stream:
+    # substep j of member i uses block[j, :, i]
+    A = np.array([[-0.5, 0.2], [0.1, -0.3]])
+    G = np.array([[0.4, 0.0], [0.3, 0.2]])
+    model = SdeModel(
+        dim_state=2, dim_noise=2, dim_obs=1,
+        drift=lambda t, x, u: A @ x + u[:, None] * (1.0 + t),
+        diffusion=lambda t, x, u: G,
+        measure=lambda t, x: x[:1],
+    )
+    rng = np.random.default_rng(3)
+    X0 = rng.standard_normal((2, 7))
+    u = np.array([0.1, -0.2])
+    t0, t1, K = 0.5, 1.3, 6
+    stream = NoiseStream(31, 4)
+    X1 = propagate_members(model, X0, u, t0, t1, stream, K)
+
+    h = (t1 - t0) / K
+    block = stream.generator().standard_normal((K, 2, 7)) * np.sqrt(h)
+    X = X0.copy()
+    for j in range(K):
+        t = t0 + j * h
+        X = X + (A @ X + u[:, None] * (1.0 + t)) * h + G @ block[j]
+    assert np.array_equal(X1, X)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -69,9 +87,9 @@ def test_propagate_members_reports_diverged_member():
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
     )
-    rngs = member_generators(NoiseStream(2), 2)
     with pytest.raises(DivergenceError) as err:
-        propagate_members(model, np.array([[-1.0, 50.0]]), np.zeros(1), 0.0, 2.0, rngs, 8)
+        propagate_members(model, np.array([[-1.0, 50.0]]), np.zeros(1), 0.0, 2.0,
+                          NoiseStream(2), 8)
     assert "member 1" in str(err.value)
 
 
@@ -85,9 +103,9 @@ def test_propagate_members_converts_midstep_overflow():
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
     )
-    rngs = member_generators(NoiseStream(2), 2)
     with pytest.raises(DivergenceError):
-        propagate_members(model, np.array([[0.1, 50.0]]), np.zeros(1), 0.0, 5.0, rngs, 5)
+        propagate_members(model, np.array([[0.1, 50.0]]), np.zeros(1), 0.0, 5.0,
+                          NoiseStream(2), 5)
 
 
 def test_enkf_predict_is_reproducible_per_stream():
@@ -131,10 +149,7 @@ def test_enkf_update_matches_direct_formulas():
     stream = NoiseStream(77)
     post, _, e, Re = enkf_update(Ensemble(X), model, y, R, stream)
 
-    V = np.empty((ny, N))
-    for i, g in enumerate(member_generators(stream, N)):
-        V[:, i] = g.standard_normal(ny)
-    V = chol_psd(R) @ V
+    V = chol_psd(R) @ stream.generator().standard_normal((ny, N))
     Yp = C @ X
     E = (y[:, None] + V) - Yp
     Xd = X - X.mean(axis=1, keepdims=True)

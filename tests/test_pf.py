@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cdassim.filters.beliefs import ParticleSet
-from cdassim.filters.montecarlo import member_generators
+from cdassim.filters.montecarlo import propagate_members
 from cdassim.filters.pf import (
     DegenerateWeightsError,
     ResamplePolicy,
@@ -139,20 +139,22 @@ def test_pf_step_never_policy_keeps_weighted_set():
 
 
 def test_pf_step_stream_layout_matches_documented_contract():
-    # children 0..n-1 drive propagation, child n drives resampling
+    # the stream itself drives propagation, its child 0 drives resampling
     model = brownian_model(sigma=0.5)
     ps = uniform_particles(np.linspace(-2.0, 2.0, 30))
     stream = NoiseStream(45)
     by_stream, info_a = pf_step(model, ps, None, 0.5, np.array([0.3]),
                                 np.array([[0.25]]), stream,
                                 resample=ResamplePolicy("always"))
-    rngs = member_generators(stream, 30)
-    resample_rng = stream.child(30).generator()
-    by_parts, info_b = pf_step(model, ps, None, 0.5, np.array([0.3]),
-                               np.array([[0.25]]), (rngs, resample_rng),
-                               resample=ResamplePolicy("always"))
+    X = propagate_members(model, ps.particles, None, 0.0, 0.5, stream, 10)
+    assert np.array_equal(info_a.prior.mean, X @ ps.weights)
+    z = (0.3 - X[0]) / 0.5
+    logw = np.log(ps.weights) + -0.5 * (z * z)
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    by_parts = systematic_resample(ParticleSet(X, w, 0.5), stream.child(0).generator())
     assert np.array_equal(by_stream.particles, by_parts.particles)
-    assert np.array_equal(info_a.posterior.mean, info_b.posterior.mean)
+    assert np.array_equal(info_a.posterior.mean, X @ w)
 
 
 def test_pf_step_is_reproducible_per_stream():

@@ -2,12 +2,22 @@
 import numpy as np
 import pytest
 
-from cdassim.filters.beliefs import GaussianBelief
-from cdassim.filters.pf import ResamplePolicy
-from cdassim.filters.runner import FilterConfig, FilterRunError, run_filter
+from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
+from cdassim.filters.enkf import enkf_predict, enkf_update
+from cdassim.filters.linalg import chol_psd
+from cdassim.filters.pf import ResamplePolicy, pf_step
+from cdassim.filters.runner import (
+    STREAM_INIT,
+    STREAM_PERTURB,
+    STREAM_PROPAGATE,
+    FilterConfig,
+    FilterRunError,
+    run_filter,
+)
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
+from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
 M0, P0 = 0.0, 1.0
@@ -125,6 +135,46 @@ def test_pf_summary_flag_switches_reported_posterior(ou_data):
     assert np.array_equal(weighted.innovation, resampled.innovation)
     assert np.array_equal(weighted.ess, resampled.ess)
     assert not np.array_equal(weighted.post_mean, resampled.post_mean)
+
+
+def test_sample_filter_noise_keys_match_hand_calls():
+    # step k draws from stream.child(role).child(k); the PF step, resampling
+    # included, uses the STREAM_PROPAGATE key
+    model = _ou_model()
+    times = OU_DT * np.arange(1, 4)
+    ys = np.array([5.3, 4.6, 5.1])
+    R = np.array([[OU_R]])
+    init = GaussianBelief(np.array([OU_M0]), np.array([[OU_P0]]))
+    root = NoiseStream(31337, 6)
+    N = 64
+    init_rng = root.child(STREAM_INIT).generator()
+    x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
+
+    enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
+                                                   ensemble_size=N), times, ys)
+    ens = Ensemble(x0, 0.0)
+    for k, t1 in enumerate(times):
+        ens = enkf_predict(model, ens, None, t1, root.child(STREAM_PROPAGATE).child(k), 10)
+        prior = posterior_summary(ens)
+        ens, post, e, _ = enkf_update(ens, model, ys[k:k + 1], R,
+                                      root.child(STREAM_PERTURB).child(k))
+        assert np.array_equal(enkf.prior_mean[k], prior.mean)
+        assert np.array_equal(enkf.post_mean[k], post.mean)
+        assert np.array_equal(enkf.post_cov[k], post.cov)
+        assert np.array_equal(enkf.innovation[k], e)
+
+    always = ResamplePolicy("always")
+    pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
+                                               particle_count=N, resample=always),
+                    times, ys)
+    particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
+    for k, t1 in enumerate(times):
+        particles, info = pf_step(model, particles, None, t1, ys[k:k + 1], R,
+                                  root.child(STREAM_PROPAGATE).child(k), always, 10)
+        assert np.array_equal(pf.prior_mean[k], info.prior.mean)
+        assert np.array_equal(pf.post_mean[k], info.posterior.mean)
+        assert np.array_equal(pf.post_cov[k], info.posterior.cov)
+        assert pf.ess[k] == info.ess and pf.resampled[k]
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
