@@ -1,14 +1,12 @@
 """Continuous-discrete Bayesian filtering for SDE models with discrete observations."""
 
 from cdassim.sde import (
-    AugmentedModel,
     IntegrationError,
     NoiseSpec,
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
     Trajectory,
-    augment,
     draw_increments,
     euler_maruyama_step,
     simulate_path,
@@ -17,14 +15,12 @@ from cdassim.sde import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedModel",
     "IntegrationError",
     "NoiseSpec",
     "NoiseStream",
     "PiecewiseConstant",
     "SdeModel",
     "Trajectory",
-    "augment",
     "draw_increments",
     "euler_maruyama_step",
     "simulate_path",

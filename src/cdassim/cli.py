@@ -38,7 +38,7 @@ from cdassim.harness import (
     write_sweep_report,
     write_uncertainty_report,
 )
-from cdassim.sde import IntegrationError
+from cdassim.sde import IntegrationError, rk4_inputs, rk4_step
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -152,16 +152,9 @@ def _reduced_comparison(config: ExperimentConfig):
     flow = config.flow_profile()
     h = config.dt_sample / config.substeps
 
-    def rk4(f, t, x):
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    f3 = lambda t, z: cstr3_drift(z, flow.flow(t), params)
-    f2 = lambda t, z: cstr2_drift(z[0], z[1], flow.flow(t), params)
-    f1 = lambda t, z: cstr1_drift(z, flow.flow(t), params)
+    f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
+    f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
+    f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
 
     x3 = np.array([params.CA_in, params.CB_in, params.T_in])
     x2 = np.array([0.0, params.T_in])
@@ -169,11 +162,11 @@ def _reduced_comparison(config: ExperimentConfig):
     temps = [(0.0, x3[2], x2[1], x1)]
     for k in range(config.n_samples):
         t = k * config.dt_sample
-        for j in range(config.substeps):
+        for j, inputs in enumerate(rk4_inputs(flow, t, h, config.substeps)):
             tj = t + j * h
-            x3 = rk4(f3, tj, x3)
-            x2 = rk4(f2, tj, x2)
-            x1 = rk4(f1, tj, x1)
+            x3 = rk4_step(f3, tj, x3, h, inputs)
+            x2 = rk4_step(f2, tj, x2, h, inputs)
+            x1 = rk4_step(f1, tj, x1, h, inputs)
         temps.append((t + config.dt_sample, x3[2], x2[1], x1))
     return temps
 

@@ -4,8 +4,12 @@ Provides the 3-state stochastic model (concentrations CA, CB and temperature
 T with diffusion on T only), reduced 2-state (extent of reaction, T) and
 1-state (T) deterministic approximations, the steady-state flow/temperature
 curve with its ignition fold, analytic Jacobians, and the default joint
-state-and-parameter estimation setup with the heat-rise coefficient beta
-appended as a constant-drift fourth state.
+state-and-parameter estimation model. The joint model is the paper's: the
+heat-rise coefficient beta is a fourth state (CA, CB, T, beta) with zero
+drift. It is one plain :class:`~cdassim.sde.SdeModel` whose drift and
+Jacobian kernels read beta from the state's fourth row, so a single
+evaluation serves any value of the parameter, for one state or a column
+batch.
 
 Units: seconds, Kelvin, mol/L, L/s throughout.
 """
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdassim.sde import AugmentedModel, NoiseSpec, PiecewiseConstant, SdeModel, augment
+from cdassim.sde import NoiseSpec, PiecewiseConstant, SdeModel
 
 __all__ = [
     "CstrParams",
@@ -34,7 +38,6 @@ __all__ = [
     "steady_state_flow",
     "steady_state_curve",
     "cstr3_model",
-    "beta_drift_jacobian",
     "default_experiment_model",
     "TRUTH_STATE_INIT",
     "TRUTH_BETA",
@@ -146,6 +149,9 @@ class FlowProfile:
     def __call__(self, t: float) -> np.ndarray:
         return self._profile(t)
 
+    def at(self, times: np.ndarray) -> np.ndarray:
+        return self._profile.at(times)
+
     def flow(self, t: float) -> float:
         return float(self._profile(t)[0])
 
@@ -155,58 +161,50 @@ def rate_constant(T, params: CstrParams):
     return params.k0 * np.exp(-params.EaR / np.asarray(T, dtype=float))
 
 
-def _unpack3(x):
-    x = np.asarray(x, dtype=float)
-    return x[0], x[1], x[2]
+def cstr3_drift(x, F, params: CstrParams):
+    """Deterministic rates of the 3-state model, or of the joint 4-state model.
 
-
-def cstr3_drift(x, F, params: CstrParams, beta=None):
-    """Deterministic rates of the 3-state model.
-
-    ``x`` is ``(CA, CB, T)`` as an array of shape ``(3,)`` or a column batch
-    ``(3, n)``; ``beta`` overrides ``params.beta`` (scalar or per-column) so
-    the same code serves the parameter-augmented model.
+    ``x`` is ``(CA, CB, T)`` or the joint ``(CA, CB, T, beta)``, as an array
+    of shape ``(n,)`` or a column batch ``(n, m)``. A fourth row is the
+    heat-rise coefficient: it replaces ``params.beta`` and its rate is zero.
     """
     x = np.asarray(x, dtype=float)
-    if beta is None:
-        beta = params.beta
-    if x.ndim == 1:
-        # single-point evaluations dominate the moment-filter and truth-path
-        # cost, so stay on numpy scalars and skip the stack machinery
-        CA, CB, T = x[0], x[1], x[2]
-        FV = F / params.V
-        r = params.k0 * np.exp(-params.EaR / T) * CA * CB
-        return np.array([
-            FV * (params.CA_in - CA) - r,
-            FV * (params.CB_in - CB) - 2.0 * r,
-            FV * (params.T_in - T) + beta * r,
-        ])
     CA, CB, T = x[0], x[1], x[2]
+    beta = x[3] if len(x) > 3 else params.beta
     FV = F / params.V
-    r = rate_constant(T, params) * CA * CB  # reaction rate, mol/(L s)
-    return np.stack([
-        FV * (params.CA_in - CA) - r,
-        FV * (params.CB_in - CB) - 2.0 * r,
-        FV * (params.T_in - T) + beta * r,
-    ])
+    r = params.k0 * np.exp(-params.EaR / T) * CA * CB  # reaction rate, mol/(L s)
+    out = np.zeros(x.shape)
+    out[0] = FV * (params.CA_in - CA) - r
+    out[1] = FV * (params.CB_in - CB) - 2.0 * r
+    out[2] = FV * (params.T_in - T) + beta * r
+    return out
 
 
-def cstr3_jacobian(x, F, params: CstrParams, beta=None) -> np.ndarray:
-    """Analytic state Jacobian of :func:`cstr3_drift`, using dk/dT = k EaR/T^2."""
-    CA, CB, T = _unpack3(x)
-    if beta is None:
-        beta = params.beta
+def cstr3_jacobian(x, F, params: CstrParams) -> np.ndarray:
+    """Analytic state Jacobian of :func:`cstr3_drift`.
+
+    Uses dk/dT = k EaR/T^2 from a single ``exp(-EaR/T)``. A state of shape
+    ``(n,)`` gives ``(n, n)``; a column batch ``(n, m)`` gives ``(n, n, m)``.
+    For the joint state n = 4: the beta column holds d(dT/dt)/d(beta), the
+    reaction rate, and the beta row is zero.
+    """
+    x = np.asarray(x, dtype=float)
+    CA, CB, T = x[0], x[1], x[2]
+    n = len(x)
+    beta = x[3] if n > 3 else params.beta
     FV = F / params.V
     k = params.k0 * np.exp(-params.EaR / T)
     kp = k * params.EaR / (T * T)
     kCA = k * CA
     kCB = k * CB
     kpAB = kp * CA * CB
-    return np.array([
-        [-FV - kCB, -kCA, -kpAB],
-        [-2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB],
-        [beta * kCB, beta * kCA, -FV + beta * kpAB],
-    ])
+    J = np.zeros((n, n) + x.shape[1:])
+    J[0, :3] = (-FV - kCB, -kCA, -kpAB)
+    J[1, :3] = (-2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB)
+    J[2, :3] = (beta * kCB, beta * kCA, -FV + beta * kpAB)
+    if n > 3:
+        J[2, 3] = kCA * CB
+    return J
 
 
 def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
@@ -286,69 +284,61 @@ def steady_state_curve(params: CstrParams, n: int = 400,
 
 def _clamp_concentrations(x):
     # noise and measurement updates can push CA, CB slightly negative
-    x = np.array(x, dtype=float)
-    x[:2] = np.maximum(x[:2], 0.0)
+    np.maximum(x[:2], 0.0, out=x[:2])
     return x
 
 
-def cstr3_model(params: CstrParams, beta=None) -> SdeModel:
-    """3-state SDE with temperature-only diffusion (F/V) sigma_T.
+def _cstr_sde(params: CstrParams, dim_state: int, param_sigma: float = 0.0) -> SdeModel:
+    """CSTR SDE on (CA, CB, T) or the joint (CA, CB, T, beta) state.
 
-    The input ``u`` is the 1-vector flow rate, typically a
-    :class:`FlowProfile`. ``beta`` overrides ``params.beta``; passing the
-    live parameter column is what the augmented factory does.
+    Diffusion is (F/V) sigma_T on T, plus a second channel of constant
+    intensity ``param_sigma`` on beta when that is positive; the measurement
+    is T, with a constant Jacobian.
     """
-
-    def drift(t, x, u):
-        return cstr3_drift(x, u[0], params, beta=beta)
+    dim_noise = 2 if param_sigma > 0 else 1
+    H = np.zeros((1, dim_state))
+    H[0, 2] = 1.0
+    H.setflags(write=False)
 
     def diffusion(t, x, u):
-        return np.array([[0.0], [0.0], [u[0] / params.V * params.sigma_T]])
-
-    def measure(t, x):
-        return x[2:3]
-
-    def drift_jacobian(t, x, u):
-        b = params.beta if beta is None else float(np.asarray(beta).ravel()[0])
-        return cstr3_jacobian(x, u[0], params, beta=b)
-
-    def measure_jacobian(t, x):
-        return np.array([[0.0, 0.0, 1.0]])
+        g = np.zeros((dim_state, dim_noise))
+        g[2, 0] = u[0] / params.V * params.sigma_T
+        if dim_noise == 2:
+            g[3, 1] = param_sigma
+        return g
 
     return SdeModel(
-        dim_state=3,
-        dim_noise=1,
+        dim_state=dim_state,
+        dim_noise=dim_noise,
         dim_obs=1,
-        drift=drift,
+        drift=lambda t, x, u: cstr3_drift(x, u[0], params),
         diffusion=diffusion,
-        measure=measure,
-        drift_jacobian=drift_jacobian,
-        measure_jacobian=measure_jacobian,
+        measure=lambda t, x: x[2:3],
+        drift_jacobian=lambda t, x, u: cstr3_jacobian(x, u[0], params),
+        measure_jacobian=lambda t, x: H,
         constrain=_clamp_concentrations,
     )
 
 
-def beta_drift_jacobian(params: CstrParams):
-    """Analytic d(drift)/d(beta) for the augmented model: only T' depends on it."""
+def cstr3_model(params: CstrParams) -> SdeModel:
+    """3-state SDE with temperature-only diffusion (F/V) sigma_T.
 
-    def jac(t, x, u, theta):
-        x = np.asarray(x, dtype=float)
-        r = params.k0 * np.exp(-params.EaR / x[2]) * x[0] * x[1]
-        return np.array([[0.0], [0.0], [r]])
-
-    return jac
+    The input ``u`` is the 1-vector flow rate, typically a
+    :class:`FlowProfile`.
+    """
+    return _cstr_sde(params, 3)
 
 
 @dataclass(frozen=True)
 class CstrExperiment:
     """Everything the twin experiment needs, bundled."""
 
-    model: AugmentedModel
+    model: SdeModel
     flow: FlowProfile
     obs: NoiseSpec
     params: CstrParams
-    truth_init: np.ndarray        # augmented (CA, CB, T, beta) ground truth
-    filter_init_mean: np.ndarray  # augmented initial guess
+    truth_init: np.ndarray        # joint (CA, CB, T, beta) ground truth
+    filter_init_mean: np.ndarray  # joint initial guess
 
 
 def default_flow_profile() -> FlowProfile:
@@ -361,25 +351,20 @@ def default_experiment_model(params: CstrParams | None = None,
                              param_diffusion=None) -> CstrExperiment:
     """Joint state-and-parameter estimation setup for the CSTR twin experiment.
 
-    beta rides along as a constant-drift fourth state; with
-    ``param_diffusion`` zero (default) it carries no process noise, so the
-    augmented model keeps a single noise channel. Measurement is the
-    temperature with variance 9.
+    The model state is (CA, CB, T, beta): beta rides along as a fourth state
+    with zero drift. With ``param_diffusion`` (a non-negative scalar) zero
+    or None, the default, beta carries no process noise and the model keeps
+    a single noise channel; a positive value adds a random-walk channel on
+    beta. Measurement is the temperature with variance 9.
     """
     if params is None:
         params = CstrParams()
     if flow is None:
         flow = default_flow_profile()
-
-    def factory(theta):
-        return cstr3_model(params, beta=theta[0])
-
-    model = augment(
-        factory,
-        theta0=np.array([FILTER_BETA_INIT]),
-        param_diffusion=param_diffusion,
-        param_jacobian=beta_drift_jacobian(params),
-    )
+    sigma = 0.0 if param_diffusion is None else float(np.reshape(param_diffusion, ()))
+    if sigma < 0:
+        raise ValueError("param_diffusion must be non-negative")
+    model = _cstr_sde(params, 4, sigma)
     return CstrExperiment(
         model=model,
         flow=flow,

@@ -5,8 +5,9 @@ Prediction integrates the joint moment ODEs
     dm/dt = f(t, m, u)
     dP/dt = A P + P A^T + sigma sigma^T,    A = df/dx(t, m, u)
 
-with a fixed-step classical Runge-Kutta scheme between measurements. The
-measurement update is the Joseph-form update
+with the shared classical Runge-Kutta stepper (:func:`cdassim.sde.rk4_step`)
+between measurements, advancing mean and covariance as one flat moment
+vector ``(m, vec P)``. The measurement update is the Joseph-form update
 
     P+ = (I - K C) P (I - K C)^T + K R K^T,
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import solve_spd, symmetrize, condition_number
-from cdassim.sde import SdeModel, _as_input
+from cdassim.sde import SdeModel, rk4_inputs, rk4_step
 
 __all__ = ["DivergenceError", "ekf_predict", "kalman_update"]
 
@@ -32,12 +33,20 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
-def _moment_rhs(model: SdeModel, t: float, m: np.ndarray, P: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
-    f = np.asarray(model.drift(t, m, u), dtype=float)
-    A = model.drift_jac(t, m, u)
-    g = np.asarray(model.diffusion(t, m, u), dtype=float)
-    AP = A @ P
-    return f, AP + AP.T + g @ g.T
+def _moment_rhs(model: SdeModel, n: int):
+    """Right-hand side of the moment ODEs on the flat vector ``(m, vec P)``."""
+
+    def rhs(t, y, u):
+        m = y[:n]
+        out = np.empty_like(y)
+        out[:n] = model.drift(t, m, u)
+        A = model.drift_jac(t, m, u)
+        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+        AP = A @ y[n:].reshape(n, n)
+        out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
+        return out
+
+    return rhs
 
 
 def ekf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
@@ -54,23 +63,17 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
         raise ValueError("cannot predict backwards in time")
     if t1 == t0:
         return belief
-    u_of = _as_input(u)
+    n = belief.dim
+    rhs = _moment_rhs(model, n)
     h = (t1 - t0) / substeps
-    m = belief.mean.copy()
-    P = belief.cov.copy()
-    for j in range(substeps):
-        t = t0 + j * h
-        tm = t + 0.5 * h
-        te = t + h
-        u0, um, u1 = u_of(t), u_of(tm), u_of(te)
-        k1m, k1P = _moment_rhs(model, t, m, P, u0)
-        k2m, k2P = _moment_rhs(model, tm, m + 0.5 * h * k1m, P + 0.5 * h * k1P, um)
-        k3m, k3P = _moment_rhs(model, tm, m + 0.5 * h * k2m, P + 0.5 * h * k2P, um)
-        k4m, k4P = _moment_rhs(model, te, m + h * k3m, P + h * k3P, u1)
-        m = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        P = symmetrize(P + (h / 6.0) * (k1P + 2.0 * k2P + 2.0 * k3P + k4P))
+    y = np.concatenate((belief.mean, belief.cov.ravel()))
+    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
+        y = rk4_step(rhs, t0 + j * h, y, h, inputs)
+        P = y[n:].reshape(n, n)
+        P[...] = symmetrize(P)
         if model.constrain is not None:
-            m = model.constrain(m)
+            y[:n] = model.constrain(y[:n])
+    m, P = y[:n], y[n:].reshape(n, n)
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"EKF moments diverged by t={t1}", time=t1)
     return GaussianBelief(m, P, t1)

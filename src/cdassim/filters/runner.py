@@ -97,27 +97,6 @@ class FilterConfig:
             raise ValueError("particle_count must be at least 1")
 
 
-def _empty_output(kind: str, config: FilterConfig, n: int, ny: int) -> FilterOutput:
-    out = FilterOutput(
-        kind=kind,
-        initial=config.initial,
-        times=np.zeros(0),
-        prior_mean=np.zeros((0, n)),
-        prior_cov=np.zeros((0, n, n)),
-        post_mean=np.zeros((0, n)),
-        post_cov=np.zeros((0, n, n)),
-        innovation=np.zeros((0, ny)),
-        innovation_cov=np.zeros((0, ny, ny)),
-        nis=np.zeros(0),
-        gain_condition=np.zeros(0),
-        step_seconds=np.zeros(0),
-    )
-    if kind == "pf":
-        out.ess = np.zeros(0)
-        out.resampled = np.zeros(0, dtype=bool)
-    return out
-
-
 def _initial_members(config: FilterConfig, model: SdeModel, size: int) -> np.ndarray:
     rng = config.stream.child(STREAM_INIT).generator()
     L0 = chol_psd(config.initial.cov)
@@ -145,8 +124,6 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     n = config.initial.dim
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0:
-        return _empty_output(kind, config, n, ny)
     Y = np.asarray(measurements, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None] if ny == 1 else np.atleast_2d(Y)
@@ -154,7 +131,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         raise ValueError(f"measurements shape {Y.shape}, expected {(times.size, ny)}")
     if np.any(np.diff(times) <= 0):
         raise ValueError("measurement times must be strictly increasing")
-    if times[0] < config.initial.time:
+    if times.size and times[0] < config.initial.time:
         raise ValueError("first measurement precedes the initial belief")
 
     n_steps = times.size

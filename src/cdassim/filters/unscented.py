@@ -7,8 +7,9 @@ and q noise dimensions, 2(n+q)+1 points are generated from
     blockdiag(P, dt * I_q),
 
 and the noise coordinates of each point become its increment, applied in
-equal parts across the integrator substeps while the drift advances with
-a classical Runge-Kutta step. The measurement update regenerates sigma
+equal parts across the integrator substeps while the drift advances the
+whole point batch with the shared classical Runge-Kutta stepper
+(:func:`cdassim.sde.rk4_step`). The measurement update regenerates sigma
 points from the predicted belief without noise augmentation and adds the
 measurement-noise covariance to the predicted innovation covariance.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from cdassim.filters.beliefs import GaussianBelief, SigmaPointSet
 from cdassim.filters.kalman import DivergenceError
 from cdassim.filters.linalg import chol_psd, solve_spd, symmetrize
-from cdassim.sde import SdeModel, _as_input
+from cdassim.sde import SdeModel, rk4_inputs, rk4_step
 
 __all__ = ["UkfScaling", "ukf_sigma_points", "ukf_predict", "ukf_update"]
 
@@ -113,23 +114,15 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
         raise ValueError("cannot predict backwards in time")
     if t1 == t0:
         return belief
-    u_of = _as_input(u)
     sp = ukf_sigma_points(belief, scaling, model.dim_noise, t1 - t0)
     h = (t1 - t0) / substeps
     pts = sp.points.copy()
     dW = sp.noise_points / (2.0 * substeps)  # half-increment per substep
-    for j in range(substeps):
+    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
         t = t0 + j * h
-        tm = t + 0.5 * h
-        te = t + h
-        u0, um, u1 = u_of(t), u_of(tm), u_of(te)
-        pts = pts + _noise_push(model, t, pts, u0, dW)
-        k1 = np.asarray(model.drift(t, pts, u0), dtype=float)
-        k2 = np.asarray(model.drift(tm, pts + 0.5 * h * k1, um), dtype=float)
-        k3 = np.asarray(model.drift(tm, pts + 0.5 * h * k2, um), dtype=float)
-        k4 = np.asarray(model.drift(te, pts + h * k3, u1), dtype=float)
-        pts = pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pts = pts + _noise_push(model, te, pts, u1, dW)
+        pts = pts + _noise_push(model, t, pts, inputs[0], dW)
+        pts = rk4_step(model.drift, t, pts, h, inputs)
+        pts = pts + _noise_push(model, t + h, pts, inputs[2], dW)
         if model.constrain is not None:
             pts = model.constrain(pts)
     if not np.all(np.isfinite(pts)):

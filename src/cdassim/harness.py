@@ -95,7 +95,7 @@ class TruthData:
 
     times: np.ndarray        # assimilation instants t_1..t_n, seconds
     trajectory: Trajectory   # 3-state truth path at substep resolution
-    truth_states: np.ndarray  # (n+1, 4) augmented truth at t_0..t_n
+    truth_states: np.ndarray  # (n+1, 4) joint truth at t_0..t_n
     measurements: np.ndarray  # (n,) noisy temperature observations
 
     @property

@@ -11,14 +11,17 @@ scaling lives inside ``sigma``), with measurements taken at discrete instants
 
 The module provides the model container, a counter-based noise-stream
 abstraction that makes every random draw a pure function of
-``(seed, stream_id, call sequence)``, an Euler-Maruyama integrator, and
-state augmentation for joint state/parameter estimation (parameters become
-extra state components with zero drift).
+``(seed, stream_id, call sequence)``, an Euler-Maruyama integrator for
+sample paths, and the one classical Runge-Kutta stepper (with its
+stage-input lookup) that the moment and sigma-point filters and the
+deterministic reduced-model comparison share. Joint state/parameter
+estimation needs no machinery here: a model simply carries its parameters
+as extra state components with zero drift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,13 +30,13 @@ __all__ = [
     "NoiseStream",
     "NoiseSpec",
     "SdeModel",
-    "AugmentedModel",
     "Trajectory",
     "PiecewiseConstant",
     "euler_maruyama_step",
     "simulate_path",
     "draw_increments",
-    "augment",
+    "rk4_inputs",
+    "rk4_step",
     "fd_jacobian",
 ]
 
@@ -170,21 +173,6 @@ class SdeModel:
         return fd_jacobian(lambda z: self.measure(t, z), x)
 
 
-@dataclass(frozen=True, kw_only=True)
-class AugmentedModel(SdeModel):
-    """State/parameter-augmented model; see :func:`augment`."""
-
-    base: SdeModel
-    dim_param: int
-    param_diffusion: np.ndarray
-    theta0: np.ndarray
-
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split an augmented state into (physical state, parameters)."""
-        n = self.base.dim_state
-        return z[:n], z[n:]
-
-
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian with per-component step ``rel_step * max(1, |x_i|)``."""
     x = np.asarray(x, dtype=float)
@@ -239,6 +227,11 @@ class PiecewiseConstant:
     def __call__(self, t: float) -> np.ndarray:
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return self.values[max(idx, 0)]
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Values at an array of times, one row per time, in one lookup."""
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -318,146 +311,36 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1:
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-def augment(model_or_factory, theta0, param_diffusion=None, param_jacobian=None) -> AugmentedModel:
-    """Extend a model with constant-drift parameter states for joint estimation.
+def rk4_inputs(profile, t0: float, h: float, substeps: int):
+    """Inputs at the stage times of ``substeps`` Runge-Kutta steps from ``t0``.
 
-    Parameters
-    ----------
-    model_or_factory:
-        Either a fixed :class:`SdeModel` (dynamics independent of theta) or a
-        callable ``theta -> SdeModel`` binding the parameter vector into the
-        model functions. The factory form is what parameter estimation needs;
-        it must broadcast when handed a column-batched theta.
-    theta0:
-        Nominal parameter vector; fixes the parameter dimension.
-    param_diffusion:
-        Optional diagonal of an artificial parameter random walk (scalar,
-        vector, or diagonal matrix). Zero (the default) keeps parameters
-        constant during propagation; zero entries contribute no noise
-        columns, so the augmented noise dimension grows only when some
-        entry is positive.
-    param_jacobian:
-        Optional analytic ``d f / d theta`` with signature ``(t, x, u, theta)``
-        returning ``(dim_state, dim_param)``; finite differences otherwise.
-
-    The augmented drift is ``(f(t, x, u; theta), 0)`` and the augmented
-    diffusion stacks the base diffusion over zero parameter rows (plus the
-    parameter noise block when enabled). Marginalizing an augmented
-    simulation back to the state coordinates with zero parameter diffusion
-    reproduces the base simulation bitwise.
+    Step ``j`` starts at ``t = t0 + j*h``; its entry holds the inputs at
+    ``t``, ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`. A profile
+    with a vectorized ``at(times)`` lookup (a :class:`PiecewiseConstant`) is
+    looked up once for all stages; any other input (None for zero input, a
+    constant vector, or a callable ``t -> u``) is evaluated per stage.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
-    n_th = theta0.size
-    if n_th == 0:
-        raise ValueError("theta0 must have at least one component")
+    t = t0 + np.arange(substeps) * h
+    times = np.stack((t, t + 0.5 * h, t + h), axis=1)
+    at = getattr(profile, "at", None)
+    if at is not None:
+        return at(times)
+    u_of = _as_input(profile)
+    return [(u_of(a), u_of(b), u_of(c)) for a, b, c in times]
 
-    if isinstance(model_or_factory, SdeModel):
-        fixed = model_or_factory
-        factory = lambda th: fixed
-    elif callable(model_or_factory):
-        raw_factory = model_or_factory
-        # the factory is a pure function of theta and the augmented drift is
-        # zero in the parameter rows, so consecutive evaluations overwhelmingly
-        # repeat the same theta; memoize the last binding (single reference
-        # swap, so concurrent readers see either pair, never a torn one)
-        memo = [None]
 
-        def factory(th):
-            pair = memo[0]
-            key = th.tobytes() if isinstance(th, np.ndarray) else np.asarray(th, dtype=float).tobytes()
-            if pair is not None and pair[0] == key:
-                return pair[1]
-            built = raw_factory(th)
-            memo[0] = (key, built)
-            return built
-    else:
-        raise TypeError("expected an SdeModel or a theta -> SdeModel factory")
+def rk4_step(rhs: Callable, t: float, y, h: float, inputs):
+    """One classical Runge-Kutta step of ``y' = rhs(t, y, u)`` from ``t`` to ``t + h``.
 
-    base = factory(theta0)
-    n_x, n_w = base.dim_state, base.dim_noise
-
-    if param_diffusion is None:
-        sig_th = np.zeros((n_th, n_th))
-    else:
-        sig = np.asarray(param_diffusion, dtype=float)
-        if sig.ndim == 0:
-            sig_th = np.eye(n_th) * float(sig)
-        elif sig.ndim == 1:
-            if sig.size != n_th:
-                raise ValueError("param_diffusion vector length must match theta0")
-            sig_th = np.diag(sig)
-        else:
-            if sig.shape != (n_th, n_th) or np.any(sig != np.diag(np.diag(sig))):
-                raise ValueError("param_diffusion must be diagonal")
-            sig_th = sig
-    if np.any(np.diag(sig_th) < 0):
-        raise ValueError("param_diffusion entries must be non-negative")
-    has_param_noise = bool(np.any(np.diag(sig_th) > 0))
-    n_w_aug = n_w + (n_th if has_param_noise else 0)
-
-    zero_param_rates = np.zeros(n_th)  # shared pad; concatenate copies it
-    zero_param_rates.setflags(write=False)
-
-    def aug_drift(t, z, u):
-        th = z[n_x:]
-        fx = np.asarray(factory(th).drift(t, z[:n_x], u), dtype=float)
-        if fx.ndim == 1:
-            return np.concatenate((fx, zero_param_rates))
-        return np.concatenate((fx, np.zeros((n_th, fx.shape[1]))))
-
-    def aug_diffusion(t, z, u):
-        x, th = z[:n_x], z[n_x:]
-        out = np.zeros((n_x + n_th, n_w_aug))
-        out[:n_x, :n_w] = factory(th).diffusion(t, x, u)
-        if has_param_noise:
-            out[n_x:, n_w:] = sig_th
-        return out
-
-    def aug_measure(t, z):
-        x, th = z[:n_x], z[n_x:]
-        return factory(th).measure(t, x)
-
-    def aug_drift_jacobian(t, z, u):
-        x, th = z[:n_x], z[n_x:]
-        m = factory(th)
-        J = np.zeros((n_x + n_th, n_x + n_th))
-        if m.drift_jacobian is not None:
-            J[:n_x, :n_x] = m.drift_jacobian(t, x, u)
-        else:
-            J[:n_x, :n_x] = fd_jacobian(lambda xx: m.drift(t, xx, u), x)
-        if param_jacobian is not None:
-            J[:n_x, n_x:] = np.reshape(param_jacobian(t, x, u, th), (n_x, n_th))
-        else:
-            J[:n_x, n_x:] = fd_jacobian(lambda tt: factory(tt).drift(t, x, u), th)
-        return J
-
-    def aug_measure_jacobian(t, z):
-        x, th = z[:n_x], z[n_x:]
-        C = np.zeros((base.dim_obs, n_x + n_th))
-        C[:, :n_x] = factory(th).measure_jac(t, x)
-        C[:, n_x:] = fd_jacobian(lambda tt: factory(tt).measure(t, x), th)
-        return C
-
-    aug_constrain = None
-    if base.constrain is not None:
-        base_constrain = base.constrain
-
-        def aug_constrain(z):
-            z[:n_x] = base_constrain(z[:n_x])
-            return z
-
-    return AugmentedModel(
-        dim_state=n_x + n_th,
-        dim_noise=n_w_aug,
-        dim_obs=base.dim_obs,
-        drift=aug_drift,
-        diffusion=aug_diffusion,
-        measure=aug_measure,
-        drift_jacobian=aug_drift_jacobian,
-        measure_jacobian=aug_measure_jacobian,
-        constrain=aug_constrain,
-        base=base,
-        dim_param=n_th,
-        param_diffusion=sig_th,
-        theta0=theta0,
-    )
+    ``inputs`` holds ``u`` at ``t``, ``t + 0.5*h`` and ``t + h`` (one entry
+    of :func:`rk4_inputs`). ``y`` may be a scalar, a state vector or a column
+    batch; ``rhs`` returns a rate of the same shape.
+    """
+    u0, um, u1 = inputs
+    tm = t + 0.5 * h
+    te = t + h
+    k1 = rhs(t, y, u0)
+    k2 = rhs(tm, y + 0.5 * h * k1, um)
+    k3 = rhs(tm, y + 0.5 * h * k2, um)
+    k4 = rhs(te, y + h * k3, u1)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

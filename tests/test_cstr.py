@@ -18,7 +18,6 @@ from cdassim.cstr import (
     FlowProfile,
     SteadyStateRangeError,
     adiabatic_concentrations,
-    beta_drift_jacobian,
     cstr1_drift,
     cstr2_drift,
     cstr3_drift,
@@ -31,7 +30,7 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import NoiseStream, fd_jacobian
+from cdassim.sde import NoiseStream, fd_jacobian, rk4_inputs, rk4_step
 
 PARAMS = CstrParams()
 
@@ -40,12 +39,8 @@ def random_admissible_state(rng):
     return np.array([rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5), rng.uniform(273.0, 500.0)])
 
 
-def rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def random_joint_state(rng):
+    return np.append(random_admissible_state(rng), rng.uniform(100.0, 160.0))
 
 
 class TestRateConstant:
@@ -169,6 +164,32 @@ class TestJacobian:
         assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / PARAMS.V), rel=1e-12)
 
 
+class TestJointKernel:
+    def test_batch_equals_columns_bitwise(self):
+        # the EKF evaluates single states, the UKF, EnKF and PF column batches
+        rng = np.random.default_rng(14)
+        X = np.column_stack([random_joint_state(rng) for _ in range(9)])
+        D = cstr3_drift(X, 0.006, PARAMS)
+        J = cstr3_jacobian(X, 0.006, PARAMS)
+        assert D.shape == (4, 9) and J.shape == (4, 4, 9)
+        for i in range(9):
+            assert np.array_equal(D[:, i], cstr3_drift(X[:, i], 0.006, PARAMS))
+            assert np.array_equal(J[:, :, i], cstr3_jacobian(X[:, i], 0.006, PARAMS))
+
+    def test_reads_beta_from_the_state(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            z = random_joint_state(rng)
+            d = cstr3_drift(z, 0.007, PARAMS)
+            assert d[3] == 0.0
+            np.testing.assert_array_equal(
+                d[:3], cstr3_drift(z[:3], 0.007, CstrParams(beta=z[3])))
+            J = cstr3_jacobian(z, 0.007, PARAMS)
+            np.testing.assert_array_equal(
+                J[:3, :3], cstr3_jacobian(z[:3], 0.007, CstrParams(beta=z[3])))
+            np.testing.assert_array_equal(J[3], 0.0)
+
+
 class TestReducedModels:
     def test_two_state_at_fresh_feed(self):
         k = rate_constant(PARAMS.T_in, PARAMS)
@@ -194,11 +215,12 @@ class TestReducedModels:
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
-        for i in range(2100):
+        for i, inputs in enumerate(rk4_inputs(flow, 0.0, h, 2100)):
             t = i * h
-            x3 = rk4_step(lambda tt, z: cstr3_drift(z, flow.flow(tt), PARAMS), t, x3, h)
-            x2 = rk4_step(lambda tt, z: cstr2_drift(z[0], z[1], flow.flow(tt), PARAMS), t, x2, h)
-            x1 = rk4_step(lambda tt, z: np.array([cstr1_drift(z[0], flow.flow(tt), PARAMS)]), t, x1, h)
+            x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0], PARAMS), t, x3, h, inputs)
+            x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
+            x1 = rk4_step(lambda tt, z, u: np.array([cstr1_drift(z[0], u[0], PARAMS)]), t, x1, h,
+                          inputs)
             worst2 = max(worst2, abs(x3[2] - x2[1]))
             worst1 = max(worst1, abs(x3[2] - x1[0]))
         assert worst2 < 1.0
@@ -316,11 +338,11 @@ class TestModelWiring:
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_beta_jacobian_formula(self):
-        jac = beta_drift_jacobian(PARAMS)
-        x = np.array([0.5, 0.7, 320.0])
-        col = jac(0.0, x, np.array([0.007]), np.array([120.0]))
+        m = default_experiment_model().model
+        z = np.array([0.5, 0.7, 320.0, 120.0])
+        col = m.drift_jac(0.0, z, np.array([0.007]))[:, 3]
         r = rate_constant(320.0, PARAMS) * 0.5 * 0.7
-        np.testing.assert_allclose(col.ravel(), [0.0, 0.0, r], rtol=1e-14)
+        np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
     def test_parameter_noise_adds_channel(self):
         exp = default_experiment_model(param_diffusion=np.array([0.5]))
@@ -328,6 +350,27 @@ class TestModelWiring:
         g = exp.model.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), exp.flow(0.0))
         assert g.shape == (4, 2)
         assert g[3, 1] == 0.5
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("t0, t1, substeps", [(195.0, 205.0, 10), (199.25, 201.25, 4)])
+    def test_predictions_across_a_breakpoint_match_per_call_lookup(self, t0, t1, substeps):
+        # the vectorized stage-input table must reproduce one lookup per stage
+        from cdassim.filters.beliefs import GaussianBelief
+        from cdassim.filters.kalman import ekf_predict
+        from cdassim.filters.unscented import UkfScaling, ukf_predict
+
+        exp = default_experiment_model()
+        flow = exp.flow
+        belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
+                                np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
+        for predict in (
+            lambda u: ekf_predict(exp.model, belief, u, t1, substeps),
+            lambda u: ukf_predict(exp.model, belief, u, t1, UkfScaling(), substeps),
+        ):
+            table, calls = predict(flow), predict(lambda t: flow(t))
+            assert np.array_equal(table.mean, calls.mean)
+            assert np.array_equal(table.cov, calls.cov)
 
 
 class TestMomentConsistency:

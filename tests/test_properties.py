@@ -1,0 +1,61 @@
+"""Property tests: Gaussian filter invariants on the joint CSTR model.
+
+From random admissible beliefs (states near the adiabatic branch, where the
+reactor's rates are what the default 1 s Runge-Kutta substep resolves, and
+random correlated covariances), one EKF and one UKF predict+update over a
+sampling interval must return finite means and symmetric PSD covariances.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from cdassim.cstr import CstrParams, adiabatic_concentrations, default_experiment_model
+from cdassim.filters.beliefs import GaussianBelief
+from cdassim.filters.kalman import ekf_predict, kalman_update
+from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
+
+EXP = default_experiment_model()
+R = EXP.obs.obs_cov
+DT = 10.0
+
+
+@st.composite
+def admissible_beliefs(draw):
+    T = draw(st.floats(275.0, 350.0))
+    CA, CB = adiabatic_concentrations(T, CstrParams())
+    offsets = draw(arrays(float, 2, elements=st.floats(-0.05, 0.05)))
+    mean = np.array([max(CA + offsets[0], 0.0), max(CB + offsets[1], 0.0), T,
+                     draw(st.floats(110.0, 160.0))])
+    std = np.array([draw(st.floats(1e-3, 0.03)), draw(st.floats(1e-3, 0.03)),
+                    draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 10.0))])
+    M = draw(arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)))
+    S = M @ M.T + 0.1 * np.eye(4)
+    d = np.sqrt(np.diag(S))
+    cov = (S / np.outer(d, d)) * np.outer(std, std)
+    return GaussianBelief(mean, cov, time=draw(st.floats(0.0, 2000.0)))
+
+
+def check(belief: GaussianBelief) -> None:
+    assert np.all(np.isfinite(belief.mean))
+    assert np.all(np.isfinite(belief.cov))
+    belief.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
+def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
+    prior = ekf_predict(EXP.model, belief, EXP.flow, belief.time + DT)
+    check(prior)
+    post, _, _ = kalman_update(prior, EXP.model, np.array([prior.mean[2] + residual]), R)
+    check(post)
+
+
+@settings(max_examples=60, deadline=None)
+@given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
+def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
+    scaling = UkfScaling()
+    prior = ukf_predict(EXP.model, belief, EXP.flow, belief.time + DT, scaling)
+    check(prior)
+    post, _, _ = ukf_update(prior, EXP.model, np.array([prior.mean[2] + residual]), R, scaling)
+    check(post)

@@ -74,6 +74,14 @@ def test_zero_measurements_returns_initial_belief():
         out = run_filter(kind, model, cfg, [], np.zeros((0, 1)))
         assert out.n_steps == 0
         assert out.final_belief() is cfg.initial
+        assert out.prior_mean.shape == out.post_mean.shape == (0, 1)
+        assert out.prior_cov.shape == out.post_cov.shape == (0, 1, 1)
+        assert out.innovation.shape == (0, 1) and out.innovation_cov.shape == (0, 1, 1)
+        assert out.nis.shape == out.gain_condition.shape == out.step_seconds.shape == (0,)
+        if kind == "pf":
+            assert out.ess.shape == (0,) and out.resampled.dtype == bool
+        else:
+            assert out.ess is None and out.resampled is None
 
 
 def test_gaussian_filters_match_closed_form(ou_data):

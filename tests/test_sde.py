@@ -1,19 +1,19 @@
-"""SDE core: integrator ordering, noise streams, augmentation soundness."""
+"""SDE core: integrator ordering, noise streams, the shared RK4 stepper."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from cdassim.sde import (
-    AugmentedModel,
     IntegrationError,
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
-    augment,
     draw_increments,
     euler_maruyama_step,
     fd_jacobian,
+    rk4_inputs,
+    rk4_step,
     simulate_path,
 )
 
@@ -212,77 +212,40 @@ class TestEulerMaruyamaOrders:
         assert 0.8 < slope < 1.2
 
 
-class TestAugment:
-    @staticmethod
-    def _parametric(theta_scale=1.0):
-        # dx = -theta * x dt + 0.5 dw; theta enters the drift only.
-        def factory(th):
-            return SdeModel(
-                dim_state=1, dim_noise=1, dim_obs=1,
-                drift=lambda t, x, u: -th[0] * x * theta_scale,
-                diffusion=lambda t, x, u: np.array([[0.5]]),
-                measure=lambda t, x: x,
-            )
-        return factory
+class TestRk4:
+    def test_linear_step_is_quartic_taylor_polynomial(self):
+        # one classical RK4 step on y' = A y applies exactly the degree-4
+        # Taylor polynomial of expm(hA)
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(3, 3))
+        y = rng.normal(size=3)
+        h = 0.3
+        hA = h * A
+        taylor = np.eye(3)
+        term = np.eye(3)
+        for k in range(1, 5):
+            term = term @ hA / k
+            taylor = taylor + term
+        got = rk4_step(lambda t, z, u: A @ z, 0.0, y, h, (None, None, None))
+        np.testing.assert_allclose(got, taylor @ y, rtol=0, atol=1e-14)
 
-    def test_dimensions_without_param_noise(self):
-        aug = augment(self._parametric(), [2.0])
-        assert aug.dim_state == 2
-        assert aug.dim_noise == 1  # zero parameter diffusion adds no columns
-        g = aug.diffusion(0.0, np.array([1.0, 2.0]), None)
-        assert g.shape == (2, 1)
-        assert g[1, 0] == 0.0  # parameter rows carry no noise
+    def test_stage_inputs_match_per_call_lookup(self):
+        p = PiecewiseConstant(times=[0.0, 1.0, 1.75], values=[[1.0], [2.0], [3.0]])
+        t0, h, substeps = 0.5, 0.25, 6  # stage times land on both breakpoints
+        table = rk4_inputs(p, t0, h, substeps)
+        calls = rk4_inputs(lambda t: p(t), t0, h, substeps)
+        assert table.shape == (substeps, 3, 1)
+        for j in range(substeps):
+            t = t0 + j * h
+            expected = [p(t), p(t + 0.5 * h), p(t + h)]
+            np.testing.assert_array_equal(table[j], expected)
+            np.testing.assert_array_equal(np.array(calls[j]), expected)
 
-    def test_dimensions_with_param_noise(self):
-        aug = augment(self._parametric(), [2.0], param_diffusion=0.1)
-        assert aug.dim_noise == 2
-        g = aug.diffusion(0.0, np.array([1.0, 2.0]), None)
-        assert g[1, 1] == pytest.approx(0.1)
-
-    def test_param_drift_identically_zero(self):
-        aug = augment(self._parametric(), [2.0])
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = rng.normal(size=2)
-            assert aug.drift(0.0, z, None)[1] == 0.0
-
-    def test_drift_jacobian_param_block_fd(self):
-        aug = augment(self._parametric(), [2.0])
-        z = np.array([3.0, 2.0])
-        J = aug.drift_jac(0.0, z, None)
-        # d(-theta x)/dx = -theta, d(-theta x)/dtheta = -x, param row zero
-        assert J[0, 0] == pytest.approx(-2.0, rel=1e-9)
-        assert J[0, 1] == pytest.approx(-3.0, rel=1e-6)
-        assert np.all(J[1] == 0.0)
-
-    def test_analytic_param_jacobian_used(self):
-        aug = augment(self._parametric(), [2.0],
-                      param_jacobian=lambda t, x, u, th: np.array([[-x[0]]]))
-        J = aug.drift_jac(0.0, np.array([3.0, 2.0]), None)
-        assert J[0, 1] == -3.0
-
-    def test_marginalization_is_bitwise(self):
-        # With zero parameter diffusion and theta at truth, the x-marginal of
-        # the augmented simulation must match the base simulation exactly.
-        theta_true = 1.3
-        factory = self._parametric()
-        base = factory(np.array([theta_true]))
-        aug = augment(factory, [theta_true])
-        stream = NoiseStream(seed=77, stream_id=4)
-        tb = simulate_path(base, [2.0], None, 0.0, 1.0, 0.05, stream)
-        ta = simulate_path(aug, [2.0, theta_true], None, 0.0, 1.0, 0.05, stream)
-        assert np.array_equal(ta.states[:, 0], tb.states[:, 0])
-        assert np.all(ta.states[:, 1] == theta_true)
-
-    def test_fixed_model_accepted(self):
-        base = linear_model(1.0, 0.2)
-        aug = augment(base, [9.9])
-        assert isinstance(aug, AugmentedModel)
-        assert aug.drift(0.0, np.array([1.0, 9.9]), None)[0] == pytest.approx(-1.0)
-
-    def test_nonsquare_param_diffusion_rejected(self):
-        with pytest.raises(ValueError):
-            augment(self._parametric(), [1.0], param_diffusion=np.ones((1, 2)))
+    def test_constant_and_missing_inputs(self):
+        (u0, um, u1), = rk4_inputs(np.array([2.5]), 0.0, 0.1, 1)
+        assert u0 == um == u1 == 2.5
+        (u0, _, _), = rk4_inputs(None, 0.0, 0.1, 1)
+        assert u0.size == 0
 
 
 class TestFdJacobian:
