@@ -4,17 +4,27 @@ All innovation-covariance solves go through a Cholesky factorization;
 explicit matrix inversion is deliberately absent. Factorization failures on
 nominally-PSD matrices are repaired by a two-stage diagonal jitter tied to
 the matrix trace, after which they are an error.
+
+The module uses numpy alone: ``np.linalg.cholesky`` factors and two small
+substitution helpers solve. The substitutions multiply by the reciprocal of
+each diagonal entry instead of dividing by it, as the OpenBLAS ``trsm``
+kernels behind LAPACK's triangular solves do. Every innovation of the CSTR
+experiment is scalar (only the temperature is measured), so its solve is
+``B * (1/l) * (1/l)`` with ``l = sqrt(S)``. That is bitwise what LAPACK's
+``potrs`` returns, which earlier versions of the package called; ``B / S``
+or ``B / l / l`` differ from it in the last bit for most inputs and would
+change every filter output.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FactorizationError",
     "SingularInnovationError",
     "symmetrize",
     "chol_psd",
+    "solve_lower",
     "solve_spd",
     "condition_number",
 ]
@@ -60,6 +70,22 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
         f"covariance not factorizable after jitter (trace/n={base:.3e})")
 
 
+def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``L X = B`` for lower-triangular L by forward substitution."""
+    X = np.array(B, dtype=float)
+    for i in range(L.shape[0]):
+        X[i] = (X[i] - L[i, :i] @ X[:i]) * (1.0 / L[i, i])
+    return X
+
+
+def _solve_lower_t(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve ``L^T X = B`` for lower-triangular L by backward substitution."""
+    X = np.array(B, dtype=float)
+    for i in reversed(range(L.shape[0])):
+        X[i] = (X[i] - L[i + 1:, i] @ X[i + 1:]) * (1.0 / L[i, i])
+    return X
+
+
 def solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``S X = B`` for symmetric positive definite S via Cholesky.
 
@@ -67,16 +93,17 @@ def solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     factor, or its condition number exceeds 1e12.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    if not np.all(np.isfinite(S)):
+    if not np.isfinite(S).all():
         raise SingularInnovationError("innovation covariance is non-finite")
-    if condition_number(S) > _COND_LIMIT:
+    cond = condition_number(S)
+    if cond > _COND_LIMIT:
         raise SingularInnovationError(
-            f"innovation covariance condition {condition_number(S):.3e} > {_COND_LIMIT:.0e}")
+            f"innovation covariance condition {cond:.3e} > {_COND_LIMIT:.0e}")
     try:
-        cf = scipy.linalg.cho_factor(S, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
         raise SingularInnovationError(f"innovation covariance not PD: {exc}") from exc
-    return scipy.linalg.cho_solve(cf, B)
+    return _solve_lower_t(L, solve_lower(L, B))
 
 
 def condition_number(S: np.ndarray) -> float:

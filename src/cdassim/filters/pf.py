@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
-from cdassim.filters.linalg import chol_psd
+from cdassim.filters.linalg import chol_psd, solve_lower
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import NoiseStream, SdeModel
 
@@ -101,7 +100,7 @@ def systematic_resample(particles: ParticleSet, rng: np.random.Generator) -> Par
 def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Log N(e; 0, R) per column of e, up to the weight-invariant constant."""
     LR = chol_psd(R)
-    z = scipy.linalg.solve_triangular(LR, e, lower=True)
+    z = solve_lower(LR, e)
     return -0.5 * np.einsum("ij,ij->j", z, z)
 
 

@@ -121,6 +121,16 @@ def test_module_entry_point(tmp_path, child_env):
     assert (tmp_path / "curve" / "steady_state.csv").exists()
 
 
+def test_cli_import_does_not_load_scipy(tmp_path, child_env):
+    # importing scipy.linalg would add about 0.25 s to every CLI start
+    code = ("import sys, cdassim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # -- determinism ---------------------------------------------------------------
 
 def test_estimate_twice_gives_identical_files(tmp_path, small_config_file, monkeypatch):

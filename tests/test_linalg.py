@@ -7,9 +7,11 @@ from cdassim.filters.linalg import (
     SingularInnovationError,
     chol_psd,
     condition_number,
+    solve_lower,
     solve_spd,
     symmetrize,
 )
+from cdassim.filters.pf import _log_gaussian
 
 
 def random_spd(rng, n, scale=1.0):
@@ -60,6 +62,61 @@ def test_solve_spd_rejects_singular():
 def test_solve_spd_rejects_nonfinite():
     with pytest.raises(SingularInnovationError):
         solve_spd(np.array([[np.nan]]), np.ones(1))
+
+
+def test_solve_spd_rejects_failed_factorization():
+    # indefinite with a finite condition number: only the factorization catches it
+    S = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert condition_number(S) == pytest.approx(3.0)
+    with pytest.raises(SingularInnovationError, match="not PD"):
+        solve_spd(S, np.ones(2))
+
+
+# -- scipy as an oracle (a test-only comparison; the package uses numpy only) --
+
+def _scalar_cases(rng, count, shapes):
+    """1x1 SPD matrices with scales from 1e-3 to 1e4, right-hand sides of the given shapes."""
+    for _ in range(count):
+        S = np.array([[10.0 ** rng.uniform(-3.0, 4.0) * rng.uniform(0.5, 2.0)]])
+        shape = shapes[rng.integers(len(shapes))]
+        yield S, 10.0 ** rng.uniform(-3.0, 4.0) * rng.standard_normal(shape)
+
+
+def test_scalar_solve_spd_is_bitwise_cho_solve():
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    for S, B in _scalar_cases(rng, 2000, [(1,), (1, 1), (1, 4), (1, 1000)]):
+        expected = sl.cho_solve(sl.cho_factor(S, lower=True), B)
+        got = solve_spd(S, B)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (S, B)
+
+
+def test_scalar_log_gaussian_lower_solve_is_bitwise_solve_triangular():
+    # One column per particle. A single column is left out: LAPACK's triangular
+    # solve then divides instead of multiplying by the reciprocal, but a lone
+    # particle's normalized weight is 1 whatever its likelihood.
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(12)
+    for R, E in _scalar_cases(rng, 2000, [(1, 2), (1, 7), (1, 1000)]):
+        L = chol_psd(R)
+        z = sl.solve_triangular(L, E, lower=True)
+        assert solve_lower(L, E).tobytes() == z.tobytes(), (R, E)
+        assert _log_gaussian(E, R).tobytes() == (-0.5 * np.einsum("ij,ij->j", z, z)).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solve_spd_agrees_with_cho_solve(n):
+    sl = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(20 + n)
+    for _ in range(50):
+        S = random_spd(rng, n, scale=10.0 ** rng.uniform(-2.0, 2.0))
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            expected = sl.cho_solve(sl.cho_factor(S, lower=True), B)
+            np.testing.assert_allclose(solve_spd(S, B), expected, rtol=1e-12)
+            L = np.linalg.cholesky(S)
+            np.testing.assert_allclose(
+                solve_lower(L, B), sl.solve_triangular(L, B, lower=True), rtol=1e-12)
 
 
 def test_condition_number_diagonal():
