@@ -30,7 +30,7 @@ __all__ = [
     "CstrExperiment",
     "rate_constant",
     "cstr3_drift",
-    "cstr3_jacobian",
+    "cstr3_linearize",
     "cstr2_drift",
     "cstr1_drift",
     "adiabatic_concentrations",
@@ -180,31 +180,40 @@ def cstr3_drift(x, F, params: CstrParams):
     return out
 
 
-def cstr3_jacobian(x, F, params: CstrParams) -> np.ndarray:
-    """Analytic state Jacobian of :func:`cstr3_drift`.
+def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of :func:`cstr3_drift` and their analytic state Jacobian at one state.
 
-    Uses dk/dT = k EaR/T^2 from a single ``exp(-EaR/T)``. A state of shape
-    ``(n,)`` gives ``(n, n)``; a column batch ``(n, m)`` gives ``(n, n, m)``.
-    For the joint state n = 4: the beta column holds d(dT/dt)/d(beta), the
-    reaction rate, and the beta row is zero.
+    ``x`` is ``(CA, CB, T)`` or the joint ``(CA, CB, T, beta)``, shape
+    ``(n,)``; returns ``(f, A)`` with shapes ``(n,)`` and ``(n, n)``. Both
+    come from a single ``exp(-EaR/T)``, with dk/dT = k EaR/T^2, worked on
+    Python floats, which round exactly as numpy scalars do, so ``f`` is
+    bitwise :func:`cstr3_drift`. For the joint state the beta column holds
+    d(dT/dt)/d(beta), the reaction rate, and the beta row is zero.
     """
-    x = np.asarray(x, dtype=float)
-    CA, CB, T = x[0], x[1], x[2]
+    CA, CB, T, *rest = x.tolist()
     n = len(x)
-    beta = x[3] if n > 3 else params.beta
-    FV = F / params.V
-    k = params.k0 * np.exp(-params.EaR / T)
+    beta = rest[0] if rest else params.beta
+    FV = float(F) / params.V
+    # numpy's exp, not math.exp: the two differ in the last bit of some values
+    k = params.k0 * float(np.exp(-params.EaR / T))
     kp = k * params.EaR / (T * T)
     kCA = k * CA
     kCB = k * CB
     kpAB = kp * CA * CB
-    J = np.zeros((n, n) + x.shape[1:])
-    J[0, :3] = (-FV - kCB, -kCA, -kpAB)
-    J[1, :3] = (-2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB)
-    J[2, :3] = (beta * kCB, beta * kCA, -FV + beta * kpAB)
-    if n > 3:
-        J[2, 3] = kCA * CB
-    return J
+    r = kCA * CB  # reaction rate, mol/(L s)
+    f = [FV * (params.CA_in - CA) - r,
+         FV * (params.CB_in - CB) - 2.0 * r,
+         FV * (params.T_in - T) + beta * r]
+    A = [-FV - kCB, -kCA, -kpAB,
+         -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB,
+         beta * kCB, beta * kCA, -FV + beta * kpAB]
+    if rest:  # beta: zero rate, the reaction rate as its column, a zero row
+        v = [*f, 0.0, *A[0:3], 0.0, *A[3:6], 0.0, *A[6:9], r, 0.0, 0.0, 0.0, 0.0]
+    else:
+        v = f + A
+    # one (n + 1, n) array: the rates, then the Jacobian rows
+    v = np.array(v).reshape(n + 1, n)
+    return v[0], v[1:]
 
 
 def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
@@ -314,7 +323,7 @@ def _cstr_sde(params: CstrParams, dim_state: int, param_sigma: float = 0.0) -> S
         drift=lambda t, x, u: cstr3_drift(x, u[0], params),
         diffusion=diffusion,
         measure=lambda t, x: x[2:3],
-        drift_jacobian=lambda t, x, u: cstr3_jacobian(x, u[0], params),
+        linearize=lambda t, x, u: cstr3_linearize(x, u[0], params),
         measure_jacobian=lambda t, x: H,
         constrain=_clamp_concentrations,
     )

@@ -34,16 +34,30 @@ class DivergenceError(RuntimeError):
 
 
 def _moment_rhs(model: SdeModel, n: int):
-    """Right-hand side of the moment ODEs on the flat vector ``(m, vec P)``."""
+    """Right-hand side of the moment ODEs on the flat vector ``(m, vec P)``.
+
+    One ``model.linearize`` call gives the drift and its Jacobian at the
+    mean. The process-noise term ``sigma sigma^T`` depends only on the input
+    (the :class:`~cdassim.sde.SdeModel` diffusion contract), so it is
+    computed once per distinct input value and kept in a table that lives
+    as long as this right-hand side, i.e. one prediction.
+    """
+    noise_cov = {}
 
     def rhs(t, y, u):
         m = y[:n]
+        f, A = model.linearize(t, m, u)
+        key = u.tobytes()
+        Q = noise_cov.get(key)
+        if Q is None:
+            g = np.asarray(model.diffusion(t, m, u), dtype=float)
+            Q = noise_cov[key] = g @ g.T
         out = np.empty_like(y)
-        out[:n] = model.drift(t, m, u)
-        A = model.drift_jac(t, m, u)
-        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+        out[:n] = f
         AP = A @ y[n:].reshape(n, n)
-        out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
+        dP = out[n:].reshape(n, n)
+        np.add(AP, AP.T, out=dP)
+        dP += Q
         return out
 
     return rhs
@@ -53,10 +67,13 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
                 substeps: int = 10) -> GaussianBelief:
     """Propagate a Gaussian belief to time ``t1`` through the moment ODEs.
 
-    ``u`` may be a constant input vector or a callable ``t -> u``; it is
-    evaluated at every Runge-Kutta stage time. The model's ``constrain``
-    hook is applied to the mean after each substep, and the covariance is
-    re-symmetrized.
+    ``u`` may be None (zero input), a constant input vector, a callable
+    ``t -> u`` or a :class:`~cdassim.sde.PiecewiseConstant`; the inputs at
+    every Runge-Kutta stage time come from one :func:`~cdassim.sde.rk4_inputs`
+    table. Each stage makes one ``model.linearize`` call; the diffusion is
+    evaluated once per distinct input value of the interval. The model's
+    ``constrain`` hook is applied to the mean after each substep, and the
+    covariance is re-symmetrized.
     """
     t0 = belief.time
     if t1 < t0:

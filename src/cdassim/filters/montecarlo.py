@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from cdassim.filters.kalman import DivergenceError
-from cdassim.sde import IntegrationError, NoiseStream, SdeModel, _as_input, euler_maruyama_step
+from cdassim.sde import IntegrationError, NoiseStream, SdeModel, euler_maruyama_step, rk4_inputs
 
 __all__ = ["propagate_members"]
 
@@ -23,14 +23,17 @@ def propagate_members(model: SdeModel, X: np.ndarray, u, t0: float, t1: float,
     All increments come from one ``(substeps, dim_noise, N)`` standard-normal
     draw of ``noise``: substep ``j`` of member ``i`` uses ``block[j, :, i]``.
     The substep arithmetic is vectorized across members, which is equivalent
-    to independent integration because members never interact.
+    to independent integration because members never interact. Substep
+    ``j`` runs on the input at its start time, the first stage of the
+    :func:`~cdassim.sde.rk4_inputs` table of the interval, so ``u`` is looked
+    up once per propagation.
     """
     if t1 < t0:
         raise ValueError("cannot propagate backwards in time")
     if t1 == t0:
         return X.copy()
     h = (t1 - t0) / substeps
-    u_of = _as_input(u)
+    inputs = rk4_inputs(u, t0, h, substeps)[:, 0]
     shape = (substeps, model.dim_noise, X.shape[1])
     draws = noise.generator().standard_normal(shape) * np.sqrt(h)
 
@@ -38,7 +41,7 @@ def propagate_members(model: SdeModel, X: np.ndarray, u, t0: float, t1: float,
     for j in range(substeps):
         t = t0 + j * h
         try:
-            X = euler_maruyama_step(model, t, X, u_of(t), h, draws[j])
+            X = euler_maruyama_step(model, t, X, inputs[j], h, draws[j])
         except IntegrationError as exc:
             raise DivergenceError(str(exc), time=exc.time) from exc
         if model.constrain is not None:

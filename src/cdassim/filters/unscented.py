@@ -91,14 +91,6 @@ def ukf_sigma_points(belief: GaussianBelief, scaling: UkfScaling,
     )
 
 
-def _noise_push(model: SdeModel, t: float, pts: np.ndarray, u, dW: np.ndarray) -> np.ndarray:
-    """Per-point diffusion increment ``g dW`` for a column batch of points."""
-    g = np.asarray(model.diffusion(t, pts, u), dtype=float)
-    if g.ndim == 3:  # state-dependent diffusion returning one matrix per column
-        return np.einsum("nqm,qm->nm", g, dW)
-    return g @ dW
-
-
 def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
                 scaling: UkfScaling, substeps: int = 10) -> GaussianBelief:
     """Propagate via noise-augmented sigma points to ``t1``.
@@ -107,7 +99,11 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
     half before and half after the drift advance of the substep (the
     trapezoidal placement keeps the induced covariance second-order
     accurate in the substep size). The whole point set advances as one
-    column batch and is recombined with the unscented weights.
+    column batch and is recombined with the unscented weights. ``u`` is
+    looked up at every stage time in one :func:`~cdassim.sde.rk4_inputs`
+    table. The diffusion depends only on the input (the
+    :class:`~cdassim.sde.SdeModel` diffusion contract), so each half-step
+    push ``g dW`` is computed once per distinct input value of the interval.
     """
     t0 = belief.time
     if t1 < t0:
@@ -118,11 +114,20 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
     h = (t1 - t0) / substeps
     pts = sp.points.copy()
     dW = sp.noise_points / (2.0 * substeps)  # half-increment per substep
+    pushes = {}  # g dW by input value
+
+    def push(t, x, u):
+        key = u.tobytes()
+        gdW = pushes.get(key)
+        if gdW is None:
+            gdW = pushes[key] = np.asarray(model.diffusion(t, x, u), dtype=float) @ dW
+        return gdW
+
     for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
         t = t0 + j * h
-        pts = pts + _noise_push(model, t, pts, inputs[0], dW)
+        pts = pts + push(t, pts, inputs[0])
         pts = rk4_step(model.drift, t, pts, h, inputs)
-        pts = pts + _noise_push(model, t + h, pts, inputs[2], dW)
+        pts = pts + push(t + h, pts, inputs[2])
         if model.constrain is not None:
             pts = model.constrain(pts)
     if not np.all(np.isfinite(pts)):

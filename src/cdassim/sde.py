@@ -134,13 +134,22 @@ class SdeModel:
 
     ``drift`` and ``diffusion`` have signature ``(t, x, u)``, ``measure``
     has ``(t, x)``. All three must accept column-batched states ``(n, m)``
-    by broadcasting; ``diffusion`` is expected to be state-independent
-    (returning a single ``(dim_state, dim_noise)`` matrix) for the filter
-    contracts to hold, although the integrator tolerates state dependence.
-    Jacobians are optional; finite differences fill in when absent.
-    ``constrain`` (optional) projects a state back into the admissible
-    region after each integrator substep; it may modify its argument in
-    place and must return it.
+    by broadcasting.
+
+    Diffusion contract: the filters need a diffusion that depends on neither
+    the state nor ``t`` except through the input ``u``, returned as a single
+    ``(dim_state, dim_noise)`` matrix. Their predictions evaluate it once
+    per distinct input value of a prediction interval and reuse it at every
+    stage with that input. Sample-path integration (:func:`simulate_path`)
+    re-evaluates it every step and so also accepts a state-dependent
+    diffusion.
+
+    ``linearize(t, x, u)`` (optional) returns the drift and its Jacobian
+    d f / d x at one state ``(n,)`` as a pair ``(f, A)``; without it,
+    central finite differences of ``drift`` fill in. ``measure_jacobian``
+    is likewise optional. ``constrain`` (optional) projects a state back
+    into the admissible region after each integrator substep; it may modify
+    its argument in place and must return it.
     """
 
     dim_state: int
@@ -149,7 +158,7 @@ class SdeModel:
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     measure: Callable[[float, np.ndarray], np.ndarray]
-    drift_jacobian: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
+    linearize: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     measure_jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
     constrain: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -159,18 +168,27 @@ class SdeModel:
                 raise ValueError(f"{name} must be non-negative")
         if self.dim_state == 0:
             raise ValueError("dim_state must be positive")
-
-    def drift_jac(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Drift Jacobian d f / d x, analytic when supplied, else central FD."""
-        if self.drift_jacobian is not None:
-            return np.asarray(self.drift_jacobian(t, x, u), dtype=float)
-        return fd_jacobian(lambda z: self.drift(t, z, u), x)
+        # rebuilt on every construction, so dataclasses.replace of the drift
+        # never keeps differencing the old one
+        if self.linearize is None or isinstance(self.linearize, _FdLinearization):
+            object.__setattr__(self, "linearize", _FdLinearization(self.drift))
 
     def measure_jac(self, t: float, x: np.ndarray) -> np.ndarray:
         """Measurement Jacobian d h / d x, analytic when supplied, else central FD."""
         if self.measure_jacobian is not None:
             return np.asarray(self.measure_jacobian(t, x), dtype=float)
         return fd_jacobian(lambda z: self.measure(t, z), x)
+
+
+class _FdLinearization:
+    """Drift and its central-difference Jacobian, for models without a closed form."""
+
+    def __init__(self, drift: Callable):
+        self.drift = drift
+
+    def __call__(self, t: float, x: np.ndarray, u: np.ndarray):
+        f = np.asarray(self.drift(t, x, u), dtype=float)
+        return f, fd_jacobian(lambda z: self.drift(t, z, u), x)
 
 
 def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
@@ -196,6 +214,22 @@ def _as_input(profile) -> Callable[[float], np.ndarray]:
         return profile
     u = np.atleast_1d(np.asarray(profile, dtype=float))
     return lambda t: u
+
+
+def _input_table(profile, times: np.ndarray) -> np.ndarray:
+    """Inputs at an array of times, with one trailing input axis.
+
+    A profile with a vectorized ``at(times)`` lookup (a
+    :class:`PiecewiseConstant`) is looked up once; any other input (None for
+    zero input, a constant vector, or a callable ``t -> u``) is evaluated
+    per time.
+    """
+    at = getattr(profile, "at", None)
+    if at is not None:
+        return at(times)
+    u_of = _as_input(profile)
+    rows = np.array([np.atleast_1d(np.asarray(u_of(t), dtype=float)) for t in times.ravel()])
+    return rows.reshape(times.shape + rows.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -262,7 +296,7 @@ def euler_maruyama_step(model: SdeModel, t: float, x: np.ndarray, u: np.ndarray,
     """
     f = np.asarray(model.drift(t, x, u), dtype=float)
     g = np.asarray(model.diffusion(t, x, u), dtype=float)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+    if not (np.isfinite(f).all() and np.isfinite(g).all()):
         raise IntegrationError(f"non-finite drift/diffusion at t={t}", time=t)
     return x + f * dt + g @ dw
 
@@ -283,50 +317,42 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1:
     if n_steps == 0 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), 1.0):
         raise ValueError(f"dt={dt} does not divide horizon {span}")
 
-    u_of = _as_input(input_profile)
     rng = noise.generator()
     dws = rng.standard_normal((n_steps, model.dim_noise)) * np.sqrt(dt)
 
     x = np.array(x0, dtype=float)
     if x.shape != (model.dim_state,):
         raise ValueError(f"x0 must have shape ({model.dim_state},)")
-    u0 = np.atleast_1d(np.asarray(u_of(t0), dtype=float))
     states = np.empty((n_steps + 1, model.dim_state))
-    inputs = np.empty((n_steps + 1, u0.size))
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = t1
+    inputs = _input_table(input_profile, times)  # step i runs on inputs[i]
     states[0] = x
-    inputs[0] = u0
 
     for i in range(n_steps):
         t = times[i]
-        u = u_of(t)
-        x = euler_maruyama_step(model, t, x, u, dt, dws[i])
+        x = euler_maruyama_step(model, t, x, inputs[i], dt, dws[i])
         if model.constrain is not None:
             x = model.constrain(x)
         if not np.all(np.isfinite(x)):
             raise IntegrationError(f"state diverged at t={times[i + 1]}", time=float(times[i + 1]))
         states[i + 1] = x
-        inputs[i + 1] = u_of(times[i + 1])
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-def rk4_inputs(profile, t0: float, h: float, substeps: int):
+def rk4_inputs(profile, t0: float, h: float, substeps: int) -> np.ndarray:
     """Inputs at the stage times of ``substeps`` Runge-Kutta steps from ``t0``.
 
-    Step ``j`` starts at ``t = t0 + j*h``; its entry holds the inputs at
-    ``t``, ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`. A profile
-    with a vectorized ``at(times)`` lookup (a :class:`PiecewiseConstant`) is
-    looked up once for all stages; any other input (None for zero input, a
-    constant vector, or a callable ``t -> u``) is evaluated per stage.
+    Step ``j`` starts at ``t = t0 + j*h``; row ``j`` holds the inputs at
+    ``t``, ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`, and its
+    first entry is the input of an explicit step from ``t``. The table has
+    shape ``(substeps, 3, dim_u)``. A profile with a vectorized ``at(times)``
+    lookup (a :class:`PiecewiseConstant`) is looked up once for all stages;
+    any other input (None for zero input, a constant vector, or a callable
+    ``t -> u``) is evaluated per stage.
     """
     t = t0 + np.arange(substeps) * h
-    times = np.stack((t, t + 0.5 * h, t + h), axis=1)
-    at = getattr(profile, "at", None)
-    if at is not None:
-        return at(times)
-    u_of = _as_input(profile)
-    return [(u_of(a), u_of(b), u_of(c)) for a, b, c in times]
+    return _input_table(profile, np.stack((t, t + 0.5 * h, t + h), axis=1))
 
 
 def rk4_step(rhs: Callable, t: float, y, h: float, inputs):

@@ -21,7 +21,7 @@ from cdassim.cstr import (
     cstr1_drift,
     cstr2_drift,
     cstr3_drift,
-    cstr3_jacobian,
+    cstr3_linearize,
     cstr3_model,
     default_experiment_model,
     default_flow_profile,
@@ -30,7 +30,7 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import NoiseStream, fd_jacobian, rk4_inputs, rk4_step
+from cdassim.sde import NoiseStream, euler_maruyama_step, fd_jacobian, rk4_inputs, rk4_step
 
 PARAMS = CstrParams()
 
@@ -128,13 +128,17 @@ class TestDrift:
             np.testing.assert_allclose(D[:, i], cstr3_drift(X[:, i], 0.006, PARAMS), rtol=1e-14)
 
 
+def jacobian(x, F, params=PARAMS):
+    return cstr3_linearize(x, F, params)[1]
+
+
 class TestJacobian:
     def test_matches_finite_differences_random(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
-            J = cstr3_jacobian(x, F, PARAMS)
+            J = jacobian(x, F)
             Jfd = fd_jacobian(lambda z: cstr3_drift(z, F, PARAMS), x)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
@@ -146,35 +150,60 @@ class TestJacobian:
             for CA in grid_C:
                 for CB in grid_C:
                     x = np.array([CA, CB, T])
-                    J = cstr3_jacobian(x, 0.007, PARAMS)
+                    J = jacobian(x, 0.007)
                     Jfd = fd_jacobian(lambda z: cstr3_drift(z, 0.007, PARAMS), x)
                     assert np.all(np.abs(J - Jfd) <= 1e-5 * np.maximum(np.abs(Jfd), 1e-8))
 
     def test_diagonal_at_zero_concentrations(self):
         F = 0.01
-        J = cstr3_jacobian(np.array([0.0, 0.0, 300.0]), F, PARAMS)
+        J = jacobian(np.array([0.0, 0.0, 300.0]), F)
         np.testing.assert_array_equal(J, -F / PARAMS.V * np.eye(3))
 
     def test_cross_term_stoichiometry(self):
         x = np.array([0.4, 0.9, 330.0])
         F = 0.007
-        J = cstr3_jacobian(x, F, PARAMS)
+        J = jacobian(x, F)
         k = rate_constant(330.0, PARAMS)
         assert J[1, 0] == pytest.approx(-2.0 * k * x[1], rel=1e-14)
         assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / PARAMS.V), rel=1e-12)
 
 
+class TestLinearize:
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_drift_is_bitwise_the_drift_kernel(self, joint):
+        # the EKF takes its drift from the one-exp linearization, the other
+        # filters from cstr3_drift: both must give the same bits
+        rng = np.random.default_rng(16 + joint)
+        states = [random_joint_state(rng) if joint else random_admissible_state(rng)
+                  for _ in range(1200)]
+        for x in states[:50]:  # the empty reactor, where the rate vanishes
+            x[:2] = 0.0
+        for x in states:
+            F = rng.uniform(1e-3, 0.02)
+            u = np.array([F])
+            f, A = cstr3_linearize(x, u[0], PARAMS)
+            assert f.shape == x.shape and A.shape == (len(x), len(x))
+            assert np.array_equal(f, cstr3_drift(x, u[0], PARAMS))
+
+    def test_joint_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            z = random_joint_state(rng)
+            F = rng.uniform(1e-3, 0.02)
+            J = jacobian(z, F)
+            Jfd = fd_jacobian(lambda w: cstr3_drift(w, F, PARAMS), z)
+            assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
+
+
 class TestJointKernel:
     def test_batch_equals_columns_bitwise(self):
-        # the EKF evaluates single states, the UKF, EnKF and PF column batches
+        # the UKF, EnKF and PF evaluate column batches
         rng = np.random.default_rng(14)
         X = np.column_stack([random_joint_state(rng) for _ in range(9)])
         D = cstr3_drift(X, 0.006, PARAMS)
-        J = cstr3_jacobian(X, 0.006, PARAMS)
-        assert D.shape == (4, 9) and J.shape == (4, 4, 9)
+        assert D.shape == (4, 9)
         for i in range(9):
             assert np.array_equal(D[:, i], cstr3_drift(X[:, i], 0.006, PARAMS))
-            assert np.array_equal(J[:, :, i], cstr3_jacobian(X[:, i], 0.006, PARAMS))
 
     def test_reads_beta_from_the_state(self):
         rng = np.random.default_rng(15)
@@ -184,9 +213,9 @@ class TestJointKernel:
             assert d[3] == 0.0
             np.testing.assert_array_equal(
                 d[:3], cstr3_drift(z[:3], 0.007, CstrParams(beta=z[3])))
-            J = cstr3_jacobian(z, 0.007, PARAMS)
+            J = jacobian(z, 0.007)
             np.testing.assert_array_equal(
-                J[:3, :3], cstr3_jacobian(z[:3], 0.007, CstrParams(beta=z[3])))
+                J[:3, :3], jacobian(z[:3], 0.007, CstrParams(beta=z[3])))
             np.testing.assert_array_equal(J[3], 0.0)
 
 
@@ -333,14 +362,14 @@ class TestModelWiring:
         u = np.array([0.007])
         for _ in range(20):
             z = np.append(random_admissible_state(rng), rng.uniform(100.0, 160.0))
-            J = m.drift_jac(0.0, z, u)
+            J = m.linearize(0.0, z, u)[1]
             Jfd = fd_jacobian(lambda w: m.drift(0.0, w, u), z)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_beta_jacobian_formula(self):
         m = default_experiment_model().model
         z = np.array([0.5, 0.7, 320.0, 120.0])
-        col = m.drift_jac(0.0, z, np.array([0.007]))[:, 3]
+        col = m.linearize(0.0, z, np.array([0.007]))[1][:, 3]
         r = rate_constant(320.0, PARAMS) * 0.5 * 0.7
         np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
@@ -352,8 +381,56 @@ class TestModelWiring:
         assert g[3, 1] == 0.5
 
 
+BREAKPOINT_INTERVALS = [(195.0, 205.0, 10), (199.25, 201.25, 4)]
+
+
+def uncached_ekf_predict(model, belief, u, t1, substeps):
+    # the moment ODEs with the diffusion evaluated afresh at every stage
+    n = belief.dim
+
+    def rhs(t, y, u):
+        m = y[:n]
+        out = np.empty_like(y)
+        out[:n] = model.drift(t, m, u)
+        A = model.linearize(t, m, u)[1]
+        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+        AP = A @ y[n:].reshape(n, n)
+        out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
+        return out
+
+    h = (t1 - belief.time) / substeps
+    y = np.concatenate((belief.mean, belief.cov.ravel()))
+    for j, inputs in enumerate(rk4_inputs(u, belief.time, h, substeps)):
+        y = rk4_step(rhs, belief.time + j * h, y, h, inputs)
+        P = y[n:].reshape(n, n)
+        P[...] = 0.5 * (P + P.T)
+        y[:n] = model.constrain(y[:n])
+    return y[:n], y[n:].reshape(n, n)
+
+
+def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
+    # the sigma-point push with g dW evaluated afresh at both half-steps
+    from cdassim.filters.unscented import ukf_sigma_points
+
+    t0 = belief.time
+    sp = ukf_sigma_points(belief, scaling, model.dim_noise, t1 - t0)
+    h = (t1 - t0) / substeps
+    pts = sp.points.copy()
+    dW = sp.noise_points / (2.0 * substeps)
+    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
+        t = t0 + j * h
+        pts = pts + model.diffusion(t, pts, inputs[0]) @ dW
+        pts = rk4_step(model.drift, t, pts, h, inputs)
+        pts = pts + model.diffusion(t + h, pts, inputs[2]) @ dW
+        pts = model.constrain(pts)
+    m = pts @ sp.mean_weights
+    dev = pts - m[:, None]
+    S = (dev * sp.cov_weights) @ dev.T
+    return m, 0.5 * (S + S.T)
+
+
 class TestStageInputs:
-    @pytest.mark.parametrize("t0, t1, substeps", [(195.0, 205.0, 10), (199.25, 201.25, 4)])
+    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
     def test_predictions_across_a_breakpoint_match_per_call_lookup(self, t0, t1, substeps):
         # the vectorized stage-input table must reproduce one lookup per stage
         from cdassim.filters.beliefs import GaussianBelief
@@ -371,6 +448,50 @@ class TestStageInputs:
             table, calls = predict(flow), predict(lambda t: flow(t))
             assert np.array_equal(table.mean, calls.mean)
             assert np.array_equal(table.cov, calls.cov)
+
+    @pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
+    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
+    def test_diffusion_table_matches_per_stage_evaluation(self, t0, t1, substeps, sigma_theta):
+        # the predictions evaluate the diffusion once per input value; a
+        # wrong table key would reuse the pre-breakpoint flow's noise after it
+        from cdassim.filters.beliefs import GaussianBelief
+        from cdassim.filters.kalman import ekf_predict
+        from cdassim.filters.unscented import UkfScaling, ukf_predict
+
+        exp = default_experiment_model(param_diffusion=sigma_theta)
+        belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
+                                np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
+        scaling = UkfScaling(alpha=0.2)
+        pairs = (
+            (ekf_predict(exp.model, belief, exp.flow, t1, substeps),
+             uncached_ekf_predict(exp.model, belief, exp.flow, t1, substeps)),
+            (ukf_predict(exp.model, belief, exp.flow, t1, scaling, substeps),
+             uncached_ukf_predict(exp.model, belief, exp.flow, t1, scaling, substeps)),
+        )
+        for got, (mean, cov) in pairs:
+            assert np.array_equal(got.mean, mean)
+            assert np.array_equal(got.cov, cov)
+
+    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
+    def test_member_propagation_across_a_breakpoint_matches_per_call_lookup(
+            self, t0, t1, substeps):
+        from cdassim.filters.montecarlo import propagate_members
+
+        exp = default_experiment_model(param_diffusion=0.05)
+        flow = exp.flow
+        rng = np.random.default_rng(17)
+        X = np.column_stack([random_joint_state(rng) for _ in range(50)])
+        stream = NoiseStream(23)
+        table = propagate_members(exp.model, X, flow, t0, t1, stream, substeps)
+        calls = propagate_members(exp.model, X, lambda t: flow(t), t0, t1, stream, substeps)
+        assert np.array_equal(table, calls)
+        # both arms above share the stage table; this one looks up each substep
+        h = (t1 - t0) / substeps
+        draws = stream.generator().standard_normal((substeps, 2, X.shape[1])) * np.sqrt(h)
+        for j in range(substeps):
+            t = t0 + j * h
+            X = exp.model.constrain(euler_maruyama_step(exp.model, t, X, flow(t), h, draws[j]))
+        assert np.array_equal(table, X)
 
 
 class TestMomentConsistency:

@@ -1,6 +1,8 @@
 """SDE core: integrator ordering, noise streams, the shared RK4 stepper."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,28 @@ class TestSimulatePath:
         assert np.all(traj.states >= 0.0)
         assert traj.states[-1, 0] == 0.0
 
+    def test_input_table_matches_per_step_lookup(self):
+        # one vectorized lookup per path must reproduce one call per step,
+        # including the steps that start exactly on a breakpoint
+        p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
+        m = SdeModel(
+            dim_state=1, dim_noise=1, dim_obs=1,
+            drift=lambda t, x, u: u - x,
+            diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
+            measure=lambda t, x: x,
+        )
+        table = simulate_path(m, [0.2], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
+        calls = simulate_path(m, [0.2], lambda t: p(t), 0.0, 1.0, 0.05, NoiseStream(seed=4))
+        assert np.array_equal(table.states, calls.states)
+        assert np.array_equal(table.inputs, calls.inputs)
+        np.testing.assert_array_equal(table.inputs, [p(t) for t in table.times])
+        # both arms above share the lookup table; this one looks up each step
+        dws = NoiseStream(seed=4).generator().standard_normal((20, 1)) * np.sqrt(0.05)
+        x = np.array([0.2])
+        for i, t in enumerate(table.times[:-1]):
+            x = euler_maruyama_step(m, t, x, p(t), 0.05, dws[i])
+            assert np.array_equal(table.states[i + 1], x)
+
 
 def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
     # n_paths independent GBM copies as one diagonal system, so the order
@@ -252,6 +276,37 @@ class TestFdJacobian:
     def test_quadratic(self):
         J = fd_jacobian(lambda x: np.array([x[0] ** 2, x[0] * x[1]]), np.array([2.0, 3.0]))
         assert np.allclose(J, [[4.0, 0.0], [3.0, 2.0]], rtol=1e-7)
+
+
+def quadratic_model(c: float) -> SdeModel:
+    return SdeModel(
+        dim_state=2, dim_noise=1, dim_obs=1,
+        drift=lambda t, x, u: np.array([c * x[0] ** 2, x[0] * x[1]]),
+        diffusion=lambda t, x, u: np.zeros((2, 1)),
+        measure=lambda t, x: x[:1],
+    )
+
+
+class TestLinearizeFallback:
+    def test_finite_differences_of_the_drift(self):
+        m = quadratic_model(1.0)
+        x = np.array([2.0, 3.0])
+        f, A = m.linearize(0.0, x, None)
+        np.testing.assert_array_equal(f, m.drift(0.0, x, None))
+        assert np.allclose(A, [[4.0, 0.0], [3.0, 2.0]], rtol=1e-7)
+
+    def test_replacing_the_drift_rebuilds_the_fallback(self):
+        m = dataclasses.replace(quadratic_model(1.0),
+                                drift=quadratic_model(3.0).drift)
+        f, A = m.linearize(0.0, np.array([2.0, 3.0]), None)
+        np.testing.assert_array_equal(f, [12.0, 6.0])
+        assert np.allclose(A, [[12.0, 0.0], [3.0, 2.0]], rtol=1e-7)
+
+    def test_supplied_linearization_is_kept(self):
+        lin = lambda t, x, u: (x, np.eye(2))  # noqa: E731
+        m = dataclasses.replace(quadratic_model(1.0), linearize=lin)
+        assert m.linearize is lin
+        assert dataclasses.replace(m, dim_obs=1).linearize is lin
 
 
 class TestPiecewiseConstant:
