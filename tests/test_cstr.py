@@ -185,15 +185,6 @@ class TestLinearize:
             assert f.shape == x.shape and A.shape == (len(x), len(x))
             assert np.array_equal(f, cstr3_drift(x, u[0], PARAMS))
 
-    def test_joint_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            z = random_joint_state(rng)
-            F = rng.uniform(1e-3, 0.02)
-            J = jacobian(z, F)
-            Jfd = fd_jacobian(lambda w: cstr3_drift(w, F, PARAMS), z)
-            assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
-
 
 class TestJointKernel:
     def test_batch_equals_columns_bitwise(self):
