@@ -6,6 +6,16 @@ the four filters against them, reduces the results to benchmark metrics
 posterior spread against a large-particle reference run, sweeps Monte Carlo
 sizes, and writes plot-ready CSV/JSON reports.
 
+The independent filter runs of ``run_all_filters``, ``ensemble_size_sweep``
+and ``uncertainty_comparison`` fan out over worker processes forked from
+the caller, because every filter is bound by Python call overhead and holds
+the GIL, so threads would only contend. A forked worker inherits the run's
+config, truth and model, which carry lambdas and cannot be pickled; only the
+task values (kind, size, stream tag) go to the workers and only the
+``FilterMetrics`` with their ``FilterOutput`` come back. ``worker_count``
+decides how many workers run; one worker, or ``serial``, runs every task in
+the calling process.
+
 Noise-stream tags: truth and measurement noise get their own root streams,
 each filter gets a fixed root stream of its own, and the reference particle
 run gets another, so any subset of the work can be redone in isolation and
@@ -15,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,14 +87,27 @@ MSE_X_DEFINITION = (
 
 
 def worker_count(n_tasks: int, serial: bool = False) -> int:
-    """Thread cap honoring the CDASSIM_THREADS environment variable."""
+    """Number of worker processes for ``n_tasks`` independent filter runs.
+
+    ``CDASSIM_THREADS`` caps the count when it holds an integer; otherwise the
+    cap is the number of CPUs this process may run on (its affinity mask
+    where the platform reports one). ``serial``, a single task, or a
+    platform that cannot fork gives 1: every task runs in the caller.
+    """
     if serial or n_tasks <= 1:
         return 1
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     cap = os.environ.get("CDASSIM_THREADS", "")
     try:
-        cap_n = int(cap) if cap else (os.cpu_count() or 1)
+        cap_n = int(cap) if cap else cpus
     except ValueError:
-        cap_n = os.cpu_count() or 1
+        cap_n = cpus
     return max(1, min(n_tasks, cap_n))
 
 
@@ -266,29 +288,73 @@ def run_one_filter(kind: str, config: ExperimentConfig, truth: TruthData, model=
     return _score(kind, out, config, truth)
 
 
-def run_all_filters(config: ExperimentConfig, truth: TruthData,
-                    filters=None, serial: bool = False) -> MetricsReport:
-    """Run the filter bank against one truth realization.
+# the task function of this process's pool, when it is a forked worker
+_worker_task = None
 
-    Filters run on separate threads unless ``serial``; each owns fixed
-    noise streams, so scheduling cannot change any numeric output. A
-    failing filter is recorded and the rest continue.
+
+def _inherit_task(task) -> None:
+    global _worker_task
+    _worker_task = task
+
+
+def _call_task(arg):
+    return _worker_task(arg)
+
+
+def _run_filters(config: ExperimentConfig, truth: TruthData, tasks,
+                 serial: bool) -> list[FilterMetrics]:
+    """Run ``(kind, size, stream_tag)`` filter tasks; results in task order.
+
+    With more than one worker the tasks run on forked processes. The task
+    closure reaches them as the pool initializer's argument, which a fork
+    hands over in memory without pickling; a fork pool starts all its
+    workers at the first submit, before its own manager thread exists, and
+    forked workers skip the re-import of numpy and cdassim that spawned
+    ones would pay on every call. ``run_one_filter`` turns a
+    filter failure into a record inside the worker, so only plain
+    exceptions, such as the ``ValueError`` of an unusable config, are raised
+    across the process boundary.
     """
+    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
+                                   param_diffusion=config.sigma_theta)
+
+    def one(task) -> FilterMetrics:
+        kind, size, tag = task
+        return run_one_filter(kind, config, truth, exp.model, exp.flow, size=size,
+                              stream_tag=tag)
+
+    workers = worker_count(len(tasks), serial)
+    if workers == 1:
+        return [one(t) for t in tasks]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit_task, initargs=(one,)) as pool:
+        return list(pool.map(_call_task, tasks))
+
+
+def _bank_tasks(filters) -> list[tuple]:
     kinds = list(filters) if filters else list(FILTER_KINDS)
     for kind in kinds:
         if kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind {kind!r}")
-    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
-                                   param_diffusion=config.sigma_theta)
-    workers = worker_count(len(kinds), serial)
-    if workers == 1:
-        results = [run_one_filter(k, config, truth, exp.model, exp.flow) for k in kinds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda k: run_one_filter(k, config, truth, exp.model, exp.flow), kinds))
+    return [(kind, None, None) for kind in kinds]
+
+
+def _bank_report(config: ExperimentConfig, results) -> MetricsReport:
     ordered = {k: m for k in FILTER_KINDS for m in results if m.kind == k}
     return MetricsReport(seed=config.seed, config_hash=config.config_hash(), filters=ordered)
+
+
+def run_all_filters(config: ExperimentConfig, truth: TruthData,
+                    filters=None, serial: bool = False) -> MetricsReport:
+    """Run the filter bank against one truth realization.
+
+    Filters run on separate worker processes (see ``worker_count``) unless
+    ``serial``; each owns fixed noise streams, so scheduling cannot change
+    any numeric output. A failing filter is recorded and the rest continue.
+    """
+    return _bank_report(config, _run_filters(config, truth, _bank_tasks(filters), serial))
 
 
 @dataclass
@@ -326,18 +392,21 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
     The reference is the particle filter itself at ``oracle_particle_count``
     samples, which must be at least 10x the largest configured Monte Carlo
     filter size. Degeneracy of the reference (failure or flagged collapse)
-    is reported, not raised.
+    is reported, not raised. Without a ``report`` the filter bank runs in
+    the same worker pool as the reference, which starts first because it is
+    the longest run.
     """
     largest = max(config.ensemble_size, config.particle_count)
     if config.oracle_particle_count < 10 * largest:
         raise ValueError(
             f"oracle_particle_count={config.oracle_particle_count} must be >= 10x the "
             f"largest filter size ({largest})")
+    tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE)]
     if report is None:
-        report = run_all_filters(config, truth, filters=filters, serial=serial)
-
-    oracle = run_one_filter("pf", config, truth, size=config.oracle_particle_count,
-                            stream_tag=STREAM_ORACLE)
+        oracle, *bank = _run_filters(config, truth, tasks + _bank_tasks(filters), serial)
+        report = _bank_report(config, bank)
+    else:
+        (oracle,) = _run_filters(config, truth, tasks, serial)
     status = oracle.status
     if oracle.ok and oracle.collapsed:
         status = "degenerate: sustained innovation inconsistency"
@@ -408,6 +477,7 @@ def ensemble_size_sweep(config: ExperimentConfig, sizes, truth: TruthData | None
                         filters=("enkf", "pf"), serial: bool = False) -> list[SweepRow]:
     """Rerun the Monte Carlo filters across sizes on one shared realization.
 
+    The runs fan out over worker processes like ``run_all_filters``.
     Collapsed or failed runs are flagged in their row, never fatal.
     """
     sizes = [int(s) for s in sizes]
@@ -418,23 +488,10 @@ def ensemble_size_sweep(config: ExperimentConfig, sizes, truth: TruthData | None
             raise ValueError(f"sweep supports enkf/pf, got {kind!r}")
     if truth is None:
         truth = generate_truth_and_measurements(config)
-    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
-                                   param_diffusion=config.sigma_theta)
-    tasks = [(kind, size) for kind in filters for size in sizes]
-
-    def one(task):
-        kind, size = task
-        m = run_one_filter(kind, config, truth, exp.model, exp.flow, size=size)
-        return SweepRow(kind=kind, size=size, status=m.status, mse_x=m.mse_x,
-                        mse_p=m.mse_p, t_cpu_s=m.t_cpu_s, collapsed=m.collapsed)
-
-    workers = worker_count(len(tasks), serial)
-    if workers == 1:
-        rows = [one(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, tasks))
-    return rows
+    tasks = [(kind, size, None) for kind in filters for size in sizes]
+    return [SweepRow(kind=kind, size=size, status=m.status, mse_x=m.mse_x, mse_p=m.mse_p,
+                     t_cpu_s=m.t_cpu_s, collapsed=m.collapsed)
+            for (kind, size, _), m in zip(tasks, _run_filters(config, truth, tasks, serial))]
 
 
 # -- report files -----------------------------------------------------------

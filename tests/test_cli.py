@@ -1,5 +1,6 @@
 """Command-line behavior: dispatch, artifacts, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
 
@@ -192,6 +193,45 @@ def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, ca
     cfgfile.write_text(json.dumps({**SMALL, "noise": {"obs_variance": 0}}))
     assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
     assert "noise.obs_variance" in capsys.readouterr().err
+
+
+def test_zero_observation_variance_exits_1_from_worker_processes(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the filters run on two worker processes; the config's ValueError is
+    # raised there and must reach the command as the same exit and message
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CDASSIM_THREADS", "2")
+    cfgfile = tmp_path / "noiseless.json"
+    cfgfile.write_text(json.dumps({**SMALL, "noise": {"obs_variance": 0}}))
+    assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
+    assert "noise.obs_variance must be > 0" in capsys.readouterr().err
+
+
+def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file,
+                                                     monkeypatch, capsys):
+    from cdassim.filters import runner
+    from cdassim.filters.kalman import DivergenceError
+
+    parent = os.getpid()
+    update = runner.kalman_update
+
+    def diverge_in_worker(prior, *args):
+        # fails only off the calling process, so a serial run would pass
+        if os.getpid() != parent and prior.time >= 40.0:
+            raise DivergenceError("forced divergence", time=prior.time)
+        return update(prior, *args)
+
+    monkeypatch.setattr(runner, "kalman_update", diverge_in_worker)
+    monkeypatch.setenv("CDASSIM_THREADS", "2")
+    assert parse_and_dispatch(["estimate", "--config", small_config_file,
+                               "--out", "div"]) == 2
+    assert "numerical failure in: ekf" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "div" / "metrics.json").read_text())["filters"]
+    ekf = doc["ekf"]
+    assert ekf["status"].startswith("failed: ekf failed at step 3 (t=40)")
+    assert "forced divergence" in ekf["status"]
+    assert ekf["failed_step"] == 3 and ekf["collapsed"] is True
+    assert all(doc[k]["status"] == "ok" for k in ("ukf", "enkf", "pf"))
 
 
 def test_usage_errors_exit_1():

@@ -1,5 +1,8 @@
 """Twin-experiment harness: truth generation, scoring, sweeps, report files."""
+import hashlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from cdassim.config import load_config
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.harness import (
+    FILTER_STREAM,
     SPREAD_COLLAPSE_RATIO,
     _spread_collapse_fraction,
     ensemble_size_sweep,
@@ -196,6 +200,81 @@ def test_worker_count_env_cap(monkeypatch):
     assert worker_count(8) >= 1
     monkeypatch.delenv("CDASSIM_THREADS")
     assert 1 <= worker_count(4) <= 4
+
+
+def test_worker_count_caps_at_usable_cpus_and_needs_fork(monkeypatch):
+    monkeypatch.delenv("CDASSIM_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert worker_count(8) == 3  # the affinity mask, not the machine's CPU count
+    assert worker_count(2) == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(8) == 8  # no affinity call on this platform: cpu_count
+    monkeypatch.setenv("CDASSIM_THREADS", "4")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert worker_count(8) == 1  # workers must be forked; spawn re-imports everything
+
+
+# every numeric FilterOutput field; step_seconds is timing and stays out
+OUTPUT_FIELDS = ("times", "prior_mean", "prior_cov", "post_mean", "post_cov",
+                 "innovation", "innovation_cov", "nis", "gain_condition", "ess",
+                 "resampled")
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"none")
+            continue
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _output_digest(out) -> str:
+    return _digest(out.initial.mean, out.initial.cov,
+                   *(getattr(out, name) for name in OUTPUT_FIELDS))
+
+
+def _metrics_fingerprint(m) -> tuple:
+    fields = {k: v for k, v in m.to_dict().items() if k != "t_cpu_s"}
+    return m.kind, fields, _output_digest(m.output) if m.output is not None else None
+
+
+def _uncertainty_fingerprint(unc) -> tuple:
+    series = {kind: _digest(*(s[name] for name in sorted(s)))
+              for kind, s in unc.series.items()}
+    return (unc.to_dict(), _digest(unc.times, unc.oracle_mean, unc.oracle_cov), series)
+
+
+@pytest.fixture(scope="module")
+def small_uncertainty(small_cfg, small_truth):
+    return uncertainty_comparison(small_cfg, small_truth, serial=True)
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_pooled_runs_equal_serial_in_every_field(threads, small_cfg, small_truth,
+                                                 small_report, small_uncertainty,
+                                                 monkeypatch):
+    monkeypatch.setenv("CDASSIM_THREADS", threads)
+    assert worker_count(4) > 1 or "fork" not in multiprocessing.get_all_start_methods()
+
+    pooled = run_all_filters(small_cfg, small_truth)
+    assert list(pooled.filters) == list(small_report.filters)
+    for kind, m in small_report.filters.items():
+        assert _metrics_fingerprint(pooled.filters[kind]) == _metrics_fingerprint(m), kind
+
+    rows = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth)
+    serial_rows = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth, serial=True)
+    strip = lambda r: {k: v for k, v in r.to_dict().items() if k != "t_cpu_s"}
+    assert [strip(r) for r in rows] == [strip(r) for r in serial_rows]
+
+    # the reference run shares the pool with the filter bank
+    unc = uncertainty_comparison(small_cfg, small_truth)
+    assert _uncertainty_fingerprint(unc) == _uncertainty_fingerprint(small_uncertainty)
+    assert unc.oracle_status == "ok" and set(unc.series) == set(FILTER_STREAM)
 
 
 # -- size sweep ---------------------------------------------------------------
