@@ -7,7 +7,6 @@ from cdassim.sde import (
     PiecewiseConstant,
     SdeModel,
     Trajectory,
-    draw_increments,
     euler_maruyama_step,
     simulate_path,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "PiecewiseConstant",
     "SdeModel",
     "Trajectory",
-    "draw_increments",
     "euler_maruyama_step",
     "simulate_path",
     "__version__",

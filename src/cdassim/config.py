@@ -3,7 +3,8 @@
 Configs resolve in three layers: packaged defaults, then the user's JSON
 file, then explicit overrides (CLI flags). Unknown or ill-typed keys are
 hard errors that list every offending key at once, so a typo in a filter
-setting cannot silently fall back to a default.
+setting cannot silently fall back to a default. The packaged defaults file
+is the one place the twin experiment's values are written down.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cdassim.cstr import CstrParams, FlowProfile
+from cdassim.cstr import CstrParams
 from cdassim.filters.pf import ResamplePolicy
 from cdassim.filters.unscented import UkfScaling
+from cdassim.sde import PiecewiseConstant
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config_dict"]
 
@@ -219,9 +221,10 @@ class ExperimentConfig:
     def cstr_params(self) -> CstrParams:
         return CstrParams(beta=self.truth_beta, sigma_T=self.sigma_T)
 
-    def flow_profile(self) -> FlowProfile:
+    def flow_profile(self) -> PiecewiseConstant:
+        """Flow rate F(t) in L/s; the schema has checked the schedule."""
         f = self.raw["flow"]
-        return FlowProfile(breakpoints=f["breakpoints"], values=f["values"])
+        return PiecewiseConstant(times=f["breakpoints"], values=f["values"])
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:

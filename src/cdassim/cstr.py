@@ -3,13 +3,19 @@
 Provides the 3-state stochastic model (concentrations CA, CB and temperature
 T with diffusion on T only), reduced 2-state (extent of reaction, T) and
 1-state (T) deterministic approximations, the steady-state flow/temperature
-curve with its ignition fold, analytic Jacobians, and the default joint
+curve with its ignition fold, analytic Jacobians, and the joint
 state-and-parameter estimation model. The joint model is the paper's: the
 heat-rise coefficient beta is a fourth state (CA, CB, T, beta) with zero
 drift. It is one plain :class:`~cdassim.sde.SdeModel` whose drift and
 Jacobian kernels read beta from the state's fourth row, so a single
 evaluation serves any value of the parameter, for one state or a column
 batch.
+
+The twin experiment's values (initial states, the true and guessed beta,
+sigma_T, the observation variance and the flow schedule) live only in the
+packaged ``data/default_config.json``; :mod:`cdassim.config` turns them into
+:class:`CstrParams` and the flow profile. This module holds the reactor's
+physical constants alone.
 
 Units: seconds, Kelvin, mol/L, L/s throughout.
 """
@@ -20,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdassim.sde import NoiseSpec, PiecewiseConstant, SdeModel
+from cdassim.sde import PiecewiseConstant, SdeModel
 
 __all__ = [
     "CstrParams",
-    "CstrState",
-    "FlowProfile",
     "SteadyStateRangeError",
     "CstrExperiment",
     "rate_constant",
@@ -39,33 +43,21 @@ __all__ = [
     "steady_state_curve",
     "cstr3_model",
     "default_experiment_model",
-    "TRUTH_STATE_INIT",
-    "TRUTH_BETA",
-    "FILTER_STATE_INIT",
-    "FILTER_BETA_INIT",
-    "OBS_VARIANCE",
 ]
-
-# Twin-experiment setup: ground truth and deliberately offset filter guesses.
-TRUTH_STATE_INIT = (0.0, 0.0, 273.65)
-TRUTH_BETA = 133.7792
-FILTER_STATE_INIT = (0.1, 0.2, 293.65)
-FILTER_BETA_INIT = 123.7792
-OBS_VARIANCE = 9.0
 
 
 class SteadyStateRangeError(ValueError):
     """Requested steady-state temperature leaves the physical branch."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CstrParams:
     """Reactor constants.
 
     ``beta`` is the adiabatic heat-rise coefficient in K.L/mol; its sign
-    encodes the reaction type (positive for exothermic). ``dHr``, when
-    supplied, must be consistent with ``beta = -dHr / (rho * cp)``; it is
-    otherwise back-derived on demand.
+    encodes the reaction type (positive for exothermic). ``beta`` and
+    ``sigma_T`` belong to the twin experiment and have no default: the
+    config supplies both (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
     """
 
     rho: float = 1.0            # kg/L
@@ -76,9 +68,8 @@ class CstrParams:
     CA_in: float = 0.8          # mol/L
     CB_in: float = 1.2          # mol/L
     T_in: float = 273.65        # K
-    beta: float = TRUTH_BETA    # K L/mol
-    sigma_T: float = 5.0        # K
-    dHr: float | None = None
+    beta: float                 # K L/mol
+    sigma_T: float              # K
 
     def __post_init__(self):
         for name in ("rho", "cp", "k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
@@ -88,72 +79,6 @@ class CstrParams:
             raise ValueError("beta must be nonzero (adiabatic relations divide by it)")
         if self.sigma_T < 0:
             raise ValueError("sigma_T must be non-negative")
-        if self.dHr is not None:
-            implied = -self.dHr / (self.rho * self.cp)
-            if abs(implied - self.beta) > 1e-6 * max(1.0, abs(self.beta)):
-                raise ValueError(
-                    f"dHr={self.dHr} implies beta={implied:.6f}, got beta={self.beta}"
-                )
-
-    @property
-    def reaction_enthalpy(self) -> float:
-        """Heat of reaction in kJ/mol implied by beta (negative: exothermic)."""
-        if self.dHr is not None:
-            return self.dHr
-        return -self.beta * self.rho * self.cp
-
-
-@dataclass(frozen=True)
-class CstrState:
-    """Physical reactor state."""
-
-    CA: float  # mol/L
-    CB: float  # mol/L
-    T: float   # K
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.CA, self.CB, self.T], dtype=float)
-
-    @classmethod
-    def from_array(cls, x) -> "CstrState":
-        x = np.asarray(x, dtype=float)
-        return cls(CA=float(x[0]), CB=float(x[1]), T=float(x[2]))
-
-
-@dataclass(frozen=True)
-class FlowProfile:
-    """Piecewise-constant volumetric flow rate F(t) in L/s.
-
-    ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])``; the last
-    value extends forever and queries before the first breakpoint return the
-    first value. Calling yields the 1-vector input the SDE models expect.
-    """
-
-    breakpoints: np.ndarray  # seconds
-    values: np.ndarray       # L/s
-
-    def __post_init__(self):
-        profile = PiecewiseConstant(times=self.breakpoints, values=self.values)
-        if np.any(profile.values <= 0):
-            raise ValueError("flow values must be strictly positive")
-        if profile.values.shape[1] != 1:
-            raise ValueError("flow values must be scalar per interval")
-        object.__setattr__(self, "breakpoints", profile.times)
-        object.__setattr__(self, "values", profile.values[:, 0])
-        object.__setattr__(self, "_profile", profile)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._profile(t)
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        return self._profile.at(times)
-
-    def flow(self, t: float) -> float:
-        return float(self._profile(t)[0])
 
 
 def rate_constant(T, params: CstrParams):
@@ -332,53 +257,29 @@ def _cstr_sde(params: CstrParams, dim_state: int, param_sigma: float = 0.0) -> S
 def cstr3_model(params: CstrParams) -> SdeModel:
     """3-state SDE with temperature-only diffusion (F/V) sigma_T.
 
-    The input ``u`` is the 1-vector flow rate, typically a
-    :class:`FlowProfile`.
+    The input ``u`` is the 1-vector flow rate, typically the config's
+    :class:`~cdassim.sde.PiecewiseConstant` flow profile.
     """
     return _cstr_sde(params, 3)
 
 
 @dataclass(frozen=True)
 class CstrExperiment:
-    """Everything the twin experiment needs, bundled."""
+    """The joint estimation model and the flow profile that drives it."""
 
     model: SdeModel
-    flow: FlowProfile
-    obs: NoiseSpec
-    params: CstrParams
-    truth_init: np.ndarray        # joint (CA, CB, T, beta) ground truth
-    filter_init_mean: np.ndarray  # joint initial guess
+    flow: PiecewiseConstant
 
 
-def default_flow_profile() -> FlowProfile:
-    """Flow schedule whose drop below the fold ignites the reactor mid-run."""
-    return FlowProfile(breakpoints=[0.0, 200.0, 1500.0], values=[0.010, 0.004, 0.007])
-
-
-def default_experiment_model(params: CstrParams | None = None,
-                             flow: FlowProfile | None = None,
-                             param_diffusion=None) -> CstrExperiment:
-    """Joint state-and-parameter estimation setup for the CSTR twin experiment.
+def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
+                             param_diffusion: float) -> CstrExperiment:
+    """Joint state-and-parameter estimation model for the CSTR twin experiment.
 
     The model state is (CA, CB, T, beta): beta rides along as a fourth state
-    with zero drift. With ``param_diffusion`` (a non-negative scalar) zero
-    or None, the default, beta carries no process noise and the model keeps
-    a single noise channel; a positive value adds a random-walk channel on
-    beta. Measurement is the temperature with variance 9.
+    with zero drift. With ``param_diffusion`` zero, beta carries no process
+    noise and the model keeps a single noise channel; a positive value adds
+    a random-walk channel of that intensity on beta.
     """
-    if params is None:
-        params = CstrParams()
-    if flow is None:
-        flow = default_flow_profile()
-    sigma = 0.0 if param_diffusion is None else float(np.reshape(param_diffusion, ()))
-    if sigma < 0:
+    if param_diffusion < 0:
         raise ValueError("param_diffusion must be non-negative")
-    model = _cstr_sde(params, 4, sigma)
-    return CstrExperiment(
-        model=model,
-        flow=flow,
-        obs=NoiseSpec(obs_cov=np.array([[OBS_VARIANCE]])),
-        params=params,
-        truth_init=np.array([*TRUTH_STATE_INIT, TRUTH_BETA]),
-        filter_init_mean=np.array([*FILTER_STATE_INIT, FILTER_BETA_INIT]),
-    )
+    return CstrExperiment(model=_cstr_sde(params, 4, param_diffusion), flow=flow)

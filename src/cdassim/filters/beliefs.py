@@ -127,17 +127,6 @@ class SigmaPointSet:
         if self.cov_weights.size != self.mean_weights.size:
             raise ValueError("one covariance weight per point required")
 
-    @property
-    def count(self) -> int:
-        return self.points.shape[1]
-
-    def mean(self) -> np.ndarray:
-        return self.points @ self.mean_weights
-
-    def covariance(self) -> np.ndarray:
-        dev = self.points - self.mean()[:, None]
-        return symmetrize((dev * self.cov_weights) @ dev.T)
-
 
 def posterior_summary(sample) -> GaussianBelief:
     """Gaussian summary of an :class:`Ensemble` or :class:`ParticleSet`.
@@ -190,12 +179,6 @@ class FilterOutput:
     @property
     def n_steps(self) -> int:
         return len(self.times)
-
-    def final_belief(self) -> GaussianBelief:
-        """Posterior after the last processed measurement (initial if none)."""
-        if self.n_steps == 0:
-            return self.initial
-        return GaussianBelief(self.post_mean[-1], self.post_cov[-1], float(self.times[-1]))
 
     def marginal_std(self) -> np.ndarray:
         """Per-step posterior standard deviations, shape (n_steps, dim)."""

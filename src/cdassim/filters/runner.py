@@ -69,26 +69,24 @@ class FilterRunError(RuntimeError):
 class FilterConfig:
     """Everything a filter run needs besides the model and the data.
 
-    ``stream`` seeds the sample-based filters and may be omitted for the
-    Gaussian ones. ``ensemble_size`` and ``particle_count`` apply to their
-    respective filters only; ``pf_resampled_summary`` switches the reported
-    particle posterior from the importance-weighted summary to the summary
-    of the equally weighted resampled set.
+    ``obs_cov`` is the measurement-noise covariance, checked square,
+    symmetric and positive definite. ``stream`` seeds the sample-based
+    filters and may be omitted for the Gaussian ones. ``ensemble_size`` and
+    ``particle_count`` apply to their respective filters only; the particle
+    filter reports the importance-weighted posterior summary.
     """
 
     initial: GaussianBelief
-    obs_cov: np.ndarray | NoiseSpec
+    obs_cov: np.ndarray
     stream: NoiseStream | None = None
     substeps: int = 10
     scaling: UkfScaling = UkfScaling()
     ensemble_size: int = 100
     particle_count: int = 1000
     resample: ResamplePolicy = ResamplePolicy()
-    pf_resampled_summary: bool = False
 
     def __post_init__(self):
-        spec = self.obs_cov if isinstance(self.obs_cov, NoiseSpec) else NoiseSpec(self.obs_cov)
-        object.__setattr__(self, "obs_cov", spec.obs_cov)
+        object.__setattr__(self, "obs_cov", NoiseSpec(self.obs_cov).obs_cov)
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
         if self.ensemble_size < 2:
@@ -188,9 +186,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 particles, info = pf_step(
                     model, particles, u, t1, y, R, propagate_root.child(k),
                     config.resample, config.substeps)
-                prior = info.prior
-                post = (posterior_summary(particles) if config.pf_resampled_summary
-                        else info.posterior)
+                prior, post = info.prior, info.posterior
                 e, Re = info.innovation, info.innovation_cov
                 out.ess[k] = info.ess
                 out.resampled[k] = info.resampled

@@ -34,7 +34,7 @@ from cdassim.config import ExperimentConfig
 from cdassim.cstr import cstr3_model, default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, FilterRunError, run_filter
-from cdassim.sde import NoiseStream, Trajectory, simulate_path
+from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, Trajectory, simulate_path
 
 __all__ = [
     "STREAM_TRUTH",
@@ -269,16 +269,10 @@ def _score(kind: str, out: FilterOutput, config: ExperimentConfig,
     )
 
 
-def run_one_filter(kind: str, config: ExperimentConfig, truth: TruthData, model=None,
-                   flow=None, *, size: int | None = None,
+def run_one_filter(kind: str, config: ExperimentConfig, truth: TruthData, model: SdeModel,
+                   flow: PiecewiseConstant, *, size: int | None = None,
                    stream_tag: int | None = None) -> FilterMetrics:
-    """Run one filter and reduce it to metrics; failures become a record."""
-    if model is None:
-        model = default_experiment_model(
-            config.cstr_params(), config.flow_profile(),
-            param_diffusion=config.sigma_theta).model
-    if flow is None:
-        flow = config.flow_profile()
+    """Run one filter of the joint ``model`` driven by ``flow``; failures become a record."""
     fc = _filter_config(config, kind, size=size, stream_tag=stream_tag)
     try:
         out = run_filter(kind, model, fc, truth.times, truth.measurements, u=flow)

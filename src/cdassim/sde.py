@@ -34,7 +34,6 @@ __all__ = [
     "PiecewiseConstant",
     "euler_maruyama_step",
     "simulate_path",
-    "draw_increments",
     "rk4_inputs",
     "rk4_step",
     "fd_jacobian",
@@ -86,22 +85,6 @@ class NoiseStream:
         return NoiseStream(self.seed, mixed)
 
 
-def draw_increments(noise: NoiseStream, n: int, dt: float, dim: int | None = None) -> np.ndarray:
-    """Draw ``n`` i.i.d. Wiener increments N(0, dt) from ``noise``.
-
-    Replaying the same stream yields the identical values. ``dim`` selects
-    vector increments of shape ``(n, dim)``; the default is a scalar
-    sequence of shape ``(n,)``.
-    """
-    if n < 0:
-        raise ValueError("increment count must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    rng = noise.generator()
-    shape = (n,) if dim is None else (n, dim)
-    return rng.standard_normal(shape) * np.sqrt(dt)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Measurement-noise covariance plus the Wiener-process convention.
@@ -122,10 +105,6 @@ class NoiseSpec:
         if np.any(np.linalg.eigvalsh(R) <= 0):
             raise ValueError("obs_cov must be positive definite")
         object.__setattr__(self, "obs_cov", R)
-
-    @property
-    def dim(self) -> int:
-        return self.obs_cov.shape[0]
 
 
 @dataclass(frozen=True, kw_only=True)

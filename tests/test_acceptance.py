@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cdassim.config import load_config
-from cdassim.cstr import adiabatic_concentrations, cstr3_drift
+from cdassim.cstr import adiabatic_concentrations, cstr3_drift, default_experiment_model
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.pf import ResamplePolicy, pf_step
@@ -77,6 +77,10 @@ def seed_bank():
     bank = {kind: {"mse_x": [], "mse_p": [], "tail_err": [], "t_cpu": [], "status": []}
             for kind in FILTER_KINDS}
     pf100 = []
+    base = load_config()  # the model and flow do not depend on the seed
+    flow = base.flow_profile()
+    model = default_experiment_model(base.cstr_params(), flow,
+                                     param_diffusion=base.sigma_theta).model
     for k in range(N_SEEDS):
         cfg = load_config(overrides={"seed": SEED + k})
         truth = generate_truth_and_measurements(cfg)
@@ -87,7 +91,7 @@ def seed_bank():
             bank[kind]["tail_err"].append(m.beta_tail_mean_abs_err)
             bank[kind]["t_cpu"].append(m.t_cpu_s)
             bank[kind]["status"].append(m.status)
-        pf100.append(run_one_filter("pf", cfg, truth, size=100).mse_x)
+        pf100.append(run_one_filter("pf", cfg, truth, model, flow, size=100).mse_x)
     bank["pf100_mse_x"] = pf100
     bank["seconds"] = time.perf_counter() - tic
     return bank

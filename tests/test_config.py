@@ -74,6 +74,12 @@ def test_flow_profile_consistency_rules():
     raw = default_config_dict()
     raw["flow"]["values"] = [0.01, 0.004]
     assert any("match breakpoints" in p for p in validate_config_dict(raw))
+    # the schema is the only guard of the flow's sign
+    for bad in ([0.01, 0.0, 0.007], [0.01, -0.004, 0.007]):
+        raw = default_config_dict()
+        raw["flow"]["values"] = bad
+        assert any(p.startswith("flow.values: must be a non-empty list of positive numbers")
+                   for p in validate_config_dict(raw))
 
 
 def test_missing_keys_reported():
@@ -92,6 +98,9 @@ def test_layering_file_then_overrides(tmp_path):
     assert cfg.seed == 9  # override beats file
     assert cfg.sigma_T == 2.5  # file beats defaults
     assert cfg.obs_variance == 9.0  # untouched sibling keeps its default
+    cfg = load_config(user, overrides={"truth": {"beta": 120.5}})
+    params = cfg.cstr_params()
+    assert (params.beta, params.sigma_T) == (120.5, 2.5)
 
 
 def test_file_errors_are_config_errors(tmp_path):

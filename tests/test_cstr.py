@@ -4,18 +4,15 @@ Oracles: high-precision re-evaluation of the Arrhenius expression, central
 finite differences for every Jacobian entry, the 3-state simulation for the
 reduced models, and back-substitution residuals for the steady-state curve.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cdassim.config import load_config
 from cdassim.cstr import (
-    FILTER_BETA_INIT,
-    OBS_VARIANCE,
-    TRUTH_BETA,
     CstrParams,
-    CstrState,
-    FlowProfile,
     SteadyStateRangeError,
     adiabatic_concentrations,
     cstr1_drift,
@@ -24,7 +21,6 @@ from cdassim.cstr import (
     cstr3_linearize,
     cstr3_model,
     default_experiment_model,
-    default_flow_profile,
     rate_constant,
     steady_state_curve,
     steady_state_flow,
@@ -32,7 +28,13 @@ from cdassim.cstr import (
 )
 from cdassim.sde import NoiseStream, euler_maruyama_step, fd_jacobian, rk4_inputs, rk4_step
 
-PARAMS = CstrParams()
+CONFIG = load_config()
+PARAMS = CONFIG.cstr_params()
+FLOW = CONFIG.flow_profile()
+
+
+def joint_model(sigma_theta=0.0):
+    return default_experiment_model(PARAMS, FLOW, param_diffusion=sigma_theta).model
 
 
 def random_admissible_state(rng):
@@ -65,25 +67,18 @@ class TestParams:
     def test_positivity_enforced(self):
         for name in ("rho", "cp", "k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
             with pytest.raises(ValueError):
-                CstrParams(**{name: 0.0})
+                dataclasses.replace(PARAMS, **{name: 0.0})
         with pytest.raises(ValueError):
-            CstrParams(sigma_T=-1.0)
+            dataclasses.replace(PARAMS, sigma_T=-1.0)
         with pytest.raises(ValueError):
-            CstrParams(beta=0.0)
+            dataclasses.replace(PARAMS, beta=0.0)
 
-    def test_enthalpy_consistency(self):
-        implied = -TRUTH_BETA * PARAMS.rho * PARAMS.cp
-        assert CstrParams(dHr=implied).reaction_enthalpy == implied
-        assert PARAMS.reaction_enthalpy == pytest.approx(-560.0, abs=0.01)
-        with pytest.raises(ValueError):
-            CstrParams(dHr=-100.0)
-
-    def test_state_type(self):
-        s = CstrState(CA=0.1, CB=0.2, T=300.0)
-        assert np.array_equal(s.as_array(), [0.1, 0.2, 300.0])
-        assert CstrState.from_array([0.3, 0.4, 280.0]).T == 280.0
-        with pytest.raises(ValueError):
-            CstrState(CA=0.1, CB=0.2, T=0.0)
+    def test_experiment_values_have_no_default(self):
+        # beta and sigma_T come from the config file, never from the code
+        with pytest.raises(TypeError):
+            CstrParams(sigma_T=PARAMS.sigma_T)
+        with pytest.raises(TypeError):
+            CstrParams(beta=PARAMS.beta)
 
 
 class TestDrift:
@@ -203,10 +198,10 @@ class TestJointKernel:
             d = cstr3_drift(z, 0.007, PARAMS)
             assert d[3] == 0.0
             np.testing.assert_array_equal(
-                d[:3], cstr3_drift(z[:3], 0.007, CstrParams(beta=z[3])))
+                d[:3], cstr3_drift(z[:3], 0.007, dataclasses.replace(PARAMS, beta=z[3])))
             J = jacobian(z, 0.007)
             np.testing.assert_array_equal(
-                J[:3, :3], jacobian(z[:3], 0.007, CstrParams(beta=z[3])))
+                J[:3, :3], jacobian(z[:3], 0.007, dataclasses.replace(PARAMS, beta=z[3])))
             np.testing.assert_array_equal(J[3], 0.0)
 
 
@@ -229,13 +224,12 @@ class TestReducedModels:
     def test_temperature_agreement_over_horizon(self):
         # 3-state oracle: from feed-composition start the reductions are exact,
         # so 1 K absorbs only integrator truncation differences
-        flow = default_flow_profile()
         h = 1.0
         x3 = np.array([PARAMS.CA_in, PARAMS.CB_in, PARAMS.T_in])
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
-        for i, inputs in enumerate(rk4_inputs(flow, 0.0, h, 2100)):
+        for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, h, 2100)):
             t = i * h
             x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0], PARAMS), t, x3, h, inputs)
             x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
@@ -293,20 +287,13 @@ class TestSteadyState:
 
 class TestFlowProfile:
     def test_default_profile_lookup(self):
-        flow = default_flow_profile()
-        assert flow(0.0).shape == (1,)
-        assert flow.flow(-5.0) == 0.010
-        assert flow.flow(199.9) == 0.010
-        assert flow.flow(200.0) == 0.004  # right-continuous at the breakpoint
-        assert flow.flow(1499.0) == 0.004
-        assert flow.flow(1500.0) == 0.007
-        assert flow.flow(1e9) == 0.007
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowProfile(breakpoints=[0.0, 10.0], values=[0.01, 0.0])
-        with pytest.raises(ValueError):
-            FlowProfile(breakpoints=[10.0, 0.0], values=[0.01, 0.02])
+        assert FLOW(0.0).shape == (1,)
+        assert FLOW(-5.0)[0] == 0.010
+        assert FLOW(199.9)[0] == 0.010
+        assert FLOW(200.0)[0] == 0.004  # right-continuous at the breakpoint
+        assert FLOW(1499.0)[0] == 0.004
+        assert FLOW(1500.0)[0] == 0.007
+        assert FLOW(1e9)[0] == 0.007
 
 
 class TestModelWiring:
@@ -330,25 +317,20 @@ class TestModelWiring:
         np.testing.assert_array_equal(m.measure_jac(0.0, x), [[0.0, 0.0, 1.0]])
 
     def test_default_experiment_bundle(self):
-        exp = default_experiment_model()
-        m = exp.model
+        m = joint_model(CONFIG.sigma_theta)
         assert (m.dim_state, m.dim_noise, m.dim_obs) == (4, 1, 1)
-        np.testing.assert_array_equal(exp.truth_init, [0.0, 0.0, 273.65, TRUTH_BETA])
-        np.testing.assert_array_equal(exp.filter_init_mean, [0.1, 0.2, 293.65, FILTER_BETA_INIT])
-        np.testing.assert_array_equal(exp.obs.obs_cov, [[OBS_VARIANCE]])
         z = np.array([0.3, 0.6, 310.0, 128.0])
-        u = exp.flow(0.0)
+        u = FLOW(0.0)
         np.testing.assert_array_equal(m.measure_jac(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
         assert m.drift(0.0, z, u)[3] == 0.0
         # the appended parameter state uses the live column, not params.beta
         d = m.drift(0.0, z, u)
-        F = exp.flow.flow(0.0)
+        F = u[0]
         r = rate_constant(310.0, PARAMS) * 0.3 * 0.6
         assert d[2] == pytest.approx(F / PARAMS.V * (PARAMS.T_in - 310.0) + 128.0 * r, rel=1e-12)
 
     def test_augmented_jacobian_vs_finite_differences(self):
-        exp = default_experiment_model()
-        m = exp.model
+        m = joint_model()
         rng = np.random.default_rng(31)
         u = np.array([0.007])
         for _ in range(20):
@@ -358,18 +340,20 @@ class TestModelWiring:
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_beta_jacobian_formula(self):
-        m = default_experiment_model().model
+        m = joint_model()
         z = np.array([0.5, 0.7, 320.0, 120.0])
         col = m.linearize(0.0, z, np.array([0.007]))[1][:, 3]
         r = rate_constant(320.0, PARAMS) * 0.5 * 0.7
         np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
     def test_parameter_noise_adds_channel(self):
-        exp = default_experiment_model(param_diffusion=np.array([0.5]))
-        assert exp.model.dim_noise == 2
-        g = exp.model.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), exp.flow(0.0))
+        m = joint_model(0.5)
+        assert m.dim_noise == 2
+        g = m.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), FLOW(0.0))
         assert g.shape == (4, 2)
         assert g[3, 1] == 0.5
+        with pytest.raises(ValueError):
+            joint_model(-0.5)
 
 
 BREAKPOINT_INTERVALS = [(195.0, 205.0, 10), (199.25, 201.25, 4)]
@@ -428,15 +412,14 @@ class TestStageInputs:
         from cdassim.filters.kalman import ekf_predict
         from cdassim.filters.unscented import UkfScaling, ukf_predict
 
-        exp = default_experiment_model()
-        flow = exp.flow
+        model = joint_model()
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         for predict in (
-            lambda u: ekf_predict(exp.model, belief, u, t1, substeps),
-            lambda u: ukf_predict(exp.model, belief, u, t1, UkfScaling(), substeps),
+            lambda u: ekf_predict(model, belief, u, t1, substeps),
+            lambda u: ukf_predict(model, belief, u, t1, UkfScaling(), substeps),
         ):
-            table, calls = predict(flow), predict(lambda t: flow(t))
+            table, calls = predict(FLOW), predict(lambda t: FLOW(t))
             assert np.array_equal(table.mean, calls.mean)
             assert np.array_equal(table.cov, calls.cov)
 
@@ -449,15 +432,15 @@ class TestStageInputs:
         from cdassim.filters.kalman import ekf_predict
         from cdassim.filters.unscented import UkfScaling, ukf_predict
 
-        exp = default_experiment_model(param_diffusion=sigma_theta)
+        model = joint_model(sigma_theta)
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         scaling = UkfScaling(alpha=0.2)
         pairs = (
-            (ekf_predict(exp.model, belief, exp.flow, t1, substeps),
-             uncached_ekf_predict(exp.model, belief, exp.flow, t1, substeps)),
-            (ukf_predict(exp.model, belief, exp.flow, t1, scaling, substeps),
-             uncached_ukf_predict(exp.model, belief, exp.flow, t1, scaling, substeps)),
+            (ekf_predict(model, belief, FLOW, t1, substeps),
+             uncached_ekf_predict(model, belief, FLOW, t1, substeps)),
+            (ukf_predict(model, belief, FLOW, t1, scaling, substeps),
+             uncached_ukf_predict(model, belief, FLOW, t1, scaling, substeps)),
         )
         for got, (mean, cov) in pairs:
             assert np.array_equal(got.mean, mean)
@@ -468,20 +451,19 @@ class TestStageInputs:
             self, t0, t1, substeps):
         from cdassim.filters.montecarlo import propagate_members
 
-        exp = default_experiment_model(param_diffusion=0.05)
-        flow = exp.flow
+        model = joint_model(0.05)
         rng = np.random.default_rng(17)
         X = np.column_stack([random_joint_state(rng) for _ in range(50)])
         stream = NoiseStream(23)
-        table = propagate_members(exp.model, X, flow, t0, t1, stream, substeps)
-        calls = propagate_members(exp.model, X, lambda t: flow(t), t0, t1, stream, substeps)
+        table = propagate_members(model, X, FLOW, t0, t1, stream, substeps)
+        calls = propagate_members(model, X, lambda t: FLOW(t), t0, t1, stream, substeps)
         assert np.array_equal(table, calls)
         # both arms above share the stage table; this one looks up each substep
         h = (t1 - t0) / substeps
         draws = stream.generator().standard_normal((substeps, 2, X.shape[1])) * np.sqrt(h)
         for j in range(substeps):
             t = t0 + j * h
-            X = exp.model.constrain(euler_maruyama_step(exp.model, t, X, flow(t), h, draws[j]))
+            X = model.constrain(euler_maruyama_step(model, t, X, FLOW(t), h, draws[j]))
         assert np.array_equal(table, X)
 
 
@@ -492,12 +474,11 @@ class TestMomentConsistency:
         from cdassim.filters.kalman import ekf_predict
         from cdassim.filters.montecarlo import propagate_members
 
-        exp = default_experiment_model()
-        m = exp.model
+        m = joint_model()
         P0 = np.diag([1e-4, 1e-4, 1.0, 1e-4])
-        mean0 = np.array([0.4, 0.8, 300.0, TRUTH_BETA])
+        mean0 = np.array([0.4, 0.8, 300.0, CONFIG.truth_beta])
         belief = GaussianBelief(mean=mean0, cov=P0, time=0.0)
-        pred = ekf_predict(m, belief, exp.flow, 10.0, substeps=20)
+        pred = ekf_predict(m, belief, FLOW, 10.0, substeps=20)
         evals = np.linalg.eigvalsh(pred.cov)
         assert evals.min() > -1e-12
 
@@ -505,7 +486,7 @@ class TestMomentConsistency:
         stream = NoiseStream(909)
         rng = stream.child(0).generator()
         X0 = mean0[:, None] + np.linalg.cholesky(P0) @ rng.standard_normal((4, n))
-        X1 = propagate_members(m, X0, exp.flow, 0.0, 10.0, stream.child(1), substeps=100)
+        X1 = propagate_members(m, X0, FLOW, 0.0, 10.0, stream.child(1), substeps=100)
         mc_mean = X1.mean(axis=1)
         se = X1.std(axis=1, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(pred.mean - mc_mean) <= 4.0 * se + 1e-3)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cdassim.config import load_config
+from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.harness import (
     FILTER_STREAM,
@@ -104,7 +105,10 @@ def _noiseless_metrics(substeps):
     # filters need an invertible R; vanishingly small keeps the pin exact
     runcfg = load_config(
         overrides={**base, "noise": {"sigma_T": 0.0, "obs_variance": 1e-16}})
-    return {kind: run_one_filter(kind, runcfg, truth) for kind in ("ekf", "ukf")}
+    flow = runcfg.flow_profile()
+    model = default_experiment_model(runcfg.cstr_params(), flow,
+                                     param_diffusion=runcfg.sigma_theta).model
+    return {kind: run_one_filter(kind, runcfg, truth, model, flow) for kind in ("ekf", "ukf")}
 
 
 def test_noiseless_pinned_filters_track_exactly():

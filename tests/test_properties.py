@@ -10,20 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cdassim.cstr import CstrParams, adiabatic_concentrations, default_experiment_model
+from cdassim.config import load_config
+from cdassim.cstr import adiabatic_concentrations, default_experiment_model
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 
-EXP = default_experiment_model()
-R = EXP.obs.obs_cov
-DT = 10.0
+CONFIG = load_config()
+PARAMS = CONFIG.cstr_params()
+FLOW = CONFIG.flow_profile()
+MODEL = default_experiment_model(PARAMS, FLOW, param_diffusion=CONFIG.sigma_theta).model
+R = np.array([[CONFIG.obs_variance]])
+DT = CONFIG.dt_sample
 
 
 @st.composite
 def admissible_beliefs(draw):
     T = draw(st.floats(275.0, 350.0))
-    CA, CB = adiabatic_concentrations(T, CstrParams())
+    CA, CB = adiabatic_concentrations(T, PARAMS)
     offsets = draw(arrays(float, 2, elements=st.floats(-0.05, 0.05)))
     mean = np.array([max(CA + offsets[0], 0.0), max(CB + offsets[1], 0.0), T,
                      draw(st.floats(110.0, 160.0))])
@@ -45,9 +49,9 @@ def check(belief: GaussianBelief) -> None:
 @settings(max_examples=60, deadline=None)
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
-    prior = ekf_predict(EXP.model, belief, EXP.flow, belief.time + DT)
+    prior = ekf_predict(MODEL, belief, FLOW, belief.time + DT)
     check(prior)
-    post, _, _ = kalman_update(prior, EXP.model, np.array([prior.mean[2] + residual]), R)
+    post, _, _ = kalman_update(prior, MODEL, np.array([prior.mean[2] + residual]), R)
     check(post)
 
 
@@ -55,7 +59,7 @@ def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
     scaling = UkfScaling()
-    prior = ukf_predict(EXP.model, belief, EXP.flow, belief.time + DT, scaling)
+    prior = ukf_predict(MODEL, belief, FLOW, belief.time + DT, scaling)
     check(prior)
-    post, _, _ = ukf_update(prior, EXP.model, np.array([prior.mean[2] + residual]), R, scaling)
+    post, _, _ = ukf_update(prior, MODEL, np.array([prior.mean[2] + residual]), R, scaling)
     check(post)

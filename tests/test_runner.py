@@ -73,7 +73,7 @@ def test_zero_measurements_returns_initial_belief():
         cfg = base_config(stream=NoiseStream(1))
         out = run_filter(kind, model, cfg, [], np.zeros((0, 1)))
         assert out.n_steps == 0
-        assert out.final_belief() is cfg.initial
+        assert out.initial is cfg.initial
         assert out.prior_mean.shape == out.post_mean.shape == (0, 1)
         assert out.prior_cov.shape == out.post_cov.shape == (0, 1, 1)
         assert out.innovation.shape == (0, 1) and out.innovation_cov.shape == (0, 1, 1)
@@ -126,23 +126,6 @@ def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     assert np.array_equal(a.post_mean, b.post_mean)
     assert np.array_equal(a.post_cov, b.post_cov)
     assert not np.array_equal(a.post_mean, c.post_mean)
-
-
-def test_pf_summary_flag_switches_reported_posterior(ou_data):
-    times, ys = ou_data
-    model = ou_model()
-
-    def make(flag):
-        return base_config(stream=NoiseStream(7), particle_count=300,
-                           resample=ResamplePolicy("always"),
-                           pf_resampled_summary=flag)
-
-    weighted = run_filter("pf", model, make(False), times, ys, u=np.array([B_IN]))
-    resampled = run_filter("pf", model, make(True), times, ys, u=np.array([B_IN]))
-    # identical particle evolution, different reported summaries
-    assert np.array_equal(weighted.innovation, resampled.innovation)
-    assert np.array_equal(weighted.ess, resampled.ess)
-    assert not np.array_equal(weighted.post_mean, resampled.post_mean)
 
 
 def test_sample_filter_noise_keys_match_hand_calls():

@@ -11,7 +11,6 @@ from cdassim.sde import (
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
-    draw_increments,
     euler_maruyama_step,
     fd_jacobian,
     rk4_inputs,
@@ -44,17 +43,22 @@ def linear_model(a: float, sigma: float) -> SdeModel:
     )
 
 
+def increments(stream: NoiseStream, shape, dt: float) -> np.ndarray:
+    # Wiener increments N(0, dt) as simulate_path and the filters draw them
+    return stream.generator().standard_normal(shape) * np.sqrt(dt)
+
+
 class TestNoiseStream:
     def test_replay_is_bitwise_identical(self):
         s = NoiseStream(seed=1234, stream_id=7)
-        a = draw_increments(s, 100, 0.25)
-        b = draw_increments(s, 100, 0.25)
+        a = increments(s, 100, 0.25)
+        b = increments(s, 100, 0.25)
         assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
         s = NoiseStream(seed=1234)
-        a = draw_increments(s.child(0), 50, 0.1)
-        b = draw_increments(s.child(1), 50, 0.1)
+        a = increments(s.child(0), 50, 0.1)
+        b = increments(s.child(1), 50, 0.1)
         assert not np.array_equal(a, b)
 
     def test_child_chains_are_stable(self):
@@ -64,21 +68,9 @@ class TestNoiseStream:
 
     def test_increment_moments(self):
         s = NoiseStream(seed=42, stream_id=1)
-        dw = draw_increments(s, 10**6, 0.1)
+        dw = increments(s, 10**6, 0.1)
         assert abs(dw.mean()) < 5e-4
         assert abs(dw.var() - 0.1) < 0.001  # within 1%
-
-    def test_vector_increments_shape(self):
-        s = NoiseStream(seed=5)
-        dw = draw_increments(s, 20, 0.5, dim=3)
-        assert dw.shape == (20, 3)
-
-    def test_invalid_args(self):
-        s = NoiseStream(seed=1)
-        with pytest.raises(ValueError):
-            draw_increments(s, -1, 0.1)
-        with pytest.raises(ValueError):
-            draw_increments(s, 10, 0.0)
 
 
 class TestEulerMaruyamaStep:
@@ -202,7 +194,7 @@ def gbm_coupled_errors(n_paths: int, dts: list[float], mu: float, nu: float,
         for c in range(n_paths // chunk):
             stream = root.child(j).child(c)
             traj = simulate_path(model, np.ones(chunk), None, 0.0, 1.0, dt, stream)
-            w_total = draw_increments(stream, len(traj) - 1, dt, dim=chunk).sum(axis=0)
+            w_total = increments(stream, (len(traj) - 1, chunk), dt).sum(axis=0)
             exact = np.exp((mu - 0.5 * nu**2) * 1.0 + nu * w_total)
             diffs.append(traj.states[-1] - exact)
         diffs = np.concatenate(diffs)

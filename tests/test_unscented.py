@@ -33,7 +33,7 @@ def test_scaling_validation():
 def test_unit_scaling_single_state_points():
     # n = 1, alpha = 1, kappa = 0: points {0, +1, -1}, mean weights {0, 1/2, 1/2}
     sp = ukf_sigma_points(GaussianBelief(np.zeros(1), np.ones((1, 1))), UkfScaling())
-    assert sp.count == 3
+    assert sp.points.shape == (1, 3)
     assert np.allclose(sp.points, [[0.0, 1.0, -1.0]])
     assert np.allclose(sp.mean_weights, [0.0, 0.5, 0.5])
     assert sp.noise_points is None
@@ -44,7 +44,7 @@ def test_small_alpha_augmented_weights():
     # mean weight (c - nbar)/c = -24, all others 1/(2c) = 2.5
     sp = ukf_sigma_points(GaussianBelief(np.zeros(4), np.eye(4)),
                           UkfScaling(0.2, 2.0, 0.0), noise_dim=1, dt_total=10.0)
-    assert sp.count == 11
+    assert sp.points.shape == (4, 11)
     assert sp.mean_weights[0] == pytest.approx(-24.0)
     assert np.allclose(sp.mean_weights[1:], 2.5)
     assert sp.cov_weights[0] == pytest.approx(-24.0 + 1.0 - 0.2**2 + 2.0)
@@ -64,8 +64,10 @@ def test_sigma_points_reconstruct_moments():
     m = rng.standard_normal(3)
     for scaling in (UkfScaling(), UkfScaling(0.5, 2.0, 1.0), UkfScaling(0.2, 2.0, 0.0)):
         sp = ukf_sigma_points(GaussianBelief(m, P), scaling)
-        assert np.allclose(sp.mean(), m, atol=1e-12)
-        assert np.allclose(sp.covariance(), P, atol=1e-9)
+        mean = sp.points @ sp.mean_weights
+        dev = sp.points - mean[:, None]
+        assert np.allclose(mean, m, atol=1e-12)
+        assert np.allclose((dev * sp.cov_weights) @ dev.T, P, atol=1e-9)
 
 
 def test_requires_positive_interval_for_noise_augmentation():
