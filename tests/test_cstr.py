@@ -295,6 +295,15 @@ class TestFlowProfile:
         assert FLOW(1500.0)[0] == 0.007
         assert FLOW(1e9)[0] == 0.007
 
+    def test_validation(self):
+        # the config schema is the guard of the flow schedule
+        with pytest.raises(ValueError):
+            load_config(overrides={"flow": {"breakpoints": [0.0, 10.0],
+                                            "values": [0.01, 0.0]}})
+        with pytest.raises(ValueError):
+            load_config(overrides={"flow": {"breakpoints": [10.0, 0.0],
+                                            "values": [0.01, 0.02]}})
+
 
 class TestModelWiring:
     def test_constrain_clamps_concentrations_only(self):
