@@ -146,7 +146,8 @@ def _reduced_comparison(config: ExperimentConfig):
 
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
-    scheme on the inner substep grid.
+    scheme on the inner substep grid. The flow at every stage time of the
+    horizon comes from one :func:`~cdassim.sde.rk4_inputs` table.
     """
     params = config.cstr_params()
     flow = config.flow_profile()
@@ -160,9 +161,11 @@ def _reduced_comparison(config: ExperimentConfig):
     x2 = np.array([0.0, params.T_in])
     x1 = params.T_in
     temps = [(0.0, x3[2], x2[1], x1)]
-    for k in range(config.n_samples):
+    starts = np.arange(config.n_samples) * config.dt_sample
+    table = rk4_inputs(flow, starts, np.full(config.n_samples, h), config.substeps)
+    for k, rows in enumerate(table):
         t = k * config.dt_sample
-        for j, inputs in enumerate(rk4_inputs(flow, t, h, config.substeps)):
+        for j, inputs in enumerate(rows):
             tj = t + j * h
             x3 = rk4_step(f3, tj, x3, h, inputs)
             x2 = rk4_step(f2, tj, x2, h, inputs)

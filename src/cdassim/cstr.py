@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,21 @@ class CstrParams:
         if self.sigma_T < 0:
             raise ValueError("sigma_T must be non-negative")
 
+    @cached_property
+    def inlet(self) -> np.ndarray:
+        """Feed ``(CA_in, CB_in, T_in)`` as a read-only ``(3, 1)`` column."""
+        column = np.array([[self.CA_in], [self.CB_in], [self.T_in]])
+        column.setflags(write=False)
+        return column
+
+    @cached_property
+    def reaction_column(self) -> np.ndarray:
+        """``(1, 2, -beta)`` as a read-only ``(3, 1)`` column: the 3-state
+        rates are the flow terms less this times the reaction rate."""
+        column = np.array([[1.0], [2.0], [-self.beta]])
+        column.setflags(write=False)
+        return column
+
 
 def rate_constant(T, params: CstrParams):
     """Arrhenius rate k(T) = k0 exp(-EaR / T); broadcasts over T."""
@@ -92,16 +108,46 @@ def cstr3_drift(x, F, params: CstrParams):
     ``x`` is ``(CA, CB, T)`` or the joint ``(CA, CB, T, beta)``, as an array
     of shape ``(n,)`` or a column batch ``(n, m)``. A fourth row is the
     heat-rise coefficient: it replaces ``params.beta`` and its rate is zero.
+
+    ``x.ndim`` alone picks the path: a single state is worked on Python
+    floats, a batch with one ``exp`` over its temperature row, the reaction
+    rate ``r`` built in place and the three flow terms as one ``(3, m)``
+    block against the cached :attr:`CstrParams.inlet`, less
+    ``(1, 2, -beta) r``. Both keep the per-element operation order of
+    ``FV * (inlet - x) - r`` with ``FV = F / V`` and
+    ``r = k0 exp(-EaR / T) CA CB`` (Python floats round exactly as numpy
+    scalars do, and subtracting ``-beta r`` is exactly adding ``beta r``), so
+    a rate is bitwise the same whichever path or batch computes it.
     """
     x = np.asarray(x, dtype=float)
-    CA, CB, T = x[0], x[1], x[2]
-    beta = x[3] if len(x) > 3 else params.beta
-    FV = F / params.V
-    r = params.k0 * np.exp(-params.EaR / T) * CA * CB  # reaction rate, mol/(L s)
-    out = np.zeros(x.shape)
-    out[0] = FV * (params.CA_in - CA) - r
-    out[1] = FV * (params.CB_in - CB) - 2.0 * r
-    out[2] = FV * (params.T_in - T) + beta * r
+    if x.ndim == 1:
+        CA, CB, T, *rest = x.tolist()
+        FV = float(F) / params.V
+        # numpy's exp, not math.exp: the two differ in the last bit of some values
+        r = params.k0 * float(np.exp(-params.EaR / T)) * CA * CB  # reaction rate, mol/(L s)
+        beta = rest[0] if rest else params.beta
+        f = [FV * (params.CA_in - CA) - r,
+             FV * (params.CB_in - CB) - 2.0 * r,
+             FV * (params.T_in - T) + beta * r]
+        if rest:
+            f.append(0.0)
+        return np.array(f)
+    r = np.divide(-params.EaR, x[2])
+    np.exp(r, out=r)
+    np.multiply(params.k0, r, out=r)
+    r *= x[0]
+    r *= x[1]
+    out = np.empty(x.shape)
+    flow = out[:3]
+    np.subtract(params.inlet, x[:3], out=flow)
+    np.multiply(F / params.V, flow, out=flow)
+    coef = params.reaction_column
+    if len(x) > 3:  # joint state: beta per column, zero rate
+        coef = np.empty((3, x.shape[1]))
+        coef[:2] = params.reaction_column[:2]
+        np.negative(x[3], out=coef[2])
+        out[3] = 0.0
+    flow -= coef * r
     return out
 
 

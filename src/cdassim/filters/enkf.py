@@ -19,10 +19,14 @@ from cdassim.sde import NoiseStream, SdeModel
 __all__ = ["enkf_predict", "enkf_update"]
 
 
-def enkf_predict(model: SdeModel, ensemble: Ensemble, u, t1: float, noise: NoiseStream,
-                 substeps: int = 10) -> Ensemble:
-    """Propagate every member through the SDE to ``t1`` with increments from ``noise``."""
-    X = propagate_members(model, ensemble.members, u, ensemble.time, t1, noise, substeps)
+def enkf_predict(model: SdeModel, ensemble: Ensemble, inputs: np.ndarray, t1: float,
+                 noise: NoiseStream) -> Ensemble:
+    """Propagate every member through the SDE to ``t1`` with increments from ``noise``.
+
+    ``inputs`` holds the interval's rows of the run's stage-input table; see
+    :func:`~cdassim.filters.montecarlo.propagate_members`.
+    """
+    X = propagate_members(model, ensemble.members, inputs, ensemble.time, t1, noise)
     return Ensemble(X, t1)
 
 

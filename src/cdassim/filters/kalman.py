@@ -20,7 +20,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import solve_spd, symmetrize, condition_number
-from cdassim.sde import SdeModel, rk4_inputs, rk4_step
+from cdassim.sde import SdeModel, rk4_step
 
 __all__ = ["DivergenceError", "ekf_predict", "kalman_update"]
 
@@ -52,25 +52,22 @@ def _moment_rhs(model: SdeModel, n: int):
         if Q is None:
             g = np.asarray(model.diffusion(t, m, u), dtype=float)
             Q = noise_cov[key] = g @ g.T
-        out = np.empty_like(y)
-        out[:n] = f
         AP = A @ y[n:].reshape(n, n)
-        dP = out[n:].reshape(n, n)
-        np.add(AP, AP.T, out=dP)
+        dP = AP + AP.T
         dP += Q
-        return out
+        return np.concatenate((f, dP.ravel()))
 
     return rhs
 
 
-def ekf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
-                substeps: int = 10) -> GaussianBelief:
+def ekf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray,
+                t1: float) -> GaussianBelief:
     """Propagate a Gaussian belief to time ``t1`` through the moment ODEs.
 
-    ``u`` may be None (zero input), a constant input vector, a callable
-    ``t -> u`` or a :class:`~cdassim.sde.PiecewiseConstant`; the inputs at
-    every Runge-Kutta stage time come from one :func:`~cdassim.sde.rk4_inputs`
-    table. Each stage makes one ``model.linearize`` call; the diffusion is
+    ``inputs`` holds the interval's rows of a run's stage-input table
+    (:func:`~cdassim.sde.rk4_inputs`), shape ``(substeps, 3, dim_u)``: one
+    Runge-Kutta step per row, of size ``(t1 - belief.time) / substeps``.
+    Each stage makes one ``model.linearize`` call; the diffusion is
     evaluated once per distinct input value of the interval. The model's
     ``constrain`` hook is applied to the mean after each substep, and the
     covariance is re-symmetrized.
@@ -82,10 +79,10 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
         return belief
     n = belief.dim
     rhs = _moment_rhs(model, n)
-    h = (t1 - t0) / substeps
+    h = (t1 - t0) / len(inputs)
     y = np.concatenate((belief.mean, belief.cov.ravel()))
-    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
-        y = rk4_step(rhs, t0 + j * h, y, h, inputs)
+    for j, stage in enumerate(inputs):
+        y = rk4_step(rhs, t0 + j * h, y, h, stage)
         P = y[n:].reshape(n, n)
         P[...] = symmetrize(P)
         if model.constrain is not None:

@@ -11,29 +11,29 @@ from __future__ import annotations
 import numpy as np
 
 from cdassim.filters.kalman import DivergenceError
-from cdassim.sde import IntegrationError, NoiseStream, SdeModel, euler_maruyama_step, rk4_inputs
+from cdassim.sde import IntegrationError, NoiseStream, SdeModel, euler_maruyama_step
 
 __all__ = ["propagate_members"]
 
 
-def propagate_members(model: SdeModel, X: np.ndarray, u, t0: float, t1: float,
-                      noise: NoiseStream, substeps: int) -> np.ndarray:
+def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: float,
+                      t1: float, noise: NoiseStream) -> np.ndarray:
     """Euler-Maruyama propagation of column members from ``t0`` to ``t1``.
 
+    ``inputs`` holds the interval's rows of a run's stage-input table
+    (:func:`~cdassim.sde.rk4_inputs`), shape ``(substeps, 3, dim_u)``:
+    substep ``j`` runs on ``inputs[j, 0]``, the input at its start time.
     All increments come from one ``(substeps, dim_noise, N)`` standard-normal
     draw of ``noise``: substep ``j`` of member ``i`` uses ``block[j, :, i]``.
     The substep arithmetic is vectorized across members, which is equivalent
-    to independent integration because members never interact. Substep
-    ``j`` runs on the input at its start time, the first stage of the
-    :func:`~cdassim.sde.rk4_inputs` table of the interval, so ``u`` is looked
-    up once per propagation.
+    to independent integration because members never interact.
     """
     if t1 < t0:
         raise ValueError("cannot propagate backwards in time")
     if t1 == t0:
         return X.copy()
+    substeps = len(inputs)
     h = (t1 - t0) / substeps
-    inputs = rk4_inputs(u, t0, h, substeps)[:, 0]
     shape = (substeps, model.dim_noise, X.shape[1])
     draws = noise.generator().standard_normal(shape) * np.sqrt(h)
 
@@ -41,7 +41,7 @@ def propagate_members(model: SdeModel, X: np.ndarray, u, t0: float, t1: float,
     for j in range(substeps):
         t = t0 + j * h
         try:
-            X = euler_maruyama_step(model, t, X, inputs[j], h, draws[j])
+            X = euler_maruyama_step(model, t, X, inputs[j, 0], h, draws[j])
         except IntegrationError as exc:
             raise DivergenceError(str(exc), time=exc.time) from exc
         if model.constrain is not None:

@@ -104,11 +104,12 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ij,ij->j", z, z)
 
 
-def pf_step(model: SdeModel, particles: ParticleSet, u, t1: float, y: np.ndarray,
-            R: np.ndarray, noise: NoiseStream, resample: ResamplePolicy = ResamplePolicy(),
-            substeps: int = 10) -> tuple[ParticleSet, PfStepInfo]:
+def pf_step(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
+            y: np.ndarray, R: np.ndarray, noise: NoiseStream,
+            resample: ResamplePolicy = ResamplePolicy()) -> tuple[ParticleSet, PfStepInfo]:
     """One propagate/reweight/resample cycle; returns (particles, diagnostics).
 
+    ``inputs`` holds the interval's rows of the run's stage-input table.
     ``noise`` itself supplies the propagation increments (one block for all
     particles, see :func:`propagate_members`) and ``noise.child(0)`` the
     uniform offset of systematic resampling, drawn only when resampling.
@@ -116,7 +117,7 @@ def pf_step(model: SdeModel, particles: ParticleSet, u, t1: float, y: np.ndarray
     n_p = particles.size
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    X = propagate_members(model, particles.particles, u, particles.time, t1, noise, substeps)
+    X = propagate_members(model, particles.particles, inputs, particles.time, t1, noise)
     propagated = ParticleSet(X, particles.weights, t1)
     prior = posterior_summary(propagated)
 

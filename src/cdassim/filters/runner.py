@@ -35,7 +35,7 @@ from cdassim.filters.kalman import (
 from cdassim.filters.linalg import FactorizationError, SingularInnovationError, chol_psd
 from cdassim.filters.pf import DegenerateWeightsError, ResamplePolicy, pf_step
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
-from cdassim.sde import NoiseSpec, NoiseStream, SdeModel
+from cdassim.sde import NoiseSpec, NoiseStream, SdeModel, rk4_inputs
 
 __all__ = [
     "FILTER_KINDS",
@@ -110,8 +110,11 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
 
     ``times`` are strictly increasing measurement times at or after the
     initial belief's time; ``measurements`` holds one observation row per
-    time. ``u`` is a constant input vector, a callable ``t -> u``, or None
-    for zero input. Failures raise :class:`FilterRunError` with the
+    time. ``u`` is a :class:`~cdassim.sde.PiecewiseConstant`, a constant
+    input vector, a callable ``t -> u``, or None for zero input. Its values
+    at every Runge-Kutta stage time of the run are looked up once, in one
+    :func:`~cdassim.sde.rk4_inputs` table, and each prediction receives its
+    interval's rows. Failures raise :class:`FilterRunError` with the
     offending step attached.
     """
     kind = kind.lower()
@@ -133,6 +136,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         raise ValueError("first measurement precedes the initial belief")
 
     n_steps = times.size
+    starts = np.concatenate(([config.initial.time], times))[:-1]
+    stage_inputs = rk4_inputs(u, starts, (times - starts) / config.substeps, config.substeps)
     out = FilterOutput(
         kind=kind,
         initial=config.initial,
@@ -166,26 +171,26 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     for k in range(n_steps):
         t1 = float(times[k])
         y = Y[k]
+        inputs = stage_inputs[k]
         tic = time.perf_counter()
         try:
             if kind == "ekf":
-                prior = ekf_predict(model, belief, u, t1, config.substeps)
+                prior = ekf_predict(model, belief, inputs, t1)
                 belief, e, Re = kalman_update(prior, model, y, R)
                 post = belief
             elif kind == "ukf":
-                prior = ukf_predict(model, belief, u, t1, config.scaling, config.substeps)
+                prior = ukf_predict(model, belief, inputs, t1, config.scaling)
                 belief, e, Re = ukf_update(prior, model, y, R, config.scaling)
                 post = belief
             elif kind == "enkf":
-                ensemble = enkf_predict(model, ensemble, u, t1, propagate_root.child(k),
-                                        config.substeps)
+                ensemble = enkf_predict(model, ensemble, inputs, t1, propagate_root.child(k))
                 prior = posterior_summary(ensemble)
                 ensemble, post, e, Re = enkf_update(ensemble, model, y, R,
                                                     perturb_root.child(k))
             else:
                 particles, info = pf_step(
-                    model, particles, u, t1, y, R, propagate_root.child(k),
-                    config.resample, config.substeps)
+                    model, particles, inputs, t1, y, R, propagate_root.child(k),
+                    config.resample)
                 prior, post = info.prior, info.posterior
                 e, Re = info.innovation, info.innovation_cov
                 out.ess[k] = info.ess

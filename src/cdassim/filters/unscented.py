@@ -22,7 +22,7 @@ import numpy as np
 from cdassim.filters.beliefs import GaussianBelief, SigmaPointSet
 from cdassim.filters.kalman import DivergenceError
 from cdassim.filters.linalg import chol_psd, solve_spd, symmetrize
-from cdassim.sde import SdeModel, rk4_inputs, rk4_step
+from cdassim.sde import SdeModel, rk4_step
 
 __all__ = ["UkfScaling", "ukf_sigma_points", "ukf_predict", "ukf_update"]
 
@@ -91,25 +91,28 @@ def ukf_sigma_points(belief: GaussianBelief, scaling: UkfScaling,
     )
 
 
-def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
-                scaling: UkfScaling, substeps: int = 10) -> GaussianBelief:
+def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1: float,
+                scaling: UkfScaling) -> GaussianBelief:
     """Propagate via noise-augmented sigma points to ``t1``.
 
-    Each point's total increment is split evenly across substeps, applied
-    half before and half after the drift advance of the substep (the
-    trapezoidal placement keeps the induced covariance second-order
-    accurate in the substep size). The whole point set advances as one
-    column batch and is recombined with the unscented weights. ``u`` is
-    looked up at every stage time in one :func:`~cdassim.sde.rk4_inputs`
-    table. The diffusion depends only on the input (the
-    :class:`~cdassim.sde.SdeModel` diffusion contract), so each half-step
-    push ``g dW`` is computed once per distinct input value of the interval.
+    ``inputs`` holds the interval's rows of a run's stage-input table
+    (:func:`~cdassim.sde.rk4_inputs`), shape ``(substeps, 3, dim_u)``: one
+    substep per row, of size ``(t1 - belief.time) / substeps``. Each
+    point's total increment is split evenly across substeps, applied half
+    before and half after the drift advance of the substep (the trapezoidal
+    placement keeps the induced covariance second-order accurate in the
+    substep size). The whole point set advances as one column batch and is
+    recombined with the unscented weights. The diffusion depends only on
+    the input (the :class:`~cdassim.sde.SdeModel` diffusion contract), so
+    each half-step push ``g dW`` is computed once per distinct input value
+    of the interval.
     """
     t0 = belief.time
     if t1 < t0:
         raise ValueError("cannot predict backwards in time")
     if t1 == t0:
         return belief
+    substeps = len(inputs)
     sp = ukf_sigma_points(belief, scaling, model.dim_noise, t1 - t0)
     h = (t1 - t0) / substeps
     pts = sp.points.copy()
@@ -123,11 +126,11 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, u, t1: float,
             gdW = pushes[key] = np.asarray(model.diffusion(t, x, u), dtype=float) @ dW
         return gdW
 
-    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
+    for j, stage in enumerate(inputs):
         t = t0 + j * h
-        pts = pts + push(t, pts, inputs[0])
-        pts = rk4_step(model.drift, t, pts, h, inputs)
-        pts = pts + push(t + h, pts, inputs[2])
+        pts = pts + push(t, pts, stage[0])
+        pts = rk4_step(model.drift, t, pts, h, stage)
+        pts = pts + push(t + h, pts, stage[2])
         if model.constrain is not None:
             pts = model.constrain(pts)
     if not np.all(np.isfinite(pts)):

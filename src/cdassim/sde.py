@@ -319,27 +319,35 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1:
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-def rk4_inputs(profile, t0: float, h: float, substeps: int) -> np.ndarray:
-    """Inputs at the stage times of ``substeps`` Runge-Kutta steps from ``t0``.
+def rk4_inputs(profile, starts, steps, substeps: int) -> np.ndarray:
+    """Inputs at every Runge-Kutta stage time of a run of intervals.
 
-    Step ``j`` starts at ``t = t0 + j*h``; row ``j`` holds the inputs at
-    ``t``, ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`, and its
-    first entry is the input of an explicit step from ``t``. The table has
-    shape ``(substeps, 3, dim_u)``. A profile with a vectorized ``at(times)``
-    lookup (a :class:`PiecewiseConstant`) is looked up once for all stages;
-    any other input (None for zero input, a constant vector, or a callable
-    ``t -> u``) is evaluated per stage.
+    Interval ``i`` starts at ``starts[i]`` and is crossed in ``substeps``
+    steps of size ``h = steps[i]``; its step ``j`` starts at
+    ``t = starts[i] + j*h``. Entry ``[i, j]`` holds the inputs at ``t``,
+    ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`, and its first
+    entry is the input of an explicit step from ``t``. Each stage time is
+    computed per element exactly as a single interval's would be, so row
+    ``i`` equals a lookup of interval ``i`` alone bit for bit.
+
+    ``starts`` and ``steps`` are 1-D and of equal length; the table has
+    shape ``(n_intervals, substeps, 3, dim_u)``. A profile with a
+    vectorized ``at(times)`` lookup (a :class:`PiecewiseConstant`) is
+    looked up once for the whole table; any other input (None for zero
+    input, a constant vector, or a callable ``t -> u``) is evaluated per
+    stage.
     """
-    t = t0 + np.arange(substeps) * h
-    return _input_table(profile, np.stack((t, t + 0.5 * h, t + h), axis=1))
+    h = np.asarray(steps, dtype=float)[:, None]
+    t = np.asarray(starts, dtype=float)[:, None] + np.arange(substeps) * h
+    return _input_table(profile, np.stack((t, t + 0.5 * h, t + h), axis=-1))
 
 
 def rk4_step(rhs: Callable, t: float, y, h: float, inputs):
     """One classical Runge-Kutta step of ``y' = rhs(t, y, u)`` from ``t`` to ``t + h``.
 
-    ``inputs`` holds ``u`` at ``t``, ``t + 0.5*h`` and ``t + h`` (one entry
-    of :func:`rk4_inputs`). ``y`` may be a scalar, a state vector or a column
-    batch; ``rhs`` returns a rate of the same shape.
+    ``inputs`` holds ``u`` at ``t``, ``t + 0.5*h`` and ``t + h`` (one
+    ``[i, j]`` entry of :func:`rk4_inputs`). ``y`` may be a scalar, a state
+    vector or a column batch; ``rhs`` returns a rate of the same shape.
     """
     u0, um, u1 = inputs
     tm = t + 0.5 * h

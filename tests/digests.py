@@ -1,0 +1,124 @@
+"""SHA-256 digests of filter outputs and result files, for byte comparisons.
+
+Imported, it gives the tests the digest of a
+:class:`~cdassim.filters.beliefs.FilterOutput`. Run as a script from the
+repository root,
+
+    PYTHONPATH=src python tests/digests.py
+
+it prints one line per digest: every numeric ``FilterOutput`` field of the
+EKF, UKF, EnKF and PF on a few seeds, each at ``sigma_theta`` 0 and 0.05;
+the truth path of each seed; and every file that ``simulate --reduced``,
+``estimate``, ``sweep`` and ``oracle`` write on the default config, with the
+``t_cpu_s`` timings dropped. A change that claims no numeric change prints
+the same lines as its parent, so one run per checkout and a ``diff`` check
+it.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# every numeric FilterOutput field; step_seconds is timing and stays out
+OUTPUT_FIELDS = ("times", "prior_mean", "prior_cov", "post_mean", "post_cov",
+                 "innovation", "innovation_cov", "nis", "gain_condition", "ess",
+                 "resampled")
+
+SEEDS = (1, 2, 3, 20260816)
+SIGMA_THETAS = (0.0, 0.05)
+COMMANDS = (("simulate", "--reduced"), ("estimate",), ("sweep",), ("oracle",))
+TIMING = "t_cpu_s"
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"none")
+            continue
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _output_digest(out) -> str:
+    return _digest(out.initial.mean, out.initial.cov,
+                   *(getattr(out, name) for name in OUTPUT_FIELDS))
+
+
+def _without_timing(value):
+    if isinstance(value, dict):
+        return {k: _without_timing(v) for k, v in value.items() if k != TIMING}
+    if isinstance(value, list):
+        return [_without_timing(v) for v in value]
+    return value
+
+
+def _file_digest(path: Path) -> str:
+    """Digest of a result file with its timing column or keys removed."""
+    if path.suffix == ".json":
+        doc = _without_timing(json.loads(path.read_text()))
+        text = json.dumps(doc, sort_keys=True)
+    else:
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        keep = [i for i, name in enumerate(rows[0]) if name != TIMING]
+        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def filter_lines():
+    """Truth and per-field filter-output digests for every seed and sigma_theta."""
+    from cdassim.config import load_config
+    from cdassim.harness import generate_truth_and_measurements, run_all_filters
+
+    for seed in SEEDS:
+        for sigma_theta in SIGMA_THETAS:
+            cfg = load_config(overrides={"seed": seed, "noise": {"sigma_theta": sigma_theta}})
+            truth = generate_truth_and_measurements(cfg)
+            if sigma_theta == SIGMA_THETAS[0]:  # the truth does not depend on it
+                traj = truth.trajectory
+                yield (f"truth seed={seed} "
+                       + _digest(truth.times, traj.times, traj.states, traj.inputs,
+                                 truth.truth_states, truth.measurements))
+            report = run_all_filters(cfg, truth, serial=True)
+            for kind, m in report.filters.items():
+                tag = f"filter seed={seed} sigma_theta={sigma_theta:g} {kind}"
+                if m.output is None:
+                    yield f"{tag} status={m.status}"
+                    continue
+                for name in ("initial", *OUTPUT_FIELDS):
+                    value = getattr(m.output, name)
+                    arrays = (value.mean, value.cov) if name == "initial" else (value,)
+                    yield f"{tag} {name} {_digest(*arrays)}"
+
+
+def cli_lines():
+    """Digests of every file each subcommand writes, run serially on the default config."""
+    from cdassim.cli import parse_and_dispatch
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a relative --out keeps out_dir, and so the config hash, fixed
+        try:
+            for command in COMMANDS:
+                name = command[0]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = parse_and_dispatch([*command, "--out", name, "--serial"])
+                yield f"cli {name} exit={code}"
+                for path in sorted(Path(name).iterdir()):
+                    yield f"cli {name} {path.name} {_file_digest(path)}"
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    for line in filter_lines():
+        print(line, flush=True)
+    for line in cli_lines():
+        print(line, flush=True)

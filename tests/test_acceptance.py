@@ -29,6 +29,7 @@ from cdassim.harness import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
+from stages import interval_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
@@ -149,13 +150,13 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
         prop_p = NoiseStream(SEED, 940 + j)
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
-            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), None, OU_DT,
-                               prop_e.child(r), 10)
+            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), interval_inputs(None, 0.0, OU_DT),
+                               OU_DT, prop_e.child(r))
             _, post, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
             errs["enkf"][r, j] = abs(float(post.mean[0]) - kf_mean)
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
-            _, info = pf_step(model, particles, None, OU_DT, y1, Rm,
-                              prop_p.child(r), ResamplePolicy(), 10)
+            _, info = pf_step(model, particles, interval_inputs(None, 0.0, OU_DT), OU_DT, y1, Rm,
+                              prop_p.child(r), ResamplePolicy())
             errs["pf"][r, j] = abs(float(info.posterior.mean[0]) - kf_mean)
     slopes = {kind: float(np.polyfit(np.log10(sizes), np.log10(errs[kind].mean(axis=0)), 1)[0])
               for kind in errs}

@@ -28,6 +28,8 @@ from cdassim.cstr import (
 )
 from cdassim.sde import NoiseStream, euler_maruyama_step, fd_jacobian, rk4_inputs, rk4_step
 
+from stages import interval_inputs
+
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
 FLOW = CONFIG.flow_profile()
@@ -35,6 +37,9 @@ FLOW = CONFIG.flow_profile()
 
 def joint_model(sigma_theta=0.0):
     return default_experiment_model(PARAMS, FLOW, param_diffusion=sigma_theta).model
+
+
+EMPTY_REACTOR = [0.0, 0.0, PARAMS.T_in]
 
 
 def random_admissible_state(rng):
@@ -115,12 +120,15 @@ class TestDrift:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_batch_matches_columns(self):
+        # bytes, not np.array_equal, which calls -0.0 and 0.0 equal; the
+        # truth starts from an empty reactor (CA = CB = 0) at T_in
         rng = np.random.default_rng(13)
-        X = np.column_stack([random_admissible_state(rng) for _ in range(8)])
+        X = np.column_stack([random_admissible_state(rng) for _ in range(8)]
+                            + [EMPTY_REACTOR, [0.0, 0.0, 320.0]])
         D = cstr3_drift(X, 0.006, PARAMS)
-        assert D.shape == (3, 8)
-        for i in range(8):
-            np.testing.assert_allclose(D[:, i], cstr3_drift(X[:, i], 0.006, PARAMS), rtol=1e-14)
+        assert D.shape == (3, 10)
+        for i in range(10):
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
 
 
 def jacobian(x, F, params=PARAMS):
@@ -185,11 +193,12 @@ class TestJointKernel:
     def test_batch_equals_columns_bitwise(self):
         # the UKF, EnKF and PF evaluate column batches
         rng = np.random.default_rng(14)
-        X = np.column_stack([random_joint_state(rng) for _ in range(9)])
+        X = np.column_stack([random_joint_state(rng) for _ in range(9)]
+                            + [[*EMPTY_REACTOR, 120.0], [0.0, 0.0, 320.0, -120.0]])
         D = cstr3_drift(X, 0.006, PARAMS)
-        assert D.shape == (4, 9)
-        for i in range(9):
-            assert np.array_equal(D[:, i], cstr3_drift(X[:, i], 0.006, PARAMS))
+        assert D.shape == (4, 11)
+        for i in range(11):
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
 
     def test_reads_beta_from_the_state(self):
         rng = np.random.default_rng(15)
@@ -229,7 +238,7 @@ class TestReducedModels:
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
-        for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, h, 2100)):
+        for i, inputs in enumerate(rk4_inputs(FLOW, [0.0], [h], 2100)[0]):
             t = i * h
             x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0], PARAMS), t, x3, h, inputs)
             x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
@@ -384,7 +393,7 @@ def uncached_ekf_predict(model, belief, u, t1, substeps):
 
     h = (t1 - belief.time) / substeps
     y = np.concatenate((belief.mean, belief.cov.ravel()))
-    for j, inputs in enumerate(rk4_inputs(u, belief.time, h, substeps)):
+    for j, inputs in enumerate(interval_inputs(u, belief.time, t1, substeps)):
         y = rk4_step(rhs, belief.time + j * h, y, h, inputs)
         P = y[n:].reshape(n, n)
         P[...] = 0.5 * (P + P.T)
@@ -401,7 +410,7 @@ def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
     h = (t1 - t0) / substeps
     pts = sp.points.copy()
     dW = sp.noise_points / (2.0 * substeps)
-    for j, inputs in enumerate(rk4_inputs(u, t0, h, substeps)):
+    for j, inputs in enumerate(interval_inputs(u, t0, t1, substeps)):
         t = t0 + j * h
         pts = pts + model.diffusion(t, pts, inputs[0]) @ dW
         pts = rk4_step(model.drift, t, pts, h, inputs)
@@ -425,8 +434,9 @@ class TestStageInputs:
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         for predict in (
-            lambda u: ekf_predict(model, belief, u, t1, substeps),
-            lambda u: ukf_predict(model, belief, u, t1, UkfScaling(), substeps),
+            lambda u: ekf_predict(model, belief, interval_inputs(u, t0, t1, substeps), t1),
+            lambda u: ukf_predict(model, belief, interval_inputs(u, t0, t1, substeps), t1,
+                                  UkfScaling()),
         ):
             table, calls = predict(FLOW), predict(lambda t: FLOW(t))
             assert np.array_equal(table.mean, calls.mean)
@@ -445,10 +455,11 @@ class TestStageInputs:
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         scaling = UkfScaling(alpha=0.2)
+        inputs = interval_inputs(FLOW, t0, t1, substeps)
         pairs = (
-            (ekf_predict(model, belief, FLOW, t1, substeps),
+            (ekf_predict(model, belief, inputs, t1),
              uncached_ekf_predict(model, belief, FLOW, t1, substeps)),
-            (ukf_predict(model, belief, FLOW, t1, scaling, substeps),
+            (ukf_predict(model, belief, inputs, t1, scaling),
              uncached_ukf_predict(model, belief, FLOW, t1, scaling, substeps)),
         )
         for got, (mean, cov) in pairs:
@@ -464,8 +475,10 @@ class TestStageInputs:
         rng = np.random.default_rng(17)
         X = np.column_stack([random_joint_state(rng) for _ in range(50)])
         stream = NoiseStream(23)
-        table = propagate_members(model, X, FLOW, t0, t1, stream, substeps)
-        calls = propagate_members(model, X, lambda t: FLOW(t), t0, t1, stream, substeps)
+        table = propagate_members(model, X, interval_inputs(FLOW, t0, t1, substeps), t0, t1,
+                                  stream)
+        calls = propagate_members(model, X, interval_inputs(lambda t: FLOW(t), t0, t1, substeps),
+                                  t0, t1, stream)
         assert np.array_equal(table, calls)
         # both arms above share the stage table; this one looks up each substep
         h = (t1 - t0) / substeps
@@ -487,7 +500,7 @@ class TestMomentConsistency:
         P0 = np.diag([1e-4, 1e-4, 1.0, 1e-4])
         mean0 = np.array([0.4, 0.8, 300.0, CONFIG.truth_beta])
         belief = GaussianBelief(mean=mean0, cov=P0, time=0.0)
-        pred = ekf_predict(m, belief, FLOW, 10.0, substeps=20)
+        pred = ekf_predict(m, belief, interval_inputs(FLOW, 0.0, 10.0, substeps=20), 10.0)
         evals = np.linalg.eigvalsh(pred.cov)
         assert evals.min() > -1e-12
 
@@ -495,7 +508,8 @@ class TestMomentConsistency:
         stream = NoiseStream(909)
         rng = stream.child(0).generator()
         X0 = mean0[:, None] + np.linalg.cholesky(P0) @ rng.standard_normal((4, n))
-        X1 = propagate_members(m, X0, FLOW, 0.0, 10.0, stream.child(1), substeps=100)
+        X1 = propagate_members(m, X0, interval_inputs(FLOW, 0.0, 10.0, substeps=100), 0.0, 10.0,
+                               stream.child(1))
         mc_mean = X1.mean(axis=1)
         se = X1.std(axis=1, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(pred.mean - mc_mean) <= 4.0 * se + 1e-3)

@@ -1,5 +1,4 @@
 """Twin-experiment harness: truth generation, scoring, sweeps, report files."""
-import hashlib
 import json
 import multiprocessing
 import os
@@ -24,6 +23,8 @@ from cdassim.harness import (
     write_sweep_report,
     write_uncertainty_report,
 )
+
+from digests import _digest, _output_digest
 
 # small but dynamically honest setup: same 10 s sampling as the default,
 # shorter horizon and smaller ensembles keep the whole file fast
@@ -217,29 +218,6 @@ def test_worker_count_caps_at_usable_cpus_and_needs_fork(monkeypatch):
     monkeypatch.setenv("CDASSIM_THREADS", "4")
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert worker_count(8) == 1  # workers must be forked; spawn re-imports everything
-
-
-# every numeric FilterOutput field; step_seconds is timing and stays out
-OUTPUT_FIELDS = ("times", "prior_mean", "prior_cov", "post_mean", "post_cov",
-                 "innovation", "innovation_cov", "nis", "gain_condition", "ess",
-                 "resampled")
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        if a is None:
-            h.update(b"none")
-            continue
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype}{a.shape}".encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
-def _output_digest(out) -> str:
-    return _digest(out.initial.mean, out.initial.cov,
-                   *(getattr(out, name) for name in OUTPUT_FIELDS))
 
 
 def _metrics_fingerprint(m) -> tuple:

@@ -16,6 +16,8 @@ from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 
+from stages import interval_inputs
+
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
 FLOW = CONFIG.flow_profile()
@@ -49,7 +51,8 @@ def check(belief: GaussianBelief) -> None:
 @settings(max_examples=60, deadline=None)
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
-    prior = ekf_predict(MODEL, belief, FLOW, belief.time + DT)
+    t1 = belief.time + DT
+    prior = ekf_predict(MODEL, belief, interval_inputs(FLOW, belief.time, t1), t1)
     check(prior)
     post, _, _ = kalman_update(prior, MODEL, np.array([prior.mean[2] + residual]), R)
     check(post)
@@ -59,7 +62,8 @@ def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
     scaling = UkfScaling()
-    prior = ukf_predict(MODEL, belief, FLOW, belief.time + DT, scaling)
+    t1 = belief.time + DT
+    prior = ukf_predict(MODEL, belief, interval_inputs(FLOW, belief.time, t1), t1, scaling)
     check(prior)
     post, _, _ = ukf_update(prior, MODEL, np.array([prior.mean[2] + residual]), R, scaling)
     check(post)

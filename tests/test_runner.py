@@ -17,6 +17,7 @@ from cdassim.filters.runner import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
+from stages import interval_inputs
 from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
@@ -145,7 +146,8 @@ def test_sample_filter_noise_keys_match_hand_calls():
                                                    ensemble_size=N), times, ys)
     ens = Ensemble(x0, 0.0)
     for k, t1 in enumerate(times):
-        ens = enkf_predict(model, ens, None, t1, root.child(STREAM_PROPAGATE).child(k), 10)
+        ens = enkf_predict(model, ens, interval_inputs(None, ens.time, t1), t1,
+                           root.child(STREAM_PROPAGATE).child(k))
         prior = posterior_summary(ens)
         ens, post, e, _ = enkf_update(ens, model, ys[k:k + 1], R,
                                       root.child(STREAM_PERTURB).child(k))
@@ -160,8 +162,8 @@ def test_sample_filter_noise_keys_match_hand_calls():
                     times, ys)
     particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
     for k, t1 in enumerate(times):
-        particles, info = pf_step(model, particles, None, t1, ys[k:k + 1], R,
-                                  root.child(STREAM_PROPAGATE).child(k), always, 10)
+        particles, info = pf_step(model, particles, interval_inputs(None, particles.time, t1), t1,
+                                  ys[k:k + 1], R, root.child(STREAM_PROPAGATE).child(k), always)
         assert np.array_equal(pf.prior_mean[k], info.prior.mean)
         assert np.array_equal(pf.post_mean[k], info.posterior.mean)
         assert np.array_equal(pf.post_cov[k], info.posterior.cov)

@@ -246,21 +246,39 @@ class TestRk4:
         np.testing.assert_allclose(got, taylor @ y, rtol=0, atol=1e-14)
 
     def test_stage_inputs_match_per_call_lookup(self):
-        p = PiecewiseConstant(times=[0.0, 1.0, 1.75], values=[[1.0], [2.0], [3.0]])
-        t0, h, substeps = 0.5, 0.25, 6  # stage times land on both breakpoints
-        table = rk4_inputs(p, t0, h, substeps)
-        calls = rk4_inputs(lambda t: p(t), t0, h, substeps)
-        assert table.shape == (substeps, 3, 1)
-        for j in range(substeps):
-            t = t0 + j * h
-            expected = [p(t), p(t + 0.5 * h), p(t + h)]
-            np.testing.assert_array_equal(table[j], expected)
-            np.testing.assert_array_equal(np.array(calls[j]), expected)
+        # one table for a whole run must reproduce one lookup per stage and
+        # one table per interval, bit for bit: a first measurement at the
+        # initial time (a zero-length interval), intervals that straddle
+        # the 200 s and 1500 s breakpoints and ones whose stages land on them
+        t_init, substeps = 190.0, 4
+        times = np.array([190.0, 193.3, 199.1, 200.7, 204.0, 1496.0, 1500.0, 1501.3, 1510.9])
+        starts = np.concatenate(([t_init], times))[:-1]
+        profile = PiecewiseConstant(times=[0.0, 200.0, 1500.0],
+                                    values=[[0.010], [0.004], [0.007]])
+        ramp = lambda t: np.array([0.002 * np.floor(t / 7.5), np.sin(t)])  # noqa: E731
+        constant = np.array([2.5, -1.0])
+        # each input form with the per-call lookup it stands for
+        inputs = ((profile, profile), (ramp, ramp), (constant, lambda t: constant),
+                  (None, lambda t: np.zeros(0)))
+        for u, lookup in inputs:
+            dim_u = np.atleast_1d(lookup(0.0)).size
+            table = rk4_inputs(u, starts, (times - starts) / substeps, substeps)
+            assert table.shape == (times.size, substeps, 3, dim_u)
+            t0 = t_init
+            for i, t1 in enumerate(times.tolist()):
+                h = (t1 - t0) / substeps
+                assert rk4_inputs(u, [t0], [h], substeps)[0].tobytes() == table[i].tobytes()
+                for j in range(substeps):
+                    t = t0 + j * h
+                    expected = np.array([lookup(t), lookup(t + 0.5 * h), lookup(t + h)],
+                                        dtype=float)
+                    assert table[i, j].tobytes() == expected.reshape(3, dim_u).tobytes()
+                t0 = t1
 
     def test_constant_and_missing_inputs(self):
-        (u0, um, u1), = rk4_inputs(np.array([2.5]), 0.0, 0.1, 1)
+        ((u0, um, u1),), = rk4_inputs(np.array([2.5]), [0.0], [0.1], 1)
         assert u0 == um == u1 == 2.5
-        (u0, _, _), = rk4_inputs(None, 0.0, 0.1, 1)
+        ((u0, _, _),), = rk4_inputs(None, [0.0], [0.1], 1)
         assert u0.size == 0
 
 
