@@ -2,7 +2,6 @@
 
 from cdassim.sde import (
     IntegrationError,
-    NoiseSpec,
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
@@ -15,7 +14,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntegrationError",
-    "NoiseSpec",
     "NoiseStream",
     "PiecewiseConstant",
     "SdeModel",

@@ -102,7 +102,7 @@ def kalman_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray,
     t, m, P = belief.time, belief.mean, belief.cov
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    C = np.atleast_2d(model.measure_jac(t, m))
+    C = np.atleast_2d(model.measure_jacobian(t, m))
     yhat = np.atleast_1d(np.asarray(model.measure(t, m), dtype=float))
     e = y - yhat
     Re = C @ P @ C.T + R

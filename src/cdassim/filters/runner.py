@@ -35,7 +35,7 @@ from cdassim.filters.kalman import (
 from cdassim.filters.linalg import FactorizationError, SingularInnovationError, chol_psd
 from cdassim.filters.pf import DegenerateWeightsError, ResamplePolicy, pf_step
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
-from cdassim.sde import NoiseSpec, NoiseStream, SdeModel, rk4_inputs
+from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
 
 __all__ = [
     "FILTER_KINDS",
@@ -86,7 +86,14 @@ class FilterConfig:
     resample: ResamplePolicy = ResamplePolicy()
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_cov", NoiseSpec(self.obs_cov).obs_cov)
+        R = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
+        if R.shape[0] != R.shape[1]:
+            raise ValueError("obs_cov must be square")
+        if not np.allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(R).max()))):
+            raise ValueError("obs_cov must be symmetric")
+        if np.any(np.linalg.eigvalsh(R) <= 0):
+            raise ValueError("obs_cov must be positive definite")
+        object.__setattr__(self, "obs_cov", R)
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
         if self.ensemble_size < 2:
@@ -105,21 +112,26 @@ def _initial_members(config: FilterConfig, model: SdeModel, size: int) -> np.nda
 
 
 def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurements,
-               u=None) -> FilterOutput:
+               u: PiecewiseConstant) -> FilterOutput:
     """Assimilate a measurement sequence with the requested filter.
 
     ``times`` are strictly increasing measurement times at or after the
     initial belief's time; ``measurements`` holds one observation row per
-    time. ``u`` is a :class:`~cdassim.sde.PiecewiseConstant`, a constant
-    input vector, a callable ``t -> u``, or None for zero input. Its values
-    at every Runge-Kutta stage time of the run are looked up once, in one
-    :func:`~cdassim.sde.rk4_inputs` table, and each prediction receives its
-    interval's rows. Failures raise :class:`FilterRunError` with the
-    offending step attached.
+    time. ``u`` is the :class:`~cdassim.sde.PiecewiseConstant` input
+    profile. Its values at every Runge-Kutta stage time of the run are
+    looked up once, in one :func:`~cdassim.sde.rk4_inputs` table, and each
+    prediction receives its interval's rows. The EKF needs the model's
+    closed-form ``linearize`` and ``measure_jacobian``; a model without
+    either is rejected with ValueError. Failures raise
+    :class:`FilterRunError` with the offending step attached.
     """
     kind = kind.lower()
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
+    if kind == "ekf":
+        for field in ("linearize", "measure_jacobian"):
+            if getattr(model, field) is None:
+                raise ValueError(f"ekf needs the model's {field}")
     R = config.obs_cov
     ny = R.shape[0]
     n = config.initial.dim

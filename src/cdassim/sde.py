@@ -14,9 +14,10 @@ abstraction that makes every random draw a pure function of
 ``(seed, stream_id, call sequence)``, an Euler-Maruyama integrator for
 sample paths, and the one classical Runge-Kutta stepper (with its
 stage-input lookup) that the moment and sigma-point filters and the
-deterministic reduced-model comparison share. Joint state/parameter
-estimation needs no machinery here: a model simply carries its parameters
-as extra state components with zero drift.
+deterministic reduced-model comparison share. The input ``u`` is always
+a :class:`PiecewiseConstant` profile. Joint state/parameter estimation
+needs no machinery here: a model simply carries its parameters as extra
+state components with zero drift.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ import numpy as np
 __all__ = [
     "IntegrationError",
     "NoiseStream",
-    "NoiseSpec",
     "SdeModel",
     "Trajectory",
     "PiecewiseConstant",
@@ -36,13 +36,10 @@ __all__ = [
     "simulate_path",
     "rk4_inputs",
     "rk4_step",
-    "fd_jacobian",
 ]
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
-
-ZERO_INPUT = np.zeros(0)
 
 
 class IntegrationError(RuntimeError):
@@ -85,28 +82,6 @@ class NoiseStream:
         return NoiseStream(self.seed, mixed)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement-noise covariance plus the Wiener-process convention.
-
-    The driving Wiener process has identity spectral density by convention;
-    any diffusion scaling belongs to the model's ``sigma``. ``obs_cov``
-    must be symmetric positive definite.
-    """
-
-    obs_cov: np.ndarray
-
-    def __post_init__(self):
-        R = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
-        if R.shape[0] != R.shape[1]:
-            raise ValueError("obs_cov must be square")
-        if not np.allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(R).max()))):
-            raise ValueError("obs_cov must be symmetric")
-        if np.any(np.linalg.eigvalsh(R) <= 0):
-            raise ValueError("obs_cov must be positive definite")
-        object.__setattr__(self, "obs_cov", R)
-
-
 @dataclass(frozen=True, kw_only=True)
 class SdeModel:
     """Continuous-discrete model container.
@@ -123,12 +98,12 @@ class SdeModel:
     re-evaluates it every step and so also accepts a state-dependent
     diffusion.
 
-    ``linearize(t, x, u)`` (optional) returns the drift and its Jacobian
-    d f / d x at one state ``(n,)`` as a pair ``(f, A)``; without it,
-    central finite differences of ``drift`` fill in. ``measure_jacobian``
-    is likewise optional. ``constrain`` (optional) projects a state back
-    into the admissible region after each integrator substep; it may modify
-    its argument in place and must return it.
+    ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
+    one state ``(n,)`` as a pair ``(f, A)``; ``measure_jacobian(t, x)``
+    returns d h / d x. Only the EKF calls them, and it needs both.
+    ``constrain`` (optional) projects a state back into the admissible
+    region after each integrator substep; it may modify its argument in
+    place and must return it.
     """
 
     dim_state: int
@@ -147,68 +122,6 @@ class SdeModel:
                 raise ValueError(f"{name} must be non-negative")
         if self.dim_state == 0:
             raise ValueError("dim_state must be positive")
-        # rebuilt on every construction, so dataclasses.replace of the drift
-        # never keeps differencing the old one
-        if self.linearize is None or isinstance(self.linearize, _FdLinearization):
-            object.__setattr__(self, "linearize", _FdLinearization(self.drift))
-
-    def measure_jac(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Measurement Jacobian d h / d x, analytic when supplied, else central FD."""
-        if self.measure_jacobian is not None:
-            return np.asarray(self.measure_jacobian(t, x), dtype=float)
-        return fd_jacobian(lambda z: self.measure(t, z), x)
-
-
-class _FdLinearization:
-    """Drift and its central-difference Jacobian, for models without a closed form."""
-
-    def __init__(self, drift: Callable):
-        self.drift = drift
-
-    def __call__(self, t: float, x: np.ndarray, u: np.ndarray):
-        f = np.asarray(self.drift(t, x, u), dtype=float)
-        return f, fd_jacobian(lambda z: self.drift(t, z, u), x)
-
-
-def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian with per-component step ``rel_step * max(1, |x_i|)``."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fun(x), dtype=float))
-    J = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2 * h)
-    return J
-
-
-def _as_input(profile) -> Callable[[float], np.ndarray]:
-    """Normalize an input specification to a callable t -> u."""
-    if profile is None:
-        return lambda t: ZERO_INPUT
-    if callable(profile):
-        return profile
-    u = np.atleast_1d(np.asarray(profile, dtype=float))
-    return lambda t: u
-
-
-def _input_table(profile, times: np.ndarray) -> np.ndarray:
-    """Inputs at an array of times, with one trailing input axis.
-
-    A profile with a vectorized ``at(times)`` lookup (a
-    :class:`PiecewiseConstant`) is looked up once; any other input (None for
-    zero input, a constant vector, or a callable ``t -> u``) is evaluated
-    per time.
-    """
-    at = getattr(profile, "at", None)
-    if at is not None:
-        return at(times)
-    u_of = _as_input(profile)
-    rows = np.array([np.atleast_1d(np.asarray(u_of(t), dtype=float)) for t in times.ravel()])
-    return rows.reshape(times.shape + rows.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -237,12 +150,8 @@ class PiecewiseConstant:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[max(idx, 0)]
-
-    def at(self, times: np.ndarray) -> np.ndarray:
-        """Values at an array of times, one row per time, in one lookup."""
+    def at(self, times) -> np.ndarray:
+        """Values at a time or an array of times, one row per time, in one lookup."""
         idx = np.searchsorted(self.times, times, side="right") - 1
         return self.values[np.maximum(idx, 0)]
 
@@ -280,8 +189,8 @@ def euler_maruyama_step(model: SdeModel, t: float, x: np.ndarray, u: np.ndarray,
     return x + f * dt + g @ dw
 
 
-def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1: float,
-                  dt: float, noise: NoiseStream) -> Trajectory:
+def simulate_path(model: SdeModel, x0: np.ndarray, input_profile: PiecewiseConstant,
+                  t0: float, t1: float, dt: float, noise: NoiseStream) -> Trajectory:
     """Integrate one sample path on the uniform grid ``t0, t0+dt, ..., t1``.
 
     ``dt`` must divide the horizon. All increments are drawn from ``noise``
@@ -305,7 +214,7 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1:
     states = np.empty((n_steps + 1, model.dim_state))
     times = t0 + dt * np.arange(n_steps + 1)
     times[-1] = t1
-    inputs = _input_table(input_profile, times)  # step i runs on inputs[i]
+    inputs = input_profile.at(times)  # step i runs on inputs[i]
     states[0] = x
 
     for i in range(n_steps):
@@ -319,7 +228,7 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile, t0: float, t1:
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
-def rk4_inputs(profile, starts, steps, substeps: int) -> np.ndarray:
+def rk4_inputs(profile: PiecewiseConstant, starts, steps, substeps: int) -> np.ndarray:
     """Inputs at every Runge-Kutta stage time of a run of intervals.
 
     Interval ``i`` starts at ``starts[i]`` and is crossed in ``substeps``
@@ -331,15 +240,12 @@ def rk4_inputs(profile, starts, steps, substeps: int) -> np.ndarray:
     ``i`` equals a lookup of interval ``i`` alone bit for bit.
 
     ``starts`` and ``steps`` are 1-D and of equal length; the table has
-    shape ``(n_intervals, substeps, 3, dim_u)``. A profile with a
-    vectorized ``at(times)`` lookup (a :class:`PiecewiseConstant`) is
-    looked up once for the whole table; any other input (None for zero
-    input, a constant vector, or a callable ``t -> u``) is evaluated per
-    stage.
+    shape ``(n_intervals, substeps, 3, dim_u)``, looked up in one
+    ``profile.at`` call.
     """
     h = np.asarray(steps, dtype=float)[:, None]
     t = np.asarray(starts, dtype=float)[:, None] + np.arange(substeps) * h
-    return _input_table(profile, np.stack((t, t + 0.5 * h, t + h), axis=-1))
+    return profile.at(np.stack((t, t + 0.5 * h, t + h), axis=-1))
 
 
 def rk4_step(rhs: Callable, t: float, y, h: float, inputs):

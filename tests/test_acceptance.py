@@ -29,7 +29,7 @@ from cdassim.harness import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
-from stages import interval_inputs
+from stages import constant, interval_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
@@ -61,7 +61,7 @@ def ou():
     tic = time.perf_counter()
     model = _ou_model()
     horizon = OU_DT * OU_STEPS
-    traj = simulate_path(model, np.array([OU_M0]), None, 0.0, horizon, OU_DT / 10,
+    traj = simulate_path(model, np.array([OU_M0]), constant(), 0.0, horizon, OU_DT / 10,
                          NoiseStream(SEED, 900))
     x_true = traj.states[10::10, 0]
     times = OU_DT * np.arange(1, OU_STEPS + 1)
@@ -113,14 +113,14 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
     worst = {}
     for kind in ("ekf", "ukf"):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]))
-        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"])
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         rel_mean = np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])
         rel_var = np.abs(out.post_cov[:, 0, 0] - kf["post_var"]) / kf["post_var"]
         worst[kind] = max(rel_mean.max(), rel_var.max())
     for kind, key, tag in (("enkf", "ensemble_size", 902), ("pf", "particle_count", 903)):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]),
                           stream=NoiseStream(SEED, tag), **{key: 100_000})
-        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"])
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         worst[kind] = float(np.max(
             np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])))
     seconds = ou["seconds"] + time.perf_counter() - tic
@@ -139,6 +139,7 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
     sizes = (100, 1_000, 10_000, 100_000)
     model = _ou_model()
     Rm = np.array([[OU_R]])
+    inputs = interval_inputs(constant(), 0.0, OU_DT)
     init_rng = NoiseStream(SEED, 910).generator()
     errs = {"enkf": np.zeros((N_SEEDS, len(sizes))), "pf": np.zeros((N_SEEDS, len(sizes)))}
     for j, n in enumerate(sizes):
@@ -150,13 +151,12 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
         prop_p = NoiseStream(SEED, 940 + j)
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
-            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), interval_inputs(None, 0.0, OU_DT),
-                               OU_DT, prop_e.child(r))
+            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), inputs, OU_DT, prop_e.child(r))
             _, post, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
             errs["enkf"][r, j] = abs(float(post.mean[0]) - kf_mean)
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
-            _, info = pf_step(model, particles, interval_inputs(None, 0.0, OU_DT), OU_DT, y1, Rm,
-                              prop_p.child(r), ResamplePolicy())
+            _, info = pf_step(model, particles, inputs, OU_DT, y1, Rm, prop_p.child(r),
+                              ResamplePolicy())
             errs["pf"][r, j] = abs(float(info.posterior.mean[0]) - kf_mean)
     slopes = {kind: float(np.polyfit(np.log10(sizes), np.log10(errs[kind].mean(axis=0)), 1)[0])
               for kind in errs}
@@ -186,10 +186,14 @@ def test_criterion_03_parameter_recovery(seed_bank):
 def test_criterion_04_filter_ranking(seed_bank):
     mse = {k: float(np.median(seed_bank[k]["mse_x"])) for k in FILTER_KINDS}
     cpu = {k: float(np.median(seed_bank[k]["t_cpu"])) for k in FILTER_KINDS}
+    accuracy = mse["enkf"] <= mse["ekf"] and mse["enkf"] <= mse["ukf"]
+    cost = cpu["ekf"] < cpu["ukf"] < min(cpu["enkf"], cpu["pf"])
     print("criterion 4: median mse_x "
           + " ".join(f"{k} {v:.4f}" for k, v in mse.items())
-          + " | median t_cpu_s "
-          + " ".join(f"{k} {v:.4f}" for k, v in cpu.items()))
+          + " | median t_cpu_us "
+          + " ".join(f"{k} {v * 1e6:.0f}" for k, v in cpu.items())
+          + f" | accuracy half {'holds' if accuracy else 'fails'}"
+          + f", cost half {'holds' if cost else 'fails'}")
     assert mse["enkf"] <= mse["ekf"] and mse["enkf"] <= mse["ukf"], \
         f"median mse_x ranking: enkf {mse['enkf']:.4f} vs ekf {mse['ekf']:.4f} / ukf {mse['ukf']:.4f}"
     assert cpu["ekf"] < cpu["ukf"] < min(cpu["enkf"], cpu["pf"]), \

@@ -26,9 +26,9 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import NoiseStream, euler_maruyama_step, fd_jacobian, rk4_inputs, rk4_step
+from cdassim.sde import NoiseStream, euler_maruyama_step, rk4_inputs, rk4_step
 
-from stages import interval_inputs
+from stages import fd_jacobian, interval_inputs
 
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
@@ -296,13 +296,13 @@ class TestSteadyState:
 
 class TestFlowProfile:
     def test_default_profile_lookup(self):
-        assert FLOW(0.0).shape == (1,)
-        assert FLOW(-5.0)[0] == 0.010
-        assert FLOW(199.9)[0] == 0.010
-        assert FLOW(200.0)[0] == 0.004  # right-continuous at the breakpoint
-        assert FLOW(1499.0)[0] == 0.004
-        assert FLOW(1500.0)[0] == 0.007
-        assert FLOW(1e9)[0] == 0.007
+        assert FLOW.at(0.0).shape == (1,)
+        assert FLOW.at(-5.0)[0] == 0.010
+        assert FLOW.at(199.9)[0] == 0.010
+        assert FLOW.at(200.0)[0] == 0.004  # right-continuous at the breakpoint
+        assert FLOW.at(1499.0)[0] == 0.004
+        assert FLOW.at(1500.0)[0] == 0.007
+        assert FLOW.at(1e9)[0] == 0.007
 
     def test_validation(self):
         # the config schema is the guard of the flow schedule
@@ -332,14 +332,14 @@ class TestModelWiring:
         assert m.measure(0.0, X).shape == (1, 2)
         np.testing.assert_allclose(m.diffusion(0.0, x, u).ravel(),
                                    [0.0, 0.0, 0.1 * PARAMS.sigma_T])
-        np.testing.assert_array_equal(m.measure_jac(0.0, x), [[0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(m.measure_jacobian(0.0, x), [[0.0, 0.0, 1.0]])
 
     def test_default_experiment_bundle(self):
         m = joint_model(CONFIG.sigma_theta)
         assert (m.dim_state, m.dim_noise, m.dim_obs) == (4, 1, 1)
         z = np.array([0.3, 0.6, 310.0, 128.0])
-        u = FLOW(0.0)
-        np.testing.assert_array_equal(m.measure_jac(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
+        u = FLOW.at(0.0)
+        np.testing.assert_array_equal(m.measure_jacobian(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
         assert m.drift(0.0, z, u)[3] == 0.0
         # the appended parameter state uses the live column, not params.beta
         d = m.drift(0.0, z, u)
@@ -367,7 +367,7 @@ class TestModelWiring:
     def test_parameter_noise_adds_channel(self):
         m = joint_model(0.5)
         assert m.dim_noise == 2
-        g = m.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), FLOW(0.0))
+        g = m.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), FLOW.at(0.0))
         assert g.shape == (4, 2)
         assert g[3, 1] == 0.5
         with pytest.raises(ValueError):
@@ -375,6 +375,13 @@ class TestModelWiring:
 
 
 BREAKPOINT_INTERVALS = [(195.0, 205.0, 10), (199.25, 201.25, 4)]
+
+
+def per_stage_inputs(u, t0, t1, substeps):
+    # the interval's stage inputs looked up one stage time at a time
+    h = (t1 - t0) / substeps
+    return np.array([[u.at(t), u.at(t + 0.5 * h), u.at(t + h)]
+                     for t in (t0 + j * h for j in range(substeps))])
 
 
 def uncached_ekf_predict(model, belief, u, t1, substeps):
@@ -434,11 +441,11 @@ class TestStageInputs:
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         for predict in (
-            lambda u: ekf_predict(model, belief, interval_inputs(u, t0, t1, substeps), t1),
-            lambda u: ukf_predict(model, belief, interval_inputs(u, t0, t1, substeps), t1,
-                                  UkfScaling()),
+            lambda inputs: ekf_predict(model, belief, inputs, t1),
+            lambda inputs: ukf_predict(model, belief, inputs, t1, UkfScaling()),
         ):
-            table, calls = predict(FLOW), predict(lambda t: FLOW(t))
+            table = predict(interval_inputs(FLOW, t0, t1, substeps))
+            calls = predict(per_stage_inputs(FLOW, t0, t1, substeps))
             assert np.array_equal(table.mean, calls.mean)
             assert np.array_equal(table.cov, calls.cov)
 
@@ -477,15 +484,15 @@ class TestStageInputs:
         stream = NoiseStream(23)
         table = propagate_members(model, X, interval_inputs(FLOW, t0, t1, substeps), t0, t1,
                                   stream)
-        calls = propagate_members(model, X, interval_inputs(lambda t: FLOW(t), t0, t1, substeps),
-                                  t0, t1, stream)
+        calls = propagate_members(model, X, per_stage_inputs(FLOW, t0, t1, substeps), t0, t1,
+                                  stream)
         assert np.array_equal(table, calls)
         # both arms above share the stage table; this one looks up each substep
         h = (t1 - t0) / substeps
         draws = stream.generator().standard_normal((substeps, 2, X.shape[1])) * np.sqrt(h)
         for j in range(substeps):
             t = t0 + j * h
-            X = model.constrain(euler_maruyama_step(model, t, X, FLOW(t), h, draws[j]))
+            X = model.constrain(euler_maruyama_step(model, t, X, FLOW.at(t), h, draws[j]))
         assert np.array_equal(table, X)
 
 

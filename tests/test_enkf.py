@@ -9,7 +9,7 @@ from cdassim.filters.linalg import chol_psd
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import NoiseStream, SdeModel
 
-from stages import interval_inputs
+from stages import constant, interval_inputs
 
 
 def scalar_ou(a=1.0, sigma=0.5):
@@ -31,7 +31,7 @@ def test_propagate_members_matches_discrete_chain_moments():
     a, sigma, x0, t1 = 0.8, 0.5, 2.0, 1.0
     K, N = 40, 20000
     model = scalar_ou(a, sigma)
-    X1 = propagate_members(model, np.full((1, N), x0), interval_inputs(np.zeros(1), 0.0, t1, K),
+    X1 = propagate_members(model, np.full((1, N), x0), interval_inputs(constant(0.0), 0.0, t1, K),
                            0.0, t1, NoiseStream(7, 3))
     h = t1 / K
     factor = 1.0 - a * h
@@ -45,11 +45,11 @@ def test_propagate_members_time_edges():
     model = scalar_ou()
     X = np.array([[1.0, 2.0]])
     noise = NoiseStream(1)
-    same = propagate_members(model, X, interval_inputs(np.zeros(1), 3.0, 3.0), 3.0, 3.0, noise)
+    same = propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 3.0), 3.0, 3.0, noise)
     assert np.array_equal(same, X)
     assert same is not X
     with pytest.raises(ValueError):
-        propagate_members(model, X, interval_inputs(np.zeros(1), 3.0, 2.0), 3.0, 2.0, noise)
+        propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 2.0), 3.0, 2.0, noise)
 
 
 def test_propagate_members_is_euler_maruyama_over_one_block():
@@ -68,7 +68,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
     u = np.array([0.1, -0.2])
     t0, t1, K = 0.5, 1.3, 6
     stream = NoiseStream(31, 4)
-    X1 = propagate_members(model, X0, interval_inputs(u, t0, t1, K), t0, t1, stream)
+    X1 = propagate_members(model, X0, interval_inputs(constant(u), t0, t1, K), t0, t1, stream)
 
     h = (t1 - t0) / K
     block = stream.generator().standard_normal((K, 2, 7)) * np.sqrt(h)
@@ -91,7 +91,7 @@ def test_propagate_members_reports_diverged_member():
     )
     with pytest.raises(DivergenceError) as err:
         propagate_members(model, np.array([[-1.0, 50.0]]),
-                          interval_inputs(np.zeros(1), 0.0, 2.0, 8), 0.0, 2.0, NoiseStream(2))
+                          interval_inputs(constant(0.0), 0.0, 2.0, 8), 0.0, 2.0, NoiseStream(2))
     assert "member 1" in str(err.value)
 
 
@@ -107,14 +107,14 @@ def test_propagate_members_converts_midstep_overflow():
     )
     with pytest.raises(DivergenceError):
         propagate_members(model, np.array([[0.1, 50.0]]),
-                          interval_inputs(np.zeros(1), 0.0, 5.0, 5), 0.0, 5.0, NoiseStream(2))
+                          interval_inputs(constant(0.0), 0.0, 5.0, 5), 0.0, 5.0, NoiseStream(2))
 
 
 def test_enkf_predict_is_reproducible_per_stream():
     model = scalar_ou()
     ens = Ensemble(np.linspace(-1.0, 1.0, 8)[None, :])
     stream = NoiseStream(12, 5)
-    u = interval_inputs(np.zeros(1), 0.0, 0.5)
+    u = interval_inputs(constant(0.0), 0.0, 0.5)
     a = enkf_predict(model, ens, u, 0.5, stream)
     b = enkf_predict(model, ens, u, 0.5, stream)
     c = enkf_predict(model, ens, u, 0.5, stream.child(1))

@@ -12,7 +12,7 @@ from cdassim.filters.kalman import (
 from cdassim.sde import SdeModel
 
 from closedform import ou_transition
-from stages import interval_inputs
+from stages import constant, interval_inputs
 
 
 def scalar_ou(a=1.0, sigma=0.0):
@@ -69,7 +69,7 @@ def test_update_joseph_form_keeps_covariance_psd():
 def test_predict_exponential_decay():
     pred = ekf_predict(
         scalar_ou(a=1.0), GaussianBelief(np.ones(1), np.ones((1, 1))),
-        interval_inputs(np.zeros(1), 0.0, 1.0, substeps=40), 1.0)
+        interval_inputs(constant(0.0), 0.0, 1.0, substeps=40), 1.0)
     assert pred.mean[0] == pytest.approx(np.exp(-1.0), rel=1e-7)
     assert pred.cov[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
 
@@ -77,7 +77,7 @@ def test_predict_exponential_decay():
 def test_predict_pure_diffusion_grows_variance_linearly():
     pred = ekf_predict(
         scalar_ou(a=0.0, sigma=0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
-        interval_inputs(np.zeros(1), 0.0, 2.0, substeps=10), 2.0)
+        interval_inputs(constant(0.0), 0.0, 2.0, substeps=10), 2.0)
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
 
@@ -86,7 +86,7 @@ def test_predict_with_constant_input_matches_exact_transition():
     a, b, sigma = 0.8, 0.4, 0.6
     pred = ekf_predict(
         scalar_ou(a=a, sigma=sigma), GaussianBelief(np.array([2.0]), np.array([[0.5]])),
-        interval_inputs(np.array([b]), 0.0, 0.7, substeps=50), 0.7)
+        interval_inputs(constant(b), 0.0, 0.7, substeps=50), 0.7)
     phi, shift, q = ou_transition(a, b, sigma, 0.7)
     assert pred.mean[0] == pytest.approx(phi * 2.0 + shift, rel=1e-8)
     assert pred.cov[0, 0] == pytest.approx(phi**2 * 0.5 + q, rel=1e-8)
@@ -94,9 +94,9 @@ def test_predict_with_constant_input_matches_exact_transition():
 
 def test_predict_time_handling():
     belief = GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ekf_predict(scalar_ou(), belief, interval_inputs(None, 1.0, 1.0), 1.0) is belief
+    assert ekf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 1.0), 1.0) is belief
     with pytest.raises(ValueError):
-        ekf_predict(scalar_ou(), belief, interval_inputs(None, 1.0, 0.5), 0.5)
+        ekf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5)
 
 
 def test_predict_applies_constraint_to_mean():
@@ -105,10 +105,11 @@ def test_predict_applies_constraint_to_mean():
         drift=lambda t, x, u: -5.0 * x,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
+        linearize=lambda t, x, u: (-5.0 * x, np.array([[-5.0]])),
         constrain=lambda x: np.maximum(x, 0.5),
     )
     pred = ekf_predict(model, GaussianBelief(np.ones(1), np.ones((1, 1))),
-                       interval_inputs(None, 0.0, 2.0), 2.0)
+                       interval_inputs(constant(), 0.0, 2.0), 2.0)
     assert pred.mean[0] == pytest.approx(0.5)
 
 
@@ -120,10 +121,11 @@ def test_predict_flags_divergence():
         drift=lambda t, x, u: x**3,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
+        linearize=lambda t, x, u: (x**3, np.atleast_2d(3.0 * x**2)),
     )
     with pytest.raises(DivergenceError) as err:
         ekf_predict(model, GaussianBelief(10.0 * np.ones(1), np.ones((1, 1))),
-                    interval_inputs(None, 0.0, 5.0, substeps=5), 5.0)
+                    interval_inputs(constant(), 0.0, 5.0, substeps=5), 5.0)
     assert err.value.time == 5.0
 
 

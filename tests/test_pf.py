@@ -13,7 +13,7 @@ from cdassim.filters.pf import (
 )
 from cdassim.sde import NoiseStream, SdeModel
 
-from stages import interval_inputs
+from stages import constant, interval_inputs
 
 
 def brownian_model(sigma=1.0):
@@ -89,7 +89,7 @@ def test_systematic_resample_counts_stay_within_strata_bounds():
 def test_pf_step_flat_likelihood_keeps_weights_uniform():
     model = brownian_model(sigma=0.1)
     ps = uniform_particles(np.linspace(-1.0, 1.0, 200))
-    out, info = pf_step(model, ps, interval_inputs(None, 0.0, 1.0), 1.0,
+    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 1.0), 1.0,
                         np.array([0.0]), np.array([[1e12]]), NoiseStream(40))
     assert info.ess == pytest.approx(200.0, rel=1e-6)
     assert not info.resampled
@@ -102,7 +102,7 @@ def test_pf_step_sharp_likelihood_concentrates_and_resamples():
     rng = np.random.default_rng(6)
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(rng.standard_normal(4000))
-    out, info = pf_step(model, ps, interval_inputs(None, 0.0, 0.1), 0.1,
+    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                         np.array([2.0]), np.array([[0.01]]), NoiseStream(41))
     assert info.resampled
     assert info.ess < 2000.0
@@ -115,7 +115,7 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
     model = brownian_model(sigma=1e-3)
     values = np.concatenate([np.zeros(50), np.full(50, 100.0)])
     ps = uniform_particles(values)
-    out, info = pf_step(model, ps, interval_inputs(None, 0.0, 0.1), 0.1,
+    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                         np.array([0.0]), np.array([[0.01]]), NoiseStream(42),
                         resample=ResamplePolicy("always"))
     assert info.ess == pytest.approx(50.0, rel=0.01)
@@ -127,7 +127,7 @@ def test_pf_step_raises_when_every_weight_underflows():
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(np.zeros(20))
     with pytest.raises(DegenerateWeightsError):
-        pf_step(model, ps, interval_inputs(None, 0.0, 0.1), 0.1,
+        pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                 np.array([1e200]), np.array([[1.0]]), NoiseStream(43))
 
 
@@ -135,7 +135,7 @@ def test_pf_step_never_policy_keeps_weighted_set():
     model = brownian_model(sigma=1e-3)
     rng = np.random.default_rng(9)
     ps = uniform_particles(rng.standard_normal(500))
-    out, info = pf_step(model, ps, interval_inputs(None, 0.0, 0.1), 0.1,
+    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                         np.array([1.5]), np.array([[0.04]]), NoiseStream(44),
                         resample=ResamplePolicy("never"))
     assert not info.resampled
@@ -147,10 +147,10 @@ def test_pf_step_stream_layout_matches_documented_contract():
     model = brownian_model(sigma=0.5)
     ps = uniform_particles(np.linspace(-2.0, 2.0, 30))
     stream = NoiseStream(45)
-    by_stream, info_a = pf_step(model, ps, interval_inputs(None, 0.0, 0.5), 0.5,
+    by_stream, info_a = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.5), 0.5,
                                 np.array([0.3]), np.array([[0.25]]), stream,
                                 resample=ResamplePolicy("always"))
-    X = propagate_members(model, ps.particles, interval_inputs(None, 0.0, 0.5), 0.0, 0.5,
+    X = propagate_members(model, ps.particles, interval_inputs(constant(), 0.0, 0.5), 0.0, 0.5,
                           stream)
     assert np.array_equal(info_a.prior.mean, X @ ps.weights)
     z = (0.3 - X[0]) / 0.5
@@ -166,11 +166,11 @@ def test_pf_step_is_reproducible_per_stream():
     model = brownian_model()
     rng = np.random.default_rng(10)
     ps = uniform_particles(rng.standard_normal(100))
-    a, _ = pf_step(model, ps, interval_inputs(None, 0.0, 0.2), 0.2,
+    a, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
                    np.array([0.1]), np.array([[0.5]]), NoiseStream(46))
-    b, _ = pf_step(model, ps, interval_inputs(None, 0.0, 0.2), 0.2,
+    b, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
                    np.array([0.1]), np.array([[0.5]]), NoiseStream(46))
-    c, _ = pf_step(model, ps, interval_inputs(None, 0.0, 0.2), 0.2,
+    c, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
                    np.array([0.1]), np.array([[0.5]]), NoiseStream(47))
     assert np.array_equal(a.particles, b.particles)
     assert np.array_equal(a.weights, b.weights)

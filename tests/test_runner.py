@@ -1,4 +1,6 @@
 """End-to-end runs of every filter kind on a scalar linear benchmark."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from cdassim.filters.runner import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
-from stages import interval_inputs
+from stages import constant, interval_inputs
 from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
+U_IN = constant(B_IN)
 M0, P0 = 0.0, 1.0
 
 
@@ -46,7 +49,7 @@ def base_config(stream=None, **kw):
 def ou_data():
     model = ou_model()
     stream = NoiseStream(4242)
-    traj = simulate_path(model, np.array([0.5]), np.array([B_IN]), 0.0, 15.0, 0.05,
+    traj = simulate_path(model, np.array([0.5]), U_IN, 0.0, 15.0, 0.05,
                          stream.child(0))
     idx = np.arange(10, len(traj), 10)
     rng = stream.child(1).generator()
@@ -59,20 +62,20 @@ def test_rejects_bad_requests(ou_data):
     model = ou_model()
     cfg = base_config()
     with pytest.raises(ValueError):
-        run_filter("kf", model, cfg, times, ys)
+        run_filter("kf", model, cfg, times, ys, U_IN)
     with pytest.raises(ValueError):
-        run_filter("ekf", model, cfg, times[::-1], ys)
+        run_filter("ekf", model, cfg, times[::-1], ys, U_IN)
     with pytest.raises(ValueError):
-        run_filter("ekf", model, cfg, times, ys[:-1])
+        run_filter("ekf", model, cfg, times, ys[:-1], U_IN)
     with pytest.raises(ValueError):
-        run_filter("enkf", model, cfg, times, ys)  # no stream configured
+        run_filter("enkf", model, cfg, times, ys, U_IN)  # no stream configured
 
 
 def test_zero_measurements_returns_initial_belief():
     model = ou_model()
     for kind in ("ekf", "ukf", "enkf", "pf"):
         cfg = base_config(stream=NoiseStream(1))
-        out = run_filter(kind, model, cfg, [], np.zeros((0, 1)))
+        out = run_filter(kind, model, cfg, [], np.zeros((0, 1)), U_IN)
         assert out.n_steps == 0
         assert out.initial is cfg.initial
         assert out.prior_mean.shape == out.post_mean.shape == (0, 1)
@@ -91,7 +94,7 @@ def test_gaussian_filters_match_closed_form(ou_data):
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     tols = {"ekf": (1e-8, 1e-8), "ukf": (5e-3, 1e-2)}
     for kind, (mean_atol, var_rtol) in tols.items():
-        out = run_filter(kind, model, base_config(), times, ys, u=np.array([B_IN]))
+        out = run_filter(kind, model, base_config(), times, ys, u=U_IN)
         assert out.n_steps == times.size
         assert np.allclose(out.prior_mean[:, 0], oracle["prior_mean"], atol=mean_atol)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=mean_atol)
@@ -109,7 +112,7 @@ def test_sample_filters_track_closed_form(ou_data):
         ("enkf", base_config(stream=NoiseStream(2024, 1), ensemble_size=4000)),
         ("pf", base_config(stream=NoiseStream(2024, 2), particle_count=4000)),
     ):
-        out = run_filter(kind, model, cfg, times, ys, u=np.array([B_IN]))
+        out = run_filter(kind, model, cfg, times, ys, u=U_IN)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=0.06)
         assert np.allclose(out.post_cov[:, 0, 0], oracle["post_var"], rtol=0.2)
     assert np.all(out.ess > 100.0)  # the linear problem keeps the PF healthy
@@ -119,11 +122,11 @@ def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     times, ys = ou_data
     model = ou_model()
     a = run_filter("enkf", model, base_config(stream=NoiseStream(5), ensemble_size=50),
-                   times, ys, u=np.array([B_IN]))
+                   times, ys, u=U_IN)
     b = run_filter("enkf", model, base_config(stream=NoiseStream(5), ensemble_size=50),
-                   times, ys, u=np.array([B_IN]))
+                   times, ys, u=U_IN)
     c = run_filter("enkf", model, base_config(stream=NoiseStream(6), ensemble_size=50),
-                   times, ys, u=np.array([B_IN]))
+                   times, ys, u=U_IN)
     assert np.array_equal(a.post_mean, b.post_mean)
     assert np.array_equal(a.post_cov, b.post_cov)
     assert not np.array_equal(a.post_mean, c.post_mean)
@@ -141,12 +144,13 @@ def test_sample_filter_noise_keys_match_hand_calls():
     N = 64
     init_rng = root.child(STREAM_INIT).generator()
     x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
+    u = constant()
 
     enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                                   ensemble_size=N), times, ys)
+                                                   ensemble_size=N), times, ys, u)
     ens = Ensemble(x0, 0.0)
     for k, t1 in enumerate(times):
-        ens = enkf_predict(model, ens, interval_inputs(None, ens.time, t1), t1,
+        ens = enkf_predict(model, ens, interval_inputs(u, ens.time, t1), t1,
                            root.child(STREAM_PROPAGATE).child(k))
         prior = posterior_summary(ens)
         ens, post, e, _ = enkf_update(ens, model, ys[k:k + 1], R,
@@ -159,10 +163,10 @@ def test_sample_filter_noise_keys_match_hand_calls():
     always = ResamplePolicy("always")
     pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
                                                particle_count=N, resample=always),
-                    times, ys)
+                    times, ys, u)
     particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
     for k, t1 in enumerate(times):
-        particles, info = pf_step(model, particles, interval_inputs(None, particles.time, t1), t1,
+        particles, info = pf_step(model, particles, interval_inputs(u, particles.time, t1), t1,
                                   ys[k:k + 1], R, root.child(STREAM_PROPAGATE).child(k), always)
         assert np.array_equal(pf.prior_mean[k], info.prior.mean)
         assert np.array_equal(pf.post_mean[k], info.posterior.mean)
@@ -183,7 +187,7 @@ def test_failures_carry_step_information():
                        obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
                        ensemble_size=4, substeps=5)
     with pytest.raises(FilterRunError) as err:
-        run_filter("enkf", model, cfg, [1.0], [[0.0]])
+        run_filter("enkf", model, cfg, [1.0], [[0.0]], constant())
     assert err.value.kind == "enkf"
     assert err.value.step == 0
     assert "failed at step 0" in str(err.value)
@@ -200,3 +204,25 @@ def test_config_validation():
         FilterConfig(particle_count=0, **good)
     with pytest.raises(ValueError):
         FilterConfig(initial=good["initial"], obs_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("obs_cov, problem", [
+    (np.ones((1, 2)), "square"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+])
+def test_obs_cov_must_be_square_symmetric_positive_definite(obs_cov, problem):
+    with pytest.raises(ValueError, match=f"obs_cov must be {problem}"):
+        FilterConfig(initial=GaussianBelief(np.zeros(2), np.eye(2)), obs_cov=obs_cov)
+
+
+@pytest.mark.parametrize("field", ["linearize", "measure_jacobian"])
+def test_ekf_needs_closed_form_derivatives(ou_data, field):
+    # checked first: the mismatched measurements below are never looked at
+    times, ys = ou_data
+    model = dataclasses.replace(ou_model(), **{field: None})
+    with pytest.raises(ValueError, match=f"ekf needs the model's {field}"):
+        run_filter("ekf", model, base_config(), times, ys[:-1], U_IN)
+    for kind in ("ukf", "enkf", "pf"):  # the other filters never call either
+        run_filter(kind, model, base_config(stream=NoiseStream(3), ensemble_size=20,
+                                            particle_count=20), times[:2], ys[:2], U_IN)

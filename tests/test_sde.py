@@ -1,8 +1,6 @@
 """SDE core: integrator ordering, noise streams, the shared RK4 stepper."""
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,11 +10,12 @@ from cdassim.sde import (
     PiecewiseConstant,
     SdeModel,
     euler_maruyama_step,
-    fd_jacobian,
     rk4_inputs,
     rk4_step,
     simulate_path,
 )
+
+from stages import constant, fd_jacobian
 
 
 def gbm_model(mu: float, nu: float) -> SdeModel:
@@ -112,21 +111,21 @@ class TestEulerMaruyamaStep:
 class TestSimulatePath:
     def test_grid_and_shapes(self):
         m = linear_model(0.5, 0.1)
-        traj = simulate_path(m, [1.0], None, 0.0, 2.0, 0.25, NoiseStream(seed=3))
+        traj = simulate_path(m, [1.0], constant(), 0.0, 2.0, 0.25, NoiseStream(seed=3))
         assert len(traj) == 9
         assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
         assert traj.states.shape == (9, 1)
 
     def test_determinism_bitwise(self):
         m = gbm_model(0.1, 0.3)
-        a = simulate_path(m, [1.0], None, 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
-        b = simulate_path(m, [1.0], None, 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
+        a = simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
+        b = simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
         assert np.array_equal(a.states, b.states)
 
     def test_incommensurate_dt_rejected(self):
         m = linear_model(1.0, 0.0)
         with pytest.raises(ValueError):
-            simulate_path(m, [1.0], None, 0.0, 1.0, 0.3, NoiseStream(seed=1))
+            simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.3, NoiseStream(seed=1))
 
     def test_constrain_hook_applied(self):
         m = SdeModel(
@@ -136,12 +135,12 @@ class TestSimulatePath:
             measure=lambda t, x: x,
             constrain=lambda x: np.maximum(x, 0.0, out=x),
         )
-        traj = simulate_path(m, [0.5], None, 0.0, 1.0, 0.1, NoiseStream(seed=1))
+        traj = simulate_path(m, [0.5], constant(), 0.0, 1.0, 0.1, NoiseStream(seed=1))
         assert np.all(traj.states >= 0.0)
         assert traj.states[-1, 0] == 0.0
 
     def test_input_table_matches_per_step_lookup(self):
-        # one vectorized lookup per path must reproduce one call per step,
+        # one vectorized lookup per path must reproduce one lookup per step,
         # including the steps that start exactly on a breakpoint
         p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
         m = SdeModel(
@@ -150,17 +149,15 @@ class TestSimulatePath:
             diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
             measure=lambda t, x: x,
         )
-        table = simulate_path(m, [0.2], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
-        calls = simulate_path(m, [0.2], lambda t: p(t), 0.0, 1.0, 0.05, NoiseStream(seed=4))
-        assert np.array_equal(table.states, calls.states)
-        assert np.array_equal(table.inputs, calls.inputs)
-        np.testing.assert_array_equal(table.inputs, [p(t) for t in table.times])
-        # both arms above share the lookup table; this one looks up each step
+        traj = simulate_path(m, [0.2], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
+        np.testing.assert_array_equal(traj.inputs, [p.at(t) for t in traj.times])
+        assert set(traj.inputs.ravel()) == {1.0, -2.0, 0.5}
+        # the path shares one lookup table; this one looks up each step
         dws = NoiseStream(seed=4).generator().standard_normal((20, 1)) * np.sqrt(0.05)
         x = np.array([0.2])
-        for i, t in enumerate(table.times[:-1]):
-            x = euler_maruyama_step(m, t, x, p(t), 0.05, dws[i])
-            assert np.array_equal(table.states[i + 1], x)
+        for i, t in enumerate(traj.times[:-1]):
+            x = euler_maruyama_step(m, t, x, p.at(t), 0.05, dws[i])
+            assert np.array_equal(traj.states[i + 1], x)
 
 
 def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
@@ -193,7 +190,7 @@ def gbm_coupled_errors(n_paths: int, dts: list[float], mu: float, nu: float,
         diffs = []
         for c in range(n_paths // chunk):
             stream = root.child(j).child(c)
-            traj = simulate_path(model, np.ones(chunk), None, 0.0, 1.0, dt, stream)
+            traj = simulate_path(model, np.ones(chunk), constant(), 0.0, 1.0, dt, stream)
             w_total = increments(stream, (len(traj) - 1, chunk), dt).sum(axis=0)
             exact = np.exp((mu - 0.5 * nu**2) * 1.0 + nu * w_total)
             diffs.append(traj.states[-1] - exact)
@@ -255,13 +252,13 @@ class TestRk4:
         starts = np.concatenate(([t_init], times))[:-1]
         profile = PiecewiseConstant(times=[0.0, 200.0, 1500.0],
                                     values=[[0.010], [0.004], [0.007]])
-        ramp = lambda t: np.array([0.002 * np.floor(t / 7.5), np.sin(t)])  # noqa: E731
-        constant = np.array([2.5, -1.0])
-        # each input form with the per-call lookup it stands for
-        inputs = ((profile, profile), (ramp, ramp), (constant, lambda t: constant),
-                  (None, lambda t: np.zeros(0)))
-        for u, lookup in inputs:
-            dim_u = np.atleast_1d(lookup(0.0)).size
+        # a two-input staircase with a breakpoint every 7.5 s
+        steps = 7.5 * np.arange(203)
+        staircase = PiecewiseConstant(times=steps,
+                                      values=np.column_stack((0.002 * np.arange(203),
+                                                              np.sin(steps))))
+        for u in (profile, staircase, constant([2.5, -1.0]), constant()):
+            dim_u = u.values.shape[1]
             table = rk4_inputs(u, starts, (times - starts) / substeps, substeps)
             assert table.shape == (times.size, substeps, 3, dim_u)
             t0 = t_init
@@ -270,15 +267,14 @@ class TestRk4:
                 assert rk4_inputs(u, [t0], [h], substeps)[0].tobytes() == table[i].tobytes()
                 for j in range(substeps):
                     t = t0 + j * h
-                    expected = np.array([lookup(t), lookup(t + 0.5 * h), lookup(t + h)],
-                                        dtype=float)
-                    assert table[i, j].tobytes() == expected.reshape(3, dim_u).tobytes()
+                    expected = np.array([u.at(t), u.at(t + 0.5 * h), u.at(t + h)])
+                    assert table[i, j].tobytes() == expected.tobytes()
                 t0 = t1
 
     def test_constant_and_missing_inputs(self):
-        ((u0, um, u1),), = rk4_inputs(np.array([2.5]), [0.0], [0.1], 1)
+        ((u0, um, u1),), = rk4_inputs(constant([2.5]), [0.0], [0.1], 1)
         assert u0 == um == u1 == 2.5
-        ((u0, _, _),), = rk4_inputs(None, [0.0], [0.1], 1)
+        ((u0, _, _),), = rk4_inputs(constant(), [0.0], [0.1], 1)
         assert u0.size == 0
 
 
@@ -288,45 +284,16 @@ class TestFdJacobian:
         assert np.allclose(J, [[4.0, 0.0], [3.0, 2.0]], rtol=1e-7)
 
 
-def quadratic_model(c: float) -> SdeModel:
-    return SdeModel(
-        dim_state=2, dim_noise=1, dim_obs=1,
-        drift=lambda t, x, u: np.array([c * x[0] ** 2, x[0] * x[1]]),
-        diffusion=lambda t, x, u: np.zeros((2, 1)),
-        measure=lambda t, x: x[:1],
-    )
-
-
-class TestLinearizeFallback:
-    def test_finite_differences_of_the_drift(self):
-        m = quadratic_model(1.0)
-        x = np.array([2.0, 3.0])
-        f, A = m.linearize(0.0, x, None)
-        np.testing.assert_array_equal(f, m.drift(0.0, x, None))
-        assert np.allclose(A, [[4.0, 0.0], [3.0, 2.0]], rtol=1e-7)
-
-    def test_replacing_the_drift_rebuilds_the_fallback(self):
-        m = dataclasses.replace(quadratic_model(1.0),
-                                drift=quadratic_model(3.0).drift)
-        f, A = m.linearize(0.0, np.array([2.0, 3.0]), None)
-        np.testing.assert_array_equal(f, [12.0, 6.0])
-        assert np.allclose(A, [[12.0, 0.0], [3.0, 2.0]], rtol=1e-7)
-
-    def test_supplied_linearization_is_kept(self):
-        lin = lambda t, x, u: (x, np.eye(2))  # noqa: E731
-        m = dataclasses.replace(quadratic_model(1.0), linearize=lin)
-        assert m.linearize is lin
-        assert dataclasses.replace(m, dim_obs=1).linearize is lin
-
-
 class TestPiecewiseConstant:
     def test_lookup(self):
         p = PiecewiseConstant(times=[0.0, 10.0], values=[1.0, 2.0])
-        assert p(0.0) == 1.0
-        assert p(9.999) == 1.0
-        assert p(10.0) == 2.0
-        assert p(1e9) == 2.0
-        assert p(-5.0) == 1.0
+        assert p.at(0.0) == 1.0
+        assert p.at(9.999) == 1.0
+        assert p.at(10.0) == 2.0
+        assert p.at(1e9) == 2.0
+        assert p.at(-5.0) == 1.0
+        np.testing.assert_array_equal(p.at([-5.0, 0.0, 9.999, 10.0, 1e9]),
+                                      [[1.0], [1.0], [1.0], [2.0], [2.0]])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_sigma_points,
 from cdassim.sde import SdeModel
 
 from closedform import ou_transition
-from stages import interval_inputs
+from stages import constant, interval_inputs
 
 
 def scalar_ou(a=1.0, sigma=0.0):
@@ -99,7 +99,7 @@ def test_transform_mean_accurate_for_sine():
 def test_predict_matches_moment_ode_for_linear_sde():
     model = scalar_ou(a=1e-3, sigma=1.0)
     belief = GaussianBelief(np.array([2.0]), np.array([[0.5]]))
-    u = interval_inputs(np.array([0.01]), 0.0, 0.1, substeps=10)
+    u = interval_inputs(constant(0.01), 0.0, 0.1, substeps=10)
     by_ode = ekf_predict(model, belief, u, 0.1)
     by_points = ukf_predict(model, belief, u, 0.1, UkfScaling())
     assert by_points.mean[0] == pytest.approx(by_ode.mean[0], rel=1e-10)
@@ -109,17 +109,17 @@ def test_predict_matches_moment_ode_for_linear_sde():
 def test_predict_pure_diffusion_is_exact():
     pred = ukf_predict(
         scalar_ou(a=0.0, sigma=0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
-        interval_inputs(np.zeros(1), 0.0, 2.0, substeps=7), 2.0, UkfScaling())
+        interval_inputs(constant(0.0), 0.0, 2.0, substeps=7), 2.0, UkfScaling())
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
 
 
 def test_predict_time_handling():
     belief = GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ukf_predict(scalar_ou(), belief, interval_inputs(None, 1.0, 1.0), 1.0,
+    assert ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 1.0), 1.0,
                        UkfScaling()) is belief
     with pytest.raises(ValueError):
-        ukf_predict(scalar_ou(), belief, interval_inputs(None, 1.0, 0.5), 0.5, UkfScaling())
+        ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UkfScaling())
 
 
 def test_predict_applies_constraint_to_points():
@@ -131,7 +131,7 @@ def test_predict_applies_constraint_to_points():
         constrain=lambda x: np.maximum(x, 0.5),
     )
     pred = ukf_predict(model, GaussianBelief(np.ones(1), 0.01 * np.ones((1, 1))),
-                       interval_inputs(None, 0.0, 2.0), 2.0, UkfScaling())
+                       interval_inputs(constant(), 0.0, 2.0), 2.0, UkfScaling())
     assert pred.mean[0] == pytest.approx(0.5)
     assert pred.cov[0, 0] == pytest.approx(0.0, abs=1e-12)
 
