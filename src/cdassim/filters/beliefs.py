@@ -41,16 +41,6 @@ class GaussianBelief:
         """Per-component standard deviations (negative variances clipped to 0)."""
         return np.sqrt(np.maximum(np.diag(self.cov), 0.0))
 
-    def validate(self, sym_tol: float = 1e-10, eig_tol: float = 1e-10) -> None:
-        """Check symmetry and near-PSD-ness; raises ValueError on violation."""
-        P = self.cov
-        scale = max(float(np.abs(P).max()), 1e-300)
-        if float(np.abs(P - P.T).max()) > sym_tol * scale:
-            raise ValueError("covariance is not symmetric")
-        lo = float(np.linalg.eigvalsh(symmetrize(P)).min())
-        if lo < -eig_tol * max(float(np.trace(P)), 1e-300):
-            raise ValueError(f"covariance has eigenvalue {lo:.3e} below tolerance")
-
 
 @dataclass(frozen=True)
 class Ensemble:

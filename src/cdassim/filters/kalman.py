@@ -53,9 +53,11 @@ def _moment_rhs(model: SdeModel, n: int):
             g = np.asarray(model.diffusion(t, m, u), dtype=float)
             Q = noise_cov[key] = g @ g.T
         AP = A @ y[n:].reshape(n, n)
-        dP = AP + AP.T
+        rate = np.empty(y.size)
+        rate[:n] = f
+        dP = np.add(AP, AP.T, out=rate[n:].reshape(n, n))
         dP += Q
-        return np.concatenate((f, dP.ravel()))
+        return rate
 
     return rhs
 
@@ -105,9 +107,10 @@ def kalman_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray,
     C = np.atleast_2d(model.measure_jacobian(t, m))
     yhat = np.atleast_1d(np.asarray(model.measure(t, m), dtype=float))
     e = y - yhat
-    Re = C @ P @ C.T + R
+    CP = C @ P
+    Re = CP @ C.T + R
     # K = P C^T Re^{-1}, via the Cholesky solve of the innovation covariance
-    K = solve_spd(Re, C @ P).T
+    K = solve_spd(Re, CP).T
     m_post = m + K @ e
     J = np.eye(belief.dim) - K @ C
     P_post = symmetrize(J @ P @ J.T + K @ R @ K.T)

@@ -13,9 +13,14 @@ experiment is scalar (only the temperature is measured), so its solve is
 ``B * (1/l) * (1/l)`` with ``l = sqrt(S)``. That is bitwise what LAPACK's
 ``potrs`` returns, which earlier versions of the package called; ``B / S``
 or ``B / l / l`` differ from it in the last bit for most inputs and would
-change every filter output.
+change every filter output. :func:`chol_psd` (for a positive 1x1 matrix)
+and :func:`solve_spd` (for a positive finite one) take that closed form
+directly, skipping the factorization call and the substitution loops; any
+other 1x1 matrix goes the general way and fails as it does there.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -55,6 +60,8 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
     :class:`FactorizationError`.
     """
     P = np.asarray(P, dtype=float)
+    if P.shape == (1, 1) and P[0, 0] > 0.0:
+        return np.array([[math.sqrt(P[0, 0])]])
     try:
         return np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
@@ -93,6 +100,9 @@ def solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     factor, or its condition number exceeds 1e12.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
+    if S.shape == (1, 1) and 0.0 < S[0, 0] < math.inf:
+        r = 1.0 / math.sqrt(S[0, 0])
+        return np.asarray(B, dtype=float) * r * r
     if not np.isfinite(S).all():
         raise SingularInnovationError("innovation covariance is non-finite")
     cond = condition_number(S)

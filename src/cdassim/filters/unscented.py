@@ -15,6 +15,7 @@ measurement-noise covariance to the predicted innovation covariance.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,16 @@ class UkfScaling:
             raise ValueError("kappa must be non-negative")
 
 
+@functools.lru_cache(maxsize=None)
 def _weights(n: int, scaling: UkfScaling) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean and covariance weights and spread ``c`` of 2n+1 points, read-only and cached."""
     c = scaling.alpha**2 * (n + scaling.kappa)
     lam = c - n
     wm = np.full(2 * n + 1, 1.0 / (2.0 * c))
     wm[0] = lam / c
     wc = wm.copy()
     wc[0] += 1.0 - scaling.alpha**2 + scaling.beta
+    wm.flags.writeable = wc.flags.writeable = False
     return wm, wc, c
 
 

@@ -1,10 +1,13 @@
 """Tests for the shared filter linear algebra."""
+import re
+
 import numpy as np
 import pytest
 
 from cdassim.filters.linalg import (
     FactorizationError,
     SingularInnovationError,
+    _solve_lower_t,
     chol_psd,
     condition_number,
     solve_lower,
@@ -72,14 +75,48 @@ def test_solve_spd_rejects_failed_factorization():
         solve_spd(S, np.ones(2))
 
 
-# -- scipy as an oracle (a test-only comparison; the package uses numpy only) --
-
 def _scalar_cases(rng, count, shapes):
     """1x1 SPD matrices with scales from 1e-3 to 1e4, right-hand sides of the given shapes."""
     for _ in range(count):
         S = np.array([[10.0 ** rng.uniform(-3.0, 4.0) * rng.uniform(0.5, 2.0)]])
         shape = shapes[rng.integers(len(shapes))]
         yield S, 10.0 ** rng.uniform(-3.0, 4.0) * rng.standard_normal(shape)
+
+
+def test_scalar_closed_form_is_bitwise_the_factor_and_substitute_path():
+    rng = np.random.default_rng(13)
+    for S, B in _scalar_cases(rng, 2000, [(1,), (1, 1), (1, 4), (1, 1000)]):
+        L = np.linalg.cholesky(S)
+        expected = _solve_lower_t(L, solve_lower(L, B))
+        got = solve_spd(S, B)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (S, B)
+        assert chol_psd(S).tobytes() == L.tobytes(), S
+
+
+@pytest.mark.parametrize("s, chol_message, solve_message", [
+    (0.0, "covariance not factorizable after jitter (trace/n=0.000e+00)",
+     "innovation covariance condition inf > 1e+12"),
+    (-1.0, "covariance not factorizable after jitter (trace/n=-1.000e+00)",
+     "innovation covariance not PD: Matrix is not positive definite"),
+    (np.nan, None, "innovation covariance is non-finite"),
+    (np.inf, None, "innovation covariance is non-finite"),
+])
+def test_scalar_degenerate_cases_keep_the_general_path_errors(s, chol_message, solve_message):
+    S = np.array([[s]])
+    if chol_message is None:
+        # numpy's Cholesky passes NaN and +inf through instead of failing
+        assert chol_psd(S).tobytes() == np.linalg.cholesky(S).tobytes()
+    else:
+        with pytest.raises(FactorizationError, match=f"^{re.escape(chol_message)}$") as info:
+            chol_psd(S)
+        assert info.type is FactorizationError
+    with pytest.raises(SingularInnovationError, match=f"^{re.escape(solve_message)}$") as info:
+        solve_spd(S, np.ones(1))
+    assert info.type is SingularInnovationError
+
+
+# -- scipy as an oracle (a test-only comparison; the package uses numpy only) --
 
 
 def test_scalar_solve_spd_is_bitwise_cho_solve():

@@ -1,9 +1,13 @@
-"""Property tests: Gaussian filter invariants on the joint CSTR model.
+"""Property tests: filter invariants.
 
-From random admissible beliefs (states near the adiabatic branch, where the
-reactor's rates are what the default 1 s Runge-Kutta substep resolves, and
-random correlated covariances), one EKF and one UKF predict+update over a
-sampling interval must return finite means and symmetric PSD covariances.
+From random admissible beliefs on the joint CSTR model (states near the
+adiabatic branch, where the reactor's rates are what the default 1 s
+Runge-Kutta substep resolves, and random correlated covariances), one EKF
+and one UKF predict+update over a sampling interval must return finite
+means and symmetric PSD covariances, and one particle-filter step must
+leave normalized weights with an effective sample size between 1 and the
+particle count. On random linear models with a scalar measurement, the
+Joseph-form Kalman update must equal the standard form.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -12,9 +16,12 @@ from hypothesis.extra.numpy import arrays
 
 from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, default_experiment_model
-from cdassim.filters.beliefs import GaussianBelief
+from cdassim.filters.beliefs import GaussianBelief, ParticleSet
 from cdassim.filters.kalman import ekf_predict, kalman_update
+from cdassim.filters.linalg import symmetrize
+from cdassim.filters.pf import ResamplePolicy, pf_step
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
+from cdassim.sde import NoiseStream, SdeModel
 
 from stages import interval_inputs
 
@@ -42,10 +49,19 @@ def admissible_beliefs(draw):
     return GaussianBelief(mean, cov, time=draw(st.floats(0.0, 2000.0)))
 
 
+def assert_symmetric_psd(P: np.ndarray, sym_tol: float = 1e-10, eig_tol: float = 1e-10) -> None:
+    """Symmetric to ``sym_tol`` and no eigenvalue below ``-eig_tol * trace``, relative to P's scale."""
+    scale = max(float(np.abs(P).max()), 1e-300)
+    assert float(np.abs(P - P.T).max()) <= sym_tol * scale, "covariance is not symmetric"
+    lo = float(np.linalg.eigvalsh(symmetrize(P)).min())
+    assert lo >= -eig_tol * max(float(np.trace(P)), 1e-300), \
+        f"covariance has eigenvalue {lo:.3e} below tolerance"
+
+
 def check(belief: GaussianBelief) -> None:
     assert np.all(np.isfinite(belief.mean))
     assert np.all(np.isfinite(belief.cov))
-    belief.validate()
+    assert_symmetric_psd(belief.cov)
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,3 +83,63 @@ def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
     check(prior)
     post, _, _ = ukf_update(prior, MODEL, np.array([prior.mean[2] + residual]), R, scaling)
     check(post)
+
+
+@st.composite
+def linear_scalar_updates(draw):
+    """A Gaussian belief of dimension 1 to 5 and one scalar linear measurement ``y = C x + v``."""
+    n = draw(st.integers(1, 5))
+    std = draw(arrays(float, n, elements=st.floats(1e-2, 1e2)))
+    M = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    S = M @ M.T + 0.1 * np.eye(n)
+    d = np.sqrt(np.diag(S))
+    P = (S / np.outer(d, d)) * np.outer(std, std)
+    mean = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    C = draw(arrays(float, (1, n), elements=st.floats(-2.0, 2.0)))
+    R = np.array([[draw(st.floats(1e-3, 1e3))]])
+    y = np.array([draw(st.floats(-100.0, 100.0))])
+    return GaussianBelief(mean, P), C, R, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=linear_scalar_updates())
+def test_joseph_update_equals_standard_form(case):
+    belief, C, R, y = case
+    n = belief.dim
+    model = SdeModel(dim_state=n, dim_noise=n, dim_obs=1,
+                     drift=lambda t, x, u: np.zeros_like(x),
+                     diffusion=lambda t, x, u: np.eye(n),
+                     measure=lambda t, x: C @ x,
+                     measure_jacobian=lambda t, x: C)
+    post, e, _ = kalman_update(belief, model, y, R)
+    P = belief.cov
+    Re = C @ P @ C.T + R
+    K = (P @ C.T) / Re[0, 0]
+    standard = P - K @ Re @ K.T
+    # each entry relative to its prior scale sqrt(P_ii P_jj)
+    scale = np.sqrt(np.outer(np.diag(P), np.diag(P)))
+    assert np.all(np.abs(post.cov - standard) <= 1e-9 * scale)
+    assert np.all(np.abs(post.mean - (belief.mean + K @ e))
+                  <= 1e-9 * (np.abs(belief.mean) + np.sqrt(np.diag(P))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0),
+       n_p=st.integers(1, 200), policy=st.sampled_from(["ess", "always", "never"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p, policy, seed):
+    rng = np.random.default_rng(seed)
+    X = belief.mean[:, None] + np.linalg.cholesky(belief.cov) @ rng.standard_normal((4, n_p))
+    X[:2] = np.maximum(X[:2], 0.0)
+    w = rng.uniform(0.05, 1.0, n_p)
+    particles = ParticleSet(X, w / w.sum(), belief.time)
+    t1 = belief.time + DT
+    y = np.array([belief.mean[2] + residual])
+    out, info = pf_step(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1, y, R,
+                        NoiseStream(seed), ResamplePolicy(policy))
+    assert np.all(out.weights >= 0.0)
+    assert abs(float(out.weights.sum()) - 1.0) <= 1e-12
+    # 1 <= ESS <= N holds exactly for normalized weights; allow roundoff in 1 / sum(w^2)
+    assert 1.0 - 1e-12 <= info.ess <= n_p * (1.0 + 1e-12)
+    assert np.all(np.isfinite(out.particles))
+    check(info.posterior)

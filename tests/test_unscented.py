@@ -50,6 +50,8 @@ def test_small_alpha_augmented_weights():
     assert np.allclose(sp.mean_weights[1:], 2.5)
     assert sp.cov_weights[0] == pytest.approx(-24.0 + 1.0 - 0.2**2 + 2.0)
     assert np.allclose(sp.cov_weights[1:], 2.5)
+    # the weights are cached per (dimension, scaling), so no caller may write to them
+    assert not (sp.mean_weights.flags.writeable or sp.cov_weights.flags.writeable)
     # noise coordinates live on the fifth +/- pair only, at sqrt(c * dt)
     assert sp.noise_points.shape == (1, 11)
     spread = np.sqrt(0.2 * 10.0)
