@@ -30,12 +30,15 @@ from cdassim.cstr import (
 from cdassim.filters.linalg import FactorizationError
 from cdassim.filters.runner import FILTER_KINDS, FilterRunError
 from cdassim.harness import (
+    TRUTH_HEADER,
     ensemble_size_sweep,
     generate_truth_and_measurements,
     run_all_filters,
+    truth_rows,
     uncertainty_comparison,
     write_report,
     write_sweep_report,
+    write_table,
     write_uncertainty_report,
 )
 from cdassim.sde import IntegrationError, rk4_inputs, rk4_step
@@ -51,10 +54,6 @@ DEFAULT_SWEEP_SIZES = (10, 100, 1000)
 _NUMERICAL_ERRORS = (IntegrationError, FilterRunError, FactorizationError,
                      SteadyStateRangeError, FloatingPointError,
                      np.linalg.LinAlgError)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +101,8 @@ def _build_parser() -> _Parser:
                              help="subset of ekf,ukf,enkf,pf")})
     add("steady-state", "emit the steady-state flow curve as CSV")
     add("sweep", "rerun the Monte Carlo filters across ensemble sizes",
-        **{"--sizes": dict(type=_csv_ints, metavar="CSV-list", default=None,
+        **{"--sizes": dict(type=_csv_ints, metavar="CSV-list",
+                           default=list(DEFAULT_SWEEP_SIZES),
                            help=f"sizes to sweep (default "
                                 f"{','.join(map(str, DEFAULT_SWEEP_SIZES))})"),
            "--filters": dict(type=_csv_names, metavar="CSV-list", default=None,
@@ -123,15 +123,12 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _prepare_out(config: ExperimentConfig) -> Path:
+    """Create the output directory and write the config echo, the only writer of config.json."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config.write(out / "config.json")  # echo lands before any computation
+    _announce([out / "config.json"])
     return out
-
-
-def _write_csv(path: Path, header: str, rows) -> Path:
-    path.write_text("\n".join([header, *rows]) + "\n")
-    return path
 
 
 def _announce(paths) -> None:
@@ -176,18 +173,11 @@ def _reduced_comparison(config: ExperimentConfig):
 
 def _cmd_simulate(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
-    rows = []
-    for k in range(config.n_samples + 1):
-        t = 0.0 if k == 0 else truth.times[k - 1]
-        meas = "" if k == 0 else _fmt(truth.measurements[k - 1])
-        rows.append(",".join([_fmt(t), *map(_fmt, truth.truth_states[k]), meas]))
-    paths = [_write_csv(out / "truth.csv",
-                        "t,truth_ca,truth_cb,truth_t,truth_beta,measurement", rows)]
+    paths = [write_table(out / "truth.csv", (*TRUTH_HEADER, "measurement"), truth_rows(truth))]
     if args.reduced:
-        temps = _reduced_comparison(config)
-        paths.append(_write_csv(
-            out / "reduced.csv", "t,temp_3state,temp_2state,temp_1state",
-            (",".join(map(_fmt, row)) for row in temps)))
+        paths.append(write_table(out / "reduced.csv",
+                                 ("t", "temp_3state", "temp_2state", "temp_1state"),
+                                 _reduced_comparison(config)))
     _announce(paths)
     return EXIT_OK
 
@@ -195,7 +185,7 @@ def _cmd_simulate(config: ExperimentConfig, args, out: Path) -> int:
 def _cmd_estimate(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
     report = run_all_filters(config, truth, filters=args.filters, serial=args.serial)
-    _announce(write_report(report, config, truth, out))
+    _announce(write_report(report, truth, out))
     failed = [k for k, m in report.filters.items() if not m.ok]
     if failed:
         print(f"numerical failure in: {', '.join(failed)}", file=sys.stderr)
@@ -205,17 +195,15 @@ def _cmd_estimate(config: ExperimentConfig, args, out: Path) -> int:
 
 def _cmd_steady_state(config: ExperimentConfig, args, out: Path) -> int:
     T_s, F_s = steady_state_curve(config.cstr_params())
-    path = _write_csv(out / "steady_state.csv", "T_s,F_s",
-                      (f"{_fmt(T)},{_fmt(F)}" for T, F in zip(T_s, F_s)))
-    _announce([path])
+    _announce([write_table(out / "steady_state.csv", ("T_s", "F_s"), zip(T_s, F_s))])
     return EXIT_OK
 
 
 def _cmd_sweep(config: ExperimentConfig, args, out: Path) -> int:
-    sizes = args.sizes if args.sizes else list(DEFAULT_SWEEP_SIZES)
+    truth = generate_truth_and_measurements(config)
     filters = tuple(args.filters) if args.filters else ("enkf", "pf")
-    rows = ensemble_size_sweep(config, sizes, filters=filters, serial=args.serial)
-    _announce(write_sweep_report(rows, config, out))
+    rows = ensemble_size_sweep(config, truth, args.sizes, filters=filters, serial=args.serial)
+    _announce(write_sweep_report(rows, out))
     return EXIT_OK  # collapsed or failed rows are sweep findings, not failures
 
 
@@ -223,7 +211,7 @@ def _cmd_oracle(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
     unc = uncertainty_comparison(config, truth, filters=args.filters,
                                  serial=args.serial)
-    _announce(write_uncertainty_report(unc, config, out))
+    _announce(write_uncertainty_report(unc, out))
     return EXIT_OK
 
 
@@ -236,7 +224,9 @@ _COMMANDS = {
 }
 
 
-def _validate_filter_names(parser: _Parser, args) -> None:
+def _validate_lists(parser: _Parser, args) -> None:
+    if getattr(args, "sizes", None) == []:
+        parser.error("--sizes needs at least one size")
     allowed = ("enkf", "pf") if args.subcommand == "sweep" else FILTER_KINDS
     names = getattr(args, "filters", None)
     if names is not None:
@@ -251,7 +241,7 @@ def _validate_filter_names(parser: _Parser, args) -> None:
 def parse_and_dispatch(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate_filter_names(parser, args)
+    _validate_lists(parser, args)
     try:
         config = _resolve_config(args)
     except ConfigError as exc:

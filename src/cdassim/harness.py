@@ -45,12 +45,14 @@ __all__ = [
     "FilterMetrics",
     "MetricsReport",
     "UncertaintyReport",
-    "SweepRow",
     "generate_truth_and_measurements",
     "run_one_filter",
     "run_all_filters",
     "uncertainty_comparison",
     "ensemble_size_sweep",
+    "TRUTH_HEADER",
+    "truth_rows",
+    "write_table",
     "write_report",
     "write_uncertainty_report",
     "write_sweep_report",
@@ -214,20 +216,14 @@ def _filter_config(config: ExperimentConfig, kind: str, *, size: int | None = No
     if config.obs_variance <= 0:
         raise ValueError("noise.obs_variance must be > 0 to run a filter")
     tag = FILTER_STREAM[kind] if stream_tag is None else stream_tag
-    kwargs = {}
-    if size is not None:
-        if kind == "enkf":
-            kwargs["ensemble_size"] = size
-        elif kind == "pf":
-            kwargs["particle_count"] = size
     return FilterConfig(
         initial=GaussianBelief(config.filter_init_mean(), config.filter_init_cov(), time=0.0),
         obs_cov=np.array([[config.obs_variance]]),
         stream=NoiseStream(config.seed, tag),
         substeps=config.substeps,
         scaling=config.ukf_scaling(),
-        ensemble_size=kwargs.pop("ensemble_size", config.ensemble_size),
-        particle_count=kwargs.pop("particle_count", config.particle_count),
+        ensemble_size=size if size is not None and kind == "enkf" else config.ensemble_size,
+        particle_count=size if size is not None and kind == "pf" else config.particle_count,
         resample=config.resample_policy(),
     )
 
@@ -379,28 +375,23 @@ class UncertaintyReport:
 
 
 def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=None,
-                           serial: bool = False,
-                           report: MetricsReport | None = None) -> UncertaintyReport:
+                           serial: bool = False) -> UncertaintyReport:
     """Compare each filter's posterior spread against a big-particle reference.
 
     The reference is the particle filter itself at ``oracle_particle_count``
     samples, which must be at least 10x the largest configured Monte Carlo
     filter size. Degeneracy of the reference (failure or flagged collapse)
-    is reported, not raised. Without a ``report`` the filter bank runs in
-    the same worker pool as the reference, which starts first because it is
-    the longest run.
+    is reported, not raised. The filter bank runs in the same worker pool as
+    the reference, which starts first because it is the longest run.
     """
     largest = max(config.ensemble_size, config.particle_count)
     if config.oracle_particle_count < 10 * largest:
         raise ValueError(
             f"oracle_particle_count={config.oracle_particle_count} must be >= 10x the "
             f"largest filter size ({largest})")
-    tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE)]
-    if report is None:
-        oracle, *bank = _run_filters(config, truth, tasks + _bank_tasks(filters), serial)
-        report = _bank_report(config, bank)
-    else:
-        (oracle,) = _run_filters(config, truth, tasks, serial)
+    tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE), *_bank_tasks(filters)]
+    oracle, *bank = _run_filters(config, truth, tasks, serial)
+    report = _bank_report(config, bank)
     status = oracle.status
     if oracle.ok and oracle.collapsed:
         status = "degenerate: sustained innovation inconsistency"
@@ -449,30 +440,14 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
     )
 
 
-@dataclass
-class SweepRow:
-    kind: str
-    size: int
-    status: str
-    mse_x: float
-    mse_p: float
-    t_cpu_s: float
-    collapsed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "size": self.size, "status": self.status,
-            "mse_x": self.mse_x, "mse_p": self.mse_p, "t_cpu_s": self.t_cpu_s,
-            "collapsed": self.collapsed,
-        }
-
-
-def ensemble_size_sweep(config: ExperimentConfig, sizes, truth: TruthData | None = None,
-                        filters=("enkf", "pf"), serial: bool = False) -> list[SweepRow]:
+def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
+                        filters=("enkf", "pf"),
+                        serial: bool = False) -> list[tuple[int, FilterMetrics]]:
     """Rerun the Monte Carlo filters across sizes on one shared realization.
 
-    The runs fan out over worker processes like ``run_all_filters``.
-    Collapsed or failed runs are flagged in their row, never fatal.
+    Returns ``(size, metrics)`` pairs, every size of the first filter kind
+    first. The runs fan out over worker processes like ``run_all_filters``.
+    Collapsed or failed runs are flagged in their metrics, never fatal.
     """
     sizes = [int(s) for s in sizes]
     if any(s < 2 for s in sizes):
@@ -480,18 +455,16 @@ def ensemble_size_sweep(config: ExperimentConfig, sizes, truth: TruthData | None
     for kind in filters:
         if kind not in ("enkf", "pf"):
             raise ValueError(f"sweep supports enkf/pf, got {kind!r}")
-    if truth is None:
-        truth = generate_truth_and_measurements(config)
     tasks = [(kind, size, None) for kind in filters for size in sizes]
-    return [SweepRow(kind=kind, size=size, status=m.status, mse_x=m.mse_x, mse_p=m.mse_p,
-                     t_cpu_s=m.t_cpu_s, collapsed=m.collapsed)
-            for (kind, size, _), m in zip(tasks, _run_filters(config, truth, tasks, serial))]
+    results = _run_filters(config, truth, tasks, serial)
+    return [(size, m) for (_, size, _), m in zip(tasks, results)]
 
 
 # -- report files -----------------------------------------------------------
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+# column-name suffixes of the joint state (C_A, C_B, T, beta)
+STATE_COLUMNS = ("ca", "cb", "t", "beta")
+TRUTH_HEADER = ("t", *(f"truth_{s}" for s in STATE_COLUMNS))
 
 
 def _write_text(path: Path, text: str) -> Path:
@@ -502,79 +475,77 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def write_report(report: MetricsReport, config: ExperimentConfig, truth: TruthData,
-                 out_dir) -> list[Path]:
-    """Write config echo, metrics.csv/json, and per-filter trajectory CSVs.
+def write_table(path, header, rows) -> Path:
+    """Write one CSV result file: a header line of column names, then ``rows``.
 
-    Every float is printed with 17 significant digits so equal runs give
-    byte-identical files apart from the timing columns.
+    Strings are written as they are; every number, ints and bools included,
+    is printed as a float with 17 significant digits, so equal runs give
+    byte-identical files apart from their timing columns.
     """
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else f"{float(c):.17g}" for c in row)
+              for row in rows]
+    return _write_text(Path(path), "\n".join(lines) + "\n")
+
+
+def truth_rows(truth: TruthData, *columns) -> list[tuple]:
+    """Rows of t, the joint truth, ``columns`` and the measurement, from t_0 on.
+
+    Each of ``columns`` holds one row per instant t_0..t_n; t_0 has no
+    measurement, so its last cell is empty.
+    """
+    times = np.concatenate([[0.0], truth.times])
+    table = np.column_stack([times, truth.truth_states, *columns])
+    return [(*row, meas) for row, meas in zip(table, ["", *truth.measurements])]
+
+
+def write_report(report: MetricsReport, truth: TruthData, out_dir) -> list[Path]:
+    """Write metrics.csv/json and the per-filter trajectory CSVs into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    config.write(out / "config.json")
-    paths.append(out / "config.json")
-
-    lines = ["filter,mse_x,mse_p,t_cpu_s"]
-    for kind, m in report.filters.items():
-        lines.append(f"{kind},{_fmt(m.mse_x)},{_fmt(m.mse_p)},{_fmt(m.t_cpu_s)}")
-    paths.append(_write_text(out / "metrics.csv", "\n".join(lines) + "\n"))
-
-    paths.append(_write_text(out / "metrics.json",
-                             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"))
-
-    header = ("t,truth_ca,truth_cb,truth_t,truth_beta,"
-              "est_ca,est_cb,est_t,est_beta,std_ca,std_cb,std_t,std_beta,measurement")
+    paths = [
+        write_table(out / "metrics.csv", ("filter", "mse_x", "mse_p", "t_cpu_s"),
+                    [(kind, m.mse_x, m.mse_p, m.t_cpu_s) for kind, m in report.filters.items()]),
+        _write_text(out / "metrics.json",
+                    json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
+    ]
+    header = (*TRUTH_HEADER, *(f"est_{s}" for s in STATE_COLUMNS),
+              *(f"std_{s}" for s in STATE_COLUMNS), "measurement")
     for kind, m in report.filters.items():
         if not m.ok:
             continue
         o = m.output
         est = np.vstack([o.initial.mean, o.post_mean])
         std = np.vstack([o.initial.marginal_std(), o.marginal_std()])
-        times = np.concatenate([[0.0], o.times])
-        rows = [header]
-        for k in range(len(times)):
-            meas = "" if k == 0 else _fmt(truth.measurements[k - 1])
-            cells = [_fmt(times[k]), *map(_fmt, truth.truth_states[k]),
-                     *map(_fmt, est[k]), *map(_fmt, std[k]), meas]
-            rows.append(",".join(cells))
-        paths.append(_write_text(out / f"trajectory_{kind}.csv", "\n".join(rows) + "\n"))
+        paths.append(write_table(out / f"trajectory_{kind}.csv", header,
+                                 truth_rows(truth, est, std)))
     return paths
 
 
-def write_uncertainty_report(unc: UncertaintyReport, config: ExperimentConfig,
-                             out_dir) -> list[Path]:
-    """Write uncertainty.json plus one per-filter divergence CSV."""
+def write_uncertainty_report(unc: UncertaintyReport, out_dir) -> list[Path]:
+    """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    config.write(out / "config.json")
-    paths.append(out / "config.json")
-    paths.append(_write_text(out / "uncertainty.json",
-                             json.dumps(unc.to_dict(), indent=2, sort_keys=True) + "\n"))
-    header = ("t,mean_err,cov_frobenius,var_ratio_ca,var_ratio_cb,var_ratio_t,"
-              "var_ratio_beta,t_std_ratio")
+    paths = [_write_text(out / "uncertainty.json",
+                         json.dumps(unc.to_dict(), indent=2, sort_keys=True) + "\n")]
+    header = ("t", "mean_err", "cov_frobenius", *(f"var_ratio_{s}" for s in STATE_COLUMNS),
+              "t_std_ratio")
     for kind, s in unc.series.items():
-        rows = [header]
-        for k in range(len(unc.times)):
-            cells = [_fmt(unc.times[k]), _fmt(s["mean_err"][k]), _fmt(s["cov_frobenius"][k]),
-                     *map(_fmt, s["var_ratio"][k]), _fmt(s["t_std_ratio"][k])]
-            rows.append(",".join(cells))
-        paths.append(_write_text(out / f"uncertainty_{kind}.csv", "\n".join(rows) + "\n"))
+        table = np.column_stack([unc.times, s["mean_err"], s["cov_frobenius"],
+                                 s["var_ratio"], s["t_std_ratio"]])
+        paths.append(write_table(out / f"uncertainty_{kind}.csv", header, table))
     return paths
 
 
-def write_sweep_report(rows: list[SweepRow], config: ExperimentConfig, out_dir) -> list[Path]:
-    """Write sweep.csv and sweep.json for a size sweep."""
+def write_sweep_report(rows: list[tuple[int, FilterMetrics]], out_dir) -> list[Path]:
+    """Write sweep.csv and sweep.json for the ``(size, metrics)`` pairs of a size sweep."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config.write(out / "config.json")
-    lines = ["filter,size,mse_x,mse_p,t_cpu_s,collapsed,status"]
-    for r in rows:
-        lines.append(f"{r.kind},{r.size},{_fmt(r.mse_x)},{_fmt(r.mse_p)},"
-                     f"{_fmt(r.t_cpu_s)},{int(r.collapsed)},{r.status}")
-    p1 = _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    p2 = _write_text(out / "sweep.json",
-                     json.dumps([r.to_dict() for r in rows], indent=2) + "\n")
-    return [out / "config.json", p1, p2]
+    table = [(m.kind, size, m.mse_x, m.mse_p, m.t_cpu_s, m.collapsed, m.status)
+             for size, m in rows]
+    records = [{"kind": m.kind, "size": size, "status": m.status, "mse_x": m.mse_x,
+                "mse_p": m.mse_p, "t_cpu_s": m.t_cpu_s, "collapsed": m.collapsed}
+               for size, m in rows]
+    return [
+        write_table(out / "sweep.csv",
+                    ("filter", "size", "mse_x", "mse_p", "t_cpu_s", "collapsed", "status"),
+                    table),
+        _write_text(out / "sweep.json", json.dumps(records, indent=2) + "\n"),
+    ]

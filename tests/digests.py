@@ -9,8 +9,9 @@ repository root,
 it prints one line per digest: every numeric ``FilterOutput`` field of the
 EKF, UKF, EnKF and PF on a few seeds, each at ``sigma_theta`` 0 and 0.05;
 the truth path of each seed; and every file that ``simulate --reduced``,
-``estimate``, ``sweep`` and ``oracle`` write on the default config, with the
-``t_cpu_s`` timings dropped. A change that claims no numeric change prints
+``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the default
+config, with the ``t_cpu_s`` timings dropped. JSON files are digested in
+their written key order, so a reordered key shows up. A change that claims no numeric change prints
 the same lines as its parent, so one run per checkout and a ``diff`` check
 it.
 """
@@ -31,7 +32,8 @@ OUTPUT_FIELDS = ("times", "prior_mean", "prior_cov", "post_mean", "post_cov",
 
 SEEDS = (1, 2, 3, 20260816)
 SIGMA_THETAS = (0.0, 0.05)
-COMMANDS = (("simulate", "--reduced"), ("estimate",), ("sweep",), ("oracle",))
+COMMANDS = (("simulate", "--reduced"), ("estimate",), ("steady-state",), ("sweep",),
+            ("oracle",))
 TIMING = "t_cpu_s"
 
 
@@ -64,7 +66,7 @@ def _file_digest(path: Path) -> str:
     """Digest of a result file with its timing column or keys removed."""
     if path.suffix == ".json":
         doc = _without_timing(json.loads(path.read_text()))
-        text = json.dumps(doc, sort_keys=True)
+        text = json.dumps(doc)
     else:
         rows = [line.split(",") for line in path.read_text().splitlines()]
         keep = [i for i, name in enumerate(rows[0]) if name != TIMING]

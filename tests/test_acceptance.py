@@ -216,9 +216,9 @@ def test_criterion_05_uncertainty_versus_oracle(default_run):
 
 
 def test_criterion_06_ensemble_collapse_boundary(default_run):
-    rows = ensemble_size_sweep(default_run["cfg"], (3, 4), truth=default_run["truth"],
-                               filters=("enkf",), serial=True)
-    by_size = {r.size: r for r in rows}
+    pairs = ensemble_size_sweep(default_run["cfg"], default_run["truth"], (3, 4),
+                                filters=("enkf",), serial=True)
+    by_size = dict(pairs)
     print(f"criterion 6: N=4 status {by_size[4].status} collapsed {by_size[4].collapsed} | "
           f"N=3 status {by_size[3].status} collapsed {by_size[3].collapsed}")
     assert by_size[4].status == "ok" and not by_size[4].collapsed

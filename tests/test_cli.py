@@ -114,6 +114,17 @@ def test_oracle_writes_uncertainty(tmp_path, small_config_file):
     assert (tmp_path / "orc" / "uncertainty_ekf.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--reduced"], ["estimate"], ["steady-state"],
+                                  ["sweep", "--sizes", "8"], ["oracle", "--filters", "ekf"]])
+def test_every_written_file_is_announced_once(tmp_path, small_config_file, capsys, argv):
+    assert parse_and_dispatch([*argv, "--config", small_config_file, "--serial",
+                               "--out", "run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {os.path.join('run', 'config.json')}"  # the echo comes first
+    written = (tmp_path / "run").iterdir()
+    assert sorted(lines) == sorted(f"wrote {os.path.join('run', p.name)}" for p in written)
+
+
 def test_module_entry_point(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "cdassim", "steady-state", "--out", "curve"],
@@ -258,3 +269,13 @@ def test_sweep_size_below_two_exits_1(tmp_path, small_config_file, capsys):
     assert parse_and_dispatch(["sweep", "--config", small_config_file,
                                "--sizes", "1,8", "--out", "sw"]) == 1
     assert "at least 2" in capsys.readouterr().err
+
+
+def test_sweep_empty_sizes_exit_1(tmp_path, small_config_file, capsys):
+    for sizes in ("", ","):
+        with pytest.raises(SystemExit) as err:
+            parse_and_dispatch(["sweep", "--config", small_config_file,
+                                "--sizes", sizes, "--out", "sw"])
+        assert err.value.code == 1, sizes
+        assert "--sizes" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()  # a usage error stops before the echo

@@ -4,7 +4,8 @@ import importlib
 import pytest
 
 MODULES = ("cdassim", "cdassim.sde", "cdassim.cstr", "cdassim.config", "cdassim.harness",
-           "cdassim.filters")
+           *(f"cdassim.filters.{name}" for name in ("beliefs", "enkf", "kalman", "linalg",
+                                                    "montecarlo", "pf", "runner", "unscented")))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -12,6 +12,7 @@ from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.harness import (
     FILTER_STREAM,
     SPREAD_COLLAPSE_RATIO,
+    FilterMetrics,
     _spread_collapse_fraction,
     ensemble_size_sweep,
     generate_truth_and_measurements,
@@ -21,6 +22,7 @@ from cdassim.harness import (
     worker_count,
     write_report,
     write_sweep_report,
+    write_table,
     write_uncertainty_report,
 )
 
@@ -248,10 +250,10 @@ def test_pooled_runs_equal_serial_in_every_field(threads, small_cfg, small_truth
     for kind, m in small_report.filters.items():
         assert _metrics_fingerprint(pooled.filters[kind]) == _metrics_fingerprint(m), kind
 
-    rows = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth)
-    serial_rows = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth, serial=True)
-    strip = lambda r: {k: v for k, v in r.to_dict().items() if k != "t_cpu_s"}
-    assert [strip(r) for r in rows] == [strip(r) for r in serial_rows]
+    rows = ensemble_size_sweep(small_cfg, small_truth, [8, 32])
+    serial_rows = ensemble_size_sweep(small_cfg, small_truth, [8, 32], serial=True)
+    assert [(size, _metrics_fingerprint(m)) for size, m in rows] == \
+           [(size, _metrics_fingerprint(m)) for size, m in serial_rows]
 
     # the reference run shares the pool with the filter bank
     unc = uncertainty_comparison(small_cfg, small_truth)
@@ -262,20 +264,20 @@ def test_pooled_runs_equal_serial_in_every_field(threads, small_cfg, small_truth
 # -- size sweep ---------------------------------------------------------------
 
 def test_sweep_rows_and_determinism(small_cfg, small_truth):
-    rows = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth, serial=True)
-    assert [(r.kind, r.size) for r in rows] == [
+    rows = ensemble_size_sweep(small_cfg, small_truth, [8, 32], serial=True)
+    assert [(m.kind, size) for size, m in rows] == [
         ("enkf", 8), ("enkf", 32), ("pf", 8), ("pf", 32)]
-    again = ensemble_size_sweep(small_cfg, [8, 32], truth=small_truth, serial=True)
-    for r, s in zip(rows, again):
+    again = ensemble_size_sweep(small_cfg, small_truth, [8, 32], serial=True)
+    for (_, r), (_, s) in zip(rows, again):
         assert (r.mse_x, r.mse_p, r.collapsed, r.status) == \
                (s.mse_x, s.mse_p, s.collapsed, s.status)
 
 
 def test_sweep_rejects_bad_requests(small_cfg, small_truth):
     with pytest.raises(ValueError, match="at least 2"):
-        ensemble_size_sweep(small_cfg, [1, 8], truth=small_truth)
+        ensemble_size_sweep(small_cfg, small_truth, [1, 8])
     with pytest.raises(ValueError, match="supports enkf/pf"):
-        ensemble_size_sweep(small_cfg, [8], truth=small_truth, filters=("ekf",))
+        ensemble_size_sweep(small_cfg, small_truth, [8], filters=("ekf",))
 
 
 # -- uncertainty comparison ---------------------------------------------------
@@ -287,9 +289,8 @@ def test_uncertainty_requires_big_oracle(small_truth):
         uncertainty_comparison(cfg, small_truth)
 
 
-def test_uncertainty_summary_structure(small_cfg, small_truth, small_report):
-    unc = uncertainty_comparison(small_cfg, small_truth, serial=True,
-                                 report=small_report)
+def test_uncertainty_summary_structure(small_uncertainty):
+    unc = small_uncertainty
     assert unc.oracle_status == "ok"
     assert unc.oracle_particles == 1000
     assert unc.oracle_min_ess > 0.0
@@ -313,9 +314,10 @@ def _strip_timing(csv_text):
 
 
 def test_write_report_files(tmp_path, small_cfg, small_truth, small_report):
-    paths = write_report(small_report, small_cfg, small_truth, tmp_path / "out")
+    (tmp_path / "out").mkdir()
+    paths = write_report(small_report, small_truth, tmp_path / "out")
     names = {p.name for p in paths}
-    assert names == {"config.json", "metrics.csv", "metrics.json",
+    assert names == {"metrics.csv", "metrics.json",
                      "trajectory_ekf.csv", "trajectory_ukf.csv",
                      "trajectory_enkf.csv", "trajectory_pf.csv"}
 
@@ -328,9 +330,6 @@ def test_write_report_files(tmp_path, small_cfg, small_truth, small_report):
     assert doc["config_hash"] == small_cfg.config_hash()
     assert "squared estimation error" in doc["mse_x_definition"]
     assert set(doc["filters"]) == {"ekf", "ukf", "enkf", "pf"}
-
-    echo = json.loads((tmp_path / "out" / "config.json").read_text())
-    assert echo["config_hash"] == small_cfg.config_hash()
 
     for kind in ("ekf", "ukf", "enkf", "pf"):
         rows = (tmp_path / "out" / f"trajectory_{kind}.csv").read_text().strip().split("\n")
@@ -347,11 +346,12 @@ def test_reports_byte_identical_across_runs(tmp_path, small_cfg):
     def fresh(out):
         truth = generate_truth_and_measurements(small_cfg)
         report = run_all_filters(small_cfg, truth, serial=True)
-        write_report(report, small_cfg, truth, out)
+        out.mkdir()
+        write_report(report, truth, out)
         return out
 
     a, b = fresh(tmp_path / "a"), fresh(tmp_path / "b")
-    for name in ("config.json", "trajectory_ekf.csv", "trajectory_ukf.csv",
+    for name in ("trajectory_ekf.csv", "trajectory_ukf.csv",
                  "trajectory_enkf.csv", "trajectory_pf.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     # metrics differ only in the timing column
@@ -360,19 +360,46 @@ def test_reports_byte_identical_across_runs(tmp_path, small_cfg):
 
 
 def test_write_sweep_and_uncertainty_reports(tmp_path, small_cfg, small_truth,
-                                             small_report):
-    rows = ensemble_size_sweep(small_cfg, [8], truth=small_truth, serial=True)
-    paths = write_sweep_report(rows, small_cfg, tmp_path / "sweep")
+                                             small_uncertainty):
+    rows = ensemble_size_sweep(small_cfg, small_truth, [8], serial=True)
+    (tmp_path / "sweep").mkdir()
+    paths = write_sweep_report(rows, tmp_path / "sweep")
     text = (tmp_path / "sweep" / "sweep.csv").read_text().strip().split("\n")
     assert text[0] == "filter,size,mse_x,mse_p,t_cpu_s,collapsed,status"
     assert len(text) == 1 + len(rows)
-    assert {p.name for p in paths} == {"config.json", "sweep.csv", "sweep.json"}
+    assert {p.name for p in paths} == {"sweep.csv", "sweep.json"}
+    doc = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert [list(r) for r in doc] == [
+        ["kind", "size", "status", "mse_x", "mse_p", "t_cpu_s", "collapsed"]] * len(rows)
 
-    unc = uncertainty_comparison(small_cfg, small_truth, serial=True,
-                                 report=small_report)
-    upaths = write_uncertainty_report(unc, small_cfg, tmp_path / "unc")
-    assert {p.name for p in upaths} == {"config.json", "uncertainty.json",
+    (tmp_path / "unc").mkdir()
+    upaths = write_uncertainty_report(small_uncertainty, tmp_path / "unc")
+    assert {p.name for p in upaths} == {"uncertainty.json",
                                         "uncertainty_ekf.csv", "uncertainty_ukf.csv",
                                         "uncertainty_enkf.csv", "uncertainty_pf.csv"}
     udoc = json.loads((tmp_path / "unc" / "uncertainty.json").read_text())
     assert udoc["oracle_status"] == "ok"
+
+
+def test_table_writer_formats_every_cell_kind(tmp_path):
+    metrics = FilterMetrics(kind="enkf", status="failed: pf failed at step 3 (t=40)",
+                            mse_x=0.1, mse_p=1.0 / 3.0, t_cpu_s=2.5e-4, collapsed=True)
+    write_sweep_report([(8, metrics)], tmp_path)
+    lines = (tmp_path / "sweep.csv").read_text().split("\n")
+    assert lines == ["filter,size,mse_x,mse_p,t_cpu_s,collapsed,status",
+                     "enkf,8,0.10000000000000001,0.33333333333333331,"
+                     "0.00025000000000000001,1,failed: pf failed at step 3 (t=40)",
+                     ""]
+    assert json.loads((tmp_path / "sweep.json").read_text()) == [
+        {"kind": "enkf", "size": 8, "status": "failed: pf failed at step 3 (t=40)",
+         "mse_x": 0.1, "mse_p": 1.0 / 3.0, "t_cpu_s": 2.5e-4, "collapsed": True}]
+
+    write_table(tmp_path / "cells.csv", ("a", "b", "c", "d"),
+                [(False, np.float64(-0.0), np.int64(1000), ""), (np.nan, 1e-300, 7, "x")])
+    assert (tmp_path / "cells.csv").read_text() == "a,b,c,d\n0,-0,1000,\nnan,1e-300,7,x\n"
+
+
+def test_table_writer_names_an_unwritable_file(tmp_path):
+    path = tmp_path / "missing" / "sweep.csv"
+    with pytest.raises(OSError, match="cannot write report file .*missing.*sweep.csv"):
+        write_table(path, ("a",), [(1.0,)])
