@@ -1,7 +1,7 @@
 """Continuous-discrete Bayesian filtering for SDE models with discrete observations."""
 
 from cdassim.sde import (
-    IntegrationError,
+    DivergenceError,
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
@@ -13,7 +13,7 @@ from cdassim.sde import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntegrationError",
+    "DivergenceError",
     "NoiseStream",
     "PiecewiseConstant",
     "SdeModel",

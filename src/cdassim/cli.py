@@ -27,8 +27,7 @@ from cdassim.cstr import (
     cstr3_drift,
     steady_state_curve,
 )
-from cdassim.filters.linalg import FactorizationError
-from cdassim.filters.runner import FILTER_KINDS, FilterRunError
+from cdassim.filters.runner import FILTER_KINDS
 from cdassim.harness import (
     TRUTH_HEADER,
     ensemble_size_sweep,
@@ -41,7 +40,7 @@ from cdassim.harness import (
     write_table,
     write_uncertainty_report,
 )
-from cdassim.sde import IntegrationError, rk4_inputs, rk4_step
+from cdassim.sde import DivergenceError, rk4_inputs, rk4_step
 
 __all__ = ["main", "parse_and_dispatch"]
 
@@ -51,9 +50,7 @@ EXIT_NUMERICAL = 2
 
 DEFAULT_SWEEP_SIZES = (10, 100, 1000)
 
-_NUMERICAL_ERRORS = (IntegrationError, FilterRunError, FactorizationError,
-                     SteadyStateRangeError, FloatingPointError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (DivergenceError, SteadyStateRangeError, np.linalg.LinAlgError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,6 @@ __all__ = [
     "GaussianBelief",
     "Ensemble",
     "ParticleSet",
-    "SigmaPointSet",
     "FilterOutput",
     "posterior_summary",
 ]
@@ -44,15 +43,18 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Equally weighted sample representation; members are columns."""
+    """Equally weighted sample representation; members are columns.
+
+    At least two members, so that the sample covariance is defined.
+    """
 
     members: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.members, dtype=float))
-        if X.shape[1] < 1:
-            raise ValueError("ensemble needs at least one member")
+        if X.shape[1] < 2:
+            raise ValueError("ensemble needs at least two members")
         object.__setattr__(self, "members", X)
 
     @property
@@ -97,41 +99,18 @@ class ParticleSet:
         return self.particles.shape[1]
 
 
-@dataclass(frozen=True)
-class SigmaPointSet:
-    """Deterministic sigma points (columns) with their UT weights.
-
-    ``noise_points`` holds the Wiener-increment coordinates assigned to each
-    point by augmented generation; None for purely state-space sets.
-    """
-
-    points: np.ndarray
-    mean_weights: np.ndarray
-    cov_weights: np.ndarray
-    noise_points: np.ndarray | None = None
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.points.shape[1] != self.mean_weights.size:
-            raise ValueError("one mean weight per point required")
-        if self.cov_weights.size != self.mean_weights.size:
-            raise ValueError("one covariance weight per point required")
-
-
 def posterior_summary(sample) -> GaussianBelief:
     """Gaussian summary of an :class:`Ensemble` or :class:`ParticleSet`.
 
     Uses the sample mean and the ``1/(n-1)``-normalized sample covariance;
     particle sets use their weighted analogue ``n/(n-1) * sum w_i d_i d_i^T``,
     which reduces to the unweighted formula for uniform weights. A single
-    support point yields zero covariance.
+    particle yields zero covariance.
     """
     if isinstance(sample, Ensemble):
         X, t = sample.members, sample.time
         n = X.shape[1]
         m = X.mean(axis=1)
-        if n == 1:
-            return GaussianBelief(m, np.zeros((X.shape[0], X.shape[0])), t)
         dev = X - m[:, None]
         P = (dev @ dev.T) / (n - 1)
         return GaussianBelief(m, symmetrize(P), t)

@@ -41,7 +41,7 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     """
     X = ensemble.members
     t = ensemble.time
-    n, N = X.shape
+    N = X.shape[1]
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
 
@@ -54,8 +54,8 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
 
     Xd = X - X.mean(axis=1, keepdims=True)
     Yd = Yp - Yp.mean(axis=1, keepdims=True)
-    Rxy = (Xd @ Yd.T) / (N - 1) if N > 1 else np.zeros((n, y.size))
-    Ryy = (Yd @ Yd.T) / (N - 1) + R if N > 1 else R.copy()
+    Rxy = (Xd @ Yd.T) / (N - 1)
+    Ryy = (Yd @ Yd.T) / (N - 1) + R
     K = solve_spd(Ryy, Rxy.T).T
     post = Ensemble(X + K @ E, t)
     return post, posterior_summary(post), y - Yp.mean(axis=1), Ryy

@@ -20,17 +20,9 @@ import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import solve_spd, symmetrize, condition_number
-from cdassim.sde import SdeModel, rk4_step
+from cdassim.sde import DivergenceError, SdeModel, rk4_step
 
-__all__ = ["DivergenceError", "ekf_predict", "kalman_update"]
-
-
-class DivergenceError(RuntimeError):
-    """Filter state became non-finite."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
+__all__ = ["ekf_predict", "kalman_update"]
 
 
 def _moment_rhs(model: SdeModel, n: int):
@@ -91,7 +83,7 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray,
             y[:n] = model.constrain(y[:n])
     m, P = y[:n], y[n:].reshape(n, n)
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
-        raise DivergenceError(f"EKF moments diverged by t={t1}", time=t1)
+        raise DivergenceError(f"EKF moments diverged by t={t1}")
     return GaussianBelief(m, P, t1)
 
 
@@ -115,7 +107,7 @@ def kalman_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray,
     J = np.eye(belief.dim) - K @ C
     P_post = symmetrize(J @ P @ J.T + K @ R @ K.T)
     if not np.all(np.isfinite(m_post)):
-        raise DivergenceError(f"Kalman update diverged at t={t}", time=t)
+        raise DivergenceError(f"Kalman update diverged at t={t}")
     return GaussianBelief(m_post, P_post, t), e, Re
 
 

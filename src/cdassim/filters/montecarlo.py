@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cdassim.filters.kalman import DivergenceError
-from cdassim.sde import IntegrationError, NoiseStream, SdeModel, euler_maruyama_step
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel, euler_maruyama_step
 
 __all__ = ["propagate_members"]
 
@@ -40,13 +39,10 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
     X = X.copy()
     for j in range(substeps):
         t = t0 + j * h
-        try:
-            X = euler_maruyama_step(model, t, X, inputs[j, 0], h, draws[j])
-        except IntegrationError as exc:
-            raise DivergenceError(str(exc), time=exc.time) from exc
+        X = euler_maruyama_step(model, t, X, inputs[j, 0], h, draws[j])
         if model.constrain is not None:
             X = model.constrain(X)
     if not np.all(np.isfinite(X)):
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=0))[0])
-        raise DivergenceError(f"member {bad} diverged by t={t1}", time=t1)
+        raise DivergenceError(f"member {bad} diverged by t={t1}")
     return X

@@ -19,24 +19,15 @@ import numpy as np
 from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.linalg import chol_psd, solve_lower
 from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 __all__ = [
-    "DegenerateWeightsError",
     "ResamplePolicy",
     "PfStepInfo",
     "effective_sample_size",
     "systematic_resample",
     "pf_step",
 ]
-
-
-class DegenerateWeightsError(RuntimeError):
-    """Every particle weight underflowed to zero (likelihood degenerate)."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
 
 @dataclass(frozen=True)
@@ -127,8 +118,7 @@ def pf_step(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: flo
         logw = np.log(particles.weights) + _log_gaussian(E, R)
     peak = logw.max()
     if not np.isfinite(peak):
-        raise DegenerateWeightsError(
-            f"all particle weights underflowed at t={t1}", time=t1)
+        raise DivergenceError(f"all particle weights underflowed at t={t1}")
     w = np.exp(logw - peak)
     w /= w.sum()
 

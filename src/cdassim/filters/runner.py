@@ -26,16 +26,11 @@ from cdassim.filters.beliefs import (
     posterior_summary,
 )
 from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.kalman import (
-    DivergenceError,
-    ekf_predict,
-    innovation_stats,
-    kalman_update,
-)
-from cdassim.filters.linalg import FactorizationError, SingularInnovationError, chol_psd
-from cdassim.filters.pf import DegenerateWeightsError, ResamplePolicy, pf_step
+from cdassim.filters.kalman import ekf_predict, innovation_stats, kalman_update
+from cdassim.filters.linalg import chol_psd
+from cdassim.filters.pf import ResamplePolicy, pf_step
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
-from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
+from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
 
 __all__ = [
     "FILTER_KINDS",
@@ -71,9 +66,10 @@ class FilterConfig:
 
     ``obs_cov`` is the measurement-noise covariance, checked square,
     symmetric and positive definite. ``stream`` seeds the sample-based
-    filters and may be omitted for the Gaussian ones. ``ensemble_size`` and
-    ``particle_count`` apply to their respective filters only; the particle
-    filter reports the importance-weighted posterior summary.
+    filters and may be omitted for the Gaussian ones. ``size`` is the
+    member count of the EnKF or the PF, at least 2, and is unused by the
+    Gaussian filters; the particle filter reports the importance-weighted
+    posterior summary.
     """
 
     initial: GaussianBelief
@@ -81,8 +77,7 @@ class FilterConfig:
     stream: NoiseStream | None = None
     substeps: int = 10
     scaling: UkfScaling = UkfScaling()
-    ensemble_size: int = 100
-    particle_count: int = 1000
+    size: int = 1000
     resample: ResamplePolicy = ResamplePolicy()
 
     def __post_init__(self):
@@ -96,16 +91,15 @@ class FilterConfig:
         object.__setattr__(self, "obs_cov", R)
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
-        if self.ensemble_size < 2:
-            raise ValueError("ensemble_size must be at least 2")
-        if self.particle_count < 1:
-            raise ValueError("particle_count must be at least 1")
+        if self.size < 2:
+            raise ValueError("size must be at least 2")
 
 
-def _initial_members(config: FilterConfig, model: SdeModel, size: int) -> np.ndarray:
+def _initial_members(config: FilterConfig, model: SdeModel) -> np.ndarray:
     rng = config.stream.child(STREAM_INIT).generator()
     L0 = chol_psd(config.initial.cov)
-    X = config.initial.mean[:, None] + L0 @ rng.standard_normal((config.initial.dim, size))
+    draws = rng.standard_normal((config.initial.dim, config.size))
+    X = config.initial.mean[:, None] + L0 @ draws
     if model.constrain is not None:
         X = model.constrain(X)
     return X
@@ -122,7 +116,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     looked up once, in one :func:`~cdassim.sde.rk4_inputs` table, and each
     prediction receives its interval's rows. The EKF needs the model's
     closed-form ``linearize`` and ``measure_jacobian``; a model without
-    either is rejected with ValueError. Failures raise
+    either is rejected with ValueError. A numerical failure, a
+    :class:`~cdassim.sde.DivergenceError` or a ``LinAlgError``, raises
     :class:`FilterRunError` with the offending step attached.
     """
     kind = kind.lower()
@@ -169,14 +164,14 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     if kind in ("enkf", "pf"):
         if config.stream is None:
             raise ValueError(f"{kind} requires a noise stream in the config")
-        size = config.ensemble_size if kind == "enkf" else config.particle_count
-        X0 = _initial_members(config, model, size)
+        X0 = _initial_members(config, model)
         propagate_root = config.stream.child(STREAM_PROPAGATE)
         if kind == "enkf":
             ensemble = Ensemble(X0, config.initial.time)
             perturb_root = config.stream.child(STREAM_PERTURB)
         else:
-            particles = ParticleSet(X0, np.full(size, 1.0 / size), config.initial.time)
+            particles = ParticleSet(X0, np.full(config.size, 1.0 / config.size),
+                                    config.initial.time)
             out.ess = np.empty(n_steps)
             out.resampled = np.zeros(n_steps, dtype=bool)
 
@@ -209,8 +204,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 out.resampled[k] = info.resampled
             out.step_seconds[k] = time.perf_counter() - tic
             out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
-        except (DivergenceError, DegenerateWeightsError, SingularInnovationError,
-                FactorizationError) as exc:
+        except (DivergenceError, np.linalg.LinAlgError) as exc:
             raise FilterRunError(kind, k, t1, exc) from exc
         out.prior_mean[k] = prior.mean
         out.prior_cov[k] = prior.cov

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdassim.filters.beliefs import GaussianBelief, SigmaPointSet
-from cdassim.filters.kalman import DivergenceError
+from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import chol_psd, solve_spd, symmetrize
-from cdassim.sde import SdeModel, rk4_step
+from cdassim.sde import DivergenceError, SdeModel, rk4_step
 
 __all__ = ["UkfScaling", "ukf_sigma_points", "ukf_predict", "ukf_update"]
 
@@ -56,43 +55,20 @@ def _weights(n: int, scaling: UkfScaling) -> tuple[np.ndarray, np.ndarray, float
     return wm, wc, c
 
 
-def ukf_sigma_points(belief: GaussianBelief, scaling: UkfScaling,
-                     noise_dim: int = 0, dt_total: float = 0.0) -> SigmaPointSet:
-    """Generate 2(n+q)+1 sigma points, q the augmented noise dimension.
+def ukf_sigma_points(belief: GaussianBelief,
+                     scaling: UkfScaling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2n+1 sigma points of a belief, as columns, with their weights.
 
-    With ``noise_dim`` zero this is the plain state-space set used by the
-    measurement update. Otherwise the augmented covariance appends a
-    ``dt_total * I`` block whose coordinates are returned as per-point
-    Wiener increments in ``noise_points``.
+    Returns ``(points, mean_weights, cov_weights)``; the weights are cached
+    per dimension and scaling and are read-only.
     """
     n = belief.dim
-    q = noise_dim
-    if q < 0:
-        raise ValueError("noise_dim must be non-negative")
-    if q > 0 and dt_total <= 0.0:
-        raise ValueError("dt_total must be positive when noise is augmented")
-    nbar = n + q
-    wm, wc, c = _weights(nbar, scaling)
-
-    if q == 0:
-        P_aug = belief.cov
-    else:
-        P_aug = np.zeros((nbar, nbar))
-        P_aug[:n, :n] = belief.cov
-        P_aug[n:, n:] = dt_total * np.eye(q)
-    L = chol_psd(P_aug)
-    spread = np.sqrt(c) * L
-    pts = np.zeros((nbar, 2 * nbar + 1))
-    pts[:n, :] = belief.mean[:, None]
-    pts[:, 1:nbar + 1] += spread
-    pts[:, nbar + 1:] -= spread
-    return SigmaPointSet(
-        points=pts[:n],
-        noise_points=pts[n:] if q > 0 else None,
-        mean_weights=wm,
-        cov_weights=wc,
-        time=belief.time,
-    )
+    wm, wc, c = _weights(n, scaling)
+    spread = np.sqrt(c) * chol_psd(belief.cov)
+    pts = np.repeat(belief.mean[:, None], 2 * n + 1, axis=1)
+    pts[:, 1:n + 1] += spread
+    pts[:, n + 1:] -= spread
+    return pts, wm, wc
 
 
 def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1: float,
@@ -116,11 +92,16 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1:
         raise ValueError("cannot predict backwards in time")
     if t1 == t0:
         return belief
+    n, q = belief.dim, model.dim_noise
+    cov = np.zeros((n + q, n + q))
+    cov[:n, :n] = belief.cov
+    cov[n:, n:] = (t1 - t0) * np.eye(q)
+    augmented = GaussianBelief(np.concatenate((belief.mean, np.zeros(q))), cov, t0)
+    points, wm, wc = ukf_sigma_points(augmented, scaling)
     substeps = len(inputs)
-    sp = ukf_sigma_points(belief, scaling, model.dim_noise, t1 - t0)
     h = (t1 - t0) / substeps
-    pts = sp.points.copy()
-    dW = sp.noise_points / (2.0 * substeps)  # half-increment per substep
+    pts = points[:n]
+    dW = points[n:] / (2.0 * substeps)  # half-increment per substep
     pushes = {}  # g dW by input value
 
     def push(t, x, u):
@@ -138,10 +119,10 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1:
         if model.constrain is not None:
             pts = model.constrain(pts)
     if not np.all(np.isfinite(pts)):
-        raise DivergenceError(f"UKF sigma points diverged by t={t1}", time=t1)
-    m = pts @ sp.mean_weights
+        raise DivergenceError(f"UKF sigma points diverged by t={t1}")
+    m = pts @ wm
     dev = pts - m[:, None]
-    P = symmetrize((dev * sp.cov_weights) @ dev.T)
+    P = symmetrize((dev * wc) @ dev.T)
     return GaussianBelief(m, P, t1)
 
 
@@ -158,17 +139,17 @@ def ukf_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray, R: np.nda
     t, m, P = belief.time, belief.mean, belief.cov
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    sp = ukf_sigma_points(belief, scaling)
-    Y = np.atleast_2d(np.asarray(model.measure(t, sp.points), dtype=float))
-    yhat = Y @ sp.mean_weights
+    points, wm, wc = ukf_sigma_points(belief, scaling)
+    Y = np.atleast_2d(np.asarray(model.measure(t, points), dtype=float))
+    yhat = Y @ wm
     dy = Y - yhat[:, None]
-    dx = sp.points - m[:, None]
-    Ryy = symmetrize((dy * sp.cov_weights) @ dy.T + R)
-    Rxy = (dx * sp.cov_weights) @ dy.T
+    dx = points - m[:, None]
+    Ryy = symmetrize((dy * wc) @ dy.T + R)
+    Rxy = (dx * wc) @ dy.T
     K = solve_spd(Ryy, Rxy.T).T
     e = y - yhat
     m_post = m + K @ e
     P_post = symmetrize(P - K @ Ryy @ K.T)
     if not np.all(np.isfinite(m_post)):
-        raise DivergenceError(f"UKF update diverged at t={t}", time=t)
+        raise DivergenceError(f"UKF update diverged at t={t}")
     return GaussianBelief(m_post, P_post, t), e, Ryy

@@ -216,14 +216,15 @@ def _filter_config(config: ExperimentConfig, kind: str, *, size: int | None = No
     if config.obs_variance <= 0:
         raise ValueError("noise.obs_variance must be > 0 to run a filter")
     tag = FILTER_STREAM[kind] if stream_tag is None else stream_tag
+    if size is None:
+        size = config.ensemble_size if kind == "enkf" else config.particle_count
     return FilterConfig(
         initial=GaussianBelief(config.filter_init_mean(), config.filter_init_cov(), time=0.0),
         obs_cov=np.array([[config.obs_variance]]),
         stream=NoiseStream(config.seed, tag),
         substeps=config.substeps,
         scaling=config.ukf_scaling(),
-        ensemble_size=size if size is not None and kind == "enkf" else config.ensemble_size,
-        particle_count=size if size is not None and kind == "pf" else config.particle_count,
+        size=size,
         resample=config.resample_policy(),
     )
 

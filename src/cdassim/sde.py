@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "IntegrationError",
+    "DivergenceError",
     "NoiseStream",
     "SdeModel",
     "Trajectory",
@@ -42,12 +42,12 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 
 
-class IntegrationError(RuntimeError):
-    """Non-finite drift/diffusion output or otherwise failed integration step."""
+class DivergenceError(RuntimeError):
+    """A state, moment or weight became non-finite or degenerate.
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
+    The one numerical-failure type of path simulation and of every filter's
+    predict and update; the message names what failed and when.
+    """
 
 
 def _splitmix64(z: int) -> int:
@@ -178,14 +178,14 @@ def euler_maruyama_step(model: SdeModel, t: float, x: np.ndarray, u: np.ndarray,
                         dt: float, dw: np.ndarray) -> np.ndarray:
     """One explicit Euler-Maruyama step: ``x + f dt + sigma dw``.
 
-    Pure function of its inputs; raises :class:`IntegrationError` when the
+    Pure function of its inputs; raises :class:`DivergenceError` when the
     drift or diffusion evaluates non-finite. ``x`` may be a single state
     ``(n,)`` or a column batch ``(n, m)`` sharing the increment layout.
     """
     f = np.asarray(model.drift(t, x, u), dtype=float)
     g = np.asarray(model.diffusion(t, x, u), dtype=float)
     if not (np.isfinite(f).all() and np.isfinite(g).all()):
-        raise IntegrationError(f"non-finite drift/diffusion at t={t}", time=t)
+        raise DivergenceError(f"non-finite drift/diffusion at t={t}")
     return x + f * dt + g @ dw
 
 
@@ -223,7 +223,7 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile: PiecewiseConst
         if model.constrain is not None:
             x = model.constrain(x)
         if not np.all(np.isfinite(x)):
-            raise IntegrationError(f"state diverged at t={times[i + 1]}", time=float(times[i + 1]))
+            raise DivergenceError(f"state diverged at t={times[i + 1]}")
         states[i + 1] = x
     return Trajectory(times=times, states=states, inputs=inputs)
 

@@ -8,9 +8,12 @@ repository root,
 
 it prints one line per digest: every numeric ``FilterOutput`` field of the
 EKF, UKF, EnKF and PF on a few seeds, each at ``sigma_theta`` 0 and 0.05;
-the truth path of each seed; and every file that ``simulate --reduced``,
+the truth path of each seed; every file that ``simulate --reduced``,
 ``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the default
-config, with the ``t_cpu_s`` timings dropped. JSON files are digested in
+config, with the ``t_cpu_s`` timings dropped; and the same for ``estimate``
+on two coarse sampling grids on which the EKF and UKF fail, with each
+filter's status and the command's error output in plain text, so that the
+failure messages are compared too. JSON files are digested in
 their written key order, so a reordered key shows up. A change that claims no numeric change prints
 the same lines as its parent, so one run per checkout and a ``diff`` check
 it.
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,9 @@ SEEDS = (1, 2, 3, 20260816)
 SIGMA_THETAS = (0.0, 0.05)
 COMMANDS = (("simulate", "--reduced"), ("estimate",), ("steady-state",), ("sweep",),
             ("oracle",))
+# estimate on coarse grids, where the Gaussian filters fail in several ways
+COARSE_GRIDS = (14, 30)
+COARSE_SIZES = {"ensemble_size": 50, "particle_count": 50}
 TIMING = "t_cpu_s"
 
 
@@ -100,21 +107,41 @@ def filter_lines():
                     yield f"{tag} {name} {_digest(*arrays)}"
 
 
-def cli_lines():
-    """Digests of every file each subcommand writes, run serially on the default config."""
+def _command_lines(name: str, argv):
+    """Run one command serially into ``name``: exit code, error output, file digests."""
     from cdassim.cli import parse_and_dispatch
 
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # overflow warnings name source lines, which differ between checkouts
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = parse_and_dispatch([*argv, "--out", name, "--serial"])
+    yield f"cli {name} exit={code}"
+    if err.getvalue():
+        yield f"cli {name} stderr {err.getvalue().strip()!r}"
+    for path in sorted(Path(name).iterdir()):
+        yield f"cli {name} {path.name} {_file_digest(path)}"
+
+
+def cli_lines():
+    """Digests of every file each subcommand writes on the default config, then of
+    ``estimate`` on the coarse grids with each filter's status."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # a relative --out keeps out_dir, and so the config hash, fixed
         try:
             for command in COMMANDS:
-                name = command[0]
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = parse_and_dispatch([*command, "--out", name, "--serial"])
-                yield f"cli {name} exit={code}"
-                for path in sorted(Path(name).iterdir()):
-                    yield f"cli {name} {path.name} {_file_digest(path)}"
+                yield from _command_lines(command[0], command)
+            for n_samples in COARSE_GRIDS:
+                name = f"estimate_n{n_samples}"
+                config = Path(f"{name}.json")
+                config.write_text(json.dumps({"n_samples": n_samples,
+                                              "monte_carlo": COARSE_SIZES}))
+                yield from _command_lines(name, ("estimate", "--config", str(config)))
+                filters = json.loads((Path(name) / "metrics.json").read_text())["filters"]
+                for kind, record in filters.items():
+                    yield f"cli {name} {kind} status={record['status']}"
         finally:
             os.chdir(home)
 

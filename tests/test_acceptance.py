@@ -117,9 +117,9 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
         rel_mean = np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])
         rel_var = np.abs(out.post_cov[:, 0, 0] - kf["post_var"]) / kf["post_var"]
         worst[kind] = max(rel_mean.max(), rel_var.max())
-    for kind, key, tag in (("enkf", "ensemble_size", 902), ("pf", "particle_count", 903)):
+    for kind, tag in (("enkf", 902), ("pf", 903)):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]),
-                          stream=NoiseStream(SEED, tag), **{key: 100_000})
+                          stream=NoiseStream(SEED, tag), size=100_000)
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         worst[kind] = float(np.max(
             np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])))

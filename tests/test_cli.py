@@ -1,4 +1,5 @@
 """Command-line behavior: dispatch, artifacts, exit codes, determinism."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -221,7 +222,7 @@ def test_zero_observation_variance_exits_1_from_worker_processes(tmp_path, monke
 def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file,
                                                      monkeypatch, capsys):
     from cdassim.filters import runner
-    from cdassim.filters.kalman import DivergenceError
+    from cdassim.sde import DivergenceError
 
     parent = os.getpid()
     update = runner.kalman_update
@@ -229,7 +230,7 @@ def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file
     def diverge_in_worker(prior, *args):
         # fails only off the calling process, so a serial run would pass
         if os.getpid() != parent and prior.time >= 40.0:
-            raise DivergenceError("forced divergence", time=prior.time)
+            raise DivergenceError("forced divergence")
         return update(prior, *args)
 
     monkeypatch.setattr(runner, "kalman_update", diverge_in_worker)
@@ -243,6 +244,52 @@ def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file
     assert "forced divergence" in ekf["status"]
     assert ekf["failed_step"] == 3 and ekf["collapsed"] is True
     assert all(doc[k]["status"] == "ok" for k in ("ukf", "enkf", "pf"))
+
+
+FAULT_TIME = 35.0  # inside step 3 of SMALL, which assimilates at t = 10, 20, ...
+
+
+def _faulty_experiment(build):
+    """The experiment model whose drift and linearization turn NaN after FAULT_TIME."""
+    def experiment(*args, **kwargs):
+        exp = build(*args, **kwargs)
+        model = exp.model
+
+        def drift(t, x, u):
+            f = model.drift(t, x, u)
+            return np.full_like(f, np.nan) if t > FAULT_TIME else f
+
+        def linearize(t, x, u):
+            f, A = model.linearize(t, x, u)
+            if t > FAULT_TIME:
+                return np.full_like(f, np.nan), np.full_like(A, np.nan)
+            return f, A
+
+        return dataclasses.replace(
+            exp, model=dataclasses.replace(model, drift=drift, linearize=linearize))
+    return experiment
+
+
+def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_config_file,
+                                                             monkeypatch, capsys):
+    from cdassim import harness
+
+    monkeypatch.setattr(harness, "default_experiment_model",
+                        _faulty_experiment(harness.default_experiment_model))
+    assert parse_and_dispatch(["estimate", "--config", small_config_file, "--serial",
+                               "--out", "fault"]) == 2
+    assert "numerical failure in: ekf, ukf, enkf, pf" in capsys.readouterr().err
+    doc = json.loads((tmp_path / "fault" / "metrics.json").read_text())["filters"]
+    causes = {
+        "ekf": "EKF moments diverged by t=40.0",
+        "ukf": "UKF sigma points diverged by t=40.0",
+        # the members' Euler-Maruyama substep from t = 36 is the first to see it
+        "enkf": "non-finite drift/diffusion at t=36.0",
+        "pf": "non-finite drift/diffusion at t=36.0",
+    }
+    for kind, cause in causes.items():
+        assert doc[kind]["status"] == f"failed: {kind} failed at step 3 (t=40): {cause}"
+        assert doc[kind]["failed_step"] == 3
 
 
 def test_usage_errors_exit_1():

@@ -410,22 +410,28 @@ def uncached_ekf_predict(model, belief, u, t1, substeps):
 
 def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
     # the sigma-point push with g dW evaluated afresh at both half-steps
+    from cdassim.filters.beliefs import GaussianBelief
     from cdassim.filters.unscented import ukf_sigma_points
 
     t0 = belief.time
-    sp = ukf_sigma_points(belief, scaling, model.dim_noise, t1 - t0)
+    n, q = belief.dim, model.dim_noise
+    cov = np.zeros((n + q, n + q))
+    cov[:n, :n] = belief.cov
+    cov[n:, n:] = (t1 - t0) * np.eye(q)
+    points, wm, wc = ukf_sigma_points(
+        GaussianBelief(np.concatenate((belief.mean, np.zeros(q))), cov, t0), scaling)
     h = (t1 - t0) / substeps
-    pts = sp.points.copy()
-    dW = sp.noise_points / (2.0 * substeps)
+    pts = points[:n]
+    dW = points[n:] / (2.0 * substeps)
     for j, inputs in enumerate(interval_inputs(u, t0, t1, substeps)):
         t = t0 + j * h
         pts = pts + model.diffusion(t, pts, inputs[0]) @ dW
         pts = rk4_step(model.drift, t, pts, h, inputs)
         pts = pts + model.diffusion(t + h, pts, inputs[2]) @ dW
         pts = model.constrain(pts)
-    m = pts @ sp.mean_weights
+    m = pts @ wm
     dev = pts - m[:, None]
-    S = (dev * sp.cov_weights) @ dev.T
+    S = (dev * wc) @ dev.T
     return m, 0.5 * (S + S.T)
 
 

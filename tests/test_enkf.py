@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 
 from cdassim.filters.beliefs import Ensemble
-from cdassim.filters.kalman import DivergenceError
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
 from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 from stages import constant, interval_inputs
 
@@ -108,6 +107,13 @@ def test_propagate_members_converts_midstep_overflow():
     with pytest.raises(DivergenceError):
         propagate_members(model, np.array([[0.1, 50.0]]),
                           interval_inputs(constant(0.0), 0.0, 5.0, 5), 0.0, 5.0, NoiseStream(2))
+
+
+def test_ensemble_needs_two_members():
+    # the sample covariance of the EnKF gain and summary needs N - 1 > 0
+    with pytest.raises(ValueError, match="at least two members"):
+        Ensemble(np.ones((3, 1)))
+    assert Ensemble(np.ones((3, 2))).size == 2
 
 
 def test_enkf_predict_is_reproducible_per_stream():

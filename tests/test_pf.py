@@ -5,13 +5,12 @@ import pytest
 from cdassim.filters.beliefs import ParticleSet
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.filters.pf import (
-    DegenerateWeightsError,
     ResamplePolicy,
     effective_sample_size,
     pf_step,
     systematic_resample,
 )
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 from stages import constant, interval_inputs
 
@@ -126,7 +125,7 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
 def test_pf_step_raises_when_every_weight_underflows():
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(np.zeros(20))
-    with pytest.raises(DegenerateWeightsError):
+    with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
         pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                 np.array([1e200]), np.array([[1.0]]), NoiseStream(43))
 

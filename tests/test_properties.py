@@ -6,8 +6,12 @@ Runge-Kutta substep resolves, and random correlated covariances), one EKF
 and one UKF predict+update over a sampling interval must return finite
 means and symmetric PSD covariances, and one particle-filter step must
 leave normalized weights with an effective sample size between 1 and the
-particle count. On random linear models with a scalar measurement, the
-Joseph-form Kalman update must equal the standard form.
+particle count. One EnKF analysis of a random ensemble must leave a
+symmetric PSD posterior summary and move every member's predicted
+measurement toward its own perturbed observation by the shared fraction
+S / (S + R) in [0, 1). Systematic resampling must keep every particle whose
+weight is at least 1/N. On random linear models with a scalar measurement,
+the Joseph-form Kalman update must equal the standard form.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -16,10 +20,11 @@ from hypothesis.extra.numpy import arrays
 
 from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, default_experiment_model
-from cdassim.filters.beliefs import GaussianBelief, ParticleSet
+from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
+from cdassim.filters.enkf import enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
-from cdassim.filters.linalg import symmetrize
-from cdassim.filters.pf import ResamplePolicy, pf_step
+from cdassim.filters.linalg import chol_psd, symmetrize
+from cdassim.filters.pf import ResamplePolicy, pf_step, systematic_resample
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 from cdassim.sde import NoiseStream, SdeModel
 
@@ -62,6 +67,13 @@ def check(belief: GaussianBelief) -> None:
     assert np.all(np.isfinite(belief.mean))
     assert np.all(np.isfinite(belief.cov))
     assert_symmetric_psd(belief.cov)
+
+
+def sample_members(belief: GaussianBelief, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws from ``belief`` as columns, concentrations clipped at zero."""
+    X = belief.mean[:, None] + np.linalg.cholesky(belief.cov) @ rng.standard_normal((4, n))
+    X[:2] = np.maximum(X[:2], 0.0)
+    return X
 
 
 @settings(max_examples=60, deadline=None)
@@ -129,8 +141,7 @@ def test_joseph_update_equals_standard_form(case):
        seed=st.integers(0, 2**32 - 1))
 def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p, policy, seed):
     rng = np.random.default_rng(seed)
-    X = belief.mean[:, None] + np.linalg.cholesky(belief.cov) @ rng.standard_normal((4, n_p))
-    X[:2] = np.maximum(X[:2], 0.0)
+    X = sample_members(belief, n_p, rng)
     w = rng.uniform(0.05, 1.0, n_p)
     particles = ParticleSet(X, w / w.sum(), belief.time)
     t1 = belief.time + DT
@@ -143,3 +154,50 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     assert 1.0 - 1e-12 <= info.ess <= n_p * (1.0 + 1e-12)
     assert np.all(np.isfinite(out.particles))
     check(info.posterior)
+
+
+@settings(max_examples=60, deadline=None)
+@given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0),
+       obs_variance=st.floats(1e-2, 1e2), n=st.integers(2, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_enkf_update_keeps_psd_summary_and_moves_members_toward_their_data(
+        belief, residual, obs_variance, n, seed):
+    X = sample_members(belief, n, np.random.default_rng(seed))
+    t = belief.time
+    y = np.array([belief.mean[2] + residual])
+    R = np.array([[obs_variance]])
+    post, summary, _, Re = enkf_update(Ensemble(X, t), MODEL, y, R, NoiseStream(seed))
+    check(summary)
+    # the perturbations are one (dim_obs, N) standard-normal draw of the stream
+    V = chol_psd(R) @ NoiseStream(seed).generator().standard_normal((1, n))
+    before = MODEL.measure(t, X)
+    towards = y[:, None] + V - before
+    moved = MODEL.measure(t, post.members) - before
+    # the temperature is measured directly, so H K = S / (S + R) with S = Re - R
+    fraction = 1.0 - obs_variance / Re[0, 0]
+    assert 0.0 <= fraction < 1.0
+    assert np.all(np.abs(moved - fraction * towards)
+                  <= 1e-9 * (np.abs(before) + np.abs(towards)))
+
+
+@st.composite
+def normalized_weights(draw):
+    """Random weights, or uniform ones, where every weight is exactly 1/N."""
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        return np.full(n, 1.0 / n)
+    w = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+    w[draw(st.integers(0, n - 1))] += 1.0  # a positive total
+    return w / w.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=normalized_weights(), seed=st.integers(0, 2**32 - 1))
+def test_systematic_resample_keeps_every_particle_of_weight_at_least_one_over_n(weights,
+                                                                              seed):
+    n = weights.size
+    labels = np.arange(n, dtype=float)[None, :]
+    out = systematic_resample(ParticleSet(labels, weights), np.random.default_rng(seed))
+    kept = set(out.particles[0].astype(int))
+    heavy = np.flatnonzero(weights >= 1.0 / n)
+    assert set(heavy) <= kept, f"dropped {sorted(set(heavy) - kept)}"

@@ -109,8 +109,8 @@ def test_sample_filters_track_closed_form(ou_data):
     model = ou_model()
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     for kind, cfg in (
-        ("enkf", base_config(stream=NoiseStream(2024, 1), ensemble_size=4000)),
-        ("pf", base_config(stream=NoiseStream(2024, 2), particle_count=4000)),
+        ("enkf", base_config(stream=NoiseStream(2024, 1), size=4000)),
+        ("pf", base_config(stream=NoiseStream(2024, 2), size=4000)),
     ):
         out = run_filter(kind, model, cfg, times, ys, u=U_IN)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=0.06)
@@ -121,11 +121,11 @@ def test_sample_filters_track_closed_form(ou_data):
 def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     times, ys = ou_data
     model = ou_model()
-    a = run_filter("enkf", model, base_config(stream=NoiseStream(5), ensemble_size=50),
+    a = run_filter("enkf", model, base_config(stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    b = run_filter("enkf", model, base_config(stream=NoiseStream(5), ensemble_size=50),
+    b = run_filter("enkf", model, base_config(stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    c = run_filter("enkf", model, base_config(stream=NoiseStream(6), ensemble_size=50),
+    c = run_filter("enkf", model, base_config(stream=NoiseStream(6), size=50),
                    times, ys, u=U_IN)
     assert np.array_equal(a.post_mean, b.post_mean)
     assert np.array_equal(a.post_cov, b.post_cov)
@@ -147,7 +147,7 @@ def test_sample_filter_noise_keys_match_hand_calls():
     u = constant()
 
     enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                                   ensemble_size=N), times, ys, u)
+                                                   size=N), times, ys, u)
     ens = Ensemble(x0, 0.0)
     for k, t1 in enumerate(times):
         ens = enkf_predict(model, ens, interval_inputs(u, ens.time, t1), t1,
@@ -162,7 +162,7 @@ def test_sample_filter_noise_keys_match_hand_calls():
 
     always = ResamplePolicy("always")
     pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                               particle_count=N, resample=always),
+                                               size=N, resample=always),
                     times, ys, u)
     particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
     for k, t1 in enumerate(times):
@@ -185,7 +185,7 @@ def test_failures_carry_step_information():
     )
     cfg = FilterConfig(initial=GaussianBelief(np.array([50.0]), np.array([[1.0]])),
                        obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
-                       ensemble_size=4, substeps=5)
+                       size=4, substeps=5)
     with pytest.raises(FilterRunError) as err:
         run_filter("enkf", model, cfg, [1.0], [[0.0]], constant())
     assert err.value.kind == "enkf"
@@ -198,10 +198,9 @@ def test_config_validation():
                 obs_cov=np.array([[1.0]]))
     with pytest.raises(ValueError):
         FilterConfig(substeps=0, **good)
-    with pytest.raises(ValueError):
-        FilterConfig(ensemble_size=1, **good)
-    with pytest.raises(ValueError):
-        FilterConfig(particle_count=0, **good)
+    for size in (0, 1):  # both sample filters need two members, as the schema says
+        with pytest.raises(ValueError, match="size must be at least 2"):
+            FilterConfig(size=size, **good)
     with pytest.raises(ValueError):
         FilterConfig(initial=good["initial"], obs_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
@@ -224,5 +223,5 @@ def test_ekf_needs_closed_form_derivatives(ou_data, field):
     with pytest.raises(ValueError, match=f"ekf needs the model's {field}"):
         run_filter("ekf", model, base_config(), times, ys[:-1], U_IN)
     for kind in ("ukf", "enkf", "pf"):  # the other filters never call either
-        run_filter(kind, model, base_config(stream=NoiseStream(3), ensemble_size=20,
-                                            particle_count=20), times[:2], ys[:2], U_IN)
+        run_filter(kind, model, base_config(stream=NoiseStream(3), size=20),
+                   times[:2], ys[:2], U_IN)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cdassim.sde import (
-    IntegrationError,
+    DivergenceError,
     NoiseStream,
     PiecewiseConstant,
     SdeModel,
@@ -104,7 +104,7 @@ class TestEulerMaruyamaStep:
             diffusion=lambda t, x, u: np.array([[1.0]]),
             measure=lambda t, x: x,
         )
-        with pytest.raises(IntegrationError):
+        with pytest.raises(DivergenceError, match="non-finite drift/diffusion at t=0.0"):
             euler_maruyama_step(bad, 0.0, np.array([1.0]), None, 0.1, np.zeros(1))
 
 

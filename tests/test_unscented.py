@@ -33,31 +33,33 @@ def test_scaling_validation():
 
 def test_unit_scaling_single_state_points():
     # n = 1, alpha = 1, kappa = 0: points {0, +1, -1}, mean weights {0, 1/2, 1/2}
-    sp = ukf_sigma_points(GaussianBelief(np.zeros(1), np.ones((1, 1))), UkfScaling())
-    assert sp.points.shape == (1, 3)
-    assert np.allclose(sp.points, [[0.0, 1.0, -1.0]])
-    assert np.allclose(sp.mean_weights, [0.0, 0.5, 0.5])
-    assert sp.noise_points is None
+    points, wm, _ = ukf_sigma_points(GaussianBelief(np.zeros(1), np.ones((1, 1))),
+                                     UkfScaling())
+    assert points.shape == (1, 3)
+    assert np.allclose(points, [[0.0, 1.0, -1.0]])
+    assert np.allclose(wm, [0.0, 0.5, 0.5])
 
 
 def test_small_alpha_augmented_weights():
-    # four states plus one noise coordinate at alpha 0.2: 11 points, center
-    # mean weight (c - nbar)/c = -24, all others 1/(2c) = 2.5
-    sp = ukf_sigma_points(GaussianBelief(np.zeros(4), np.eye(4)),
-                          UkfScaling(0.2, 2.0, 0.0), noise_dim=1, dt_total=10.0)
-    assert sp.points.shape == (4, 11)
-    assert sp.mean_weights[0] == pytest.approx(-24.0)
-    assert np.allclose(sp.mean_weights[1:], 2.5)
-    assert sp.cov_weights[0] == pytest.approx(-24.0 + 1.0 - 0.2**2 + 2.0)
-    assert np.allclose(sp.cov_weights[1:], 2.5)
+    # four states plus one noise coordinate of variance dt = 10, the belief
+    # ukf_predict builds, at alpha 0.2: 11 points, center mean weight
+    # (c - nbar)/c = -24, all others 1/(2c) = 2.5
+    cov = np.eye(5)
+    cov[4, 4] = 10.0
+    points, wm, wc = ukf_sigma_points(GaussianBelief(np.zeros(5), cov),
+                                      UkfScaling(0.2, 2.0, 0.0))
+    assert points.shape == (5, 11)
+    assert wm[0] == pytest.approx(-24.0)
+    assert np.allclose(wm[1:], 2.5)
+    assert wc[0] == pytest.approx(-24.0 + 1.0 - 0.2**2 + 2.0)
+    assert np.allclose(wc[1:], 2.5)
     # the weights are cached per (dimension, scaling), so no caller may write to them
-    assert not (sp.mean_weights.flags.writeable or sp.cov_weights.flags.writeable)
+    assert not (wm.flags.writeable or wc.flags.writeable)
     # noise coordinates live on the fifth +/- pair only, at sqrt(c * dt)
-    assert sp.noise_points.shape == (1, 11)
     spread = np.sqrt(0.2 * 10.0)
     expected = np.zeros(11)
     expected[5], expected[10] = spread, -spread
-    assert np.allclose(sp.noise_points[0], expected)
+    assert np.allclose(points[4], expected)
 
 
 def test_sigma_points_reconstruct_moments():
@@ -66,25 +68,20 @@ def test_sigma_points_reconstruct_moments():
     P = A @ A.T + 0.5 * np.eye(3)
     m = rng.standard_normal(3)
     for scaling in (UkfScaling(), UkfScaling(0.5, 2.0, 1.0), UkfScaling(0.2, 2.0, 0.0)):
-        sp = ukf_sigma_points(GaussianBelief(m, P), scaling)
-        mean = sp.points @ sp.mean_weights
-        dev = sp.points - mean[:, None]
+        points, wm, wc = ukf_sigma_points(GaussianBelief(m, P), scaling)
+        mean = points @ wm
+        dev = points - mean[:, None]
         assert np.allclose(mean, m, atol=1e-12)
-        assert np.allclose((dev * sp.cov_weights) @ dev.T, P, atol=1e-9)
-
-
-def test_requires_positive_interval_for_noise_augmentation():
-    belief = GaussianBelief(np.zeros(1), np.ones((1, 1)))
-    with pytest.raises(ValueError):
-        ukf_sigma_points(belief, UkfScaling(), noise_dim=1, dt_total=0.0)
+        assert np.allclose((dev * wc) @ dev.T, P, atol=1e-9)
 
 
 def test_transform_mean_exact_for_quadratic():
     # weighted mean of the x -> x^2 images is m^2 + P for any scaling
     m, P = 0.7, 0.3
     for scaling in (UkfScaling(), UkfScaling(0.3, 2.0, 0.5)):
-        sp = ukf_sigma_points(GaussianBelief(np.array([m]), np.array([[P]])), scaling)
-        val = (sp.points[0] ** 2) @ sp.mean_weights
+        points, wm, _ = ukf_sigma_points(GaussianBelief(np.array([m]), np.array([[P]])),
+                                         scaling)
+        val = (points[0] ** 2) @ wm
         assert val == pytest.approx(m * m + P, rel=1e-12)
 
 
@@ -92,9 +89,9 @@ def test_transform_mean_accurate_for_sine():
     # E sin(x) = sin(m) exp(-P/2) for Gaussian x; kappa = 2 matches the
     # fourth moment, leaving an O(P^3) error
     m, P = 0.7, 0.25
-    sp = ukf_sigma_points(GaussianBelief(np.array([m]), np.array([[P]])),
-                          UkfScaling(1.0, 2.0, 2.0))
-    val = np.sin(sp.points[0]) @ sp.mean_weights
+    points, wm, _ = ukf_sigma_points(GaussianBelief(np.array([m]), np.array([[P]])),
+                                     UkfScaling(1.0, 2.0, 2.0))
+    val = np.sin(points[0]) @ wm
     assert val == pytest.approx(np.sin(m) * np.exp(-P / 2.0), rel=1e-3)
 
 
