@@ -140,8 +140,10 @@ def _reduced_comparison(config: ExperimentConfig):
 
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
-    scheme on the inner substep grid. The flow at every stage time of the
-    horizon comes from one :func:`~cdassim.sde.rk4_inputs` table.
+    scheme on the inner substep grid. The 3-state column integrates the
+    joint model's drift on (CA, CB, T, beta) with beta at ``params.beta``.
+    The flow at every stage time of the horizon comes from one
+    :func:`~cdassim.sde.rk4_inputs` table.
     """
     params = config.cstr_params()
     flow = config.flow_profile()
@@ -151,7 +153,7 @@ def _reduced_comparison(config: ExperimentConfig):
     f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
     f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
 
-    x3 = np.array([params.CA_in, params.CB_in, params.T_in])
+    x3 = np.array([params.CA_in, params.CB_in, params.T_in, params.beta])
     x2 = np.array([0.0, params.T_in])
     x1 = params.T_in
     temps = [(0.0, x3[2], x2[1], x1)]

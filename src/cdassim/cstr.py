@@ -1,15 +1,16 @@
 """Adiabatic CSTR benchmark: second-order exothermic reaction A + 2B -> products.
 
-Provides the 3-state stochastic model (concentrations CA, CB and temperature
-T with diffusion on T only), reduced 2-state (extent of reaction, T) and
-1-state (T) deterministic approximations, the steady-state flow/temperature
-curve with its ignition fold, analytic Jacobians, and the joint
-state-and-parameter estimation model. The joint model is the paper's: the
-heat-rise coefficient beta is a fourth state (CA, CB, T, beta) with zero
-drift. It is one plain :class:`~cdassim.sde.SdeModel` whose drift and
-Jacobian kernels read beta from the state's fourth row, so a single
-evaluation serves any value of the parameter, for one state or a column
-batch.
+Provides the paper's stochastic model, on the joint state (CA, CB, T, beta):
+the concentrations, the temperature with diffusion on T only, and the
+heat-rise coefficient beta as a fourth state with zero drift. It is one
+plain :class:`~cdassim.sde.SdeModel` whose drift and Jacobian kernels read
+beta from the state's fourth row, so a single evaluation serves any value
+of the parameter, for one state or a column batch. The filters run it with
+an optional random-walk channel on beta; the twin experiment's truth runs it
+without one, so its beta stays at the configured value. Beside it: reduced
+2-state (extent of reaction, T) and 1-state (T) deterministic
+approximations, the steady-state flow/temperature curve with its ignition
+fold, and analytic Jacobians.
 
 The twin experiment's values (initial states, the true and guessed beta,
 sigma_T, the observation variance and the flow schedule) live only in the
@@ -42,7 +43,6 @@ __all__ = [
     "steady_state_range",
     "steady_state_flow",
     "steady_state_curve",
-    "cstr3_model",
     "default_experiment_model",
 ]
 
@@ -56,9 +56,11 @@ class CstrParams:
     """Reactor constants.
 
     ``beta`` is the adiabatic heat-rise coefficient in K.L/mol; its sign
-    encodes the reaction type (positive for exothermic). ``beta`` and
-    ``sigma_T`` belong to the twin experiment and have no default: the
-    config supplies both (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
+    encodes the reaction type (positive for exothermic). The joint model's
+    kernels read beta from the state, so ``beta`` here serves only the
+    reduced models and the steady-state curve. ``beta`` and ``sigma_T``
+    belong to the twin experiment and have no default: the config supplies
+    both (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
     """
 
     rho: float = 1.0            # kg/L
@@ -88,14 +90,6 @@ class CstrParams:
         column.setflags(write=False)
         return column
 
-    @cached_property
-    def reaction_column(self) -> np.ndarray:
-        """``(1, 2, -beta)`` as a read-only ``(3, 1)`` column: the 3-state
-        rates are the flow terms less this times the reaction rate."""
-        column = np.array([[1.0], [2.0], [-self.beta]])
-        column.setflags(write=False)
-        return column
-
 
 def rate_constant(T, params: CstrParams):
     """Arrhenius rate k(T) = k0 exp(-EaR / T); broadcasts over T."""
@@ -103,35 +97,33 @@ def rate_constant(T, params: CstrParams):
 
 
 def cstr3_drift(x, F, params: CstrParams):
-    """Deterministic rates of the 3-state model, or of the joint 4-state model.
+    """Deterministic rates of the joint model at ``x = (CA, CB, T, beta)``.
 
-    ``x`` is ``(CA, CB, T)`` or the joint ``(CA, CB, T, beta)``, as an array
-    of shape ``(n,)`` or a column batch ``(n, m)``. A fourth row is the
-    heat-rise coefficient: it replaces ``params.beta`` and its rate is zero.
+    ``x`` is one state of shape ``(4,)`` or a column batch ``(4, m)``. Beta
+    is read from the fourth row, and its rate is zero; ``params.beta`` is
+    not used.
 
     ``x.ndim`` alone picks the path: a single state is worked on Python
     floats, a batch with one ``exp`` over its temperature row, the reaction
     rate ``r`` built in place and the three flow terms as one ``(3, m)``
-    block against the cached :attr:`CstrParams.inlet`, less
-    ``(1, 2, -beta) r``. Both keep the per-element operation order of
+    block against the cached :attr:`CstrParams.inlet`, then ``r`` and
+    ``2 r`` taken from the concentration rows and ``beta r`` added to the
+    temperature row. Both keep the per-element operation order of
     ``FV * (inlet - x) - r`` with ``FV = F / V`` and
     ``r = k0 exp(-EaR / T) CA CB`` (Python floats round exactly as numpy
-    scalars do, and subtracting ``-beta r`` is exactly adding ``beta r``), so
-    a rate is bitwise the same whichever path or batch computes it.
+    scalars do), so a rate is bitwise the same whichever path or batch
+    computes it.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        CA, CB, T, *rest = x.tolist()
+        CA, CB, T, beta = x.tolist()
         FV = float(F) / params.V
         # numpy's exp, not math.exp: the two differ in the last bit of some values
         r = params.k0 * float(np.exp(-params.EaR / T)) * CA * CB  # reaction rate, mol/(L s)
-        beta = rest[0] if rest else params.beta
-        f = [FV * (params.CA_in - CA) - r,
-             FV * (params.CB_in - CB) - 2.0 * r,
-             FV * (params.T_in - T) + beta * r]
-        if rest:
-            f.append(0.0)
-        return np.array(f)
+        return np.array([FV * (params.CA_in - CA) - r,
+                         FV * (params.CB_in - CB) - 2.0 * r,
+                         FV * (params.T_in - T) + beta * r,
+                         0.0])
     r = np.divide(-params.EaR, x[2])
     np.exp(r, out=r)
     np.multiply(params.k0, r, out=r)
@@ -141,29 +133,24 @@ def cstr3_drift(x, F, params: CstrParams):
     flow = out[:3]
     np.subtract(params.inlet, x[:3], out=flow)
     np.multiply(F / params.V, flow, out=flow)
-    coef = params.reaction_column
-    if len(x) > 3:  # joint state: beta per column, zero rate
-        coef = np.empty((3, x.shape[1]))
-        coef[:2] = params.reaction_column[:2]
-        np.negative(x[3], out=coef[2])
-        out[3] = 0.0
-    flow -= coef * r
+    out[0] -= r
+    out[1] -= 2.0 * r
+    out[2] += x[3] * r
+    out[3] = 0.0
     return out
 
 
 def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     """Rates of :func:`cstr3_drift` and their analytic state Jacobian at one state.
 
-    ``x`` is ``(CA, CB, T)`` or the joint ``(CA, CB, T, beta)``, shape
-    ``(n,)``; returns ``(f, A)`` with shapes ``(n,)`` and ``(n, n)``. Both
-    come from a single ``exp(-EaR/T)``, with dk/dT = k EaR/T^2, worked on
-    Python floats, which round exactly as numpy scalars do, so ``f`` is
-    bitwise :func:`cstr3_drift`. For the joint state the beta column holds
-    d(dT/dt)/d(beta), the reaction rate, and the beta row is zero.
+    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns ``(f, A)`` with
+    shapes ``(4,)`` and ``(4, 4)``. Both come from a single ``exp(-EaR/T)``,
+    with dk/dT = k EaR/T^2, worked on Python floats, which round exactly as
+    numpy scalars do, so ``f`` is bitwise :func:`cstr3_drift`. The beta
+    column holds d(dT/dt)/d(beta), the reaction rate, and the beta row is
+    zero.
     """
-    CA, CB, T, *rest = x.tolist()
-    n = len(x)
-    beta = rest[0] if rest else params.beta
+    CA, CB, T, beta = x.tolist()
     FV = float(F) / params.V
     # numpy's exp, not math.exp: the two differ in the last bit of some values
     k = params.k0 * float(np.exp(-params.EaR / T))
@@ -172,18 +159,15 @@ def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     kCB = k * CB
     kpAB = kp * CA * CB
     r = kCA * CB  # reaction rate, mol/(L s)
-    f = [FV * (params.CA_in - CA) - r,
-         FV * (params.CB_in - CB) - 2.0 * r,
-         FV * (params.T_in - T) + beta * r]
-    A = [-FV - kCB, -kCA, -kpAB,
-         -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB,
-         beta * kCB, beta * kCA, -FV + beta * kpAB]
-    if rest:  # beta: zero rate, the reaction rate as its column, a zero row
-        v = [*f, 0.0, *A[0:3], 0.0, *A[3:6], 0.0, *A[6:9], r, 0.0, 0.0, 0.0, 0.0]
-    else:
-        v = f + A
-    # one (n + 1, n) array: the rates, then the Jacobian rows
-    v = np.array(v).reshape(n + 1, n)
+    # one (5, 4) array: the rates, then the Jacobian rows
+    v = np.array([FV * (params.CA_in - CA) - r,
+                  FV * (params.CB_in - CB) - 2.0 * r,
+                  FV * (params.T_in - T) + beta * r,
+                  0.0,
+                  -FV - kCB, -kCA, -kpAB, 0.0,
+                  -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB, 0.0,
+                  beta * kCB, beta * kCA, -FV + beta * kpAB, r,
+                  0.0, 0.0, 0.0, 0.0]).reshape(5, 4)
     return v[0], v[1:]
 
 
@@ -268,47 +252,6 @@ def _clamp_concentrations(x):
     return x
 
 
-def _cstr_sde(params: CstrParams, dim_state: int, param_sigma: float = 0.0) -> SdeModel:
-    """CSTR SDE on (CA, CB, T) or the joint (CA, CB, T, beta) state.
-
-    Diffusion is (F/V) sigma_T on T, plus a second channel of constant
-    intensity ``param_sigma`` on beta when that is positive; the measurement
-    is T, with a constant Jacobian.
-    """
-    dim_noise = 2 if param_sigma > 0 else 1
-    H = np.zeros((1, dim_state))
-    H[0, 2] = 1.0
-    H.setflags(write=False)
-
-    def diffusion(t, x, u):
-        g = np.zeros((dim_state, dim_noise))
-        g[2, 0] = u[0] / params.V * params.sigma_T
-        if dim_noise == 2:
-            g[3, 1] = param_sigma
-        return g
-
-    return SdeModel(
-        dim_state=dim_state,
-        dim_noise=dim_noise,
-        dim_obs=1,
-        drift=lambda t, x, u: cstr3_drift(x, u[0], params),
-        diffusion=diffusion,
-        measure=lambda t, x: x[2:3],
-        linearize=lambda t, x, u: cstr3_linearize(x, u[0], params),
-        measure_jacobian=lambda t, x: H,
-        constrain=_clamp_concentrations,
-    )
-
-
-def cstr3_model(params: CstrParams) -> SdeModel:
-    """3-state SDE with temperature-only diffusion (F/V) sigma_T.
-
-    The input ``u`` is the 1-vector flow rate, typically the config's
-    :class:`~cdassim.sde.PiecewiseConstant` flow profile.
-    """
-    return _cstr_sde(params, 3)
-
-
 @dataclass(frozen=True)
 class CstrExperiment:
     """The joint estimation model and the flow profile that drives it."""
@@ -319,13 +262,37 @@ class CstrExperiment:
 
 def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
                              param_diffusion: float) -> CstrExperiment:
-    """Joint state-and-parameter estimation model for the CSTR twin experiment.
+    """The CSTR SDE on the joint state (CA, CB, T, beta), with its flow profile.
 
-    The model state is (CA, CB, T, beta): beta rides along as a fourth state
-    with zero drift. With ``param_diffusion`` zero, beta carries no process
-    noise and the model keeps a single noise channel; a positive value adds
-    a random-walk channel of that intensity on beta.
+    Beta rides along as a fourth state with zero drift. Diffusion is
+    (F/V) sigma_T on T; with ``param_diffusion`` zero, beta carries no
+    process noise and the model keeps that single noise channel, which is
+    how the truth runs it. A positive value adds a random-walk channel of
+    that intensity on beta. The measurement is T, with a constant Jacobian.
+    The input ``u`` is the 1-vector flow rate.
     """
     if param_diffusion < 0:
         raise ValueError("param_diffusion must be non-negative")
-    return CstrExperiment(model=_cstr_sde(params, 4, param_diffusion), flow=flow)
+    dim_noise = 2 if param_diffusion > 0 else 1
+    H = np.array([[0.0, 0.0, 1.0, 0.0]])
+    H.setflags(write=False)
+
+    def diffusion(t, x, u):
+        g = np.zeros((4, dim_noise))
+        g[2, 0] = u[0] / params.V * params.sigma_T
+        if dim_noise == 2:
+            g[3, 1] = param_diffusion
+        return g
+
+    model = SdeModel(
+        dim_state=4,
+        dim_noise=dim_noise,
+        dim_obs=1,
+        drift=lambda t, x, u: cstr3_drift(x, u[0], params),
+        diffusion=diffusion,
+        measure=lambda t, x: x[2:3],
+        linearize=lambda t, x, u: cstr3_linearize(x, u[0], params),
+        measure_jacobian=lambda t, x: H,
+        constrain=_clamp_concentrations,
+    )
+    return CstrExperiment(model=model, flow=flow)

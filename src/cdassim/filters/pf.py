@@ -4,8 +4,9 @@ Weights are accumulated in log space and normalized with a log-sum-exp,
 so small Gaussian likelihoods far from the measurement underflow the
 weights only when every particle is incompatible with the data, which is
 reported as an error rather than silently uniformized. Resampling is
-systematic (one uniform offset, n_p strata) and triggered by an effective
-sample size below half the particle count unless configured otherwise.
+systematic (one uniform offset, n_p strata) and triggered by a
+:class:`ResamplePolicy`; the packaged config resamples when the effective
+sample size falls below half the particle count.
 
 A step takes one noise stream: it draws the propagation increments as one
 block from the stream itself and the resampling offset from its child 0.
@@ -32,10 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResamplePolicy:
-    """When to resample: 'always', 'never', or 'ess' below threshold * n_p."""
+    """When to resample: 'always', 'never', or 'ess' below threshold * n_p.
 
-    kind: str = "ess"
-    threshold: float = 0.5
+    No defaults: the config's ``resample`` section supplies both fields.
+    """
+
+    kind: str
+    threshold: float
 
     def __post_init__(self):
         if self.kind not in ("always", "never", "ess"):
@@ -97,7 +101,7 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def pf_step(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
             y: np.ndarray, R: np.ndarray, noise: NoiseStream,
-            resample: ResamplePolicy = ResamplePolicy()) -> tuple[ParticleSet, PfStepInfo]:
+            resample: ResamplePolicy) -> tuple[ParticleSet, PfStepInfo]:
     """One propagate/reweight/resample cycle; returns (particles, diagnostics).
 
     ``inputs`` holds the interval's rows of the run's stage-input table.

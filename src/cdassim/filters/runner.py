@@ -60,7 +60,7 @@ class FilterRunError(RuntimeError):
         self.time = at
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FilterConfig:
     """Everything a filter run needs besides the model and the data.
 
@@ -69,16 +69,18 @@ class FilterConfig:
     filters and may be omitted for the Gaussian ones. ``size`` is the
     member count of the EnKF or the PF, at least 2, and is unused by the
     Gaussian filters; the particle filter reports the importance-weighted
-    posterior summary.
+    posterior summary. ``substeps``, ``scaling``, ``size`` and ``resample``
+    have no defaults: the experiment config is their one source
+    (``harness._filter_config``).
     """
 
     initial: GaussianBelief
     obs_cov: np.ndarray
     stream: NoiseStream | None = None
-    substeps: int = 10
-    scaling: UkfScaling = UkfScaling()
-    size: int = 1000
-    resample: ResamplePolicy = ResamplePolicy()
+    substeps: int
+    scaling: UkfScaling
+    size: int
+    resample: ResamplePolicy
 
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
@@ -118,7 +120,10 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     closed-form ``linearize`` and ``measure_jacobian``; a model without
     either is rejected with ValueError. A numerical failure, a
     :class:`~cdassim.sde.DivergenceError` or a ``LinAlgError``, raises
-    :class:`FilterRunError` with the offending step attached.
+    :class:`FilterRunError` with the offending step attached. The loop runs
+    with numpy's overflow and invalid-value warnings off: a blow-up reaches
+    the caller as that error, naming the filter, step and time, not as a
+    warning naming a source line.
     """
     kind = kind.lower()
     if kind not in FILTER_KINDS:
@@ -175,41 +180,42 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
             out.ess = np.empty(n_steps)
             out.resampled = np.zeros(n_steps, dtype=bool)
 
-    for k in range(n_steps):
-        t1 = float(times[k])
-        y = Y[k]
-        inputs = stage_inputs[k]
-        tic = time.perf_counter()
-        try:
-            if kind == "ekf":
-                prior = ekf_predict(model, belief, inputs, t1)
-                belief, e, Re = kalman_update(prior, model, y, R)
-                post = belief
-            elif kind == "ukf":
-                prior = ukf_predict(model, belief, inputs, t1, config.scaling)
-                belief, e, Re = ukf_update(prior, model, y, R, config.scaling)
-                post = belief
-            elif kind == "enkf":
-                ensemble = enkf_predict(model, ensemble, inputs, t1, propagate_root.child(k))
-                prior = posterior_summary(ensemble)
-                ensemble, post, e, Re = enkf_update(ensemble, model, y, R,
-                                                    perturb_root.child(k))
-            else:
-                particles, info = pf_step(
-                    model, particles, inputs, t1, y, R, propagate_root.child(k),
-                    config.resample)
-                prior, post = info.prior, info.posterior
-                e, Re = info.innovation, info.innovation_cov
-                out.ess[k] = info.ess
-                out.resampled[k] = info.resampled
-            out.step_seconds[k] = time.perf_counter() - tic
-            out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
-        except (DivergenceError, np.linalg.LinAlgError) as exc:
-            raise FilterRunError(kind, k, t1, exc) from exc
-        out.prior_mean[k] = prior.mean
-        out.prior_cov[k] = prior.cov
-        out.post_mean[k] = post.mean
-        out.post_cov[k] = post.cov
-        out.innovation[k] = e
-        out.innovation_cov[k] = Re
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            t1 = float(times[k])
+            y = Y[k]
+            inputs = stage_inputs[k]
+            tic = time.perf_counter()
+            try:
+                if kind == "ekf":
+                    prior = ekf_predict(model, belief, inputs, t1)
+                    belief, e, Re = kalman_update(prior, model, y, R)
+                    post = belief
+                elif kind == "ukf":
+                    prior = ukf_predict(model, belief, inputs, t1, config.scaling)
+                    belief, e, Re = ukf_update(prior, model, y, R, config.scaling)
+                    post = belief
+                elif kind == "enkf":
+                    ensemble = enkf_predict(model, ensemble, inputs, t1, propagate_root.child(k))
+                    prior = posterior_summary(ensemble)
+                    ensemble, post, e, Re = enkf_update(ensemble, model, y, R,
+                                                        perturb_root.child(k))
+                else:
+                    particles, info = pf_step(
+                        model, particles, inputs, t1, y, R, propagate_root.child(k),
+                        config.resample)
+                    prior, post = info.prior, info.posterior
+                    e, Re = info.innovation, info.innovation_cov
+                    out.ess[k] = info.ess
+                    out.resampled[k] = info.resampled
+                out.step_seconds[k] = time.perf_counter() - tic
+                out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
+            except (DivergenceError, np.linalg.LinAlgError) as exc:
+                raise FilterRunError(kind, k, t1, exc) from exc
+            out.prior_mean[k] = prior.mean
+            out.prior_cov[k] = prior.cov
+            out.post_mean[k] = post.mean
+            out.post_cov[k] = post.cov
+            out.innovation[k] = e
+            out.innovation_cov[k] = Re
     return out

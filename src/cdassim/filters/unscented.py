@@ -29,11 +29,14 @@ __all__ = ["UkfScaling", "ukf_sigma_points", "ukf_predict", "ukf_update"]
 
 @dataclass(frozen=True)
 class UkfScaling:
-    """Unscented-transform spread parameters (alpha, beta, kappa)."""
+    """Unscented-transform spread parameters (alpha, beta, kappa).
 
-    alpha: float = 1.0
-    beta: float = 2.0
-    kappa: float = 0.0
+    No defaults: the config's ``ukf`` section supplies all three.
+    """
+
+    alpha: float
+    beta: float
+    kappa: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:

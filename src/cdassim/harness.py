@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from cdassim.config import ExperimentConfig
-from cdassim.cstr import cstr3_model, default_experiment_model
+from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, FilterRunError, run_filter
 from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, Trajectory, simulate_path
@@ -118,8 +118,8 @@ class TruthData:
     """Synthetic ground truth plus the measurements derived from it."""
 
     times: np.ndarray        # assimilation instants t_1..t_n, seconds
-    trajectory: Trajectory   # 3-state truth path at substep resolution
-    truth_states: np.ndarray  # (n+1, 4) joint truth at t_0..t_n
+    trajectory: Trajectory   # joint (CA, CB, T, beta) truth path at substep resolution
+    truth_states: np.ndarray  # (n+1, 4) its rows at t_0..t_n
     measurements: np.ndarray  # (n,) noisy temperature observations
 
     @property
@@ -130,28 +130,27 @@ class TruthData:
 def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
     """Simulate one truth path and sample noisy temperature measurements.
 
-    The truth integrates at the same substep resolution the filters use
-    internally (no separate fine grid; documented choice). Measurement
-    noise draws come from their own stream so regenerating measurements
-    never perturbs the truth path.
+    The truth runs the filters' joint model with beta's random-walk channel
+    off, so beta keeps its configured value along the whole path. It
+    integrates at the same substep resolution the filters use internally
+    (no separate fine grid; documented choice). Measurement noise draws come
+    from their own stream so regenerating measurements never perturbs the
+    truth path.
     """
-    params = config.cstr_params()
-    flow = config.flow_profile()
-    model = cstr3_model(params)
+    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
+                                   param_diffusion=0.0)
     dt_inner = config.dt_sample / config.substeps
     traj = simulate_path(
-        model, config.truth_init()[:3], flow, 0.0, config.horizon_seconds, dt_inner,
+        exp.model, config.truth_init(), exp.flow, 0.0, config.horizon_seconds, dt_inner,
         NoiseStream(config.seed, STREAM_TRUTH))
-    idx = np.arange(0, len(traj), config.substeps)
-    states3 = traj.states[idx]
-    truth_states = np.column_stack([states3, np.full(len(idx), config.truth_beta)])
+    truth_states = traj.states[::config.substeps]
     meas_rng = NoiseStream(config.seed, STREAM_MEAS).generator()
     noise = np.sqrt(config.obs_variance) * meas_rng.standard_normal(config.n_samples)
     return TruthData(
         times=config.sample_times(),
         trajectory=traj,
         truth_states=truth_states,
-        measurements=states3[1:, 2] + noise,
+        measurements=truth_states[1:, 2] + noise,
     )
 
 

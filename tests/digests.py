@@ -8,15 +8,16 @@ repository root,
 
 it prints one line per digest: every numeric ``FilterOutput`` field of the
 EKF, UKF, EnKF and PF on a few seeds, each at ``sigma_theta`` 0 and 0.05;
-the truth path of each seed; every file that ``simulate --reduced``,
-``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the default
-config, with the ``t_cpu_s`` timings dropped; and the same for ``estimate``
-on two coarse sampling grids on which the EKF and UKF fail, with each
-filter's status and the command's error output in plain text, so that the
-failure messages are compared too. JSON files are digested in
-their written key order, so a reordered key shows up. A change that claims no numeric change prints
-the same lines as its parent, so one run per checkout and a ``diff`` check
-it.
+the truth path of each seed, over its three physical columns (a fourth,
+beta column must hold the configured beta at every substep); every file
+that ``simulate --reduced``, ``estimate``, ``steady-state``, ``sweep`` and
+``oracle`` write on the default config, with the ``t_cpu_s`` timings
+dropped; and the same for ``estimate`` on two coarse sampling grids on
+which the EKF and UKF fail, with each filter's status and the command's
+error output in plain text, so that the failure messages are compared
+too. JSON files are digested in their written key order, so a reordered
+key shows up. A change that claims no numeric change prints the same
+lines as its parent, so one run per checkout and a ``diff`` check it.
 """
 import contextlib
 import hashlib
@@ -92,8 +93,10 @@ def filter_lines():
             truth = generate_truth_and_measurements(cfg)
             if sigma_theta == SIGMA_THETAS[0]:  # the truth does not depend on it
                 traj = truth.trajectory
+                if traj.states.shape[1] > 3:
+                    assert np.all(traj.states[:, 3] == cfg.truth_beta), "truth beta moved"
                 yield (f"truth seed={seed} "
-                       + _digest(truth.times, traj.times, traj.states, traj.inputs,
+                       + _digest(truth.times, traj.times, traj.states[:, :3], traj.inputs,
                                  truth.truth_states, truth.measurements))
             report = run_all_filters(cfg, truth, serial=True)
             for kind, m in report.filters.items():

@@ -7,10 +7,22 @@ one-interval table with :func:`interval_inputs`. Every input is a
 :class:`~cdassim.sde.PiecewiseConstant`; :func:`constant` is the
 one-breakpoint profile of a fixed input. :func:`fd_jacobian` is the
 central-difference reference that closed-form Jacobians are checked against.
+
+The filter settings have no defaults in the package; the experiment config
+is their one source. :data:`FILTER_SETTINGS` names the ones the unit tests
+run on: 10 integrator substeps, the unscented transform at
+:data:`UNIT_SCALING` (alpha 1, where the packaged config has 0.2), 1000
+members and :data:`ESS_HALF` resampling.
 """
 import numpy as np
 
+from cdassim.filters.pf import ResamplePolicy
+from cdassim.filters.unscented import UkfScaling
 from cdassim.sde import PiecewiseConstant, rk4_inputs
+
+UNIT_SCALING = UkfScaling(alpha=1.0, beta=2.0, kappa=0.0)
+ESS_HALF = ResamplePolicy(kind="ess", threshold=0.5)  # resample when ESS < N / 2
+FILTER_SETTINGS = {"substeps": 10, "scaling": UNIT_SCALING, "size": 1000, "resample": ESS_HALF}
 
 
 def constant(u=()) -> PiecewiseConstant:

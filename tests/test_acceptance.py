@@ -17,7 +17,7 @@ from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, cstr3_drift, default_experiment_model
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
 from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.pf import ResamplePolicy, pf_step
+from cdassim.filters.pf import pf_step
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, run_filter
 from cdassim.harness import (
     ensemble_size_sweep,
@@ -29,7 +29,7 @@ from cdassim.harness import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
-from stages import constant, interval_inputs
+from stages import ESS_HALF, FILTER_SETTINGS, constant, interval_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
@@ -112,14 +112,14 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
     kf = ou["kf"]
     worst = {}
     for kind in ("ekf", "ukf"):
-        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]))
+        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS)
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         rel_mean = np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])
         rel_var = np.abs(out.post_cov[:, 0, 0] - kf["post_var"]) / kf["post_var"]
         worst[kind] = max(rel_mean.max(), rel_var.max())
     for kind, tag in (("enkf", 902), ("pf", 903)):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]),
-                          stream=NoiseStream(SEED, tag), size=100_000)
+                          stream=NoiseStream(SEED, tag), **{**FILTER_SETTINGS, "size": 100_000})
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         worst[kind] = float(np.max(
             np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])))
@@ -156,7 +156,7 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
             errs["enkf"][r, j] = abs(float(post.mean[0]) - kf_mean)
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
             _, info = pf_step(model, particles, inputs, OU_DT, y1, Rm, prop_p.child(r),
-                              ResamplePolicy())
+                              ESS_HALF)
             errs["pf"][r, j] = abs(float(info.posterior.mean[0]) - kf_mean)
     slopes = {kind: float(np.polyfit(np.log10(sizes), np.log10(errs[kind].mean(axis=0)), 1)[0])
               for kind in errs}
@@ -257,7 +257,7 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     worst = 0.0
     for T_s, F_s in zip(curve["T_s"], flow):
         ca, cb = adiabatic_concentrations(T_s, params)
-        drift = cstr3_drift(np.array([ca, cb, T_s]), F_s, params)
+        drift = cstr3_drift(np.array([ca, cb, T_s, params.beta]), F_s, params)
         scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
         worst = max(worst, float(np.max(np.abs(drift))) / scale)
     print(f"criterion 9: {turns} turning points, worst drift residual {worst:.2e} of scale")

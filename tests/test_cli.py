@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_fil
     for row in lines[1::20]:  # back-substitute a spread of rows
         T_s, F_s = map(float, row.split(","))
         CA, CB = adiabatic_concentrations(T_s, params)
-        d = cstr3_drift(np.array([CA, CB, T_s]), F_s, params)
+        d = cstr3_drift(np.array([CA, CB, T_s, params.beta]), F_s, params)
         scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
         assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -249,12 +250,13 @@ def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file
 FAULT_TIME = 35.0  # inside step 3 of SMALL, which assimilates at t = 10, 20, ...
 
 
-def _faulty_experiment(build):
-    """The experiment model whose drift and linearization turn NaN after FAULT_TIME."""
-    def experiment(*args, **kwargs):
-        exp = build(*args, **kwargs)
-        model = exp.model
+def _faulty_run_filter(run):
+    """``run_filter`` on a model whose drift and linearization turn NaN after FAULT_TIME.
 
+    Only the filters see the fault: the truth is built from the same joint
+    model but never passes through ``run_filter``.
+    """
+    def run_faulty(kind, model, *args, **kwargs):
         def drift(t, x, u):
             f = model.drift(t, x, u)
             return np.full_like(f, np.nan) if t > FAULT_TIME else f
@@ -265,17 +267,16 @@ def _faulty_experiment(build):
                 return np.full_like(f, np.nan), np.full_like(A, np.nan)
             return f, A
 
-        return dataclasses.replace(
-            exp, model=dataclasses.replace(model, drift=drift, linearize=linearize))
-    return experiment
+        faulty = dataclasses.replace(model, drift=drift, linearize=linearize)
+        return run(kind, faulty, *args, **kwargs)
+    return run_faulty
 
 
 def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_config_file,
                                                              monkeypatch, capsys):
     from cdassim import harness
 
-    monkeypatch.setattr(harness, "default_experiment_model",
-                        _faulty_experiment(harness.default_experiment_model))
+    monkeypatch.setattr(harness, "run_filter", _faulty_run_filter(harness.run_filter))
     assert parse_and_dispatch(["estimate", "--config", small_config_file, "--serial",
                                "--out", "fault"]) == 2
     assert "numerical failure in: ekf, ukf, enkf, pf" in capsys.readouterr().err
@@ -290,6 +291,24 @@ def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_con
     for kind, cause in causes.items():
         assert doc[kind]["status"] == f"failed: {kind} failed at step 3 (t=40): {cause}"
         assert doc[kind]["failed_step"] == 3
+
+
+@pytest.mark.parametrize("n_samples", [14, 30])
+def test_coarse_grid_failure_exits_2_without_runtime_warnings(tmp_path, monkeypatch, capsys,
+                                                             n_samples):
+    # on these grids the EKF and UKF blow up; the failure reaches stderr as
+    # one line naming the filters, with no numpy warning naming a source line
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps({"n_samples": n_samples,
+                               "monte_carlo": {"ensemble_size": 50, "particle_count": 50}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = parse_and_dispatch(["estimate", "--config", str(cfg), "--serial",
+                                   "--out", "coarse"])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical failure in: ekf, ukf\n"
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_usage_errors_exit_1():

@@ -1,8 +1,10 @@
 """Reactor benchmark tests.
 
+Every kernel and model test works on the joint state (CA, CB, T, beta).
 Oracles: high-precision re-evaluation of the Arrhenius expression, central
-finite differences for every Jacobian entry, the 3-state simulation for the
-reduced models, and back-substitution residuals for the steady-state curve.
+finite differences for every Jacobian entry, the noise-free joint model with
+beta held at its configured value for the reduced models, and
+back-substitution residuals for the steady-state curve.
 """
 import dataclasses
 import math
@@ -19,7 +21,6 @@ from cdassim.cstr import (
     cstr2_drift,
     cstr3_drift,
     cstr3_linearize,
-    cstr3_model,
     default_experiment_model,
     rate_constant,
     steady_state_curve,
@@ -28,7 +29,7 @@ from cdassim.cstr import (
 )
 from cdassim.sde import NoiseStream, euler_maruyama_step, rk4_inputs, rk4_step
 
-from stages import fd_jacobian, interval_inputs
+from stages import UNIT_SCALING, fd_jacobian, interval_inputs
 
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
@@ -39,15 +40,21 @@ def joint_model(sigma_theta=0.0):
     return default_experiment_model(PARAMS, FLOW, param_diffusion=sigma_theta).model
 
 
-EMPTY_REACTOR = [0.0, 0.0, PARAMS.T_in]
+# the truth's start: an empty reactor (CA = CB = 0) at T_in, with the true beta
+EMPTY_REACTOR = [0.0, 0.0, PARAMS.T_in, PARAMS.beta]
 
 
 def random_admissible_state(rng):
-    return np.array([rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5), rng.uniform(273.0, 500.0)])
+    """A joint state at the configured beta, as the truth path runs it."""
+    return np.array([rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5), rng.uniform(273.0, 500.0),
+                     PARAMS.beta])
 
 
 def random_joint_state(rng):
-    return np.append(random_admissible_state(rng), rng.uniform(100.0, 160.0))
+    """A joint state at a random beta, as the filters' beliefs explore it."""
+    x = random_admissible_state(rng)
+    x[3] = rng.uniform(100.0, 160.0)
+    return x
 
 
 class TestRateConstant:
@@ -90,8 +97,9 @@ class TestDrift:
     def test_pure_inflow_at_zero_concentrations(self):
         F = 0.007
         FV = F / PARAMS.V
-        d = cstr3_drift(np.array([0.0, 0.0, 320.0]), F, PARAMS)
-        assert np.array_equal(d, [FV * PARAMS.CA_in, FV * PARAMS.CB_in, FV * (PARAMS.T_in - 320.0)])
+        d = cstr3_drift(np.array([0.0, 0.0, 320.0, PARAMS.beta]), F, PARAMS)
+        assert np.array_equal(d, [FV * PARAMS.CA_in, FV * PARAMS.CB_in,
+                                  FV * (PARAMS.T_in - 320.0), 0.0])
 
     def test_stoichiometric_and_energy_coupling(self):
         rng = np.random.default_rng(11)
@@ -99,10 +107,11 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / PARAMS.V
-            dCA, dCB, dT = cstr3_drift(x, F, PARAMS)
+            dCA, dCB, dT, dbeta = cstr3_drift(x, F, PARAMS)
             reac_A = dCA - FV * (PARAMS.CA_in - x[0])
             assert dCB - FV * (PARAMS.CB_in - x[1]) == pytest.approx(2.0 * reac_A, abs=1e-10)
-            assert dT - FV * (PARAMS.T_in - x[2]) == pytest.approx(-PARAMS.beta * reac_A, abs=1e-10)
+            assert dT - FV * (PARAMS.T_in - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
+            assert dbeta == 0.0
 
     def test_mixing_invariants(self):
         # d/dt[2CA - CB] and d/dt[T + beta CA] relax by pure mixing
@@ -111,12 +120,13 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / PARAMS.V
-            dCA, dCB, dT = cstr3_drift(x, F, PARAMS)
+            dCA, dCB, dT, _ = cstr3_drift(x, F, PARAMS)
+            beta = x[3]
             lhs = 2.0 * dCA - dCB
             rhs = FV * ((2.0 * PARAMS.CA_in - PARAMS.CB_in) - (2.0 * x[0] - x[1]))
             assert lhs == pytest.approx(rhs, abs=1e-10)
-            lhs = dT + PARAMS.beta * dCA
-            rhs = FV * ((PARAMS.T_in + PARAMS.beta * PARAMS.CA_in) - (x[2] + PARAMS.beta * x[0]))
+            lhs = dT + beta * dCA
+            rhs = FV * ((PARAMS.T_in + beta * PARAMS.CA_in) - (x[2] + beta * x[0]))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_batch_matches_columns(self):
@@ -124,9 +134,9 @@ class TestDrift:
         # truth starts from an empty reactor (CA = CB = 0) at T_in
         rng = np.random.default_rng(13)
         X = np.column_stack([random_admissible_state(rng) for _ in range(8)]
-                            + [EMPTY_REACTOR, [0.0, 0.0, 320.0]])
+                            + [EMPTY_REACTOR, [0.0, 0.0, 320.0, PARAMS.beta]])
         D = cstr3_drift(X, 0.006, PARAMS)
-        assert D.shape == (3, 10)
+        assert D.shape == (4, 10)
         for i in range(10):
             assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
 
@@ -152,18 +162,19 @@ class TestJacobian:
         for T in grid_T:
             for CA in grid_C:
                 for CB in grid_C:
-                    x = np.array([CA, CB, T])
+                    x = np.array([CA, CB, T, PARAMS.beta])
                     J = jacobian(x, 0.007)
                     Jfd = fd_jacobian(lambda z: cstr3_drift(z, 0.007, PARAMS), x)
                     assert np.all(np.abs(J - Jfd) <= 1e-5 * np.maximum(np.abs(Jfd), 1e-8))
 
     def test_diagonal_at_zero_concentrations(self):
         F = 0.01
-        J = jacobian(np.array([0.0, 0.0, 300.0]), F)
-        np.testing.assert_array_equal(J, -F / PARAMS.V * np.eye(3))
+        J = jacobian(np.array([0.0, 0.0, 300.0, PARAMS.beta]), F)
+        # no reaction: pure dilution, and beta moves nothing (its column is the rate, 0)
+        np.testing.assert_array_equal(J, -F / PARAMS.V * np.diag([1.0, 1.0, 1.0, 0.0]))
 
     def test_cross_term_stoichiometry(self):
-        x = np.array([0.4, 0.9, 330.0])
+        x = np.array([0.4, 0.9, 330.0, PARAMS.beta])
         F = 0.007
         J = jacobian(x, F)
         k = rate_constant(330.0, PARAMS)
@@ -172,12 +183,13 @@ class TestJacobian:
 
 
 class TestLinearize:
-    @pytest.mark.parametrize("joint", [False, True])
-    def test_drift_is_bitwise_the_drift_kernel(self, joint):
+    @pytest.mark.parametrize("random_beta", [False, True])
+    def test_drift_is_bitwise_the_drift_kernel(self, random_beta):
         # the EKF takes its drift from the one-exp linearization, the other
-        # filters from cstr3_drift: both must give the same bits
-        rng = np.random.default_rng(16 + joint)
-        states = [random_joint_state(rng) if joint else random_admissible_state(rng)
+        # filters from cstr3_drift: both must give the same bits, at the
+        # truth's beta and at the filters' random ones
+        rng = np.random.default_rng(16 + random_beta)
+        states = [random_joint_state(rng) if random_beta else random_admissible_state(rng)
                   for _ in range(1200)]
         for x in states[:50]:  # the empty reactor, where the rate vanishes
             x[:2] = 0.0
@@ -185,7 +197,7 @@ class TestLinearize:
             F = rng.uniform(1e-3, 0.02)
             u = np.array([F])
             f, A = cstr3_linearize(x, u[0], PARAMS)
-            assert f.shape == x.shape and A.shape == (len(x), len(x))
+            assert f.shape == (4,) and A.shape == (4, 4)
             assert np.array_equal(f, cstr3_drift(x, u[0], PARAMS))
 
 
@@ -194,24 +206,28 @@ class TestJointKernel:
         # the UKF, EnKF and PF evaluate column batches
         rng = np.random.default_rng(14)
         X = np.column_stack([random_joint_state(rng) for _ in range(9)]
-                            + [[*EMPTY_REACTOR, 120.0], [0.0, 0.0, 320.0, -120.0]])
+                            + [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]])
         D = cstr3_drift(X, 0.006, PARAMS)
         assert D.shape == (4, 11)
         for i in range(11):
             assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
 
     def test_reads_beta_from_the_state(self):
+        # the kernels never read params.beta: another value there changes no bit
+        other = dataclasses.replace(PARAMS, beta=-7.5)
         rng = np.random.default_rng(15)
-        for _ in range(10):
-            z = random_joint_state(rng)
+        states = [random_joint_state(rng) for _ in range(10)]
+        for z in states:
             d = cstr3_drift(z, 0.007, PARAMS)
             assert d[3] == 0.0
-            np.testing.assert_array_equal(
-                d[:3], cstr3_drift(z[:3], 0.007, dataclasses.replace(PARAMS, beta=z[3])))
-            J = jacobian(z, 0.007)
-            np.testing.assert_array_equal(
-                J[:3, :3], jacobian(z[:3], 0.007, dataclasses.replace(PARAMS, beta=z[3])))
+            assert d.tobytes() == cstr3_drift(z, 0.007, other).tobytes()
+            f, J = cstr3_linearize(z, 0.007, PARAMS)
+            f_other, J_other = cstr3_linearize(z, 0.007, other)
+            assert f.tobytes() == f_other.tobytes()
+            assert J.tobytes() == J_other.tobytes()
             np.testing.assert_array_equal(J[3], 0.0)
+        X = np.column_stack(states)
+        assert cstr3_drift(X, 0.007, PARAMS).tobytes() == cstr3_drift(X, 0.007, other).tobytes()
 
 
 class TestReducedModels:
@@ -231,10 +247,11 @@ class TestReducedModels:
         assert (CA, CB) == (PARAMS.CA_in, PARAMS.CB_in)
 
     def test_temperature_agreement_over_horizon(self):
-        # 3-state oracle: from feed-composition start the reductions are exact,
-        # so 1 K absorbs only integrator truncation differences
+        # joint-model oracle at the configured beta: from feed-composition
+        # start the reductions are exact, so 1 K absorbs only integrator
+        # truncation differences
         h = 1.0
-        x3 = np.array([PARAMS.CA_in, PARAMS.CB_in, PARAMS.T_in])
+        x3 = np.array([PARAMS.CA_in, PARAMS.CB_in, PARAMS.T_in, PARAMS.beta])
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
@@ -257,7 +274,7 @@ class TestSteadyState:
         for T_s in np.linspace(lo + 0.5, hi - 0.5, 50):
             F_s = steady_state_flow(float(T_s), PARAMS)
             CA, CB = adiabatic_concentrations(T_s, PARAMS)
-            d = cstr3_drift(np.array([CA, CB, T_s]), F_s, PARAMS)
+            d = cstr3_drift(np.array([CA, CB, T_s, PARAMS.beta]), F_s, PARAMS)
             scale = F_s / PARAMS.V * max(PARAMS.CA_in, PARAMS.CB_in, T_s - PARAMS.T_in)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -278,7 +295,7 @@ class TestSteadyState:
         # every emitted point satisfies the stationarity equations
         for T, F in zip(T_s, F_s):
             CA, CB = adiabatic_concentrations(T, PARAMS)
-            d = cstr3_drift(np.array([CA, CB, T]), F, PARAMS)
+            d = cstr3_drift(np.array([CA, CB, T, PARAMS.beta]), F, PARAMS)
             assert np.linalg.norm(d) < 1e-8
         # multiplicity fold: an interior local minimum followed by a local maximum
         dF = np.diff(F_s)
@@ -316,23 +333,24 @@ class TestFlowProfile:
 
 class TestModelWiring:
     def test_constrain_clamps_concentrations_only(self):
-        m = cstr3_model(PARAMS)
-        x = np.array([-0.2, -0.1, 280.0])
-        np.testing.assert_array_equal(m.constrain(x.copy()), [0.0, 0.0, 280.0])
-        X = np.array([[-1.0, 0.5], [0.3, -0.4], [290.0, 300.0]])
+        m = joint_model()
+        x = np.array([-0.2, -0.1, 280.0, -5.0])
+        np.testing.assert_array_equal(m.constrain(x.copy()), [0.0, 0.0, 280.0, -5.0])
+        X = np.array([[-1.0, 0.5], [0.3, -0.4], [290.0, 300.0], [-1.0, 130.0]])
         np.testing.assert_array_equal(m.constrain(X.copy()),
-                                      [[0.0, 0.5], [0.3, 0.0], [290.0, 300.0]])
+                                      [[0.0, 0.5], [0.3, 0.0], [290.0, 300.0], [-1.0, 130.0]])
 
     def test_measure_and_diffusion(self):
-        m = cstr3_model(PARAMS)
+        # the truth's model: no random-walk channel on beta
+        m = joint_model()
         u = np.array([0.0105])
-        x = np.array([0.1, 0.2, 300.0])
+        x = np.array([0.1, 0.2, 300.0, PARAMS.beta])
         assert m.measure(0.0, x) == pytest.approx([300.0])
         X = np.column_stack([x, x + 1.0])
         assert m.measure(0.0, X).shape == (1, 2)
         np.testing.assert_allclose(m.diffusion(0.0, x, u).ravel(),
-                                   [0.0, 0.0, 0.1 * PARAMS.sigma_T])
-        np.testing.assert_array_equal(m.measure_jacobian(0.0, x), [[0.0, 0.0, 1.0]])
+                                   [0.0, 0.0, 0.1 * PARAMS.sigma_T, 0.0])
+        np.testing.assert_array_equal(m.measure_jacobian(0.0, x), [[0.0, 0.0, 1.0, 0.0]])
 
     def test_default_experiment_bundle(self):
         m = joint_model(CONFIG.sigma_theta)
@@ -352,7 +370,7 @@ class TestModelWiring:
         rng = np.random.default_rng(31)
         u = np.array([0.007])
         for _ in range(20):
-            z = np.append(random_admissible_state(rng), rng.uniform(100.0, 160.0))
+            z = random_joint_state(rng)
             J = m.linearize(0.0, z, u)[1]
             Jfd = fd_jacobian(lambda w: m.drift(0.0, w, u), z)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
@@ -441,14 +459,14 @@ class TestStageInputs:
         # the vectorized stage-input table must reproduce one lookup per stage
         from cdassim.filters.beliefs import GaussianBelief
         from cdassim.filters.kalman import ekf_predict
-        from cdassim.filters.unscented import UkfScaling, ukf_predict
+        from cdassim.filters.unscented import ukf_predict
 
         model = joint_model()
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
         for predict in (
             lambda inputs: ekf_predict(model, belief, inputs, t1),
-            lambda inputs: ukf_predict(model, belief, inputs, t1, UkfScaling()),
+            lambda inputs: ukf_predict(model, belief, inputs, t1, UNIT_SCALING),
         ):
             table = predict(interval_inputs(FLOW, t0, t1, substeps))
             calls = predict(per_stage_inputs(FLOW, t0, t1, substeps))
@@ -467,7 +485,7 @@ class TestStageInputs:
         model = joint_model(sigma_theta)
         belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
                                 np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
-        scaling = UkfScaling(alpha=0.2)
+        scaling = UkfScaling(alpha=0.2, beta=2.0, kappa=0.0)
         inputs = interval_inputs(FLOW, t0, t1, substeps)
         pairs = (
             (ekf_predict(model, belief, inputs, t1),

@@ -60,11 +60,20 @@ def test_truth_shapes_and_grids(small_cfg, small_truth):
     assert t.n_steps == 30
     np.testing.assert_allclose(t.times, 10.0 * np.arange(1, 31))
     assert t.truth_states.shape == (31, 4)
+    assert t.trajectory.states.shape == (301, 4)
     assert t.measurements.shape == (30,)
-    # augmented truth rows are the substep-resolution path at sample instants
-    np.testing.assert_array_equal(t.truth_states[:, :3],
-                                  t.trajectory.states[::small_cfg.substeps])
+    # joint truth rows are the substep-resolution path at sample instants
+    np.testing.assert_array_equal(t.truth_states, t.trajectory.states[::small_cfg.substeps])
     np.testing.assert_array_equal(t.truth_states[:, 3], 133.7792 * np.ones(31))
+
+
+@pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
+def test_truth_beta_is_the_configured_beta_at_every_substep(sigma_theta):
+    # the truth runs the filters' joint model without beta's random-walk channel
+    cfg = load_config(overrides={**SMALL, "noise": {"sigma_theta": sigma_theta}})
+    states = generate_truth_and_measurements(cfg).trajectory.states
+    assert states.shape == (301, 4)
+    assert np.all(states[:, 3] == cfg.truth_beta)
 
 
 def test_truth_reproducible_and_streams_isolated():

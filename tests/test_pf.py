@@ -12,7 +12,7 @@ from cdassim.filters.pf import (
 )
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
-from stages import constant, interval_inputs
+from stages import ESS_HALF, constant, interval_inputs
 
 
 def brownian_model(sigma=1.0):
@@ -42,11 +42,13 @@ def test_effective_sample_size_bounds():
 
 def test_resample_policy_validation():
     with pytest.raises(ValueError):
-        ResamplePolicy(kind="sometimes")
+        ResamplePolicy(kind="sometimes", threshold=0.5)
     with pytest.raises(ValueError):
-        ResamplePolicy(threshold=0.0)
-    assert ResamplePolicy("always").should_resample(10.0, 10)
-    assert not ResamplePolicy("never").should_resample(1.0, 10)
+        ResamplePolicy(kind="ess", threshold=0.0)
+    with pytest.raises(TypeError):  # no defaults: the config names both fields
+        ResamplePolicy()
+    assert ResamplePolicy("always", 0.5).should_resample(10.0, 10)
+    assert not ResamplePolicy("never", 0.5).should_resample(1.0, 10)
     assert ResamplePolicy("ess", 0.5).should_resample(4.9, 10)
     assert not ResamplePolicy("ess", 0.5).should_resample(5.0, 10)
 
@@ -89,7 +91,7 @@ def test_pf_step_flat_likelihood_keeps_weights_uniform():
     model = brownian_model(sigma=0.1)
     ps = uniform_particles(np.linspace(-1.0, 1.0, 200))
     out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 1.0), 1.0,
-                        np.array([0.0]), np.array([[1e12]]), NoiseStream(40))
+                        np.array([0.0]), np.array([[1e12]]), NoiseStream(40), ESS_HALF)
     assert info.ess == pytest.approx(200.0, rel=1e-6)
     assert not info.resampled
     assert np.allclose(out.weights, 1.0 / 200.0)
@@ -102,7 +104,7 @@ def test_pf_step_sharp_likelihood_concentrates_and_resamples():
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(rng.standard_normal(4000))
     out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                        np.array([2.0]), np.array([[0.01]]), NoiseStream(41))
+                        np.array([2.0]), np.array([[0.01]]), NoiseStream(41), ESS_HALF)
     assert info.resampled
     assert info.ess < 2000.0
     assert info.posterior.mean[0] == pytest.approx(2.0, abs=0.3)
@@ -116,7 +118,7 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
     ps = uniform_particles(values)
     out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                         np.array([0.0]), np.array([[0.01]]), NoiseStream(42),
-                        resample=ResamplePolicy("always"))
+                        resample=ResamplePolicy("always", 0.5))
     assert info.ess == pytest.approx(50.0, rel=0.01)
     assert np.all(np.abs(out.particles[0]) < 1.0)
 
@@ -127,7 +129,7 @@ def test_pf_step_raises_when_every_weight_underflows():
     ps = uniform_particles(np.zeros(20))
     with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
         pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                np.array([1e200]), np.array([[1.0]]), NoiseStream(43))
+                np.array([1e200]), np.array([[1.0]]), NoiseStream(43), ESS_HALF)
 
 
 def test_pf_step_never_policy_keeps_weighted_set():
@@ -136,7 +138,7 @@ def test_pf_step_never_policy_keeps_weighted_set():
     ps = uniform_particles(rng.standard_normal(500))
     out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
                         np.array([1.5]), np.array([[0.04]]), NoiseStream(44),
-                        resample=ResamplePolicy("never"))
+                        resample=ResamplePolicy("never", 0.5))
     assert not info.resampled
     assert out.weights.max() > 2.0 / 500.0  # informative data reweighted the set
 
@@ -148,7 +150,7 @@ def test_pf_step_stream_layout_matches_documented_contract():
     stream = NoiseStream(45)
     by_stream, info_a = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.5), 0.5,
                                 np.array([0.3]), np.array([[0.25]]), stream,
-                                resample=ResamplePolicy("always"))
+                                resample=ResamplePolicy("always", 0.5))
     X = propagate_members(model, ps.particles, interval_inputs(constant(), 0.0, 0.5), 0.0, 0.5,
                           stream)
     assert np.array_equal(info_a.prior.mean, X @ ps.weights)
@@ -166,11 +168,11 @@ def test_pf_step_is_reproducible_per_stream():
     rng = np.random.default_rng(10)
     ps = uniform_particles(rng.standard_normal(100))
     a, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46))
+                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46), ESS_HALF)
     b, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46))
+                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46), ESS_HALF)
     c, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(47))
+                   np.array([0.1]), np.array([[0.5]]), NoiseStream(47), ESS_HALF)
     assert np.array_equal(a.particles, b.particles)
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.particles, c.particles)

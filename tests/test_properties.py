@@ -25,10 +25,10 @@ from cdassim.filters.enkf import enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd, symmetrize
 from cdassim.filters.pf import ResamplePolicy, pf_step, systematic_resample
-from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
+from cdassim.filters.unscented import ukf_predict, ukf_update
 from cdassim.sde import NoiseStream, SdeModel
 
-from stages import interval_inputs
+from stages import UNIT_SCALING, interval_inputs
 
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
@@ -89,7 +89,7 @@ def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
 @settings(max_examples=60, deadline=None)
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
-    scaling = UkfScaling()
+    scaling = UNIT_SCALING
     t1 = belief.time + DT
     prior = ukf_predict(MODEL, belief, interval_inputs(FLOW, belief.time, t1), t1, scaling)
     check(prior)
@@ -147,7 +147,7 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     t1 = belief.time + DT
     y = np.array([belief.mean[2] + residual])
     out, info = pf_step(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1, y, R,
-                        NoiseStream(seed), ResamplePolicy(policy))
+                        NoiseStream(seed), ResamplePolicy(policy, 0.5))
     assert np.all(out.weights >= 0.0)
     assert abs(float(out.weights.sum()) - 1.0) <= 1e-12
     # 1 <= ESS <= N holds exactly for normalized weights; allow roundoff in 1 / sum(w^2)

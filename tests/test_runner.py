@@ -19,7 +19,7 @@ from cdassim.filters.runner import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
-from stages import constant, interval_inputs
+from stages import FILTER_SETTINGS, constant, interval_inputs
 from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
@@ -42,7 +42,8 @@ def ou_model(a=A, sigma=SIGMA):
 
 def base_config(stream=None, **kw):
     return FilterConfig(initial=GaussianBelief(np.array([M0]), np.array([[P0]])),
-                        obs_cov=np.array([[R_OBS]]), stream=stream, **kw)
+                        obs_cov=np.array([[R_OBS]]), stream=stream,
+                        **{**FILTER_SETTINGS, **kw})
 
 
 @pytest.fixture(scope="module")
@@ -146,8 +147,9 @@ def test_sample_filter_noise_keys_match_hand_calls():
     x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
     u = constant()
 
+    settings = {**FILTER_SETTINGS, "size": N}
     enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                                   size=N), times, ys, u)
+                                                   **settings), times, ys, u)
     ens = Ensemble(x0, 0.0)
     for k, t1 in enumerate(times):
         ens = enkf_predict(model, ens, interval_inputs(u, ens.time, t1), t1,
@@ -160,9 +162,9 @@ def test_sample_filter_noise_keys_match_hand_calls():
         assert np.array_equal(enkf.post_cov[k], post.cov)
         assert np.array_equal(enkf.innovation[k], e)
 
-    always = ResamplePolicy("always")
+    always = ResamplePolicy("always", 0.5)
     pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                               size=N, resample=always),
+                                               **{**settings, "resample": always}),
                     times, ys, u)
     particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
     for k, t1 in enumerate(times):
@@ -174,8 +176,6 @@ def test_sample_filter_noise_keys_match_hand_calls():
         assert pf.ess[k] == info.ess and pf.resampled[k]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
 def test_failures_carry_step_information():
     model = SdeModel(
         dim_state=1, dim_noise=1, dim_obs=1,
@@ -185,7 +185,7 @@ def test_failures_carry_step_information():
     )
     cfg = FilterConfig(initial=GaussianBelief(np.array([50.0]), np.array([[1.0]])),
                        obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
-                       size=4, substeps=5)
+                       **{**FILTER_SETTINGS, "size": 4, "substeps": 5})
     with pytest.raises(FilterRunError) as err:
         run_filter("enkf", model, cfg, [1.0], [[0.0]], constant())
     assert err.value.kind == "enkf"
@@ -194,15 +194,22 @@ def test_failures_carry_step_information():
 
 
 def test_config_validation():
-    good = dict(initial=GaussianBelief(np.zeros(1), np.ones((1, 1))),
-                obs_cov=np.array([[1.0]]))
+    good = FilterConfig(initial=GaussianBelief(np.zeros(1), np.ones((1, 1))),
+                        obs_cov=np.array([[1.0]]), **FILTER_SETTINGS)
     with pytest.raises(ValueError):
-        FilterConfig(substeps=0, **good)
+        dataclasses.replace(good, substeps=0)
     for size in (0, 1):  # both sample filters need two members, as the schema says
         with pytest.raises(ValueError, match="size must be at least 2"):
-            FilterConfig(size=size, **good)
+            dataclasses.replace(good, size=size)
     with pytest.raises(ValueError):
-        FilterConfig(initial=good["initial"], obs_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+        dataclasses.replace(good, obs_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # no defaults and keywords only: the experiment config is the one source
+    for missing in FILTER_SETTINGS:
+        settings = {k: v for k, v in FILTER_SETTINGS.items() if k != missing}
+        with pytest.raises(TypeError, match=missing):
+            FilterConfig(initial=good.initial, obs_cov=good.obs_cov, **settings)
+    with pytest.raises(TypeError):
+        FilterConfig(good.initial, good.obs_cov, **FILTER_SETTINGS)
 
 
 @pytest.mark.parametrize("obs_cov, problem", [
@@ -212,7 +219,8 @@ def test_config_validation():
 ])
 def test_obs_cov_must_be_square_symmetric_positive_definite(obs_cov, problem):
     with pytest.raises(ValueError, match=f"obs_cov must be {problem}"):
-        FilterConfig(initial=GaussianBelief(np.zeros(2), np.eye(2)), obs_cov=obs_cov)
+        FilterConfig(initial=GaussianBelief(np.zeros(2), np.eye(2)), obs_cov=obs_cov,
+                     **FILTER_SETTINGS)
 
 
 @pytest.mark.parametrize("field", ["linearize", "measure_jacobian"])

@@ -8,7 +8,7 @@ from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_sigma_points,
 from cdassim.sde import SdeModel
 
 from closedform import ou_transition
-from stages import constant, interval_inputs
+from stages import UNIT_SCALING, constant, interval_inputs
 
 
 def scalar_ou(a=1.0, sigma=0.0):
@@ -26,15 +26,17 @@ def scalar_ou(a=1.0, sigma=0.0):
 
 def test_scaling_validation():
     with pytest.raises(ValueError):
-        UkfScaling(alpha=0.0)
+        UkfScaling(alpha=0.0, beta=2.0, kappa=0.0)
     with pytest.raises(ValueError):
-        UkfScaling(kappa=-1.0)
+        UkfScaling(alpha=1.0, beta=2.0, kappa=-1.0)
+    with pytest.raises(TypeError):  # no defaults: the config names all three
+        UkfScaling()
 
 
 def test_unit_scaling_single_state_points():
     # n = 1, alpha = 1, kappa = 0: points {0, +1, -1}, mean weights {0, 1/2, 1/2}
     points, wm, _ = ukf_sigma_points(GaussianBelief(np.zeros(1), np.ones((1, 1))),
-                                     UkfScaling())
+                                     UNIT_SCALING)
     assert points.shape == (1, 3)
     assert np.allclose(points, [[0.0, 1.0, -1.0]])
     assert np.allclose(wm, [0.0, 0.5, 0.5])
@@ -67,7 +69,7 @@ def test_sigma_points_reconstruct_moments():
     A = rng.standard_normal((3, 3))
     P = A @ A.T + 0.5 * np.eye(3)
     m = rng.standard_normal(3)
-    for scaling in (UkfScaling(), UkfScaling(0.5, 2.0, 1.0), UkfScaling(0.2, 2.0, 0.0)):
+    for scaling in (UNIT_SCALING, UkfScaling(0.5, 2.0, 1.0), UkfScaling(0.2, 2.0, 0.0)):
         points, wm, wc = ukf_sigma_points(GaussianBelief(m, P), scaling)
         mean = points @ wm
         dev = points - mean[:, None]
@@ -78,7 +80,7 @@ def test_sigma_points_reconstruct_moments():
 def test_transform_mean_exact_for_quadratic():
     # weighted mean of the x -> x^2 images is m^2 + P for any scaling
     m, P = 0.7, 0.3
-    for scaling in (UkfScaling(), UkfScaling(0.3, 2.0, 0.5)):
+    for scaling in (UNIT_SCALING, UkfScaling(0.3, 2.0, 0.5)):
         points, wm, _ = ukf_sigma_points(GaussianBelief(np.array([m]), np.array([[P]])),
                                          scaling)
         val = (points[0] ** 2) @ wm
@@ -100,7 +102,7 @@ def test_predict_matches_moment_ode_for_linear_sde():
     belief = GaussianBelief(np.array([2.0]), np.array([[0.5]]))
     u = interval_inputs(constant(0.01), 0.0, 0.1, substeps=10)
     by_ode = ekf_predict(model, belief, u, 0.1)
-    by_points = ukf_predict(model, belief, u, 0.1, UkfScaling())
+    by_points = ukf_predict(model, belief, u, 0.1, UNIT_SCALING)
     assert by_points.mean[0] == pytest.approx(by_ode.mean[0], rel=1e-10)
     assert by_points.cov[0, 0] == pytest.approx(by_ode.cov[0, 0], rel=1e-8)
 
@@ -108,7 +110,7 @@ def test_predict_matches_moment_ode_for_linear_sde():
 def test_predict_pure_diffusion_is_exact():
     pred = ukf_predict(
         scalar_ou(a=0.0, sigma=0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
-        interval_inputs(constant(0.0), 0.0, 2.0, substeps=7), 2.0, UkfScaling())
+        interval_inputs(constant(0.0), 0.0, 2.0, substeps=7), 2.0, UNIT_SCALING)
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
 
@@ -116,9 +118,9 @@ def test_predict_pure_diffusion_is_exact():
 def test_predict_time_handling():
     belief = GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
     assert ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 1.0), 1.0,
-                       UkfScaling()) is belief
+                       UNIT_SCALING) is belief
     with pytest.raises(ValueError):
-        ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UkfScaling())
+        ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UNIT_SCALING)
 
 
 def test_predict_applies_constraint_to_points():
@@ -130,7 +132,7 @@ def test_predict_applies_constraint_to_points():
         constrain=lambda x: np.maximum(x, 0.5),
     )
     pred = ukf_predict(model, GaussianBelief(np.ones(1), 0.01 * np.ones((1, 1))),
-                       interval_inputs(constant(), 0.0, 2.0), 2.0, UkfScaling())
+                       interval_inputs(constant(), 0.0, 2.0), 2.0, UNIT_SCALING)
     assert pred.mean[0] == pytest.approx(0.5)
     assert pred.cov[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -152,7 +154,7 @@ def test_update_matches_kalman_for_linear_measure():
         measure_jacobian=lambda t, x: C,
     )
     belief = GaussianBelief(rng.standard_normal(n), P)
-    for scaling in (UkfScaling(), UkfScaling(0.9, 2.0, 0.3)):
+    for scaling in (UNIT_SCALING, UkfScaling(0.9, 2.0, 0.3)):
         u_post, u_e, u_Re = ukf_update(belief, model, y, R, scaling)
         k_post, k_e, k_Re = kalman_update(belief, model, y, R)
         assert np.allclose(u_post.mean, k_post.mean, atol=1e-8)
