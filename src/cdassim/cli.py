@@ -27,7 +27,7 @@ from cdassim.cstr import (
     cstr3_drift,
     steady_state_curve,
 )
-from cdassim.filters.runner import FILTER_KINDS
+from cdassim.filters.runner import FILTER_KINDS, SAMPLE_KINDS
 from cdassim.harness import (
     TRUTH_HEADER,
     ensemble_size_sweep,
@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
                                   "temperature comparison")})
     add("estimate", "run the filter bank and write metrics and trajectories",
         **{"--filters": dict(type=_csv_names, metavar="CSV-list", default=None,
-                             help="subset of ekf,ukf,enkf,pf")})
+                             help=f"subset of {','.join(FILTER_KINDS)}")})
     add("steady-state", "emit the steady-state flow curve as CSV")
     add("sweep", "rerun the Monte Carlo filters across ensemble sizes",
         **{"--sizes": dict(type=_csv_ints, metavar="CSV-list",
@@ -103,10 +103,10 @@ def _build_parser() -> _Parser:
                            help=f"sizes to sweep (default "
                                 f"{','.join(map(str, DEFAULT_SWEEP_SIZES))})"),
            "--filters": dict(type=_csv_names, metavar="CSV-list", default=None,
-                             help="subset of enkf,pf")})
+                             help=f"subset of {','.join(SAMPLE_KINDS)}")})
     add("oracle", "compare posterior spreads against a large particle reference",
         **{"--filters": dict(type=_csv_names, metavar="CSV-list", default=None,
-                             help="subset of ekf,ukf,enkf,pf")})
+                             help=f"subset of {','.join(FILTER_KINDS)}")})
     return parser
 
 
@@ -200,8 +200,8 @@ def _cmd_steady_state(config: ExperimentConfig, args, out: Path) -> int:
 
 def _cmd_sweep(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
-    filters = tuple(args.filters) if args.filters else ("enkf", "pf")
-    rows = ensemble_size_sweep(config, truth, args.sizes, filters=filters, serial=args.serial)
+    rows = ensemble_size_sweep(config, truth, args.sizes, filters=args.filters,
+                               serial=args.serial)
     _announce(write_sweep_report(rows, out))
     return EXIT_OK  # collapsed or failed rows are sweep findings, not failures
 
@@ -226,7 +226,7 @@ _COMMANDS = {
 def _validate_lists(parser: _Parser, args) -> None:
     if getattr(args, "sizes", None) == []:
         parser.error("--sizes needs at least one size")
-    allowed = ("enkf", "pf") if args.subcommand == "sweep" else FILTER_KINDS
+    allowed = SAMPLE_KINDS if args.subcommand == "sweep" else FILTER_KINDS
     names = getattr(args, "filters", None)
     if names is not None:
         bad = [n for n in names if n not in allowed]

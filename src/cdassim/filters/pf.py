@@ -80,8 +80,11 @@ def systematic_resample(particles: ParticleSet, rng: np.random.Generator) -> Par
     """Systematic (single-offset stratified) resampling to uniform weights.
 
     Uses one uniform draw u ~ U[0,1): stratum k picks the particle whose
-    cumulative weight first reaches (k + u) / n_p. Uniform input weights
-    therefore reproduce every particle exactly once.
+    cumulative weight first reaches (k + u) / n_p, so particle i is drawn
+    floor(n_p w_i) or ceil(n_p w_i) times, up to roundoff at the stratum
+    edges. Uniform weights return every particle once unless u lies within
+    that roundoff (about 1e-11 for n_p < 400) of 0 or of 1, where a particle
+    can be replaced by its neighbour.
     """
     n = particles.size
     u0 = rng.uniform() / n

@@ -34,6 +34,7 @@ from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeMode
 
 __all__ = [
     "FILTER_KINDS",
+    "SAMPLE_KINDS",
     "STREAM_INIT",
     "STREAM_PROPAGATE",
     "STREAM_PERTURB",
@@ -42,7 +43,17 @@ __all__ = [
     "run_filter",
 ]
 
-FILTER_KINDS = ("ekf", "ukf", "enkf", "pf")
+# What each kind reads beyond the shared initial, obs_cov and substeps: the
+# model fields, then the FilterConfig settings. No other module says which.
+_READS = {
+    "ekf": (("linearize", "measure_jacobian"), ()),
+    "ukf": ((), ("scaling",)),
+    "enkf": ((), ("stream", "size")),
+    "pf": ((), ("stream", "size", "resample")),
+}
+FILTER_KINDS = tuple(_READS)
+# the kinds that run members drawn from the config's stream
+SAMPLE_KINDS = tuple(k for k, (_, settings) in _READS.items() if "size" in settings)
 
 # Child-stream roles under a filter's root stream.
 STREAM_INIT = 0
@@ -64,23 +75,23 @@ class FilterRunError(RuntimeError):
 class FilterConfig:
     """Everything a filter run needs besides the model and the data.
 
-    ``obs_cov`` is the measurement-noise covariance, checked square,
-    symmetric and positive definite. ``stream`` seeds the sample-based
-    filters and may be omitted for the Gaussian ones. ``size`` is the
-    member count of the EnKF or the PF, at least 2, and is unused by the
-    Gaussian filters; the particle filter reports the importance-weighted
-    posterior summary. ``substeps``, ``scaling``, ``size`` and ``resample``
-    have no defaults: the experiment config is their one source
-    (``harness._filter_config``).
+    Every kind reads ``initial``, ``obs_cov`` (the measurement-noise
+    covariance, checked square, symmetric and positive definite) and
+    ``substeps``. Each of the other four is read by some kinds only (see
+    ``_READS``) and may be left unset: ``None`` means absent, not a default,
+    and :func:`run_filter` rejects a kind that reads an unset one. ``size``,
+    the member count, is at least 2 when given; the particle filter reports
+    the importance-weighted posterior summary. The experiment config is the
+    one source of every setting (``harness._filter_config``).
     """
 
     initial: GaussianBelief
     obs_cov: np.ndarray
-    stream: NoiseStream | None = None
     substeps: int
-    scaling: UkfScaling
-    size: int
-    resample: ResamplePolicy
+    stream: NoiseStream | None = None
+    scaling: UkfScaling | None = None
+    size: int | None = None
+    resample: ResamplePolicy | None = None
 
     def __post_init__(self):
         R = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
@@ -93,7 +104,7 @@ class FilterConfig:
         object.__setattr__(self, "obs_cov", R)
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
-        if self.size < 2:
+        if self.size is not None and self.size < 2:
             raise ValueError("size must be at least 2")
 
 
@@ -116,11 +127,13 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     time. ``u`` is the :class:`~cdassim.sde.PiecewiseConstant` input
     profile. Its values at every Runge-Kutta stage time of the run are
     looked up once, in one :func:`~cdassim.sde.rk4_inputs` table, and each
-    prediction receives its interval's rows. The EKF needs the model's
-    closed-form ``linearize`` and ``measure_jacobian``; a model without
-    either is rejected with ValueError. A numerical failure, a
-    :class:`~cdassim.sde.DivergenceError` or a ``LinAlgError``, raises
-    :class:`FilterRunError` with the offending step attached. The loop runs
+    prediction receives its interval's rows. Before anything else, every
+    model field and config setting the kind reads is checked present (the
+    EKF reads the model's closed-form ``linearize`` and ``measure_jacobian``;
+    see ``_READS``), and a missing one raises ValueError naming the kind and
+    the field. A numerical failure, a :class:`~cdassim.sde.DivergenceError`
+    or a ``LinAlgError``, raises :class:`FilterRunError` with the offending
+    step attached. The loop runs
     with numpy's overflow and invalid-value warnings off: a blow-up reaches
     the caller as that error, naming the filter, step and time, not as a
     warning naming a source line.
@@ -128,10 +141,13 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     kind = kind.lower()
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
-    if kind == "ekf":
-        for field in ("linearize", "measure_jacobian"):
-            if getattr(model, field) is None:
-                raise ValueError(f"ekf needs the model's {field}")
+    model_fields, settings = _READS[kind]
+    for field in model_fields:
+        if getattr(model, field) is None:
+            raise ValueError(f"{kind} needs the model's {field}")
+    for field in settings:
+        if getattr(config, field) is None:
+            raise ValueError(f"{kind} needs the config's {field}")
     R = config.obs_cov
     ny = R.shape[0]
     n = config.initial.dim
@@ -166,9 +182,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     )
 
     belief = config.initial
-    if kind in ("enkf", "pf"):
-        if config.stream is None:
-            raise ValueError(f"{kind} requires a noise stream in the config")
+    if kind in SAMPLE_KINDS:
         X0 = _initial_members(config, model)
         propagate_root = config.stream.child(STREAM_PROPAGATE)
         if kind == "enkf":

@@ -33,7 +33,13 @@ import numpy as np
 from cdassim.config import ExperimentConfig
 from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
-from cdassim.filters.runner import FILTER_KINDS, FilterConfig, FilterRunError, run_filter
+from cdassim.filters.runner import (
+    FILTER_KINDS,
+    SAMPLE_KINDS,
+    FilterConfig,
+    FilterRunError,
+    run_filter,
+)
 from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, Trajectory, simulate_path
 
 __all__ = [
@@ -215,8 +221,8 @@ def _filter_config(config: ExperimentConfig, kind: str, *, size: int | None = No
     if config.obs_variance <= 0:
         raise ValueError("noise.obs_variance must be > 0 to run a filter")
     tag = FILTER_STREAM[kind] if stream_tag is None else stream_tag
-    if size is None:
-        size = config.ensemble_size if kind == "enkf" else config.particle_count
+    if size is None:  # only the member-based kinds read a size
+        size = {"enkf": config.ensemble_size, "pf": config.particle_count}.get(kind)
     return FilterConfig(
         initial=GaussianBelief(config.filter_init_mean(), config.filter_init_cov(), time=0.0),
         obs_cov=np.array([[config.obs_variance]]),
@@ -441,10 +447,11 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
 
 
 def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
-                        filters=("enkf", "pf"),
+                        filters=None,
                         serial: bool = False) -> list[tuple[int, FilterMetrics]]:
     """Rerun the Monte Carlo filters across sizes on one shared realization.
 
+    ``filters`` is a subset of ``SAMPLE_KINDS``, all of them when omitted.
     Returns ``(size, metrics)`` pairs, every size of the first filter kind
     first. The runs fan out over worker processes like ``run_all_filters``.
     Collapsed or failed runs are flagged in their metrics, never fatal.
@@ -452,9 +459,10 @@ def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
     sizes = [int(s) for s in sizes]
     if any(s < 2 for s in sizes):
         raise ValueError("every sweep size must be at least 2")
+    filters = tuple(filters) if filters else SAMPLE_KINDS
     for kind in filters:
-        if kind not in ("enkf", "pf"):
-            raise ValueError(f"sweep supports enkf/pf, got {kind!r}")
+        if kind not in SAMPLE_KINDS:
+            raise ValueError(f"sweep supports {'/'.join(SAMPLE_KINDS)}, got {kind!r}")
     tasks = [(kind, size, None) for kind in filters for size in sizes]
     results = _run_filters(config, truth, tasks, serial)
     return [(size, m) for (_, size, _), m in zip(tasks, results)]

@@ -9,10 +9,13 @@ one-breakpoint profile of a fixed input. :func:`fd_jacobian` is the
 central-difference reference that closed-form Jacobians are checked against.
 
 The filter settings have no defaults in the package; the experiment config
-is their one source. :data:`FILTER_SETTINGS` names the ones the unit tests
-run on: 10 integrator substeps, the unscented transform at
-:data:`UNIT_SCALING` (alpha 1, where the packaged config has 0.2), 1000
-members and :data:`ESS_HALF` resampling.
+is their one source. :data:`FILTER_SETTINGS` names, per filter kind, the
+ones the unit tests run on, and only those that kind reads besides the
+initial belief, the measurement covariance and the noise stream: 10
+integrator substeps for every kind, the unscented transform at
+:data:`UNIT_SCALING` (alpha 1, where the packaged config has 0.2) for the
+UKF, 1000 members for the EnKF and the PF, and :data:`ESS_HALF` resampling
+for the PF.
 """
 import numpy as np
 
@@ -22,7 +25,12 @@ from cdassim.sde import PiecewiseConstant, rk4_inputs
 
 UNIT_SCALING = UkfScaling(alpha=1.0, beta=2.0, kappa=0.0)
 ESS_HALF = ResamplePolicy(kind="ess", threshold=0.5)  # resample when ESS < N / 2
-FILTER_SETTINGS = {"substeps": 10, "scaling": UNIT_SCALING, "size": 1000, "resample": ESS_HALF}
+FILTER_SETTINGS = {
+    "ekf": {"substeps": 10},
+    "ukf": {"substeps": 10, "scaling": UNIT_SCALING},
+    "enkf": {"substeps": 10, "size": 1000},
+    "pf": {"substeps": 10, "size": 1000, "resample": ESS_HALF},
+}
 
 
 def constant(u=()) -> PiecewiseConstant:

@@ -1,6 +1,7 @@
 """Release acceptance: one test per shipped criterion, numbered in order.
 
-Each test prints the figures it measured, so a verbose run reads as a
+Criterion 1's run also backs an unnumbered NIS-consistency check. Each
+test prints the figures it measured, so a verbose run reads as a
 criterion-by-criterion scorecard. The twin-experiment seed bank backing
 criteria 3, 4 and 7 is computed once per module.
 """
@@ -112,14 +113,15 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
     kf = ou["kf"]
     worst = {}
     for kind in ("ekf", "ukf"):
-        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS)
+        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind])
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         rel_mean = np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])
         rel_var = np.abs(out.post_cov[:, 0, 0] - kf["post_var"]) / kf["post_var"]
         worst[kind] = max(rel_mean.max(), rel_var.max())
     for kind, tag in (("enkf", 902), ("pf", 903)):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]),
-                          stream=NoiseStream(SEED, tag), **{**FILTER_SETTINGS, "size": 100_000})
+                          stream=NoiseStream(SEED, tag),
+                          **{**FILTER_SETTINGS[kind], "size": 100_000})
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         worst[kind] = float(np.max(
             np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])))
@@ -129,6 +131,28 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
     assert worst["ekf"] < 1e-6 and worst["ukf"] < 1e-6
     assert worst["enkf"] < 0.01 and worst["pf"] < 0.01
     assert seconds < 60.0
+
+
+# 2.5% and 97.5% quantiles of chi-square with 50 degrees of freedom, written
+# out because scipy is not a dependency
+CHI2_50_QUANTILES = (32.357, 71.420)
+
+
+def test_linear_gaussian_nis_consistency(ou):
+    # criterion 1's run: a consistent filter's mean NIS over the 50 scalar
+    # innovations lies in the 95% chi-square(50) / 50 band
+    lo, hi = (q / OU_STEPS for q in CHI2_50_QUANTILES)
+    init = GaussianBelief(np.array([OU_M0]), np.array([[OU_P0]]))
+    mean_nis = {}
+    for kind in ("ekf", "ukf"):
+        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind])
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
+        assert out.nis.size == OU_STEPS
+        mean_nis[kind] = float(np.mean(out.nis))
+    print(f"mean NIS ekf {mean_nis['ekf']:.4f} ukf {mean_nis['ukf']:.4f} "
+          f"(95% band [{lo:.4f}, {hi:.4f}])")
+    for kind, value in mean_nis.items():
+        assert lo <= value <= hi, f"{kind} mean NIS {value:.4f} outside [{lo:.4f}, {hi:.4f}]"
 
 
 def test_criterion_02_monte_carlo_convergence_rate(ou):

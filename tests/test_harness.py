@@ -13,6 +13,7 @@ from cdassim.harness import (
     FILTER_STREAM,
     SPREAD_COLLAPSE_RATIO,
     FilterMetrics,
+    _filter_config,
     _spread_collapse_fraction,
     ensemble_size_sweep,
     generate_truth_and_measurements,
@@ -205,6 +206,13 @@ def test_filter_subset_and_unknown_kind(small_cfg, small_truth):
     assert list(rep.filters) == ["ekf"]
     with pytest.raises(ValueError, match="unknown filter kind"):
         run_all_filters(small_cfg, small_truth, filters=["ekf", "kf"])
+
+
+def test_only_member_kinds_get_a_size(small_cfg):
+    # the Gaussian filters read no member count, so none is invented for them
+    sizes = {kind: _filter_config(small_cfg, kind).size for kind in FILTER_STREAM}
+    assert sizes == {"ekf": None, "ukf": None, "enkf": 50, "pf": 100}
+    assert _filter_config(small_cfg, "pf", size=7).size == 7
 
 
 def test_worker_count_env_cap(monkeypatch):

@@ -4,11 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cdassim.filters import runner
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
 from cdassim.filters.pf import ResamplePolicy, pf_step
 from cdassim.filters.runner import (
+    FILTER_KINDS,
+    SAMPLE_KINDS,
     STREAM_INIT,
     STREAM_PERTURB,
     STREAM_PROPAGATE,
@@ -40,10 +43,15 @@ def ou_model(a=A, sigma=SIGMA):
     )
 
 
-def base_config(stream=None, **kw):
+def kind_settings(kind):
+    """Exactly what ``kind`` reads: its unit settings, plus a stream if it samples."""
+    return {**FILTER_SETTINGS[kind], **({"stream": NoiseStream(3)} if kind in SAMPLE_KINDS else {})}
+
+
+def base_config(kind, **kw):
+    """A config with exactly what ``kind`` reads, overridden by ``kw``."""
     return FilterConfig(initial=GaussianBelief(np.array([M0]), np.array([[P0]])),
-                        obs_cov=np.array([[R_OBS]]), stream=stream,
-                        **{**FILTER_SETTINGS, **kw})
+                        obs_cov=np.array([[R_OBS]]), **{**kind_settings(kind), **kw})
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +69,7 @@ def ou_data():
 def test_rejects_bad_requests(ou_data):
     times, ys = ou_data
     model = ou_model()
-    cfg = base_config()
+    cfg = base_config("ekf")
     with pytest.raises(ValueError):
         run_filter("kf", model, cfg, times, ys, U_IN)
     with pytest.raises(ValueError):
@@ -69,13 +77,13 @@ def test_rejects_bad_requests(ou_data):
     with pytest.raises(ValueError):
         run_filter("ekf", model, cfg, times, ys[:-1], U_IN)
     with pytest.raises(ValueError):
-        run_filter("enkf", model, cfg, times, ys, U_IN)  # no stream configured
+        run_filter("enkf", model, base_config("enkf", stream=None), times, ys, U_IN)  # no stream
 
 
 def test_zero_measurements_returns_initial_belief():
     model = ou_model()
-    for kind in ("ekf", "ukf", "enkf", "pf"):
-        cfg = base_config(stream=NoiseStream(1))
+    for kind in FILTER_KINDS:
+        cfg = base_config(kind)
         out = run_filter(kind, model, cfg, [], np.zeros((0, 1)), U_IN)
         assert out.n_steps == 0
         assert out.initial is cfg.initial
@@ -95,7 +103,7 @@ def test_gaussian_filters_match_closed_form(ou_data):
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     tols = {"ekf": (1e-8, 1e-8), "ukf": (5e-3, 1e-2)}
     for kind, (mean_atol, var_rtol) in tols.items():
-        out = run_filter(kind, model, base_config(), times, ys, u=U_IN)
+        out = run_filter(kind, model, base_config(kind), times, ys, u=U_IN)
         assert out.n_steps == times.size
         assert np.allclose(out.prior_mean[:, 0], oracle["prior_mean"], atol=mean_atol)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=mean_atol)
@@ -110,8 +118,8 @@ def test_sample_filters_track_closed_form(ou_data):
     model = ou_model()
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     for kind, cfg in (
-        ("enkf", base_config(stream=NoiseStream(2024, 1), size=4000)),
-        ("pf", base_config(stream=NoiseStream(2024, 2), size=4000)),
+        ("enkf", base_config("enkf", stream=NoiseStream(2024, 1), size=4000)),
+        ("pf", base_config("pf", stream=NoiseStream(2024, 2), size=4000)),
     ):
         out = run_filter(kind, model, cfg, times, ys, u=U_IN)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=0.06)
@@ -122,11 +130,11 @@ def test_sample_filters_track_closed_form(ou_data):
 def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     times, ys = ou_data
     model = ou_model()
-    a = run_filter("enkf", model, base_config(stream=NoiseStream(5), size=50),
+    a = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    b = run_filter("enkf", model, base_config(stream=NoiseStream(5), size=50),
+    b = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    c = run_filter("enkf", model, base_config(stream=NoiseStream(6), size=50),
+    c = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(6), size=50),
                    times, ys, u=U_IN)
     assert np.array_equal(a.post_mean, b.post_mean)
     assert np.array_equal(a.post_cov, b.post_cov)
@@ -147,9 +155,9 @@ def test_sample_filter_noise_keys_match_hand_calls():
     x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
     u = constant()
 
-    settings = {**FILTER_SETTINGS, "size": N}
     enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                                   **settings), times, ys, u)
+                                                   **{**FILTER_SETTINGS["enkf"], "size": N}),
+                      times, ys, u)
     ens = Ensemble(x0, 0.0)
     for k, t1 in enumerate(times):
         ens = enkf_predict(model, ens, interval_inputs(u, ens.time, t1), t1,
@@ -164,7 +172,8 @@ def test_sample_filter_noise_keys_match_hand_calls():
 
     always = ResamplePolicy("always", 0.5)
     pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                               **{**settings, "resample": always}),
+                                               **{**FILTER_SETTINGS["pf"], "size": N,
+                                                  "resample": always}),
                     times, ys, u)
     particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
     for k, t1 in enumerate(times):
@@ -185,7 +194,7 @@ def test_failures_carry_step_information():
     )
     cfg = FilterConfig(initial=GaussianBelief(np.array([50.0]), np.array([[1.0]])),
                        obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
-                       **{**FILTER_SETTINGS, "size": 4, "substeps": 5})
+                       **{**FILTER_SETTINGS["enkf"], "size": 4, "substeps": 5})
     with pytest.raises(FilterRunError) as err:
         run_filter("enkf", model, cfg, [1.0], [[0.0]], constant())
     assert err.value.kind == "enkf"
@@ -195,21 +204,61 @@ def test_failures_carry_step_information():
 
 def test_config_validation():
     good = FilterConfig(initial=GaussianBelief(np.zeros(1), np.ones((1, 1))),
-                        obs_cov=np.array([[1.0]]), **FILTER_SETTINGS)
+                        obs_cov=np.array([[1.0]]), substeps=10)
     with pytest.raises(ValueError):
         dataclasses.replace(good, substeps=0)
     for size in (0, 1):  # both sample filters need two members, as the schema says
         with pytest.raises(ValueError, match="size must be at least 2"):
             dataclasses.replace(good, size=size)
+    assert dataclasses.replace(good, size=2).size == 2
     with pytest.raises(ValueError):
         dataclasses.replace(good, obs_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    # no defaults and keywords only: the experiment config is the one source
-    for missing in FILTER_SETTINGS:
-        settings = {k: v for k, v in FILTER_SETTINGS.items() if k != missing}
+    # the shared settings have no defaults, and keywords only: the experiment
+    # config is the one source; the per-kind ones are checked by run_filter
+    for missing in ("initial", "obs_cov", "substeps"):
+        shared = {"initial": good.initial, "obs_cov": good.obs_cov, "substeps": 10}
+        del shared[missing]
         with pytest.raises(TypeError, match=missing):
-            FilterConfig(initial=good.initial, obs_cov=good.obs_cov, **settings)
+            FilterConfig(**shared)
     with pytest.raises(TypeError):
-        FilterConfig(good.initial, good.obs_cov, **FILTER_SETTINGS)
+        FilterConfig(good.initial, good.obs_cov, 10)
+
+
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_each_kind_runs_with_only_what_it_reads(ou_data, kind):
+    times, ys = ou_data
+    cfg = base_config(kind)
+    given = {f for f in ("stream", "scaling", "size", "resample") if getattr(cfg, f) is not None}
+    assert given == {"ekf": set(), "ukf": {"scaling"}, "enkf": {"stream", "size"},
+                     "pf": {"stream", "size", "resample"}}[kind]
+    out = run_filter(kind, ou_model(), cfg, times[:3], ys[:3], U_IN)
+    assert np.all(np.isfinite(out.post_mean)) and np.all(np.isfinite(out.post_cov))
+
+
+@pytest.mark.parametrize("kind, owner, missing", [
+    ("ekf", "model", "linearize"), ("ekf", "model", "measure_jacobian"),
+    *[(kind, "config", field) for kind in FILTER_KINDS
+      for field in kind_settings(kind) if field != "substeps"],
+])
+def test_missing_setting_is_rejected_before_the_run(ou_data, monkeypatch, kind, owner, missing):
+    # checked first: no stage-input table, no output, no model call, and the
+    # mismatched measurements below are never looked at
+    def untouched(*args, **kwargs):
+        raise AssertionError("reached past the settings check")
+
+    monkeypatch.setattr(runner, "rk4_inputs", untouched)
+    monkeypatch.setattr(runner, "FilterOutput", untouched)
+    model = dataclasses.replace(ou_model(), drift=untouched, diffusion=untouched,
+                                measure=untouched, linearize=untouched,
+                                measure_jacobian=untouched)
+    cfg = base_config(kind)
+    if owner == "model":
+        model = dataclasses.replace(model, **{missing: None})
+    else:
+        cfg = dataclasses.replace(cfg, **{missing: None})
+    times, ys = ou_data
+    with pytest.raises(ValueError, match=f"^{kind} needs the {owner}'s {missing}$"):
+        run_filter(kind, model, cfg, times, ys[:-1], U_IN)
 
 
 @pytest.mark.parametrize("obs_cov, problem", [
@@ -220,7 +269,7 @@ def test_config_validation():
 def test_obs_cov_must_be_square_symmetric_positive_definite(obs_cov, problem):
     with pytest.raises(ValueError, match=f"obs_cov must be {problem}"):
         FilterConfig(initial=GaussianBelief(np.zeros(2), np.eye(2)), obs_cov=obs_cov,
-                     **FILTER_SETTINGS)
+                     substeps=10)
 
 
 @pytest.mark.parametrize("field", ["linearize", "measure_jacobian"])
@@ -229,7 +278,6 @@ def test_ekf_needs_closed_form_derivatives(ou_data, field):
     times, ys = ou_data
     model = dataclasses.replace(ou_model(), **{field: None})
     with pytest.raises(ValueError, match=f"ekf needs the model's {field}"):
-        run_filter("ekf", model, base_config(), times, ys[:-1], U_IN)
+        run_filter("ekf", model, base_config("ekf"), times, ys[:-1], U_IN)
     for kind in ("ukf", "enkf", "pf"):  # the other filters never call either
-        run_filter(kind, model, base_config(stream=NoiseStream(3), size=20),
-                   times[:2], ys[:2], U_IN)
+        run_filter(kind, model, base_config(kind), times[:2], ys[:2], U_IN)
