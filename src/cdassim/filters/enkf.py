@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cdassim.filters.beliefs import Ensemble, GaussianBelief, posterior_summary
+from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.linalg import chol_psd, solve_spd
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import NoiseStream, SdeModel
@@ -31,13 +31,16 @@ def enkf_predict(model: SdeModel, ensemble: Ensemble, inputs: np.ndarray, t1: fl
 
 
 def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarray,
-                noise: NoiseStream) -> tuple[Ensemble, GaussianBelief, np.ndarray, np.ndarray]:
+                noise: NoiseStream) -> tuple[Ensemble, np.ndarray, np.ndarray]:
     """Perturbed-observation analysis.
 
-    Returns (posterior ensemble, Gaussian summary, innovation against the
-    ensemble-mean prediction, innovation covariance). Each member sees its
-    own perturbed copy ``y + v_i`` with ``v_i ~ N(0, R)``; the standard
-    normals behind every ``v_i`` are one ``(dim_obs, N)`` draw of ``noise``.
+    Returns (posterior ensemble, innovation against the ensemble-mean
+    prediction, innovation covariance); the caller takes the Gaussian
+    summary with :func:`~cdassim.filters.beliefs.posterior_summary`. Each
+    member sees its own perturbed copy ``y + v_i`` with ``v_i ~ N(0, R)``;
+    the standard normals behind every ``v_i`` are one ``(dim_obs, N)`` draw
+    of ``noise``, which the runner keys ``stream.child(2).child(k)`` at step
+    ``k``.
     """
     X = ensemble.members
     t = ensemble.time
@@ -57,5 +60,4 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     Rxy = (Xd @ Yd.T) / (N - 1)
     Ryy = (Yd @ Yd.T) / (N - 1) + R
     K = solve_spd(Ryy, Rxy.T).T
-    post = Ensemble(X + K @ E, t)
-    return post, posterior_summary(post), y - Yp.mean(axis=1), Ryy
+    return Ensemble(X + K @ E, t), y - Yp.mean(axis=1), Ryy

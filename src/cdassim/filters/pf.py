@@ -8,8 +8,9 @@ systematic (one uniform offset, n_p strata) and triggered by a
 :class:`ResamplePolicy`; the packaged config resamples when the effective
 sample size falls below half the particle count.
 
-A step takes one noise stream: it draws the propagation increments as one
-block from the stream itself and the resampling offset from its child 0.
+A step is :func:`pf_predict` (propagate, keep the weights), :func:`pf_update`
+(reweight) and :func:`pf_resample`. The runner draws step ``k``'s increments
+from ``stream.child(1).child(k)`` and the resampling offset from its child 0.
 """
 from __future__ import annotations
 
@@ -17,17 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
+from cdassim.filters.beliefs import ParticleSet
 from cdassim.filters.linalg import chol_psd, solve_lower
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 __all__ = [
     "ResamplePolicy",
-    "PfStepInfo",
     "effective_sample_size",
     "systematic_resample",
-    "pf_step",
+    "pf_predict",
+    "pf_update",
+    "pf_resample",
 ]
 
 
@@ -53,18 +55,6 @@ class ResamplePolicy:
         if self.kind == "never":
             return False
         return ess < self.threshold * n
-
-
-@dataclass(frozen=True)
-class PfStepInfo:
-    """Diagnostics of one assimilation step."""
-
-    posterior: GaussianBelief          # weighted summary before resampling
-    prior: GaussianBelief              # propagated summary with pre-update weights
-    innovation: np.ndarray             # y - weighted predicted observation
-    innovation_cov: np.ndarray         # weighted obs spread + R
-    ess: float                         # after reweighting, before resampling
-    resampled: bool
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -102,48 +92,49 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ij,ij->j", z, z)
 
 
-def pf_step(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
-            y: np.ndarray, R: np.ndarray, noise: NoiseStream,
-            resample: ResamplePolicy) -> tuple[ParticleSet, PfStepInfo]:
-    """One propagate/reweight/resample cycle; returns (particles, diagnostics).
+def pf_predict(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
+               noise: NoiseStream) -> ParticleSet:
+    """Propagate every particle to ``t1`` with increments from ``noise``; weights are kept.
 
-    ``inputs`` holds the interval's rows of the run's stage-input table.
-    ``noise`` itself supplies the propagation increments (one block for all
-    particles, see :func:`propagate_members`) and ``noise.child(0)`` the
-    uniform offset of systematic resampling, drawn only when resampling.
+    ``inputs`` holds the interval's rows of the run's stage-input table; see
+    :func:`~cdassim.filters.montecarlo.propagate_members`.
     """
-    n_p = particles.size
+    X = propagate_members(model, particles.particles, inputs, particles.time, t1, noise)
+    return ParticleSet(X, particles.weights, t1)
+
+
+def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
+              R: np.ndarray) -> tuple[ParticleSet, np.ndarray, np.ndarray]:
+    """Reweight by the likelihood of ``y``; returns (weighted set, innovation, its covariance).
+
+    The particles do not move. Every weight underflowing raises
+    :class:`~cdassim.sde.DivergenceError` naming the time.
+    """
+    X, t = particles.particles, particles.time
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    X = propagate_members(model, particles.particles, inputs, particles.time, t1, noise)
-    propagated = ParticleSet(X, particles.weights, t1)
-    prior = posterior_summary(propagated)
-
-    Yp = np.atleast_2d(np.asarray(model.measure(t1, X), dtype=float))
+    Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
     E = y[:, None] - Yp
     with np.errstate(divide="ignore"):
         logw = np.log(particles.weights) + _log_gaussian(E, R)
     peak = logw.max()
     if not np.isfinite(peak):
-        raise DivergenceError(f"all particle weights underflowed at t={t1}")
+        raise DivergenceError(f"all particle weights underflowed at t={t}")
     w = np.exp(logw - peak)
     w /= w.sum()
-
-    weighted = ParticleSet(X, w, t1)
-    posterior = posterior_summary(weighted)
     yhat = Yp @ w
     dY = Yp - yhat[:, None]
     Re = (dY * w) @ dY.T + R
-    ess = effective_sample_size(w)
-    do_resample = resample.should_resample(ess, n_p)
-    out = (systematic_resample(weighted, noise.child(0).generator()) if do_resample
-           else weighted)
-    info = PfStepInfo(
-        posterior=posterior,
-        prior=prior,
-        innovation=y - yhat,
-        innovation_cov=Re,
-        ess=ess,
-        resampled=do_resample,
-    )
-    return out, info
+    return ParticleSet(X, w, t), y - yhat, Re
+
+
+def pf_resample(particles: ParticleSet, policy: ResamplePolicy,
+                noise: NoiseStream) -> tuple[ParticleSet, float, bool]:
+    """Apply ``policy``; returns (set, ESS of the incoming weights, whether it resampled).
+
+    ``noise`` gives the systematic offset, drawn only when resampling.
+    """
+    ess = effective_sample_size(particles.weights)
+    if not policy.should_resample(ess, particles.size):
+        return particles, ess, False
+    return systematic_resample(particles, noise.generator()), ess, True

@@ -1,15 +1,19 @@
 """Measurement-sequence driver shared by the four filter kinds.
 
-One call runs a whole assimilation pass: predict to each measurement time,
-update, and record per-step diagnostics (moments, innovations, NIS, timing)
-in a :class:`FilterOutput`. Reproducibility comes from fixed child-stream
-roles under the configured noise stream. Sample-based filters draw their
-initial members from role ``STREAM_INIT``; step ``k`` (the 0-based index
-into the measurement times) draws from one block stream per role,
-``stream.child(role).child(k)``: ``STREAM_PROPAGATE`` for EnKF propagation
-and the whole PF step, resampling included, and ``STREAM_PERTURB`` for the
-EnKF observation perturbations. Two runs with the same stream are therefore
-bitwise identical no matter how work is scheduled.
+Every kind is a prediction and a Bayes update on its own state (a
+:class:`GaussianBelief`, an :class:`Ensemble` or a :class:`ParticleSet`),
+and one loop runs them all. Step ``k`` is ``state = predict(state, inputs,
+t1, k)``, ``prior = summary(state)``, ``state, e, Re = update(state, y, k)``,
+``post = summary(state)``, where ``summary`` is the identity on a belief and
+:func:`posterior_summary` on a sample; the PF then resamples by its policy.
+Per-step diagnostics (moments, innovations, NIS, timing) go to a
+:class:`FilterOutput`. Reproducibility comes from fixed child-stream roles
+under the configured noise stream. Sample-based filters draw their initial
+members from role ``STREAM_INIT``; step ``k`` draws from one block stream
+per role, ``stream.child(role).child(k)``: ``STREAM_PROPAGATE`` for EnKF
+and PF propagation, whose child 0 gives the PF's resampling offset, and
+``STREAM_PERTURB`` for the EnKF observation perturbations. Two runs with
+the same stream are therefore bitwise identical however work is scheduled.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from cdassim.filters.beliefs import (
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.kalman import ekf_predict, innovation_stats, kalman_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.pf import ResamplePolicy, pf_step
+from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
 
@@ -108,14 +112,33 @@ class FilterConfig:
             raise ValueError("size must be at least 2")
 
 
-def _initial_members(config: FilterConfig, model: SdeModel) -> np.ndarray:
-    rng = config.stream.child(STREAM_INIT).generator()
-    L0 = chol_psd(config.initial.cov)
-    draws = rng.standard_normal((config.initial.dim, config.size))
-    X = config.initial.mean[:, None] + L0 @ draws
+def _contract(kind: str, model: SdeModel, config: FilterConfig):
+    """``(initial state, predict, update)`` of one kind; see the module docstring."""
+    R = config.obs_cov
+    if kind == "ekf":
+        return (config.initial,
+                lambda b, inputs, t1, k: ekf_predict(model, b, inputs, t1),
+                lambda b, y, k: kalman_update(b, model, y, R))
+    if kind == "ukf":
+        scaling = config.scaling
+        return (config.initial,
+                lambda b, inputs, t1, k: ukf_predict(model, b, inputs, t1, scaling),
+                lambda b, y, k: ukf_update(b, model, y, R, scaling))
+    draws = config.stream.child(STREAM_INIT).generator().standard_normal(
+        (config.initial.dim, config.size))
+    X0 = config.initial.mean[:, None] + chol_psd(config.initial.cov) @ draws
     if model.constrain is not None:
-        X = model.constrain(X)
-    return X
+        X0 = model.constrain(X0)
+    propagate_root = config.stream.child(STREAM_PROPAGATE)
+    if kind == "enkf":
+        perturb_root = config.stream.child(STREAM_PERTURB)
+        return (Ensemble(X0, config.initial.time),
+                lambda ens, inputs, t1, k: enkf_predict(model, ens, inputs, t1,
+                                                        propagate_root.child(k)),
+                lambda ens, y, k: enkf_update(ens, model, y, R, perturb_root.child(k)))
+    return (ParticleSet(X0, np.full(config.size, 1.0 / config.size), config.initial.time),
+            lambda ps, inputs, t1, k: pf_predict(model, ps, inputs, t1, propagate_root.child(k)),
+            lambda ps, y, k: pf_update(ps, model, y, R))
 
 
 def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurements,
@@ -148,8 +171,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     for field in settings:
         if getattr(config, field) is None:
             raise ValueError(f"{kind} needs the config's {field}")
-    R = config.obs_cov
-    ny = R.shape[0]
+    ny = config.obs_cov.shape[0]
     n = config.initial.dim
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -181,47 +203,25 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         step_seconds=np.empty(n_steps),
     )
 
-    belief = config.initial
-    if kind in SAMPLE_KINDS:
-        X0 = _initial_members(config, model)
-        propagate_root = config.stream.child(STREAM_PROPAGATE)
-        if kind == "enkf":
-            ensemble = Ensemble(X0, config.initial.time)
-            perturb_root = config.stream.child(STREAM_PERTURB)
-        else:
-            particles = ParticleSet(X0, np.full(config.size, 1.0 / config.size),
-                                    config.initial.time)
-            out.ess = np.empty(n_steps)
-            out.resampled = np.zeros(n_steps, dtype=bool)
+    state, predict, update = _contract(kind, model, config)
+    summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
+    if kind == "pf":
+        out.ess = np.empty(n_steps)
+        out.resampled = np.zeros(n_steps, dtype=bool)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t1 = float(times[k])
-            y = Y[k]
-            inputs = stage_inputs[k]
             tic = time.perf_counter()
             try:
-                if kind == "ekf":
-                    prior = ekf_predict(model, belief, inputs, t1)
-                    belief, e, Re = kalman_update(prior, model, y, R)
-                    post = belief
-                elif kind == "ukf":
-                    prior = ukf_predict(model, belief, inputs, t1, config.scaling)
-                    belief, e, Re = ukf_update(prior, model, y, R, config.scaling)
-                    post = belief
-                elif kind == "enkf":
-                    ensemble = enkf_predict(model, ensemble, inputs, t1, propagate_root.child(k))
-                    prior = posterior_summary(ensemble)
-                    ensemble, post, e, Re = enkf_update(ensemble, model, y, R,
-                                                        perturb_root.child(k))
-                else:
-                    particles, info = pf_step(
-                        model, particles, inputs, t1, y, R, propagate_root.child(k),
-                        config.resample)
-                    prior, post = info.prior, info.posterior
-                    e, Re = info.innovation, info.innovation_cov
-                    out.ess[k] = info.ess
-                    out.resampled[k] = info.resampled
+                state = predict(state, stage_inputs[k], t1, k)
+                prior = summary(state)
+                state, e, Re = update(state, Y[k], k)
+                post = summary(state)
+                if kind == "pf":
+                    offset = config.stream.child(STREAM_PROPAGATE).child(k).child(0)
+                    state, out.ess[k], out.resampled[k] = pf_resample(state, config.resample,
+                                                                      offset)
                 out.step_seconds[k] = time.perf_counter() - tic
                 out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
             except (DivergenceError, np.linalg.LinAlgError) as exc:

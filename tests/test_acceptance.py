@@ -16,9 +16,9 @@ import pytest
 
 from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, cstr3_drift, default_experiment_model
-from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
+from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.pf import pf_step
+from cdassim.filters.pf import pf_predict, pf_update
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, run_filter
 from cdassim.harness import (
     ensemble_size_sweep,
@@ -30,7 +30,7 @@ from cdassim.harness import (
 from cdassim.sde import NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
-from stages import ESS_HALF, FILTER_SETTINGS, constant, interval_inputs
+from stages import FILTER_SETTINGS, constant, interval_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
@@ -176,12 +176,12 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
             ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), inputs, OU_DT, prop_e.child(r))
-            _, post, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
-            errs["enkf"][r, j] = abs(float(post.mean[0]) - kf_mean)
+            ens, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
-            _, info = pf_step(model, particles, inputs, OU_DT, y1, Rm, prop_p.child(r),
-                              ESS_HALF)
-            errs["pf"][r, j] = abs(float(info.posterior.mean[0]) - kf_mean)
+            particles = pf_predict(model, particles, inputs, OU_DT, prop_p.child(r))
+            particles, _, _ = pf_update(particles, model, y1, Rm)
+            for kind, sample in (("enkf", ens), ("pf", particles)):
+                errs[kind][r, j] = abs(float(posterior_summary(sample).mean[0]) - kf_mean)
     slopes = {kind: float(np.polyfit(np.log10(sizes), np.log10(errs[kind].mean(axis=0)), 1)[0])
               for kind in errs}
     seconds = time.perf_counter() - tic

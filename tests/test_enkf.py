@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cdassim.filters.beliefs import Ensemble
+from cdassim.filters.beliefs import Ensemble, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
 from cdassim.filters.montecarlo import propagate_members
@@ -133,10 +133,9 @@ def test_enkf_update_zero_spread_is_a_fixed_point():
     # identical members carry no sampled covariance, so the gain vanishes
     model = scalar_ou()
     ens = Ensemble(np.full((1, 5), 0.3))
-    post, summary, e, Re = enkf_update(ens, model, np.array([2.0]),
-                                       np.array([[0.5]]), NoiseStream(3))
+    post, e, Re = enkf_update(ens, model, np.array([2.0]), np.array([[0.5]]), NoiseStream(3))
     assert np.array_equal(post.members, ens.members)
-    assert summary.cov[0, 0] == 0.0
+    assert posterior_summary(post).cov[0, 0] == 0.0
     assert e[0] == pytest.approx(2.0 - 0.3)
     assert Re[0, 0] == pytest.approx(0.5)
 
@@ -156,7 +155,7 @@ def test_enkf_update_matches_direct_formulas():
         measure=lambda t, x: C @ x,
     )
     stream = NoiseStream(77)
-    post, _, e, Re = enkf_update(Ensemble(X), model, y, R, stream)
+    post, e, Re = enkf_update(Ensemble(X), model, y, R, stream)
 
     V = chol_psd(R) @ stream.generator().standard_normal((ny, N))
     Yp = C @ X

@@ -2,14 +2,18 @@
 import numpy as np
 import pytest
 
-from cdassim.filters.beliefs import ParticleSet
+from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
+from cdassim.filters.linalg import chol_psd
 from cdassim.filters.montecarlo import propagate_members
 from cdassim.filters.pf import (
     ResamplePolicy,
     effective_sample_size,
-    pf_step,
+    pf_predict,
+    pf_resample,
+    pf_update,
     systematic_resample,
 )
+from cdassim.filters.runner import STREAM_INIT, STREAM_PROPAGATE, FilterConfig, run_filter
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 from stages import ESS_HALF, constant, interval_inputs
@@ -29,6 +33,18 @@ def brownian_model(sigma=1.0):
 def uniform_particles(values, time=0.0):
     values = np.asarray(values, dtype=float)
     return ParticleSet(values[None, :], np.full(values.size, 1.0 / values.size), time)
+
+
+def assimilate(model, ps, t1, y, R, stream, policy):
+    """One step as run_filter takes it, on a scalar measurement.
+
+    Returns (propagated set, reweighted set, set after the policy, ESS,
+    whether it resampled); the offset comes from ``stream.child(0)``.
+    """
+    propagated = pf_predict(model, ps, interval_inputs(constant(), ps.time, t1), t1, stream)
+    weighted, _, _ = pf_update(propagated, model, np.array([y]), np.array([[R]]))
+    out, ess, resampled = pf_resample(weighted, policy, stream.child(0))
+    return propagated, weighted, out, ess, resampled
 
 
 def test_effective_sample_size_bounds():
@@ -90,12 +106,13 @@ def test_systematic_resample_counts_stay_within_strata_bounds():
 def test_pf_step_flat_likelihood_keeps_weights_uniform():
     model = brownian_model(sigma=0.1)
     ps = uniform_particles(np.linspace(-1.0, 1.0, 200))
-    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 1.0), 1.0,
-                        np.array([0.0]), np.array([[1e12]]), NoiseStream(40), ESS_HALF)
-    assert info.ess == pytest.approx(200.0, rel=1e-6)
-    assert not info.resampled
+    prior, weighted, out, ess, resampled = assimilate(model, ps, 1.0, 0.0, 1e12,
+                                                      NoiseStream(40), ESS_HALF)
+    assert ess == pytest.approx(200.0, rel=1e-6)
+    assert not resampled
     assert np.allclose(out.weights, 1.0 / 200.0)
-    assert info.posterior.mean[0] == pytest.approx(info.prior.mean[0], abs=1e-9)
+    assert posterior_summary(weighted).mean[0] == pytest.approx(
+        posterior_summary(prior).mean[0], abs=1e-9)
     assert out.time == 1.0
 
 
@@ -103,23 +120,22 @@ def test_pf_step_sharp_likelihood_concentrates_and_resamples():
     rng = np.random.default_rng(6)
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(rng.standard_normal(4000))
-    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                        np.array([2.0]), np.array([[0.01]]), NoiseStream(41), ESS_HALF)
-    assert info.resampled
-    assert info.ess < 2000.0
-    assert info.posterior.mean[0] == pytest.approx(2.0, abs=0.3)
+    _, weighted, out, ess, resampled = assimilate(model, ps, 0.1, 2.0, 0.01, NoiseStream(41),
+                                                  ESS_HALF)
+    assert resampled
+    assert ess < 2000.0
+    assert posterior_summary(weighted).mean[0] == pytest.approx(2.0, abs=0.3)
     assert np.allclose(out.weights, 1.0 / 4000.0)
 
 
 def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
-    # the far cluster underflows to zero weight without breaking the step
+    # the far cluster underflows to zero weight without breaking the update
     model = brownian_model(sigma=1e-3)
     values = np.concatenate([np.zeros(50), np.full(50, 100.0)])
     ps = uniform_particles(values)
-    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                        np.array([0.0]), np.array([[0.01]]), NoiseStream(42),
-                        resample=ResamplePolicy("always", 0.5))
-    assert info.ess == pytest.approx(50.0, rel=0.01)
+    _, _, out, ess, _ = assimilate(model, ps, 0.1, 0.0, 0.01, NoiseStream(42),
+                                   ResamplePolicy("always", 0.5))
+    assert ess == pytest.approx(50.0, rel=0.01)
     assert np.all(np.abs(out.particles[0]) < 1.0)
 
 
@@ -127,52 +143,60 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
 def test_pf_step_raises_when_every_weight_underflows():
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(np.zeros(20))
+    propagated = pf_predict(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
+                            NoiseStream(43))
     with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
-        pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                np.array([1e200]), np.array([[1.0]]), NoiseStream(43), ESS_HALF)
+        pf_update(propagated, model, np.array([1e200]), np.array([[1.0]]))
 
 
 def test_pf_step_never_policy_keeps_weighted_set():
     model = brownian_model(sigma=1e-3)
     rng = np.random.default_rng(9)
     ps = uniform_particles(rng.standard_normal(500))
-    out, info = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                        np.array([1.5]), np.array([[0.04]]), NoiseStream(44),
-                        resample=ResamplePolicy("never", 0.5))
-    assert not info.resampled
+    _, weighted, out, _, resampled = assimilate(model, ps, 0.1, 1.5, 0.04, NoiseStream(44),
+                                                ResamplePolicy("never", 0.5))
+    assert not resampled
+    assert out is weighted
     assert out.weights.max() > 2.0 / 500.0  # informative data reweighted the set
 
 
 def test_pf_step_stream_layout_matches_documented_contract():
-    # the stream itself drives propagation, its child 0 drives resampling
+    # step k propagates from stream.child(1).child(k) itself and draws its
+    # resampling offset from that stream's child 0
     model = brownian_model(sigma=0.5)
-    ps = uniform_particles(np.linspace(-2.0, 2.0, 30))
-    stream = NoiseStream(45)
-    by_stream, info_a = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.5), 0.5,
-                                np.array([0.3]), np.array([[0.25]]), stream,
-                                resample=ResamplePolicy("always", 0.5))
-    X = propagate_members(model, ps.particles, interval_inputs(constant(), 0.0, 0.5), 0.0, 0.5,
-                          stream)
-    assert np.array_equal(info_a.prior.mean, X @ ps.weights)
-    z = (0.3 - X[0]) / 0.5
-    logw = np.log(ps.weights) + -0.5 * (z * z)
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    by_parts = systematic_resample(ParticleSet(X, w, 0.5), stream.child(0).generator())
-    assert np.array_equal(by_stream.particles, by_parts.particles)
-    assert np.array_equal(info_a.posterior.mean, X @ w)
+    init = GaussianBelief(np.array([0.0]), np.array([[4.0]]))
+    root = NoiseStream(45)
+    times, ys, N = np.array([0.5, 1.0]), np.array([0.3, -0.2]), 30
+    always = ResamplePolicy("always", 0.5)
+    run = run_filter("pf", model, FilterConfig(initial=init, obs_cov=np.array([[0.25]]),
+                                               stream=root, substeps=10, size=N,
+                                               resample=always),
+                     times, ys, constant())
+    X = init.mean[:, None] + chol_psd(init.cov) @ (
+        root.child(STREAM_INIT).generator().standard_normal((1, N)))
+    w = np.full(N, 1.0 / N)
+    t0 = 0.0
+    for k, t1 in enumerate(times):
+        step = root.child(STREAM_PROPAGATE).child(k)
+        X = propagate_members(model, X, interval_inputs(constant(), t0, t1), t0, t1, step)
+        assert np.array_equal(run.prior_mean[k], X @ w)
+        z = (ys[k] - X[0]) / 0.5
+        logw = np.log(w) + -0.5 * (z * z)
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        assert np.array_equal(run.post_mean[k], X @ w)
+        by_parts = systematic_resample(ParticleSet(X, w, t1), step.child(0).generator())
+        X, w, t0 = by_parts.particles, by_parts.weights, t1
+    assert run.resampled.all()
 
 
 def test_pf_step_is_reproducible_per_stream():
     model = brownian_model()
     rng = np.random.default_rng(10)
     ps = uniform_particles(rng.standard_normal(100))
-    a, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46), ESS_HALF)
-    b, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(46), ESS_HALF)
-    c, _ = pf_step(model, ps, interval_inputs(constant(), 0.0, 0.2), 0.2,
-                   np.array([0.1]), np.array([[0.5]]), NoiseStream(47), ESS_HALF)
+    a = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
+    b = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
+    c = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(47), ESS_HALF)[2]
     assert np.array_equal(a.particles, b.particles)
     assert np.array_equal(a.weights, b.weights)
     assert not np.array_equal(a.particles, c.particles)

@@ -20,11 +20,17 @@ from hypothesis.extra.numpy import arrays
 
 from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, default_experiment_model
-from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet
+from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd, symmetrize
-from cdassim.filters.pf import ResamplePolicy, pf_step, systematic_resample
+from cdassim.filters.pf import (
+    ResamplePolicy,
+    pf_predict,
+    pf_resample,
+    pf_update,
+    systematic_resample,
+)
 from cdassim.filters.unscented import ukf_predict, ukf_update
 from cdassim.sde import NoiseStream, SdeModel
 
@@ -146,14 +152,16 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     particles = ParticleSet(X, w / w.sum(), belief.time)
     t1 = belief.time + DT
     y = np.array([belief.mean[2] + residual])
-    out, info = pf_step(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1, y, R,
-                        NoiseStream(seed), ResamplePolicy(policy, 0.5))
+    stream = NoiseStream(seed)
+    propagated = pf_predict(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1, stream)
+    weighted, _, _ = pf_update(propagated, MODEL, y, R)
+    out, ess, _ = pf_resample(weighted, ResamplePolicy(policy, 0.5), stream.child(0))
     assert np.all(out.weights >= 0.0)
     assert abs(float(out.weights.sum()) - 1.0) <= 1e-12
     # 1 <= ESS <= N holds exactly for normalized weights; allow roundoff in 1 / sum(w^2)
-    assert 1.0 - 1e-12 <= info.ess <= n_p * (1.0 + 1e-12)
+    assert 1.0 - 1e-12 <= ess <= n_p * (1.0 + 1e-12)
     assert np.all(np.isfinite(out.particles))
-    check(info.posterior)
+    check(posterior_summary(weighted))
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,8 +174,8 @@ def test_enkf_update_keeps_psd_summary_and_moves_members_toward_their_data(
     t = belief.time
     y = np.array([belief.mean[2] + residual])
     R = np.array([[obs_variance]])
-    post, summary, _, Re = enkf_update(Ensemble(X, t), MODEL, y, R, NoiseStream(seed))
-    check(summary)
+    post, _, Re = enkf_update(Ensemble(X, t), MODEL, y, R, NoiseStream(seed))
+    check(posterior_summary(post))
     # the perturbations are one (dim_obs, N) standard-normal draw of the stream
     V = chol_psd(R) @ NoiseStream(seed).generator().standard_normal((1, n))
     before = MODEL.measure(t, X)

@@ -7,8 +7,10 @@ import pytest
 from cdassim.filters import runner
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
+from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.pf import ResamplePolicy, pf_step
+from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
+from cdassim.filters.unscented import ukf_predict, ukf_update
 from cdassim.filters.runner import (
     FILTER_KINDS,
     SAMPLE_KINDS,
@@ -141,9 +143,10 @@ def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     assert not np.array_equal(a.post_mean, c.post_mean)
 
 
-def test_sample_filter_noise_keys_match_hand_calls():
-    # step k draws from stream.child(role).child(k); the PF step, resampling
-    # included, uses the STREAM_PROPAGATE key
+def test_every_kind_replays_through_the_step_contract():
+    # step k: predict, summarize, update, summarize, then the PF resamples by
+    # its policy; the sample kinds draw from stream.child(role).child(k), and
+    # the PF's resampling offset from child 0 of its propagation stream
     model = _ou_model()
     times = OU_DT * np.arange(1, 4)
     ys = np.array([5.3, 4.6, 5.1])
@@ -151,38 +154,45 @@ def test_sample_filter_noise_keys_match_hand_calls():
     init = GaussianBelief(np.array([OU_M0]), np.array([[OU_P0]]))
     root = NoiseStream(31337, 6)
     N = 64
+    always = ResamplePolicy("always", 0.5)
     init_rng = root.child(STREAM_INIT).generator()
     x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
-    u = constant()
-
-    enkf = run_filter("enkf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                                   **{**FILTER_SETTINGS["enkf"], "size": N}),
-                      times, ys, u)
-    ens = Ensemble(x0, 0.0)
-    for k, t1 in enumerate(times):
-        ens = enkf_predict(model, ens, interval_inputs(u, ens.time, t1), t1,
-                           root.child(STREAM_PROPAGATE).child(k))
-        prior = posterior_summary(ens)
-        ens, post, e, _ = enkf_update(ens, model, ys[k:k + 1], R,
-                                      root.child(STREAM_PERTURB).child(k))
-        assert np.array_equal(enkf.prior_mean[k], prior.mean)
-        assert np.array_equal(enkf.post_mean[k], post.mean)
-        assert np.array_equal(enkf.post_cov[k], post.cov)
-        assert np.array_equal(enkf.innovation[k], e)
-
-    always = ResamplePolicy("always", 0.5)
-    pf = run_filter("pf", model, FilterConfig(initial=init, obs_cov=R, stream=root,
-                                               **{**FILTER_SETTINGS["pf"], "size": N,
-                                                  "resample": always}),
-                    times, ys, u)
-    particles = ParticleSet(x0, np.full(N, 1.0 / N), 0.0)
-    for k, t1 in enumerate(times):
-        particles, info = pf_step(model, particles, interval_inputs(u, particles.time, t1), t1,
-                                  ys[k:k + 1], R, root.child(STREAM_PROPAGATE).child(k), always)
-        assert np.array_equal(pf.prior_mean[k], info.prior.mean)
-        assert np.array_equal(pf.post_mean[k], info.posterior.mean)
-        assert np.array_equal(pf.post_cov[k], info.posterior.cov)
-        assert pf.ess[k] == info.ess and pf.resampled[k]
+    propagate, perturb = root.child(STREAM_PROPAGATE), root.child(STREAM_PERTURB)
+    scaling = FILTER_SETTINGS["ukf"]["scaling"]
+    contracts = {
+        "ekf": (init, lambda b, u, t1, k: ekf_predict(model, b, u, t1),
+                lambda b, y, k: kalman_update(b, model, y, R)),
+        "ukf": (init, lambda b, u, t1, k: ukf_predict(model, b, u, t1, scaling),
+                lambda b, y, k: ukf_update(b, model, y, R, scaling)),
+        "enkf": (Ensemble(x0, 0.0),
+                 lambda s, u, t1, k: enkf_predict(model, s, u, t1, propagate.child(k)),
+                 lambda s, y, k: enkf_update(s, model, y, R, perturb.child(k))),
+        "pf": (ParticleSet(x0, np.full(N, 1.0 / N), 0.0),
+               lambda s, u, t1, k: pf_predict(model, s, u, t1, propagate.child(k)),
+               lambda s, y, k: pf_update(s, model, y, R)),
+    }
+    assert tuple(contracts) == FILTER_KINDS
+    for kind, (state, predict, update) in contracts.items():
+        settings = {**FILTER_SETTINGS[kind],
+                    **({"stream": root, "size": N} if kind in SAMPLE_KINDS else {}),
+                    **({"resample": always} if kind == "pf" else {})}
+        out = run_filter(kind, model, FilterConfig(initial=init, obs_cov=R, **settings),
+                         times, ys, constant())
+        summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
+        for k, t1 in enumerate(times):
+            state = predict(state, interval_inputs(constant(), state.time, t1), t1, k)
+            prior = summary(state)
+            state, e, Re = update(state, ys[k:k + 1], k)
+            post = summary(state)
+            assert np.array_equal(out.prior_mean[k], prior.mean), kind
+            assert np.array_equal(out.prior_cov[k], prior.cov), kind
+            assert np.array_equal(out.post_mean[k], post.mean), kind
+            assert np.array_equal(out.post_cov[k], post.cov), kind
+            assert np.array_equal(out.innovation[k], e), kind
+            assert np.array_equal(out.innovation_cov[k], Re), kind
+            if kind == "pf":
+                state, ess, resampled = pf_resample(state, always, propagate.child(k).child(0))
+                assert out.ess[k] == ess and out.resampled[k] == resampled
 
 
 def test_failures_carry_step_information():
