@@ -35,12 +35,9 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     """Perturbed-observation analysis.
 
     Returns (posterior ensemble, innovation against the ensemble-mean
-    prediction, innovation covariance); the caller takes the Gaussian
-    summary with :func:`~cdassim.filters.beliefs.posterior_summary`. Each
-    member sees its own perturbed copy ``y + v_i`` with ``v_i ~ N(0, R)``;
-    the standard normals behind every ``v_i`` are one ``(dim_obs, N)`` draw
-    of ``noise``, which the runner keys ``stream.child(2).child(k)`` at step
-    ``k``.
+    prediction, innovation covariance), the runner's update contract; the
+    runner summarizes the ensemble. Each member sees its own perturbed copy
+    ``y + v_i`` with ``v_i ~ N(0, R)``, drawn as one ``(dim_obs, N)`` block.
     """
     X = ensemble.members
     t = ensemble.time

@@ -107,24 +107,26 @@ def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
               R: np.ndarray) -> tuple[ParticleSet, np.ndarray, np.ndarray]:
     """Reweight by the likelihood of ``y``; returns (weighted set, innovation, its covariance).
 
-    The particles do not move. Every weight underflowing raises
-    :class:`~cdassim.sde.DivergenceError` naming the time.
+    The particles do not move. The innovation is taken against the
+    predictive mean under the incoming weights, and its covariance is their
+    weighted spread of predicted observations plus ``R``. Every weight
+    underflowing raises :class:`~cdassim.sde.DivergenceError` naming the time.
     """
-    X, t = particles.particles, particles.time
+    X, w, t = particles.particles, particles.weights, particles.time
     y = np.atleast_1d(np.asarray(y, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
+    yhat = Yp @ w
+    dY = Yp - yhat[:, None]
+    Re = (dY * w) @ dY.T + R
     E = y[:, None] - Yp
     with np.errstate(divide="ignore"):
-        logw = np.log(particles.weights) + _log_gaussian(E, R)
+        logw = np.log(w) + _log_gaussian(E, R)
     peak = logw.max()
     if not np.isfinite(peak):
         raise DivergenceError(f"all particle weights underflowed at t={t}")
     w = np.exp(logw - peak)
     w /= w.sum()
-    yhat = Yp @ w
-    dY = Yp - yhat[:, None]
-    Re = (dY * w) @ dY.T + R
     return ParticleSet(X, w, t), y - yhat, Re
 
 

@@ -140,17 +140,21 @@ CHI2_50_QUANTILES = (32.357, 71.420)
 
 def test_linear_gaussian_nis_consistency(ou):
     # criterion 1's run: a consistent filter's mean NIS over the 50 scalar
-    # innovations lies in the 95% chi-square(50) / 50 band
+    # innovations lies in the 95% chi-square(50) / 50 band; the EnKF and PF
+    # run 1000 members on criterion 1's streams
     lo, hi = (q / OU_STEPS for q in CHI2_50_QUANTILES)
     init = GaussianBelief(np.array([OU_M0]), np.array([[OU_P0]]))
+    tags = {"enkf": 902, "pf": 903}
     mean_nis = {}
-    for kind in ("ekf", "ukf"):
-        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind])
+    for kind in FILTER_KINDS:
+        stream = {"stream": NoiseStream(SEED, tags[kind])} if kind in tags else {}
+        fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind],
+                          **stream)
         out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
         assert out.nis.size == OU_STEPS
         mean_nis[kind] = float(np.mean(out.nis))
-    print(f"mean NIS ekf {mean_nis['ekf']:.4f} ukf {mean_nis['ukf']:.4f} "
-          f"(95% band [{lo:.4f}, {hi:.4f}])")
+    print("mean NIS " + " ".join(f"{k} {v:.4f}" for k, v in mean_nis.items())
+          + f" (95% band [{lo:.4f}, {hi:.4f}])")
     for kind, value in mean_nis.items():
         assert lo <= value <= hi, f"{kind} mean NIS {value:.4f} outside [{lo:.4f}, {hi:.4f}]"
 

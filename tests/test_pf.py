@@ -139,6 +139,19 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
     assert np.all(np.abs(out.particles[0]) < 1.0)
 
 
+def test_pf_step_innovation_is_taken_under_the_incoming_weights():
+    # the prior-predictive innovation, before the likelihood reweights the set
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.1, 1.0, 50)
+    ps = ParticleSet(rng.standard_normal((1, 50)), w / w.sum(), 0.5)
+    weighted, e, Re = pf_update(ps, brownian_model(), np.array([0.7]), np.array([[0.3]]))
+    yhat = ps.particles[0] @ ps.weights
+    assert e[0] == pytest.approx(0.7 - yhat, abs=1e-14)
+    assert Re[0, 0] == pytest.approx(((ps.particles[0] - yhat) ** 2) @ ps.weights + 0.3,
+                                     rel=1e-12)
+    assert not np.allclose(weighted.weights, ps.weights)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_pf_step_raises_when_every_weight_underflows():
     model = brownian_model(sigma=1e-3)
