@@ -110,7 +110,7 @@ def posterior_summary(sample) -> GaussianBelief:
     if isinstance(sample, Ensemble):
         X, t = sample.members, sample.time
         n = X.shape[1]
-        m = X.mean(axis=1)
+        m = X.sum(axis=1) / n  # bitwise X.mean(axis=1)
         dev = X - m[:, None]
         P = (dev @ dev.T) / (n - 1)
         return GaussianBelief(m, symmetrize(P), t)

@@ -1,11 +1,11 @@
 """Ensemble Kalman filter with perturbed observations.
 
 The analysis step perturbs the observation once per member with fresh
-measurement noise, drawn as one ``(dim_obs, N)`` block from a single noise
-stream, estimates the cross and innovation covariances from the sample
-deviations with 1/(N-1) normalization, adds the measurement-noise
-covariance to the innovation covariance, and applies one shared gain to
-every member.
+measurement noise, drawn as one ``(dim_obs, N)`` block from a generator
+positioned at the start of its stream, estimates the cross and innovation
+covariances from the sample deviations with 1/(N-1) normalization, adds the
+measurement-noise covariance to the innovation covariance, and applies one
+shared gain to every member.
 """
 from __future__ import annotations
 
@@ -14,30 +14,31 @@ import numpy as np
 from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.linalg import chol_psd, solve_spd
 from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import SdeModel
 
 __all__ = ["enkf_predict", "enkf_update"]
 
 
 def enkf_predict(model: SdeModel, ensemble: Ensemble, inputs: np.ndarray, t1: float,
-                 noise: NoiseStream) -> Ensemble:
-    """Propagate every member through the SDE to ``t1`` with increments from ``noise``.
+                 rng: np.random.Generator) -> Ensemble:
+    """Propagate every member through the SDE to ``t1`` with increments from ``rng``.
 
     ``inputs`` holds the interval's rows of the run's stage-input table; see
     :func:`~cdassim.filters.montecarlo.propagate_members`.
     """
-    X = propagate_members(model, ensemble.members, inputs, ensemble.time, t1, noise)
+    X = propagate_members(model, ensemble.members, inputs, ensemble.time, t1, rng)
     return Ensemble(X, t1)
 
 
 def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarray,
-                noise: NoiseStream) -> tuple[Ensemble, np.ndarray, np.ndarray]:
+                rng: np.random.Generator) -> tuple[Ensemble, np.ndarray, np.ndarray]:
     """Perturbed-observation analysis.
 
     Returns (posterior ensemble, innovation against the ensemble-mean
     prediction, innovation covariance), the runner's update contract; the
     runner summarizes the ensemble. Each member sees its own perturbed copy
-    ``y + v_i`` with ``v_i ~ N(0, R)``, drawn as one ``(dim_obs, N)`` block.
+    ``y + v_i`` with ``v_i ~ N(0, R)``, drawn from ``rng`` as one
+    ``(dim_obs, N)`` block.
     """
     X = ensemble.members
     t = ensemble.time
@@ -49,12 +50,13 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     if Yp.shape != (y.size, N):
         raise ValueError(f"measurement map returned {Yp.shape}, expected {(y.size, N)}")
 
-    V = chol_psd(R) @ noise.generator().standard_normal((y.size, N))
+    V = chol_psd(R) @ rng.standard_normal((y.size, N))
     E = (y[:, None] + V) - Yp  # per-member innovations
 
-    Xd = X - X.mean(axis=1, keepdims=True)
-    Yd = Yp - Yp.mean(axis=1, keepdims=True)
+    yhat = Yp.sum(axis=1) / N  # bitwise Yp.mean(axis=1)
+    Xd = X - (X.sum(axis=1) / N)[:, None]
+    Yd = Yp - yhat[:, None]
     Rxy = (Xd @ Yd.T) / (N - 1)
     Ryy = (Yd @ Yd.T) / (N - 1) + R
     K = solve_spd(Ryy, Rxy.T).T
-    return Ensemble(X + K @ E, t), y - Yp.mean(axis=1), Ryy
+    return Ensemble(X + K @ E, t), y - yhat, Ryy

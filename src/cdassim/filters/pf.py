@@ -9,8 +9,9 @@ systematic (one uniform offset, n_p strata) and triggered by a
 sample size falls below half the particle count.
 
 A step is :func:`pf_predict` (propagate, keep the weights), :func:`pf_update`
-(reweight) and :func:`pf_resample`. The runner draws step ``k``'s increments
-from ``stream.child(1).child(k)`` and the resampling offset from its child 0.
+(reweight) and :func:`pf_resample`. Each draw takes a generator positioned at
+the start of its stream: the runner seats step ``k``'s increments at
+``stream.child(1).child(k)`` and the resampling offset at its child 0.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from cdassim.filters.beliefs import ParticleSet
 from cdassim.filters.linalg import chol_psd, solve_lower
 from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, SdeModel
 
 __all__ = [
     "ResamplePolicy",
@@ -93,13 +94,13 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def pf_predict(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
-               noise: NoiseStream) -> ParticleSet:
-    """Propagate every particle to ``t1`` with increments from ``noise``; weights are kept.
+               rng: np.random.Generator) -> ParticleSet:
+    """Propagate every particle to ``t1`` with increments from ``rng``; weights are kept.
 
     ``inputs`` holds the interval's rows of the run's stage-input table; see
     :func:`~cdassim.filters.montecarlo.propagate_members`.
     """
-    X = propagate_members(model, particles.particles, inputs, particles.time, t1, noise)
+    X = propagate_members(model, particles.particles, inputs, particles.time, t1, rng)
     return ParticleSet(X, particles.weights, t1)
 
 
@@ -131,12 +132,12 @@ def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
 
 
 def pf_resample(particles: ParticleSet, policy: ResamplePolicy,
-                noise: NoiseStream) -> tuple[ParticleSet, float, bool]:
+                rng: np.random.Generator) -> tuple[ParticleSet, float, bool]:
     """Apply ``policy``; returns (set, ESS of the incoming weights, whether it resampled).
 
-    ``noise`` gives the systematic offset, drawn only when resampling.
+    ``rng`` gives the systematic offset, drawn only when resampling.
     """
     ess = effective_sample_size(particles.weights)
     if not policy.should_resample(ess, particles.size):
         return particles, ess, False
-    return systematic_resample(particles, noise.generator()), ess, True
+    return systematic_resample(particles, rng), ess, True

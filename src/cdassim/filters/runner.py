@@ -12,8 +12,11 @@ under the configured noise stream. Sample-based filters draw their initial
 members from role ``STREAM_INIT``; step ``k`` draws from one block stream
 per role, ``stream.child(role).child(k)``: ``STREAM_PROPAGATE`` for EnKF
 and PF propagation, whose child 0 gives the PF's resampling offset, and
-``STREAM_PERTURB`` for the EnKF observation perturbations. Two runs with
-the same stream are therefore bitwise identical however work is scheduled.
+``STREAM_PERTURB`` for the EnKF observation perturbations. A run builds one
+generator per noise role and, before each step's draw, seats it at that
+step's stream (:meth:`~cdassim.sde.NoiseStream.seat`), which replays the
+stream exactly as a fresh generator would. Two runs with the same stream
+are therefore bitwise identical however work is scheduled.
 """
 from __future__ import annotations
 
@@ -113,32 +116,45 @@ class FilterConfig:
 
 
 def _contract(kind: str, model: SdeModel, config: FilterConfig):
-    """``(initial state, predict, update)`` of one kind; see the module docstring."""
+    """``(initial state, predict, update, resample)`` of one kind.
+
+    ``resample(state, k) -> (state, ess, resampled)`` is the PF's and None
+    for the other kinds; see the module docstring.
+    """
     R = config.obs_cov
     if kind == "ekf":
         return (config.initial,
                 lambda b, inputs, t1, k: ekf_predict(model, b, inputs, t1),
-                lambda b, y, k: kalman_update(b, model, y, R))
+                lambda b, y, k: kalman_update(b, model, y, R), None)
     if kind == "ukf":
         scaling = config.scaling
         return (config.initial,
                 lambda b, inputs, t1, k: ukf_predict(model, b, inputs, t1, scaling),
-                lambda b, y, k: ukf_update(b, model, y, R, scaling))
+                lambda b, y, k: ukf_update(b, model, y, R, scaling), None)
     draws = config.stream.child(STREAM_INIT).generator().standard_normal(
         (config.initial.dim, config.size))
     X0 = config.initial.mean[:, None] + chol_psd(config.initial.cov) @ draws
     if model.constrain is not None:
         X0 = model.constrain(X0)
     propagate_root = config.stream.child(STREAM_PROPAGATE)
+    propagate_rng = propagate_root.generator()
     if kind == "enkf":
         perturb_root = config.stream.child(STREAM_PERTURB)
+        perturb_rng = perturb_root.generator()
         return (Ensemble(X0, config.initial.time),
-                lambda ens, inputs, t1, k: enkf_predict(model, ens, inputs, t1,
-                                                        propagate_root.child(k)),
-                lambda ens, y, k: enkf_update(ens, model, y, R, perturb_root.child(k)))
+                lambda ens, inputs, t1, k: enkf_predict(
+                    model, ens, inputs, t1, propagate_root.child(k).seat(propagate_rng)),
+                lambda ens, y, k: enkf_update(ens, model, y, R,
+                                              perturb_root.child(k).seat(perturb_rng)),
+                None)
+    offset_rng = propagate_root.generator()
+    policy = config.resample
     return (ParticleSet(X0, np.full(config.size, 1.0 / config.size), config.initial.time),
-            lambda ps, inputs, t1, k: pf_predict(model, ps, inputs, t1, propagate_root.child(k)),
-            lambda ps, y, k: pf_update(ps, model, y, R))
+            lambda ps, inputs, t1, k: pf_predict(
+                model, ps, inputs, t1, propagate_root.child(k).seat(propagate_rng)),
+            lambda ps, y, k: pf_update(ps, model, y, R),
+            lambda ps, k: pf_resample(ps, policy,
+                                      propagate_root.child(k).child(0).seat(offset_rng)))
 
 
 def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurements,
@@ -203,9 +219,9 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         step_seconds=np.empty(n_steps),
     )
 
-    state, predict, update = _contract(kind, model, config)
+    state, predict, update, resample = _contract(kind, model, config)
     summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
-    if kind == "pf":
+    if resample is not None:
         out.ess = np.empty(n_steps)
         out.resampled = np.zeros(n_steps, dtype=bool)
 
@@ -218,10 +234,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 prior = summary(state)
                 state, e, Re = update(state, Y[k], k)
                 post = summary(state)
-                if kind == "pf":
-                    offset = config.stream.child(STREAM_PROPAGATE).child(k).child(0)
-                    state, out.ess[k], out.resampled[k] = pf_resample(state, config.resample,
-                                                                      offset)
+                if resample is not None:
+                    state, out.ess[k], out.resampled[k] = resample(state, k)
                 out.step_seconds[k] = time.perf_counter() - tic
                 out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
             except (DivergenceError, np.linalg.LinAlgError) as exc:

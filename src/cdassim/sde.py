@@ -40,6 +40,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
+# Philox's counter and buffer at the start of a stream; its state setter copies them
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.setflags(write=False)
 
 
 class DivergenceError(RuntimeError):
@@ -76,6 +79,28 @@ class NoiseStream:
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
+    def seat(self, gen: np.random.Generator) -> np.random.Generator:
+        """Reposition ``gen`` at the start of this stream and return it.
+
+        ``gen`` is a generator built by :meth:`generator` of any stream. Its
+        Philox key becomes this stream's, its counter returns to 0 and its
+        buffered words are dropped, so what it draws next equals what a
+        fresh ``self.generator()`` draws, bit for bit, whatever ``gen`` drew
+        before. This is far cheaper than building a generator, so a filter
+        run builds one per noise role and seats it at every step.
+        """
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS,
+                      "key": np.array([self.stream_id & _MASK64, self.seed & _MASK64],
+                                      np.uint64)},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
     def child(self, index: int) -> "NoiseStream":
         """Derive the ``index``-th independent substream of this stream."""
         mixed = _splitmix64((self.stream_id ^ _splitmix64(index & _MASK64)) & _MASK64)
@@ -92,11 +117,12 @@ class SdeModel:
 
     Diffusion contract: the filters need a diffusion that depends on neither
     the state nor ``t`` except through the input ``u``, returned as a single
-    ``(dim_state, dim_noise)`` matrix. Their predictions evaluate it once
-    per distinct input value of a prediction interval and reuse it at every
-    stage with that input. Sample-path integration (:func:`simulate_path`)
-    re-evaluates it every step and so also accepts a state-dependent
-    diffusion.
+    ``(dim_state, dim_noise)`` matrix. Their predictions, the EnKF and PF
+    members' Euler-Maruyama substeps included, evaluate it once per distinct
+    input value of a prediction interval and reuse it at every stage or
+    substep with that input. Only sample-path integration
+    (:func:`simulate_path`) re-evaluates it every step, so only it accepts a
+    state-dependent diffusion.
 
     ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
     one state ``(n,)`` as a pair ``(f, A)``; ``measure_jacobian(t, x)``

@@ -179,10 +179,11 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
         prop_p = NoiseStream(SEED, 940 + j)
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
-            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), inputs, OU_DT, prop_e.child(r))
-            ens, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r))
+            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), inputs, OU_DT,
+                               prop_e.child(r).generator())
+            ens, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r).generator())
             particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
-            particles = pf_predict(model, particles, inputs, OU_DT, prop_p.child(r))
+            particles = pf_predict(model, particles, inputs, OU_DT, prop_p.child(r).generator())
             particles, _, _ = pf_update(particles, model, y1, Rm)
             for kind, sample in (("enkf", ens), ("pf", particles)):
                 errs[kind][r, j] = abs(float(posterior_summary(sample).mean[0]) - kf_mean)

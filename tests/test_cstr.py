@@ -27,7 +27,7 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import NoiseStream, euler_maruyama_step, rk4_inputs, rk4_step
+from cdassim.sde import DivergenceError, NoiseStream, euler_maruyama_step, rk4_inputs, rk4_step
 
 from stages import UNIT_SCALING, fd_jacobian, interval_inputs
 
@@ -507,9 +507,9 @@ class TestStageInputs:
         X = np.column_stack([random_joint_state(rng) for _ in range(50)])
         stream = NoiseStream(23)
         table = propagate_members(model, X, interval_inputs(FLOW, t0, t1, substeps), t0, t1,
-                                  stream)
+                                  stream.generator())
         calls = propagate_members(model, X, per_stage_inputs(FLOW, t0, t1, substeps), t0, t1,
-                                  stream)
+                                  stream.generator())
         assert np.array_equal(table, calls)
         # both arms above share the stage table; this one looks up each substep
         h = (t1 - t0) / substeps
@@ -518,6 +518,53 @@ class TestStageInputs:
             t = t0 + j * h
             X = model.constrain(euler_maruyama_step(model, t, X, FLOW.at(t), h, draws[j]))
         assert np.array_equal(table, X)
+
+
+class TestMemberKernel:
+    """The members' in-place Euler-Maruyama loop against the reference step."""
+
+    T0, T1, SUBSTEPS = 195.0, 205.0, 10  # crosses the 200 s flow breakpoint
+
+    @pytest.mark.parametrize("sigma_theta, channels", [(0.0, 1), (0.05, 2)])
+    def test_matches_euler_maruyama_steps_bit_for_bit(self, sigma_theta, channels):
+        from cdassim.filters.montecarlo import propagate_members
+
+        model = joint_model(sigma_theta)
+        assert model.dim_noise == channels
+        rng = np.random.default_rng(29)
+        X0 = np.column_stack([random_joint_state(rng) for _ in range(1000)])
+        inputs = interval_inputs(FLOW, self.T0, self.T1, self.SUBSTEPS)
+        stream = NoiseStream(41, channels)
+        X1 = propagate_members(model, X0, inputs, self.T0, self.T1, stream.generator())
+
+        h = (self.T1 - self.T0) / self.SUBSTEPS
+        draws = stream.generator().standard_normal((self.SUBSTEPS, channels, 1000)) * np.sqrt(h)
+        X = X0.copy()
+        for j in range(self.SUBSTEPS):
+            X = euler_maruyama_step(model, self.T0 + j * h, X, inputs[j, 0], h, draws[j])
+            X = model.constrain(X)
+        assert np.array_equal(X1, X)
+        assert X1.flags.c_contiguous
+        assert not np.array_equal(X1, X0)
+
+    def test_non_finite_diffusion_names_the_first_substep_with_its_input(self):
+        from cdassim.filters.montecarlo import propagate_members
+
+        model = joint_model(0.05)
+        late_flow = FLOW.at(self.T1)[0]
+        calls = []
+
+        def diffusion(t, x, u):
+            calls.append(t)
+            g = model.diffusion(t, x, u)
+            return g * np.nan if u[0] == late_flow else g
+
+        broken = dataclasses.replace(model, diffusion=diffusion)
+        X0 = np.column_stack([EMPTY_REACTOR] * 8)
+        with pytest.raises(DivergenceError, match=r"non-finite drift/diffusion at t=200\.0$"):
+            propagate_members(broken, X0, interval_inputs(FLOW, self.T0, self.T1, self.SUBSTEPS),
+                              self.T0, self.T1, NoiseStream(3).generator())
+        assert calls == [195.0, 200.0]  # once per distinct input value
 
 
 class TestMomentConsistency:
@@ -540,7 +587,7 @@ class TestMomentConsistency:
         rng = stream.child(0).generator()
         X0 = mean0[:, None] + np.linalg.cholesky(P0) @ rng.standard_normal((4, n))
         X1 = propagate_members(m, X0, interval_inputs(FLOW, 0.0, 10.0, substeps=100), 0.0, 10.0,
-                               stream.child(1))
+                               stream.child(1).generator())
         mc_mean = X1.mean(axis=1)
         se = X1.std(axis=1, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(pred.mean - mc_mean) <= 4.0 * se + 1e-3)

@@ -31,7 +31,7 @@ def test_propagate_members_matches_discrete_chain_moments():
     K, N = 40, 20000
     model = scalar_ou(a, sigma)
     X1 = propagate_members(model, np.full((1, N), x0), interval_inputs(constant(0.0), 0.0, t1, K),
-                           0.0, t1, NoiseStream(7, 3))
+                           0.0, t1, NoiseStream(7, 3).generator())
     h = t1 / K
     factor = 1.0 - a * h
     mean_exact = x0 * factor**K
@@ -43,7 +43,7 @@ def test_propagate_members_matches_discrete_chain_moments():
 def test_propagate_members_time_edges():
     model = scalar_ou()
     X = np.array([[1.0, 2.0]])
-    noise = NoiseStream(1)
+    noise = NoiseStream(1).generator()
     same = propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 3.0), 3.0, 3.0, noise)
     assert np.array_equal(same, X)
     assert same is not X
@@ -67,7 +67,8 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
     u = np.array([0.1, -0.2])
     t0, t1, K = 0.5, 1.3, 6
     stream = NoiseStream(31, 4)
-    X1 = propagate_members(model, X0, interval_inputs(constant(u), t0, t1, K), t0, t1, stream)
+    X1 = propagate_members(model, X0, interval_inputs(constant(u), t0, t1, K), t0, t1,
+                           stream.generator())
 
     h = (t1 - t0) / K
     block = stream.generator().standard_normal((K, 2, 7)) * np.sqrt(h)
@@ -90,7 +91,8 @@ def test_propagate_members_reports_diverged_member():
     )
     with pytest.raises(DivergenceError) as err:
         propagate_members(model, np.array([[-1.0, 50.0]]),
-                          interval_inputs(constant(0.0), 0.0, 2.0, 8), 0.0, 2.0, NoiseStream(2))
+                          interval_inputs(constant(0.0), 0.0, 2.0, 8), 0.0, 2.0,
+                          NoiseStream(2).generator())
     assert "member 1" in str(err.value)
 
 
@@ -106,7 +108,8 @@ def test_propagate_members_converts_midstep_overflow():
     )
     with pytest.raises(DivergenceError):
         propagate_members(model, np.array([[0.1, 50.0]]),
-                          interval_inputs(constant(0.0), 0.0, 5.0, 5), 0.0, 5.0, NoiseStream(2))
+                          interval_inputs(constant(0.0), 0.0, 5.0, 5), 0.0, 5.0,
+                          NoiseStream(2).generator())
 
 
 def test_ensemble_needs_two_members():
@@ -121,9 +124,9 @@ def test_enkf_predict_is_reproducible_per_stream():
     ens = Ensemble(np.linspace(-1.0, 1.0, 8)[None, :])
     stream = NoiseStream(12, 5)
     u = interval_inputs(constant(0.0), 0.0, 0.5)
-    a = enkf_predict(model, ens, u, 0.5, stream)
-    b = enkf_predict(model, ens, u, 0.5, stream)
-    c = enkf_predict(model, ens, u, 0.5, stream.child(1))
+    a = enkf_predict(model, ens, u, 0.5, stream.generator())
+    b = enkf_predict(model, ens, u, 0.5, stream.generator())
+    c = enkf_predict(model, ens, u, 0.5, stream.child(1).generator())
     assert np.array_equal(a.members, b.members)
     assert not np.array_equal(a.members, c.members)
     assert a.time == 0.5
@@ -133,7 +136,8 @@ def test_enkf_update_zero_spread_is_a_fixed_point():
     # identical members carry no sampled covariance, so the gain vanishes
     model = scalar_ou()
     ens = Ensemble(np.full((1, 5), 0.3))
-    post, e, Re = enkf_update(ens, model, np.array([2.0]), np.array([[0.5]]), NoiseStream(3))
+    post, e, Re = enkf_update(ens, model, np.array([2.0]), np.array([[0.5]]),
+                              NoiseStream(3).generator())
     assert np.array_equal(post.members, ens.members)
     assert posterior_summary(post).cov[0, 0] == 0.0
     assert e[0] == pytest.approx(2.0 - 0.3)
@@ -155,7 +159,7 @@ def test_enkf_update_matches_direct_formulas():
         measure=lambda t, x: C @ x,
     )
     stream = NoiseStream(77)
-    post, e, Re = enkf_update(Ensemble(X), model, y, R, stream)
+    post, e, Re = enkf_update(Ensemble(X), model, y, R, stream.generator())
 
     V = chol_psd(R) @ stream.generator().standard_normal((ny, N))
     Yp = C @ X
@@ -173,4 +177,4 @@ def test_enkf_update_requires_matching_measurement_shape():
     model = scalar_ou()
     ens = Ensemble(np.ones((1, 4)))
     with pytest.raises(ValueError):
-        enkf_update(ens, model, np.array([1.0, 2.0]), np.eye(2), NoiseStream(0))
+        enkf_update(ens, model, np.array([1.0, 2.0]), np.eye(2), NoiseStream(0).generator())

@@ -41,9 +41,10 @@ def assimilate(model, ps, t1, y, R, stream, policy):
     Returns (propagated set, reweighted set, set after the policy, ESS,
     whether it resampled); the offset comes from ``stream.child(0)``.
     """
-    propagated = pf_predict(model, ps, interval_inputs(constant(), ps.time, t1), t1, stream)
+    propagated = pf_predict(model, ps, interval_inputs(constant(), ps.time, t1), t1,
+                            stream.generator())
     weighted, _, _ = pf_update(propagated, model, np.array([y]), np.array([[R]]))
-    out, ess, resampled = pf_resample(weighted, policy, stream.child(0))
+    out, ess, resampled = pf_resample(weighted, policy, stream.child(0).generator())
     return propagated, weighted, out, ess, resampled
 
 
@@ -157,7 +158,7 @@ def test_pf_step_raises_when_every_weight_underflows():
     model = brownian_model(sigma=1e-3)
     ps = uniform_particles(np.zeros(20))
     propagated = pf_predict(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
-                            NoiseStream(43))
+                            NoiseStream(43).generator())
     with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
         pf_update(propagated, model, np.array([1e200]), np.array([[1.0]]))
 
@@ -191,7 +192,8 @@ def test_pf_step_stream_layout_matches_documented_contract():
     t0 = 0.0
     for k, t1 in enumerate(times):
         step = root.child(STREAM_PROPAGATE).child(k)
-        X = propagate_members(model, X, interval_inputs(constant(), t0, t1), t0, t1, step)
+        X = propagate_members(model, X, interval_inputs(constant(), t0, t1), t0, t1,
+                              step.generator())
         assert np.array_equal(run.prior_mean[k], X @ w)
         z = (ys[k] - X[0]) / 0.5
         logw = np.log(w) + -0.5 * (z * z)

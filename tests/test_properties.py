@@ -153,9 +153,11 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     t1 = belief.time + DT
     y = np.array([belief.mean[2] + residual])
     stream = NoiseStream(seed)
-    propagated = pf_predict(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1, stream)
+    propagated = pf_predict(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1,
+                            stream.generator())
     weighted, _, _ = pf_update(propagated, MODEL, y, R)
-    out, ess, _ = pf_resample(weighted, ResamplePolicy(policy, 0.5), stream.child(0))
+    out, ess, _ = pf_resample(weighted, ResamplePolicy(policy, 0.5),
+                              stream.child(0).generator())
     assert np.all(out.weights >= 0.0)
     assert abs(float(out.weights.sum()) - 1.0) <= 1e-12
     # 1 <= ESS <= N holds exactly for normalized weights; allow roundoff in 1 / sum(w^2)
@@ -174,7 +176,7 @@ def test_enkf_update_keeps_psd_summary_and_moves_members_toward_their_data(
     t = belief.time
     y = np.array([belief.mean[2] + residual])
     R = np.array([[obs_variance]])
-    post, _, Re = enkf_update(Ensemble(X, t), MODEL, y, R, NoiseStream(seed))
+    post, _, Re = enkf_update(Ensemble(X, t), MODEL, y, R, NoiseStream(seed).generator())
     check(posterior_summary(post))
     # the perturbations are one (dim_obs, N) standard-normal draw of the stream
     V = chol_psd(R) @ NoiseStream(seed).generator().standard_normal((1, n))

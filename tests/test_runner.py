@@ -146,7 +146,8 @@ def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
 def test_every_kind_replays_through_the_step_contract():
     # step k: predict, summarize, update, summarize, then the PF resamples by
     # its policy; the sample kinds draw from stream.child(role).child(k), and
-    # the PF's resampling offset from child 0 of its propagation stream
+    # the PF's resampling offset from child 0 of its propagation stream, each
+    # through one generator per role seated at that stream before the draw
     model = _ou_model()
     times = OU_DT * np.arange(1, 4)
     ys = np.array([5.3, 4.6, 5.1])
@@ -158,6 +159,7 @@ def test_every_kind_replays_through_the_step_contract():
     init_rng = root.child(STREAM_INIT).generator()
     x0 = init.mean[:, None] + chol_psd(init.cov) @ init_rng.standard_normal((1, N))
     propagate, perturb = root.child(STREAM_PROPAGATE), root.child(STREAM_PERTURB)
+    prop_rng, pert_rng, offset_rng = propagate.generator(), perturb.generator(), root.generator()
     scaling = FILTER_SETTINGS["ukf"]["scaling"]
     contracts = {
         "ekf": (init, lambda b, u, t1, k: ekf_predict(model, b, u, t1),
@@ -165,10 +167,12 @@ def test_every_kind_replays_through_the_step_contract():
         "ukf": (init, lambda b, u, t1, k: ukf_predict(model, b, u, t1, scaling),
                 lambda b, y, k: ukf_update(b, model, y, R, scaling)),
         "enkf": (Ensemble(x0, 0.0),
-                 lambda s, u, t1, k: enkf_predict(model, s, u, t1, propagate.child(k)),
-                 lambda s, y, k: enkf_update(s, model, y, R, perturb.child(k))),
+                 lambda s, u, t1, k: enkf_predict(model, s, u, t1,
+                                                  propagate.child(k).seat(prop_rng)),
+                 lambda s, y, k: enkf_update(s, model, y, R, perturb.child(k).seat(pert_rng))),
         "pf": (ParticleSet(x0, np.full(N, 1.0 / N), 0.0),
-               lambda s, u, t1, k: pf_predict(model, s, u, t1, propagate.child(k)),
+               lambda s, u, t1, k: pf_predict(model, s, u, t1,
+                                              propagate.child(k).seat(prop_rng)),
                lambda s, y, k: pf_update(s, model, y, R)),
     }
     assert tuple(contracts) == FILTER_KINDS
@@ -191,8 +195,30 @@ def test_every_kind_replays_through_the_step_contract():
             assert np.array_equal(out.innovation[k], e), kind
             assert np.array_equal(out.innovation_cov[k], Re), kind
             if kind == "pf":
-                state, ess, resampled = pf_resample(state, always, propagate.child(k).child(0))
+                state, ess, resampled = pf_resample(state, always,
+                                                    propagate.child(k).child(0).seat(offset_rng))
                 assert out.ess[k] == ess and out.resampled[k] == resampled
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS)
+def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypatch):
+    # the initial draw and each per-step role build one generator per run,
+    # which is then seated at every step's stream; the count is the same for
+    # any number of steps
+    times, ys = ou_data
+    assert times.size > 3
+    built = []
+    generator = NoiseStream.generator
+    monkeypatch.setattr(NoiseStream, "generator", lambda s: built.append(s) or generator(s))
+    cfg = base_config(kind, size=20, **({"resample": ResamplePolicy("always", 0.5)}
+                                        if kind == "pf" else {}))
+    counts = []
+    for n_steps in (1, 3, times.size):
+        built.clear()
+        out = run_filter(kind, ou_model(), cfg, times[:n_steps], ys[:n_steps], u=U_IN)
+        assert out.n_steps == n_steps
+        counts.append(len(built))
+    assert counts == [3, 3, 3]
 
 
 def test_failures_carry_step_information():

@@ -71,6 +71,29 @@ class TestNoiseStream:
         assert abs(dw.mean()) < 5e-4
         assert abs(dw.var() - 0.1) < 0.001  # within 1%
 
+    @pytest.mark.parametrize("stream", [
+        NoiseStream(seed=2**64 - 1, stream_id=3),
+        NoiseStream(seed=7).child(4).child(2**40).child(0),
+        NoiseStream(seed=2**64 - 1).child(1).child(9),
+        NoiseStream(seed=5, stream_id=11),
+    ])
+    def test_seat_replays_a_fresh_generator(self, stream):
+        # a partly used generator, of another stream or of this one, seated,
+        # draws what a fresh generator of this stream draws; the uint32 draw
+        # leaves a half word buffered (has_uint32 set)
+        g = NoiseStream(seed=5, stream_id=11).generator()
+        g.standard_normal(7)
+        g.uniform(size=3)
+        g.integers(0, 1000, size=5, dtype=np.uint32)
+        assert g.bit_generator.state["has_uint32"] == 1
+        assert stream.seat(g) is g
+        fresh = stream.generator()
+        for draw in (lambda r: r.standard_normal((3, 5)), lambda r: r.uniform(),
+                     lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32),
+                     lambda r: r.standard_normal(4)):
+            assert np.array_equal(draw(g), draw(fresh))
+        assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
+
 
 class TestEulerMaruyamaStep:
     def test_zero_drift_zero_noise_is_identity(self):
