@@ -50,7 +50,7 @@ EXIT_NUMERICAL = 2
 
 DEFAULT_SWEEP_SIZES = (10, 100, 1000)
 
-_NUMERICAL_ERRORS = (DivergenceError, SteadyStateRangeError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (DivergenceError, SteadyStateRangeError)
 
 
 class _Parser(argparse.ArgumentParser):

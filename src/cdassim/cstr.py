@@ -287,7 +287,6 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
     model = SdeModel(
         dim_state=4,
         dim_noise=dim_noise,
-        dim_obs=1,
         drift=lambda t, x, u: cstr3_drift(x, u[0], params),
         diffusion=diffusion,
         measure=lambda t, x: x[2:3],

@@ -1,7 +1,7 @@
 """Ensemble Kalman filter with perturbed observations.
 
 The analysis step perturbs the observation once per member with fresh
-measurement noise, drawn as one ``(dim_obs, N)`` block from a generator
+measurement noise, drawn as one ``(len(y), N)`` block from a generator
 positioned at the start of its stream, estimates the cross and innovation
 covariances from the sample deviations with 1/(N-1) normalization, adds the
 measurement-noise covariance to the innovation covariance, and applies one
@@ -13,8 +13,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.linalg import chol_psd, solve_spd
-from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import SdeModel
+from cdassim.sde import SdeModel, propagate_members
 
 __all__ = ["enkf_predict", "enkf_update"]
 
@@ -24,7 +23,7 @@ def enkf_predict(model: SdeModel, ensemble: Ensemble, inputs: np.ndarray, t1: fl
     """Propagate every member through the SDE to ``t1`` with increments from ``rng``.
 
     ``inputs`` holds the interval's rows of the run's stage-input table; see
-    :func:`~cdassim.filters.montecarlo.propagate_members`.
+    :func:`~cdassim.sde.propagate_members`.
     """
     X = propagate_members(model, ensemble.members, inputs, ensemble.time, t1, rng)
     return Ensemble(X, t1)
@@ -38,7 +37,7 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     prediction, innovation covariance), the runner's update contract; the
     runner summarizes the ensemble. Each member sees its own perturbed copy
     ``y + v_i`` with ``v_i ~ N(0, R)``, drawn from ``rng`` as one
-    ``(dim_obs, N)`` block.
+    ``(len(y), N)`` block.
     """
     X = ensemble.members
     t = ensemble.time

@@ -20,7 +20,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import solve_spd, symmetrize, condition_number
-from cdassim.sde import DivergenceError, SdeModel, rk4_step
+from cdassim.sde import DivergenceError, SdeModel, per_input, rk4_step
 
 __all__ = ["ekf_predict", "kalman_update"]
 
@@ -29,26 +29,23 @@ def _moment_rhs(model: SdeModel, n: int):
     """Right-hand side of the moment ODEs on the flat vector ``(m, vec P)``.
 
     One ``model.linearize`` call gives the drift and its Jacobian at the
-    mean. The process-noise term ``sigma sigma^T`` depends only on the input
-    (the :class:`~cdassim.sde.SdeModel` diffusion contract), so it is
-    computed once per distinct input value and kept in a table that lives
-    as long as this right-hand side, i.e. one prediction.
+    mean; ``sigma sigma^T`` comes from :func:`~cdassim.sde.per_input`, so
+    it is computed once per input value of one prediction.
     """
-    noise_cov = {}
+
+    @per_input
+    def noise_cov(t, m, u):
+        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+        return g @ g.T
 
     def rhs(t, y, u):
         m = y[:n]
         f, A = model.linearize(t, m, u)
-        key = u.tobytes()
-        Q = noise_cov.get(key)
-        if Q is None:
-            g = np.asarray(model.diffusion(t, m, u), dtype=float)
-            Q = noise_cov[key] = g @ g.T
         AP = A @ y[n:].reshape(n, n)
         rate = np.empty(y.size)
         rate[:n] = f
         dP = np.add(AP, AP.T, out=rate[n:].reshape(n, n))
-        dP += Q
+        dP += noise_cov(t, m, u)
         return rate
 
     return rhs
@@ -61,10 +58,9 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray,
     ``inputs`` holds the interval's rows of a run's stage-input table
     (:func:`~cdassim.sde.rk4_inputs`), shape ``(substeps, 3, dim_u)``: one
     Runge-Kutta step per row, of size ``(t1 - belief.time) / substeps``.
-    Each stage makes one ``model.linearize`` call; the diffusion is
-    evaluated once per distinct input value of the interval. The model's
-    ``constrain`` hook is applied to the mean after each substep, and the
-    covariance is re-symmetrized.
+    Each stage makes one ``model.linearize`` call. The model's ``constrain``
+    is applied to the mean after each substep, and the covariance is
+    re-symmetrized.
     """
     t0 = belief.time
     if t1 < t0:
@@ -79,8 +75,7 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray,
         y = rk4_step(rhs, t0 + j * h, y, h, stage)
         P = y[n:].reshape(n, n)
         P[...] = symmetrize(P)
-        if model.constrain is not None:
-            y[:n] = model.constrain(y[:n])
+        y[:n] = model.constrain(y[:n])
     m, P = y[:n], y[n:].reshape(n, n)
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"EKF moments diverged by t={t1}")

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from cdassim.sde import DivergenceError
+
 __all__ = [
     "FactorizationError",
     "SingularInnovationError",
@@ -40,11 +42,11 @@ _JITTER_LEVELS = (1e-10, 1e-6)
 _COND_LIMIT = 1e12
 
 
-class FactorizationError(np.linalg.LinAlgError):
+class FactorizationError(DivergenceError):
     """Covariance factorization failed even after diagonal jitter."""
 
 
-class SingularInnovationError(np.linalg.LinAlgError):
+class SingularInnovationError(DivergenceError):
     """Innovation covariance numerically singular (cond > 1e12)."""
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import ParticleSet
 from cdassim.filters.linalg import chol_psd, solve_lower
-from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import DivergenceError, SdeModel
+from cdassim.sde import DivergenceError, SdeModel, propagate_members
 
 __all__ = [
     "ResamplePolicy",
@@ -98,7 +97,7 @@ def pf_predict(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: 
     """Propagate every particle to ``t1`` with increments from ``rng``; weights are kept.
 
     ``inputs`` holds the interval's rows of the run's stage-input table; see
-    :func:`~cdassim.filters.montecarlo.propagate_members`.
+    :func:`~cdassim.sde.propagate_members`.
     """
     X = propagate_members(model, particles.particles, inputs, particles.time, t1, rng)
     return ParticleSet(X, particles.weights, t1)

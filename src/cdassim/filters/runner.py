@@ -133,9 +133,7 @@ def _contract(kind: str, model: SdeModel, config: FilterConfig):
                 lambda b, y, k: ukf_update(b, model, y, R, scaling), None)
     draws = config.stream.child(STREAM_INIT).generator().standard_normal(
         (config.initial.dim, config.size))
-    X0 = config.initial.mean[:, None] + chol_psd(config.initial.cov) @ draws
-    if model.constrain is not None:
-        X0 = model.constrain(X0)
+    X0 = model.constrain(config.initial.mean[:, None] + chol_psd(config.initial.cov) @ draws)
     propagate_root = config.stream.child(STREAM_PROPAGATE)
     propagate_rng = propagate_root.generator()
     if kind == "enkf":
@@ -170,9 +168,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     model field and config setting the kind reads is checked present (the
     EKF reads the model's closed-form ``linearize`` and ``measure_jacobian``;
     see ``_READS``), and a missing one raises ValueError naming the kind and
-    the field. A numerical failure, a :class:`~cdassim.sde.DivergenceError`
-    or a ``LinAlgError``, raises :class:`FilterRunError` with the offending
-    step attached. The loop runs
+    the field. A :class:`~cdassim.sde.DivergenceError` raises
+    :class:`FilterRunError` with the offending step attached. The loop runs
     with numpy's overflow and invalid-value warnings off: a blow-up reaches
     the caller as that error, naming the filter, step and time, not as a
     warning naming a source line.
@@ -238,7 +235,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                     state, out.ess[k], out.resampled[k] = resample(state, k)
                 out.step_seconds[k] = time.perf_counter() - tic
                 out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
-            except (DivergenceError, np.linalg.LinAlgError) as exc:
+            except DivergenceError as exc:
                 raise FilterRunError(kind, k, t1, exc) from exc
             out.prior_mean[k] = prior.mean
             out.prior_cov[k] = prior.cov

@@ -22,7 +22,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.linalg import chol_psd, solve_spd, symmetrize
-from cdassim.sde import DivergenceError, SdeModel, rk4_step
+from cdassim.sde import DivergenceError, SdeModel, per_input, rk4_step
 
 __all__ = ["UkfScaling", "ukf_sigma_points", "ukf_predict", "ukf_update"]
 
@@ -85,10 +85,8 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1:
     before and half after the drift advance of the substep (the trapezoidal
     placement keeps the induced covariance second-order accurate in the
     substep size). The whole point set advances as one column batch and is
-    recombined with the unscented weights. The diffusion depends only on
-    the input (the :class:`~cdassim.sde.SdeModel` diffusion contract), so
-    each half-step push ``g dW`` is computed once per distinct input value
-    of the interval.
+    recombined with the unscented weights. Each half-step push ``g dW``
+    comes from :func:`~cdassim.sde.per_input`.
     """
     t0 = belief.time
     if t1 < t0:
@@ -105,22 +103,13 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1:
     h = (t1 - t0) / substeps
     pts = points[:n]
     dW = points[n:] / (2.0 * substeps)  # half-increment per substep
-    pushes = {}  # g dW by input value
-
-    def push(t, x, u):
-        key = u.tobytes()
-        gdW = pushes.get(key)
-        if gdW is None:
-            gdW = pushes[key] = np.asarray(model.diffusion(t, x, u), dtype=float) @ dW
-        return gdW
+    push = per_input(lambda t, x, u: np.asarray(model.diffusion(t, x, u), dtype=float) @ dW)
 
     for j, stage in enumerate(inputs):
         t = t0 + j * h
         pts = pts + push(t, pts, stage[0])
         pts = rk4_step(model.drift, t, pts, h, stage)
-        pts = pts + push(t + h, pts, stage[2])
-        if model.constrain is not None:
-            pts = model.constrain(pts)
+        pts = model.constrain(pts + push(t + h, pts, stage[2]))
     if not np.all(np.isfinite(pts)):
         raise DivergenceError(f"UKF sigma points diverged by t={t1}")
     m = pts @ wm

@@ -134,7 +134,7 @@ class TruthData:
 
 
 def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
-    """Simulate one truth path and sample noisy temperature measurements.
+    """Simulate one truth path and measure it, with noise, through the model's ``measure``.
 
     The truth runs the filters' joint model with beta's random-walk channel
     off, so beta keeps its configured value along the whole path. It
@@ -152,11 +152,12 @@ def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
     truth_states = traj.states[::config.substeps]
     meas_rng = NoiseStream(config.seed, STREAM_MEAS).generator()
     noise = np.sqrt(config.obs_variance) * meas_rng.standard_normal(config.n_samples)
+    times = config.sample_times()
     return TruthData(
-        times=config.sample_times(),
+        times=times,
         trajectory=traj,
         truth_states=truth_states,
-        measurements=truth_states[1:, 2] + noise,
+        measurements=exp.model.measure(times, truth_states[1:].T)[0] + noise,
     )
 
 

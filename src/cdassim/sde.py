@@ -11,13 +11,13 @@ scaling lives inside ``sigma``), with measurements taken at discrete instants
 
 The module provides the model container, a counter-based noise-stream
 abstraction that makes every random draw a pure function of
-``(seed, stream_id, call sequence)``, an Euler-Maruyama integrator for
-sample paths, and the one classical Runge-Kutta stepper (with its
-stage-input lookup) that the moment and sigma-point filters and the
-deterministic reduced-model comparison share. The input ``u`` is always
-a :class:`PiecewiseConstant` profile. Joint state/parameter estimation
-needs no machinery here: a model simply carries its parameters as extra
-state components with zero drift.
+``(seed, stream_id, call sequence)``, and every integrator: Euler-Maruyama
+for sample paths and for the sample filters' members, and the one classical
+Runge-Kutta stepper (with its stage-input lookup) that the moment and
+sigma-point filters and the reduced-model comparison share. The input
+``u`` is always a :class:`PiecewiseConstant` profile. Joint state/parameter
+estimation needs no machinery here: a model simply carries its parameters
+as extra state components with zero drift.
 """
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ __all__ = [
     "Trajectory",
     "PiecewiseConstant",
     "euler_maruyama_step",
+    "per_input",
+    "propagate_members",
     "simulate_path",
     "rk4_inputs",
     "rk4_step",
@@ -49,7 +51,8 @@ class DivergenceError(RuntimeError):
     """A state, moment or weight became non-finite or degenerate.
 
     The one numerical-failure type of path simulation and of every filter's
-    predict and update; the message names what failed and when.
+    predict and update, factorizations included; the message names what
+    failed and when.
     """
 
 
@@ -107,6 +110,10 @@ class NoiseStream:
         return NoiseStream(self.seed, mixed)
 
 
+def _unconstrained(x: np.ndarray) -> np.ndarray:
+    return x
+
+
 @dataclass(frozen=True, kw_only=True)
 class SdeModel:
     """Continuous-discrete model container.
@@ -117,36 +124,31 @@ class SdeModel:
 
     Diffusion contract: the filters need a diffusion that depends on neither
     the state nor ``t`` except through the input ``u``, returned as a single
-    ``(dim_state, dim_noise)`` matrix. Their predictions, the EnKF and PF
-    members' Euler-Maruyama substeps included, evaluate it once per distinct
-    input value of a prediction interval and reuse it at every stage or
-    substep with that input. Only sample-path integration
-    (:func:`simulate_path`) re-evaluates it every step, so only it accepts a
-    state-dependent diffusion.
+    ``(dim_state, dim_noise)`` matrix; each prediction evaluates it through
+    :func:`per_input`. Only :func:`simulate_path` re-evaluates it every
+    step, so only it accepts a state-dependent diffusion.
 
     ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
     one state ``(n,)`` as a pair ``(f, A)``; ``measure_jacobian(t, x)``
     returns d h / d x. Only the EKF calls them, and it needs both.
-    ``constrain`` (optional) projects a state back into the admissible
-    region after each integrator substep; it may modify its argument in
-    place and must return it.
+    ``constrain`` projects a state back into the admissible region after
+    each integrator substep (the identity unless given); it may modify its
+    argument in place and must return it.
     """
 
     dim_state: int
     dim_noise: int
-    dim_obs: int
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     measure: Callable[[float, np.ndarray], np.ndarray]
     linearize: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     measure_jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
-    constrain: Callable[[np.ndarray], np.ndarray] | None = None
+    constrain: Callable[[np.ndarray], np.ndarray] = _unconstrained
 
     def __post_init__(self):
-        for name in ("dim_state", "dim_noise", "dim_obs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.dim_state == 0:
+        if self.dim_noise < 0:
+            raise ValueError("dim_noise must be non-negative")
+        if self.dim_state < 1:
             raise ValueError("dim_state must be positive")
 
 
@@ -221,8 +223,7 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile: PiecewiseConst
 
     ``dt`` must divide the horizon. All increments are drawn from ``noise``
     up front in a single batch, so identical streams give bitwise-identical
-    trajectories. The model's ``constrain`` hook, when present, is applied
-    after every substep.
+    trajectories. The model's ``constrain`` is applied after every substep.
     """
     span = t1 - t0
     if span <= 0:
@@ -245,13 +246,87 @@ def simulate_path(model: SdeModel, x0: np.ndarray, input_profile: PiecewiseConst
 
     for i in range(n_steps):
         t = times[i]
-        x = euler_maruyama_step(model, t, x, inputs[i], dt, dws[i])
-        if model.constrain is not None:
-            x = model.constrain(x)
+        x = model.constrain(euler_maruyama_step(model, t, x, inputs[i], dt, dws[i]))
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"state diverged at t={times[i + 1]}")
         states[i + 1] = x
     return Trajectory(times=times, states=states, inputs=inputs)
+
+
+def per_input(fn: Callable) -> Callable:
+    """``fn(t, x, u)``, evaluated once per distinct input value ``u``.
+
+    The returned function keeps each value for as long as it lives, which
+    is one prediction; this is how every filter applies the diffusion
+    contract of :class:`SdeModel`.
+    """
+    table = {}
+
+    def once(t, x, u):
+        key = u.tobytes()
+        value = table.get(key)
+        if value is None:
+            value = table[key] = fn(t, x, u)
+        return value
+
+    return once
+
+
+def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: float,
+                      t1: float, rng: np.random.Generator) -> np.ndarray:
+    """Euler-Maruyama propagation of column members from ``t0`` to ``t1``.
+
+    ``inputs`` holds the interval's rows of a run's stage-input table
+    (:func:`rk4_inputs`), shape ``(substeps, 3, dim_u)``: substep ``j`` runs
+    on ``inputs[j, 0]``, the input at its start time. All increments come
+    from one ``(substeps, dim_noise, N)`` standard-normal draw of ``rng``,
+    positioned at the start of its stream: substep ``j`` of member ``i``
+    uses ``block[j, :, i]``. Members never interact, so the substeps are
+    vectorized across them.
+
+    Each substep is ``x + f dt + g dw`` in that order, computed in place on
+    one copy of ``X``, followed by the model's ``constrain``; ``g`` is
+    evaluated and checked by :func:`per_input`. A non-finite drift at a
+    substep, or a non-finite diffusion at the first substep with its input,
+    raises :class:`DivergenceError` naming that substep's start time.
+    """
+    if t1 < t0:
+        raise ValueError("cannot propagate backwards in time")
+    if t1 == t0:
+        return X.copy()
+    substeps = len(inputs)
+    h = (t1 - t0) / substeps
+    draws = rng.standard_normal((substeps, model.dim_noise, X.shape[1]))
+    draws *= np.sqrt(h)
+
+    # C order, as X.copy() gives: the summaries' products round by memory layout
+    X = np.array(X, dtype=float, order="C")
+    fh = np.empty_like(X)
+    gdw = np.empty_like(X)
+    # with one channel g dw is one product per entry, bitwise the matmul
+    push = np.multiply if model.dim_noise == 1 else np.matmul
+
+    @per_input
+    def diffusion(t, x, u):
+        g = np.asarray(model.diffusion(t, x, u), dtype=float)
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"non-finite drift/diffusion at t={t}")
+        return g
+
+    for j in range(substeps):
+        t = t0 + j * h
+        u = inputs[j, 0]
+        f = np.asarray(model.drift(t, X, u), dtype=float)
+        g = diffusion(t, X, u)
+        if not np.isfinite(f).all():
+            raise DivergenceError(f"non-finite drift/diffusion at t={t}")
+        X += np.multiply(f, h, out=fh)
+        X += push(g, draws[j], out=gdw)
+        X = model.constrain(X)
+    if not np.all(np.isfinite(X)):
+        bad = int(np.flatnonzero(~np.isfinite(X).all(axis=0))[0])
+        raise DivergenceError(f"member {bad} diverged by t={t1}")
+    return X
 
 
 def rk4_inputs(profile: PiecewiseConstant, starts, steps, substeps: int) -> np.ndarray:

@@ -48,7 +48,6 @@ def _ou_model():
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: OU_B - OU_A * x,
         diffusion=lambda t, x, u: np.array([[OU_SIGMA]]),
         measure=lambda t, x: x,

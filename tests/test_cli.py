@@ -198,6 +198,9 @@ def test_missing_and_invalid_config_exit_1(tmp_path, monkeypatch, capsys):
     assert parse_and_dispatch(["estimate", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "noise.sigma_T" in err and "unknown key: typo" in err
+    bad.write_text(json.dumps({"horizon_minutes": float("inf")}))  # json writes Infinity
+    assert parse_and_dispatch(["estimate", "--config", str(bad)]) == 1
+    assert "horizon_minutes: must be a positive number" in capsys.readouterr().err
 
 
 def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys):

@@ -37,6 +37,30 @@ def test_defaults_resolve_to_reference_setup():
     assert times[0] == 10.0 and times[-1] == 2100.0
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("path", [
+    "horizon_minutes", "noise.sigma_T", "noise.obs_variance", "noise.sigma_theta",
+    "truth.beta", "filter.beta", "ukf.beta", "ukf.kappa", "truth.init_state",
+    "filter.init_state", "filter.init_cov_diag", "flow.values", "flow.breakpoints",
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, path, value):
+    # json reads Infinity and NaN; the schema must list them, not pass them on
+    raw = default_config_dict()
+    *parents, leaf = path.split(".")
+    section = raw
+    for key in parents:
+        section = section[key]
+    if isinstance(section[leaf], list):
+        section[leaf] = [*section[leaf][:-1], value]
+    else:
+        section[leaf] = value
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(raw))
+    assert any(p.startswith(f"{path}: ") for p in validate_config_dict(raw))
+    with pytest.raises(ConfigError, match=f"{path}: "):
+        load_config(cfgfile)
+
+
 def test_unknown_keys_are_all_listed():
     raw = default_config_dict()
     raw["typo_top"] = 1

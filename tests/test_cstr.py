@@ -354,7 +354,7 @@ class TestModelWiring:
 
     def test_default_experiment_bundle(self):
         m = joint_model(CONFIG.sigma_theta)
-        assert (m.dim_state, m.dim_noise, m.dim_obs) == (4, 1, 1)
+        assert (m.dim_state, m.dim_noise) == (4, 1)
         z = np.array([0.3, 0.6, 310.0, 128.0])
         u = FLOW.at(0.0)
         np.testing.assert_array_equal(m.measure_jacobian(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
@@ -500,7 +500,7 @@ class TestStageInputs:
     @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
     def test_member_propagation_across_a_breakpoint_matches_per_call_lookup(
             self, t0, t1, substeps):
-        from cdassim.filters.montecarlo import propagate_members
+        from cdassim.sde import propagate_members
 
         model = joint_model(0.05)
         rng = np.random.default_rng(17)
@@ -527,7 +527,7 @@ class TestMemberKernel:
 
     @pytest.mark.parametrize("sigma_theta, channels", [(0.0, 1), (0.05, 2)])
     def test_matches_euler_maruyama_steps_bit_for_bit(self, sigma_theta, channels):
-        from cdassim.filters.montecarlo import propagate_members
+        from cdassim.sde import propagate_members
 
         model = joint_model(sigma_theta)
         assert model.dim_noise == channels
@@ -548,7 +548,7 @@ class TestMemberKernel:
         assert not np.array_equal(X1, X0)
 
     def test_non_finite_diffusion_names_the_first_substep_with_its_input(self):
-        from cdassim.filters.montecarlo import propagate_members
+        from cdassim.sde import propagate_members
 
         model = joint_model(0.05)
         late_flow = FLOW.at(self.T1)[0]
@@ -572,7 +572,7 @@ class TestMomentConsistency:
         # coarse cross-check of the linearized moments against raw sampling
         from cdassim.filters.beliefs import GaussianBelief
         from cdassim.filters.kalman import ekf_predict
-        from cdassim.filters.montecarlo import propagate_members
+        from cdassim.sde import propagate_members
 
         m = joint_model()
         P0 = np.diag([1e-4, 1e-4, 1.0, 1e-4])

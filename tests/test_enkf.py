@@ -5,8 +5,7 @@ import pytest
 from cdassim.filters.beliefs import Ensemble, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.montecarlo import propagate_members
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
 
 from stages import constant, interval_inputs
 
@@ -15,7 +14,6 @@ def scalar_ou(a=1.0, sigma=0.5):
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
@@ -57,7 +55,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
     A = np.array([[-0.5, 0.2], [0.1, -0.3]])
     G = np.array([[0.4, 0.0], [0.3, 0.2]])
     model = SdeModel(
-        dim_state=2, dim_noise=2, dim_obs=1,
+        dim_state=2, dim_noise=2,
         drift=lambda t, x, u: A @ x + u[:, None] * (1.0 + t),
         diffusion=lambda t, x, u: G,
         measure=lambda t, x: x[:1],
@@ -84,7 +82,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
 def test_propagate_members_reports_diverged_member():
     # a bounded drift that pushes positive members past the float range
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: np.where(x > 0, 1.7e308, 0.0),
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -101,7 +99,7 @@ def test_propagate_members_reports_diverged_member():
 def test_propagate_members_converts_midstep_overflow():
     # drift itself overflows during a substep; still surfaces as divergence
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -153,7 +151,7 @@ def test_enkf_update_matches_direct_formulas():
     R = np.diag([0.09, 0.04])
     y = np.array([0.4, -0.2])
     model = SdeModel(
-        dim_state=n, dim_noise=n, dim_obs=ny,
+        dim_state=n, dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
         diffusion=lambda t, x, u: np.eye(n),
         measure=lambda t, x: C @ x,

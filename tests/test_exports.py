@@ -5,7 +5,7 @@ import pytest
 
 MODULES = ("cdassim", "cdassim.sde", "cdassim.cstr", "cdassim.config", "cdassim.harness",
            *(f"cdassim.filters.{name}" for name in ("beliefs", "enkf", "kalman", "linalg",
-                                                    "montecarlo", "pf", "runner", "unscented")))
+                                                    "pf", "runner", "unscented")))
 
 
 @pytest.mark.parametrize("name", MODULES)

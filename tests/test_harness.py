@@ -1,4 +1,5 @@
 """Twin-experiment harness: truth generation, scoring, sweeps, report files."""
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from cdassim import harness
 from cdassim.config import load_config
 from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
@@ -96,6 +98,19 @@ def test_noiseless_measurements_equal_truth_temperature():
     cfg = load_config(overrides={**SMALL, "noise": {"sigma_T": 0.0, "obs_variance": 0.0}})
     truth = generate_truth_and_measurements(cfg)
     np.testing.assert_array_equal(truth.measurements, truth.truth_states[1:, 2])
+
+
+def test_measurements_come_from_the_model_measure(monkeypatch):
+    # the truth is measured through the experiment model's own measure map
+    def measure_ca(params, flow, param_diffusion):
+        exp = default_experiment_model(params, flow, param_diffusion)
+        return dataclasses.replace(
+            exp, model=dataclasses.replace(exp.model, measure=lambda t, x: x[0:1]))
+
+    monkeypatch.setattr(harness, "default_experiment_model", measure_ca)
+    cfg = load_config(overrides={**SMALL, "noise": {"obs_variance": 0.0}})
+    truth = generate_truth_and_measurements(cfg)
+    np.testing.assert_array_equal(truth.measurements, truth.truth_states[1:, 0])
 
 
 def test_measurement_noise_variance_matches_config():

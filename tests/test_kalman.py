@@ -14,7 +14,6 @@ def scalar_ou(a=1.0, sigma=0.0):
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
@@ -45,7 +44,7 @@ def test_update_joseph_form_keeps_covariance_psd():
         B = rng.standard_normal((ny, ny))
         R = B @ B.T + 0.1 * np.eye(ny)
         model = SdeModel(
-            dim_state=n, dim_noise=n, dim_obs=ny,
+            dim_state=n, dim_noise=n,
             drift=lambda t, x, u: np.zeros(n),
             diffusion=lambda t, x, u: np.eye(n),
             measure=lambda t, x, C=C: C @ x,
@@ -96,7 +95,7 @@ def test_predict_time_handling():
 
 def test_predict_applies_constraint_to_mean():
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: -5.0 * x,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -112,7 +111,7 @@ def test_predict_applies_constraint_to_mean():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_predict_flags_divergence():
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,

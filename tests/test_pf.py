@@ -4,7 +4,6 @@ import pytest
 
 from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.montecarlo import propagate_members
 from cdassim.filters.pf import (
     ResamplePolicy,
     effective_sample_size,
@@ -14,7 +13,7 @@ from cdassim.filters.pf import (
     systematic_resample,
 )
 from cdassim.filters.runner import STREAM_INIT, STREAM_PROPAGATE, FilterConfig, run_filter
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
 
 from stages import ESS_HALF, constant, interval_inputs
 
@@ -23,7 +22,6 @@ def brownian_model(sigma=1.0):
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: np.zeros_like(x),
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,

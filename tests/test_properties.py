@@ -124,7 +124,7 @@ def linear_scalar_updates(draw):
 def test_joseph_update_equals_standard_form(case):
     belief, C, R, y = case
     n = belief.dim
-    model = SdeModel(dim_state=n, dim_noise=n, dim_obs=1,
+    model = SdeModel(dim_state=n, dim_noise=n,
                      drift=lambda t, x, u: np.zeros_like(x),
                      diffusion=lambda t, x, u: np.eye(n),
                      measure=lambda t, x: C @ x,

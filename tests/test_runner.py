@@ -8,7 +8,7 @@ from cdassim.filters import runner
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
-from cdassim.filters.linalg import chol_psd
+from cdassim.filters.linalg import SingularInnovationError, chol_psd
 from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
 from cdassim.filters.unscented import ukf_predict, ukf_update
 from cdassim.filters.runner import (
@@ -21,7 +21,7 @@ from cdassim.filters.runner import (
     FilterRunError,
     run_filter,
 )
-from cdassim.sde import NoiseStream, SdeModel, simulate_path
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel, simulate_path
 
 from closedform import scalar_kalman
 from stages import FILTER_SETTINGS, constant, interval_inputs
@@ -36,7 +36,6 @@ def ou_model(a=A, sigma=SIGMA):
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
@@ -223,7 +222,7 @@ def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypat
 
 def test_failures_carry_step_information():
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -236,6 +235,17 @@ def test_failures_carry_step_information():
     assert err.value.kind == "enkf"
     assert err.value.step == 0
     assert "failed at step 0" in str(err.value)
+
+
+def test_linear_algebra_failure_is_a_divergence_with_step_information():
+    # an infinite measurement Jacobian makes the innovation covariance
+    # non-finite, so the gain's Cholesky solve fails inside the update
+    model = dataclasses.replace(ou_model(), measure_jacobian=lambda t, x: np.array([[np.inf]]))
+    with pytest.raises(FilterRunError) as err:
+        run_filter("ekf", model, base_config("ekf"), [1.0], [[0.0]], U_IN)
+    assert isinstance(err.value.__cause__, SingularInnovationError)
+    assert isinstance(err.value.__cause__, DivergenceError)
+    assert str(err.value) == "ekf failed at step 0 (t=1): innovation covariance is non-finite"
 
 
 def test_config_validation():

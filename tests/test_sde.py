@@ -24,7 +24,6 @@ def gbm_model(mu: float, nu: float) -> SdeModel:
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: mu * x,
         diffusion=lambda t, x, u: np.atleast_2d(nu * x),
         measure=lambda t, x: x,
@@ -35,7 +34,6 @@ def linear_model(a: float, sigma: float) -> SdeModel:
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: -a * x,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
@@ -122,7 +120,7 @@ class TestEulerMaruyamaStep:
 
     def test_nonfinite_drift_raises(self):
         bad = SdeModel(
-            dim_state=1, dim_noise=1, dim_obs=1,
+            dim_state=1, dim_noise=1,
             drift=lambda t, x, u: np.array([np.inf]),
             diffusion=lambda t, x, u: np.array([[1.0]]),
             measure=lambda t, x: x,
@@ -152,7 +150,7 @@ class TestSimulatePath:
 
     def test_constrain_hook_applied(self):
         m = SdeModel(
-            dim_state=1, dim_noise=1, dim_obs=1,
+            dim_state=1, dim_noise=1,
             drift=lambda t, x, u: np.array([-10.0]),
             diffusion=lambda t, x, u: np.array([[0.0]]),
             measure=lambda t, x: x,
@@ -167,7 +165,7 @@ class TestSimulatePath:
         # including the steps that start exactly on a breakpoint
         p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
         m = SdeModel(
-            dim_state=1, dim_noise=1, dim_obs=1,
+            dim_state=1, dim_noise=1,
             drift=lambda t, x, u: u - x,
             diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
             measure=lambda t, x: x,
@@ -189,7 +187,6 @@ def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
     return SdeModel(
         dim_state=n_paths,
         dim_noise=n_paths,
-        dim_obs=n_paths,
         drift=lambda t, x, u: mu * x,
         diffusion=lambda t, x, u: np.diag(nu * x),
         measure=lambda t, x: x,

@@ -15,7 +15,6 @@ def scalar_ou(a=1.0, sigma=0.0):
     return SdeModel(
         dim_state=1,
         dim_noise=1,
-        dim_obs=1,
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
@@ -125,7 +124,7 @@ def test_predict_time_handling():
 
 def test_predict_applies_constraint_to_points():
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: -5.0 * x,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -147,7 +146,7 @@ def test_update_matches_kalman_for_linear_measure():
     R = B @ B.T + 0.2 * np.eye(ny)
     y = rng.standard_normal(ny)
     model = SdeModel(
-        dim_state=n, dim_noise=n, dim_obs=ny,
+        dim_state=n, dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
         diffusion=lambda t, x, u: np.eye(n),
         measure=lambda t, x: C @ x,
@@ -179,7 +178,7 @@ def test_update_weakly_nonlinear_against_sampling_oracle():
     var_mc = float(w @ (xs - mean_mc) ** 2)
 
     model = SdeModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_noise=1,
         drift=lambda t, x, u: np.zeros(1),
         diffusion=lambda t, x, u: np.eye(1),
         measure=lambda t, x: h(x),
