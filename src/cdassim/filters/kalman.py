@@ -6,8 +6,8 @@ Prediction integrates the joint moment ODEs
     dP/dt = A P + P A^T + sigma sigma^T,    A = df/dx(t, m, u)
 
 with the shared classical Runge-Kutta stepper (:func:`cdassim.sde.rk4_step`)
-between measurements, advancing mean and covariance as one flat moment
-vector ``(m, vec P)``. The measurement update is the Joseph-form update
+between measurements, on one ``(n + 1, n)`` block ``[m; P]``, and
+symmetrizes P once, on return. The measurement update is the Joseph form
 
     P+ = (I - K C) P (I - K C)^T + K R K^T,
 
@@ -25,12 +25,13 @@ from cdassim.sde import DivergenceError, SdeModel, per_input, rk4_step
 __all__ = ["ekf_predict", "kalman_update"]
 
 
-def _moment_rhs(model: SdeModel, n: int):
-    """Right-hand side of the moment ODEs on the flat vector ``(m, vec P)``.
+def _moment_rhs(model: SdeModel):
+    """Right-hand side of the moment ODEs on the block ``y = [m; P]``.
 
     One ``model.linearize`` call gives the drift and its Jacobian at the
-    mean; ``sigma sigma^T`` comes from :func:`~cdassim.sde.per_input`, so
-    it is computed once per input value of one prediction.
+    mean; ``sigma sigma^T`` comes from :func:`~cdassim.sde.per_input`, once
+    per input value of one prediction. The rate is one fresh block: ``f`` in
+    row 0, then ``A P + (A P)^T + sigma sigma^T``, exactly symmetric if P is.
     """
 
     @per_input
@@ -39,12 +40,13 @@ def _moment_rhs(model: SdeModel, n: int):
         return g @ g.T
 
     def rhs(t, y, u):
-        m = y[:n]
+        m = y[0]
         f, A = model.linearize(t, m, u)
-        AP = A @ y[n:].reshape(n, n)
-        rate = np.empty(y.size)
-        rate[:n] = f
-        dP = np.add(AP, AP.T, out=rate[n:].reshape(n, n))
+        # np.dot: bitwise the matmul for these small products, and cheaper to call
+        AP = np.dot(A, y[1:])
+        rate = np.empty(y.shape)
+        rate[0] = f
+        dP = np.add(AP, AP.T, out=rate[1:])
         dP += noise_cov(t, m, u)
         return rate
 
@@ -58,25 +60,21 @@ def ekf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray,
     ``inputs`` holds the interval's rows of a run's stage-input table
     (:func:`~cdassim.sde.rk4_inputs`), shape ``(substeps, 3, dim_u)``: one
     Runge-Kutta step per row, of size ``(t1 - belief.time) / substeps``.
-    Each stage makes one ``model.linearize`` call. The model's ``constrain``
-    is applied to the mean after each substep, and the covariance is
-    re-symmetrized.
+    Each stage makes one ``model.linearize`` call, and the model's
+    ``constrain`` is applied to the mean after each substep.
     """
     t0 = belief.time
     if t1 < t0:
         raise ValueError("cannot predict backwards in time")
     if t1 == t0:
         return belief
-    n = belief.dim
-    rhs = _moment_rhs(model, n)
+    rhs = _moment_rhs(model)
     h = (t1 - t0) / len(inputs)
-    y = np.concatenate((belief.mean, belief.cov.ravel()))
+    y = np.vstack((belief.mean, belief.cov))
     for j, stage in enumerate(inputs):
         y = rk4_step(rhs, t0 + j * h, y, h, stage)
-        P = y[n:].reshape(n, n)
-        P[...] = symmetrize(P)
-        y[:n] = model.constrain(y[:n])
-    m, P = y[:n], y[n:].reshape(n, n)
+        y[0] = model.constrain(y[0])
+    m, P = y[0], symmetrize(y[1:])
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(P))):
         raise DivergenceError(f"EKF moments diverged by t={t1}")
     return GaussianBelief(m, P, t1)

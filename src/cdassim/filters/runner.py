@@ -83,7 +83,7 @@ class FilterConfig:
     """Everything a filter run needs besides the model and the data.
 
     Every kind reads ``initial``, ``obs_cov`` (the measurement-noise
-    covariance, checked square, symmetric and positive definite) and
+    covariance, checked square, finite, symmetric and positive definite) and
     ``substeps``. Each of the other four is read by some kinds only (see
     ``_READS``) and may be left unset: ``None`` means absent, not a default,
     and :func:`run_filter` rejects a kind that reads an unset one. ``size``,
@@ -104,6 +104,8 @@ class FilterConfig:
         R = np.atleast_2d(np.asarray(self.obs_cov, dtype=float))
         if R.shape[0] != R.shape[1]:
             raise ValueError("obs_cov must be square")
+        if not np.isfinite(R).all():
+            raise ValueError("obs_cov must be finite")
         if not np.allclose(R, R.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(R).max()))):
             raise ValueError("obs_cov must be symmetric")
         if np.any(np.linalg.eigvalsh(R) <= 0):

@@ -354,13 +354,13 @@ def rk4_step(rhs: Callable, t: float, y, h: float, inputs):
 
     ``inputs`` holds ``u`` at ``t``, ``t + 0.5*h`` and ``t + h`` (one
     ``[i, j]`` entry of :func:`rk4_inputs`). ``y`` may be a scalar, a state
-    vector or a column batch; ``rhs`` returns a rate of the same shape.
+    vector, a column batch or any 2-D block, such as the EKF's moment block
+    ``[m; P]``; ``rhs`` returns a rate of the same shape.
     """
     u0, um, u1 = inputs
     tm = t + 0.5 * h
-    te = t + h
     k1 = rhs(t, y, u0)
     k2 = rhs(tm, y + 0.5 * h * k1, um)
     k3 = rhs(tm, y + 0.5 * h * k2, um)
-    k4 = rhs(te, y + h * k3, u1)
+    k4 = rhs(t + h, y + h * k3, u1)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

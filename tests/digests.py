@@ -17,13 +17,23 @@ which the EKF and UKF fail, with each filter's status and the command's
 error output in plain text, so that the failure messages are compared
 too. JSON files are digested in their written key order, so a reordered
 key shows up. A change that claims no numeric change prints the same
-lines as its parent, so one run per checkout and a ``diff`` check it.
+lines as its parent. Save the parent's output to a file and check a
+change against it in one command,
+
+    PYTHONPATH=src python tests/digests.py --against parent_digests.txt
+
+which prints only the lines that differ, as a unified diff, and exits 1 if
+any do.
 """
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
+import itertools
 import json
 import os
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -149,8 +159,27 @@ def cli_lines():
             os.chdir(home)
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print output digests, or compare them "
+                                                 "with a saved run.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved run of this script: print the lines that differ "
+                             "and exit 1 if any do")
+    args = parser.parse_args(argv)
+    lines = itertools.chain(filter_lines(), cli_lines())
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    lines = list(lines)
+    diff = list(difflib.unified_diff(saved, lines, args.against, "this checkout",
+                                     lineterm="", n=0))
+    for line in diff:
+        print(line)
+    print(f"{len(lines)} lines, {'differ from' if diff else 'identical to'} {args.against}")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    for line in filter_lines():
-        print(line, flush=True)
-    for line in cli_lines():
-        print(line, flush=True)
+    sys.exit(main())

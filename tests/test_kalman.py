@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from cdassim.config import load_config
+from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import GaussianBelief
 from cdassim.filters.kalman import ekf_predict, innovation_stats, kalman_update
 from cdassim.sde import DivergenceError, SdeModel
@@ -105,6 +107,41 @@ def test_predict_applies_constraint_to_mean():
     pred = ekf_predict(model, GaussianBelief(np.ones(1), np.ones((1, 1))),
                        interval_inputs(constant(), 0.0, 2.0), 2.0)
     assert pred.mean[0] == pytest.approx(0.5)
+
+
+def cstr_across_breakpoint(sigma_theta):
+    """The joint CSTR model and the stage inputs of 195 s to 205 s in 1 s substeps,
+    across the flow step at 200 s."""
+    cfg = load_config()
+    flow = cfg.flow_profile()
+    model = default_experiment_model(cfg.cstr_params(), flow, sigma_theta).model
+    return model, interval_inputs(flow, 195.0, 205.0, substeps=10)
+
+
+@pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
+def test_predict_keeps_a_symmetric_covariance_exactly_symmetric(sigma_theta):
+    # every stage rate A P + (A P)^T + g g^T is exactly symmetric when P is,
+    # so the one symmetrize on return gives what one after every substep gives
+    model, inputs = cstr_across_breakpoint(sigma_theta)
+    B = np.diag([1e-2, 1e-2, 2.0, 5.0]) @ np.random.default_rng(3).standard_normal((4, 4))
+    prior = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]), B @ B.T, time=195.0)
+    assert prior.cov.tobytes() == prior.cov.T.tobytes()
+    pred = ekf_predict(model, prior, inputs, 205.0)
+    assert pred.cov.tobytes() == pred.cov.T.tobytes()
+    stepped = prior
+    for j in range(len(inputs)):  # one substep per call, symmetrized after each
+        stepped = ekf_predict(model, stepped, inputs[j:j + 1], 196.0 + j)
+    assert pred.mean.tobytes() == stepped.mean.tobytes()
+    assert pred.cov.tobytes() == stepped.cov.tobytes()
+
+
+def test_predict_returns_a_symmetric_covariance_from_an_asymmetric_prior():
+    model, inputs = cstr_across_breakpoint(0.05)
+    cov = np.diag([1e-4, 1e-4, 4.0, 25.0])
+    cov[2, 3] = 0.5
+    pred = ekf_predict(model, GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]), cov, 195.0),
+                       inputs, 205.0)
+    assert pred.cov.tobytes() == pred.cov.T.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -311,6 +311,8 @@ def test_missing_setting_is_rejected_before_the_run(ou_data, monkeypatch, kind, 
     (np.ones((1, 2)), "square"),
     (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
     (np.array([[1.0, 2.0], [2.0, 1.0]]), "positive definite"),
+    (np.array([[np.inf]]), "finite"),  # would pass the symmetry check with an inf tolerance
+    (np.array([[np.nan]]), "finite"),  # would fail it as "symmetric"
 ])
 def test_obs_cov_must_be_square_symmetric_positive_definite(obs_cov, problem):
     with pytest.raises(ValueError, match=f"obs_cov must be {problem}"):
