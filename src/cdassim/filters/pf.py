@@ -69,19 +69,22 @@ def effective_sample_size(weights: np.ndarray) -> float:
 def systematic_resample(particles: ParticleSet, rng: np.random.Generator) -> ParticleSet:
     """Systematic (single-offset stratified) resampling to uniform weights.
 
-    Uses one uniform draw u ~ U[0,1): stratum k picks the particle whose
-    cumulative weight first reaches (k + u) / n_p, so particle i is drawn
+    Uses one uniform draw u ~ U[0,1): stratum k picks the first particle
+    whose cumulative weight exceeds (k + u) / n_p, so a position that lands
+    exactly on a cumulative weight goes to the next particle and a
+    zero-weight particle before the last is never drawn. Particle i is drawn
     floor(n_p w_i) or ceil(n_p w_i) times, up to roundoff at the stratum
-    edges. Uniform weights return every particle once unless u lies within
-    that roundoff (about 1e-11 for n_p < 400) of 0 or of 1, where a particle
-    can be replaced by its neighbour.
+    edges: where the cumulative sums round past k / n_p, an offset of 0, one
+    that is tiny but not zero, or one as close to 1 (within about 1e-11 for
+    n_p < 400) can still move a stratum edge, so that uniform weights
+    replace a particle by its neighbour.
     """
     n = particles.size
     u0 = rng.uniform() / n
     positions = u0 + np.arange(n) / n
     cumw = np.cumsum(particles.weights)
-    cumw[-1] = 1.0  # guard the last stratum against roundoff in the sum
-    idx = np.searchsorted(cumw, positions)
+    cumw[-1] = np.inf  # the last stratum may round up to 1; the last particle takes it
+    idx = np.searchsorted(cumw, positions, side="right")
     return ParticleSet(particles.particles[:, idx], np.full(n, 1.0 / n), particles.time)
 
 

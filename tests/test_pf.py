@@ -1,4 +1,6 @@
 """Tests for the particle filter building blocks."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ def test_systematic_resample_single_survivor():
     ps = ParticleSet(np.arange(6.0)[None, :], w)
     out = systematic_resample(ps, NoiseStream(8).generator())
     assert np.all(out.particles[0] == 2.0)
+
+
+@pytest.mark.parametrize("weights, u, drawn", [
+    # at offset 0 the first position lands on the zero weight's cumulative weight 0
+    ([0.0, 0.5, 0.5], 0.0, [1, 1, 2]),
+    # the second position lands exactly on the first cumulative weight 0.5
+    ([0.5, 0.5], 0.0, [0, 1]),
+    # (1 - 2**-53) / 2 + 1 / 2 rounds to 1.0, which the last particle keeps
+    ([0.5, 0.5], 1.0 - 2.0**-53, [0, 1]),
+], ids=["zero-weight", "uniform", "last-rounds-to-one"])
+def test_systematic_resample_tie_with_a_cumulative_weight(weights, u, drawn):
+    # a stub generator fixes the offset; a tie goes to the next particle
+    ps = ParticleSet(np.arange(float(len(weights)))[None, :], np.array(weights))
+    out = systematic_resample(ps, SimpleNamespace(uniform=lambda: u))
+    assert np.array_equal(out.particles[0], drawn)
 
 
 def test_systematic_resample_counts_stay_within_strata_bounds():

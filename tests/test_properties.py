@@ -3,9 +3,10 @@
 From random admissible beliefs on the joint CSTR model (states near the
 adiabatic branch, where the reactor's rates are what the default 1 s
 Runge-Kutta substep resolves, and random correlated covariances), one EKF
-and one UKF predict+update over a sampling interval must return finite
-means and symmetric PSD covariances, and one particle-filter step must
-leave normalized weights with an effective sample size between 1 and the
+and one UKF predict+update over a sampling interval (the UKF at the unit
+and at the packaged sigma-point scaling) must return finite means and
+symmetric PSD covariances, and one particle-filter step must leave
+normalized weights with an effective sample size between 1 and the
 particle count. One EnKF analysis of a random ensemble must leave a
 symmetric PSD posterior summary and move every member's predicted
 measurement toward its own perturbed observation by the shared fraction
@@ -95,12 +96,14 @@ def test_ekf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
 @settings(max_examples=60, deadline=None)
 @given(belief=admissible_beliefs(), residual=st.floats(-10.0, 10.0))
 def test_ukf_step_keeps_finite_mean_and_psd_covariance(belief, residual):
-    scaling = UNIT_SCALING
     t1 = belief.time + DT
-    prior = ukf_predict(MODEL, belief, interval_inputs(FLOW, belief.time, t1), t1, scaling)
-    check(prior)
-    post, _, _ = ukf_update(prior, MODEL, np.array([prior.mean[2] + residual]), R, scaling)
-    check(post)
+    inputs = interval_inputs(FLOW, belief.time, t1)
+    # every example runs at the unit scaling and at the packaged one (alpha 0.2)
+    for scaling in (UNIT_SCALING, CONFIG.ukf_scaling()):
+        prior = ukf_predict(MODEL, belief, inputs, t1, scaling)
+        check(prior)
+        post, _, _ = ukf_update(prior, MODEL, np.array([prior.mean[2] + residual]), R, scaling)
+        check(post)
 
 
 @st.composite
