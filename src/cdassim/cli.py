@@ -141,7 +141,8 @@ def _reduced_comparison(config: ExperimentConfig):
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
     scheme on the inner substep grid. The 3-state column integrates the
-    joint model's drift on (CA, CB, T, beta) with beta at ``params.beta``.
+    joint model's drift on the ``(4, 1)`` column (CA, CB, T, beta) with beta
+    at ``params.beta``.
     The flow at every stage time of the horizon comes from one
     :func:`~cdassim.sde.rk4_inputs` table.
     """
@@ -153,10 +154,10 @@ def _reduced_comparison(config: ExperimentConfig):
     f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
     f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
 
-    x3 = np.array([params.CA_in, params.CB_in, params.T_in, params.beta])
+    x3 = np.array([[params.CA_in], [params.CB_in], [params.T_in], [params.beta]])
     x2 = np.array([0.0, params.T_in])
     x1 = params.T_in
-    temps = [(0.0, x3[2], x2[1], x1)]
+    temps = [(0.0, x3[2, 0], x2[1], x1)]
     starts = np.arange(config.n_samples) * config.dt_sample
     table = rk4_inputs(flow, starts, np.full(config.n_samples, h), config.substeps)
     for k, rows in enumerate(table):
@@ -166,7 +167,7 @@ def _reduced_comparison(config: ExperimentConfig):
             x3 = rk4_step(f3, tj, x3, h, inputs)
             x2 = rk4_step(f2, tj, x2, h, inputs)
             x1 = rk4_step(f1, tj, x1, h, inputs)
-        temps.append((t + config.dt_sample, x3[2], x2[1], x1))
+        temps.append((t + config.dt_sample, x3[2, 0], x2[1], x1))
     return temps
 
 

@@ -5,12 +5,13 @@ the concentrations, the temperature with diffusion on T only, and the
 heat-rise coefficient beta as a fourth state with zero drift. It is one
 plain :class:`~cdassim.sde.SdeModel` whose drift and Jacobian kernels read
 beta from the state's fourth row, so a single evaluation serves any value
-of the parameter, for one state or a column batch. The filters run it with
-an optional random-walk channel on beta; the twin experiment's truth runs it
-without one, so its beta stays at the configured value. Beside it: reduced
-2-state (extent of reaction, T) and 1-state (T) deterministic
-approximations, the steady-state flow/temperature curve with its ignition
-fold, and analytic Jacobians.
+of the parameter. The drift takes column batches only, so one state, such
+as the truth's, is a ``(4, 1)`` column; the EKF's linearization takes one
+``(4,)`` state. The filters run the model with an optional random-walk
+channel on beta; the twin experiment's truth runs it without one, so its
+beta stays at the configured value. Beside it: reduced 2-state (extent of
+reaction, T) and 1-state (T) deterministic approximations, the steady-state
+flow/temperature curve with its ignition fold, and analytic Jacobians.
 
 The twin experiment's values (initial states, the true and guessed beta,
 sigma_T, the observation variance and the flow schedule) live only in the
@@ -97,33 +98,21 @@ def rate_constant(T, params: CstrParams):
 
 
 def cstr3_drift(x, F, params: CstrParams):
-    """Deterministic rates of the joint model at ``x = (CA, CB, T, beta)``.
+    """Deterministic rates of the joint model at each column ``(CA, CB, T, beta)`` of ``x``.
 
-    ``x`` is one state of shape ``(4,)`` or a column batch ``(4, m)``. Beta
-    is read from the fourth row, and its rate is zero; ``params.beta`` is
-    not used.
+    ``x`` is a column batch of shape ``(4, m)``; a single state is the
+    ``(4, 1)`` column. Beta is read from the fourth row, and its rate is
+    zero; ``params.beta`` is not used.
 
-    ``x.ndim`` alone picks the path: a single state is worked on Python
-    floats, a batch with one ``exp`` over its temperature row, the reaction
-    rate ``r`` built in place and the three flow terms as one ``(3, m)``
-    block against the cached :attr:`CstrParams.inlet`, then ``r`` and
-    ``2 r`` taken from the concentration rows and ``beta r`` added to the
-    temperature row. Both keep the per-element operation order of
+    One ``exp`` runs over the temperature row, the reaction rate ``r`` is
+    built in place and the three flow terms form one ``(3, m)`` block
+    against the cached :attr:`CstrParams.inlet`; then ``r`` and ``2 r`` are
+    taken from the concentration rows and ``beta r`` is added to the
+    temperature row. Each element keeps the operation order of
     ``FV * (inlet - x) - r`` with ``FV = F / V`` and
-    ``r = k0 exp(-EaR / T) CA CB`` (Python floats round exactly as numpy
-    scalars do), so a rate is bitwise the same whichever path or batch
-    computes it.
+    ``r = k0 exp(-EaR / T) CA CB``, so a column's rates are bitwise the
+    same in any batch, and bitwise those of :func:`cstr3_linearize`.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        CA, CB, T, beta = x.tolist()
-        FV = float(F) / params.V
-        # numpy's exp, not math.exp: the two differ in the last bit of some values
-        r = params.k0 * float(np.exp(-params.EaR / T)) * CA * CB  # reaction rate, mol/(L s)
-        return np.array([FV * (params.CA_in - CA) - r,
-                         FV * (params.CB_in - CB) - 2.0 * r,
-                         FV * (params.T_in - T) + beta * r,
-                         0.0])
     r = np.divide(-params.EaR, x[2])
     np.exp(r, out=r)
     np.multiply(params.k0, r, out=r)
@@ -146,7 +135,8 @@ def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns ``(f, A)`` with
     shapes ``(4,)`` and ``(4, 4)``. Both come from a single ``exp(-EaR/T)``,
     with dk/dT = k EaR/T^2, worked on Python floats, which round exactly as
-    numpy scalars do, so ``f`` is bitwise :func:`cstr3_drift`. The beta
+    numpy scalars do, so ``f`` is bitwise :func:`cstr3_drift` of the
+    ``(4, 1)`` column. The EKF is its one caller. The beta
     column holds d(dT/dt)/d(beta), the reaction rate, and the beta row is
     zero.
     """

@@ -40,7 +40,7 @@ from cdassim.filters.runner import (
     FilterRunError,
     run_filter,
 )
-from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, Trajectory, simulate_path
+from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, propagate_members, rk4_inputs
 
 __all__ = [
     "STREAM_TRUTH",
@@ -124,8 +124,7 @@ class TruthData:
     """Synthetic ground truth plus the measurements derived from it."""
 
     times: np.ndarray        # assimilation instants t_1..t_n, seconds
-    trajectory: Trajectory   # joint (CA, CB, T, beta) truth path at substep resolution
-    truth_states: np.ndarray  # (n+1, 4) its rows at t_0..t_n
+    truth_states: np.ndarray  # (n+1, 4) joint (CA, CB, T, beta) truth at t_0..t_n
     measurements: np.ndarray  # (n,) noisy temperature observations
 
     @property
@@ -137,25 +136,30 @@ def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
     """Simulate one truth path and measure it, with noise, through the model's ``measure``.
 
     The truth runs the filters' joint model with beta's random-walk channel
-    off, so beta keeps its configured value along the whole path. It
-    integrates at the same substep resolution the filters use internally
-    (no separate fine grid; documented choice). Measurement noise draws come
-    from their own stream so regenerating measurements never perturbs the
-    truth path.
+    off, so beta keeps its configured value along the whole path. It is a
+    one-column batch stepped by the sample filters' Euler-Maruyama kernel,
+    :func:`~cdassim.sde.propagate_members`, at the substep resolution the
+    filters use internally (no separate fine grid; documented choice), one
+    sampling interval per call, on one generator of the truth stream that
+    continues across intervals. Measurement noise draws come from their own
+    stream so regenerating measurements never perturbs the truth path.
     """
     exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
                                    param_diffusion=0.0)
-    dt_inner = config.dt_sample / config.substeps
-    traj = simulate_path(
-        exp.model, config.truth_init(), exp.flow, 0.0, config.horizon_seconds, dt_inner,
-        NoiseStream(config.seed, STREAM_TRUTH))
-    truth_states = traj.states[::config.substeps]
+    times = config.sample_times()
+    starts = np.concatenate(([0.0], times[:-1]))
+    inputs = rk4_inputs(exp.flow, starts, (times - starts) / config.substeps, config.substeps)
+    rng = NoiseStream(config.seed, STREAM_TRUTH).generator()
+    truth_states = np.empty((times.size + 1, exp.model.dim_state))
+    x = config.truth_init()[:, None]
+    truth_states[0] = x[:, 0]
+    for k, t1 in enumerate(times):
+        x = propagate_members(exp.model, x, inputs[k], starts[k], t1, rng)
+        truth_states[k + 1] = x[:, 0]
     meas_rng = NoiseStream(config.seed, STREAM_MEAS).generator()
     noise = np.sqrt(config.obs_variance) * meas_rng.standard_normal(config.n_samples)
-    times = config.sample_times()
     return TruthData(
         times=times,
-        trajectory=traj,
         truth_states=truth_states,
         measurements=exp.model.measure(times, truth_states[1:].T)[0] + noise,
     )

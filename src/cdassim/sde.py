@@ -11,13 +11,14 @@ scaling lives inside ``sigma``), with measurements taken at discrete instants
 
 The module provides the model container, a counter-based noise-stream
 abstraction that makes every random draw a pure function of
-``(seed, stream_id, call sequence)``, and every integrator: Euler-Maruyama
-for sample paths and for the sample filters' members, and the one classical
-Runge-Kutta stepper (with its stage-input lookup) that the moment and
-sigma-point filters and the reduced-model comparison share. The input
-``u`` is always a :class:`PiecewiseConstant` profile. Joint state/parameter
-estimation needs no machinery here: a model simply carries its parameters
-as extra state components with zero drift.
+``(seed, stream_id, call sequence)``, and every integrator: the one
+Euler-Maruyama loop, which steps the sample filters' members and the twin
+experiment's truth (a one-column batch), and the one classical Runge-Kutta
+stepper (with its stage-input lookup) that the moment and sigma-point
+filters and the reduced-model comparison share. The input ``u`` is always
+a :class:`PiecewiseConstant` profile. Joint state/parameter estimation
+needs no machinery here: a model simply carries its parameters as extra
+state components with zero drift.
 """
 from __future__ import annotations
 
@@ -30,12 +31,9 @@ __all__ = [
     "DivergenceError",
     "NoiseStream",
     "SdeModel",
-    "Trajectory",
     "PiecewiseConstant",
-    "euler_maruyama_step",
     "per_input",
     "propagate_members",
-    "simulate_path",
     "rk4_inputs",
     "rk4_step",
 ]
@@ -50,9 +48,9 @@ _ZERO_WORDS.setflags(write=False)
 class DivergenceError(RuntimeError):
     """A state, moment or weight became non-finite or degenerate.
 
-    The one numerical-failure type of path simulation and of every filter's
-    predict and update, factorizations included; the message names what
-    failed and when.
+    The one numerical-failure type of the truth's propagation and of every
+    filter's predict and update, factorizations included; the message names
+    what failed and when.
     """
 
 
@@ -122,11 +120,11 @@ class SdeModel:
     has ``(t, x)``. All three must accept column-batched states ``(n, m)``
     by broadcasting.
 
-    Diffusion contract: the filters need a diffusion that depends on neither
-    the state nor ``t`` except through the input ``u``, returned as a single
-    ``(dim_state, dim_noise)`` matrix; each prediction evaluates it through
-    :func:`per_input`. Only :func:`simulate_path` re-evaluates it every
-    step, so only it accepts a state-dependent diffusion.
+    Diffusion contract: the diffusion depends on neither the state nor
+    ``t`` except through the input ``u``, and is returned as a single
+    ``(dim_state, dim_noise)`` matrix. Every integrator that reads it
+    evaluates it through :func:`per_input`, once per distinct input value,
+    so none of them accepts a state-dependent diffusion.
 
     ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
     one state ``(n,)`` as a pair ``(f, A)``; ``measure_jacobian(t, x)``
@@ -184,75 +182,6 @@ class PiecewiseConstant:
         return self.values[np.maximum(idx, 0)]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated path sampled on a uniform grid: one state row per time."""
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.times) != len(self.inputs):
-            raise ValueError("times, states and inputs must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-def euler_maruyama_step(model: SdeModel, t: float, x: np.ndarray, u: np.ndarray,
-                        dt: float, dw: np.ndarray) -> np.ndarray:
-    """One explicit Euler-Maruyama step: ``x + f dt + sigma dw``.
-
-    Pure function of its inputs; raises :class:`DivergenceError` when the
-    drift or diffusion evaluates non-finite. ``x`` may be a single state
-    ``(n,)`` or a column batch ``(n, m)`` sharing the increment layout.
-    """
-    f = np.asarray(model.drift(t, x, u), dtype=float)
-    g = np.asarray(model.diffusion(t, x, u), dtype=float)
-    if not (np.isfinite(f).all() and np.isfinite(g).all()):
-        raise DivergenceError(f"non-finite drift/diffusion at t={t}")
-    return x + f * dt + g @ dw
-
-
-def simulate_path(model: SdeModel, x0: np.ndarray, input_profile: PiecewiseConstant,
-                  t0: float, t1: float, dt: float, noise: NoiseStream) -> Trajectory:
-    """Integrate one sample path on the uniform grid ``t0, t0+dt, ..., t1``.
-
-    ``dt`` must divide the horizon. All increments are drawn from ``noise``
-    up front in a single batch, so identical streams give bitwise-identical
-    trajectories. The model's ``constrain`` is applied after every substep.
-    """
-    span = t1 - t0
-    if span <= 0:
-        raise ValueError("t1 must exceed t0")
-    n_steps = int(round(span / dt))
-    if n_steps == 0 or abs(n_steps * dt - span) > 1e-9 * max(abs(span), 1.0):
-        raise ValueError(f"dt={dt} does not divide horizon {span}")
-
-    rng = noise.generator()
-    dws = rng.standard_normal((n_steps, model.dim_noise)) * np.sqrt(dt)
-
-    x = np.array(x0, dtype=float)
-    if x.shape != (model.dim_state,):
-        raise ValueError(f"x0 must have shape ({model.dim_state},)")
-    states = np.empty((n_steps + 1, model.dim_state))
-    times = t0 + dt * np.arange(n_steps + 1)
-    times[-1] = t1
-    inputs = input_profile.at(times)  # step i runs on inputs[i]
-    states[0] = x
-
-    for i in range(n_steps):
-        t = times[i]
-        x = model.constrain(euler_maruyama_step(model, t, x, inputs[i], dt, dws[i]))
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state diverged at t={times[i + 1]}")
-        states[i + 1] = x
-    return Trajectory(times=times, states=states, inputs=inputs)
-
-
 def per_input(fn: Callable) -> Callable:
     """``fn(t, x, u)``, evaluated once per distinct input value ``u``.
 
@@ -276,13 +205,14 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
                       t1: float, rng: np.random.Generator) -> np.ndarray:
     """Euler-Maruyama propagation of column members from ``t0`` to ``t1``.
 
+    The one Euler-Maruyama loop: the EnKF and PF step their members with
+    it, and the twin experiment steps its truth as a single column.
     ``inputs`` holds the interval's rows of a run's stage-input table
     (:func:`rk4_inputs`), shape ``(substeps, 3, dim_u)``: substep ``j`` runs
     on ``inputs[j, 0]``, the input at its start time. All increments come
-    from one ``(substeps, dim_noise, N)`` standard-normal draw of ``rng``,
-    positioned at the start of its stream: substep ``j`` of member ``i``
-    uses ``block[j, :, i]``. Members never interact, so the substeps are
-    vectorized across them.
+    from the next ``(substeps, dim_noise, N)`` standard-normal draw of
+    ``rng``: substep ``j`` of member ``i`` uses ``block[j, :, i]``. Members
+    never interact, so the substeps are vectorized across them.
 
     Each substep is ``x + f dt + g dw`` in that order, computed in place on
     one copy of ``X``, followed by the model's ``constrain``; ``g`` is

@@ -8,14 +8,14 @@ repository root,
 
 it prints one line per digest: every numeric ``FilterOutput`` field of the
 EKF, UKF, EnKF and PF on a few seeds, each at ``sigma_theta`` 0 and 0.05;
-the truth path of each seed, over its three physical columns (a fourth,
-beta column must hold the configured beta at every substep); every file
-that ``simulate --reduced``, ``estimate``, ``steady-state``, ``sweep`` and
-``oracle`` write on the default config, with the ``t_cpu_s`` timings
-dropped; and the same for ``estimate`` on two coarse sampling grids on
-which the EKF and UKF fail, with each filter's status and the command's
-error output in plain text, so that the failure messages are compared
-too. JSON files are digested in their written key order, so a reordered
+the truth of each seed, its sample times, its states at those times and
+its measurements (the states' beta column must hold the configured beta
+at every sample instant); every file that ``simulate --reduced``,
+``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the
+default config, with the ``t_cpu_s`` timings dropped; and the same for
+``estimate`` on two coarse sampling grids on which the EKF and UKF fail,
+with each filter's status and the command's error output in plain text,
+so that the failure messages are compared too. JSON files are digested in their written key order, so a reordered
 key shows up. A change that claims no numeric change prints the same
 lines as its parent. Save the parent's output to a file and check a
 change against it in one command,
@@ -102,12 +102,9 @@ def filter_lines():
             cfg = load_config(overrides={"seed": seed, "noise": {"sigma_theta": sigma_theta}})
             truth = generate_truth_and_measurements(cfg)
             if sigma_theta == SIGMA_THETAS[0]:  # the truth does not depend on it
-                traj = truth.trajectory
-                if traj.states.shape[1] > 3:
-                    assert np.all(traj.states[:, 3] == cfg.truth_beta), "truth beta moved"
+                assert np.all(truth.truth_states[:, 3] == cfg.truth_beta), "truth beta moved"
                 yield (f"truth seed={seed} "
-                       + _digest(truth.times, traj.times, traj.states[:, :3], traj.inputs,
-                                 truth.truth_states, truth.measurements))
+                       + _digest(truth.times, truth.truth_states, truth.measurements))
             report = run_all_filters(cfg, truth, serial=True)
             for kind, m in report.filters.items():
                 tag = f"filter seed={seed} sigma_theta={sigma_theta:g} {kind}"

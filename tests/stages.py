@@ -6,7 +6,10 @@ interval's rows; a test that calls a prediction directly builds the
 one-interval table with :func:`interval_inputs`. Every input is a
 :class:`~cdassim.sde.PiecewiseConstant`; :func:`constant` is the
 one-breakpoint profile of a fixed input. :func:`fd_jacobian` is the
-central-difference reference that closed-form Jacobians are checked against.
+central-difference reference that closed-form Jacobians are checked against,
+and :func:`euler_maruyama_path` the plain Euler-Maruyama stepper that the
+members' kernel, :func:`cdassim.sde.propagate_members`, is checked against
+and that the order study and the test truths run on.
 
 The filter settings have no defaults in the package; the experiment config
 is their one source. :data:`FILTER_SETTINGS` names, per filter kind, the
@@ -21,7 +24,7 @@ import numpy as np
 
 from cdassim.filters.pf import ResamplePolicy
 from cdassim.filters.unscented import UkfScaling
-from cdassim.sde import PiecewiseConstant, rk4_inputs
+from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
 
 UNIT_SCALING = UkfScaling(alpha=1.0, beta=2.0, kappa=0.0)
 ESS_HALF = ResamplePolicy(kind="ess", threshold=0.5)  # resample when ESS < N / 2
@@ -56,3 +59,31 @@ def fd_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
         xm[i] -= h
         J[:, i] = (np.asarray(fun(xp), dtype=float) - np.asarray(fun(xm), dtype=float)) / (2 * h)
     return J
+
+
+def euler_maruyama_path(model: SdeModel, x0, u: PiecewiseConstant, t0: float, t1: float,
+                        dt: float, noise: NoiseStream):
+    """Euler-Maruyama sample path of ``model`` on the grid ``t0, t0 + dt, ..., t1``.
+
+    ``x0`` is one state ``(n,)`` or a column batch ``(n, m)``. One block of
+    standard normals, of shape ``(steps, dim_noise)`` followed by the batch
+    width, comes from a fresh generator of ``noise`` and is scaled by
+    ``sqrt(dt)``; step ``i`` is ``x + f dt + g @ dw`` with ``f``, ``g`` and
+    ``u`` evaluated at its start time, followed by the model's
+    ``constrain``. The diffusion is evaluated at every step, so it may
+    depend on the state. Returns the grid and the states on it, one row
+    (or one ``(n, m)`` block) per time.
+    """
+    steps = int(round((t1 - t0) / dt))
+    times = t0 + dt * np.arange(steps + 1)
+    times[-1] = t1
+    x = np.array(x0, dtype=float)
+    dws = noise.generator().standard_normal((steps, model.dim_noise, *x.shape[1:]))
+    dws *= np.sqrt(dt)
+    states = np.empty((steps + 1, *x.shape))
+    states[0] = x
+    for i, t in enumerate(times[:-1]):
+        ut = u.at(t)
+        x = x + model.drift(t, x, ut) * dt + model.diffusion(t, x, ut) @ dws[i]
+        states[i + 1] = x = model.constrain(x)
+    return times, states

@@ -27,10 +27,10 @@ from cdassim.harness import (
     run_one_filter,
     uncertainty_comparison,
 )
-from cdassim.sde import NoiseStream, SdeModel, simulate_path
+from cdassim.sde import NoiseStream, SdeModel
 
 from closedform import scalar_kalman
-from stages import FILTER_SETTINGS, constant, interval_inputs
+from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
@@ -61,9 +61,9 @@ def ou():
     tic = time.perf_counter()
     model = _ou_model()
     horizon = OU_DT * OU_STEPS
-    traj = simulate_path(model, np.array([OU_M0]), constant(), 0.0, horizon, OU_DT / 10,
-                         NoiseStream(SEED, 900))
-    x_true = traj.states[10::10, 0]
+    _, states = euler_maruyama_path(model, np.array([OU_M0]), constant(), 0.0, horizon,
+                                    OU_DT / 10, NoiseStream(SEED, 900))
+    x_true = states[10::10, 0]
     times = OU_DT * np.arange(1, OU_STEPS + 1)
     ys = x_true + np.sqrt(OU_R) * NoiseStream(SEED, 901).generator().standard_normal(OU_STEPS)
     kf = scalar_kalman(OU_A, OU_B, OU_SIGMA, OU_R, OU_M0, OU_P0, times, ys)
@@ -285,7 +285,7 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     worst = 0.0
     for T_s, F_s in zip(curve["T_s"], flow):
         ca, cb = adiabatic_concentrations(T_s, params)
-        drift = cstr3_drift(np.array([ca, cb, T_s, params.beta]), F_s, params)
+        drift = cstr3_drift(np.array([[ca], [cb], [T_s], [params.beta]]), F_s, params)
         scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
         worst = max(worst, float(np.max(np.abs(drift))) / scale)
     print(f"criterion 9: {turns} turning points, worst drift residual {worst:.2e} of scale")

@@ -93,7 +93,7 @@ def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_fil
     for row in lines[1::20]:  # back-substitute a spread of rows
         T_s, F_s = map(float, row.split(","))
         CA, CB = adiabatic_concentrations(T_s, params)
-        d = cstr3_drift(np.array([CA, CB, T_s, params.beta]), F_s, params)
+        d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s, params)
         scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
         assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -294,6 +294,29 @@ def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_con
     for kind, cause in causes.items():
         assert doc[kind]["status"] == f"failed: {kind} failed at step 3 (t=40): {cause}"
         assert doc[kind]["failed_step"] == 3
+
+
+def test_truth_drift_fault_exits_2_naming_the_first_faulty_substep(small_config_file,
+                                                                   monkeypatch, capsys):
+    # the truth's Euler-Maruyama substeps are 1 s long on SMALL; the one from
+    # t = 36 is the first whose drift is NaN, and simulate stops there
+    from cdassim import harness
+
+    build = harness.default_experiment_model
+
+    def faulty_experiment(*args, **kwargs):
+        exp = build(*args, **kwargs)
+        model = exp.model
+
+        def drift(t, x, u):
+            f = model.drift(t, x, u)
+            return np.full_like(f, np.nan) if t > FAULT_TIME else f
+
+        return dataclasses.replace(exp, model=dataclasses.replace(model, drift=drift))
+
+    monkeypatch.setattr(harness, "default_experiment_model", faulty_experiment)
+    assert parse_and_dispatch(["simulate", "--config", small_config_file, "--out", "truth"]) == 2
+    assert capsys.readouterr().err == "non-finite drift/diffusion at t=36.0\n"
 
 
 @pytest.mark.parametrize("n_samples", [14, 30])

@@ -27,9 +27,9 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import DivergenceError, NoiseStream, euler_maruyama_step, rk4_inputs, rk4_step
+from cdassim.sde import DivergenceError, NoiseStream, rk4_inputs, rk4_step
 
-from stages import UNIT_SCALING, fd_jacobian, interval_inputs
+from stages import UNIT_SCALING, euler_maruyama_path, fd_jacobian, interval_inputs
 
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
@@ -97,7 +97,7 @@ class TestDrift:
     def test_pure_inflow_at_zero_concentrations(self):
         F = 0.007
         FV = F / PARAMS.V
-        d = cstr3_drift(np.array([0.0, 0.0, 320.0, PARAMS.beta]), F, PARAMS)
+        d = cstr3_drift(np.array([[0.0], [0.0], [320.0], [PARAMS.beta]]), F, PARAMS)[:, 0]
         assert np.array_equal(d, [FV * PARAMS.CA_in, FV * PARAMS.CB_in,
                                   FV * (PARAMS.T_in - 320.0), 0.0])
 
@@ -107,7 +107,7 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / PARAMS.V
-            dCA, dCB, dT, dbeta = cstr3_drift(x, F, PARAMS)
+            dCA, dCB, dT, dbeta = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
             reac_A = dCA - FV * (PARAMS.CA_in - x[0])
             assert dCB - FV * (PARAMS.CB_in - x[1]) == pytest.approx(2.0 * reac_A, abs=1e-10)
             assert dT - FV * (PARAMS.T_in - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
@@ -120,7 +120,7 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / PARAMS.V
-            dCA, dCB, dT, _ = cstr3_drift(x, F, PARAMS)
+            dCA, dCB, dT, _ = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
             beta = x[3]
             lhs = 2.0 * dCA - dCB
             rhs = FV * ((2.0 * PARAMS.CA_in - PARAMS.CB_in) - (2.0 * x[0] - x[1]))
@@ -138,7 +138,7 @@ class TestDrift:
         D = cstr3_drift(X, 0.006, PARAMS)
         assert D.shape == (4, 10)
         for i in range(10):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
 
 
 def jacobian(x, F, params=PARAMS):
@@ -152,7 +152,7 @@ class TestJacobian:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             J = jacobian(x, F)
-            Jfd = fd_jacobian(lambda z: cstr3_drift(z, F, PARAMS), x)
+            Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], F, PARAMS)[:, 0], x)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_matches_finite_differences_envelope(self):
@@ -164,7 +164,7 @@ class TestJacobian:
                 for CB in grid_C:
                     x = np.array([CA, CB, T, PARAMS.beta])
                     J = jacobian(x, 0.007)
-                    Jfd = fd_jacobian(lambda z: cstr3_drift(z, 0.007, PARAMS), x)
+                    Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], 0.007, PARAMS)[:, 0], x)
                     assert np.all(np.abs(J - Jfd) <= 1e-5 * np.maximum(np.abs(Jfd), 1e-8))
 
     def test_diagonal_at_zero_concentrations(self):
@@ -198,7 +198,7 @@ class TestLinearize:
             u = np.array([F])
             f, A = cstr3_linearize(x, u[0], PARAMS)
             assert f.shape == (4,) and A.shape == (4, 4)
-            assert np.array_equal(f, cstr3_drift(x, u[0], PARAMS))
+            assert np.array_equal(f, cstr3_drift(x[:, None], u[0], PARAMS)[:, 0])
 
 
 class TestJointKernel:
@@ -210,7 +210,7 @@ class TestJointKernel:
         D = cstr3_drift(X, 0.006, PARAMS)
         assert D.shape == (4, 11)
         for i in range(11):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i], 0.006, PARAMS).tobytes()
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
 
     def test_reads_beta_from_the_state(self):
         # the kernels never read params.beta: another value there changes no bit
@@ -218,9 +218,9 @@ class TestJointKernel:
         rng = np.random.default_rng(15)
         states = [random_joint_state(rng) for _ in range(10)]
         for z in states:
-            d = cstr3_drift(z, 0.007, PARAMS)
-            assert d[3] == 0.0
-            assert d.tobytes() == cstr3_drift(z, 0.007, other).tobytes()
+            d = cstr3_drift(z[:, None], 0.007, PARAMS)
+            assert d[3, 0] == 0.0
+            assert d.tobytes() == cstr3_drift(z[:, None], 0.007, other).tobytes()
             f, J = cstr3_linearize(z, 0.007, PARAMS)
             f_other, J_other = cstr3_linearize(z, 0.007, other)
             assert f.tobytes() == f_other.tobytes()
@@ -251,7 +251,7 @@ class TestReducedModels:
         # start the reductions are exact, so 1 K absorbs only integrator
         # truncation differences
         h = 1.0
-        x3 = np.array([PARAMS.CA_in, PARAMS.CB_in, PARAMS.T_in, PARAMS.beta])
+        x3 = np.array([[PARAMS.CA_in], [PARAMS.CB_in], [PARAMS.T_in], [PARAMS.beta]])
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
@@ -261,11 +261,11 @@ class TestReducedModels:
             x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
             x1 = rk4_step(lambda tt, z, u: np.array([cstr1_drift(z[0], u[0], PARAMS)]), t, x1, h,
                           inputs)
-            worst2 = max(worst2, abs(x3[2] - x2[1]))
-            worst1 = max(worst1, abs(x3[2] - x1[0]))
+            worst2 = max(worst2, abs(x3[2, 0] - x2[1]))
+            worst1 = max(worst1, abs(x3[2, 0] - x1[0]))
         assert worst2 < 1.0
         assert worst1 < 1.0
-        assert x3[2] > 330.0  # the profile must actually ignite the reactor
+        assert x3[2, 0] > 330.0  # the profile must actually ignite the reactor
 
 
 class TestSteadyState:
@@ -274,7 +274,7 @@ class TestSteadyState:
         for T_s in np.linspace(lo + 0.5, hi - 0.5, 50):
             F_s = steady_state_flow(float(T_s), PARAMS)
             CA, CB = adiabatic_concentrations(T_s, PARAMS)
-            d = cstr3_drift(np.array([CA, CB, T_s, PARAMS.beta]), F_s, PARAMS)
+            d = cstr3_drift(np.array([[CA], [CB], [T_s], [PARAMS.beta]]), F_s, PARAMS)
             scale = F_s / PARAMS.V * max(PARAMS.CA_in, PARAMS.CB_in, T_s - PARAMS.T_in)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -295,7 +295,7 @@ class TestSteadyState:
         # every emitted point satisfies the stationarity equations
         for T, F in zip(T_s, F_s):
             CA, CB = adiabatic_concentrations(T, PARAMS)
-            d = cstr3_drift(np.array([CA, CB, T, PARAMS.beta]), F, PARAMS)
+            d = cstr3_drift(np.array([[CA], [CB], [T], [PARAMS.beta]]), F, PARAMS)
             assert np.linalg.norm(d) < 1e-8
         # multiplicity fold: an interior local minimum followed by a local maximum
         dF = np.diff(F_s)
@@ -358,9 +358,9 @@ class TestModelWiring:
         z = np.array([0.3, 0.6, 310.0, 128.0])
         u = FLOW.at(0.0)
         np.testing.assert_array_equal(m.measure_jacobian(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
-        assert m.drift(0.0, z, u)[3] == 0.0
+        assert m.drift(0.0, z[:, None], u)[3, 0] == 0.0
         # the appended parameter state uses the live column, not params.beta
-        d = m.drift(0.0, z, u)
+        d = m.drift(0.0, z[:, None], u)[:, 0]
         F = u[0]
         r = rate_constant(310.0, PARAMS) * 0.3 * 0.6
         assert d[2] == pytest.approx(F / PARAMS.V * (PARAMS.T_in - 310.0) + 128.0 * r, rel=1e-12)
@@ -372,7 +372,7 @@ class TestModelWiring:
         for _ in range(20):
             z = random_joint_state(rng)
             J = m.linearize(0.0, z, u)[1]
-            Jfd = fd_jacobian(lambda w: m.drift(0.0, w, u), z)
+            Jfd = fd_jacobian(lambda w: m.drift(0.0, w[:, None], u)[:, 0], z)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_beta_jacobian_formula(self):
@@ -409,7 +409,7 @@ def uncached_ekf_predict(model, belief, u, t1, substeps):
     def rhs(t, y, u):
         m = y[:n]
         out = np.empty_like(y)
-        out[:n] = model.drift(t, m, u)
+        out[:n] = model.drift(t, m[:, None], u)[:, 0]
         A = model.linearize(t, m, u)[1]
         g = np.asarray(model.diffusion(t, m, u), dtype=float)
         AP = A @ y[n:].reshape(n, n)
@@ -511,17 +511,13 @@ class TestStageInputs:
         calls = propagate_members(model, X, per_stage_inputs(FLOW, t0, t1, substeps), t0, t1,
                                   stream.generator())
         assert np.array_equal(table, calls)
-        # both arms above share the stage table; this one looks up each substep
-        h = (t1 - t0) / substeps
-        draws = stream.generator().standard_normal((substeps, 2, X.shape[1])) * np.sqrt(h)
-        for j in range(substeps):
-            t = t0 + j * h
-            X = model.constrain(euler_maruyama_step(model, t, X, FLOW.at(t), h, draws[j]))
-        assert np.array_equal(table, X)
+        # both arms above share the stage table; the reference looks up each substep
+        _, path = euler_maruyama_path(model, X, FLOW, t0, t1, (t1 - t0) / substeps, stream)
+        assert np.array_equal(table, path[-1])
 
 
 class TestMemberKernel:
-    """The members' in-place Euler-Maruyama loop against the reference step."""
+    """The members' in-place Euler-Maruyama loop against the reference path."""
 
     T0, T1, SUBSTEPS = 195.0, 205.0, 10  # crosses the 200 s flow breakpoint
 
@@ -538,12 +534,8 @@ class TestMemberKernel:
         X1 = propagate_members(model, X0, inputs, self.T0, self.T1, stream.generator())
 
         h = (self.T1 - self.T0) / self.SUBSTEPS
-        draws = stream.generator().standard_normal((self.SUBSTEPS, channels, 1000)) * np.sqrt(h)
-        X = X0.copy()
-        for j in range(self.SUBSTEPS):
-            X = euler_maruyama_step(model, self.T0 + j * h, X, inputs[j, 0], h, draws[j])
-            X = model.constrain(X)
-        assert np.array_equal(X1, X)
+        _, path = euler_maruyama_path(model, X0, FLOW, self.T0, self.T1, h, stream)
+        assert np.array_equal(X1, path[-1])
         assert X1.flags.c_contiguous
         assert not np.array_equal(X1, X0)
 

@@ -63,35 +63,34 @@ def test_truth_shapes_and_grids(small_cfg, small_truth):
     assert t.n_steps == 30
     np.testing.assert_allclose(t.times, 10.0 * np.arange(1, 31))
     assert t.truth_states.shape == (31, 4)
-    assert t.trajectory.states.shape == (301, 4)
     assert t.measurements.shape == (30,)
-    # joint truth rows are the substep-resolution path at sample instants
-    np.testing.assert_array_equal(t.truth_states, t.trajectory.states[::small_cfg.substeps])
+    # joint truth rows at t_0..t_n: the configured start, then the sample instants
+    np.testing.assert_array_equal(t.truth_states[0], small_cfg.truth_init())
     np.testing.assert_array_equal(t.truth_states[:, 3], 133.7792 * np.ones(31))
 
 
 @pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
-def test_truth_beta_is_the_configured_beta_at_every_substep(sigma_theta):
+def test_truth_beta_is_the_configured_beta_at_every_sample_instant(sigma_theta):
     # the truth runs the filters' joint model without beta's random-walk channel
     cfg = load_config(overrides={**SMALL, "noise": {"sigma_theta": sigma_theta}})
-    states = generate_truth_and_measurements(cfg).trajectory.states
-    assert states.shape == (301, 4)
+    states = generate_truth_and_measurements(cfg).truth_states
+    assert states.shape == (31, 4)
     assert np.all(states[:, 3] == cfg.truth_beta)
 
 
 def test_truth_reproducible_and_streams_isolated():
     a = generate_truth_and_measurements(load_config(overrides=SMALL))
     b = generate_truth_and_measurements(load_config(overrides=SMALL))
-    assert np.array_equal(a.trajectory.states, b.trajectory.states)
+    assert np.array_equal(a.truth_states, b.truth_states)
     assert np.array_equal(a.measurements, b.measurements)
     # measurement noise comes from its own stream: changing the observation
     # variance must not perturb the truth path
     c = generate_truth_and_measurements(
         load_config(overrides={**SMALL, "noise": {"obs_variance": 1.0}}))
-    assert np.array_equal(a.trajectory.states, c.trajectory.states)
+    assert np.array_equal(a.truth_states, c.truth_states)
     assert not np.array_equal(a.measurements, c.measurements)
     d = generate_truth_and_measurements(load_config(overrides={**SMALL, "seed": 99}))
-    assert not np.array_equal(a.trajectory.states, d.trajectory.states)
+    assert not np.array_equal(a.truth_states, d.truth_states)
 
 
 def test_noiseless_measurements_equal_truth_temperature():

@@ -21,10 +21,10 @@ from cdassim.filters.runner import (
     FilterRunError,
     run_filter,
 )
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel, simulate_path
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 from closedform import scalar_kalman
-from stages import FILTER_SETTINGS, constant, interval_inputs
+from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs
 from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
@@ -59,12 +59,12 @@ def base_config(kind, **kw):
 def ou_data():
     model = ou_model()
     stream = NoiseStream(4242)
-    traj = simulate_path(model, np.array([0.5]), U_IN, 0.0, 15.0, 0.05,
-                         stream.child(0))
-    idx = np.arange(10, len(traj), 10)
+    times, states = euler_maruyama_path(model, np.array([0.5]), U_IN, 0.0, 15.0, 0.05,
+                                        stream.child(0))
+    idx = np.arange(10, len(times), 10)
     rng = stream.child(1).generator()
-    ys = traj.states[idx, 0] + np.sqrt(R_OBS) * rng.standard_normal(idx.size)
-    return traj.times[idx], ys
+    ys = states[idx, 0] + np.sqrt(R_OBS) * rng.standard_normal(idx.size)
+    return times[idx], ys
 
 
 def test_rejects_bad_requests(ou_data):

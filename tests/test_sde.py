@@ -4,44 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cdassim.sde import (
-    DivergenceError,
-    NoiseStream,
-    PiecewiseConstant,
-    SdeModel,
-    euler_maruyama_step,
-    rk4_inputs,
-    rk4_step,
-    simulate_path,
-)
+from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs, rk4_step
 
-from stages import constant, fd_jacobian
-
-
-def gbm_model(mu: float, nu: float) -> SdeModel:
-    # Multiplicative noise: exercises the integrator interface beyond the
-    # state-independent diffusion the filters assume.
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: mu * x,
-        diffusion=lambda t, x, u: np.atleast_2d(nu * x),
-        measure=lambda t, x: x,
-    )
-
-
-def linear_model(a: float, sigma: float) -> SdeModel:
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-    )
+from stages import constant, euler_maruyama_path, fd_jacobian
 
 
 def increments(stream: NoiseStream, shape, dt: float) -> np.ndarray:
-    # Wiener increments N(0, dt) as simulate_path and the filters draw them
+    # Wiener increments N(0, dt) as the Euler-Maruyama steppers draw them
     return stream.generator().standard_normal(shape) * np.sqrt(dt)
 
 
@@ -93,97 +62,10 @@ class TestNoiseStream:
         assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
 
 
-class TestEulerMaruyamaStep:
-    def test_zero_drift_zero_noise_is_identity(self):
-        m = linear_model(0.0, 0.0)
-        x = np.array([3.0])
-        out = euler_maruyama_step(m, 0.0, x, None, 0.1, np.zeros(1))
-        assert np.array_equal(out, x)
-
-    def test_deterministic_linear_step(self):
-        m = linear_model(1.0, 0.0)
-        out = euler_maruyama_step(m, 0.0, np.array([1.0]), None, 0.1, np.zeros(1))
-        assert out == pytest.approx(0.9)
-
-    def test_noise_enters_linearly(self):
-        m = linear_model(0.0, 2.0)
-        out = euler_maruyama_step(m, 0.0, np.array([0.0]), None, 0.1, np.array([0.5]))
-        assert out == pytest.approx(1.0)
-
-    def test_batch_states(self):
-        m = linear_model(1.0, 1.0)
-        X = np.array([[1.0, 2.0, 4.0]])
-        dw = np.array([[0.1, 0.0, -0.1]])
-        out = euler_maruyama_step(m, 0.0, X, None, 0.5, dw)
-        assert out.shape == (1, 3)
-        assert np.allclose(out, [[0.6, 1.0, 1.9]])
-
-    def test_nonfinite_drift_raises(self):
-        bad = SdeModel(
-            dim_state=1, dim_noise=1,
-            drift=lambda t, x, u: np.array([np.inf]),
-            diffusion=lambda t, x, u: np.array([[1.0]]),
-            measure=lambda t, x: x,
-        )
-        with pytest.raises(DivergenceError, match="non-finite drift/diffusion at t=0.0"):
-            euler_maruyama_step(bad, 0.0, np.array([1.0]), None, 0.1, np.zeros(1))
-
-
-class TestSimulatePath:
-    def test_grid_and_shapes(self):
-        m = linear_model(0.5, 0.1)
-        traj = simulate_path(m, [1.0], constant(), 0.0, 2.0, 0.25, NoiseStream(seed=3))
-        assert len(traj) == 9
-        assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
-        assert traj.states.shape == (9, 1)
-
-    def test_determinism_bitwise(self):
-        m = gbm_model(0.1, 0.3)
-        a = simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
-        b = simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.01, NoiseStream(seed=11, stream_id=2))
-        assert np.array_equal(a.states, b.states)
-
-    def test_incommensurate_dt_rejected(self):
-        m = linear_model(1.0, 0.0)
-        with pytest.raises(ValueError):
-            simulate_path(m, [1.0], constant(), 0.0, 1.0, 0.3, NoiseStream(seed=1))
-
-    def test_constrain_hook_applied(self):
-        m = SdeModel(
-            dim_state=1, dim_noise=1,
-            drift=lambda t, x, u: np.array([-10.0]),
-            diffusion=lambda t, x, u: np.array([[0.0]]),
-            measure=lambda t, x: x,
-            constrain=lambda x: np.maximum(x, 0.0, out=x),
-        )
-        traj = simulate_path(m, [0.5], constant(), 0.0, 1.0, 0.1, NoiseStream(seed=1))
-        assert np.all(traj.states >= 0.0)
-        assert traj.states[-1, 0] == 0.0
-
-    def test_input_table_matches_per_step_lookup(self):
-        # one vectorized lookup per path must reproduce one lookup per step,
-        # including the steps that start exactly on a breakpoint
-        p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
-        m = SdeModel(
-            dim_state=1, dim_noise=1,
-            drift=lambda t, x, u: u - x,
-            diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
-            measure=lambda t, x: x,
-        )
-        traj = simulate_path(m, [0.2], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
-        np.testing.assert_array_equal(traj.inputs, [p.at(t) for t in traj.times])
-        assert set(traj.inputs.ravel()) == {1.0, -2.0, 0.5}
-        # the path shares one lookup table; this one looks up each step
-        dws = NoiseStream(seed=4).generator().standard_normal((20, 1)) * np.sqrt(0.05)
-        x = np.array([0.2])
-        for i, t in enumerate(traj.times[:-1]):
-            x = euler_maruyama_step(m, t, x, p.at(t), 0.05, dws[i])
-            assert np.array_equal(traj.states[i + 1], x)
-
-
 def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
     # n_paths independent GBM copies as one diagonal system, so the order
-    # study runs through simulate_path without a Python loop per path.
+    # study runs through the reference path without a Python loop per path;
+    # its diffusion depends on the state, which only the reference accepts.
     return SdeModel(
         dim_state=n_paths,
         dim_noise=n_paths,
@@ -210,10 +92,11 @@ def gbm_coupled_errors(n_paths: int, dts: list[float], mu: float, nu: float,
         diffs = []
         for c in range(n_paths // chunk):
             stream = root.child(j).child(c)
-            traj = simulate_path(model, np.ones(chunk), constant(), 0.0, 1.0, dt, stream)
-            w_total = increments(stream, (len(traj) - 1, chunk), dt).sum(axis=0)
+            times, states = euler_maruyama_path(model, np.ones(chunk), constant(), 0.0, 1.0, dt,
+                                                stream)
+            w_total = increments(stream, (len(times) - 1, chunk), dt).sum(axis=0)
             exact = np.exp((mu - 0.5 * nu**2) * 1.0 + nu * w_total)
-            diffs.append(traj.states[-1] - exact)
+            diffs.append(states[-1] - exact)
         diffs = np.concatenate(diffs)
         strong[j] = np.abs(diffs).mean()
         weak[j] = abs(diffs.mean())
