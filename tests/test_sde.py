@@ -1,12 +1,41 @@
-"""SDE core: integrator ordering, noise streams, the shared RK4 stepper."""
+"""SDE core: the members' Euler-Maruyama kernel, integrator ordering, noise streams, the shared RK4 stepper."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs, rk4_step
+from cdassim.config import ConfigError, load_config
+from cdassim.sde import (
+    DivergenceError,
+    NoiseStream,
+    PiecewiseConstant,
+    SdeModel,
+    propagate_members,
+    rk4_inputs,
+    rk4_step,
+)
 
-from stages import constant, euler_maruyama_path, fd_jacobian
+from stages import constant, euler_maruyama_path, fd_jacobian, interval_inputs
+
+
+def linear_model(a: float, sigma: float) -> SdeModel:
+    return SdeModel(
+        dim_state=1,
+        dim_noise=1,
+        drift=lambda t, x, u: -a * x,
+        diffusion=lambda t, x, u: np.array([[sigma]]),
+        measure=lambda t, x: x,
+    )
+
+
+class FixedNormals:
+    """Generator stand-in whose standard normals are ``z``, broadcast to the requested shape."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def standard_normal(self, shape):
+        return np.broadcast_to(self.z, shape).copy()
 
 
 def increments(stream: NoiseStream, shape, dt: float) -> np.ndarray:
@@ -60,6 +89,117 @@ class TestNoiseStream:
                      lambda r: r.standard_normal(4)):
             assert np.array_equal(draw(g), draw(fresh))
         assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
+
+
+class TestEulerMaruyamaStep:
+    """One substep of :func:`propagate_members`: ``x + f dt + g dw``."""
+
+    def test_zero_drift_zero_noise_is_identity(self):
+        x = np.array([[3.0]])
+        out = propagate_members(linear_model(0.0, 0.0), x, interval_inputs(constant(), 0.0, 0.1, 1),
+                                0.0, 0.1, NoiseStream(seed=1).generator())
+        assert np.array_equal(out, x)
+
+    def test_deterministic_linear_step(self):
+        out = propagate_members(linear_model(1.0, 0.0), np.array([[1.0]]),
+                                interval_inputs(constant(), 0.0, 0.1, 1), 0.0, 0.1,
+                                NoiseStream(seed=1).generator())
+        assert out[0, 0] == pytest.approx(0.9)
+
+    def test_noise_enters_linearly(self):
+        # h = 0.25, so a standard normal of 1 is the increment dw = 0.5
+        out = propagate_members(linear_model(0.0, 2.0), np.array([[0.0]]),
+                                interval_inputs(constant(), 0.0, 0.25, 1), 0.0, 0.25,
+                                FixedNormals(1.0))
+        assert out[0, 0] == pytest.approx(1.0)
+
+    def test_batch_states(self):
+        dw = np.array([0.1, 0.0, -0.1])
+        out = propagate_members(linear_model(1.0, 1.0), np.array([[1.0, 2.0, 4.0]]),
+                                interval_inputs(constant(), 0.0, 0.5, 1), 0.0, 0.5,
+                                FixedNormals(dw / np.sqrt(0.5)))
+        assert out.shape == (1, 3)
+        assert np.allclose(out, [[0.6, 1.0, 1.9]])
+
+    def test_nonfinite_drift_raises(self):
+        bad = SdeModel(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x, u: np.array([np.inf]),
+            diffusion=lambda t, x, u: np.array([[1.0]]),
+            measure=lambda t, x: x,
+        )
+        with pytest.raises(DivergenceError, match="non-finite drift/diffusion at t=0.0"):
+            propagate_members(bad, np.array([[1.0]]), interval_inputs(constant(), 0.0, 0.1, 1),
+                              0.0, 0.1, NoiseStream(seed=1).generator())
+
+
+class TestSimulatePath:
+    """A sample path: :func:`propagate_members` across the substeps of an interval."""
+
+    def test_grid_and_shapes(self):
+        seen = []
+        model = SdeModel(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x, u: seen.append(t) or -0.5 * x,
+            diffusion=lambda t, x, u: np.array([[0.1]]),
+            measure=lambda t, x: x,
+        )
+        out = propagate_members(model, np.ones((1, 3)), interval_inputs(constant(), 0.0, 2.0, 8),
+                                0.0, 2.0, NoiseStream(seed=3).generator())
+        assert out.shape == (1, 3)
+        assert seen == [0.25 * j for j in range(8)]
+
+    def test_determinism_bitwise(self):
+        def path():
+            return propagate_members(linear_model(0.1, 0.3), np.ones((1, 5)),
+                                     interval_inputs(constant(), 0.0, 1.0, 100), 0.0, 1.0,
+                                     NoiseStream(seed=11, stream_id=2).generator())
+        assert np.array_equal(path(), path())
+
+    def test_incommensurate_dt_rejected(self):
+        # the truth's step is the sampling interval over a whole substep
+        # count, so a step that does not divide the interval cannot be asked for
+        assert load_config(overrides={"substeps": 4}).substeps == 4
+        for substeps in (2.5, 0):
+            with pytest.raises(ConfigError, match="substeps"):
+                load_config(overrides={"substeps": substeps})
+
+    def test_constrain_hook_applied(self):
+        m = SdeModel(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x, u: np.full_like(x, -10.0),
+            diffusion=lambda t, x, u: np.array([[0.0]]),
+            measure=lambda t, x: x,
+            constrain=lambda x: np.maximum(x, 0.0, out=x),
+        )
+        # one interval per substep, as the truth is recorded at each sample
+        x = np.array([[0.5]])
+        rng = NoiseStream(seed=1).generator()
+        states = []
+        for k in range(10):
+            t0, t1 = 0.1 * k, 0.1 * (k + 1)
+            x = propagate_members(m, x, interval_inputs(constant(), t0, t1, 1), t0, t1, rng)
+            states.append(x[0, 0])
+        assert min(states) >= 0.0
+        assert states[-1] == 0.0
+
+    def test_input_table_matches_per_step_lookup(self):
+        # one table for the interval must reproduce one lookup per step,
+        # including the steps that start exactly on a breakpoint
+        p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
+        m = SdeModel(
+            dim_state=1, dim_noise=1,
+            drift=lambda t, x, u: u - x,
+            diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
+            measure=lambda t, x: x,
+        )
+        table = interval_inputs(p, 0.0, 1.0, 20)
+        times, states = euler_maruyama_path(m, [[0.2]], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
+        np.testing.assert_array_equal(table[:, 0], [p.at(t) for t in times[:-1]])
+        assert set(table[:, 0].ravel()) == {1.0, -2.0, 0.5}
+        out = propagate_members(m, np.array([[0.2]]), table, 0.0, 1.0,
+                                NoiseStream(seed=4).generator())
+        assert np.array_equal(out, states[-1])
 
 
 def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
