@@ -8,8 +8,8 @@ a large particle reference).
 
 Every run resolves its configuration first and writes the echo (with hash)
 into the output directory before computing, so even aborted runs leave a
-reproducible record. Exit codes: 0 success, 1 configuration or usage error,
-2 numerical failure.
+reproducible record. Exit codes: 0 success, 1 configuration or usage error
+(an output path that cannot be written included), 2 numerical failure.
 """
 from __future__ import annotations
 
@@ -247,15 +247,14 @@ def parse_and_dispatch(argv) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    out = _prepare_out(config)
     try:
-        return _COMMANDS[args.subcommand](config, args, out)
+        return _COMMANDS[args.subcommand](config, args, _prepare_out(config))
     except _NUMERICAL_ERRORS as exc:
         print(exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
-        # bad request the schema cannot see (e.g. sweep size 1, undersized
-        # oracle); the config echo is already on disk
+    except (ValueError, OSError) as exc:
+        # a bad request the schema cannot see (e.g. sweep size 1, undersized
+        # oracle), an unusable --out, or a report file that cannot be written
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
 

@@ -270,7 +270,11 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if not p.exists():
             raise ConfigError([f"config file not found: {p}"])
         try:
-            user = json.loads(p.read_text())
+            text = p.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"cannot read config file {p}: {exc}"]) from exc
+        try:
+            user = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"config file is not valid JSON: {p}: {exc}"]) from exc
         if not isinstance(user, dict):

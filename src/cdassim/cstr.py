@@ -64,8 +64,6 @@ class CstrParams:
     both (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
     """
 
-    rho: float = 1.0            # kg/L
-    cp: float = 4.186           # kJ/(kg K)
     k0: float = math.exp(24.6)  # L/(mol s)
     EaR: float = 8500.0         # K
     V: float = 0.105            # L
@@ -76,7 +74,7 @@ class CstrParams:
     sigma_T: float              # K
 
     def __post_init__(self):
-        for name in ("rho", "cp", "k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
+        for name in ("k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.beta == 0:
@@ -212,26 +210,23 @@ def steady_state_flow(T_s: float, params: CstrParams) -> float:
             f"T_s={T_s} is outside the admissible branch ({lo:.4f}, {hi:.4f})"
         )
     CA, CB = adiabatic_concentrations(T_s, params)
-    if CA <= 0 or CB <= 0:  # unreachable for sane params, cheap to keep
-        raise SteadyStateRangeError(f"T_s={T_s} exhausts the feed")
     k = rate_constant(T_s, params)
     return params.V * params.beta * k * CA * CB / (T_s - params.T_in)
 
 
-def steady_state_curve(params: CstrParams, n: int = 400,
-                       margin: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+def steady_state_curve(params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     """Sample the steady-state flow curve F_s(T_s) across the admissible range.
 
-    ``margin`` (K) keeps the grid off both open endpoints, where F_s blows
-    up (lower) or the feed runs out (upper). The curve is non-monotonic:
-    the fold between its local extrema is what makes ignition possible.
+    400 temperatures, kept a margin of 0.25 K off both open endpoints, where
+    F_s blows up (lower) or the feed runs out (upper). The curve is
+    non-monotonic: the fold between its local extrema is what makes
+    ignition possible.
     """
     lo, hi = steady_state_range(params)
-    if n < 2:
-        raise ValueError("need at least two curve points")
+    margin = 0.25
     if 2 * margin >= hi - lo:
         raise ValueError("margin leaves no admissible temperatures")
-    T_s = np.linspace(lo + margin, hi - margin, n)
+    T_s = np.linspace(lo + margin, hi - margin, 400)
     F_s = np.array([steady_state_flow(float(T), params) for T in T_s])
     return T_s, F_s
 

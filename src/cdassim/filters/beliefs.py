@@ -36,10 +36,6 @@ class GaussianBelief:
     def dim(self) -> int:
         return self.mean.size
 
-    def marginal_std(self) -> np.ndarray:
-        """Per-component standard deviations (negative variances clipped to 0)."""
-        return np.sqrt(np.maximum(np.diag(self.cov), 0.0))
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -56,14 +52,6 @@ class Ensemble:
         if X.shape[1] < 2:
             raise ValueError("ensemble needs at least two members")
         object.__setattr__(self, "members", X)
-
-    @property
-    def dim(self) -> int:
-        return self.members.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[1]
 
 
 @dataclass(frozen=True)
@@ -89,10 +77,6 @@ class ParticleSet:
             raise ValueError(f"weights must sum to one (got {s!r})")
         object.__setattr__(self, "particles", X)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def dim(self) -> int:
-        return self.particles.shape[0]
 
     @property
     def size(self) -> int:
@@ -130,7 +114,6 @@ def posterior_summary(sample) -> GaussianBelief:
 class FilterOutput:
     """Per-assimilation-step record of one filter run."""
 
-    kind: str
     initial: GaussianBelief
     times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     prior_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
@@ -144,11 +127,3 @@ class FilterOutput:
     step_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
     ess: np.ndarray | None = None
     resampled: np.ndarray | None = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.times)
-
-    def marginal_std(self) -> np.ndarray:
-        """Per-step posterior standard deviations, shape (n_steps, dim)."""
-        return np.sqrt(np.maximum(np.diagonal(self.post_cov, axis1=1, axis2=2), 0.0))

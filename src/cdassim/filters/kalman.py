@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from cdassim.filters.beliefs import GaussianBelief
-from cdassim.filters.linalg import solve_spd, symmetrize, condition_number
+from cdassim.filters.linalg import solve_spd, symmetrize
 from cdassim.sde import DivergenceError, SdeModel, per_input, rk4_step
 
 __all__ = ["ekf_predict", "kalman_update"]
@@ -102,9 +102,3 @@ def kalman_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray,
     if not np.all(np.isfinite(m_post)):
         raise DivergenceError(f"Kalman update diverged at t={t}")
     return GaussianBelief(m_post, P_post, t), e, Re
-
-
-def innovation_stats(e: np.ndarray, Re: np.ndarray) -> tuple[float, float]:
-    """Normalized innovation squared and innovation-covariance condition."""
-    q = solve_spd(Re, e)
-    return float(e @ q), condition_number(Re)

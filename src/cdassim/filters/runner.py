@@ -33,8 +33,8 @@ from cdassim.filters.beliefs import (
     posterior_summary,
 )
 from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.kalman import ekf_predict, innovation_stats, kalman_update
-from cdassim.filters.linalg import chol_psd
+from cdassim.filters.kalman import ekf_predict, kalman_update
+from cdassim.filters.linalg import chol_psd, condition_number, solve_spd
 from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
 from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
@@ -176,7 +176,6 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     the caller as that error, naming the filter, step and time, not as a
     warning naming a source line.
     """
-    kind = kind.lower()
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
     model_fields, settings = _READS[kind]
@@ -204,7 +203,6 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     starts = np.concatenate(([config.initial.time], times))[:-1]
     stage_inputs = rk4_inputs(u, starts, (times - starts) / config.substeps, config.substeps)
     out = FilterOutput(
-        kind=kind,
         initial=config.initial,
         times=times.copy(),
         prior_mean=np.empty((n_steps, n)),
@@ -236,7 +234,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 if resample is not None:
                     state, out.ess[k], out.resampled[k] = resample(state, k)
                 out.step_seconds[k] = time.perf_counter() - tic
-                out.nis[k], out.gain_condition[k] = innovation_stats(e, Re)
+                out.nis[k] = e @ solve_spd(Re, e)
+                out.gain_condition[k] = condition_number(Re)
             except DivergenceError as exc:
                 raise FilterRunError(kind, k, t1, exc) from exc
             out.prior_mean[k] = prior.mean

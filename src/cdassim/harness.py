@@ -208,13 +208,12 @@ class MetricsReport:
     seed: int
     config_hash: str
     filters: dict[str, FilterMetrics]
-    mse_x_definition: str = MSE_X_DEFINITION
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "config_hash": self.config_hash,
-            "mse_x_definition": self.mse_x_definition,
+            "mse_x_definition": MSE_X_DEFINITION,
             "filters": {k: m.to_dict() for k, m in self.filters.items()},
         }
 
@@ -368,8 +367,6 @@ class UncertaintyReport:
     oracle_min_ess: float
     oracle_particles: int
     times: np.ndarray
-    oracle_mean: np.ndarray | None
-    oracle_cov: np.ndarray | None
     # per filter: dict of series, each shape (n_steps,) or (n_steps, 4)
     series: dict[str, dict[str, np.ndarray]]
     summary: dict[str, dict]
@@ -444,8 +441,6 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
         oracle_min_ess=min_ess,
         oracle_particles=config.oracle_particle_count,
         times=truth.times,
-        oracle_mean=out_o.post_mean if oracle.ok else None,
-        oracle_cov=out_o.post_cov if oracle.ok else None,
         series=series,
         summary=summary,
     )
@@ -528,7 +523,8 @@ def write_report(report: MetricsReport, truth: TruthData, out_dir) -> list[Path]
             continue
         o = m.output
         est = np.vstack([o.initial.mean, o.post_mean])
-        std = np.vstack([o.initial.marginal_std(), o.marginal_std()])
+        cov = np.concatenate([o.initial.cov[None], o.post_cov])
+        std = np.sqrt(np.maximum(np.diagonal(cov, axis1=1, axis2=2), 0.0))
         paths.append(write_table(out / f"trajectory_{kind}.csv", header,
                                  truth_rows(truth, est, std)))
     return paths

@@ -201,6 +201,25 @@ def test_missing_and_invalid_config_exit_1(tmp_path, monkeypatch, capsys):
     bad.write_text(json.dumps({"horizon_minutes": float("inf")}))  # json writes Infinity
     assert parse_and_dispatch(["estimate", "--config", str(bad)]) == 1
     assert "horizon_minutes: must be a positive number" in capsys.readouterr().err
+    assert parse_and_dispatch(["estimate", "--config", str(tmp_path)]) == 1  # a directory
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+    bad.write_bytes(b'{"seed": "\xff"}')  # not UTF-8
+    assert parse_and_dispatch(["estimate", "--config", str(bad)]) == 1
+    assert f"cannot read config file {bad}" in capsys.readouterr().err
+
+
+def test_unusable_out_exits_1_without_traceback(tmp_path, child_env):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "run" / "steady_state.csv").mkdir(parents=True)
+    cases = {"taken": "File exists",  # --out names a file
+             "taken/run": "Not a directory",  # --out lies under a file
+             "run": "cannot write report file"}  # the report path is a directory
+    for out, message in cases.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdassim", "steady-state", "--out", out],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys):

@@ -77,7 +77,7 @@ class TestRateConstant:
 
 class TestParams:
     def test_positivity_enforced(self):
-        for name in ("rho", "cp", "k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
+        for name in ("k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
             with pytest.raises(ValueError):
                 dataclasses.replace(PARAMS, **{name: 0.0})
         with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ class TestSteadyState:
         assert steady_state_flow(lo + 1e-6, PARAMS) > steady_state_flow(lo + 1e-3, PARAMS)
 
     def test_curve_fold_and_residuals(self):
-        T_s, F_s = steady_state_curve(PARAMS, n=400)
+        T_s, F_s = steady_state_curve(PARAMS)
         assert len(T_s) == len(F_s) == 400
         # every emitted point satisfies the stationarity equations
         for T, F in zip(T_s, F_s):
@@ -305,10 +305,9 @@ class TestSteadyState:
         assert mins[0] < maxs[0]
 
     def test_curve_argument_validation(self):
-        with pytest.raises(ValueError):
-            steady_state_curve(PARAMS, n=1)
-        with pytest.raises(ValueError):
-            steady_state_curve(PARAMS, margin=1e3)
+        # a negative beta leaves the admissible range empty
+        with pytest.raises(ValueError, match="margin leaves no admissible temperatures"):
+            steady_state_curve(dataclasses.replace(PARAMS, beta=-1.0))
 
 
 class TestFlowProfile:

@@ -114,7 +114,7 @@ def test_ensemble_needs_two_members():
     # the sample covariance of the EnKF gain and summary needs N - 1 > 0
     with pytest.raises(ValueError, match="at least two members"):
         Ensemble(np.ones((3, 1)))
-    assert Ensemble(np.ones((3, 2))).size == 2
+    assert Ensemble(np.ones((3, 2))).members.shape == (3, 2)
 
 
 def test_enkf_predict_is_reproducible_per_stream():

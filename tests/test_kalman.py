@@ -5,7 +5,7 @@ import pytest
 from cdassim.config import load_config
 from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import GaussianBelief
-from cdassim.filters.kalman import ekf_predict, innovation_stats, kalman_update
+from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.sde import DivergenceError, SdeModel
 
 from closedform import ou_transition
@@ -158,9 +158,3 @@ def test_predict_flags_divergence():
         ekf_predict(model, GaussianBelief(10.0 * np.ones(1), np.ones((1, 1))),
                     interval_inputs(constant(), 0.0, 5.0, substeps=5), 5.0)
     assert str(err.value) == "EKF moments diverged by t=5.0"
-
-
-def test_innovation_stats_scalar():
-    nis, cond = innovation_stats(np.array([2.0]), np.array([[4.0]]))
-    assert nis == pytest.approx(1.0)
-    assert cond == 1.0

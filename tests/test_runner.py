@@ -86,7 +86,7 @@ def test_zero_measurements_returns_initial_belief():
     for kind in FILTER_KINDS:
         cfg = base_config(kind)
         out = run_filter(kind, model, cfg, [], np.zeros((0, 1)), U_IN)
-        assert out.n_steps == 0
+        assert out.times.size == 0
         assert out.initial is cfg.initial
         assert out.prior_mean.shape == out.post_mean.shape == (0, 1)
         assert out.prior_cov.shape == out.post_cov.shape == (0, 1, 1)
@@ -105,11 +105,13 @@ def test_gaussian_filters_match_closed_form(ou_data):
     tols = {"ekf": (1e-8, 1e-8), "ukf": (5e-3, 1e-2)}
     for kind, (mean_atol, var_rtol) in tols.items():
         out = run_filter(kind, model, base_config(kind), times, ys, u=U_IN)
-        assert out.n_steps == times.size
+        assert out.times.size == times.size
         assert np.allclose(out.prior_mean[:, 0], oracle["prior_mean"], atol=mean_atol)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=mean_atol)
         assert np.allclose(out.post_cov[:, 0, 0], oracle["post_var"], rtol=var_rtol)
         assert np.all(out.nis > 0.0)
+        assert np.allclose(out.nis, out.innovation[:, 0] ** 2 / out.innovation_cov[:, 0, 0],
+                           rtol=1e-14, atol=0.0)
         assert np.all(out.gain_condition == 1.0)
         assert np.all(out.step_seconds >= 0.0)
 
@@ -215,7 +217,7 @@ def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypat
     for n_steps in (1, 3, times.size):
         built.clear()
         out = run_filter(kind, ou_model(), cfg, times[:n_steps], ys[:n_steps], u=U_IN)
-        assert out.n_steps == n_steps
+        assert out.times.size == n_steps
         counts.append(len(built))
     assert counts == [3, 3, 3]
 
