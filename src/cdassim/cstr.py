@@ -24,8 +24,7 @@ Units: seconds, Kelvin, mol/L, L/s throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,12 +81,18 @@ class CstrParams:
         if self.sigma_T < 0:
             raise ValueError("sigma_T must be non-negative")
 
-    @cached_property
-    def inlet(self) -> np.ndarray:
-        """Feed ``(CA_in, CB_in, T_in)`` as a read-only ``(3, 1)`` column."""
-        column = np.array([[self.CA_in], [self.CB_in], [self.T_in]])
-        column.setflags(write=False)
-        return column
+    # per batch width m: the read-only (4, m) feed [CA_in, CB_in, T_in, 0] and
+    # (3, m) reaction signs [-1, -2, 0], so that no drift op broadcasts a column
+    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def width_tables(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The drift's feed and sign tables for width ``m``, built on first use."""
+        feed = np.repeat([[self.CA_in], [self.CB_in], [self.T_in], [0.0]], m, axis=1)
+        signs = np.repeat([[-1.0], [-2.0], [0.0]], m, axis=1)
+        feed.setflags(write=False)
+        signs.setflags(write=False)
+        self.tables[m] = feed, signs
+        return feed, signs
 
 
 def rate_constant(T, params: CstrParams):
@@ -102,27 +107,31 @@ def cstr3_drift(x, F, params: CstrParams):
     ``(4, 1)`` column. Beta is read from the fourth row, and its rate is
     zero; ``params.beta`` is not used.
 
-    One ``exp`` runs over the temperature row, the reaction rate ``r`` is
-    built in place and the three flow terms form one ``(3, m)`` block
-    against the cached :attr:`CstrParams.inlet`; then ``r`` and ``2 r`` are
-    taken from the concentration rows and ``beta r`` is added to the
-    temperature row. Each element keeps the operation order of
-    ``FV * (inlet - x) - r`` with ``FV = F / V`` and
-    ``r = k0 exp(-EaR / T) CA CB``, so a column's rates are bitwise the
-    same in any batch, and bitwise those of :func:`cstr3_linearize`.
+    One ``exp`` runs over the temperature row and the reaction rate ``r``
+    is built in place; every other op works on whole row blocks against
+    the feed and sign tables that :meth:`CstrParams.width_tables` keeps per
+    width, because broadcasting a ``(4, 1)`` column across a wide batch
+    costs more than the arithmetic. The three state rows get
+    ``FV * (feed - x) + signs * r``, with the temperature row's reaction
+    term replaced by ``beta r``, and the beta row gets zero. Since
+    ``a + (-b)`` is ``a - b`` and ``(-2) r`` is ``-(2 r)`` exactly, each
+    element keeps the rounding of ``FV * (feed - x) - r`` with
+    ``FV = F / V`` and ``r = k0 exp(-EaR / T) CA CB``, so a column's rates
+    are bitwise the same in any batch, and bitwise those of
+    :func:`cstr3_linearize`.
     """
+    feed, signs = params.tables.get(x.shape[1]) or params.width_tables(x.shape[1])
     r = np.divide(-params.EaR, x[2])
     np.exp(r, out=r)
     np.multiply(params.k0, r, out=r)
     r *= x[0]
     r *= x[1]
-    out = np.empty(x.shape)
+    out = np.subtract(feed, x)
     flow = out[:3]
-    np.subtract(params.inlet, x[:3], out=flow)
-    np.multiply(F / params.V, flow, out=flow)
-    out[0] -= r
-    out[1] -= 2.0 * r
-    out[2] += x[3] * r
+    flow *= F / params.V
+    react = np.multiply(signs, r)
+    np.multiply(x[3], r, out=react[2])
+    flow += react
     out[3] = 0.0
     return out
 

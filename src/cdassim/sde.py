@@ -216,9 +216,12 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
 
     Each substep is ``x + f dt + g dw`` in that order, computed in place on
     one copy of ``X``, followed by the model's ``constrain``; ``g`` is
-    evaluated and checked by :func:`per_input`. A non-finite drift at a
-    substep, or a non-finite diffusion at the first substep with its input,
-    raises :class:`DivergenceError` naming that substep's start time.
+    evaluated and checked by :func:`per_input`, which also records the
+    span of rows where ``g`` is nonzero. The push ``g dw`` goes into that
+    span only: every other row would gain an exact zero. A non-finite
+    drift at a substep, or a non-finite diffusion at the first substep with
+    its input, raises :class:`DivergenceError` naming that substep's start
+    time.
     """
     if t1 < t0:
         raise ValueError("cannot propagate backwards in time")
@@ -232,7 +235,6 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
     # C order, as X.copy() gives: the summaries' products round by memory layout
     X = np.array(X, dtype=float, order="C")
     fh = np.empty_like(X)
-    gdw = np.empty_like(X)
     # with one channel g dw is one product per entry, bitwise the matmul
     push = np.multiply if model.dim_noise == 1 else np.matmul
 
@@ -241,17 +243,20 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
         g = np.asarray(model.diffusion(t, x, u), dtype=float)
         if not np.isfinite(g).all():
             raise DivergenceError(f"non-finite drift/diffusion at t={t}")
-        return g
+        driven = np.flatnonzero(g.any(axis=1))
+        rows = slice(driven[0], driven[-1] + 1) if driven.size else slice(0, 0)
+        return g[rows], rows
 
     for j in range(substeps):
         t = t0 + j * h
         u = inputs[j, 0]
         f = np.asarray(model.drift(t, X, u), dtype=float)
-        g = diffusion(t, X, u)
+        g, rows = diffusion(t, X, u)
         if not np.isfinite(f).all():
             raise DivergenceError(f"non-finite drift/diffusion at t={t}")
         X += np.multiply(f, h, out=fh)
-        X += push(g, draws[j], out=gdw)
+        pushed = X[rows]
+        pushed += push(g, draws[j])
         X = model.constrain(X)
     if not np.all(np.isfinite(X)):
         bad = int(np.flatnonzero(~np.isfinite(X).all(axis=0))[0])

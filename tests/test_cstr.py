@@ -212,6 +212,41 @@ class TestJointKernel:
         for i in range(11):
             assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
 
+    @pytest.mark.parametrize("width", [1, 11, 1000])
+    def test_every_width_is_bitwise_its_columns_and_the_linearization(self, width):
+        # the truth, the UKF and the members run at these widths, each on its
+        # own constant tables; a fresh params first builds the other widths'
+        params = dataclasses.replace(PARAMS)
+        assert params.tables == {}
+        for other in (1000, 11, 1, 3):
+            if other != width:
+                cstr3_drift(np.ones((4, other)), 0.006, params)
+        rng = np.random.default_rng(30 + width)
+        states = [random_joint_state(rng) for _ in range(width)]
+        states[:2] = [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]][:width]
+        X = np.column_stack(states)
+        F = rng.uniform(1e-3, 0.02)
+        D = cstr3_drift(X, F, params)
+        assert D.shape == (4, width)
+        for i in range(width):
+            column = cstr3_drift(X[:, i:i + 1], F, params)[:, 0]
+            f, _ = cstr3_linearize(X[:, i], F, params)
+            assert D[:, i].tobytes() == column.tobytes() == f.tobytes()
+        assert set(params.tables) == {1000, 11, 1, 3} | {width}
+
+    def test_width_tables_are_read_only_and_rates_are_fresh(self):
+        params = dataclasses.replace(PARAMS)
+        rng = np.random.default_rng(31)
+        X = np.column_stack([random_joint_state(rng) for _ in range(11)])
+        first = cstr3_drift(X, 0.006, params)
+        expected = first.tobytes()
+        first[...] = np.nan  # a caller writing into its rates touches no table
+        assert cstr3_drift(X, 0.006, params).tobytes() == expected
+        for table in params.tables[11]:
+            assert table.shape[1] == 11
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
     def test_reads_beta_from_the_state(self):
         # the kernels never read params.beta: another value there changes no bit
         other = dataclasses.replace(PARAMS, beta=-7.5)

@@ -228,6 +228,47 @@ def test_only_member_kinds_get_a_size(small_cfg):
     assert _filter_config(small_cfg, "pf", size=7).size == 7
 
 
+# model evaluations of one default run per kind (seed 20260816, 210 steps of
+# 10 substeps): field -> (calls, total columns); a state (n,) counts as one
+# column. The UKF's drift runs 4 RK4 stages on its 11 sigma points, the
+# members' at N = 1000; the diffusion runs once per prediction and flow value.
+DEFAULT_RUN_WORK = {
+    "ekf": {"constrain": (2100, 2100), "diffusion": (212, 212), "linearize": (8400, 8400),
+            "measure": (210, 210), "measure_jacobian": (210, 210)},
+    "ukf": {"constrain": (2100, 23100), "diffusion": (212, 2332), "drift": (8400, 92400),
+            "measure": (210, 1890)},
+    "enkf": {"constrain": (2101, 2101000), "diffusion": (210, 210000),
+             "drift": (2100, 2100000), "measure": (210, 210000)},
+    "pf": {"constrain": (2101, 2101000), "diffusion": (210, 210000),
+           "drift": (2100, 2100000), "measure": (210, 210000)},
+}
+
+
+def test_default_runs_evaluate_the_pinned_model_work():
+    # a speed-up must change the cost of the model calls, not their number
+    config = load_config()
+    assert config.seed == 20260816
+    truth = generate_truth_and_measurements(config)
+    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
+                                   param_diffusion=config.sigma_theta)
+    fields = ("drift", "diffusion", "measure", "linearize", "measure_jacobian", "constrain")
+    for kind, expected in DEFAULT_RUN_WORK.items():
+        tally = {}
+
+        def counted(name, fn):
+            def call(*args):
+                x = args[0] if name == "constrain" else args[1]
+                calls, columns = tally.get(name, (0, 0))
+                tally[name] = (calls + 1, columns + (x.shape[1] if np.ndim(x) == 2 else 1))
+                return fn(*args)
+            return call
+
+        model = dataclasses.replace(
+            exp.model, **{f: counted(f, getattr(exp.model, f)) for f in fields})
+        assert run_one_filter(kind, config, truth, model, exp.flow).ok
+        assert tally == expected, kind
+
+
 def test_worker_count_env_cap(monkeypatch):
     monkeypatch.setenv("CDASSIM_THREADS", "3")
     assert worker_count(8) == 3

@@ -202,6 +202,51 @@ class TestSimulatePath:
         assert np.array_equal(out, states[-1])
 
 
+class TestDrivenRows:
+    """:func:`propagate_members` pushes ``g dw`` only into the rows the diffusion drives."""
+
+    # rows of a (4, channels) diffusion that are nonzero; each entry scales with the input
+    PATTERNS = {
+        "one row": {2: (0.4, -0.1)},
+        "rows 0 and 3": {0: (0.3, 0.0), 3: (-0.2, 0.5)},
+        "rows 1 and 2": {1: (0.25, 0.0), 2: (-0.6, 0.3)},
+        "no row": {},
+    }
+
+    @staticmethod
+    def model(channels: int, driven: dict) -> SdeModel:
+        def diffusion(t, x, u):
+            g = np.zeros((4, channels))
+            for row, scales in driven.items():
+                g[row] = u[0] * np.array(scales[:channels])
+            return g
+
+        return SdeModel(
+            dim_state=4, dim_noise=channels,
+            drift=lambda t, x, u: u[0] * np.cos(x) - 0.4 * x,  # rows do not interact
+            diffusion=diffusion,
+            measure=lambda t, x: x[:1],
+        )
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    def test_matches_the_reference_path_bit_for_bit(self, channels, pattern):
+        # two input values inside the interval, so two diffusions and spans
+        p = PiecewiseConstant(times=[0.0, 0.45], values=[[1.5], [0.7]])
+        model = self.model(channels, self.PATTERNS[pattern])
+        X0 = np.random.default_rng(channels).uniform(0.5, 2.0, (4, 7))
+        stream = NoiseStream(seed=19, stream_id=channels)
+        out = propagate_members(model, X0, interval_inputs(p, 0.0, 1.0, 20), 0.0, 1.0,
+                                stream.generator())
+        _, states = euler_maruyama_path(model, X0, p, 0.0, 1.0, 0.05, stream)
+        assert np.array_equal(out, states[-1])
+        # another noise stream moves exactly the driven rows
+        _, other = euler_maruyama_path(model, X0, p, 0.0, 1.0, 0.05,
+                                       NoiseStream(seed=20, stream_id=channels))
+        np.testing.assert_array_equal((out != other[-1]).any(axis=1),
+                                      [row in self.PATTERNS[pattern] for row in range(4)])
+
+
 def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
     # n_paths independent GBM copies as one diagonal system, so the order
     # study runs through the reference path without a Python loop per path;
