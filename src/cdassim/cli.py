@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from cdassim.config import ConfigError, ExperimentConfig, load_config
-from cdassim.cstr import (
-    SteadyStateRangeError,
-    cstr1_drift,
-    cstr2_drift,
-    cstr3_drift,
-    steady_state_curve,
-)
+from cdassim.cstr import cstr1_drift, cstr2_drift, cstr3_drift, steady_state_curve
 from cdassim.filters.runner import FILTER_KINDS, SAMPLE_KINDS
 from cdassim.harness import (
     TRUTH_HEADER,
@@ -35,6 +29,7 @@ from cdassim.harness import (
     run_all_filters,
     truth_rows,
     uncertainty_comparison,
+    write_json,
     write_report,
     write_sweep_report,
     write_table,
@@ -49,8 +44,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 DEFAULT_SWEEP_SIZES = (10, 100, 1000)
-
-_NUMERICAL_ERRORS = (DivergenceError, SteadyStateRangeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,11 +113,14 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _prepare_out(config: ExperimentConfig) -> Path:
-    """Create the output directory and write the config echo, the only writer of config.json."""
+    """Create the output directory and write the config echo, the only writer of config.json.
+
+    The echo, the config plus its hash, lands before any computation.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config.write(out / "config.json")  # echo lands before any computation
-    _announce([out / "config.json"])
+    _announce([write_json(out / "config.json",
+                          dict(config.to_dict(), config_hash=config.config_hash()))])
     return out
 
 
@@ -184,9 +180,9 @@ def _cmd_simulate(config: ExperimentConfig, args, out: Path) -> int:
 
 def _cmd_estimate(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
-    report = run_all_filters(config, truth, filters=args.filters, serial=args.serial)
-    _announce(write_report(report, truth, out))
-    failed = [k for k, m in report.filters.items() if not m.ok]
+    filters = run_all_filters(config, truth, filters=args.filters, serial=args.serial)
+    _announce(write_report(config, filters, truth, out))
+    failed = [k for k, m in filters.items() if not m.ok]
     if failed:
         print(f"numerical failure in: {', '.join(failed)}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -249,7 +245,7 @@ def parse_and_dispatch(argv) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.subcommand](config, args, _prepare_out(config))
-    except _NUMERICAL_ERRORS as exc:
+    except DivergenceError as exc:
         print(exc, file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -232,15 +232,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    def write(self, path) -> None:
-        doc = dict(self.to_dict(), config_hash=self.config_hash())
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        """SHA-256 of the resolved config as compact JSON with sorted keys."""
+        canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def validate_config_dict(data: dict) -> list[str]:

@@ -32,7 +32,6 @@ from cdassim.sde import PiecewiseConstant, SdeModel
 
 __all__ = [
     "CstrParams",
-    "SteadyStateRangeError",
     "CstrExperiment",
     "rate_constant",
     "cstr3_drift",
@@ -45,10 +44,6 @@ __all__ = [
     "steady_state_curve",
     "default_experiment_model",
 ]
-
-
-class SteadyStateRangeError(ValueError):
-    """Requested steady-state temperature leaves the physical branch."""
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -215,7 +210,7 @@ def steady_state_flow(T_s: float, params: CstrParams) -> float:
     """
     lo, hi = steady_state_range(params)
     if not lo < T_s < hi:
-        raise SteadyStateRangeError(
+        raise ValueError(
             f"T_s={T_s} is outside the admissible branch ({lo:.4f}, {hi:.4f})"
         )
     CA, CB = adiabatic_concentrations(T_s, params)

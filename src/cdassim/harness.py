@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "STREAM_ORACLE",
     "TruthData",
     "FilterMetrics",
-    "MetricsReport",
     "UncertaintyReport",
     "generate_truth_and_measurements",
     "run_one_filter",
@@ -59,6 +58,7 @@ __all__ = [
     "TRUTH_HEADER",
     "truth_rows",
     "write_table",
+    "write_json",
     "write_report",
     "write_uncertainty_report",
     "write_sweep_report",
@@ -187,35 +187,9 @@ class FilterMetrics:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "mse_x": self.mse_x,
-            "mse_p": self.mse_p,
-            "t_cpu_s": self.t_cpu_s,
-            "beta_final": self.beta_final,
-            "beta_tail_mean_abs_err": self.beta_tail_mean_abs_err,
-            "collapsed": self.collapsed,
-            "nis_exceed_fraction": self.nis_exceed_fraction,
-            "spread_collapse_fraction": self.spread_collapse_fraction,
-            "failed_step": self.failed_step,
-        }
-
-
-@dataclass
-class MetricsReport:
-    """Per-filter metrics for one experiment run."""
-
-    seed: int
-    config_hash: str
-    filters: dict[str, FilterMetrics]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "mse_x_definition": MSE_X_DEFINITION,
-            "filters": {k: m.to_dict() for k, m in self.filters.items()},
-        }
+        """The serialized record: every field but ``kind`` and ``output``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("kind", "output")}
 
 
 def _filter_config(config: ExperimentConfig, kind: str, *, size: int | None = None,
@@ -333,28 +307,29 @@ def _run_filters(config: ExperimentConfig, truth: TruthData, tasks,
         return list(pool.map(_call_task, tasks))
 
 
-def _bank_tasks(filters) -> list[tuple]:
-    kinds = list(filters) if filters else list(FILTER_KINDS)
-    for kind in kinds:
-        if kind not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind {kind!r}")
-    return [(kind, None, None) for kind in kinds]
-
-
-def _bank_report(config: ExperimentConfig, results) -> MetricsReport:
-    ordered = {k: m for k in FILTER_KINDS for m in results if m.kind == k}
-    return MetricsReport(seed=config.seed, config_hash=config.config_hash(), filters=ordered)
+def _requested_kinds(filters, allowed=FILTER_KINDS,
+                     unknown="unknown filter kind {!r}") -> list[str]:
+    """The kinds of ``filters`` in ``allowed`` order, each once; all of ``allowed`` if none."""
+    requested = list(filters or allowed)
+    for kind in requested:
+        if kind not in allowed:
+            raise ValueError(unknown.format(kind))
+    return [kind for kind in allowed if kind in requested]
 
 
 def run_all_filters(config: ExperimentConfig, truth: TruthData,
-                    filters=None, serial: bool = False) -> MetricsReport:
-    """Run the filter bank against one truth realization.
+                    filters=None, serial: bool = False) -> dict[str, FilterMetrics]:
+    """Run the filter bank against one truth realization: ``{kind: metrics}``.
 
-    Filters run on separate worker processes (see ``worker_count``) unless
-    ``serial``; each owns fixed noise streams, so scheduling cannot change
-    any numeric output. A failing filter is recorded and the rest continue.
+    Each kind of ``filters`` (all when omitted) runs once, listed in
+    ``FILTER_KINDS`` order. Filters run on separate worker processes (see
+    ``worker_count``) unless ``serial``; each owns fixed noise streams, so
+    scheduling cannot change any numeric output. A failing filter is
+    recorded and the rest continue.
     """
-    return _bank_report(config, _run_filters(config, truth, _bank_tasks(filters), serial))
+    kinds = _requested_kinds(filters)
+    tasks = [(kind, None, None) for kind in kinds]
+    return dict(zip(kinds, _run_filters(config, truth, tasks, serial)))
 
 
 @dataclass
@@ -397,9 +372,10 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
         raise ValueError(
             f"oracle_particle_count={config.oracle_particle_count} must be >= 10x the "
             f"largest filter size ({largest})")
-    tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE), *_bank_tasks(filters)]
+    kinds = _requested_kinds(filters)
+    tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE),
+             *((kind, None, None) for kind in kinds)]
     oracle, *bank = _run_filters(config, truth, tasks, serial)
-    report = _bank_report(config, bank)
     status = oracle.status
     if oracle.ok and oracle.collapsed:
         status = "degenerate: sustained innovation inconsistency"
@@ -408,7 +384,7 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
 
     series: dict[str, dict[str, np.ndarray]] = {}
     summary: dict[str, dict] = {}
-    for kind, m in report.filters.items():
+    for kind, m in zip(kinds, bank):
         if not (oracle.ok and m.ok):
             summary[kind] = {"status": m.status if not m.ok else status}
             continue
@@ -452,18 +428,17 @@ def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
     """Rerun the Monte Carlo filters across sizes on one shared realization.
 
     ``filters`` is a subset of ``SAMPLE_KINDS``, all of them when omitted.
-    Returns ``(size, metrics)`` pairs, every size of the first filter kind
-    first. The runs fan out over worker processes like ``run_all_filters``.
+    Each distinct kind and size runs once. Returns ``(size, metrics)`` pairs,
+    kinds in ``SAMPLE_KINDS`` order, each with its sizes in request order.
+    The runs fan out over worker processes like ``run_all_filters``.
     Collapsed or failed runs are flagged in their metrics, never fatal.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = list(dict.fromkeys(int(s) for s in sizes))
     if any(s < 2 for s in sizes):
         raise ValueError("every sweep size must be at least 2")
-    filters = tuple(filters) if filters else SAMPLE_KINDS
-    for kind in filters:
-        if kind not in SAMPLE_KINDS:
-            raise ValueError(f"sweep supports {'/'.join(SAMPLE_KINDS)}, got {kind!r}")
-    tasks = [(kind, size, None) for kind in filters for size in sizes]
+    kinds = _requested_kinds(filters, SAMPLE_KINDS,
+                             f"sweep supports {'/'.join(SAMPLE_KINDS)}, got {{!r}}")
+    tasks = [(kind, size, None) for kind in kinds for size in sizes]
     results = _run_filters(config, truth, tasks, serial)
     return [(size, m) for (_, size, _), m in zip(tasks, results)]
 
@@ -496,6 +471,11 @@ def write_table(path, header, rows) -> Path:
     return _write_text(Path(path), "\n".join(lines) + "\n")
 
 
+def write_json(path, doc, sort_keys: bool = True) -> Path:
+    """Write one JSON result file, two-space indented; ``sort_keys=False`` keeps key order."""
+    return _write_text(Path(path), json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def truth_rows(truth: TruthData, *columns) -> list[tuple]:
     """Rows of t, the joint truth, ``columns`` and the measurement, from t_0 on.
 
@@ -507,18 +487,24 @@ def truth_rows(truth: TruthData, *columns) -> list[tuple]:
     return [(*row, meas) for row, meas in zip(table, ["", *truth.measurements])]
 
 
-def write_report(report: MetricsReport, truth: TruthData, out_dir) -> list[Path]:
-    """Write metrics.csv/json and the per-filter trajectory CSVs into ``out_dir``."""
+def write_report(config: ExperimentConfig, filters: dict[str, FilterMetrics],
+                 truth: TruthData, out_dir) -> list[Path]:
+    """Write metrics.csv/json and the trajectory CSVs of ``run_all_filters``'s ``filters``.
+
+    metrics.json also records the config's seed and hash.
+    """
     out = Path(out_dir)
+    doc = {"seed": config.seed, "config_hash": config.config_hash(),
+           "mse_x_definition": MSE_X_DEFINITION,
+           "filters": {kind: m.to_dict() for kind, m in filters.items()}}
     paths = [
         write_table(out / "metrics.csv", ("filter", "mse_x", "mse_p", "t_cpu_s"),
-                    [(kind, m.mse_x, m.mse_p, m.t_cpu_s) for kind, m in report.filters.items()]),
-        _write_text(out / "metrics.json",
-                    json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"),
+                    [(kind, m.mse_x, m.mse_p, m.t_cpu_s) for kind, m in filters.items()]),
+        write_json(out / "metrics.json", doc),
     ]
     header = (*TRUTH_HEADER, *(f"est_{s}" for s in STATE_COLUMNS),
               *(f"std_{s}" for s in STATE_COLUMNS), "measurement")
-    for kind, m in report.filters.items():
+    for kind, m in filters.items():
         if not m.ok:
             continue
         o = m.output
@@ -533,8 +519,7 @@ def write_report(report: MetricsReport, truth: TruthData, out_dir) -> list[Path]
 def write_uncertainty_report(unc: UncertaintyReport, out_dir) -> list[Path]:
     """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``."""
     out = Path(out_dir)
-    paths = [_write_text(out / "uncertainty.json",
-                         json.dumps(unc.to_dict(), indent=2, sort_keys=True) + "\n")]
+    paths = [write_json(out / "uncertainty.json", unc.to_dict())]
     header = ("t", "mean_err", "cov_frobenius", *(f"var_ratio_{s}" for s in STATE_COLUMNS),
               "t_std_ratio")
     for kind, s in unc.series.items():
@@ -556,5 +541,5 @@ def write_sweep_report(rows: list[tuple[int, FilterMetrics]], out_dir) -> list[P
         write_table(out / "sweep.csv",
                     ("filter", "size", "mse_x", "mse_p", "t_cpu_s", "collapsed", "status"),
                     table),
-        _write_text(out / "sweep.json", json.dumps(records, indent=2) + "\n"),
+        write_json(out / "sweep.json", records, sort_keys=False),
     ]

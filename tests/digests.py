@@ -105,8 +105,7 @@ def filter_lines():
                 assert np.all(truth.truth_states[:, 3] == cfg.truth_beta), "truth beta moved"
                 yield (f"truth seed={seed} "
                        + _digest(truth.times, truth.truth_states, truth.measurements))
-            report = run_all_filters(cfg, truth, serial=True)
-            for kind, m in report.filters.items():
+            for kind, m in run_all_filters(cfg, truth, serial=True).items():
                 tag = f"filter seed={seed} sigma_theta={sigma_theta:g} {kind}"
                 if m.output is None:
                     yield f"{tag} status={m.status}"

@@ -85,8 +85,7 @@ def seed_bank():
     for k in range(N_SEEDS):
         cfg = load_config(overrides={"seed": SEED + k})
         truth = generate_truth_and_measurements(cfg)
-        report = run_all_filters(cfg, truth, serial=True)
-        for kind, m in report.filters.items():
+        for kind, m in run_all_filters(cfg, truth, serial=True).items():
             bank[kind]["mse_x"].append(m.mse_x)
             bank[kind]["mse_p"].append(m.mse_p)
             bank[kind]["tail_err"].append(m.beta_tail_mean_abs_err)

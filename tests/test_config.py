@@ -141,9 +141,11 @@ def test_file_errors_are_config_errors(tmp_path):
 
 
 def test_write_round_trip(tmp_path):
-    cfg = load_config(overrides={"seed": 31, "monte_carlo": {"ensemble_size": 64}})
-    path = tmp_path / "echo.json"
-    cfg.write(path)
+    from cdassim.cli import _prepare_out
+
+    cfg = load_config(overrides={"seed": 31, "monte_carlo": {"ensemble_size": 64},
+                                 "out_dir": str(tmp_path / "echo")})
+    path = _prepare_out(cfg) / "config.json"
     doc = json.loads(path.read_text())
     assert doc["config_hash"] == cfg.config_hash()
     again = load_config(path)  # echo files are valid inputs

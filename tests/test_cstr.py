@@ -15,7 +15,6 @@ import pytest
 from cdassim.config import load_config
 from cdassim.cstr import (
     CstrParams,
-    SteadyStateRangeError,
     adiabatic_concentrations,
     cstr1_drift,
     cstr2_drift,
@@ -316,7 +315,7 @@ class TestSteadyState:
     def test_out_of_branch_rejected(self):
         lo, hi = steady_state_range(PARAMS)
         for T_s in (lo, lo - 5.0, hi, hi + 5.0):
-            with pytest.raises(SteadyStateRangeError):
+            with pytest.raises(ValueError, match="outside the admissible branch"):
                 steady_state_flow(T_s, PARAMS)
 
     def test_blowup_toward_inlet_temperature(self):

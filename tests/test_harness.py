@@ -156,9 +156,10 @@ def test_noiseless_pinned_filters_track_exactly():
         assert fine[kind].mse_p < coarse[kind].mse_p
 
 
-def test_metrics_fields_complete(small_report):
-    assert set(small_report.filters) == {"ekf", "ukf", "enkf", "pf"}
-    for kind, m in small_report.filters.items():
+def test_metrics_fields_complete(tmp_path, small_cfg, small_truth, small_report):
+    assert set(small_report) == {"ekf", "ukf", "enkf", "pf"}
+    record = {f.name for f in dataclasses.fields(FilterMetrics)} - {"kind", "output"}
+    for kind, m in small_report.items():
         assert m.ok, f"{kind}: {m.status}"
         assert m.mse_x >= 0.0 and m.mse_p >= 0.0
         assert m.t_cpu_s > 0.0
@@ -168,6 +169,10 @@ def test_metrics_fields_complete(small_report):
         assert 0.0 <= m.spread_collapse_fraction <= 1.0
         d = m.to_dict()
         assert d["status"] == "ok" and "mse_x" in d and "failed_step" in d
+        assert set(d) == record
+    write_report(small_cfg, small_report, small_truth, tmp_path)
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert all(set(d) == record for d in doc["filters"].values())
 
 
 # -- collapse detection -------------------------------------------------------
@@ -197,7 +202,7 @@ def test_spread_collapse_fraction_counts_squeezed_directions():
 
 
 def test_healthy_small_run_not_flagged(small_report):
-    for kind, m in small_report.filters.items():
+    for kind, m in small_report.items():
         assert not m.collapsed, f"{kind} wrongly flagged"
 
 
@@ -206,8 +211,8 @@ def test_healthy_small_run_not_flagged(small_report):
 def test_serial_and_threaded_runs_agree(small_cfg, small_truth, small_report, monkeypatch):
     monkeypatch.setenv("CDASSIM_THREADS", "4")
     threaded = run_all_filters(small_cfg, small_truth, serial=False)
-    for kind, m in small_report.filters.items():
-        tm = threaded.filters[kind]
+    for kind, m in small_report.items():
+        tm = threaded[kind]
         assert tm.mse_x == m.mse_x and tm.mse_p == m.mse_p
         assert tm.beta_final == m.beta_final
         assert np.array_equal(tm.output.post_mean, m.output.post_mean)
@@ -216,9 +221,36 @@ def test_serial_and_threaded_runs_agree(small_cfg, small_truth, small_report, mo
 
 def test_filter_subset_and_unknown_kind(small_cfg, small_truth):
     rep = run_all_filters(small_cfg, small_truth, filters=["ekf"], serial=True)
-    assert list(rep.filters) == ["ekf"]
+    assert list(rep) == ["ekf"]
     with pytest.raises(ValueError, match="unknown filter kind"):
         run_all_filters(small_cfg, small_truth, filters=["ekf", "kf"])
+
+
+def test_a_request_runs_each_filter_once(small_cfg, small_truth, monkeypatch):
+    # a repeated kind or size names the same run, so it runs once
+    runs = []
+    run = harness.run_one_filter
+
+    def counted(kind, *args, size=None, stream_tag=None):
+        runs.append((kind, size))
+        return run(kind, *args, size=size, stream_tag=stream_tag)
+
+    monkeypatch.setattr(harness, "run_one_filter", counted)
+    bank = run_all_filters(small_cfg, small_truth, filters=["ekf", "ekf"], serial=True)
+    assert runs == [("ekf", None)]
+    assert list(bank) == ["ekf"]
+
+    runs.clear()
+    unc = uncertainty_comparison(small_cfg, small_truth, filters=["ukf", "ekf", "ukf"],
+                                 serial=True)
+    assert runs == [("pf", 1000), ("ekf", None), ("ukf", None)]  # the reference first
+    assert list(unc.summary) == ["ekf", "ukf"]
+
+    runs.clear()
+    rows = ensemble_size_sweep(small_cfg, small_truth, [8, 8], filters=["pf", "enkf", "pf"],
+                               serial=True)
+    assert runs == [("enkf", 8), ("pf", 8)]
+    assert [(m.kind, size) for size, m in rows] == [("enkf", 8), ("pf", 8)]
 
 
 def test_only_member_kinds_get_a_size(small_cfg):
@@ -317,9 +349,9 @@ def test_pooled_runs_equal_serial_in_every_field(threads, small_cfg, small_truth
     assert worker_count(4) > 1 or "fork" not in multiprocessing.get_all_start_methods()
 
     pooled = run_all_filters(small_cfg, small_truth)
-    assert list(pooled.filters) == list(small_report.filters)
-    for kind, m in small_report.filters.items():
-        assert _metrics_fingerprint(pooled.filters[kind]) == _metrics_fingerprint(m), kind
+    assert list(pooled) == list(small_report)
+    for kind, m in small_report.items():
+        assert _metrics_fingerprint(pooled[kind]) == _metrics_fingerprint(m), kind
 
     rows = ensemble_size_sweep(small_cfg, small_truth, [8, 32])
     serial_rows = ensemble_size_sweep(small_cfg, small_truth, [8, 32], serial=True)
@@ -386,7 +418,7 @@ def _strip_timing(csv_text):
 
 def test_write_report_files(tmp_path, small_cfg, small_truth, small_report):
     (tmp_path / "out").mkdir()
-    paths = write_report(small_report, small_truth, tmp_path / "out")
+    paths = write_report(small_cfg, small_report, small_truth, tmp_path / "out")
     names = {p.name for p in paths}
     assert names == {"metrics.csv", "metrics.json",
                      "trajectory_ekf.csv", "trajectory_ukf.csv",
@@ -418,7 +450,7 @@ def test_reports_byte_identical_across_runs(tmp_path, small_cfg):
         truth = generate_truth_and_measurements(small_cfg)
         report = run_all_filters(small_cfg, truth, serial=True)
         out.mkdir()
-        write_report(report, truth, out)
+        write_report(small_cfg, report, truth, out)
         return out
 
     a, b = fresh(tmp_path / "a"), fresh(tmp_path / "b")
