@@ -207,7 +207,7 @@ def _cmd_oracle(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
     unc = uncertainty_comparison(config, truth, filters=args.filters,
                                  serial=args.serial)
-    _announce(write_uncertainty_report(unc, out))
+    _announce(write_uncertainty_report(config, unc, out))
     return EXIT_OK
 
 

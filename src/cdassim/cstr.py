@@ -131,16 +131,17 @@ def cstr3_drift(x, F, params: CstrParams):
     return out
 
 
-def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
+def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
     """Rates of :func:`cstr3_drift` and their analytic state Jacobian at one state.
 
-    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns ``(f, A)`` with
-    shapes ``(4,)`` and ``(4, 4)``. Both come from a single ``exp(-EaR/T)``,
-    with dk/dT = k EaR/T^2, worked on Python floats, which round exactly as
-    numpy scalars do, so ``f`` is bitwise :func:`cstr3_drift` of the
-    ``(4, 1)`` column. The EKF is its one caller. The beta
-    column holds d(dT/dt)/d(beta), the reaction rate, and the beta row is
-    zero.
+    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns one fresh
+    ``(5, 4)`` block ``[f; A]``: the rates in row 0, then the Jacobian rows,
+    the layout of the EKF's moment block ``[m; P]``. Both come from a single
+    ``exp(-EaR/T)``, with dk/dT = k EaR/T^2, worked on Python floats, which
+    round exactly as numpy scalars do, so row 0 is bitwise
+    :func:`cstr3_drift` of the ``(4, 1)`` column. The EKF is its one caller.
+    The beta column holds d(dT/dt)/d(beta), the reaction rate, and the beta
+    row is zero.
     """
     CA, CB, T, beta = x.tolist()
     FV = float(F) / params.V
@@ -151,16 +152,14 @@ def cstr3_linearize(x, F, params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     kCB = k * CB
     kpAB = kp * CA * CB
     r = kCA * CB  # reaction rate, mol/(L s)
-    # one (5, 4) array: the rates, then the Jacobian rows
-    v = np.array([FV * (params.CA_in - CA) - r,
-                  FV * (params.CB_in - CB) - 2.0 * r,
-                  FV * (params.T_in - T) + beta * r,
-                  0.0,
-                  -FV - kCB, -kCA, -kpAB, 0.0,
-                  -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB, 0.0,
-                  beta * kCB, beta * kCA, -FV + beta * kpAB, r,
-                  0.0, 0.0, 0.0, 0.0]).reshape(5, 4)
-    return v[0], v[1:]
+    return np.array([FV * (params.CA_in - CA) - r,
+                     FV * (params.CB_in - CB) - 2.0 * r,
+                     FV * (params.T_in - T) + beta * r,
+                     0.0,
+                     -FV - kCB, -kCA, -kpAB, 0.0,
+                     -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB, 0.0,
+                     beta * kCB, beta * kCA, -FV + beta * kpAB, r,
+                     0.0, 0.0, 0.0, 0.0]).reshape(5, 4)
 
 
 def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
@@ -237,7 +236,8 @@ def steady_state_curve(params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _clamp_concentrations(x):
     # noise and measurement updates can push CA, CB slightly negative
-    np.maximum(x[:2], 0.0, out=x[:2])
+    v = x[:2]
+    np.maximum(v, 0.0, out=v)
     return x
 
 

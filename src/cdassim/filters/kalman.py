@@ -7,7 +7,10 @@ Prediction integrates the joint moment ODEs
 
 with the shared classical Runge-Kutta stepper (:func:`cdassim.sde.rk4_step`)
 between measurements, on one ``(n + 1, n)`` block ``[m; P]``, and
-symmetrizes P once, on return. The measurement update is the Joseph form
+symmetrizes P once, on return. The model's ``linearize`` hands back the
+drift and its Jacobian in that same layout, ``[f; A]``, and each stage's
+rate is built in that block, so a stage allocates no rate block of its own.
+The measurement update is the Joseph form
 
     P+ = (I - K C) P (I - K C)^T + K R K^T,
 
@@ -28,10 +31,11 @@ __all__ = ["ekf_predict", "kalman_update"]
 def _moment_rhs(model: SdeModel):
     """Right-hand side of the moment ODEs on the block ``y = [m; P]``.
 
-    One ``model.linearize`` call gives the drift and its Jacobian at the
-    mean; ``sigma sigma^T`` comes from :func:`~cdassim.sde.per_input`, once
-    per input value of one prediction. The rate is one fresh block: ``f`` in
-    row 0, then ``A P + (A P)^T + sigma sigma^T``, exactly symmetric if P is.
+    One ``model.linearize`` call gives the fresh block ``[f; A]`` at the
+    mean, which becomes the rate: ``f`` stays in row 0 and the rows of
+    ``A`` are overwritten with ``A P + (A P)^T + sigma sigma^T``, exactly
+    symmetric if P is. ``sigma sigma^T`` comes from
+    :func:`~cdassim.sde.per_input`, once per input value of one prediction.
     """
 
     @per_input
@@ -41,13 +45,12 @@ def _moment_rhs(model: SdeModel):
 
     def rhs(t, y, u):
         m = y[0]
-        f, A = model.linearize(t, m, u)
+        rate = model.linearize(t, m, u)
+        A = rate[1:]
         # np.dot: bitwise the matmul for these small products, and cheaper to call
         AP = np.dot(A, y[1:])
-        rate = np.empty(y.shape)
-        rate[0] = f
-        dP = np.add(AP, AP.T, out=rate[1:])
-        dP += noise_cov(t, m, u)
+        np.add(AP, AP.T, out=A)
+        A += noise_cov(t, m, u)
         return rate
 
     return rhs

@@ -336,8 +336,6 @@ def run_all_filters(config: ExperimentConfig, truth: TruthData,
 class UncertaintyReport:
     """Per-filter posterior-spread comparison against the reference run."""
 
-    seed: int
-    config_hash: str
     oracle_status: str
     oracle_min_ess: float
     oracle_particles: int
@@ -348,8 +346,6 @@ class UncertaintyReport:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
             "oracle_status": self.oracle_status,
             "oracle_min_ess": self.oracle_min_ess,
             "oracle_particles": self.oracle_particles,
@@ -411,8 +407,6 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
             "cov_frobenius_max": float(series[kind]["cov_frobenius"].max()),
         }
     return UncertaintyReport(
-        seed=config.seed,
-        config_hash=config.config_hash(),
         oracle_status=status,
         oracle_min_ess=min_ess,
         oracle_particles=config.oracle_particle_count,
@@ -516,10 +510,15 @@ def write_report(config: ExperimentConfig, filters: dict[str, FilterMetrics],
     return paths
 
 
-def write_uncertainty_report(unc: UncertaintyReport, out_dir) -> list[Path]:
-    """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``."""
+def write_uncertainty_report(config: ExperimentConfig, unc: UncertaintyReport,
+                             out_dir) -> list[Path]:
+    """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``.
+
+    uncertainty.json also records the config's seed and hash.
+    """
     out = Path(out_dir)
-    paths = [write_json(out / "uncertainty.json", unc.to_dict())]
+    doc = {"seed": config.seed, "config_hash": config.config_hash(), **unc.to_dict()}
+    paths = [write_json(out / "uncertainty.json", doc)]
     header = ("t", "mean_err", "cov_frobenius", *(f"var_ratio_{s}" for s in STATE_COLUMNS),
               "t_std_ratio")
     for kind, s in unc.series.items():

@@ -127,8 +127,12 @@ class SdeModel:
     so none of them accepts a state-dependent diffusion.
 
     ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
-    one state ``(n,)`` as a pair ``(f, A)``; ``measure_jacobian(t, x)``
-    returns d h / d x. Only the EKF calls them, and it needs both.
+    one state ``(n,)`` as one ``(n + 1, n)`` block ``[f; A]``: ``f`` in
+    row 0, ``A`` below it, the layout of the EKF's moment block ``[m; P]``.
+    The block is fresh on every call and the caller may overwrite it (the
+    EKF overwrites rows 1..n with the covariance rate).
+    ``measure_jacobian(t, x)`` returns d h / d x. Only the EKF calls them,
+    and it needs both.
     ``constrain`` projects a state back into the admissible region after
     each integrator substep (the identity unless given); it may modify its
     argument in place and must return it.
@@ -139,7 +143,7 @@ class SdeModel:
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     measure: Callable[[float, np.ndarray], np.ndarray]
-    linearize: Callable[[float, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    linearize: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     measure_jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
     constrain: Callable[[np.ndarray], np.ndarray] = _unconstrained
 

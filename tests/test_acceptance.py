@@ -51,7 +51,7 @@ def _ou_model():
         drift=lambda t, x, u: OU_B - OU_A * x,
         diffusion=lambda t, x, u: np.array([[OU_SIGMA]]),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (OU_B - OU_A * x, np.array([[-OU_A]])),
+        linearize=lambda t, x, u: np.vstack((OU_B - OU_A * x, [[-OU_A]])),
         measure_jacobian=lambda t, x: np.array([[1.0]]),
     )
 

@@ -284,10 +284,8 @@ def _faulty_run_filter(run):
             return np.full_like(f, np.nan) if t > FAULT_TIME else f
 
         def linearize(t, x, u):
-            f, A = model.linearize(t, x, u)
-            if t > FAULT_TIME:
-                return np.full_like(f, np.nan), np.full_like(A, np.nan)
-            return f, A
+            block = model.linearize(t, x, u)
+            return np.full_like(block, np.nan) if t > FAULT_TIME else block
 
         faulty = dataclasses.replace(model, drift=drift, linearize=linearize)
         return run(kind, faulty, *args, **kwargs)

@@ -141,7 +141,7 @@ class TestDrift:
 
 
 def jacobian(x, F, params=PARAMS):
-    return cstr3_linearize(x, F, params)[1]
+    return cstr3_linearize(x, F, params)[1:]
 
 
 class TestJacobian:
@@ -192,12 +192,16 @@ class TestLinearize:
                   for _ in range(1200)]
         for x in states[:50]:  # the empty reactor, where the rate vanishes
             x[:2] = 0.0
+        model = joint_model()
         for x in states:
-            F = rng.uniform(1e-3, 0.02)
-            u = np.array([F])
-            f, A = cstr3_linearize(x, u[0], PARAMS)
-            assert f.shape == (4,) and A.shape == (4, 4)
-            assert np.array_equal(f, cstr3_drift(x[:, None], u[0], PARAMS)[:, 0])
+            u = np.array([rng.uniform(1e-3, 0.02)])
+            # the model's linearization is the EKF's fresh, writable [f; A] block
+            block = model.linearize(0.0, x, u)
+            assert block.shape == (5, 4) and block.flags.writeable
+            assert block[0].tobytes() == cstr3_drift(x[:, None], u[0], PARAMS)[:, 0].tobytes()
+            again = model.linearize(0.0, x, u)
+            assert again is not block and not np.shares_memory(again, block)
+            assert again.tobytes() == block.tobytes()
 
 
 class TestJointKernel:
@@ -229,7 +233,7 @@ class TestJointKernel:
         assert D.shape == (4, width)
         for i in range(width):
             column = cstr3_drift(X[:, i:i + 1], F, params)[:, 0]
-            f, _ = cstr3_linearize(X[:, i], F, params)
+            f = cstr3_linearize(X[:, i], F, params)[0]
             assert D[:, i].tobytes() == column.tobytes() == f.tobytes()
         assert set(params.tables) == {1000, 11, 1, 3} | {width}
 
@@ -255,11 +259,9 @@ class TestJointKernel:
             d = cstr3_drift(z[:, None], 0.007, PARAMS)
             assert d[3, 0] == 0.0
             assert d.tobytes() == cstr3_drift(z[:, None], 0.007, other).tobytes()
-            f, J = cstr3_linearize(z, 0.007, PARAMS)
-            f_other, J_other = cstr3_linearize(z, 0.007, other)
-            assert f.tobytes() == f_other.tobytes()
-            assert J.tobytes() == J_other.tobytes()
-            np.testing.assert_array_equal(J[3], 0.0)
+            block = cstr3_linearize(z, 0.007, PARAMS)
+            assert block.tobytes() == cstr3_linearize(z, 0.007, other).tobytes()
+            np.testing.assert_array_equal(block[4], 0.0)
         X = np.column_stack(states)
         assert cstr3_drift(X, 0.007, PARAMS).tobytes() == cstr3_drift(X, 0.007, other).tobytes()
 
@@ -404,14 +406,14 @@ class TestModelWiring:
         u = np.array([0.007])
         for _ in range(20):
             z = random_joint_state(rng)
-            J = m.linearize(0.0, z, u)[1]
+            J = m.linearize(0.0, z, u)[1:]
             Jfd = fd_jacobian(lambda w: m.drift(0.0, w[:, None], u)[:, 0], z)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_beta_jacobian_formula(self):
         m = joint_model()
         z = np.array([0.5, 0.7, 320.0, 120.0])
-        col = m.linearize(0.0, z, np.array([0.007]))[1][:, 3]
+        col = m.linearize(0.0, z, np.array([0.007]))[1:, 3]
         r = rate_constant(320.0, PARAMS) * 0.5 * 0.7
         np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
@@ -443,7 +445,7 @@ def uncached_ekf_predict(model, belief, u, t1, substeps):
         m = y[:n]
         out = np.empty_like(y)
         out[:n] = model.drift(t, m[:, None], u)[:, 0]
-        A = model.linearize(t, m, u)[1]
+        A = model.linearize(t, m, u)[1:]
         g = np.asarray(model.diffusion(t, m, u), dtype=float)
         AP = A @ y[n:].reshape(n, n)
         out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T

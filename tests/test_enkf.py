@@ -17,7 +17,7 @@ def scalar_ou(a=1.0, sigma=0.5):
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (-a * x + u, np.array([[-a]])),
+        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
         measure_jacobian=lambda t, x: np.array([[1.0]]),
     )
 

@@ -476,7 +476,7 @@ def test_write_sweep_and_uncertainty_reports(tmp_path, small_cfg, small_truth,
         ["kind", "size", "status", "mse_x", "mse_p", "t_cpu_s", "collapsed"]] * len(rows)
 
     (tmp_path / "unc").mkdir()
-    upaths = write_uncertainty_report(small_uncertainty, tmp_path / "unc")
+    upaths = write_uncertainty_report(small_cfg, small_uncertainty, tmp_path / "unc")
     assert {p.name for p in upaths} == {"uncertainty.json",
                                         "uncertainty_ekf.csv", "uncertainty_ukf.csv",
                                         "uncertainty_enkf.csv", "uncertainty_pf.csv"}

@@ -5,7 +5,8 @@ import pytest
 from cdassim.config import load_config
 from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import GaussianBelief
-from cdassim.filters.kalman import ekf_predict, kalman_update
+from cdassim.filters.kalman import _moment_rhs, ekf_predict, kalman_update
+from cdassim.harness import generate_truth_and_measurements, run_all_filters
 from cdassim.sde import DivergenceError, SdeModel
 
 from closedform import ou_transition
@@ -19,7 +20,7 @@ def scalar_ou(a=1.0, sigma=0.0):
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (-a * x + u, np.array([[-a]])),
+        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
         measure_jacobian=lambda t, x: np.array([[1.0]]),
     )
 
@@ -101,7 +102,7 @@ def test_predict_applies_constraint_to_mean():
         drift=lambda t, x, u: -5.0 * x,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (-5.0 * x, np.array([[-5.0]])),
+        linearize=lambda t, x, u: np.vstack((-5.0 * x, [[-5.0]])),
         constrain=lambda x: np.maximum(x, 0.5),
     )
     pred = ekf_predict(model, GaussianBelief(np.ones(1), np.ones((1, 1))),
@@ -144,6 +145,25 @@ def test_predict_returns_a_symmetric_covariance_from_an_asymmetric_prior():
     assert pred.cov.tobytes() == pred.cov.T.tobytes()
 
 
+def test_moment_rate_is_the_drift_over_the_lyapunov_rate_bitwise():
+    # the rate built in the model's [f; A] block holds the bits of the
+    # assembly [f; A P + (A P)^T + g g^T] from a separate linearization
+    cfg = load_config()
+    flow = cfg.flow_profile()
+    model = default_experiment_model(cfg.cstr_params(), flow, cfg.sigma_theta).model
+    out = run_all_filters(cfg, generate_truth_and_measurements(cfg), ["ekf"],
+                          serial=True)["ekf"].output
+    rhs = _moment_rhs(model)
+    for k in (0, 19, 20, 105, 209):
+        t, m, P = out.times[k], out.post_mean[k], out.post_cov[k]
+        u = flow.at(t)
+        block = model.linearize(t, m, u)
+        g = model.diffusion(t, m, u)
+        AP = np.dot(block[1:], P)
+        expected = np.vstack((block[0], AP + AP.T + g @ g.T))
+        assert rhs(t, np.vstack((m, P)), u).tobytes() == expected.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_predict_flags_divergence():
@@ -152,7 +172,7 @@ def test_predict_flags_divergence():
         drift=lambda t, x, u: x**3,
         diffusion=lambda t, x, u: np.zeros((1, 1)),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (x**3, np.atleast_2d(3.0 * x**2)),
+        linearize=lambda t, x, u: np.vstack((x**3, 3.0 * x**2)),
     )
     with pytest.raises(DivergenceError) as err:
         ekf_predict(model, GaussianBelief(10.0 * np.ones(1), np.ones((1, 1))),

@@ -39,7 +39,7 @@ def ou_model(a=A, sigma=SIGMA):
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda t, x, u: np.array([[sigma]]),
         measure=lambda t, x: x,
-        linearize=lambda t, x, u: (-a * x + u, np.array([[-a]])),
+        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
         measure_jacobian=lambda t, x: np.array([[1.0]]),
     )
 
