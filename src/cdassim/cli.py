@@ -26,6 +26,7 @@ from cdassim.harness import (
     TRUTH_HEADER,
     ensemble_size_sweep,
     generate_truth_and_measurements,
+    requested_kinds,
     run_all_filters,
     truth_rows,
     uncertainty_comparison,
@@ -139,12 +140,10 @@ def _reduced_comparison(config: ExperimentConfig):
     scheme on the inner substep grid. The 3-state column integrates the
     joint model's drift on the ``(4, 1)`` column (CA, CB, T, beta) with beta
     at ``params.beta``.
-    The flow at every stage time of the horizon comes from one
-    :func:`~cdassim.sde.rk4_inputs` table.
+    Every interval takes its step and stage inputs from one
+    :func:`~cdassim.sde.rk4_inputs` table, the truth's and filters' grid.
     """
     params = config.cstr_params()
-    flow = config.flow_profile()
-    h = config.dt_sample / config.substeps
 
     f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
     f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
@@ -154,16 +153,17 @@ def _reduced_comparison(config: ExperimentConfig):
     x2 = np.array([0.0, params.T_in])
     x1 = params.T_in
     temps = [(0.0, x3[2, 0], x2[1], x1)]
-    starts = np.arange(config.n_samples) * config.dt_sample
-    table = rk4_inputs(flow, starts, np.full(config.n_samples, h), config.substeps)
-    for k, rows in enumerate(table):
-        t = k * config.dt_sample
+    times = config.sample_times()
+    t0 = 0.0
+    for t1, rows in zip(times, rk4_inputs(config.flow_profile(), 0.0, times, config.substeps)):
+        h = (t1 - t0) / config.substeps
         for j, inputs in enumerate(rows):
-            tj = t + j * h
+            tj = t0 + j * h
             x3 = rk4_step(f3, tj, x3, h, inputs)
             x2 = rk4_step(f2, tj, x2, h, inputs)
             x1 = rk4_step(f1, tj, x1, h, inputs)
-        temps.append((t + config.dt_sample, x3[2, 0], x2[1], x1))
+        temps.append((t1, x3[2, 0], x2[1], x1))
+        t0 = t1
     return temps
 
 
@@ -207,7 +207,7 @@ def _cmd_oracle(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
     unc = uncertainty_comparison(config, truth, filters=args.filters,
                                  serial=args.serial)
-    _announce(write_uncertainty_report(config, unc, out))
+    _announce(write_uncertainty_report(config, truth, unc, out))
     return EXIT_OK
 
 
@@ -223,15 +223,13 @@ _COMMANDS = {
 def _validate_lists(parser: _Parser, args) -> None:
     if getattr(args, "sizes", None) == []:
         parser.error("--sizes needs at least one size")
-    allowed = SAMPLE_KINDS if args.subcommand == "sweep" else FILTER_KINDS
     names = getattr(args, "filters", None)
-    if names is not None:
-        bad = [n for n in names if n not in allowed]
-        if bad:
-            parser.error(f"--filters accepts {'/'.join(allowed)}, "
-                         f"got {', '.join(bad)}")
-        if not names:
-            parser.error("--filters needs at least one name")
+    if names == []:
+        parser.error("--filters needs at least one name")
+    try:
+        requested_kinds(names, SAMPLE_KINDS if args.subcommand == "sweep" else FILTER_KINDS)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def parse_and_dispatch(argv) -> int:

@@ -37,13 +37,12 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     prediction, innovation covariance), the runner's update contract; the
     runner summarizes the ensemble. Each member sees its own perturbed copy
     ``y + v_i`` with ``v_i ~ N(0, R)``, drawn from ``rng`` as one
-    ``(len(y), N)`` block.
+    ``(ny, N)`` block. Takes ``y`` ``(ny,)`` and ``R`` ``(ny, ny)`` as float
+    arrays, as ``run_filter`` passes them.
     """
     X = ensemble.members
     t = ensemble.time
     N = X.shape[1]
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
 
     Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
     if Yp.shape != (y.size, N):

@@ -87,11 +87,10 @@ def kalman_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray,
                   R: np.ndarray) -> tuple[GaussianBelief, np.ndarray, np.ndarray]:
     """Joseph-form linearized measurement update.
 
-    Returns (posterior, innovation, innovation covariance).
+    Returns (posterior, innovation, innovation covariance). Takes ``y``
+    ``(ny,)`` and ``R`` ``(ny, ny)`` as float arrays, as ``run_filter`` passes them.
     """
     t, m, P = belief.time, belief.mean, belief.cov
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     C = np.atleast_2d(model.measure_jacobian(t, m))
     yhat = np.atleast_1d(np.asarray(model.measure(t, m), dtype=float))
     e = y - yhat

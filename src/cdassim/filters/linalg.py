@@ -3,7 +3,9 @@
 All innovation-covariance solves go through a Cholesky factorization;
 explicit matrix inversion is deliberately absent. Factorization failures on
 nominally-PSD matrices are repaired by a two-stage diagonal jitter tied to
-the matrix trace, after which they are an error.
+the matrix trace, after which they raise the package's one numerical-failure
+type, :class:`~cdassim.sde.DivergenceError`, as does a singular, non-finite
+or non-positive-definite innovation covariance; the message says which.
 
 The module uses numpy alone: ``np.linalg.cholesky`` factors and two small
 substitution helpers solve. The substitutions multiply by the reciprocal of
@@ -27,8 +29,6 @@ import numpy as np
 from cdassim.sde import DivergenceError
 
 __all__ = [
-    "FactorizationError",
-    "SingularInnovationError",
     "symmetrize",
     "chol_psd",
     "solve_lower",
@@ -42,14 +42,6 @@ _JITTER_LEVELS = (1e-10, 1e-6)
 _COND_LIMIT = 1e12
 
 
-class FactorizationError(DivergenceError):
-    """Covariance factorization failed even after diagonal jitter."""
-
-
-class SingularInnovationError(DivergenceError):
-    """Innovation covariance numerically singular (cond > 1e12)."""
-
-
 def symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
@@ -59,7 +51,7 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
 
     On factorization failure retries with ``1e-10 * trace(P)/n`` added to
     the diagonal, then ``1e-6 * trace(P)/n``, then raises
-    :class:`FactorizationError`.
+    :class:`~cdassim.sde.DivergenceError`.
     """
     P = np.asarray(P, dtype=float)
     if P.shape == (1, 1) and P[0, 0] > 0.0:
@@ -75,7 +67,7 @@ def chol_psd(P: np.ndarray) -> np.ndarray:
             return np.linalg.cholesky(P + (level * base) * np.eye(n))
         except np.linalg.LinAlgError:
             continue
-    raise FactorizationError(
+    raise DivergenceError(
         f"covariance not factorizable after jitter (trace/n={base:.3e})")
 
 
@@ -98,23 +90,23 @@ def _solve_lower_t(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def solve_spd(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve ``S X = B`` for symmetric positive definite S via Cholesky.
 
-    Raises :class:`SingularInnovationError` when S is non-finite, fails to
-    factor, or its condition number exceeds 1e12.
+    Raises :class:`~cdassim.sde.DivergenceError` when S is non-finite,
+    fails to factor, or its condition number exceeds 1e12.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     if S.shape == (1, 1) and 0.0 < S[0, 0] < math.inf:
         r = 1.0 / math.sqrt(S[0, 0])
         return np.asarray(B, dtype=float) * r * r
     if not np.isfinite(S).all():
-        raise SingularInnovationError("innovation covariance is non-finite")
+        raise DivergenceError("innovation covariance is non-finite")
     cond = condition_number(S)
     if cond > _COND_LIMIT:
-        raise SingularInnovationError(
+        raise DivergenceError(
             f"innovation covariance condition {cond:.3e} > {_COND_LIMIT:.0e}")
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise SingularInnovationError(f"innovation covariance not PD: {exc}") from exc
+        raise DivergenceError(f"innovation covariance not PD: {exc}") from exc
     return _solve_lower_t(L, solve_lower(L, B))
 
 

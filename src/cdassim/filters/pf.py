@@ -114,10 +114,10 @@ def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
     predictive mean under the incoming weights, and its covariance is their
     weighted spread of predicted observations plus ``R``. Every weight
     underflowing raises :class:`~cdassim.sde.DivergenceError` naming the time.
+    Takes ``y`` ``(ny,)`` and ``R`` ``(ny, ny)`` as float arrays, as
+    ``run_filter`` passes them.
     """
     X, w, t = particles.particles, particles.weights, particles.time
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
     yhat = Yp @ w
     dY = Yp - yhat[:, None]

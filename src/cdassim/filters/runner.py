@@ -163,10 +163,12 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
 
     ``times`` are strictly increasing measurement times at or after the
     initial belief's time; ``measurements`` holds one observation row per
-    time. ``u`` is the :class:`~cdassim.sde.PiecewiseConstant` input
-    profile. Its values at every Runge-Kutta stage time of the run are
-    looked up once, in one :func:`~cdassim.sde.rk4_inputs` table, and each
-    prediction receives its interval's rows. Before anything else, every
+    time, shaped here once: each update takes its ``(ny,)`` float row and
+    the checked ``(ny, ny)`` ``obs_cov`` as they are. ``u`` is the
+    :class:`~cdassim.sde.PiecewiseConstant` input profile. Its values at
+    every Runge-Kutta stage time of the run are looked up once, in one
+    :func:`~cdassim.sde.rk4_inputs` table, and each prediction receives its
+    interval's rows. Before anything else, every
     model field and config setting the kind reads is checked present (the
     EKF reads the model's closed-form ``linearize`` and ``measure_jacobian``;
     see ``_READS``), and a missing one raises ValueError naming the kind and
@@ -200,8 +202,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         raise ValueError("first measurement precedes the initial belief")
 
     n_steps = times.size
-    starts = np.concatenate(([config.initial.time], times))[:-1]
-    stage_inputs = rk4_inputs(u, starts, (times - starts) / config.substeps, config.substeps)
+    stage_inputs = rk4_inputs(u, config.initial.time, times, config.substeps)
     out = FilterOutput(
         initial=config.initial,
         times=times.copy(),

@@ -126,11 +126,10 @@ def ukf_update(belief: GaussianBelief, model: SdeModel, y: np.ndarray, R: np.nda
     are regenerated from the predicted belief without noise augmentation;
     the additive measurement noise enters through
     ``R_yy = sum W_c dy dy^T + R`` and the posterior covariance is
-    ``P - K R_yy K^T``.
+    ``P - K R_yy K^T``. Takes ``y`` ``(ny,)`` and ``R`` ``(ny, ny)`` as
+    float arrays, as ``run_filter`` passes them.
     """
     t, m, P = belief.time, belief.mean, belief.cov
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
     points, wm, wc = ukf_sigma_points(belief, scaling)
     Y = np.atleast_2d(np.asarray(model.measure(t, points), dtype=float))
     yhat = Y @ wm

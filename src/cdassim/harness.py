@@ -52,6 +52,7 @@ __all__ = [
     "UncertaintyReport",
     "generate_truth_and_measurements",
     "run_one_filter",
+    "requested_kinds",
     "run_all_filters",
     "uncertainty_comparison",
     "ensemble_size_sweep",
@@ -147,15 +148,16 @@ def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
     exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
                                    param_diffusion=0.0)
     times = config.sample_times()
-    starts = np.concatenate(([0.0], times[:-1]))
-    inputs = rk4_inputs(exp.flow, starts, (times - starts) / config.substeps, config.substeps)
+    inputs = rk4_inputs(exp.flow, 0.0, times, config.substeps)
     rng = NoiseStream(config.seed, STREAM_TRUTH).generator()
     truth_states = np.empty((times.size + 1, exp.model.dim_state))
     x = config.truth_init()[:, None]
     truth_states[0] = x[:, 0]
+    t0 = 0.0
     for k, t1 in enumerate(times):
-        x = propagate_members(exp.model, x, inputs[k], starts[k], t1, rng)
+        x = propagate_members(exp.model, x, inputs[k], t0, t1, rng)
         truth_states[k + 1] = x[:, 0]
+        t0 = t1
     meas_rng = NoiseStream(config.seed, STREAM_MEAS).generator()
     noise = np.sqrt(config.obs_variance) * meas_rng.standard_normal(config.n_samples)
     return TruthData(
@@ -307,13 +309,14 @@ def _run_filters(config: ExperimentConfig, truth: TruthData, tasks,
         return list(pool.map(_call_task, tasks))
 
 
-def _requested_kinds(filters, allowed=FILTER_KINDS,
-                     unknown="unknown filter kind {!r}") -> list[str]:
-    """The kinds of ``filters`` in ``allowed`` order, each once; all of ``allowed`` if none."""
+def requested_kinds(filters, allowed=FILTER_KINDS) -> list[str]:
+    """The kinds of ``filters`` in ``allowed`` order, each once; all of ``allowed`` if none.
+
+    The one filter-name check, the CLI's too: any name outside ``allowed`` raises ValueError."""
     requested = list(filters or allowed)
-    for kind in requested:
-        if kind not in allowed:
-            raise ValueError(unknown.format(kind))
+    bad = [kind for kind in requested if kind not in allowed]
+    if bad:
+        raise ValueError(f"filters must be among {'/'.join(allowed)}, got {', '.join(bad)}")
     return [kind for kind in allowed if kind in requested]
 
 
@@ -327,19 +330,17 @@ def run_all_filters(config: ExperimentConfig, truth: TruthData,
     scheduling cannot change any numeric output. A failing filter is
     recorded and the rest continue.
     """
-    kinds = _requested_kinds(filters)
+    kinds = requested_kinds(filters)
     tasks = [(kind, None, None) for kind in kinds]
     return dict(zip(kinds, _run_filters(config, truth, tasks, serial)))
 
 
 @dataclass
 class UncertaintyReport:
-    """Per-filter posterior-spread comparison against the reference run."""
+    """Per-filter posterior-spread comparison against the reference run; no copied inputs."""
 
     oracle_status: str
     oracle_min_ess: float
-    oracle_particles: int
-    times: np.ndarray
     # per filter: dict of series, each shape (n_steps,) or (n_steps, 4)
     series: dict[str, dict[str, np.ndarray]]
     summary: dict[str, dict]
@@ -348,7 +349,6 @@ class UncertaintyReport:
         return {
             "oracle_status": self.oracle_status,
             "oracle_min_ess": self.oracle_min_ess,
-            "oracle_particles": self.oracle_particles,
             "filters": self.summary,
         }
 
@@ -368,7 +368,7 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
         raise ValueError(
             f"oracle_particle_count={config.oracle_particle_count} must be >= 10x the "
             f"largest filter size ({largest})")
-    kinds = _requested_kinds(filters)
+    kinds = requested_kinds(filters)
     tasks = [("pf", config.oracle_particle_count, STREAM_ORACLE),
              *((kind, None, None) for kind in kinds)]
     oracle, *bank = _run_filters(config, truth, tasks, serial)
@@ -406,14 +406,8 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
             "mean_err_max": float(series[kind]["mean_err"].max()),
             "cov_frobenius_max": float(series[kind]["cov_frobenius"].max()),
         }
-    return UncertaintyReport(
-        oracle_status=status,
-        oracle_min_ess=min_ess,
-        oracle_particles=config.oracle_particle_count,
-        times=truth.times,
-        series=series,
-        summary=summary,
-    )
+    return UncertaintyReport(oracle_status=status, oracle_min_ess=min_ess, series=series,
+                             summary=summary)
 
 
 def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
@@ -430,8 +424,7 @@ def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
     sizes = list(dict.fromkeys(int(s) for s in sizes))
     if any(s < 2 for s in sizes):
         raise ValueError("every sweep size must be at least 2")
-    kinds = _requested_kinds(filters, SAMPLE_KINDS,
-                             f"sweep supports {'/'.join(SAMPLE_KINDS)}, got {{!r}}")
+    kinds = requested_kinds(filters, SAMPLE_KINDS)
     tasks = [(kind, size, None) for kind in kinds for size in sizes]
     results = _run_filters(config, truth, tasks, serial)
     return [(size, m) for (_, size, _), m in zip(tasks, results)]
@@ -510,19 +503,21 @@ def write_report(config: ExperimentConfig, filters: dict[str, FilterMetrics],
     return paths
 
 
-def write_uncertainty_report(config: ExperimentConfig, unc: UncertaintyReport,
-                             out_dir) -> list[Path]:
+def write_uncertainty_report(config: ExperimentConfig, truth: TruthData,
+                             unc: UncertaintyReport, out_dir) -> list[Path]:
     """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``.
 
-    uncertainty.json also records the config's seed and hash.
+    uncertainty.json also records the config's seed, hash and
+    ``oracle_particle_count``; each CSV has one row per ``truth.times``.
     """
     out = Path(out_dir)
-    doc = {"seed": config.seed, "config_hash": config.config_hash(), **unc.to_dict()}
+    doc = {"seed": config.seed, "config_hash": config.config_hash(),
+           "oracle_particles": config.oracle_particle_count, **unc.to_dict()}
     paths = [write_json(out / "uncertainty.json", doc)]
     header = ("t", "mean_err", "cov_frobenius", *(f"var_ratio_{s}" for s in STATE_COLUMNS),
               "t_std_ratio")
     for kind, s in unc.series.items():
-        table = np.column_stack([unc.times, s["mean_err"], s["cov_frobenius"],
+        table = np.column_stack([truth.times, s["mean_err"], s["cov_frobenius"],
                                  s["var_ratio"], s["t_std_ratio"]])
         paths.append(write_table(out / f"uncertainty_{kind}.csv", header, table))
     return paths

@@ -268,23 +268,22 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
     return X
 
 
-def rk4_inputs(profile: PiecewiseConstant, starts, steps, substeps: int) -> np.ndarray:
-    """Inputs at every Runge-Kutta stage time of a run of intervals.
+def rk4_inputs(profile: PiecewiseConstant, t0: float, times, substeps: int) -> np.ndarray:
+    """Inputs at every Runge-Kutta stage time of a run from ``t0`` through ``times``.
 
-    Interval ``i`` starts at ``starts[i]`` and is crossed in ``substeps``
-    steps of size ``h = steps[i]``; its step ``j`` starts at
-    ``t = starts[i] + j*h``. Entry ``[i, j]`` holds the inputs at ``t``,
-    ``t + 0.5*h`` and ``t + h``, ready for :func:`rk4_step`, and its first
-    entry is the input of an explicit step from ``t``. Each stage time is
-    computed per element exactly as a single interval's would be, so row
-    ``i`` equals a lookup of interval ``i`` alone bit for bit.
-
-    ``starts`` and ``steps`` are 1-D and of equal length; the table has
-    shape ``(n_intervals, substeps, 3, dim_u)``, looked up in one
-    ``profile.at`` call.
+    The one owner of a run's interval grid: interval ``i`` runs from its
+    start ``s``, ``times[i - 1]`` (``t0`` for the first), to ``times[i]`` in
+    ``substeps`` steps of ``h = (times[i] - s) / substeps``, a caller's
+    ``(t1 - t0) / substeps`` bit for bit; step ``j`` starts at ``t = s +
+    j*h``. Entry ``[i, j]`` holds the inputs at ``t``, ``t + 0.5*h`` and
+    ``t + h``, ready for :func:`rk4_step`; its first is the input of an
+    explicit step from ``t``. ``times`` is 1-D; the table, shape
+    ``(len(times), substeps, 3, dim_u)``, comes from one ``profile.at`` call.
     """
-    h = np.asarray(steps, dtype=float)[:, None]
-    t = np.asarray(starts, dtype=float)[:, None] + np.arange(substeps) * h
+    times = np.asarray(times, dtype=float)
+    starts = np.concatenate(([t0], times))[:-1]
+    h = ((times - starts) / substeps)[:, None]
+    t = starts[:, None] + np.arange(substeps) * h
     return profile.at(np.stack((t, t + 0.5 * h, t + h), axis=-1))
 
 

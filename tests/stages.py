@@ -43,7 +43,7 @@ def constant(u=()) -> PiecewiseConstant:
 
 def interval_inputs(u: PiecewiseConstant, t0: float, t1: float, substeps: int = 10):
     """Rows ``(substeps, 3, dim_u)`` of ``u`` for the interval from ``t0`` to ``t1``."""
-    return rk4_inputs(u, [t0], [(t1 - t0) / substeps], substeps)[0]
+    return rk4_inputs(u, t0, [t1], substeps)[0]
 
 
 def fd_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:

@@ -9,9 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
+from cdassim import cli
 from cdassim.cli import parse_and_dispatch
 from cdassim.config import load_config
 from cdassim.cstr import adiabatic_concentrations, cstr3_drift
+from cdassim.harness import (
+    ensemble_size_sweep,
+    generate_truth_and_measurements,
+    run_all_filters,
+    uncertainty_comparison,
+)
 
 SMALL = {
     "horizon_minutes": 5.0,
@@ -372,6 +379,55 @@ def test_undersized_oracle_exits_1_but_leaves_echo(tmp_path, monkeypatch, capsys
                                "--out", "orc"]) == 1
     assert "10x" in capsys.readouterr().err
     assert (tmp_path / "orc" / "config.json").exists()  # echo precedes compute
+
+
+@pytest.mark.parametrize("argv, request_names", [
+    (["estimate", "--filters", "kf"],
+     lambda cfg, truth: run_all_filters(cfg, truth, filters=["kf"])),
+    (["oracle", "--filters", "ekf,kf,pf2"],
+     lambda cfg, truth: uncertainty_comparison(cfg, truth, filters=["ekf", "kf", "pf2"])),
+    (["sweep", "--filters", "ekf"],
+     lambda cfg, truth: ensemble_size_sweep(cfg, truth, [8], filters=["ekf"])),
+])
+def test_bad_filter_names_give_the_library_message_before_the_echo(
+        tmp_path, small_config_file, capsys, argv, request_names):
+    cfg = load_config(small_config_file)
+    with pytest.raises(ValueError) as lib:
+        request_names(cfg, generate_truth_and_measurements(cfg))
+    with pytest.raises(SystemExit) as err:
+        parse_and_dispatch([*argv, "--config", small_config_file, "--out", "bad"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"cdassim: error: {lib.value}"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_reduced_comparison_steps_on_the_run_grid(monkeypatch):
+    # 211 samples over the 2100 s horizon: each interval's step is its own
+    # (t1 - t0) / substeps, which dt_sample / substeps misses in most of them
+    cfg = load_config(overrides={"n_samples": 211})
+    calls = []
+    step = cli.rk4_step
+
+    def record(rhs, t, y, h, inputs):
+        calls.append((t, h, inputs))
+        return step(rhs, t, y, h, inputs)
+
+    monkeypatch.setattr(cli, "rk4_step", record)
+    rows = cli._reduced_comparison(cfg)
+    times = cfg.sample_times()
+    starts = np.concatenate(([0.0], times))[:-1]
+    steps = (times - starts) / cfg.substeps
+    flow = cfg.flow_profile()
+    assert len(calls) == 3 * times.size * cfg.substeps  # the 3-, 2- and 1-state models
+    off_grid = set()
+    for c, (t, h, inputs) in enumerate(calls):
+        k, j = divmod(c // 3, cfg.substeps)
+        tj = starts[k] + j * steps[k]
+        expected = np.array([flow.at(tj), flow.at(tj + 0.5 * steps[k]), flow.at(tj + steps[k])])
+        if (t, h) != (tj, steps[k]) or inputs.tobytes() != expected.tobytes():
+            off_grid.add(k)
+    assert sorted(off_grid) == []
+    assert [row[0] for row in rows] == [0.0, *times]
 
 
 def test_sweep_size_below_two_exits_1(tmp_path, small_config_file, capsys):

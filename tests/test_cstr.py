@@ -291,7 +291,7 @@ class TestReducedModels:
         x2 = np.array([0.0, PARAMS.T_in])
         x1 = np.array([PARAMS.T_in])
         worst2 = worst1 = 0.0
-        for i, inputs in enumerate(rk4_inputs(FLOW, [0.0], [h], 2100)[0]):
+        for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, [2100.0], 2100)[0]):
             t = i * h
             x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0], PARAMS), t, x3, h, inputs)
             x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)

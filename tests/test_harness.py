@@ -222,7 +222,7 @@ def test_serial_and_threaded_runs_agree(small_cfg, small_truth, small_report, mo
 def test_filter_subset_and_unknown_kind(small_cfg, small_truth):
     rep = run_all_filters(small_cfg, small_truth, filters=["ekf"], serial=True)
     assert list(rep) == ["ekf"]
-    with pytest.raises(ValueError, match="unknown filter kind"):
+    with pytest.raises(ValueError, match="^filters must be among ekf/ukf/enkf/pf, got kf$"):
         run_all_filters(small_cfg, small_truth, filters=["ekf", "kf"])
 
 
@@ -333,7 +333,7 @@ def _metrics_fingerprint(m) -> tuple:
 def _uncertainty_fingerprint(unc) -> tuple:
     series = {kind: _digest(*(s[name] for name in sorted(s)))
               for kind, s in unc.series.items()}
-    return (unc.to_dict(), _digest(unc.times), series)
+    return (unc.to_dict(), series)
 
 
 @pytest.fixture(scope="module")
@@ -379,7 +379,7 @@ def test_sweep_rows_and_determinism(small_cfg, small_truth):
 def test_sweep_rejects_bad_requests(small_cfg, small_truth):
     with pytest.raises(ValueError, match="at least 2"):
         ensemble_size_sweep(small_cfg, small_truth, [1, 8])
-    with pytest.raises(ValueError, match="supports enkf/pf"):
+    with pytest.raises(ValueError, match="^filters must be among enkf/pf, got ekf$"):
         ensemble_size_sweep(small_cfg, small_truth, [8], filters=("ekf",))
 
 
@@ -395,7 +395,6 @@ def test_uncertainty_requires_big_oracle(small_truth):
 def test_uncertainty_summary_structure(small_uncertainty):
     unc = small_uncertainty
     assert unc.oracle_status == "ok"
-    assert unc.oracle_particles == 1000
     assert unc.oracle_min_ess > 0.0
     for kind in ("ekf", "ukf", "enkf", "pf"):
         s = unc.summary[kind]
@@ -476,12 +475,14 @@ def test_write_sweep_and_uncertainty_reports(tmp_path, small_cfg, small_truth,
         ["kind", "size", "status", "mse_x", "mse_p", "t_cpu_s", "collapsed"]] * len(rows)
 
     (tmp_path / "unc").mkdir()
-    upaths = write_uncertainty_report(small_cfg, small_uncertainty, tmp_path / "unc")
+    upaths = write_uncertainty_report(small_cfg, small_truth, small_uncertainty,
+                                      tmp_path / "unc")
     assert {p.name for p in upaths} == {"uncertainty.json",
                                         "uncertainty_ekf.csv", "uncertainty_ukf.csv",
                                         "uncertainty_enkf.csv", "uncertainty_pf.csv"}
     udoc = json.loads((tmp_path / "unc" / "uncertainty.json").read_text())
     assert udoc["oracle_status"] == "ok"
+    assert udoc["oracle_particles"] == 1000
 
 
 def test_table_writer_formats_every_cell_kind(tmp_path):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from cdassim.filters.linalg import (
-    FactorizationError,
-    SingularInnovationError,
     _solve_lower_t,
     chol_psd,
     condition_number,
@@ -15,6 +13,7 @@ from cdassim.filters.linalg import (
     symmetrize,
 )
 from cdassim.filters.pf import _log_gaussian
+from cdassim.sde import DivergenceError
 
 
 def random_spd(rng, n, scale=1.0):
@@ -41,7 +40,7 @@ def test_chol_psd_repairs_semidefinite():
 
 
 def test_chol_psd_rejects_indefinite():
-    with pytest.raises(FactorizationError):
+    with pytest.raises(DivergenceError, match="not factorizable after jitter"):
         chol_psd(np.diag([1.0, -1.0]))
 
 
@@ -58,12 +57,12 @@ def test_solve_spd_accepts_vector_rhs():
 
 
 def test_solve_spd_rejects_singular():
-    with pytest.raises(SingularInnovationError):
+    with pytest.raises(DivergenceError, match=r"condition inf > 1e\+12"):
         solve_spd(np.ones((2, 2)), np.ones(2))
 
 
 def test_solve_spd_rejects_nonfinite():
-    with pytest.raises(SingularInnovationError):
+    with pytest.raises(DivergenceError, match="non-finite"):
         solve_spd(np.array([[np.nan]]), np.ones(1))
 
 
@@ -71,7 +70,7 @@ def test_solve_spd_rejects_failed_factorization():
     # indefinite with a finite condition number: only the factorization catches it
     S = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert condition_number(S) == pytest.approx(3.0)
-    with pytest.raises(SingularInnovationError, match="not PD"):
+    with pytest.raises(DivergenceError, match="not PD"):
         solve_spd(S, np.ones(2))
 
 
@@ -108,12 +107,12 @@ def test_scalar_degenerate_cases_keep_the_general_path_errors(s, chol_message, s
         # numpy's Cholesky passes NaN and +inf through instead of failing
         assert chol_psd(S).tobytes() == np.linalg.cholesky(S).tobytes()
     else:
-        with pytest.raises(FactorizationError, match=f"^{re.escape(chol_message)}$") as info:
+        with pytest.raises(DivergenceError, match=f"^{re.escape(chol_message)}$") as info:
             chol_psd(S)
-        assert info.type is FactorizationError
-    with pytest.raises(SingularInnovationError, match=f"^{re.escape(solve_message)}$") as info:
+        assert info.type is DivergenceError
+    with pytest.raises(DivergenceError, match=f"^{re.escape(solve_message)}$") as info:
         solve_spd(S, np.ones(1))
-    assert info.type is SingularInnovationError
+    assert info.type is DivergenceError
 
 
 # -- scipy as an oracle (a test-only comparison; the package uses numpy only) --

@@ -337,7 +337,6 @@ class TestRk4:
         # the 200 s and 1500 s breakpoints and ones whose stages land on them
         t_init, substeps = 190.0, 4
         times = np.array([190.0, 193.3, 199.1, 200.7, 204.0, 1496.0, 1500.0, 1501.3, 1510.9])
-        starts = np.concatenate(([t_init], times))[:-1]
         profile = PiecewiseConstant(times=[0.0, 200.0, 1500.0],
                                     values=[[0.010], [0.004], [0.007]])
         # a two-input staircase with a breakpoint every 7.5 s
@@ -347,12 +346,12 @@ class TestRk4:
                                                               np.sin(steps))))
         for u in (profile, staircase, constant([2.5, -1.0]), constant()):
             dim_u = u.values.shape[1]
-            table = rk4_inputs(u, starts, (times - starts) / substeps, substeps)
+            table = rk4_inputs(u, t_init, times, substeps)
             assert table.shape == (times.size, substeps, 3, dim_u)
             t0 = t_init
             for i, t1 in enumerate(times.tolist()):
                 h = (t1 - t0) / substeps
-                assert rk4_inputs(u, [t0], [h], substeps)[0].tobytes() == table[i].tobytes()
+                assert rk4_inputs(u, t0, [t1], substeps)[0].tobytes() == table[i].tobytes()
                 for j in range(substeps):
                     t = t0 + j * h
                     expected = np.array([u.at(t), u.at(t + 0.5 * h), u.at(t + h)])
@@ -360,9 +359,9 @@ class TestRk4:
                 t0 = t1
 
     def test_constant_and_missing_inputs(self):
-        ((u0, um, u1),), = rk4_inputs(constant([2.5]), [0.0], [0.1], 1)
+        ((u0, um, u1),), = rk4_inputs(constant([2.5]), 0.0, [0.1], 1)
         assert u0 == um == u1 == 2.5
-        ((u0, _, _),), = rk4_inputs(constant(), [0.0], [0.1], 1)
+        ((u0, _, _),), = rk4_inputs(constant(), 0.0, [0.1], 1)
         assert u0.size == 0
 
 
