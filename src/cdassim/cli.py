@@ -137,32 +137,33 @@ def _reduced_comparison(config: ExperimentConfig):
 
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
-    scheme on the inner substep grid. The 3-state column integrates the
-    joint model's drift on the ``(4, 1)`` column (CA, CB, T, beta) with beta
-    at ``params.beta``.
+    scheme on the inner substep grid, stepped together as one state
+    ``[CA, CB, T, beta, X, T2, T1]``: the joint model's drift on its
+    ``(4, 1)`` column (CA, CB, T, beta) with beta at ``params.beta``, then
+    the 2-state (X, T2) and the 1-state T1. Every operation of
+    :func:`~cdassim.sde.rk4_step` is elementwise, so each model's values
+    are bitwise those of stepping it alone.
     Every interval takes its step and stage inputs from one
     :func:`~cdassim.sde.rk4_inputs` table, the truth's and filters' grid.
     """
     params = config.cstr_params()
 
-    f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
-    f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
-    f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
+    def rates(t, z, u):
+        F = u[0]
+        return np.concatenate((cstr3_drift(z[:4, None], F, params)[:, 0],
+                               cstr2_drift(z[4], z[5], F, params),
+                               (cstr1_drift(z[6], F, params),)))
 
-    x3 = np.array([[params.CA_in], [params.CB_in], [params.T_in], [params.beta]])
-    x2 = np.array([0.0, params.T_in])
-    x1 = params.T_in
-    temps = [(0.0, x3[2, 0], x2[1], x1)]
+    z = np.array([params.CA_in, params.CB_in, params.T_in, params.beta,
+                  0.0, params.T_in, params.T_in])
+    temps = [(0.0, z[2], z[5], z[6])]
     times = config.sample_times()
     t0 = 0.0
     for t1, rows in zip(times, rk4_inputs(config.flow_profile(), 0.0, times, config.substeps)):
         h = (t1 - t0) / config.substeps
         for j, inputs in enumerate(rows):
-            tj = t0 + j * h
-            x3 = rk4_step(f3, tj, x3, h, inputs)
-            x2 = rk4_step(f2, tj, x2, h, inputs)
-            x1 = rk4_step(f1, tj, x1, h, inputs)
-        temps.append((t1, x3[2, 0], x2[1], x1))
+            z = rk4_step(rates, t0 + j * h, z, h, inputs)
+        temps.append((t1, z[2], z[5], z[6]))
         t0 = t1
     return temps
 

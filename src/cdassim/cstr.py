@@ -76,8 +76,9 @@ class CstrParams:
         if self.sigma_T < 0:
             raise ValueError("sigma_T must be non-negative")
 
-    # per batch width m: the read-only (4, m) feed [CA_in, CB_in, T_in, 0] and
-    # (3, m) reaction signs [-1, -2, 0], so that no drift op broadcasts a column
+    # per batch width m > 1: the read-only (4, m) feed [CA_in, CB_in, T_in, 0]
+    # and (3, m) reaction signs [-1, -2, 0], so that no drift op broadcasts a
+    # column; one column takes the float rates of cstr3_linearize and no table
     tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def width_tables(self, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,30 +93,38 @@ class CstrParams:
 
 def rate_constant(T, params: CstrParams):
     """Arrhenius rate k(T) = k0 exp(-EaR / T); broadcasts over T."""
-    return params.k0 * np.exp(-params.EaR / np.asarray(T, dtype=float))
+    # np.float64 reads T as np.asarray(T, dtype=float) does, but one value
+    # becomes a scalar, whose arithmetic costs far less than a 0-d array's
+    return params.k0 * np.exp(-params.EaR / np.float64(T))
 
 
 def cstr3_drift(x, F, params: CstrParams):
     """Deterministic rates of the joint model at each column ``(CA, CB, T, beta)`` of ``x``.
 
-    ``x`` is a column batch of shape ``(4, m)``; a single state is the
-    ``(4, 1)`` column. Beta is read from the fourth row, and its rate is
-    zero; ``params.beta`` is not used.
+    ``x`` is a column batch of shape ``(4, m)``; a single state, such as the
+    truth's, is the ``(4, 1)`` column. Beta is read from the fourth row, and
+    its rate is zero; ``params.beta`` is not used.
 
-    One ``exp`` runs over the temperature row and the reaction rate ``r``
-    is built in place; every other op works on whole row blocks against
-    the feed and sign tables that :meth:`CstrParams.width_tables` keeps per
-    width, because broadcasting a ``(4, 1)`` column across a wide batch
-    costs more than the arithmetic. The three state rows get
+    One column takes row 0 of :func:`cstr3_linearize`, its rates worked on
+    Python floats, as a fresh ``(4, 1)`` column: for four numbers that costs
+    less than the eleven ufunc calls below, and it builds no constant table.
+
+    A wider batch runs one ``exp`` over the temperature row and builds the
+    reaction rate ``r`` in place; every other op works on whole row blocks
+    against the feed and sign tables that :meth:`CstrParams.width_tables`
+    keeps per width, because broadcasting a ``(4, 1)`` column across a wide
+    batch costs more than the arithmetic. The three state rows get
     ``FV * (feed - x) + signs * r``, with the temperature row's reaction
     term replaced by ``beta r``, and the beta row gets zero. Since
     ``a + (-b)`` is ``a - b`` and ``(-2) r`` is ``-(2 r)`` exactly, each
     element keeps the rounding of ``FV * (feed - x) - r`` with
     ``FV = F / V`` and ``r = k0 exp(-EaR / T) CA CB``, so a column's rates
-    are bitwise the same in any batch, and bitwise those of
-    :func:`cstr3_linearize`.
+    are bitwise the same in any batch, one column included.
     """
-    feed, signs = params.tables.get(x.shape[1]) or params.width_tables(x.shape[1])
+    m = x.shape[1]
+    if m == 1:
+        return cstr3_linearize(x[:, 0], F, params)[0, :, None]
+    feed, signs = params.tables.get(m) or params.width_tables(m)
     r = np.divide(-params.EaR, x[2])
     np.exp(r, out=r)
     np.multiply(params.k0, r, out=r)
@@ -138,16 +147,24 @@ def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
     ``(5, 4)`` block ``[f; A]``: the rates in row 0, then the Jacobian rows,
     the layout of the EKF's moment block ``[m; P]``. Both come from a single
     ``exp(-EaR/T)``, with dk/dT = k EaR/T^2, worked on Python floats, which
-    round exactly as numpy scalars do, so row 0 is bitwise
-    :func:`cstr3_drift` of the ``(4, 1)`` column. The EKF is its one caller.
+    round exactly as numpy scalars do, so row 0 is bitwise the column of
+    :func:`cstr3_drift` in any batch. The EKF calls it for its moment
+    stages, and :func:`cstr3_drift` for a single column's rates.
     The beta column holds d(dT/dt)/d(beta), the reaction rate, and the beta
-    row is zero.
+    row is zero. Where ``T * T`` is zero the rates are computed on numpy
+    scalars, whose division by zero gives IEEE's infinities where Python's
+    float division raises: the rates are then the batch kernel's (at T = 0,
+    r = 0), and dk/dT is not finite.
     """
     CA, CB, T, beta = x.tolist()
+    TT = T * T
+    if TT == 0.0:
+        T = np.float64(T)
+        TT = T * T
     FV = float(F) / params.V
     # numpy's exp, not math.exp: the two differ in the last bit of some values
     k = params.k0 * float(np.exp(-params.EaR / T))
-    kp = k * params.EaR / (T * T)
+    kp = k * params.EaR / TT
     kCA = k * CA
     kCB = k * CB
     kpAB = kp * CA * CB
@@ -180,7 +197,7 @@ def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
 
 def adiabatic_concentrations(T, params: CstrParams):
     """Concentrations implied by temperature along the adiabatic branch."""
-    rise = (np.asarray(T, dtype=float) - params.T_in) / params.beta
+    rise = (np.float64(T) - params.T_in) / params.beta  # as in rate_constant
     return params.CA_in - rise, params.CB_in - 2.0 * rise
 
 

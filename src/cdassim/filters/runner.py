@@ -174,9 +174,10 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     see ``_READS``), and a missing one raises ValueError naming the kind and
     the field. A :class:`~cdassim.sde.DivergenceError` raises
     :class:`FilterRunError` with the offending step attached. The loop runs
-    with numpy's overflow and invalid-value warnings off: a blow-up reaches
-    the caller as that error, naming the filter, step and time, not as a
-    warning naming a source line.
+    with numpy's division-by-zero, overflow and invalid-value warnings off:
+    a blow-up, such as the EKF's linearization at T = 0, reaches the caller
+    as that error, naming the filter, step and time, not as a warning
+    naming a source line.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
@@ -223,7 +224,7 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         out.ess = np.empty(n_steps)
         out.resampled = np.zeros(n_steps, dtype=bool)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(n_steps):
             t1 = float(times[k])
             tic = time.perf_counter()

@@ -230,25 +230,31 @@ def _spread_collapse_fraction(out: FilterOutput) -> float:
     return float(np.mean(rel_floor < SPREAD_COLLAPSE_RATIO))
 
 
+def _collapse_causes(m: FilterMetrics) -> list[str]:
+    """The collapse heuristics that fire on a scored run, each in words."""
+    return [cause for cause, frac, limit in (
+        ("sustained innovation inconsistency", m.nis_exceed_fraction, NIS_COLLAPSE_FRACTION),
+        ("posterior spread collapse", m.spread_collapse_fraction, SPREAD_COLLAPSE_FRACTION),
+    ) if frac > limit]
+
+
 def _score(kind: str, out: FilterOutput, config: ExperimentConfig,
            truth: TruthData) -> FilterMetrics:
     err = out.post_mean - truth.truth_states[1:]
     tail = truth.times > config.horizon_seconds - TAIL_SECONDS
-    nis_frac = float(np.mean(out.nis > NIS_COLLAPSE_THRESHOLD))
-    spread_frac = _spread_collapse_fraction(out)
-    return FilterMetrics(
+    m = FilterMetrics(
         kind=kind,
         mse_x=float(np.mean(err[:, :3] ** 2)),
         mse_p=float(np.mean(err[:, 3] ** 2)),
         t_cpu_s=float(np.mean(out.step_seconds)),
         beta_final=float(out.post_mean[-1, 3]),
         beta_tail_mean_abs_err=float(np.mean(np.abs(err[tail, 3]))),
-        collapsed=(spread_frac > SPREAD_COLLAPSE_FRACTION
-                   or nis_frac > NIS_COLLAPSE_FRACTION),
-        nis_exceed_fraction=nis_frac,
-        spread_collapse_fraction=spread_frac,
+        nis_exceed_fraction=float(np.mean(out.nis > NIS_COLLAPSE_THRESHOLD)),
+        spread_collapse_fraction=_spread_collapse_fraction(out),
         output=out,
     )
+    m.collapsed = bool(_collapse_causes(m))
+    return m
 
 
 def run_one_filter(kind: str, config: ExperimentConfig, truth: TruthData, model: SdeModel,
@@ -360,7 +366,8 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
     The reference is the particle filter itself at ``oracle_particle_count``
     samples, which must be at least 10x the largest configured Monte Carlo
     filter size. Degeneracy of the reference (failure or flagged collapse)
-    is reported, not raised. The filter bank runs in the same worker pool as
+    is reported, not raised; a collapse status names each heuristic that
+    fired. The filter bank runs in the same worker pool as
     the reference, which starts first because it is the longest run.
     """
     largest = max(config.ensemble_size, config.particle_count)
@@ -374,7 +381,7 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
     oracle, *bank = _run_filters(config, truth, tasks, serial)
     status = oracle.status
     if oracle.ok and oracle.collapsed:
-        status = "degenerate: sustained innovation inconsistency"
+        status = "degenerate: " + " and ".join(_collapse_causes(oracle))
     out_o = oracle.output
     min_ess = float(np.min(out_o.ess)) if oracle.ok else float("nan")
 

@@ -12,7 +12,9 @@ the truth of each seed, its sample times, its states at those times and
 its measurements (the states' beta column must hold the configured beta
 at every sample instant); every file that ``simulate --reduced``,
 ``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the
-default config, with the ``t_cpu_s`` timings dropped; and the same for
+default config, with the ``t_cpu_s`` timings dropped; those of
+``simulate --reduced`` on a 211-sample grid, whose interval steps are not
+all ``dt_sample / substeps``; and the same for
 ``estimate`` on two coarse sampling grids on which the EKF and UKF fail,
 with each filter's status and the command's error output in plain text,
 so that the failure messages are compared too. JSON files are digested in their written key order, so a reordered
@@ -49,6 +51,8 @@ SEEDS = (1, 2, 3, 20260816)
 SIGMA_THETAS = (0.0, 0.05)
 COMMANDS = (("simulate", "--reduced"), ("estimate",), ("steady-state",), ("sweep",),
             ("oracle",))
+# simulate --reduced on a grid whose sample intervals differ in their last bits
+REDUCED_GRID = 211
 # estimate on coarse grids, where the Gaussian filters fail in several ways
 COARSE_GRIDS = (14, 30)
 COARSE_SIZES = {"ensemble_size": 50, "particle_count": 50}
@@ -133,21 +137,31 @@ def _command_lines(name: str, argv):
         yield f"cli {name} {path.name} {_file_digest(path)}"
 
 
+def _configured_command_lines(name: str, argv, overrides: dict):
+    """:func:`_command_lines` of ``argv`` on a config file holding ``overrides``."""
+    config = Path(f"{name}.json")
+    config.write_text(json.dumps(overrides))
+    yield from _command_lines(name, (*argv, "--config", str(config)))
+
+
 def cli_lines():
     """Digests of every file each subcommand writes on the default config, then of
-    ``estimate`` on the coarse grids with each filter's status."""
+    ``simulate --reduced`` on the reduced grid, then of ``estimate`` on the
+    coarse grids with each filter's status."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # a relative --out keeps out_dir, and so the config hash, fixed
         try:
             for command in COMMANDS:
                 yield from _command_lines(command[0], command)
+            yield from _configured_command_lines(f"simulate_n{REDUCED_GRID}",
+                                                 ("simulate", "--reduced"),
+                                                 {"n_samples": REDUCED_GRID})
             for n_samples in COARSE_GRIDS:
                 name = f"estimate_n{n_samples}"
-                config = Path(f"{name}.json")
-                config.write_text(json.dumps({"n_samples": n_samples,
-                                              "monte_carlo": COARSE_SIZES}))
-                yield from _command_lines(name, ("estimate", "--config", str(config)))
+                yield from _configured_command_lines(name, ("estimate",),
+                                                     {"n_samples": n_samples,
+                                                      "monte_carlo": COARSE_SIZES})
                 filters = json.loads((Path(name) / "metrics.json").read_text())["filters"]
                 for kind, record in filters.items():
                     yield f"cli {name} {kind} status={record['status']}"

@@ -12,13 +12,14 @@ import pytest
 from cdassim import cli
 from cdassim.cli import parse_and_dispatch
 from cdassim.config import load_config
-from cdassim.cstr import adiabatic_concentrations, cstr3_drift
+from cdassim.cstr import adiabatic_concentrations, cstr1_drift, cstr2_drift, cstr3_drift
 from cdassim.harness import (
     ensemble_size_sweep,
     generate_truth_and_measurements,
     run_all_filters,
     uncertainty_comparison,
 )
+from cdassim.sde import rk4_inputs, rk4_step
 
 SMALL = {
     "horizon_minutes": 5.0,
@@ -418,16 +419,68 @@ def test_reduced_comparison_steps_on_the_run_grid(monkeypatch):
     starts = np.concatenate(([0.0], times))[:-1]
     steps = (times - starts) / cfg.substeps
     flow = cfg.flow_profile()
-    assert len(calls) == 3 * times.size * cfg.substeps  # the 3-, 2- and 1-state models
+    assert len(calls) == times.size * cfg.substeps  # the 3-, 2- and 1-state models as one state
     off_grid = set()
     for c, (t, h, inputs) in enumerate(calls):
-        k, j = divmod(c // 3, cfg.substeps)
+        k, j = divmod(c, cfg.substeps)
         tj = starts[k] + j * steps[k]
         expected = np.array([flow.at(tj), flow.at(tj + 0.5 * steps[k]), flow.at(tj + steps[k])])
         if (t, h) != (tj, steps[k]) or inputs.tobytes() != expected.tobytes():
             off_grid.add(k)
     assert sorted(off_grid) == []
     assert [row[0] for row in rows] == [0.0, *times]
+
+
+def _reduced_models_stepped_apart(cfg):
+    """The 3-, 2- and 1-state models stepped one at a time, each by its own rk4_step."""
+    params = cfg.cstr_params()
+    f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
+    f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
+    f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
+    x3 = np.array([[params.CA_in], [params.CB_in], [params.T_in], [params.beta]])
+    x2 = np.array([0.0, params.T_in])
+    x1 = params.T_in
+    rows = [(0.0, x3[2, 0], x2[1], x1)]
+    times = cfg.sample_times()
+    t0 = 0.0
+    for t1, table in zip(times, rk4_inputs(cfg.flow_profile(), 0.0, times, cfg.substeps)):
+        h = (t1 - t0) / cfg.substeps
+        for j, inputs in enumerate(table):
+            x3 = rk4_step(f3, t0 + j * h, x3, h, inputs)
+            x2 = rk4_step(f2, t0 + j * h, x2, h, inputs)
+            x1 = rk4_step(f1, t0 + j * h, x1, h, inputs)
+        rows.append((t1, x3[2, 0], x2[1], x1))
+        t0 = t1
+    return rows
+
+
+@pytest.mark.parametrize("n_samples", [None, 211])
+def test_reduced_comparison_is_bitwise_the_models_stepped_apart(n_samples):
+    cfg = load_config(overrides={"n_samples": n_samples} if n_samples else None)
+    rows = np.array(cli._reduced_comparison(cfg), dtype=float)
+    apart = np.array(_reduced_models_stepped_apart(cfg), dtype=float)
+    assert rows.shape == (cfg.n_samples + 1, 4)
+    assert rows.tobytes() == apart.tobytes()
+
+
+def test_ekf_from_zero_temperature_fails_at_its_first_step_with_exit_2(tmp_path, monkeypatch,
+                                                                       capsys):
+    # a schema-valid initial belief at T = 0: the linearization's rates are
+    # the kernel's (zero reaction), its dk/dT is not finite, and the EKF's
+    # first prediction diverges into a failure record, with no numpy warning
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "cold.json"
+    cfgfile.write_text(json.dumps({"filter": {"init_state": [0.8, 1.2, 0.0]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = parse_and_dispatch(["estimate", "--filters", "ekf", "--config", str(cfgfile),
+                                   "--serial", "--out", "cold"])
+    assert code == 2
+    assert capsys.readouterr().err == "numerical failure in: ekf\n"
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    ekf = json.loads((tmp_path / "cold" / "metrics.json").read_text())["filters"]["ekf"]
+    assert ekf["status"].startswith("failed: ekf failed at step 0 (t=10): ")
+    assert ekf["failed_step"] == 0
 
 
 def test_sweep_size_below_two_exits_1(tmp_path, small_config_file, capsys):

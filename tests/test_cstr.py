@@ -73,6 +73,22 @@ class TestRateConstant:
     def test_high_temperature_limit_is_prefactor(self):
         assert rate_constant(1e14, PARAMS) == pytest.approx(PARAMS.k0, rel=1e-9)
 
+    @pytest.mark.parametrize("T", [300.0, 300, [300, 310.5, 0.0], np.asarray(305.25),
+                                   np.array([[300.0, 0.0], [-0.0, 450.0]]), 0.0, -0.0, 0])
+    def test_helpers_keep_the_values_and_types_of_an_asarray_read(self, T):
+        # against a reference that reads T through np.asarray(T, dtype=float):
+        # every input kind gives the same bits and type, and T = 0 raises nothing
+        T_old = np.asarray(T, dtype=float)
+        with np.errstate(divide="ignore"):
+            expected = [PARAMS.k0 * np.exp(-PARAMS.EaR / T_old)]
+            got = [rate_constant(T, PARAMS)]
+        rise = (T_old - PARAMS.T_in) / PARAMS.beta
+        expected += [PARAMS.CA_in - rise, PARAMS.CB_in - 2.0 * rise]
+        got += adiabatic_concentrations(T, PARAMS)
+        for g, e in zip(got, expected):
+            assert type(g) is type(e) and np.shape(g) == np.shape(e)
+            assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
+
 
 class TestParams:
     def test_positivity_enforced(self):
@@ -204,6 +220,42 @@ class TestLinearize:
             assert again.tobytes() == block.tobytes()
 
 
+class TestVanishingTemperature:
+    # T = 0 (of either sign) and a T whose square underflows to zero, where
+    # Python's float division raises and numpy's gives infinities
+    STATES = [[0.6, 0.8, 0.0, 130.0], [0.6, 0.8, -0.0, 130.0], [-0.1, 0.8, 0.0, 130.0],
+              [0.0, 0.0, 0.0, 130.0], [0.6, 0.8, 1e-200, 130.0], [0.6, 0.8, -1e-200, 130.0]]
+
+    @pytest.mark.parametrize("x", STATES)
+    def test_linearize_gives_the_kernel_rates_and_a_non_finite_dk_dT(self, x):
+        x = np.array(x)
+        with np.errstate(all="ignore"):
+            block = cstr3_linearize(x, 0.006, PARAMS)
+            batch = cstr3_drift(np.column_stack([x, x]), 0.006, PARAMS)
+        np.testing.assert_array_equal(block[0], batch[:, 0])
+        assert not np.isfinite(block[1:4, 2]).any()  # every entry with dk/dT
+
+    @pytest.mark.parametrize("width", [2, 11])
+    def test_one_column_is_its_column_in_a_batch_on_edge_states(self, width):
+        edges = [*self.STATES,
+                 [np.nan, 0.8, 300.0, 130.0], [0.6, 0.8, np.nan, 130.0],
+                 [0.6, 0.8, 300.0, np.nan], [0.6, 0.8, np.inf, 130.0],
+                 [0.6, 0.8, -np.inf, 130.0], [np.inf, -np.inf, 300.0, 130.0],
+                 [0.6, 0.8, -5.0, 130.0], [-0.3, -0.4, 300.0, -130.0],
+                 [-0.3, 0.4, 1e4, 130.0]]
+        rng = np.random.default_rng(33 + width)
+        for k, edge in enumerate(edges):
+            X = np.column_stack([random_joint_state(rng) for _ in range(width)])
+            i = k % width
+            X[:, i] = edge
+            with np.errstate(all="ignore"):
+                batch = cstr3_drift(X, 0.006, PARAMS)[:, i]
+                one = cstr3_drift(X[:, i:i + 1], 0.006, PARAMS)
+            assert one.shape == (4, 1)
+            np.testing.assert_array_equal(one[:, 0], batch)  # NaNs match by position
+            assert np.array_equal(np.signbit(one[:, 0]), np.signbit(batch))
+
+
 class TestJointKernel:
     def test_batch_equals_columns_bitwise(self):
         # the UKF, EnKF and PF evaluate column batches
@@ -235,7 +287,7 @@ class TestJointKernel:
             column = cstr3_drift(X[:, i:i + 1], F, params)[:, 0]
             f = cstr3_linearize(X[:, i], F, params)[0]
             assert D[:, i].tobytes() == column.tobytes() == f.tobytes()
-        assert set(params.tables) == {1000, 11, 1, 3} | {width}
+        assert set(params.tables) == {1000, 11, 3} | ({width} - {1})  # one column: no table
 
     def test_width_tables_are_read_only_and_rates_are_fresh(self):
         params = dataclasses.replace(PARAMS)

@@ -406,6 +406,23 @@ def test_uncertainty_summary_structure(small_uncertainty):
         assert series["var_ratio"].shape == (30, 4)
 
 
+@pytest.mark.parametrize("fired, status", [
+    (("NIS",), "degenerate: sustained innovation inconsistency"),
+    (("SPREAD",), "degenerate: posterior spread collapse"),
+    (("NIS", "SPREAD"),
+     "degenerate: sustained innovation inconsistency and posterior spread collapse"),
+])
+def test_collapsed_oracle_status_names_the_heuristics_that_fired(
+        small_cfg, small_truth, small_uncertainty, monkeypatch, fired, status):
+    # a fraction limit below zero forces its heuristic to fire on the healthy reference
+    for name in fired:
+        monkeypatch.setattr(harness, f"{name}_COLLAPSE_FRACTION", -1.0)
+    unc = uncertainty_comparison(small_cfg, small_truth, filters=["ekf"], serial=True)
+    assert unc.oracle_status == status
+    assert unc.oracle_min_ess == small_uncertainty.oracle_min_ess
+    assert unc.summary["ekf"] == small_uncertainty.summary["ekf"]
+
+
 # -- report files -------------------------------------------------------------
 
 def _strip_timing(csv_text):
