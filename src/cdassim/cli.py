@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from cdassim import cstr
 from cdassim.config import ConfigError, ExperimentConfig, load_config
-from cdassim.cstr import cstr1_drift, cstr2_drift, cstr3_drift, steady_state_curve
 from cdassim.filters.runner import FILTER_KINDS, SAMPLE_KINDS
 from cdassim.harness import (
     TRUTH_HEADER,
@@ -150,9 +150,9 @@ def _reduced_comparison(config: ExperimentConfig):
 
     def rates(t, z, u):
         F = u[0]
-        return np.concatenate((cstr3_drift(z[:4, None], F, params)[:, 0],
-                               cstr2_drift(z[4], z[5], F, params),
-                               (cstr1_drift(z[6], F, params),)))
+        return np.concatenate((cstr.cstr3_drift(z[:4, None], F, params)[:, 0],
+                               cstr.cstr2_drift(z[4], z[5], F, params),
+                               (cstr.cstr1_drift(z[6], F, params),)))
 
     z = np.array([params.CA_in, params.CB_in, params.T_in, params.beta,
                   0.0, params.T_in, params.T_in])
@@ -191,7 +191,7 @@ def _cmd_estimate(config: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_steady_state(config: ExperimentConfig, args, out: Path) -> int:
-    T_s, F_s = steady_state_curve(config.cstr_params())
+    T_s, F_s = cstr.steady_state_curve(config.cstr_params())
     _announce([write_table(out / "steady_state.csv", ("T_s", "F_s"), zip(T_s, F_s))])
     return EXIT_OK
 

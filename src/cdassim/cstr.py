@@ -283,7 +283,7 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
     H = np.array([[0.0, 0.0, 1.0, 0.0]])
     H.setflags(write=False)
 
-    def diffusion(t, x, u):
+    def diffusion(u):
         g = np.zeros((4, dim_noise))
         g[2, 0] = u[0] / params.V * params.sigma_T
         if dim_noise == 2:

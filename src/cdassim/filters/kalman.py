@@ -3,7 +3,7 @@
 Prediction integrates the joint moment ODEs
 
     dm/dt = f(t, m, u)
-    dP/dt = A P + P A^T + sigma sigma^T,    A = df/dx(t, m, u)
+    dP/dt = A P + P A^T + sigma(u) sigma(u)^T,    A = df/dx(t, m, u)
 
 with the shared classical Runge-Kutta stepper (:func:`cdassim.sde.rk4_step`)
 between measurements, on one ``(n + 1, n)`` block ``[m; P]``, and
@@ -39,8 +39,8 @@ def _moment_rhs(model: SdeModel):
     """
 
     @per_input
-    def noise_cov(t, m, u):
-        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+    def noise_cov(u):
+        g = np.asarray(model.diffusion(u), dtype=float)
         return g @ g.T
 
     def rhs(t, y, u):
@@ -50,7 +50,7 @@ def _moment_rhs(model: SdeModel):
         # np.dot: bitwise the matmul for these small products, and cheaper to call
         AP = np.dot(A, y[1:])
         np.add(AP, AP.T, out=A)
-        A += noise_cov(t, m, u)
+        A += noise_cov(u)
         return rate
 
     return rhs

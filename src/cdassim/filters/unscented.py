@@ -103,13 +103,13 @@ def ukf_predict(model: SdeModel, belief: GaussianBelief, inputs: np.ndarray, t1:
     h = (t1 - t0) / substeps
     pts = points[:n]
     dW = points[n:] / (2.0 * substeps)  # half-increment per substep
-    push = per_input(lambda t, x, u: np.asarray(model.diffusion(t, x, u), dtype=float) @ dW)
+    push = per_input(lambda u: np.asarray(model.diffusion(u), dtype=float) @ dW)
 
     for j, stage in enumerate(inputs):
         t = t0 + j * h
-        pts = pts + push(t, pts, stage[0])
+        pts = pts + push(stage[0])
         pts = rk4_step(model.drift, t, pts, h, stage)
-        pts = model.constrain(pts + push(t + h, pts, stage[2]))
+        pts = model.constrain(pts + push(stage[2]))
     if not np.all(np.isfinite(pts)):
         raise DivergenceError(f"UKF sigma points diverged by t={t1}")
     m = pts @ wm

@@ -465,9 +465,19 @@ def write_table(path, header, rows) -> Path:
     return _write_text(Path(path), "\n".join(lines) + "\n")
 
 
+def _finite_or_null(node):
+    # strict JSON has no NaN or Infinity, so a non-finite number (a failed run's metric) is null
+    if isinstance(node, dict):
+        return {k: _finite_or_null(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_finite_or_null(v) for v in node]
+    return None if isinstance(node, float) and not np.isfinite(node) else node
+
+
 def write_json(path, doc, sort_keys: bool = True) -> Path:
-    """Write one JSON result file, two-space indented; ``sort_keys=False`` keeps key order."""
-    return _write_text(Path(path), json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+    """Write one strict-JSON result file, 2-space indented; ``sort_keys=False`` keeps key order."""
+    text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=sort_keys, allow_nan=False)
+    return _write_text(Path(path), text + "\n")
 
 
 def truth_rows(truth: TruthData, *columns) -> list[tuple]:

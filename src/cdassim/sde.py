@@ -2,7 +2,7 @@
 
 A model couples continuous dynamics
 
-    dx = f(t, x, u) dt + sigma(t, x, u) dw,
+    dx = f(t, x, u) dt + sigma(u) dw,
 
 driven by a standard Wiener process w (unit spectral density, so all noise
 scaling lives inside ``sigma``), with measurements taken at discrete instants
@@ -116,15 +116,13 @@ def _unconstrained(x: np.ndarray) -> np.ndarray:
 class SdeModel:
     """Continuous-discrete model container.
 
-    ``drift`` and ``diffusion`` have signature ``(t, x, u)``, ``measure``
-    has ``(t, x)``. All three must accept column-batched states ``(n, m)``
-    by broadcasting.
+    ``drift`` has signature ``(t, x, u)`` and ``measure`` ``(t, x)``; both
+    must accept column-batched states ``(n, m)`` by broadcasting.
 
-    Diffusion contract: the diffusion depends on neither the state nor
-    ``t`` except through the input ``u``, and is returned as a single
-    ``(dim_state, dim_noise)`` matrix. Every integrator that reads it
-    evaluates it through :func:`per_input`, once per distinct input value,
-    so none of them accepts a state-dependent diffusion.
+    Diffusion contract: ``diffusion(u)`` takes the input alone and returns
+    one ``(dim_state, dim_noise)`` matrix, so the noise is additive at each
+    input value, the case every integrator here approximates. Each of them
+    evaluates it through :func:`per_input`, once per distinct input value.
 
     ``linearize(t, x, u)`` returns the drift and its Jacobian d f / d x at
     one state ``(n,)`` as one ``(n + 1, n)`` block ``[f; A]``: ``f`` in
@@ -141,7 +139,7 @@ class SdeModel:
     dim_state: int
     dim_noise: int
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    diffusion: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    diffusion: Callable[[np.ndarray], np.ndarray]
     measure: Callable[[float, np.ndarray], np.ndarray]
     linearize: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     measure_jacobian: Callable[[float, np.ndarray], np.ndarray] | None = None
@@ -187,19 +185,19 @@ class PiecewiseConstant:
 
 
 def per_input(fn: Callable) -> Callable:
-    """``fn(t, x, u)``, evaluated once per distinct input value ``u``.
+    """``fn(u)``, evaluated once per distinct input value ``u``, keyed on its bytes.
 
     The returned function keeps each value for as long as it lives, which
-    is one prediction; this is how every filter applies the diffusion
+    is one prediction; this is how every integrator applies the diffusion
     contract of :class:`SdeModel`.
     """
     table = {}
 
-    def once(t, x, u):
+    def once(u):
         key = u.tobytes()
         value = table.get(key)
         if value is None:
-            value = table[key] = fn(t, x, u)
+            value = table[key] = fn(u)
         return value
 
     return once
@@ -243,9 +241,10 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
     push = np.multiply if model.dim_noise == 1 else np.matmul
 
     @per_input
-    def diffusion(t, x, u):
-        g = np.asarray(model.diffusion(t, x, u), dtype=float)
+    def diffusion(u):
+        g = np.asarray(model.diffusion(u), dtype=float)
         if not np.isfinite(g).all():
+            # t: the loop's, the start of the first substep with this input
             raise DivergenceError(f"non-finite drift/diffusion at t={t}")
         driven = np.flatnonzero(g.any(axis=1))
         rows = slice(driven[0], driven[-1] + 1) if driven.size else slice(0, 0)
@@ -255,7 +254,7 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
         t = t0 + j * h
         u = inputs[j, 0]
         f = np.asarray(model.drift(t, X, u), dtype=float)
-        g, rows = diffusion(t, X, u)
+        g, rows = diffusion(u)
         if not np.isfinite(f).all():
             raise DivergenceError(f"non-finite drift/diffusion at t={t}")
         X += np.multiply(f, h, out=fh)

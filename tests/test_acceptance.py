@@ -27,41 +27,38 @@ from cdassim.harness import (
     run_one_filter,
     uncertainty_comparison,
 )
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import NoiseStream
 
 from closedform import scalar_kalman
-from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs
+from stages import (
+    FILTER_SETTINGS,
+    SMALL_CONFIG,
+    constant,
+    euler_maruyama_path,
+    interval_inputs,
+    linear_sde,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260816
 N_SEEDS = 20
 
-# Scalar mean-reverting benchmark for the linear-equivalence checks. The slow
-# rate keeps the fixed-substep integrators within 1e-6 of the exact moments
-# while the level keeps every relative comparison away from zero.
+# Scalar mean-reverting benchmark for the linear-equivalence checks: the
+# linear test SDE on the constant input OU_B. The slow rate keeps the
+# fixed-substep integrators within 1e-6 of the exact moments while the
+# level keeps every relative comparison away from zero.
 OU_A, OU_B, OU_SIGMA = 0.01, 0.05, 1.0
 OU_R, OU_M0, OU_P0 = 0.25, 5.0, 1.0
 OU_DT, OU_STEPS = 0.2, 50
-
-
-def _ou_model():
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: OU_B - OU_A * x,
-        diffusion=lambda t, x, u: np.array([[OU_SIGMA]]),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((OU_B - OU_A * x, [[-OU_A]])),
-        measure_jacobian=lambda t, x: np.array([[1.0]]),
-    )
+OU_INPUT = constant(OU_B)
 
 
 @pytest.fixture(scope="module")
 def ou():
     tic = time.perf_counter()
-    model = _ou_model()
+    model = linear_sde(OU_A, OU_SIGMA)
     horizon = OU_DT * OU_STEPS
-    _, states = euler_maruyama_path(model, np.array([OU_M0]), constant(), 0.0, horizon,
+    _, states = euler_maruyama_path(model, np.array([OU_M0]), OU_INPUT, 0.0, horizon,
                                     OU_DT / 10, NoiseStream(SEED, 900))
     x_true = states[10::10, 0]
     times = OU_DT * np.arange(1, OU_STEPS + 1)
@@ -112,7 +109,7 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
     worst = {}
     for kind in ("ekf", "ukf"):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind])
-        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], OU_INPUT)
         rel_mean = np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])
         rel_var = np.abs(out.post_cov[:, 0, 0] - kf["post_var"]) / kf["post_var"]
         worst[kind] = max(rel_mean.max(), rel_var.max())
@@ -120,7 +117,7 @@ def test_criterion_01_linear_gaussian_equivalence(ou):
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]),
                           stream=NoiseStream(SEED, tag),
                           **{**FILTER_SETTINGS[kind], "size": 100_000})
-        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], OU_INPUT)
         worst[kind] = float(np.max(
             np.abs(out.post_mean[:, 0] - kf["post_mean"]) / np.abs(kf["post_mean"])))
     seconds = ou["seconds"] + time.perf_counter() - tic
@@ -148,7 +145,7 @@ def test_linear_gaussian_nis_consistency(ou):
         stream = {"stream": NoiseStream(SEED, tags[kind])} if kind in tags else {}
         fc = FilterConfig(initial=init, obs_cov=np.array([[OU_R]]), **FILTER_SETTINGS[kind],
                           **stream)
-        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], constant())
+        out = run_filter(kind, ou["model"], fc, ou["times"], ou["ys"], OU_INPUT)
         assert out.nis.size == OU_STEPS
         mean_nis[kind] = float(np.mean(out.nis))
     print("mean NIS " + " ".join(f"{k} {v:.4f}" for k, v in mean_nis.items())
@@ -163,9 +160,9 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
     kf_mean = float(scalar_kalman(OU_A, OU_B, OU_SIGMA, OU_R, OU_M0, OU_P0,
                                   [OU_DT], y1)["post_mean"][0])
     sizes = (100, 1_000, 10_000, 100_000)
-    model = _ou_model()
+    model = linear_sde(OU_A, OU_SIGMA)
     Rm = np.array([[OU_R]])
-    inputs = interval_inputs(constant(), 0.0, OU_DT)
+    inputs = interval_inputs(OU_INPUT, 0.0, OU_DT)
     init_rng = NoiseStream(SEED, 910).generator()
     errs = {"enkf": np.zeros((N_SEEDS, len(sizes))), "pf": np.zeros((N_SEEDS, len(sizes)))}
     for j, n in enumerate(sizes):
@@ -290,14 +287,6 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     print(f"criterion 9: {turns} turning points, worst drift residual {worst:.2e} of scale")
     assert turns >= 2
     assert worst <= 1e-8
-
-
-SMALL_CONFIG = {
-    "horizon_minutes": 5.0,
-    "n_samples": 30,
-    "monte_carlo": {"ensemble_size": 50, "particle_count": 100,
-                    "oracle_particle_count": 1000},
-}
 
 
 def _canonical(path: Path) -> bytes:

@@ -21,19 +21,14 @@ from cdassim.harness import (
 )
 from cdassim.sde import rk4_inputs, rk4_step
 
-SMALL = {
-    "horizon_minutes": 5.0,
-    "n_samples": 30,
-    "monte_carlo": {"ensemble_size": 50, "particle_count": 100,
-                    "oracle_particle_count": 1000},
-}
+from stages import SMALL_CONFIG
 
 
 @pytest.fixture()
 def small_config_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # out_dir paths resolve under the sandbox
     path = tmp_path / "small.json"
-    path.write_text(json.dumps(SMALL))
+    path.write_text(json.dumps(SMALL_CONFIG))
     return str(path)
 
 
@@ -233,7 +228,7 @@ def test_unusable_out_exits_1_without_traceback(tmp_path, child_env):
 def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "noiseless.json"
-    cfgfile.write_text(json.dumps({**SMALL, "noise": {"obs_variance": 0}}))
+    cfgfile.write_text(json.dumps({**SMALL_CONFIG, "noise": {"obs_variance": 0}}))
     assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
     assert "noise.obs_variance" in capsys.readouterr().err
 
@@ -245,7 +240,7 @@ def test_zero_observation_variance_exits_1_from_worker_processes(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("CDASSIM_THREADS", "2")
     cfgfile = tmp_path / "noiseless.json"
-    cfgfile.write_text(json.dumps({**SMALL, "noise": {"obs_variance": 0}}))
+    cfgfile.write_text(json.dumps({**SMALL_CONFIG, "noise": {"obs_variance": 0}}))
     assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
     assert "noise.obs_variance must be > 0" in capsys.readouterr().err
 
@@ -277,7 +272,7 @@ def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file
     assert all(doc[k]["status"] == "ok" for k in ("ukf", "enkf", "pf"))
 
 
-FAULT_TIME = 35.0  # inside step 3 of SMALL, which assimilates at t = 10, 20, ...
+FAULT_TIME = 35.0  # inside step 3 of SMALL_CONFIG, assimilating at t = 10, 20, ...
 
 
 def _faulty_run_filter(run):
@@ -321,9 +316,31 @@ def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_con
         assert doc[kind]["failed_step"] == 3
 
 
+def _strict_json(path):
+    """A result file parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_failed_runs_write_strict_json(tmp_path, small_config_file, monkeypatch, capsys):
+    # a failed run's metrics have no value, and each is written as null
+    from cdassim import harness
+
+    monkeypatch.setattr(harness, "run_filter", _faulty_run_filter(harness.run_filter))
+    assert parse_and_dispatch(["estimate", "--config", small_config_file, "--serial",
+                               "--filters", "ekf", "--out", "fault"]) == 2
+    ekf = _strict_json(tmp_path / "fault" / "metrics.json")["filters"]["ekf"]
+    assert ekf["status"].startswith("failed") and ekf["mse_x"] is None
+    assert parse_and_dispatch(["sweep", "--config", small_config_file, "--serial",
+                               "--sizes", "8", "--filters", "pf", "--out", "sweep"]) == 0
+    row, = _strict_json(tmp_path / "sweep" / "sweep.json")
+    assert row["status"].startswith("failed") and row["mse_x"] is None
+
+
 def test_truth_drift_fault_exits_2_naming_the_first_faulty_substep(small_config_file,
                                                                    monkeypatch, capsys):
-    # the truth's Euler-Maruyama substeps are 1 s long on SMALL; the one from
+    # the truth's Euler-Maruyama substeps are 1 s long on SMALL_CONFIG; the one from
     # t = 36 is the first whose drift is NaN, and simulate stops there
     from cdassim import harness
 
@@ -374,7 +391,7 @@ def test_usage_errors_exit_1():
 def test_undersized_oracle_exits_1_but_leaves_echo(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "c.json"
-    cfgfile.write_text(json.dumps({**SMALL, "monte_carlo": {
+    cfgfile.write_text(json.dumps({**SMALL_CONFIG, "monte_carlo": {
         "ensemble_size": 50, "particle_count": 100, "oracle_particle_count": 200}}))
     assert parse_and_dispatch(["oracle", "--config", str(cfgfile),
                                "--out", "orc"]) == 1

@@ -435,7 +435,7 @@ class TestModelWiring:
         assert m.measure(0.0, x) == pytest.approx([300.0])
         X = np.column_stack([x, x + 1.0])
         assert m.measure(0.0, X).shape == (1, 2)
-        np.testing.assert_allclose(m.diffusion(0.0, x, u).ravel(),
+        np.testing.assert_allclose(m.diffusion(u).ravel(),
                                    [0.0, 0.0, 0.1 * PARAMS.sigma_T, 0.0])
         np.testing.assert_array_equal(m.measure_jacobian(0.0, x), [[0.0, 0.0, 1.0, 0.0]])
 
@@ -472,7 +472,7 @@ class TestModelWiring:
     def test_parameter_noise_adds_channel(self):
         m = joint_model(0.5)
         assert m.dim_noise == 2
-        g = m.diffusion(0.0, np.array([0.1, 0.1, 300.0, 120.0]), FLOW.at(0.0))
+        g = m.diffusion(FLOW.at(0.0))
         assert g.shape == (4, 2)
         assert g[3, 1] == 0.5
         with pytest.raises(ValueError):
@@ -498,7 +498,7 @@ def uncached_ekf_predict(model, belief, u, t1, substeps):
         out = np.empty_like(y)
         out[:n] = model.drift(t, m[:, None], u)[:, 0]
         A = model.linearize(t, m, u)[1:]
-        g = np.asarray(model.diffusion(t, m, u), dtype=float)
+        g = np.asarray(model.diffusion(u), dtype=float)
         AP = A @ y[n:].reshape(n, n)
         out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
         return out
@@ -530,9 +530,9 @@ def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
     dW = points[n:] / (2.0 * substeps)
     for j, inputs in enumerate(interval_inputs(u, t0, t1, substeps)):
         t = t0 + j * h
-        pts = pts + model.diffusion(t, pts, inputs[0]) @ dW
+        pts = pts + model.diffusion(inputs[0]) @ dW
         pts = rk4_step(model.drift, t, pts, h, inputs)
-        pts = pts + model.diffusion(t + h, pts, inputs[2]) @ dW
+        pts = pts + model.diffusion(inputs[2]) @ dW
         pts = model.constrain(pts)
     m = pts @ wm
     dev = pts - m[:, None]
@@ -630,12 +630,12 @@ class TestMemberKernel:
         from cdassim.sde import propagate_members
 
         model = joint_model(0.05)
-        late_flow = FLOW.at(self.T1)[0]
+        early_flow, late_flow = FLOW.at(self.T0)[0], FLOW.at(self.T1)[0]
         calls = []
 
-        def diffusion(t, x, u):
-            calls.append(t)
-            g = model.diffusion(t, x, u)
+        def diffusion(u):
+            calls.append(u[0])
+            g = model.diffusion(u)
             return g * np.nan if u[0] == late_flow else g
 
         broken = dataclasses.replace(model, diffusion=diffusion)
@@ -643,7 +643,7 @@ class TestMemberKernel:
         with pytest.raises(DivergenceError, match=r"non-finite drift/diffusion at t=200\.0$"):
             propagate_members(broken, X0, interval_inputs(FLOW, self.T0, self.T1, self.SUBSTEPS),
                               self.T0, self.T1, NoiseStream(3).generator())
-        assert calls == [195.0, 200.0]  # once per distinct input value
+        assert calls == [early_flow, late_flow]  # once per distinct input value
 
 
 class TestMomentConsistency:

@@ -7,19 +7,7 @@ from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.linalg import chol_psd
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
 
-from stages import constant, interval_inputs
-
-
-def scalar_ou(a=1.0, sigma=0.5):
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x + u,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
-        measure_jacobian=lambda t, x: np.array([[1.0]]),
-    )
+from stages import constant, interval_inputs, linear_sde
 
 
 def test_propagate_members_matches_discrete_chain_moments():
@@ -27,7 +15,7 @@ def test_propagate_members_matches_discrete_chain_moments():
     # the sample statistics must match them to Monte Carlo accuracy
     a, sigma, x0, t1 = 0.8, 0.5, 2.0, 1.0
     K, N = 40, 20000
-    model = scalar_ou(a, sigma)
+    model = linear_sde(a, sigma)
     X1 = propagate_members(model, np.full((1, N), x0), interval_inputs(constant(0.0), 0.0, t1, K),
                            0.0, t1, NoiseStream(7, 3).generator())
     h = t1 / K
@@ -39,7 +27,7 @@ def test_propagate_members_matches_discrete_chain_moments():
 
 
 def test_propagate_members_time_edges():
-    model = scalar_ou()
+    model = linear_sde(1.0, 0.5)
     X = np.array([[1.0, 2.0]])
     noise = NoiseStream(1).generator()
     same = propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 3.0), 3.0, 3.0, noise)
@@ -57,7 +45,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
     model = SdeModel(
         dim_state=2, dim_noise=2,
         drift=lambda t, x, u: A @ x + u[:, None] * (1.0 + t),
-        diffusion=lambda t, x, u: G,
+        diffusion=lambda u: G,
         measure=lambda t, x: x[:1],
     )
     rng = np.random.default_rng(3)
@@ -84,7 +72,7 @@ def test_propagate_members_reports_diverged_member():
     model = SdeModel(
         dim_state=1, dim_noise=1,
         drift=lambda t, x, u: np.where(x > 0, 1.7e308, 0.0),
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
+        diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
     )
     with pytest.raises(DivergenceError) as err:
@@ -101,7 +89,7 @@ def test_propagate_members_converts_midstep_overflow():
     model = SdeModel(
         dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
+        diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
     )
     with pytest.raises(DivergenceError):
@@ -118,7 +106,7 @@ def test_ensemble_needs_two_members():
 
 
 def test_enkf_predict_is_reproducible_per_stream():
-    model = scalar_ou()
+    model = linear_sde(1.0, 0.5)
     ens = Ensemble(np.linspace(-1.0, 1.0, 8)[None, :])
     stream = NoiseStream(12, 5)
     u = interval_inputs(constant(0.0), 0.0, 0.5)
@@ -132,7 +120,7 @@ def test_enkf_predict_is_reproducible_per_stream():
 
 def test_enkf_update_zero_spread_is_a_fixed_point():
     # identical members carry no sampled covariance, so the gain vanishes
-    model = scalar_ou()
+    model = linear_sde(1.0, 0.5)
     ens = Ensemble(np.full((1, 5), 0.3))
     post, e, Re = enkf_update(ens, model, np.array([2.0]), np.array([[0.5]]),
                               NoiseStream(3).generator())
@@ -153,7 +141,7 @@ def test_enkf_update_matches_direct_formulas():
     model = SdeModel(
         dim_state=n, dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
-        diffusion=lambda t, x, u: np.eye(n),
+        diffusion=lambda u: np.eye(n),
         measure=lambda t, x: C @ x,
     )
     stream = NoiseStream(77)
@@ -172,7 +160,7 @@ def test_enkf_update_matches_direct_formulas():
 
 
 def test_enkf_update_requires_matching_measurement_shape():
-    model = scalar_ou()
+    model = linear_sde(1.0, 0.5)
     ens = Ensemble(np.ones((1, 4)))
     with pytest.raises(ValueError):
         enkf_update(ens, model, np.array([1.0, 2.0]), np.eye(2), NoiseStream(0).generator())

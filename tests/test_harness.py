@@ -30,20 +30,12 @@ from cdassim.harness import (
 )
 
 from digests import _digest, _output_digest
-
-# small but dynamically honest setup: same 10 s sampling as the default,
-# shorter horizon and smaller ensembles keep the whole file fast
-SMALL = {
-    "horizon_minutes": 5.0,
-    "n_samples": 30,
-    "monte_carlo": {"ensemble_size": 50, "particle_count": 100,
-                    "oracle_particle_count": 1000},
-}
+from stages import SMALL_CONFIG
 
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    return load_config(overrides=SMALL)
+    return load_config(overrides=SMALL_CONFIG)
 
 
 @pytest.fixture(scope="module")
@@ -72,29 +64,29 @@ def test_truth_shapes_and_grids(small_cfg, small_truth):
 @pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
 def test_truth_beta_is_the_configured_beta_at_every_sample_instant(sigma_theta):
     # the truth runs the filters' joint model without beta's random-walk channel
-    cfg = load_config(overrides={**SMALL, "noise": {"sigma_theta": sigma_theta}})
+    cfg = load_config(overrides={**SMALL_CONFIG, "noise": {"sigma_theta": sigma_theta}})
     states = generate_truth_and_measurements(cfg).truth_states
     assert states.shape == (31, 4)
     assert np.all(states[:, 3] == cfg.truth_beta)
 
 
 def test_truth_reproducible_and_streams_isolated():
-    a = generate_truth_and_measurements(load_config(overrides=SMALL))
-    b = generate_truth_and_measurements(load_config(overrides=SMALL))
+    a = generate_truth_and_measurements(load_config(overrides=SMALL_CONFIG))
+    b = generate_truth_and_measurements(load_config(overrides=SMALL_CONFIG))
     assert np.array_equal(a.truth_states, b.truth_states)
     assert np.array_equal(a.measurements, b.measurements)
     # measurement noise comes from its own stream: changing the observation
     # variance must not perturb the truth path
     c = generate_truth_and_measurements(
-        load_config(overrides={**SMALL, "noise": {"obs_variance": 1.0}}))
+        load_config(overrides={**SMALL_CONFIG, "noise": {"obs_variance": 1.0}}))
     assert np.array_equal(a.truth_states, c.truth_states)
     assert not np.array_equal(a.measurements, c.measurements)
-    d = generate_truth_and_measurements(load_config(overrides={**SMALL, "seed": 99}))
+    d = generate_truth_and_measurements(load_config(overrides={**SMALL_CONFIG, "seed": 99}))
     assert not np.array_equal(a.truth_states, d.truth_states)
 
 
 def test_noiseless_measurements_equal_truth_temperature():
-    cfg = load_config(overrides={**SMALL, "noise": {"sigma_T": 0.0, "obs_variance": 0.0}})
+    cfg = load_config(overrides={**SMALL_CONFIG, "noise": {"sigma_T": 0.0, "obs_variance": 0.0}})
     truth = generate_truth_and_measurements(cfg)
     np.testing.assert_array_equal(truth.measurements, truth.truth_states[1:, 2])
 
@@ -107,7 +99,7 @@ def test_measurements_come_from_the_model_measure(monkeypatch):
             exp, model=dataclasses.replace(exp.model, measure=lambda t, x: x[0:1]))
 
     monkeypatch.setattr(harness, "default_experiment_model", measure_ca)
-    cfg = load_config(overrides={**SMALL, "noise": {"obs_variance": 0.0}})
+    cfg = load_config(overrides={**SMALL_CONFIG, "noise": {"obs_variance": 0.0}})
     truth = generate_truth_and_measurements(cfg)
     np.testing.assert_array_equal(truth.measurements, truth.truth_states[1:, 0])
 
@@ -262,16 +254,17 @@ def test_only_member_kinds_get_a_size(small_cfg):
 
 # model evaluations of one default run per kind (seed 20260816, 210 steps of
 # 10 substeps): field -> (calls, total columns); a state (n,) counts as one
-# column. The UKF's drift runs 4 RK4 stages on its 11 sigma points, the
-# members' at N = 1000; the diffusion runs once per prediction and flow value.
+# column, and so does the diffusion's one argument, an input (1,). The UKF's
+# drift runs 4 RK4 stages on its 11 sigma points, the members' at N = 1000;
+# the diffusion runs once per prediction and flow value.
 DEFAULT_RUN_WORK = {
     "ekf": {"constrain": (2100, 2100), "diffusion": (212, 212), "linearize": (8400, 8400),
             "measure": (210, 210), "measure_jacobian": (210, 210)},
-    "ukf": {"constrain": (2100, 23100), "diffusion": (212, 2332), "drift": (8400, 92400),
+    "ukf": {"constrain": (2100, 23100), "diffusion": (212, 212), "drift": (8400, 92400),
             "measure": (210, 1890)},
-    "enkf": {"constrain": (2101, 2101000), "diffusion": (210, 210000),
+    "enkf": {"constrain": (2101, 2101000), "diffusion": (210, 210),
              "drift": (2100, 2100000), "measure": (210, 210000)},
-    "pf": {"constrain": (2101, 2101000), "diffusion": (210, 210000),
+    "pf": {"constrain": (2101, 2101000), "diffusion": (210, 210),
            "drift": (2100, 2100000), "measure": (210, 210000)},
 }
 
@@ -284,12 +277,15 @@ def test_default_runs_evaluate_the_pinned_model_work():
     exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
                                    param_diffusion=config.sigma_theta)
     fields = ("drift", "diffusion", "measure", "linearize", "measure_jacobian", "constrain")
+    flows = {row.tobytes() for row in exp.flow.values}
     for kind, expected in DEFAULT_RUN_WORK.items():
-        tally = {}
+        tally, inputs = {}, []
 
         def counted(name, fn):
             def call(*args):
-                x = args[0] if name == "constrain" else args[1]
+                x = args[0] if name in ("constrain", "diffusion") else args[1]
+                if name == "diffusion":
+                    inputs.append(x.tobytes())
                 calls, columns = tally.get(name, (0, 0))
                 tally[name] = (calls + 1, columns + (x.shape[1] if np.ndim(x) == 2 else 1))
                 return fn(*args)
@@ -299,6 +295,7 @@ def test_default_runs_evaluate_the_pinned_model_work():
             exp.model, **{f: counted(f, getattr(exp.model, f)) for f in fields})
         assert run_one_filter(kind, config, truth, model, exp.flow).ok
         assert tally == expected, kind
+        assert set(inputs) <= flows, kind  # the diffusion sees the flow value alone
 
 
 def test_worker_count_env_cap(monkeypatch):
@@ -386,7 +383,7 @@ def test_sweep_rejects_bad_requests(small_cfg, small_truth):
 # -- uncertainty comparison ---------------------------------------------------
 
 def test_uncertainty_requires_big_oracle(small_truth):
-    cfg = load_config(overrides={**SMALL, "monte_carlo": {
+    cfg = load_config(overrides={**SMALL_CONFIG, "monte_carlo": {
         "ensemble_size": 50, "particle_count": 100, "oracle_particle_count": 500}})
     with pytest.raises(ValueError, match="10x"):
         uncertainty_comparison(cfg, small_truth)

@@ -1,4 +1,6 @@
 """Tests for the moment-ODE prediction and Joseph-form measurement update."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,26 +12,14 @@ from cdassim.harness import generate_truth_and_measurements, run_all_filters
 from cdassim.sde import DivergenceError, SdeModel
 
 from closedform import ou_transition
-from stages import constant, interval_inputs
-
-
-def scalar_ou(a=1.0, sigma=0.0):
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x + u,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
-        measure_jacobian=lambda t, x: np.array([[1.0]]),
-    )
+from stages import constant, interval_inputs, linear_sde
 
 
 def test_update_scalar_standard_values():
     # unit prior, unit observation noise, y = 1: gain 1/2, posterior (1/2, 1/2)
     post, e, Re = kalman_update(
         GaussianBelief(np.zeros(1), np.ones((1, 1))),
-        scalar_ou(), np.array([1.0]), np.array([[1.0]]))
+        linear_sde(1.0, 0.0), np.array([1.0]), np.array([[1.0]]))
     assert e[0] == pytest.approx(1.0)
     assert Re[0, 0] == pytest.approx(2.0)
     assert post.mean[0] == pytest.approx(0.5, abs=1e-14)
@@ -49,7 +39,7 @@ def test_update_joseph_form_keeps_covariance_psd():
         model = SdeModel(
             dim_state=n, dim_noise=n,
             drift=lambda t, x, u: np.zeros(n),
-            diffusion=lambda t, x, u: np.eye(n),
+            diffusion=lambda u: np.eye(n),
             measure=lambda t, x, C=C: C @ x,
             measure_jacobian=lambda t, x, C=C: C,
         )
@@ -65,7 +55,7 @@ def test_update_joseph_form_keeps_covariance_psd():
 
 def test_predict_exponential_decay():
     pred = ekf_predict(
-        scalar_ou(a=1.0), GaussianBelief(np.ones(1), np.ones((1, 1))),
+        linear_sde(1.0, 0.0), GaussianBelief(np.ones(1), np.ones((1, 1))),
         interval_inputs(constant(0.0), 0.0, 1.0, substeps=40), 1.0)
     assert pred.mean[0] == pytest.approx(np.exp(-1.0), rel=1e-7)
     assert pred.cov[0, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
@@ -73,7 +63,7 @@ def test_predict_exponential_decay():
 
 def test_predict_pure_diffusion_grows_variance_linearly():
     pred = ekf_predict(
-        scalar_ou(a=0.0, sigma=0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
+        linear_sde(0.0, 0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
         interval_inputs(constant(0.0), 0.0, 2.0, substeps=10), 2.0)
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
@@ -82,7 +72,7 @@ def test_predict_pure_diffusion_grows_variance_linearly():
 def test_predict_with_constant_input_matches_exact_transition():
     a, b, sigma = 0.8, 0.4, 0.6
     pred = ekf_predict(
-        scalar_ou(a=a, sigma=sigma), GaussianBelief(np.array([2.0]), np.array([[0.5]])),
+        linear_sde(a, sigma), GaussianBelief(np.array([2.0]), np.array([[0.5]])),
         interval_inputs(constant(b), 0.0, 0.7, substeps=50), 0.7)
     phi, shift, q = ou_transition(a, b, sigma, 0.7)
     assert pred.mean[0] == pytest.approx(phi * 2.0 + shift, rel=1e-8)
@@ -90,23 +80,16 @@ def test_predict_with_constant_input_matches_exact_transition():
 
 
 def test_predict_time_handling():
-    belief = GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ekf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 1.0), 1.0) is belief
+    model, belief = linear_sde(1.0, 0.0), GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
+    assert ekf_predict(model, belief, interval_inputs(constant(), 1.0, 1.0), 1.0) is belief
     with pytest.raises(ValueError):
-        ekf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5)
+        ekf_predict(model, belief, interval_inputs(constant(), 1.0, 0.5), 0.5)
 
 
 def test_predict_applies_constraint_to_mean():
-    model = SdeModel(
-        dim_state=1, dim_noise=1,
-        drift=lambda t, x, u: -5.0 * x,
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((-5.0 * x, [[-5.0]])),
-        constrain=lambda x: np.maximum(x, 0.5),
-    )
+    model = dataclasses.replace(linear_sde(5.0, 0.0), constrain=lambda x: np.maximum(x, 0.5))
     pred = ekf_predict(model, GaussianBelief(np.ones(1), np.ones((1, 1))),
-                       interval_inputs(constant(), 0.0, 2.0), 2.0)
+                       interval_inputs(constant(0.0), 0.0, 2.0), 2.0)
     assert pred.mean[0] == pytest.approx(0.5)
 
 
@@ -158,7 +141,7 @@ def test_moment_rate_is_the_drift_over_the_lyapunov_rate_bitwise():
         t, m, P = out.times[k], out.post_mean[k], out.post_cov[k]
         u = flow.at(t)
         block = model.linearize(t, m, u)
-        g = model.diffusion(t, m, u)
+        g = model.diffusion(u)
         AP = np.dot(block[1:], P)
         expected = np.vstack((block[0], AP + AP.T + g @ g.T))
         assert rhs(t, np.vstack((m, P)), u).tobytes() == expected.tobytes()
@@ -170,7 +153,7 @@ def test_predict_flags_divergence():
     model = SdeModel(
         dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
+        diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
         linearize=lambda t, x, u: np.vstack((x**3, 3.0 * x**2)),
     )

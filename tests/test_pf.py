@@ -15,19 +15,9 @@ from cdassim.filters.pf import (
     systematic_resample,
 )
 from cdassim.filters.runner import STREAM_INIT, STREAM_PROPAGATE, FilterConfig, run_filter
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
+from cdassim.sde import DivergenceError, NoiseStream, propagate_members
 
-from stages import ESS_HALF, constant, interval_inputs
-
-
-def brownian_model(sigma=1.0):
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: np.zeros_like(x),
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-    )
+from stages import ESS_HALF, constant, interval_inputs, linear_sde
 
 
 def uniform_particles(values, time=0.0):
@@ -41,7 +31,7 @@ def assimilate(model, ps, t1, y, R, stream, policy):
     Returns (propagated set, reweighted set, set after the policy, ESS,
     whether it resampled); the offset comes from ``stream.child(0)``.
     """
-    propagated = pf_predict(model, ps, interval_inputs(constant(), ps.time, t1), t1,
+    propagated = pf_predict(model, ps, interval_inputs(constant(0.0), ps.time, t1), t1,
                             stream.generator())
     weighted, _, _ = pf_update(propagated, model, np.array([y]), np.array([[R]]))
     out, ess, resampled = pf_resample(weighted, policy, stream.child(0).generator())
@@ -120,7 +110,7 @@ def test_systematic_resample_counts_stay_within_strata_bounds():
 
 
 def test_pf_step_flat_likelihood_keeps_weights_uniform():
-    model = brownian_model(sigma=0.1)
+    model = linear_sde(0.0, 0.1)
     ps = uniform_particles(np.linspace(-1.0, 1.0, 200))
     prior, weighted, out, ess, resampled = assimilate(model, ps, 1.0, 0.0, 1e12,
                                                       NoiseStream(40), ESS_HALF)
@@ -134,7 +124,7 @@ def test_pf_step_flat_likelihood_keeps_weights_uniform():
 
 def test_pf_step_sharp_likelihood_concentrates_and_resamples():
     rng = np.random.default_rng(6)
-    model = brownian_model(sigma=1e-3)
+    model = linear_sde(0.0, 1e-3)
     ps = uniform_particles(rng.standard_normal(4000))
     _, weighted, out, ess, resampled = assimilate(model, ps, 0.1, 2.0, 0.01, NoiseStream(41),
                                                   ESS_HALF)
@@ -146,7 +136,7 @@ def test_pf_step_sharp_likelihood_concentrates_and_resamples():
 
 def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
     # the far cluster underflows to zero weight without breaking the update
-    model = brownian_model(sigma=1e-3)
+    model = linear_sde(0.0, 1e-3)
     values = np.concatenate([np.zeros(50), np.full(50, 100.0)])
     ps = uniform_particles(values)
     _, _, out, ess, _ = assimilate(model, ps, 0.1, 0.0, 0.01, NoiseStream(42),
@@ -160,7 +150,7 @@ def test_pf_step_innovation_is_taken_under_the_incoming_weights():
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 1.0, 50)
     ps = ParticleSet(rng.standard_normal((1, 50)), w / w.sum(), 0.5)
-    weighted, e, Re = pf_update(ps, brownian_model(), np.array([0.7]), np.array([[0.3]]))
+    weighted, e, Re = pf_update(ps, linear_sde(0.0, 1.0), np.array([0.7]), np.array([[0.3]]))
     yhat = ps.particles[0] @ ps.weights
     assert e[0] == pytest.approx(0.7 - yhat, abs=1e-14)
     assert Re[0, 0] == pytest.approx(((ps.particles[0] - yhat) ** 2) @ ps.weights + 0.3,
@@ -170,16 +160,16 @@ def test_pf_step_innovation_is_taken_under_the_incoming_weights():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_pf_step_raises_when_every_weight_underflows():
-    model = brownian_model(sigma=1e-3)
+    model = linear_sde(0.0, 1e-3)
     ps = uniform_particles(np.zeros(20))
-    propagated = pf_predict(model, ps, interval_inputs(constant(), 0.0, 0.1), 0.1,
+    propagated = pf_predict(model, ps, interval_inputs(constant(0.0), 0.0, 0.1), 0.1,
                             NoiseStream(43).generator())
     with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
         pf_update(propagated, model, np.array([1e200]), np.array([[1.0]]))
 
 
 def test_pf_step_never_policy_keeps_weighted_set():
-    model = brownian_model(sigma=1e-3)
+    model = linear_sde(0.0, 1e-3)
     rng = np.random.default_rng(9)
     ps = uniform_particles(rng.standard_normal(500))
     _, weighted, out, _, resampled = assimilate(model, ps, 0.1, 1.5, 0.04, NoiseStream(44),
@@ -192,7 +182,7 @@ def test_pf_step_never_policy_keeps_weighted_set():
 def test_pf_step_stream_layout_matches_documented_contract():
     # step k propagates from stream.child(1).child(k) itself and draws its
     # resampling offset from that stream's child 0
-    model = brownian_model(sigma=0.5)
+    model = linear_sde(0.0, 0.5)
     init = GaussianBelief(np.array([0.0]), np.array([[4.0]]))
     root = NoiseStream(45)
     times, ys, N = np.array([0.5, 1.0]), np.array([0.3, -0.2]), 30
@@ -200,14 +190,14 @@ def test_pf_step_stream_layout_matches_documented_contract():
     run = run_filter("pf", model, FilterConfig(initial=init, obs_cov=np.array([[0.25]]),
                                                stream=root, substeps=10, size=N,
                                                resample=always),
-                     times, ys, constant())
+                     times, ys, constant(0.0))
     X = init.mean[:, None] + chol_psd(init.cov) @ (
         root.child(STREAM_INIT).generator().standard_normal((1, N)))
     w = np.full(N, 1.0 / N)
     t0 = 0.0
     for k, t1 in enumerate(times):
         step = root.child(STREAM_PROPAGATE).child(k)
-        X = propagate_members(model, X, interval_inputs(constant(), t0, t1), t0, t1,
+        X = propagate_members(model, X, interval_inputs(constant(0.0), t0, t1), t0, t1,
                               step.generator())
         assert np.array_equal(run.prior_mean[k], X @ w)
         z = (ys[k] - X[0]) / 0.5
@@ -221,7 +211,7 @@ def test_pf_step_stream_layout_matches_documented_contract():
 
 
 def test_pf_step_is_reproducible_per_stream():
-    model = brownian_model()
+    model = linear_sde(0.0, 1.0)
     rng = np.random.default_rng(10)
     ps = uniform_particles(rng.standard_normal(100))
     a = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]

@@ -129,7 +129,7 @@ def test_joseph_update_equals_standard_form(case):
     n = belief.dim
     model = SdeModel(dim_state=n, dim_noise=n,
                      drift=lambda t, x, u: np.zeros_like(x),
-                     diffusion=lambda t, x, u: np.eye(n),
+                     diffusion=lambda u: np.eye(n),
                      measure=lambda t, x: C @ x,
                      measure_jacobian=lambda t, x: C)
     post, e, _ = kalman_update(belief, model, y, R)

@@ -24,24 +24,12 @@ from cdassim.filters.runner import (
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
 from closedform import scalar_kalman
-from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs
-from test_acceptance import OU_DT, OU_M0, OU_P0, OU_R, _ou_model
+from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs, linear_sde
+from test_acceptance import OU_A, OU_DT, OU_INPUT, OU_M0, OU_P0, OU_R, OU_SIGMA
 
 A, B_IN, SIGMA, R_OBS = 0.4, 0.2, 0.6, 0.25
-U_IN = constant(B_IN)
+MODEL, U_IN = linear_sde(A, SIGMA), constant(B_IN)
 M0, P0 = 0.0, 1.0
-
-
-def ou_model(a=A, sigma=SIGMA):
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x + u,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
-        measure_jacobian=lambda t, x: np.array([[1.0]]),
-    )
 
 
 def kind_settings(kind):
@@ -57,9 +45,8 @@ def base_config(kind, **kw):
 
 @pytest.fixture(scope="module")
 def ou_data():
-    model = ou_model()
     stream = NoiseStream(4242)
-    times, states = euler_maruyama_path(model, np.array([0.5]), U_IN, 0.0, 15.0, 0.05,
+    times, states = euler_maruyama_path(MODEL, np.array([0.5]), U_IN, 0.0, 15.0, 0.05,
                                         stream.child(0))
     idx = np.arange(10, len(times), 10)
     rng = stream.child(1).generator()
@@ -69,23 +56,21 @@ def ou_data():
 
 def test_rejects_bad_requests(ou_data):
     times, ys = ou_data
-    model = ou_model()
     cfg = base_config("ekf")
     with pytest.raises(ValueError):
-        run_filter("kf", model, cfg, times, ys, U_IN)
+        run_filter("kf", MODEL, cfg, times, ys, U_IN)
     with pytest.raises(ValueError):
-        run_filter("ekf", model, cfg, times[::-1], ys, U_IN)
+        run_filter("ekf", MODEL, cfg, times[::-1], ys, U_IN)
     with pytest.raises(ValueError):
-        run_filter("ekf", model, cfg, times, ys[:-1], U_IN)
+        run_filter("ekf", MODEL, cfg, times, ys[:-1], U_IN)
     with pytest.raises(ValueError):
-        run_filter("enkf", model, base_config("enkf", stream=None), times, ys, U_IN)  # no stream
+        run_filter("enkf", MODEL, base_config("enkf", stream=None), times, ys, U_IN)  # no stream
 
 
 def test_zero_measurements_returns_initial_belief():
-    model = ou_model()
     for kind in FILTER_KINDS:
         cfg = base_config(kind)
-        out = run_filter(kind, model, cfg, [], np.zeros((0, 1)), U_IN)
+        out = run_filter(kind, MODEL, cfg, [], np.zeros((0, 1)), U_IN)
         assert out.times.size == 0
         assert out.initial is cfg.initial
         assert out.prior_mean.shape == out.post_mean.shape == (0, 1)
@@ -100,11 +85,10 @@ def test_zero_measurements_returns_initial_belief():
 
 def test_gaussian_filters_match_closed_form(ou_data):
     times, ys = ou_data
-    model = ou_model()
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     tols = {"ekf": (1e-8, 1e-8), "ukf": (5e-3, 1e-2)}
     for kind, (mean_atol, var_rtol) in tols.items():
-        out = run_filter(kind, model, base_config(kind), times, ys, u=U_IN)
+        out = run_filter(kind, MODEL, base_config(kind), times, ys, u=U_IN)
         assert out.times.size == times.size
         assert np.allclose(out.prior_mean[:, 0], oracle["prior_mean"], atol=mean_atol)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=mean_atol)
@@ -118,13 +102,12 @@ def test_gaussian_filters_match_closed_form(ou_data):
 
 def test_sample_filters_track_closed_form(ou_data):
     times, ys = ou_data
-    model = ou_model()
     oracle = scalar_kalman(A, B_IN, SIGMA, R_OBS, M0, P0, times, ys)
     for kind, cfg in (
         ("enkf", base_config("enkf", stream=NoiseStream(2024, 1), size=4000)),
         ("pf", base_config("pf", stream=NoiseStream(2024, 2), size=4000)),
     ):
-        out = run_filter(kind, model, cfg, times, ys, u=U_IN)
+        out = run_filter(kind, MODEL, cfg, times, ys, u=U_IN)
         assert np.allclose(out.post_mean[:, 0], oracle["post_mean"], atol=0.06)
         assert np.allclose(out.post_cov[:, 0, 0], oracle["post_var"], rtol=0.2)
     assert np.all(out.ess > 100.0)  # the linear problem keeps the PF healthy
@@ -132,12 +115,11 @@ def test_sample_filters_track_closed_form(ou_data):
 
 def test_enkf_run_is_reproducible_and_seed_sensitive(ou_data):
     times, ys = ou_data
-    model = ou_model()
-    a = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(5), size=50),
+    a = run_filter("enkf", MODEL, base_config("enkf", stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    b = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(5), size=50),
+    b = run_filter("enkf", MODEL, base_config("enkf", stream=NoiseStream(5), size=50),
                    times, ys, u=U_IN)
-    c = run_filter("enkf", model, base_config("enkf", stream=NoiseStream(6), size=50),
+    c = run_filter("enkf", MODEL, base_config("enkf", stream=NoiseStream(6), size=50),
                    times, ys, u=U_IN)
     assert np.array_equal(a.post_mean, b.post_mean)
     assert np.array_equal(a.post_cov, b.post_cov)
@@ -149,7 +131,7 @@ def test_every_kind_replays_through_the_step_contract():
     # its policy; the sample kinds draw from stream.child(role).child(k), and
     # the PF's resampling offset from child 0 of its propagation stream, each
     # through one generator per role seated at that stream before the draw
-    model = _ou_model()
+    model = linear_sde(OU_A, OU_SIGMA)
     times = OU_DT * np.arange(1, 4)
     ys = np.array([5.3, 4.6, 5.1])
     R = np.array([[OU_R]])
@@ -182,10 +164,10 @@ def test_every_kind_replays_through_the_step_contract():
                     **({"stream": root, "size": N} if kind in SAMPLE_KINDS else {}),
                     **({"resample": always} if kind == "pf" else {})}
         out = run_filter(kind, model, FilterConfig(initial=init, obs_cov=R, **settings),
-                         times, ys, constant())
+                         times, ys, OU_INPUT)
         summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
         for k, t1 in enumerate(times):
-            state = predict(state, interval_inputs(constant(), state.time, t1), t1, k)
+            state = predict(state, interval_inputs(OU_INPUT, state.time, t1), t1, k)
             prior = summary(state)
             state, e, Re = update(state, ys[k:k + 1], k)
             post = summary(state)
@@ -216,7 +198,7 @@ def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypat
     counts = []
     for n_steps in (1, 3, times.size):
         built.clear()
-        out = run_filter(kind, ou_model(), cfg, times[:n_steps], ys[:n_steps], u=U_IN)
+        out = run_filter(kind, MODEL, cfg, times[:n_steps], ys[:n_steps], u=U_IN)
         assert out.times.size == n_steps
         counts.append(len(built))
     assert counts == [3, 3, 3]
@@ -226,7 +208,7 @@ def test_failures_carry_step_information():
     model = SdeModel(
         dim_state=1, dim_noise=1,
         drift=lambda t, x, u: x**3,
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
+        diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
     )
     cfg = FilterConfig(initial=GaussianBelief(np.array([50.0]), np.array([[1.0]])),
@@ -242,7 +224,7 @@ def test_failures_carry_step_information():
 def test_linear_algebra_failure_is_a_divergence_with_step_information():
     # an infinite measurement Jacobian makes the innovation covariance
     # non-finite, so the gain's Cholesky solve fails inside the update
-    model = dataclasses.replace(ou_model(), measure_jacobian=lambda t, x: np.array([[np.inf]]))
+    model = dataclasses.replace(MODEL, measure_jacobian=lambda t, x: np.array([[np.inf]]))
     with pytest.raises(FilterRunError) as err:
         run_filter("ekf", model, base_config("ekf"), [1.0], [[0.0]], U_IN)
     assert type(err.value.__cause__) is DivergenceError
@@ -278,7 +260,7 @@ def test_each_kind_runs_with_only_what_it_reads(ou_data, kind):
     given = {f for f in ("stream", "scaling", "size", "resample") if getattr(cfg, f) is not None}
     assert given == {"ekf": set(), "ukf": {"scaling"}, "enkf": {"stream", "size"},
                      "pf": {"stream", "size", "resample"}}[kind]
-    out = run_filter(kind, ou_model(), cfg, times[:3], ys[:3], U_IN)
+    out = run_filter(kind, MODEL, cfg, times[:3], ys[:3], U_IN)
     assert np.all(np.isfinite(out.post_mean)) and np.all(np.isfinite(out.post_cov))
 
 
@@ -295,7 +277,7 @@ def test_missing_setting_is_rejected_before_the_run(ou_data, monkeypatch, kind, 
 
     monkeypatch.setattr(runner, "rk4_inputs", untouched)
     monkeypatch.setattr(runner, "FilterOutput", untouched)
-    model = dataclasses.replace(ou_model(), drift=untouched, diffusion=untouched,
+    model = dataclasses.replace(MODEL, drift=untouched, diffusion=untouched,
                                 measure=untouched, linearize=untouched,
                                 measure_jacobian=untouched)
     cfg = base_config(kind)
@@ -325,7 +307,7 @@ def test_obs_cov_must_be_square_symmetric_positive_definite(obs_cov, problem):
 def test_ekf_needs_closed_form_derivatives(ou_data, field):
     # checked first: the mismatched measurements below are never looked at
     times, ys = ou_data
-    model = dataclasses.replace(ou_model(), **{field: None})
+    model = dataclasses.replace(MODEL, **{field: None})
     with pytest.raises(ValueError, match=f"ekf needs the model's {field}"):
         run_filter("ekf", model, base_config("ekf"), times, ys[:-1], U_IN)
     for kind in ("ukf", "enkf", "pf"):  # the other filters never call either

@@ -15,17 +15,7 @@ from cdassim.sde import (
     rk4_step,
 )
 
-from stages import constant, euler_maruyama_path, fd_jacobian, interval_inputs
-
-
-def linear_model(a: float, sigma: float) -> SdeModel:
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-    )
+from stages import constant, euler_maruyama_path, fd_jacobian, interval_inputs, linear_sde
 
 
 class FixedNormals:
@@ -96,27 +86,28 @@ class TestEulerMaruyamaStep:
 
     def test_zero_drift_zero_noise_is_identity(self):
         x = np.array([[3.0]])
-        out = propagate_members(linear_model(0.0, 0.0), x, interval_inputs(constant(), 0.0, 0.1, 1),
-                                0.0, 0.1, NoiseStream(seed=1).generator())
+        out = propagate_members(linear_sde(0.0, 0.0), x,
+                                interval_inputs(constant(0.0), 0.0, 0.1, 1), 0.0, 0.1,
+                                NoiseStream(seed=1).generator())
         assert np.array_equal(out, x)
 
     def test_deterministic_linear_step(self):
-        out = propagate_members(linear_model(1.0, 0.0), np.array([[1.0]]),
-                                interval_inputs(constant(), 0.0, 0.1, 1), 0.0, 0.1,
+        out = propagate_members(linear_sde(1.0, 0.0), np.array([[1.0]]),
+                                interval_inputs(constant(0.0), 0.0, 0.1, 1), 0.0, 0.1,
                                 NoiseStream(seed=1).generator())
         assert out[0, 0] == pytest.approx(0.9)
 
     def test_noise_enters_linearly(self):
         # h = 0.25, so a standard normal of 1 is the increment dw = 0.5
-        out = propagate_members(linear_model(0.0, 2.0), np.array([[0.0]]),
-                                interval_inputs(constant(), 0.0, 0.25, 1), 0.0, 0.25,
+        out = propagate_members(linear_sde(0.0, 2.0), np.array([[0.0]]),
+                                interval_inputs(constant(0.0), 0.0, 0.25, 1), 0.0, 0.25,
                                 FixedNormals(1.0))
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_batch_states(self):
         dw = np.array([0.1, 0.0, -0.1])
-        out = propagate_members(linear_model(1.0, 1.0), np.array([[1.0, 2.0, 4.0]]),
-                                interval_inputs(constant(), 0.0, 0.5, 1), 0.0, 0.5,
+        out = propagate_members(linear_sde(1.0, 1.0), np.array([[1.0, 2.0, 4.0]]),
+                                interval_inputs(constant(0.0), 0.0, 0.5, 1), 0.0, 0.5,
                                 FixedNormals(dw / np.sqrt(0.5)))
         assert out.shape == (1, 3)
         assert np.allclose(out, [[0.6, 1.0, 1.9]])
@@ -125,7 +116,7 @@ class TestEulerMaruyamaStep:
         bad = SdeModel(
             dim_state=1, dim_noise=1,
             drift=lambda t, x, u: np.array([np.inf]),
-            diffusion=lambda t, x, u: np.array([[1.0]]),
+            diffusion=lambda u: np.array([[1.0]]),
             measure=lambda t, x: x,
         )
         with pytest.raises(DivergenceError, match="non-finite drift/diffusion at t=0.0"):
@@ -141,7 +132,7 @@ class TestSimulatePath:
         model = SdeModel(
             dim_state=1, dim_noise=1,
             drift=lambda t, x, u: seen.append(t) or -0.5 * x,
-            diffusion=lambda t, x, u: np.array([[0.1]]),
+            diffusion=lambda u: np.array([[0.1]]),
             measure=lambda t, x: x,
         )
         out = propagate_members(model, np.ones((1, 3)), interval_inputs(constant(), 0.0, 2.0, 8),
@@ -151,8 +142,8 @@ class TestSimulatePath:
 
     def test_determinism_bitwise(self):
         def path():
-            return propagate_members(linear_model(0.1, 0.3), np.ones((1, 5)),
-                                     interval_inputs(constant(), 0.0, 1.0, 100), 0.0, 1.0,
+            return propagate_members(linear_sde(0.1, 0.3), np.ones((1, 5)),
+                                     interval_inputs(constant(0.0), 0.0, 1.0, 100), 0.0, 1.0,
                                      NoiseStream(seed=11, stream_id=2).generator())
         assert np.array_equal(path(), path())
 
@@ -168,7 +159,7 @@ class TestSimulatePath:
         m = SdeModel(
             dim_state=1, dim_noise=1,
             drift=lambda t, x, u: np.full_like(x, -10.0),
-            diffusion=lambda t, x, u: np.array([[0.0]]),
+            diffusion=lambda u: np.array([[0.0]]),
             measure=lambda t, x: x,
             constrain=lambda x: np.maximum(x, 0.0, out=x),
         )
@@ -190,7 +181,7 @@ class TestSimulatePath:
         m = SdeModel(
             dim_state=1, dim_noise=1,
             drift=lambda t, x, u: u - x,
-            diffusion=lambda t, x, u: np.atleast_2d(0.3 * u),
+            diffusion=lambda u: np.atleast_2d(0.3 * u),
             measure=lambda t, x: x,
         )
         table = interval_inputs(p, 0.0, 1.0, 20)
@@ -215,7 +206,7 @@ class TestDrivenRows:
 
     @staticmethod
     def model(channels: int, driven: dict) -> SdeModel:
-        def diffusion(t, x, u):
+        def diffusion(u):
             g = np.zeros((4, channels))
             for row, scales in driven.items():
                 g[row] = u[0] * np.array(scales[:channels])
@@ -247,15 +238,16 @@ class TestDrivenRows:
                                       [row in self.PATTERNS[pattern] for row in range(4)])
 
 
-def gbm_bundle_model(mu: float, nu: float, n_paths: int) -> SdeModel:
+def gbm_bundle_model(mu: float, n_paths: int) -> SdeModel:
     # n_paths independent GBM copies as one diagonal system, so the order
     # study runs through the reference path without a Python loop per path;
-    # its diffusion depends on the state, which only the reference accepts.
+    # its noise nu x dw depends on the state, so no diffusion(u) can state
+    # it: the reference path takes it as its own sigma(t, x, u)
     return SdeModel(
         dim_state=n_paths,
         dim_noise=n_paths,
         drift=lambda t, x, u: mu * x,
-        diffusion=lambda t, x, u: np.diag(nu * x),
+        diffusion=None,
         measure=lambda t, x: x,
     )
 
@@ -269,7 +261,7 @@ def gbm_coupled_errors(n_paths: int, dts: list[float], mu: float, nu: float,
     the weak error can be estimated as a coupled mean difference whose
     variance is of the order of the squared strong error.
     """
-    model = gbm_bundle_model(mu, nu, chunk)
+    model = gbm_bundle_model(mu, chunk)
     root = NoiseStream(seed=seed, stream_id=0)
     strong = np.zeros(len(dts))
     weak = np.zeros(len(dts))
@@ -278,7 +270,7 @@ def gbm_coupled_errors(n_paths: int, dts: list[float], mu: float, nu: float,
         for c in range(n_paths // chunk):
             stream = root.child(j).child(c)
             times, states = euler_maruyama_path(model, np.ones(chunk), constant(), 0.0, 1.0, dt,
-                                                stream)
+                                                stream, lambda t, x, u: np.diag(nu * x))
             w_total = increments(stream, (len(times) - 1, chunk), dt).sum(axis=0)
             exact = np.exp((mu - 0.5 * nu**2) * 1.0 + nu * w_total)
             diffs.append(states[-1] - exact)

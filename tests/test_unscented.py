@@ -1,4 +1,6 @@
 """Tests for the sigma-point machinery and the unscented filter steps."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,7 @@ from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_sigma_points,
 from cdassim.sde import SdeModel
 
 from closedform import ou_transition
-from stages import UNIT_SCALING, constant, interval_inputs
-
-
-def scalar_ou(a=1.0, sigma=0.0):
-    return SdeModel(
-        dim_state=1,
-        dim_noise=1,
-        drift=lambda t, x, u: -a * x + u,
-        diffusion=lambda t, x, u: np.array([[sigma]]),
-        measure=lambda t, x: x,
-        linearize=lambda t, x, u: np.vstack((-a * x + u, [[-a]])),
-        measure_jacobian=lambda t, x: np.array([[1.0]]),
-    )
+from stages import UNIT_SCALING, constant, interval_inputs, linear_sde
 
 
 def test_scaling_validation():
@@ -97,7 +87,7 @@ def test_transform_mean_accurate_for_sine():
 
 
 def test_predict_matches_moment_ode_for_linear_sde():
-    model = scalar_ou(a=1e-3, sigma=1.0)
+    model = linear_sde(1e-3, 1.0)
     belief = GaussianBelief(np.array([2.0]), np.array([[0.5]]))
     u = interval_inputs(constant(0.01), 0.0, 0.1, substeps=10)
     by_ode = ekf_predict(model, belief, u, 0.1)
@@ -108,30 +98,24 @@ def test_predict_matches_moment_ode_for_linear_sde():
 
 def test_predict_pure_diffusion_is_exact():
     pred = ukf_predict(
-        scalar_ou(a=0.0, sigma=0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
+        linear_sde(0.0, 0.7), GaussianBelief(np.zeros(1), 0.25 * np.ones((1, 1))),
         interval_inputs(constant(0.0), 0.0, 2.0, substeps=7), 2.0, UNIT_SCALING)
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
 
 
 def test_predict_time_handling():
-    belief = GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 1.0), 1.0,
+    model, belief = linear_sde(1.0, 0.0), GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
+    assert ukf_predict(model, belief, interval_inputs(constant(), 1.0, 1.0), 1.0,
                        UNIT_SCALING) is belief
     with pytest.raises(ValueError):
-        ukf_predict(scalar_ou(), belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UNIT_SCALING)
+        ukf_predict(model, belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UNIT_SCALING)
 
 
 def test_predict_applies_constraint_to_points():
-    model = SdeModel(
-        dim_state=1, dim_noise=1,
-        drift=lambda t, x, u: -5.0 * x,
-        diffusion=lambda t, x, u: np.zeros((1, 1)),
-        measure=lambda t, x: x,
-        constrain=lambda x: np.maximum(x, 0.5),
-    )
+    model = dataclasses.replace(linear_sde(5.0, 0.0), constrain=lambda x: np.maximum(x, 0.5))
     pred = ukf_predict(model, GaussianBelief(np.ones(1), 0.01 * np.ones((1, 1))),
-                       interval_inputs(constant(), 0.0, 2.0), 2.0, UNIT_SCALING)
+                       interval_inputs(constant(0.0), 0.0, 2.0), 2.0, UNIT_SCALING)
     assert pred.mean[0] == pytest.approx(0.5)
     assert pred.cov[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -148,7 +132,7 @@ def test_update_matches_kalman_for_linear_measure():
     model = SdeModel(
         dim_state=n, dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
-        diffusion=lambda t, x, u: np.eye(n),
+        diffusion=lambda u: np.eye(n),
         measure=lambda t, x: C @ x,
         measure_jacobian=lambda t, x: C,
     )
@@ -180,7 +164,7 @@ def test_update_weakly_nonlinear_against_sampling_oracle():
     model = SdeModel(
         dim_state=1, dim_noise=1,
         drift=lambda t, x, u: np.zeros(1),
-        diffusion=lambda t, x, u: np.eye(1),
+        diffusion=lambda u: np.eye(1),
         measure=lambda t, x: h(x),
     )
     post, _, _ = ukf_update(GaussianBelief(np.array([m0]), np.array([[P0]])),
