@@ -154,8 +154,7 @@ def _reduced_comparison(config: ExperimentConfig):
                                cstr.cstr2_drift(z[4], z[5], F, params),
                                (cstr.cstr1_drift(z[6], F, params),)))
 
-    z = np.array([params.CA_in, params.CB_in, params.T_in, params.beta,
-                  0.0, params.T_in, params.T_in])
+    z = np.array([cstr.CA_IN, cstr.CB_IN, cstr.T_IN, params.beta, 0.0, cstr.T_IN, cstr.T_IN])
     temps = [(0.0, z[2], z[5], z[6])]
     times = config.sample_times()
     t0 = 0.0

@@ -16,21 +16,22 @@ flow/temperature curve with its ignition fold, and analytic Jacobians.
 The twin experiment's values (initial states, the true and guessed beta,
 sigma_T, the observation variance and the flow schedule) live only in the
 packaged ``data/default_config.json``; :mod:`cdassim.config` turns them into
-:class:`CstrParams` and the flow profile. This module holds the reactor's
-physical constants alone.
+:class:`CstrParams` and the flow profile. The reactor's physical constants
+are this module's constants, which every kernel reads directly.
 
 Units: seconds, Kelvin, mol/L, L/s throughout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from cdassim.sde import PiecewiseConstant, SdeModel
 
 __all__ = [
+    "K0", "EA_R", "V", "CA_IN", "CB_IN", "T_IN",
     "CstrParams",
     "CstrExperiment",
     "rate_constant",
@@ -45,57 +46,56 @@ __all__ = [
     "default_experiment_model",
 ]
 
+K0 = math.exp(24.6)  # Arrhenius prefactor, L/(mol s)
+EA_R = 8500.0        # activation energy over the gas constant, K
+V = 0.105            # reactor volume, L
+CA_IN = 0.8          # feed concentration of A, mol/L
+CB_IN = 1.2          # feed concentration of B, mol/L
+T_IN = 273.65        # feed temperature, K
+
 
 @dataclass(frozen=True, kw_only=True)
 class CstrParams:
-    """Reactor constants.
+    """The twin experiment's two reactor values; the constants are the module's.
 
     ``beta`` is the adiabatic heat-rise coefficient in K.L/mol; its sign
     encodes the reaction type (positive for exothermic). The joint model's
     kernels read beta from the state, so ``beta`` here serves only the
-    reduced models and the steady-state curve. ``beta`` and ``sigma_T``
-    belong to the twin experiment and have no default: the config supplies
-    both (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
+    reduced models and the steady-state curve. ``sigma_T`` scales the
+    temperature diffusion. Neither has a default: the config supplies both
+    (:meth:`cdassim.config.ExperimentConfig.cstr_params`).
     """
 
-    k0: float = math.exp(24.6)  # L/(mol s)
-    EaR: float = 8500.0         # K
-    V: float = 0.105            # L
-    CA_in: float = 0.8          # mol/L
-    CB_in: float = 1.2          # mol/L
-    T_in: float = 273.65        # K
-    beta: float                 # K L/mol
-    sigma_T: float              # K
+    beta: float     # K L/mol
+    sigma_T: float  # K
 
     def __post_init__(self):
-        for name in ("k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
         if self.beta == 0:
             raise ValueError("beta must be nonzero (adiabatic relations divide by it)")
         if self.sigma_T < 0:
             raise ValueError("sigma_T must be non-negative")
 
-    # per batch width m > 1: the read-only (4, m) feed [CA_in, CB_in, T_in, 0]
-    # and (3, m) reaction signs [-1, -2, 0], so that no drift op broadcasts a
-    # column; one column takes the float rates of cstr3_linearize and no table
-    tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def width_tables(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The drift's feed and sign tables for width ``m``, built on first use."""
-        feed = np.repeat([[self.CA_in], [self.CB_in], [self.T_in], [0.0]], m, axis=1)
-        signs = np.repeat([[-1.0], [-2.0], [0.0]], m, axis=1)
-        feed.setflags(write=False)
-        signs.setflags(write=False)
-        self.tables[m] = feed, signs
-        return feed, signs
+# the drift's read-only tables per batch width m > 1, built on first use from
+# the module constants (threads that race build equal ones; either is kept):
+# the (4, m) feed [CA_IN, CB_IN, T_IN, 0] and (3, m) signs [-1, -2, 0]
+_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def rate_constant(T, params: CstrParams):
-    """Arrhenius rate k(T) = k0 exp(-EaR / T); broadcasts over T."""
+def _width_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    feed = np.repeat([[CA_IN], [CB_IN], [T_IN], [0.0]], m, axis=1)
+    signs = np.repeat([[-1.0], [-2.0], [0.0]], m, axis=1)
+    feed.setflags(write=False)
+    signs.setflags(write=False)
+    _TABLES[m] = feed, signs
+    return feed, signs
+
+
+def rate_constant(T):
+    """Arrhenius rate k(T) = K0 exp(-EA_R / T); broadcasts over T."""
     # np.float64 reads T as np.asarray(T, dtype=float) does, but one value
     # becomes a scalar, whose arithmetic costs far less than a 0-d array's
-    return params.k0 * np.exp(-params.EaR / np.float64(T))
+    return K0 * np.exp(-EA_R / np.float64(T))
 
 
 def cstr3_drift(x, F, params: CstrParams):
@@ -103,7 +103,7 @@ def cstr3_drift(x, F, params: CstrParams):
 
     ``x`` is a column batch of shape ``(4, m)``; a single state, such as the
     truth's, is the ``(4, 1)`` column. Beta is read from the fourth row, and
-    its rate is zero; ``params.beta`` is not used.
+    its rate is zero; ``params``, the reduced kernels' argument, is not read.
 
     One column takes row 0 of :func:`cstr3_linearize`, its rates worked on
     Python floats, as a fresh ``(4, 1)`` column: for four numbers that costs
@@ -111,28 +111,28 @@ def cstr3_drift(x, F, params: CstrParams):
 
     A wider batch runs one ``exp`` over the temperature row and builds the
     reaction rate ``r`` in place; every other op works on whole row blocks
-    against the feed and sign tables that :meth:`CstrParams.width_tables`
-    keeps per width, because broadcasting a ``(4, 1)`` column across a wide
+    against the module cache ``_TABLES``'s feed and sign tables of the
+    batch's width, because broadcasting a ``(4, 1)`` column across a wide
     batch costs more than the arithmetic. The three state rows get
     ``FV * (feed - x) + signs * r``, with the temperature row's reaction
     term replaced by ``beta r``, and the beta row gets zero. Since
     ``a + (-b)`` is ``a - b`` and ``(-2) r`` is ``-(2 r)`` exactly, each
     element keeps the rounding of ``FV * (feed - x) - r`` with
-    ``FV = F / V`` and ``r = k0 exp(-EaR / T) CA CB``, so a column's rates
+    ``FV = F / V`` and ``r = K0 exp(-EA_R / T) CA CB``, so a column's rates
     are bitwise the same in any batch, one column included.
     """
     m = x.shape[1]
     if m == 1:
         return cstr3_linearize(x[:, 0], F, params)[0, :, None]
-    feed, signs = params.tables.get(m) or params.width_tables(m)
-    r = np.divide(-params.EaR, x[2])
+    feed, signs = _TABLES.get(m) or _width_tables(m)
+    r = np.divide(-EA_R, x[2])
     np.exp(r, out=r)
-    np.multiply(params.k0, r, out=r)
+    np.multiply(K0, r, out=r)
     r *= x[0]
     r *= x[1]
     out = np.subtract(feed, x)
     flow = out[:3]
-    flow *= F / params.V
+    flow *= F / V
     react = np.multiply(signs, r)
     np.multiply(x[3], r, out=react[2])
     flow += react
@@ -143,13 +143,14 @@ def cstr3_drift(x, F, params: CstrParams):
 def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
     """Rates of :func:`cstr3_drift` and their analytic state Jacobian at one state.
 
-    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns one fresh
-    ``(5, 4)`` block ``[f; A]``: the rates in row 0, then the Jacobian rows,
-    the layout of the EKF's moment block ``[m; P]``. Both come from a single
-    ``exp(-EaR/T)``, with dk/dT = k EaR/T^2, worked on Python floats, which
-    round exactly as numpy scalars do, so row 0 is bitwise the column of
-    :func:`cstr3_drift` in any batch. The EKF calls it for its moment
-    stages, and :func:`cstr3_drift` for a single column's rates.
+    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``, and ``params`` is not
+    read; returns one fresh ``(5, 4)`` block ``[f; A]``: the rates in row 0,
+    then the Jacobian rows, the layout of the EKF's moment block ``[m; P]``.
+    Both come from a single ``exp(-EA_R/T)``, with dk/dT = k EA_R/T^2,
+    worked on Python floats, which round exactly as numpy scalars do, so row
+    0 is bitwise the column of :func:`cstr3_drift` in any batch. The EKF
+    calls it for its moment stages, and :func:`cstr3_drift` for a single
+    column's rates.
     The beta column holds d(dT/dt)/d(beta), the reaction rate, and the beta
     row is zero. Where ``T * T`` is zero the rates are computed on numpy
     scalars, whose division by zero gives IEEE's infinities where Python's
@@ -161,17 +162,17 @@ def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
     if TT == 0.0:
         T = np.float64(T)
         TT = T * T
-    FV = float(F) / params.V
+    FV = float(F) / V
     # numpy's exp, not math.exp: the two differ in the last bit of some values
-    k = params.k0 * float(np.exp(-params.EaR / T))
-    kp = k * params.EaR / TT
+    k = K0 * float(np.exp(-EA_R / T))
+    kp = k * EA_R / TT
     kCA = k * CA
     kCB = k * CB
     kpAB = kp * CA * CB
     r = kCA * CB  # reaction rate, mol/(L s)
-    return np.array([FV * (params.CA_in - CA) - r,
-                     FV * (params.CB_in - CB) - 2.0 * r,
-                     FV * (params.T_in - T) + beta * r,
+    return np.array([FV * (CA_IN - CA) - r,
+                     FV * (CB_IN - CB) - 2.0 * r,
+                     FV * (T_IN - T) + beta * r,
                      0.0,
                      -FV - kCB, -kCA, -kpAB, 0.0,
                      -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB, 0.0,
@@ -182,47 +183,49 @@ def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
 def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
     """Reduced 2-state rates in (extent of reaction, temperature).
 
-    X = (CB_in - CB)/CB_in recovers CB = CB_in (1 - X) and, by stoichiometry,
-    CA = CA_in - (CB_in / 2) X.
+    X = (CB_IN - CB)/CB_IN recovers CB = CB_IN (1 - X) and, by stoichiometry,
+    CA = CA_IN - (CB_IN / 2) X.
     """
-    CA = params.CA_in - 0.5 * params.CB_in * X
-    CB = params.CB_in * (1.0 - X)
-    FV = F / params.V
-    r = rate_constant(T, params) * CA * CB
+    CA = CA_IN - 0.5 * CB_IN * X
+    CB = CB_IN * (1.0 - X)
+    FV = F / V
+    r = rate_constant(T) * CA * CB
     return np.array([
-        -FV * X + 2.0 * r / params.CB_in,
-        FV * (params.T_in - T) + params.beta * r,
+        -FV * X + 2.0 * r / CB_IN,
+        FV * (T_IN - T) + params.beta * r,
     ])
 
 
 def adiabatic_concentrations(T, params: CstrParams):
     """Concentrations implied by temperature along the adiabatic branch."""
-    rise = (np.float64(T) - params.T_in) / params.beta  # as in rate_constant
-    return params.CA_in - rise, params.CB_in - 2.0 * rise
+    rise = (np.float64(T) - T_IN) / params.beta  # as in rate_constant
+    return CA_IN - rise, CB_IN - 2.0 * rise
 
 
 def cstr1_drift(T, F, params: CstrParams) -> float:
     """Reduced 1-state temperature rate with CA, CB eliminated adiabatically."""
     CA, CB = adiabatic_concentrations(T, params)
-    r = rate_constant(T, params) * CA * CB
-    return F / params.V * (params.T_in - T) + params.beta * r
+    r = rate_constant(T) * CA * CB
+    return F / V * (T_IN - T) + params.beta * r
 
 
 def steady_state_range(params: CstrParams) -> tuple[float, float]:
-    """Open interval of temperatures with a physical steady state.
+    """Open interval ``(lo, hi)`` of temperatures with a physical steady state.
 
-    Above T_in the inflow can balance the heat release; the upper end is
-    where the limiting feed concentration is exhausted.
+    One end is T_IN, approached as the flow grows without bound; the other,
+    T_IN + beta min(CA_IN, CB_IN / 2), is where the limiting feed is
+    exhausted. That end lies above T_IN for an exothermic reaction
+    (beta > 0) and below it for an endothermic one.
     """
-    span = params.beta * min(params.CA_in, 0.5 * params.CB_in)
-    return params.T_in, params.T_in + span
+    end = T_IN + params.beta * min(CA_IN, 0.5 * CB_IN)
+    return min(T_IN, end), max(T_IN, end)
 
 
 def steady_state_flow(T_s: float, params: CstrParams) -> float:
     """Flow rate holding the reactor at temperature ``T_s``.
 
     Setting the three rates to zero couples the states through the adiabatic
-    relations and leaves F_s = V beta k(T_s) CA(T_s) CB(T_s) / (T_s - T_in).
+    relations and leaves F_s = V beta k(T_s) CA(T_s) CB(T_s) / (T_s - T_IN).
     """
     lo, hi = steady_state_range(params)
     if not lo < T_s < hi:
@@ -230,17 +233,18 @@ def steady_state_flow(T_s: float, params: CstrParams) -> float:
             f"T_s={T_s} is outside the admissible branch ({lo:.4f}, {hi:.4f})"
         )
     CA, CB = adiabatic_concentrations(T_s, params)
-    k = rate_constant(T_s, params)
-    return params.V * params.beta * k * CA * CB / (T_s - params.T_in)
+    k = rate_constant(T_s)
+    return V * params.beta * k * CA * CB / (T_s - T_IN)
 
 
 def steady_state_curve(params: CstrParams) -> tuple[np.ndarray, np.ndarray]:
     """Sample the steady-state flow curve F_s(T_s) across the admissible range.
 
-    400 temperatures, kept a margin of 0.25 K off both open endpoints, where
-    F_s blows up (lower) or the feed runs out (upper). The curve is
-    non-monotonic: the fold between its local extrema is what makes
-    ignition possible.
+    400 increasing temperatures, kept a margin of 0.25 K off both open
+    endpoints: F_s blows up toward T_IN, at the lower end for an exothermic
+    reaction and the upper for an endothermic one, and the feed runs out at
+    the other end. The exothermic curve is non-monotonic: the fold between
+    its local extrema is what makes ignition possible.
     """
     lo, hi = steady_state_range(params)
     margin = 0.25
@@ -285,7 +289,7 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
 
     def diffusion(u):
         g = np.zeros((4, dim_noise))
-        g[2, 0] = u[0] / params.V * params.sigma_T
+        g[2, 0] = u[0] / V * params.sigma_T
         if dim_noise == 2:
             g[3, 1] = param_diffusion
         return g

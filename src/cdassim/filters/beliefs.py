@@ -1,7 +1,7 @@
 """Posterior representations shared by the filters."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,18 +112,18 @@ def posterior_summary(sample) -> GaussianBelief:
 
 @dataclass
 class FilterOutput:
-    """Per-assimilation-step record of one filter run."""
+    """Per-assimilation-step record of one filter run; ``ess`` and ``resampled`` are the PF's."""
 
     initial: GaussianBelief
-    times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    prior_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    prior_cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    post_mean: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    post_cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    innovation: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    innovation_cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0)))
-    nis: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gain_condition: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    step_seconds: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    ess: np.ndarray | None = None
-    resampled: np.ndarray | None = None
+    times: np.ndarray
+    prior_mean: np.ndarray
+    prior_cov: np.ndarray
+    post_mean: np.ndarray
+    post_cov: np.ndarray
+    innovation: np.ndarray
+    innovation_cov: np.ndarray
+    nis: np.ndarray
+    gain_condition: np.ndarray
+    step_seconds: np.ndarray
+    ess: np.ndarray | None
+    resampled: np.ndarray | None

@@ -204,6 +204,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
 
     n_steps = times.size
     stage_inputs = rk4_inputs(u, config.initial.time, times, config.substeps)
+    state, predict, update, resample = _contract(kind, model, config)
+    summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
     out = FilterOutput(
         initial=config.initial,
         times=times.copy(),
@@ -216,13 +218,9 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         nis=np.empty(n_steps),
         gain_condition=np.empty(n_steps),
         step_seconds=np.empty(n_steps),
+        ess=None if resample is None else np.empty(n_steps),
+        resampled=None if resample is None else np.zeros(n_steps, dtype=bool),
     )
-
-    state, predict, update, resample = _contract(kind, model, config)
-    summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
-    if resample is not None:
-        out.ess = np.empty(n_steps)
-        out.resampled = np.zeros(n_steps, dtype=bool)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(n_steps):

@@ -77,16 +77,15 @@ class NoiseStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return self.seat(np.random.Generator(np.random.Philox(key=0)))
 
     def seat(self, gen: np.random.Generator) -> np.random.Generator:
         """Reposition ``gen`` at the start of this stream and return it.
 
-        ``gen`` is a generator built by :meth:`generator` of any stream. Its
-        Philox key becomes this stream's, its counter returns to 0 and its
-        buffered words are dropped, so what it draws next equals what a
-        fresh ``self.generator()`` draws, bit for bit, whatever ``gen`` drew
+        ``gen`` is a Philox generator, such as one from :meth:`generator`.
+        Its key becomes this stream's ``(seed, stream_id)``, which only this
+        method encodes, its counter returns to 0 and its buffered words are
+        dropped, so it next draws this stream bit for bit, whatever it drew
         before. This is far cheaper than building a generator, so a filter
         run builds one per noise role and seats it at every step.
         """

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from cdassim.config import load_config
-from cdassim.cstr import adiabatic_concentrations, cstr3_drift, default_experiment_model
+from cdassim.cstr import (
+    CA_IN,
+    CB_IN,
+    T_IN,
+    V,
+    adiabatic_concentrations,
+    cstr3_drift,
+    default_experiment_model,
+)
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
 from cdassim.filters.enkf import enkf_predict, enkf_update
 from cdassim.filters.pf import pf_predict, pf_update
@@ -282,7 +290,7 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     for T_s, F_s in zip(curve["T_s"], flow):
         ca, cb = adiabatic_concentrations(T_s, params)
         drift = cstr3_drift(np.array([[ca], [cb], [T_s], [params.beta]]), F_s, params)
-        scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
+        scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
         worst = max(worst, float(np.max(np.abs(drift))) / scale)
     print(f"criterion 9: {turns} turning points, worst drift residual {worst:.2e} of scale")
     assert turns >= 2

@@ -12,7 +12,16 @@ import pytest
 from cdassim import cli
 from cdassim.cli import parse_and_dispatch
 from cdassim.config import load_config
-from cdassim.cstr import adiabatic_concentrations, cstr1_drift, cstr2_drift, cstr3_drift
+from cdassim.cstr import (
+    CA_IN,
+    CB_IN,
+    T_IN,
+    V,
+    adiabatic_concentrations,
+    cstr1_drift,
+    cstr2_drift,
+    cstr3_drift,
+)
 from cdassim.harness import (
     ensemble_size_sweep,
     generate_truth_and_measurements,
@@ -87,18 +96,23 @@ def test_estimate_filter_subset(tmp_path, small_config_file):
 
 
 def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_file):
-    assert parse_and_dispatch(["steady-state", "--config", small_config_file,
-                               "--out", "curve"]) == 0
-    lines = _csv_lines(tmp_path / "curve" / "steady_state.csv")
-    assert lines[0] == "T_s,F_s"
-    assert len(lines) == 1 + 400
-    params = load_config(small_config_file).cstr_params()
-    for row in lines[1::20]:  # back-substitute a spread of rows
-        T_s, F_s = map(float, row.split(","))
-        CA, CB = adiabatic_concentrations(T_s, params)
-        d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s, params)
-        scale = F_s / params.V * max(params.CA_in, params.CB_in, T_s - params.T_in)
-        assert np.max(np.abs(d)) <= 1e-9 * scale
+    # the configured exothermic reactor, then an endothermic one, whose
+    # admissible temperatures lie below T_IN
+    for name, truth in (("curve", {}), ("endothermic", {"beta": -133.7792})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "truth": truth}))
+        assert parse_and_dispatch(["steady-state", "--config", str(path),
+                                   "--out", name]) == 0
+        lines = _csv_lines(tmp_path / name / "steady_state.csv")
+        assert lines[0] == "T_s,F_s"
+        assert len(lines) == 1 + 400
+        params = load_config(path).cstr_params()
+        for row in lines[1::20]:  # back-substitute a spread of rows
+            T_s, F_s = map(float, row.split(","))
+            CA, CB = adiabatic_concentrations(T_s, params)
+            d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s, params)
+            scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
+            assert np.max(np.abs(d)) <= 1e-9 * scale
 
 
 def test_sweep_writes_rows(tmp_path, small_config_file):
@@ -454,9 +468,9 @@ def _reduced_models_stepped_apart(cfg):
     f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
     f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
     f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
-    x3 = np.array([[params.CA_in], [params.CB_in], [params.T_in], [params.beta]])
-    x2 = np.array([0.0, params.T_in])
-    x1 = params.T_in
+    x3 = np.array([[CA_IN], [CB_IN], [T_IN], [params.beta]])
+    x2 = np.array([0.0, T_IN])
+    x1 = T_IN
     rows = [(0.0, x3[2, 0], x2[1], x1)]
     times = cfg.sample_times()
     t0 = 0.0

@@ -12,8 +12,15 @@ import math
 import numpy as np
 import pytest
 
+from cdassim import cstr
 from cdassim.config import load_config
 from cdassim.cstr import (
+    CA_IN,
+    CB_IN,
+    EA_R,
+    K0,
+    T_IN,
+    V,
     CstrParams,
     adiabatic_concentrations,
     cstr1_drift,
@@ -39,8 +46,8 @@ def joint_model(sigma_theta=0.0):
     return default_experiment_model(PARAMS, FLOW, param_diffusion=sigma_theta).model
 
 
-# the truth's start: an empty reactor (CA = CB = 0) at T_in, with the true beta
-EMPTY_REACTOR = [0.0, 0.0, PARAMS.T_in, PARAMS.beta]
+# the truth's start: an empty reactor (CA = CB = 0) at T_IN, with the true beta
+EMPTY_REACTOR = [0.0, 0.0, T_IN, PARAMS.beta]
 
 
 def random_admissible_state(rng):
@@ -60,18 +67,18 @@ class TestRateConstant:
     def test_frozen_high_precision_value(self):
         # independent single-exp evaluation of the same formula
         expected = math.exp(24.6 - 8500.0 / 273.65)
-        got = rate_constant(273.65, PARAMS)
+        got = rate_constant(273.65)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.56e-3, rel=2e-3)
 
     def test_monotone_in_temperature(self):
         T = np.linspace(250.0, 600.0, 200)
-        k = rate_constant(T, PARAMS)
+        k = rate_constant(T)
         assert k.shape == T.shape
         assert np.all(np.diff(k) > 0)
 
     def test_high_temperature_limit_is_prefactor(self):
-        assert rate_constant(1e14, PARAMS) == pytest.approx(PARAMS.k0, rel=1e-9)
+        assert rate_constant(1e14) == pytest.approx(K0, rel=1e-9)
 
     @pytest.mark.parametrize("T", [300.0, 300, [300, 310.5, 0.0], np.asarray(305.25),
                                    np.array([[300.0, 0.0], [-0.0, 450.0]]), 0.0, -0.0, 0])
@@ -80,10 +87,10 @@ class TestRateConstant:
         # every input kind gives the same bits and type, and T = 0 raises nothing
         T_old = np.asarray(T, dtype=float)
         with np.errstate(divide="ignore"):
-            expected = [PARAMS.k0 * np.exp(-PARAMS.EaR / T_old)]
-            got = [rate_constant(T, PARAMS)]
-        rise = (T_old - PARAMS.T_in) / PARAMS.beta
-        expected += [PARAMS.CA_in - rise, PARAMS.CB_in - 2.0 * rise]
+            expected = [K0 * np.exp(-EA_R / T_old)]
+            got = [rate_constant(T)]
+        rise = (T_old - T_IN) / PARAMS.beta
+        expected += [CA_IN - rise, CB_IN - 2.0 * rise]
         got += adiabatic_concentrations(T, PARAMS)
         for g, e in zip(got, expected):
             assert type(g) is type(e) and np.shape(g) == np.shape(e)
@@ -91,10 +98,16 @@ class TestRateConstant:
 
 
 class TestParams:
+    def test_physical_constants(self):
+        assert K0 == math.exp(24.6)
+        assert (EA_R, V, CA_IN, CB_IN, T_IN) == (8500.0, 0.105, 0.8, 1.2, 273.65)
+
+    def test_only_the_experiment_values_are_settable(self):
+        assert [f.name for f in dataclasses.fields(CstrParams)] == ["beta", "sigma_T"]
+        with pytest.raises(TypeError):
+            CstrParams(beta=PARAMS.beta, sigma_T=PARAMS.sigma_T, k0=K0)
+
     def test_positivity_enforced(self):
-        for name in ("k0", "EaR", "V", "CA_in", "CB_in", "T_in"):
-            with pytest.raises(ValueError):
-                dataclasses.replace(PARAMS, **{name: 0.0})
         with pytest.raises(ValueError):
             dataclasses.replace(PARAMS, sigma_T=-1.0)
         with pytest.raises(ValueError):
@@ -111,21 +124,20 @@ class TestParams:
 class TestDrift:
     def test_pure_inflow_at_zero_concentrations(self):
         F = 0.007
-        FV = F / PARAMS.V
+        FV = F / V
         d = cstr3_drift(np.array([[0.0], [0.0], [320.0], [PARAMS.beta]]), F, PARAMS)[:, 0]
-        assert np.array_equal(d, [FV * PARAMS.CA_in, FV * PARAMS.CB_in,
-                                  FV * (PARAMS.T_in - 320.0), 0.0])
+        assert np.array_equal(d, [FV * CA_IN, FV * CB_IN, FV * (T_IN - 320.0), 0.0])
 
     def test_stoichiometric_and_energy_coupling(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
-            FV = F / PARAMS.V
+            FV = F / V
             dCA, dCB, dT, dbeta = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
-            reac_A = dCA - FV * (PARAMS.CA_in - x[0])
-            assert dCB - FV * (PARAMS.CB_in - x[1]) == pytest.approx(2.0 * reac_A, abs=1e-10)
-            assert dT - FV * (PARAMS.T_in - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
+            reac_A = dCA - FV * (CA_IN - x[0])
+            assert dCB - FV * (CB_IN - x[1]) == pytest.approx(2.0 * reac_A, abs=1e-10)
+            assert dT - FV * (T_IN - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
             assert dbeta == 0.0
 
     def test_mixing_invariants(self):
@@ -134,19 +146,19 @@ class TestDrift:
         for _ in range(20):
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
-            FV = F / PARAMS.V
+            FV = F / V
             dCA, dCB, dT, _ = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
             beta = x[3]
             lhs = 2.0 * dCA - dCB
-            rhs = FV * ((2.0 * PARAMS.CA_in - PARAMS.CB_in) - (2.0 * x[0] - x[1]))
+            rhs = FV * ((2.0 * CA_IN - CB_IN) - (2.0 * x[0] - x[1]))
             assert lhs == pytest.approx(rhs, abs=1e-10)
             lhs = dT + beta * dCA
-            rhs = FV * ((PARAMS.T_in + beta * PARAMS.CA_in) - (x[2] + beta * x[0]))
+            rhs = FV * ((T_IN + beta * CA_IN) - (x[2] + beta * x[0]))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_batch_matches_columns(self):
         # bytes, not np.array_equal, which calls -0.0 and 0.0 equal; the
-        # truth starts from an empty reactor (CA = CB = 0) at T_in
+        # truth starts from an empty reactor (CA = CB = 0) at T_IN
         rng = np.random.default_rng(13)
         X = np.column_stack([random_admissible_state(rng) for _ in range(8)]
                             + [EMPTY_REACTOR, [0.0, 0.0, 320.0, PARAMS.beta]])
@@ -186,15 +198,15 @@ class TestJacobian:
         F = 0.01
         J = jacobian(np.array([0.0, 0.0, 300.0, PARAMS.beta]), F)
         # no reaction: pure dilution, and beta moves nothing (its column is the rate, 0)
-        np.testing.assert_array_equal(J, -F / PARAMS.V * np.diag([1.0, 1.0, 1.0, 0.0]))
+        np.testing.assert_array_equal(J, -F / V * np.diag([1.0, 1.0, 1.0, 0.0]))
 
     def test_cross_term_stoichiometry(self):
         x = np.array([0.4, 0.9, 330.0, PARAMS.beta])
         F = 0.007
         J = jacobian(x, F)
-        k = rate_constant(330.0, PARAMS)
+        k = rate_constant(330.0)
         assert J[1, 0] == pytest.approx(-2.0 * k * x[1], rel=1e-14)
-        assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / PARAMS.V), rel=1e-12)
+        assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / V), rel=1e-12)
 
 
 class TestLinearize:
@@ -268,11 +280,11 @@ class TestJointKernel:
             assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
 
     @pytest.mark.parametrize("width", [1, 11, 1000])
-    def test_every_width_is_bitwise_its_columns_and_the_linearization(self, width):
+    def test_every_width_is_bitwise_its_columns_and_the_linearization(self, width, monkeypatch):
         # the truth, the UKF and the members run at these widths, each on its
-        # own constant tables; a fresh params first builds the other widths'
+        # own constant tables; an empty cache first builds the other widths'
+        monkeypatch.setattr(cstr, "_TABLES", {})
         params = dataclasses.replace(PARAMS)
-        assert params.tables == {}
         for other in (1000, 11, 1, 3):
             if other != width:
                 cstr3_drift(np.ones((4, other)), 0.006, params)
@@ -287,17 +299,22 @@ class TestJointKernel:
             column = cstr3_drift(X[:, i:i + 1], F, params)[:, 0]
             f = cstr3_linearize(X[:, i], F, params)[0]
             assert D[:, i].tobytes() == column.tobytes() == f.tobytes()
-        assert set(params.tables) == {1000, 11, 3} | ({width} - {1})  # one column: no table
+        assert set(cstr._TABLES) == {1000, 11, 3} | ({width} - {1})  # one column: no table
 
-    def test_width_tables_are_read_only_and_rates_are_fresh(self):
+    def test_width_tables_are_read_only_and_rates_are_fresh(self, monkeypatch):
+        monkeypatch.setattr(cstr, "_TABLES", {})
         params = dataclasses.replace(PARAMS)
         rng = np.random.default_rng(31)
         X = np.column_stack([random_joint_state(rng) for _ in range(11)])
         first = cstr3_drift(X, 0.006, params)
+        tables = cstr._TABLES[11]
         expected = first.tobytes()
         first[...] = np.nan  # a caller writing into its rates touches no table
         assert cstr3_drift(X, 0.006, params).tobytes() == expected
-        for table in params.tables[11]:
+        # another params at the same width reads the same pair, built once
+        cstr3_drift(X, 0.006, dataclasses.replace(PARAMS, beta=-7.5))
+        assert cstr._TABLES[11] is tables
+        for table in tables:
             assert table.shape[1] == 11
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1.0
@@ -320,28 +337,28 @@ class TestJointKernel:
 
 class TestReducedModels:
     def test_two_state_at_fresh_feed(self):
-        k = rate_constant(PARAMS.T_in, PARAMS)
-        d = cstr2_drift(0.0, PARAMS.T_in, 0.007, PARAMS)
-        assert d[0] == pytest.approx(2.0 * k * PARAMS.CA_in * PARAMS.CB_in / PARAMS.CB_in, rel=1e-12)
-        assert d[1] == pytest.approx(PARAMS.beta * k * PARAMS.CA_in * PARAMS.CB_in, rel=1e-12)
+        k = rate_constant(T_IN)
+        d = cstr2_drift(0.0, T_IN, 0.007, PARAMS)
+        assert d[0] == pytest.approx(2.0 * k * CA_IN * CB_IN / CB_IN, rel=1e-12)
+        assert d[1] == pytest.approx(PARAMS.beta * k * CA_IN * CB_IN, rel=1e-12)
 
     def test_one_state_at_inlet_temperature(self):
-        k = rate_constant(PARAMS.T_in, PARAMS)
-        d = cstr1_drift(PARAMS.T_in, 0.007, PARAMS)
-        assert d == pytest.approx(PARAMS.beta * k * PARAMS.CA_in * PARAMS.CB_in, rel=1e-12)
+        k = rate_constant(T_IN)
+        d = cstr1_drift(T_IN, 0.007, PARAMS)
+        assert d == pytest.approx(PARAMS.beta * k * CA_IN * CB_IN, rel=1e-12)
 
     def test_adiabatic_concentrations_at_inlet(self):
-        CA, CB = adiabatic_concentrations(PARAMS.T_in, PARAMS)
-        assert (CA, CB) == (PARAMS.CA_in, PARAMS.CB_in)
+        CA, CB = adiabatic_concentrations(T_IN, PARAMS)
+        assert (CA, CB) == (CA_IN, CB_IN)
 
     def test_temperature_agreement_over_horizon(self):
         # joint-model oracle at the configured beta: from feed-composition
         # start the reductions are exact, so 1 K absorbs only integrator
         # truncation differences
         h = 1.0
-        x3 = np.array([[PARAMS.CA_in], [PARAMS.CB_in], [PARAMS.T_in], [PARAMS.beta]])
-        x2 = np.array([0.0, PARAMS.T_in])
-        x1 = np.array([PARAMS.T_in])
+        x3 = np.array([[CA_IN], [CB_IN], [T_IN], [PARAMS.beta]])
+        x2 = np.array([0.0, T_IN])
+        x1 = np.array([T_IN])
         worst2 = worst1 = 0.0
         for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, [2100.0], 2100)[0]):
             t = i * h
@@ -363,7 +380,7 @@ class TestSteadyState:
             F_s = steady_state_flow(float(T_s), PARAMS)
             CA, CB = adiabatic_concentrations(T_s, PARAMS)
             d = cstr3_drift(np.array([[CA], [CB], [T_s], [PARAMS.beta]]), F_s, PARAMS)
-            scale = F_s / PARAMS.V * max(PARAMS.CA_in, PARAMS.CB_in, T_s - PARAMS.T_in)
+            scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
     def test_out_of_branch_rejected(self):
@@ -393,9 +410,11 @@ class TestSteadyState:
         assert mins[0] < maxs[0]
 
     def test_curve_argument_validation(self):
-        # a negative beta leaves the admissible range empty
-        with pytest.raises(ValueError, match="margin leaves no admissible temperatures"):
-            steady_state_curve(dataclasses.replace(PARAMS, beta=-1.0))
+        # a beta this small, of either sign, leaves a range of 0.3 K, narrower
+        # than the two margins
+        for beta in (0.5, -0.5):
+            with pytest.raises(ValueError, match="margin leaves no admissible temperatures"):
+                steady_state_curve(dataclasses.replace(PARAMS, beta=beta))
 
 
 class TestFlowProfile:
@@ -449,8 +468,8 @@ class TestModelWiring:
         # the appended parameter state uses the live column, not params.beta
         d = m.drift(0.0, z[:, None], u)[:, 0]
         F = u[0]
-        r = rate_constant(310.0, PARAMS) * 0.3 * 0.6
-        assert d[2] == pytest.approx(F / PARAMS.V * (PARAMS.T_in - 310.0) + 128.0 * r, rel=1e-12)
+        r = rate_constant(310.0) * 0.3 * 0.6
+        assert d[2] == pytest.approx(F / V * (T_IN - 310.0) + 128.0 * r, rel=1e-12)
 
     def test_augmented_jacobian_vs_finite_differences(self):
         m = joint_model()
@@ -466,7 +485,7 @@ class TestModelWiring:
         m = joint_model()
         z = np.array([0.5, 0.7, 320.0, 120.0])
         col = m.linearize(0.0, z, np.array([0.007]))[1:, 3]
-        r = rate_constant(320.0, PARAMS) * 0.5 * 0.7
+        r = rate_constant(320.0) * 0.5 * 0.7
         np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
     def test_parameter_noise_adds_channel(self):

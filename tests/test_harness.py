@@ -173,10 +173,15 @@ def _fake_output(init_diag, post_vars):
     n = len(init_diag)
     steps = len(post_vars)
     post_cov = np.array([np.diag(v) for v in post_vars], dtype=float)
+    # the collapse check reads the initial and posterior covariances alone
+    means, per_step = np.zeros((steps, n)), np.zeros(steps)
     return FilterOutput(
         initial=GaussianBelief(np.zeros(n), np.diag(init_diag)),
         times=1.0 * np.arange(1, steps + 1),
-        post_cov=post_cov,
+        prior_mean=means, prior_cov=post_cov, post_mean=means, post_cov=post_cov,
+        innovation=np.zeros((steps, 1)), innovation_cov=np.ones((steps, 1, 1)),
+        nis=per_step, gain_condition=per_step, step_seconds=per_step,
+        ess=None, resampled=None,
     )
 
 

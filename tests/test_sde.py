@@ -74,6 +74,9 @@ class TestNoiseStream:
         assert g.bit_generator.state["has_uint32"] == 1
         assert stream.seat(g) is g
         fresh = stream.generator()
+        # the stream's Philox key is the 128-bit (seed << 64) | stream_id
+        key = (stream.seed << 64) | stream.stream_id
+        assert repr(fresh.bit_generator.state) == repr(np.random.Philox(key=key).state)
         for draw in (lambda r: r.standard_normal((3, 5)), lambda r: r.uniform(),
                      lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32),
                      lambda r: r.standard_normal(4)):
