@@ -138,11 +138,11 @@ def _reduced_comparison(config: ExperimentConfig):
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
     scheme on the inner substep grid, stepped together as one state
-    ``[CA, CB, T, beta, X, T2, T1]``: the joint model's drift on its
-    ``(4, 1)`` column (CA, CB, T, beta) with beta at ``params.beta``, then
-    the 2-state (X, T2) and the 1-state T1. Every operation of
-    :func:`~cdassim.sde.rk4_step` is elementwise, so each model's values
-    are bitwise those of stepping it alone.
+    ``[CA, CB, T, beta, X, T2, T1]``: the joint model's rates of
+    (CA, CB, T, beta) from :func:`~cdassim.cstr.cstr3_rates`, with beta at
+    ``params.beta``, then the 2-state (X, T2) and the 1-state T1. Every
+    operation of :func:`~cdassim.sde.rk4_step` is elementwise, so each
+    model's values are bitwise those of stepping it alone.
     Every interval takes its step and stage inputs from one
     :func:`~cdassim.sde.rk4_inputs` table, the truth's and filters' grid.
     """
@@ -150,7 +150,7 @@ def _reduced_comparison(config: ExperimentConfig):
 
     def rates(t, z, u):
         F = u[0]
-        return np.concatenate((cstr.cstr3_drift(z[:4, None], F, params)[:, 0],
+        return np.concatenate((cstr.cstr3_rates(*z[:4].tolist(), float(F) / cstr.V)[:3], (0.0,),
                                cstr.cstr2_drift(z[4], z[5], F, params),
                                (cstr.cstr1_drift(z[6], F, params),)))
 

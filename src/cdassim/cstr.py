@@ -5,13 +5,14 @@ the concentrations, the temperature with diffusion on T only, and the
 heat-rise coefficient beta as a fourth state with zero drift. It is one
 plain :class:`~cdassim.sde.SdeModel` whose drift and Jacobian kernels read
 beta from the state's fourth row, so a single evaluation serves any value
-of the parameter. The drift takes column batches only, so one state, such
-as the truth's, is a ``(4, 1)`` column; the EKF's linearization takes one
-``(4,)`` state. The filters run the model with an optional random-walk
-channel on beta; the twin experiment's truth runs it without one, so its
-beta stays at the configured value. Beside it: reduced 2-state (extent of
-reaction, T) and 1-state (T) deterministic approximations, the steady-state
-flow/temperature curve with its ignition fold, and analytic Jacobians.
+of the parameter. The drift takes column batches, the filters' members and
+sigma points; :func:`cstr3_rates` works one state's rates on Python floats
+for the EKF's linearization, the twin experiment's truth and the
+reduced-model comparison. The filters run the model with an optional
+random-walk channel on beta; the truth steps the same equations without
+one, so its beta stays at the configured value. Beside it: reduced 2-state
+(extent of reaction, T) and 1-state (T) deterministic approximations, the
+steady-state flow/temperature curve with its ignition fold, and analytic Jacobians.
 
 The twin experiment's values (initial states, the true and guessed beta,
 sigma_T, the observation variance and the flow schedule) live only in the
@@ -35,6 +36,7 @@ __all__ = [
     "CstrParams",
     "CstrExperiment",
     "rate_constant",
+    "cstr3_rates",
     "cstr3_drift",
     "cstr3_linearize",
     "cstr2_drift",
@@ -76,7 +78,7 @@ class CstrParams:
             raise ValueError("sigma_T must be non-negative")
 
 
-# the drift's read-only tables per batch width m > 1, built on first use from
+# the drift's read-only tables per batch width m, built on first use from
 # the module constants (threads that race build equal ones; either is kept):
 # the (4, m) feed [CA_IN, CB_IN, T_IN, 0] and (3, m) signs [-1, -2, 0]
 _TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -98,32 +100,44 @@ def rate_constant(T):
     return K0 * np.exp(-EA_R / np.float64(T))
 
 
-def cstr3_drift(x, F, params: CstrParams):
+def cstr3_rates(CA, CB, T, beta, FV):
+    """Rates of (CA, CB, T) at one state, on Python floats, with k(T) and the reaction rate.
+
+    ``FV`` is the dilution rate F / V; beta's rate is zero. Returns
+    ``(dCA, dCB, dT, k, r)`` with ``r = k CA CB``. Floats round exactly as
+    numpy scalars do, so the rates are bitwise a column of
+    :func:`cstr3_drift` in any batch, at a fraction of its ufunc calls'
+    cost; this is their one copy on floats. Where T is zero the division
+    runs on numpy scalars, which give -inf where Python's raises, so k = 0.
+    """
+    if T == 0.0:
+        T = np.float64(T)
+    # numpy's exp, not math.exp: the two differ in the last bit of some values
+    k = K0 * float(np.exp(-EA_R / T))
+    r = k * CA * CB  # reaction rate, mol/(L s)
+    return FV * (CA_IN - CA) - r, FV * (CB_IN - CB) - 2.0 * r, FV * (T_IN - T) + beta * r, k, r
+
+
+def cstr3_drift(x, F):
     """Deterministic rates of the joint model at each column ``(CA, CB, T, beta)`` of ``x``.
 
-    ``x`` is a column batch of shape ``(4, m)``; a single state, such as the
-    truth's, is the ``(4, 1)`` column. Beta is read from the fourth row, and
-    its rate is zero; ``params``, the reduced kernels' argument, is not read.
+    ``x`` is a column batch of shape ``(4, m)``, such as the UKF's sigma
+    points or the EnKF's and PF's members. Beta is read from the fourth
+    row, and its rate is zero.
 
-    One column takes row 0 of :func:`cstr3_linearize`, its rates worked on
-    Python floats, as a fresh ``(4, 1)`` column: for four numbers that costs
-    less than the eleven ufunc calls below, and it builds no constant table.
-
-    A wider batch runs one ``exp`` over the temperature row and builds the
-    reaction rate ``r`` in place; every other op works on whole row blocks
-    against the module cache ``_TABLES``'s feed and sign tables of the
-    batch's width, because broadcasting a ``(4, 1)`` column across a wide
-    batch costs more than the arithmetic. The three state rows get
-    ``FV * (feed - x) + signs * r``, with the temperature row's reaction
-    term replaced by ``beta r``, and the beta row gets zero. Since
-    ``a + (-b)`` is ``a - b`` and ``(-2) r`` is ``-(2 r)`` exactly, each
-    element keeps the rounding of ``FV * (feed - x) - r`` with
-    ``FV = F / V`` and ``r = K0 exp(-EA_R / T) CA CB``, so a column's rates
-    are bitwise the same in any batch, one column included.
+    One ``exp`` runs over the temperature row and builds the reaction rate
+    ``r`` in place; every other op works on whole row blocks against the
+    module cache ``_TABLES``'s feed and sign tables of the batch's width,
+    because broadcasting a ``(4, 1)`` column across a wide batch costs more
+    than the arithmetic. The three state rows get ``FV * (feed - x) +
+    signs * r``, with the temperature row's reaction term replaced by
+    ``beta r``, and the beta row gets zero. Since ``a + (-b)`` is ``a - b``
+    and ``(-2) r`` is ``-(2 r)`` exactly, each element keeps the rounding
+    of ``FV * (feed - x) - r`` with ``FV = F / V`` and ``r = K0 exp(-EA_R /
+    T) CA CB``, so a column's rates are bitwise the same in any batch, one
+    column included, and bitwise those of :func:`cstr3_rates`.
     """
     m = x.shape[1]
-    if m == 1:
-        return cstr3_linearize(x[:, 0], F, params)[0, :, None]
     feed, signs = _TABLES.get(m) or _width_tables(m)
     r = np.divide(-EA_R, x[2])
     np.exp(r, out=r)
@@ -140,40 +154,31 @@ def cstr3_drift(x, F, params: CstrParams):
     return out
 
 
-def cstr3_linearize(x, F, params: CstrParams) -> np.ndarray:
-    """Rates of :func:`cstr3_drift` and their analytic state Jacobian at one state.
+def cstr3_linearize(x, F) -> np.ndarray:
+    """Rates of :func:`cstr3_rates` and their analytic state Jacobian at one state.
 
-    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``, and ``params`` is not
-    read; returns one fresh ``(5, 4)`` block ``[f; A]``: the rates in row 0,
-    then the Jacobian rows, the layout of the EKF's moment block ``[m; P]``.
-    Both come from a single ``exp(-EA_R/T)``, with dk/dT = k EA_R/T^2,
-    worked on Python floats, which round exactly as numpy scalars do, so row
-    0 is bitwise the column of :func:`cstr3_drift` in any batch. The EKF
-    calls it for its moment stages, and :func:`cstr3_drift` for a single
-    column's rates.
+    ``x`` is ``(CA, CB, T, beta)``, shape ``(4,)``; returns one fresh
+    ``(5, 4)`` block ``[f; A]``: the rates in row 0, then the Jacobian
+    rows, the layout of the EKF's moment block ``[m; P]``. Both come from
+    the single ``exp(-EA_R/T)`` of :func:`cstr3_rates`, with dk/dT = k
+    EA_R/T^2, worked on Python floats, so row 0 is bitwise the column of
+    :func:`cstr3_drift` in any batch. The EKF calls it for its moment stages.
     The beta column holds d(dT/dt)/d(beta), the reaction rate, and the beta
-    row is zero. Where ``T * T`` is zero the rates are computed on numpy
-    scalars, whose division by zero gives IEEE's infinities where Python's
-    float division raises: the rates are then the batch kernel's (at T = 0,
-    r = 0), and dk/dT is not finite.
+    row is zero. Where ``T * T`` is zero, dk/dT is divided on numpy scalars,
+    whose division by zero gives IEEE's infinities where Python's float
+    division raises, so dk/dT is not finite.
     """
     CA, CB, T, beta = x.tolist()
+    FV = float(F) / V
+    dCA, dCB, dT, k, r = cstr3_rates(CA, CB, T, beta, FV)
     TT = T * T
     if TT == 0.0:
-        T = np.float64(T)
-        TT = T * T
-    FV = float(F) / V
-    # numpy's exp, not math.exp: the two differ in the last bit of some values
-    k = K0 * float(np.exp(-EA_R / T))
+        TT = np.float64(TT)
     kp = k * EA_R / TT
     kCA = k * CA
     kCB = k * CB
     kpAB = kp * CA * CB
-    r = kCA * CB  # reaction rate, mol/(L s)
-    return np.array([FV * (CA_IN - CA) - r,
-                     FV * (CB_IN - CB) - 2.0 * r,
-                     FV * (T_IN - T) + beta * r,
-                     0.0,
+    return np.array([dCA, dCB, dT, 0.0,
                      -FV - kCB, -kCA, -kpAB, 0.0,
                      -2.0 * kCB, -FV - 2.0 * kCA, -2.0 * kpAB, 0.0,
                      beta * kCB, beta * kCA, -FV + beta * kpAB, r,
@@ -276,10 +281,10 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
 
     Beta rides along as a fourth state with zero drift. Diffusion is
     (F/V) sigma_T on T; with ``param_diffusion`` zero, beta carries no
-    process noise and the model keeps that single noise channel, which is
-    how the truth runs it. A positive value adds a random-walk channel of
-    that intensity on beta. The measurement is T, with a constant Jacobian.
-    The input ``u`` is the 1-vector flow rate.
+    process noise and the model keeps that single noise channel, the one
+    that drives the twin experiment's truth. A positive value adds a
+    random-walk channel of that intensity on beta. The measurement is T,
+    with a constant Jacobian. The input ``u`` is the 1-vector flow rate.
     """
     if param_diffusion < 0:
         raise ValueError("param_diffusion must be non-negative")
@@ -297,10 +302,10 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
     model = SdeModel(
         dim_state=4,
         dim_noise=dim_noise,
-        drift=lambda t, x, u: cstr3_drift(x, u[0], params),
+        drift=lambda t, x, u: cstr3_drift(x, u[0]),
         diffusion=diffusion,
         measure=lambda t, x: x[2:3],
-        linearize=lambda t, x, u: cstr3_linearize(x, u[0], params),
+        linearize=lambda t, x, u: cstr3_linearize(x, u[0]),
         measure_jacobian=lambda t, x: H,
         constrain=_clamp_concentrations,
     )

@@ -26,12 +26,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from cdassim.config import ExperimentConfig
-from cdassim.cstr import default_experiment_model
+from cdassim.cstr import V, cstr3_rates, default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.filters.runner import (
     FILTER_KINDS,
@@ -40,7 +41,7 @@ from cdassim.filters.runner import (
     FilterRunError,
     run_filter,
 )
-from cdassim.sde import NoiseStream, PiecewiseConstant, SdeModel, propagate_members, rk4_inputs
+from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
 
 __all__ = [
     "STREAM_TRUTH",
@@ -136,28 +137,52 @@ class TruthData:
 def generate_truth_and_measurements(config: ExperimentConfig) -> TruthData:
     """Simulate one truth path and measure it, with noise, through the model's ``measure``.
 
-    The truth runs the filters' joint model with beta's random-walk channel
-    off, so beta keeps its configured value along the whole path. It is a
-    one-column batch stepped by the sample filters' Euler-Maruyama kernel,
-    :func:`~cdassim.sde.propagate_members`, at the substep resolution the
-    filters use internally (no separate fine grid; documented choice), one
-    sampling interval per call, on one generator of the truth stream that
-    continues across intervals. Measurement noise draws come from their own
-    stream so regenerating measurements never perturbs the truth path.
+    The truth follows the filters' joint model with beta's random-walk
+    channel off, so beta keeps its configured value. It is stepped on
+    Python floats through :func:`~cdassim.cstr.cstr3_rates` at the substep
+    resolution the filters use internally (no separate fine grid;
+    documented choice), in the order of the members' Euler-Maruyama kernel
+    :func:`~cdassim.sde.propagate_members`, so its states, its increments
+    (one draw of ``substeps`` normals per interval from one generator of the
+    truth stream) and its :class:`~cdassim.sde.DivergenceError` messages are
+    those of a ``(4, 1)`` column stepped by that kernel one interval per
+    call, bit for bit. Measurement noise comes from its own stream, so
+    regenerating measurements never perturbs the truth path. Numpy's divide,
+    overflow and invalid warnings are off, as in a filter run.
     """
-    exp = default_experiment_model(config.cstr_params(), config.flow_profile(),
-                                   param_diffusion=0.0)
+    params = config.cstr_params()
+    exp = default_experiment_model(params, config.flow_profile(), param_diffusion=0.0)
     times = config.sample_times()
-    inputs = rk4_inputs(exp.flow, 0.0, times, config.substeps)
+    flows = rk4_inputs(exp.flow, 0.0, times, config.substeps)[:, :, 0, 0]
     rng = NoiseStream(config.seed, STREAM_TRUTH).generator()
-    truth_states = np.empty((times.size + 1, exp.model.dim_state))
-    x = config.truth_init()[:, None]
-    truth_states[0] = x[:, 0]
+    # beta's rate is zero and the config's beta is nonzero: x + f h keeps it
+    CA, CB, T, beta = state = config.truth_init().tolist()
+    rows = [state]
     t0 = 0.0
-    for k, t1 in enumerate(times):
-        x = propagate_members(exp.model, x, inputs[k], t0, t1, rng)
-        truth_states[k + 1] = x[:, 0]
-        t0 = t1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t1, interval in zip(times.tolist(), flows.tolist()):
+            h = (t1 - t0) / config.substeps
+            dws = (rng.standard_normal(config.substeps) * np.sqrt(h)).tolist()
+            for j, (F, dw) in enumerate(zip(interval, dws)):
+                FV = F / V
+                dCA, dCB, dT, _, _ = cstr3_rates(CA, CB, T, beta, FV)
+                g = FV * params.sigma_T
+                if not (isfinite(dCA) and isfinite(dCB) and isfinite(dT) and isfinite(g)):
+                    raise DivergenceError(f"non-finite drift/diffusion at t={t0 + j * h}")
+                CA = CA + dCA * h
+                CB = CB + dCB * h
+                # x + f h, then the push g dw, rounded apart. The members skip a
+                # zero g; adding its zero push changes no bit, as T is never -0.0
+                # here (a start at -0.0 has non-finite rates)
+                T = T + dT * h + g * dw
+                # np.maximum's clamp: -0.0 and NaN pass
+                CA = 0.0 if CA < 0.0 else CA
+                CB = 0.0 if CB < 0.0 else CB
+            if not (isfinite(CA) and isfinite(CB) and isfinite(T) and isfinite(beta)):
+                raise DivergenceError(f"member 0 diverged by t={t1}")
+            rows.append((CA, CB, T, beta))
+            t0 = t1
+    truth_states = np.array(rows)
     meas_rng = NoiseStream(config.seed, STREAM_MEAS).generator()
     noise = np.sqrt(config.obs_variance) * meas_rng.standard_normal(config.n_samples)
     return TruthData(

@@ -12,13 +12,13 @@ scaling lives inside ``sigma``), with measurements taken at discrete instants
 The module provides the model container, a counter-based noise-stream
 abstraction that makes every random draw a pure function of
 ``(seed, stream_id, call sequence)``, and every integrator: the one
-Euler-Maruyama loop, which steps the sample filters' members and the twin
-experiment's truth (a one-column batch), and the one classical Runge-Kutta
-stepper (with its stage-input lookup) that the moment and sigma-point
-filters and the reduced-model comparison share. The input ``u`` is always
-a :class:`PiecewiseConstant` profile. Joint state/parameter estimation
-needs no machinery here: a model simply carries its parameters as extra
-state components with zero drift.
+Euler-Maruyama loop, which steps the sample filters' members (the twin
+experiment's truth keeps its order on floats), and the one classical
+Runge-Kutta stepper (with its stage-input lookup) that the moment and
+sigma-point filters and the reduced-model comparison share. The input
+``u`` is always a :class:`PiecewiseConstant` profile. Joint
+state/parameter estimation needs no machinery here: a model simply
+carries its parameters as extra state components with zero drift.
 """
 from __future__ import annotations
 
@@ -207,7 +207,7 @@ def propagate_members(model: SdeModel, X: np.ndarray, inputs: np.ndarray, t0: fl
     """Euler-Maruyama propagation of column members from ``t0`` to ``t1``.
 
     The one Euler-Maruyama loop: the EnKF and PF step their members with
-    it, and the twin experiment steps its truth as a single column.
+    it; the twin experiment's truth keeps its order on Python floats.
     ``inputs`` holds the interval's rows of a run's stage-input table
     (:func:`rk4_inputs`), shape ``(substeps, 3, dim_u)``: substep ``j`` runs
     on ``inputs[j, 0]``, the input at its start time. All increments come

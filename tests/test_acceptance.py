@@ -289,7 +289,7 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     worst = 0.0
     for T_s, F_s in zip(curve["T_s"], flow):
         ca, cb = adiabatic_concentrations(T_s, params)
-        drift = cstr3_drift(np.array([[ca], [cb], [T_s], [params.beta]]), F_s, params)
+        drift = cstr3_drift(np.array([[ca], [cb], [T_s], [params.beta]]), F_s)
         scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
         worst = max(worst, float(np.max(np.abs(drift))) / scale)
     print(f"criterion 9: {turns} turning points, worst drift residual {worst:.2e} of scale")

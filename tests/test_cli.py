@@ -21,6 +21,7 @@ from cdassim.cstr import (
     cstr1_drift,
     cstr2_drift,
     cstr3_drift,
+    cstr3_rates,
 )
 from cdassim.harness import (
     ensemble_size_sweep,
@@ -110,7 +111,7 @@ def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_fil
         for row in lines[1::20]:  # back-substitute a spread of rows
             T_s, F_s = map(float, row.split(","))
             CA, CB = adiabatic_concentrations(T_s, params)
-            d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s, params)
+            d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s)
             scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -354,25 +355,39 @@ def test_failed_runs_write_strict_json(tmp_path, small_config_file, monkeypatch,
 
 def test_truth_drift_fault_exits_2_naming_the_first_faulty_substep(small_config_file,
                                                                    monkeypatch, capsys):
-    # the truth's Euler-Maruyama substeps are 1 s long on SMALL_CONFIG; the one from
-    # t = 36 is the first whose drift is NaN, and simulate stops there
+    # the truth's Euler-Maruyama substeps are 1 s long on SMALL_CONFIG, one
+    # rate call each; from its 37th call, at t = 36, the float kernel's rates
+    # are NaN, and simulate stops there
     from cdassim import harness
 
-    build = harness.default_experiment_model
+    calls = []
 
-    def faulty_experiment(*args, **kwargs):
-        exp = build(*args, **kwargs)
-        model = exp.model
+    def faulty_rates(*state):
+        calls.append(state)
+        rates = cstr3_rates(*state)
+        return rates if len(calls) < 37 else (np.nan, np.nan, np.nan, *rates[3:])
 
-        def drift(t, x, u):
-            f = model.drift(t, x, u)
-            return np.full_like(f, np.nan) if t > FAULT_TIME else f
-
-        return dataclasses.replace(exp, model=dataclasses.replace(model, drift=drift))
-
-    monkeypatch.setattr(harness, "default_experiment_model", faulty_experiment)
+    monkeypatch.setattr(harness, "cstr3_rates", faulty_rates)
     assert parse_and_dispatch(["simulate", "--config", small_config_file, "--out", "truth"]) == 2
     assert capsys.readouterr().err == "non-finite drift/diffusion at t=36.0\n"
+    assert len(calls) == 37
+
+
+@pytest.mark.parametrize("start, code, err", [
+    ([0.8, 1.2, 0.0], 0, ""),
+    ([0.8, 1.2, -5.0], 2, "non-finite drift/diffusion at t=0.0\n"),
+])
+def test_truth_from_a_cold_or_negative_temperature_prints_no_numpy_warning(tmp_path, child_env,
+                                                                          start, code, err):
+    # a schema-valid truth start at T = 0 divides by zero in the rate
+    # constant, and one at T < 0 overflows it; simulate reports only its
+    # outcome, through a fresh interpreter's real stderr
+    cfg = tmp_path / "start.json"
+    cfg.write_text(json.dumps({"truth": {"init_state": start}}))
+    proc = subprocess.run([sys.executable, "-m", "cdassim", "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 @pytest.mark.parametrize("n_samples", [14, 30])
@@ -465,7 +480,7 @@ def test_reduced_comparison_steps_on_the_run_grid(monkeypatch):
 def _reduced_models_stepped_apart(cfg):
     """The 3-, 2- and 1-state models stepped one at a time, each by its own rk4_step."""
     params = cfg.cstr_params()
-    f3 = lambda t, z, u: cstr3_drift(z, u[0], params)
+    f3 = lambda t, z, u: cstr3_drift(z, u[0])
     f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
     f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
     x3 = np.array([[CA_IN], [CB_IN], [T_IN], [params.beta]])

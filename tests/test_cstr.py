@@ -27,6 +27,7 @@ from cdassim.cstr import (
     cstr2_drift,
     cstr3_drift,
     cstr3_linearize,
+    cstr3_rates,
     default_experiment_model,
     rate_constant,
     steady_state_curve,
@@ -125,7 +126,7 @@ class TestDrift:
     def test_pure_inflow_at_zero_concentrations(self):
         F = 0.007
         FV = F / V
-        d = cstr3_drift(np.array([[0.0], [0.0], [320.0], [PARAMS.beta]]), F, PARAMS)[:, 0]
+        d = cstr3_drift(np.array([[0.0], [0.0], [320.0], [PARAMS.beta]]), F)[:, 0]
         assert np.array_equal(d, [FV * CA_IN, FV * CB_IN, FV * (T_IN - 320.0), 0.0])
 
     def test_stoichiometric_and_energy_coupling(self):
@@ -134,7 +135,7 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / V
-            dCA, dCB, dT, dbeta = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
+            dCA, dCB, dT, dbeta = cstr3_drift(x[:, None], F)[:, 0]
             reac_A = dCA - FV * (CA_IN - x[0])
             assert dCB - FV * (CB_IN - x[1]) == pytest.approx(2.0 * reac_A, abs=1e-10)
             assert dT - FV * (T_IN - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
@@ -147,7 +148,7 @@ class TestDrift:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / V
-            dCA, dCB, dT, _ = cstr3_drift(x[:, None], F, PARAMS)[:, 0]
+            dCA, dCB, dT, _ = cstr3_drift(x[:, None], F)[:, 0]
             beta = x[3]
             lhs = 2.0 * dCA - dCB
             rhs = FV * ((2.0 * CA_IN - CB_IN) - (2.0 * x[0] - x[1]))
@@ -162,14 +163,14 @@ class TestDrift:
         rng = np.random.default_rng(13)
         X = np.column_stack([random_admissible_state(rng) for _ in range(8)]
                             + [EMPTY_REACTOR, [0.0, 0.0, 320.0, PARAMS.beta]])
-        D = cstr3_drift(X, 0.006, PARAMS)
+        D = cstr3_drift(X, 0.006)
         assert D.shape == (4, 10)
         for i in range(10):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006).tobytes()
 
 
-def jacobian(x, F, params=PARAMS):
-    return cstr3_linearize(x, F, params)[1:]
+def jacobian(x, F):
+    return cstr3_linearize(x, F)[1:]
 
 
 class TestJacobian:
@@ -179,7 +180,7 @@ class TestJacobian:
             x = random_admissible_state(rng)
             F = rng.uniform(1e-3, 0.02)
             J = jacobian(x, F)
-            Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], F, PARAMS)[:, 0], x)
+            Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], F)[:, 0], x)
             assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
 
     def test_matches_finite_differences_envelope(self):
@@ -191,7 +192,7 @@ class TestJacobian:
                 for CB in grid_C:
                     x = np.array([CA, CB, T, PARAMS.beta])
                     J = jacobian(x, 0.007)
-                    Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], 0.007, PARAMS)[:, 0], x)
+                    Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], 0.007)[:, 0], x)
                     assert np.all(np.abs(J - Jfd) <= 1e-5 * np.maximum(np.abs(Jfd), 1e-8))
 
     def test_diagonal_at_zero_concentrations(self):
@@ -226,7 +227,7 @@ class TestLinearize:
             # the model's linearization is the EKF's fresh, writable [f; A] block
             block = model.linearize(0.0, x, u)
             assert block.shape == (5, 4) and block.flags.writeable
-            assert block[0].tobytes() == cstr3_drift(x[:, None], u[0], PARAMS)[:, 0].tobytes()
+            assert block[0].tobytes() == cstr3_drift(x[:, None], u[0])[:, 0].tobytes()
             again = model.linearize(0.0, x, u)
             assert again is not block and not np.shares_memory(again, block)
             assert again.tobytes() == block.tobytes()
@@ -242,8 +243,8 @@ class TestVanishingTemperature:
     def test_linearize_gives_the_kernel_rates_and_a_non_finite_dk_dT(self, x):
         x = np.array(x)
         with np.errstate(all="ignore"):
-            block = cstr3_linearize(x, 0.006, PARAMS)
-            batch = cstr3_drift(np.column_stack([x, x]), 0.006, PARAMS)
+            block = cstr3_linearize(x, 0.006)
+            batch = cstr3_drift(np.column_stack([x, x]), 0.006)
         np.testing.assert_array_equal(block[0], batch[:, 0])
         assert not np.isfinite(block[1:4, 2]).any()  # every entry with dk/dT
 
@@ -261,11 +262,13 @@ class TestVanishingTemperature:
             i = k % width
             X[:, i] = edge
             with np.errstate(all="ignore"):
-                batch = cstr3_drift(X, 0.006, PARAMS)[:, i]
-                one = cstr3_drift(X[:, i:i + 1], 0.006, PARAMS)
+                batch = cstr3_drift(X, 0.006)[:, i]
+                one = cstr3_drift(X[:, i:i + 1], 0.006)
+                rates = np.array([*cstr3_rates(*edge, 0.006 / V)[:3], 0.0])
             assert one.shape == (4, 1)
-            np.testing.assert_array_equal(one[:, 0], batch)  # NaNs match by position
-            assert np.array_equal(np.signbit(one[:, 0]), np.signbit(batch))
+            for got in (one[:, 0], rates):
+                np.testing.assert_array_equal(got, batch)  # NaNs match by position
+                assert np.array_equal(np.signbit(got), np.signbit(batch))
 
 
 class TestJointKernel:
@@ -274,45 +277,46 @@ class TestJointKernel:
         rng = np.random.default_rng(14)
         X = np.column_stack([random_joint_state(rng) for _ in range(9)]
                             + [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]])
-        D = cstr3_drift(X, 0.006, PARAMS)
+        D = cstr3_drift(X, 0.006)
         assert D.shape == (4, 11)
         for i in range(11):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006, PARAMS).tobytes()
+            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006).tobytes()
 
     @pytest.mark.parametrize("width", [1, 11, 1000])
     def test_every_width_is_bitwise_its_columns_and_the_linearization(self, width, monkeypatch):
-        # the truth, the UKF and the members run at these widths, each on its
-        # own constant tables; an empty cache first builds the other widths'
+        # the UKF and the members run at these widths, and one column takes
+        # the same batch path, each width on its own constant tables; an
+        # empty cache first builds the other widths'
         monkeypatch.setattr(cstr, "_TABLES", {})
-        params = dataclasses.replace(PARAMS)
         for other in (1000, 11, 1, 3):
             if other != width:
-                cstr3_drift(np.ones((4, other)), 0.006, params)
+                cstr3_drift(np.ones((4, other)), 0.006)
         rng = np.random.default_rng(30 + width)
         states = [random_joint_state(rng) for _ in range(width)]
         states[:2] = [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]][:width]
         X = np.column_stack(states)
         F = rng.uniform(1e-3, 0.02)
-        D = cstr3_drift(X, F, params)
+        D = cstr3_drift(X, F)
         assert D.shape == (4, width)
         for i in range(width):
-            column = cstr3_drift(X[:, i:i + 1], F, params)[:, 0]
-            f = cstr3_linearize(X[:, i], F, params)[0]
-            assert D[:, i].tobytes() == column.tobytes() == f.tobytes()
-        assert set(cstr._TABLES) == {1000, 11, 3} | ({width} - {1})  # one column: no table
+            column = cstr3_drift(X[:, i:i + 1], F)[:, 0]
+            f = cstr3_linearize(X[:, i], F)[0]
+            # the float kernel that the EKF, the truth and the reduced models use
+            rates = np.array([*cstr3_rates(*X[:, i].tolist(), F / V)[:3], 0.0])
+            assert D[:, i].tobytes() == column.tobytes() == f.tobytes() == rates.tobytes()
+        assert set(cstr._TABLES) == {1000, 11, 1, 3}
 
     def test_width_tables_are_read_only_and_rates_are_fresh(self, monkeypatch):
         monkeypatch.setattr(cstr, "_TABLES", {})
-        params = dataclasses.replace(PARAMS)
         rng = np.random.default_rng(31)
         X = np.column_stack([random_joint_state(rng) for _ in range(11)])
-        first = cstr3_drift(X, 0.006, params)
+        first = cstr3_drift(X, 0.006)
         tables = cstr._TABLES[11]
         expected = first.tobytes()
         first[...] = np.nan  # a caller writing into its rates touches no table
-        assert cstr3_drift(X, 0.006, params).tobytes() == expected
-        # another params at the same width reads the same pair, built once
-        cstr3_drift(X, 0.006, dataclasses.replace(PARAMS, beta=-7.5))
+        assert cstr3_drift(X, 0.006).tobytes() == expected
+        # other states and flows at the same width read the same pair, built once
+        cstr3_drift(X[:, ::-1].copy(), 0.007)
         assert cstr._TABLES[11] is tables
         for table in tables:
             assert table.shape[1] == 11
@@ -320,19 +324,30 @@ class TestJointKernel:
                 table[0, 0] = 1.0
 
     def test_reads_beta_from_the_state(self):
-        # the kernels never read params.beta: another value there changes no bit
-        other = dataclasses.replace(PARAMS, beta=-7.5)
+        # beta enters only through the state's fourth row: another value there
+        # moves the T rate by the reaction term and the Jacobian's T row by
+        # beta times the reaction's partials, and nothing else
         rng = np.random.default_rng(15)
-        states = [random_joint_state(rng) for _ in range(10)]
-        for z in states:
-            d = cstr3_drift(z[:, None], 0.007, PARAMS)
-            assert d[3, 0] == 0.0
-            assert d.tobytes() == cstr3_drift(z[:, None], 0.007, other).tobytes()
-            block = cstr3_linearize(z, 0.007, PARAMS)
-            assert block.tobytes() == cstr3_linearize(z, 0.007, other).tobytes()
+        X = np.column_stack([random_joint_state(rng) for _ in range(10)])
+        Y = X.copy()
+        Y[3] = -7.5
+        F = 0.007
+        D, E = cstr3_drift(X, F), cstr3_drift(Y, F)
+        np.testing.assert_array_equal(D[[0, 1, 3]], E[[0, 1, 3]])
+        np.testing.assert_array_equal(D[3], 0.0)
+        for i in range(X.shape[1]):
+            block, other = cstr3_linearize(X[:, i], F), cstr3_linearize(Y[:, i], F)
+            assert block[0].tobytes() == D[:, i].tobytes()
+            assert other[0].tobytes() == E[:, i].tobytes()
+            np.testing.assert_array_equal(block[[1, 2, 4]], other[[1, 2, 4]])
             np.testing.assert_array_equal(block[4], 0.0)
-        X = np.column_stack(states)
-        assert cstr3_drift(X, 0.007, PARAMS).tobytes() == cstr3_drift(X, 0.007, other).tobytes()
+            r = block[3, 3]  # d(dT/dt)/d(beta), the reaction rate
+            assert other[3, 3] == r
+            assert D[2, i] - E[2, i] == pytest.approx((X[3, i] + 7.5) * r, rel=1e-9)
+            # the reaction's partials (k CB, k CA, dk/dT CA CB), read off the CA row
+            partials = -block[1, :3] - [F / V, 0.0, 0.0]
+            np.testing.assert_allclose(block[3, :3] - other[3, :3], (X[3, i] + 7.5) * partials,
+                                       rtol=1e-9)
 
 
 class TestReducedModels:
@@ -362,7 +377,7 @@ class TestReducedModels:
         worst2 = worst1 = 0.0
         for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, [2100.0], 2100)[0]):
             t = i * h
-            x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0], PARAMS), t, x3, h, inputs)
+            x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0]), t, x3, h, inputs)
             x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
             x1 = rk4_step(lambda tt, z, u: np.array([cstr1_drift(z[0], u[0], PARAMS)]), t, x1, h,
                           inputs)
@@ -379,7 +394,7 @@ class TestSteadyState:
         for T_s in np.linspace(lo + 0.5, hi - 0.5, 50):
             F_s = steady_state_flow(float(T_s), PARAMS)
             CA, CB = adiabatic_concentrations(T_s, PARAMS)
-            d = cstr3_drift(np.array([[CA], [CB], [T_s], [PARAMS.beta]]), F_s, PARAMS)
+            d = cstr3_drift(np.array([[CA], [CB], [T_s], [PARAMS.beta]]), F_s)
             scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -400,7 +415,7 @@ class TestSteadyState:
         # every emitted point satisfies the stationarity equations
         for T, F in zip(T_s, F_s):
             CA, CB = adiabatic_concentrations(T, PARAMS)
-            d = cstr3_drift(np.array([[CA], [CB], [T], [PARAMS.beta]]), F, PARAMS)
+            d = cstr3_drift(np.array([[CA], [CB], [T], [PARAMS.beta]]), F)
             assert np.linalg.norm(d) < 1e-8
         # multiplicity fold: an interior local minimum followed by a local maximum
         dF = np.diff(F_s)

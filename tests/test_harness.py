@@ -14,6 +14,8 @@ from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.harness import (
     FILTER_STREAM,
     SPREAD_COLLAPSE_RATIO,
+    STREAM_MEAS,
+    STREAM_TRUTH,
     FilterMetrics,
     _filter_config,
     _spread_collapse_fraction,
@@ -28,6 +30,7 @@ from cdassim.harness import (
     write_table,
     write_uncertainty_report,
 )
+from cdassim.sde import NoiseStream, propagate_members, rk4_inputs
 
 from digests import _digest, _output_digest
 from stages import SMALL_CONFIG
@@ -68,6 +71,41 @@ def test_truth_beta_is_the_configured_beta_at_every_sample_instant(sigma_theta):
     states = generate_truth_and_measurements(cfg).truth_states
     assert states.shape == (31, 4)
     assert np.all(states[:, 3] == cfg.truth_beta)
+
+
+def _truth_on_the_members_kernel(cfg):
+    """The truth as a ``(4, 1)`` column stepped by ``propagate_members``, one interval per call."""
+    exp = default_experiment_model(cfg.cstr_params(), cfg.flow_profile(), param_diffusion=0.0)
+    times = cfg.sample_times()
+    inputs = rk4_inputs(exp.flow, 0.0, times, cfg.substeps)
+    rng = NoiseStream(cfg.seed, STREAM_TRUTH).generator()
+    x = cfg.truth_init()[:, None]
+    states = [x[:, 0]]
+    t0 = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, t1 in enumerate(times):
+            x = propagate_members(exp.model, x, inputs[k], t0, t1, rng)
+            states.append(x[:, 0])
+            t0 = t1
+    return np.array(states)
+
+
+@pytest.mark.parametrize("overrides", [
+    *({"seed": 20260816 + k} for k in range(5)),  # the acceptance bank's first seeds
+    {"n_samples": 35, "substeps": 60},  # dt 60 s
+    {"seed": 7, "truth": {"init_state": [0.8, 1.2, 0.0]}},  # a start at T = 0
+    {"seed": 9, "noise": {"sigma_T": 0.0}},  # no push
+])
+def test_truth_is_bitwise_the_members_kernel_on_one_column(overrides):
+    # the float loop keeps the members' order and draws, so the members'
+    # kernel on one column is its reference, measurements included
+    cfg = load_config(overrides=overrides)
+    truth = generate_truth_and_measurements(cfg)
+    reference = _truth_on_the_members_kernel(cfg)
+    assert truth.truth_states.tobytes() == reference.tobytes()
+    noise = NoiseStream(cfg.seed, STREAM_MEAS).generator().standard_normal(cfg.n_samples)
+    expected = reference[1:, 2] + np.sqrt(cfg.obs_variance) * noise
+    assert truth.measurements.tobytes() == expected.tobytes()
 
 
 def test_truth_reproducible_and_streams_isolated():
