@@ -182,11 +182,10 @@ def _cmd_estimate(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
     filters = run_all_filters(config, truth, filters=args.filters, serial=args.serial)
     _announce(write_report(config, filters, truth, out))
-    failed = [k for k, m in filters.items() if not m.ok]
-    if failed:
-        print(f"numerical failure in: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    failed = [m.status.removeprefix("failed: ") for m in filters.values() if not m.ok]
+    for message in failed:
+        print(f"numerical failure: {message}", file=sys.stderr)
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def _cmd_steady_state(config: ExperimentConfig, args, out: Path) -> int:

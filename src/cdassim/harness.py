@@ -421,7 +421,8 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
         dcov = out_f.post_cov - out_o.post_cov
         var_f = np.diagonal(out_f.post_cov, axis1=1, axis2=2)
         var_o = np.diagonal(out_o.post_cov, axis1=1, axis2=2)
-        var_ratio = var_f / var_o
+        with np.errstate(divide="ignore", invalid="ignore"):
+            var_ratio = var_f / var_o  # inf or nan where the reference's spread is zero
         t_std_ratio = np.sqrt(np.maximum(var_ratio[:, 2], 0.0))
         within3 = (t_std_ratio >= 1.0 / 3.0) & (t_std_ratio <= 3.0)
         series[kind] = {

@@ -278,7 +278,8 @@ def test_filter_failure_in_a_worker_becomes_a_record(tmp_path, small_config_file
     monkeypatch.setenv("CDASSIM_THREADS", "2")
     assert parse_and_dispatch(["estimate", "--config", small_config_file,
                                "--out", "div"]) == 2
-    assert "numerical failure in: ekf" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "numerical failure: ekf failed at step 3 (t=40): forced divergence\n"
     doc = json.loads((tmp_path / "div" / "metrics.json").read_text())["filters"]
     ekf = doc["ekf"]
     assert ekf["status"].startswith("failed: ekf failed at step 3 (t=40)")
@@ -317,7 +318,6 @@ def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_con
     monkeypatch.setattr(harness, "run_filter", _faulty_run_filter(harness.run_filter))
     assert parse_and_dispatch(["estimate", "--config", small_config_file, "--serial",
                                "--out", "fault"]) == 2
-    assert "numerical failure in: ekf, ukf, enkf, pf" in capsys.readouterr().err
     doc = json.loads((tmp_path / "fault" / "metrics.json").read_text())["filters"]
     causes = {
         "ekf": "EKF moments diverged by t=40.0",
@@ -329,6 +329,8 @@ def test_injected_drift_fault_fails_every_filter_with_exit_2(tmp_path, small_con
     for kind, cause in causes.items():
         assert doc[kind]["status"] == f"failed: {kind} failed at step 3 (t=40): {cause}"
         assert doc[kind]["failed_step"] == 3
+    assert capsys.readouterr().err == "".join(f"numerical failure: {k} failed at step 3 (t=40): "
+                                              f"{cause}\n" for k, cause in causes.items())
 
 
 def _strict_json(path):
@@ -393,8 +395,8 @@ def test_truth_from_a_cold_or_negative_temperature_prints_no_numpy_warning(tmp_p
 @pytest.mark.parametrize("n_samples", [14, 30])
 def test_coarse_grid_failure_exits_2_without_runtime_warnings(tmp_path, monkeypatch, capsys,
                                                              n_samples):
-    # on these grids the EKF and UKF blow up; the failure reaches stderr as
-    # one line naming the filters, with no numpy warning naming a source line
+    # on these grids the EKF and UKF blow up; each failure reaches stderr as one
+    # line naming its filter, step and time, with no numpy warning naming a source line
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "coarse.json"
     cfg.write_text(json.dumps({"n_samples": n_samples,
@@ -404,7 +406,9 @@ def test_coarse_grid_failure_exits_2_without_runtime_warnings(tmp_path, monkeypa
         code = parse_and_dispatch(["estimate", "--config", str(cfg), "--serial",
                                    "--out", "coarse"])
     assert code == 2
-    assert capsys.readouterr().err == "numerical failure in: ekf, ukf\n"
+    doc = json.loads((tmp_path / "coarse" / "metrics.json").read_text())["filters"]
+    assert capsys.readouterr().err == "".join(
+        doc[k]["status"].replace("failed: ", "numerical failure: ") + "\n" for k in ("ekf", "ukf"))
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -522,7 +526,8 @@ def test_ekf_from_zero_temperature_fails_at_its_first_step_with_exit_2(tmp_path,
         code = parse_and_dispatch(["estimate", "--filters", "ekf", "--config", str(cfgfile),
                                    "--serial", "--out", "cold"])
     assert code == 2
-    assert capsys.readouterr().err == "numerical failure in: ekf\n"
+    assert capsys.readouterr().err == \
+        "numerical failure: ekf failed at step 0 (t=10): EKF moments diverged by t=10.0\n"
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     ekf = json.loads((tmp_path / "cold" / "metrics.json").read_text())["filters"]["ekf"]
     assert ekf["status"].startswith("failed: ekf failed at step 0 (t=10): ")

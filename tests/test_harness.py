@@ -446,6 +446,15 @@ def test_uncertainty_summary_structure(small_uncertainty):
         assert series["var_ratio"].shape == (30, 4)
 
 
+@pytest.mark.filterwarnings("error")
+def test_degenerate_reference_gives_inf_ratios_without_a_warning():
+    # 20 reference particles lose all beta spread: inf ratios, not numpy warnings
+    cfg = load_config(overrides={"horizon_minutes": 5, "n_samples": 30, "monte_carlo": {
+        "ensemble_size": 2, "particle_count": 2, "oracle_particle_count": 20}})
+    unc = uncertainty_comparison(cfg, generate_truth_and_measurements(cfg), serial=True)
+    assert all(np.isinf(s["var_ratio"][:, 3]).sum() == 3 for s in unc.series.values())
+
+
 @pytest.mark.parametrize("fired, status", [
     (("NIS",), "degenerate: sustained innovation inconsistency"),
     (("SPREAD",), "degenerate: posterior spread collapse"),
