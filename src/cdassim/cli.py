@@ -138,43 +138,60 @@ def _reduced_comparison(config: ExperimentConfig):
     All three models start from feed composition (the reductions are exact
     there) and integrate the noise-free dynamics with a classical 4th-order
     scheme on the inner substep grid, stepped together as one state
-    ``[CA, CB, T, beta, X, T2, T1]``: the joint model's rates of
-    (CA, CB, T, beta) from :func:`~cdassim.cstr.cstr3_rates`, with beta at
-    ``params.beta``, then the 2-state (X, T2) and the 1-state T1. Every
-    operation of :func:`~cdassim.sde.rk4_step` is elementwise, so each
-    model's values are bitwise those of stepping it alone.
-    Every interval takes its step and stage inputs from one
-    :func:`~cdassim.sde.rk4_inputs` table, the truth's and filters' grid.
+    ``[CA, CB, T, X, T2, T1]``. Each takes its rates from the one rate law,
+    :func:`~cdassim.cstr.cstr3_rates` with beta at ``params.beta``: the
+    joint model at (CA, CB, T); the 2-state model in the extent of reaction
+    X at the concentrations (CA_IN - CB_IN X / 2, CB_IN (1 - X)) and T2,
+    with X' = -X F/V + 2 r / CB_IN; the 1-state model at
+    :func:`~cdassim.cstr.adiabatic_concentrations` of T1. Every operation of
+    :func:`~cdassim.sde.rk4_step` is elementwise, so each model's values are
+    bitwise those of stepping it alone. Every interval takes its step and
+    stage inputs from one :func:`~cdassim.sde.rk4_inputs` table, the truth's
+    and filters' grid. Numpy's divide, overflow and invalid warnings are off,
+    as in the truth; a model whose state is not finite at a sample time
+    raises :class:`~cdassim.sde.DivergenceError`, naming the first of them.
     """
     params = config.cstr_params()
+    beta = params.beta
 
     def rates(t, z, u):
-        F = u[0]
-        return np.concatenate((cstr.cstr3_rates(*z[:4].tolist(), float(F) / cstr.V)[:3], (0.0,),
-                               cstr.cstr2_drift(z[4], z[5], F, params),
-                               (cstr.cstr1_drift(z[6], F, params),)))
+        CA, CB, T, X, T2, T1 = z.tolist()
+        FV = float(u[0]) / cstr.V
+        dCA, dCB, dT, _, _ = cstr.cstr3_rates(CA, CB, T, beta, FV)
+        _, _, dT2, _, r = cstr.cstr3_rates(cstr.CA_IN - 0.5 * cstr.CB_IN * X,
+                                           cstr.CB_IN * (1.0 - X), T2, beta, FV)
+        dT1 = cstr.cstr3_rates(*cstr.adiabatic_concentrations(T1, params), T1, beta, FV)[2]
+        return np.array([dCA, dCB, dT, -FV * X + 2.0 * r / cstr.CB_IN, dT2, dT1])
 
-    z = np.array([cstr.CA_IN, cstr.CB_IN, cstr.T_IN, params.beta, 0.0, cstr.T_IN, cstr.T_IN])
-    temps = [(0.0, z[2], z[5], z[6])]
+    z = np.array([cstr.CA_IN, cstr.CB_IN, cstr.T_IN, 0.0, cstr.T_IN, cstr.T_IN])
+    temps = [(0.0, z[2], z[4], z[5])]
     times = config.sample_times()
     t0 = 0.0
-    for t1, rows in zip(times, rk4_inputs(config.flow_profile(), 0.0, times, config.substeps)):
-        h = (t1 - t0) / config.substeps
-        for j, inputs in enumerate(rows):
-            z = rk4_step(rates, t0 + j * h, z, h, inputs)
-        temps.append((t1, z[2], z[5], z[6]))
-        t0 = t1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for t1, rows in zip(times, rk4_inputs(config.flow_profile(), 0.0, times,
+                                              config.substeps)):
+            h = (t1 - t0) / config.substeps
+            for j, inputs in enumerate(rows):
+                z = rk4_step(rates, t0 + j * h, z, h, inputs)
+            finite = np.isfinite(z)
+            for name, ok in (("3-state", finite[:3]), ("2-state", finite[3:5]),
+                             ("1-state", finite[5:])):
+                if not ok.all():
+                    raise DivergenceError(f"the {name} model of the reduced comparison "
+                                          f"diverged by t={t1}")
+            temps.append((t1, z[2], z[4], z[5]))
+            t0 = t1
     return temps
 
 
 def _cmd_simulate(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
-    paths = [write_table(out / "truth.csv", (*TRUTH_HEADER, "measurement"), truth_rows(truth))]
+    _announce([write_table(out / "truth.csv", (*TRUTH_HEADER, "measurement"),
+                           truth_rows(truth))])
     if args.reduced:
-        paths.append(write_table(out / "reduced.csv",
-                                 ("t", "temp_3state", "temp_2state", "temp_1state"),
-                                 _reduced_comparison(config)))
-    _announce(paths)
+        _announce([write_table(out / "reduced.csv",
+                               ("t", "temp_3state", "temp_2state", "temp_1state"),
+                               _reduced_comparison(config))])
     return EXIT_OK
 
 

@@ -7,12 +7,18 @@ plain :class:`~cdassim.sde.SdeModel` whose drift and Jacobian kernels read
 beta from the state's fourth row, so a single evaluation serves any value
 of the parameter. The drift takes column batches, the filters' members and
 sigma points; :func:`cstr3_rates` works one state's rates on Python floats
-for the EKF's linearization, the twin experiment's truth and the
-reduced-model comparison. The filters run the model with an optional
+and is the one single-state copy of the rate law: the EKF's linearization,
+the twin experiment's truth, the reduced-model comparison and the
+steady-state curve all read it. The filters run the model with an optional
 random-walk channel on beta; the truth steps the same equations without
-one, so its beta stays at the configured value. Beside it: reduced 2-state
-(extent of reaction, T) and 1-state (T) deterministic approximations, the
-steady-state flow/temperature curve with its ignition fold, and analytic Jacobians.
+one, so its beta stays at the configured value.
+
+The reduced 2-state (extent of reaction, T) and 1-state (T) models, and the
+steady-state flow/temperature curve with its ignition fold, are this
+reactor held on its adiabatic invariants: 2 CA - CB stays at its feed value,
+and T - T_IN = beta (CA_IN - CA). They map their states to concentrations
+(:func:`adiabatic_concentrations` for the 1-state model and the curve) and
+evaluate :func:`cstr3_rates` there, with beta at ``CstrParams.beta``.
 
 The twin experiment's values (initial states, the true and guessed beta,
 sigma_T, the observation variance and the flow schedule) live only in the
@@ -35,12 +41,9 @@ __all__ = [
     "K0", "EA_R", "V", "CA_IN", "CB_IN", "T_IN",
     "CstrParams",
     "CstrExperiment",
-    "rate_constant",
     "cstr3_rates",
     "cstr3_drift",
     "cstr3_linearize",
-    "cstr2_drift",
-    "cstr1_drift",
     "adiabatic_concentrations",
     "steady_state_range",
     "steady_state_flow",
@@ -91,13 +94,6 @@ def _width_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     signs.setflags(write=False)
     _TABLES[m] = feed, signs
     return feed, signs
-
-
-def rate_constant(T):
-    """Arrhenius rate k(T) = K0 exp(-EA_R / T); broadcasts over T."""
-    # np.float64 reads T as np.asarray(T, dtype=float) does, but one value
-    # becomes a scalar, whose arithmetic costs far less than a 0-d array's
-    return K0 * np.exp(-EA_R / np.float64(T))
 
 
 def cstr3_rates(CA, CB, T, beta, FV):
@@ -185,33 +181,12 @@ def cstr3_linearize(x, F) -> np.ndarray:
                      0.0, 0.0, 0.0, 0.0]).reshape(5, 4)
 
 
-def cstr2_drift(X, T, F, params: CstrParams) -> np.ndarray:
-    """Reduced 2-state rates in (extent of reaction, temperature).
-
-    X = (CB_IN - CB)/CB_IN recovers CB = CB_IN (1 - X) and, by stoichiometry,
-    CA = CA_IN - (CB_IN / 2) X.
-    """
-    CA = CA_IN - 0.5 * CB_IN * X
-    CB = CB_IN * (1.0 - X)
-    FV = F / V
-    r = rate_constant(T) * CA * CB
-    return np.array([
-        -FV * X + 2.0 * r / CB_IN,
-        FV * (T_IN - T) + params.beta * r,
-    ])
-
-
 def adiabatic_concentrations(T, params: CstrParams):
     """Concentrations implied by temperature along the adiabatic branch."""
-    rise = (np.float64(T) - T_IN) / params.beta  # as in rate_constant
+    # np.float64 reads T as np.asarray(T, dtype=float) does, but one value
+    # becomes a scalar, whose arithmetic costs far less than a 0-d array's
+    rise = (np.float64(T) - T_IN) / params.beta
     return CA_IN - rise, CB_IN - 2.0 * rise
-
-
-def cstr1_drift(T, F, params: CstrParams) -> float:
-    """Reduced 1-state temperature rate with CA, CB eliminated adiabatically."""
-    CA, CB = adiabatic_concentrations(T, params)
-    r = rate_constant(T) * CA * CB
-    return F / V * (T_IN - T) + params.beta * r
 
 
 def steady_state_range(params: CstrParams) -> tuple[float, float]:
@@ -238,7 +213,7 @@ def steady_state_flow(T_s: float, params: CstrParams) -> float:
             f"T_s={T_s} is outside the admissible branch ({lo:.4f}, {hi:.4f})"
         )
     CA, CB = adiabatic_concentrations(T_s, params)
-    k = rate_constant(T_s)
+    k = cstr3_rates(CA, CB, T_s, params.beta, 0.0)[3]
     return V * params.beta * k * CA * CB / (T_s - T_IN)
 
 

@@ -1,4 +1,4 @@
-"""Closed-form scalar Kalman recursion for linear SDEs, used as a test oracle.
+"""Closed-form test oracles: a scalar Kalman recursion and the reduced reactor models.
 
 For dx = (b - a x) dt + sigma dw observed as y = x + v with v ~ N(0, R),
 the time update over dt has the exact discrete form
@@ -8,8 +8,16 @@ the time update over dt has the exact discrete form
 
 (with the a -> 0 limits b dt and sigma^2 dt), and the measurement update is
 the scalar Kalman formula. Nothing here touches the package's filter code.
+
+The reduced reactor models are written out on numpy scalars, apart from
+the package's single rate law: the 2-state model in the extent of reaction
+X = (CB_IN - CB) / CB_IN and T, and the 1-state model in T with the
+concentrations eliminated along the adiabatic branch. They read only the
+reactor's constants from :mod:`cdassim.cstr`.
 """
 import numpy as np
+
+from cdassim.cstr import CA_IN, CB_IN, EA_R, K0, T_IN, V
 
 
 def ou_transition(a: float, b: float, sigma: float, dt: float) -> tuple[float, float, float]:
@@ -40,3 +48,25 @@ def scalar_kalman(a, b, sigma, R, m0, P0, times, ys, t0=0.0) -> dict[str, np.nda
         out["gain"][k] = K
         t_prev = float(times[k])
     return out
+
+
+def arrhenius(T):
+    """Rate constant k(T) = K0 exp(-EA_R / T) on numpy scalars; broadcasts over T."""
+    return K0 * np.exp(-EA_R / np.float64(T))
+
+
+def two_state_rates(X, T, F, beta) -> np.ndarray:
+    """Rates of (X, T): CB = CB_IN (1 - X) and, by stoichiometry, CA = CA_IN - (CB_IN / 2) X."""
+    CA = CA_IN - 0.5 * CB_IN * X
+    CB = CB_IN * (1.0 - X)
+    FV = F / V
+    r = arrhenius(T) * CA * CB
+    return np.array([-FV * X + 2.0 * r / CB_IN, FV * (T_IN - T) + beta * r])
+
+
+def one_state_rate(T, F, beta):
+    """Rate of T, with CA and CB read off T along the adiabatic branch."""
+    rise = (np.float64(T) - T_IN) / beta
+    CA, CB = CA_IN - rise, CB_IN - 2.0 * rise
+    r = arrhenius(T) * CA * CB
+    return F / V * (T_IN - T) + beta * r

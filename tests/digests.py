@@ -14,7 +14,8 @@ at every sample instant); every file that ``simulate --reduced``,
 ``estimate``, ``steady-state``, ``sweep`` and ``oracle`` write on the
 default config, with the ``t_cpu_s`` timings dropped; those of
 ``simulate --reduced`` on a 211-sample grid, whose interval steps are not
-all ``dt_sample / substeps``; and the same for
+all ``dt_sample / substeps``; those of ``simulate --reduced`` and
+``steady-state`` on an endothermic reactor (negative beta); and the same for
 ``estimate`` on two coarse sampling grids on which the EKF and UKF fail,
 with each filter's status and the command's error output in plain text,
 so that the failure messages are compared too. JSON files are digested in their written key order, so a reordered
@@ -53,6 +54,9 @@ COMMANDS = (("simulate", "--reduced"), ("estimate",), ("steady-state",), ("sweep
             ("oracle",))
 # simulate --reduced on a grid whose sample intervals differ in their last bits
 REDUCED_GRID = 211
+# simulate --reduced and steady-state on an endothermic reactor
+ENDOTHERMIC = {"truth": {"beta": -133.7792}}
+ENDOTHERMIC_COMMANDS = (("simulate", "--reduced"), ("steady-state",))
 # estimate on coarse grids, where the Gaussian filters fail in several ways
 COARSE_GRIDS = (14, 30)
 COARSE_SIZES = {"ensemble_size": 50, "particle_count": 50}
@@ -146,8 +150,9 @@ def _configured_command_lines(name: str, argv, overrides: dict):
 
 def cli_lines():
     """Digests of every file each subcommand writes on the default config, then of
-    ``simulate --reduced`` on the reduced grid, then of ``estimate`` on the
-    coarse grids with each filter's status."""
+    ``simulate --reduced`` on the reduced grid, then of ``simulate --reduced``
+    and ``steady-state`` on the endothermic reactor, then of ``estimate`` on
+    the coarse grids with each filter's status."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # a relative --out keeps out_dir, and so the config hash, fixed
@@ -157,6 +162,9 @@ def cli_lines():
             yield from _configured_command_lines(f"simulate_n{REDUCED_GRID}",
                                                  ("simulate", "--reduced"),
                                                  {"n_samples": REDUCED_GRID})
+            for command in ENDOTHERMIC_COMMANDS:
+                yield from _configured_command_lines(f"{command[0]}_endothermic", command,
+                                                     ENDOTHERMIC)
             for n_samples in COARSE_GRIDS:
                 name = f"estimate_n{n_samples}"
                 yield from _configured_command_lines(name, ("estimate",),

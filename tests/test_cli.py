@@ -18,8 +18,6 @@ from cdassim.cstr import (
     T_IN,
     V,
     adiabatic_concentrations,
-    cstr1_drift,
-    cstr2_drift,
     cstr3_drift,
     cstr3_rates,
 )
@@ -31,6 +29,7 @@ from cdassim.harness import (
 )
 from cdassim.sde import rk4_inputs, rk4_step
 
+from closedform import one_state_rate, two_state_rates
 from stages import SMALL_CONFIG
 
 
@@ -482,11 +481,14 @@ def test_reduced_comparison_steps_on_the_run_grid(monkeypatch):
 
 
 def _reduced_models_stepped_apart(cfg):
-    """The 3-, 2- and 1-state models stepped one at a time, each by its own rk4_step."""
+    """The 3-, 2- and 1-state models stepped one at a time, each by its own rk4_step.
+
+    The reduced models' rates are the closed-form reference's, on numpy scalars.
+    """
     params = cfg.cstr_params()
     f3 = lambda t, z, u: cstr3_drift(z, u[0])
-    f2 = lambda t, z, u: cstr2_drift(z[0], z[1], u[0], params)
-    f1 = lambda t, z, u: cstr1_drift(z, u[0], params)
+    f2 = lambda t, z, u: two_state_rates(z[0], z[1], u[0], params.beta)
+    f1 = lambda t, z, u: one_state_rate(z, u[0], params.beta)
     x3 = np.array([[CA_IN], [CB_IN], [T_IN], [params.beta]])
     x2 = np.array([0.0, T_IN])
     x1 = T_IN
@@ -504,13 +506,36 @@ def _reduced_models_stepped_apart(cfg):
     return rows
 
 
-@pytest.mark.parametrize("n_samples", [None, 211])
-def test_reduced_comparison_is_bitwise_the_models_stepped_apart(n_samples):
-    cfg = load_config(overrides={"n_samples": n_samples} if n_samples else None)
+@pytest.mark.parametrize("overrides", [None, {"n_samples": 211},
+                                       {"truth": {"beta": -133.7792}}],
+                         ids=["None", "211", "endothermic"])
+def test_reduced_comparison_is_bitwise_the_models_stepped_apart(overrides):
+    cfg = load_config(overrides=overrides)
     rows = np.array(cli._reduced_comparison(cfg), dtype=float)
     apart = np.array(_reduced_models_stepped_apart(cfg), dtype=float)
     assert rows.shape == (cfg.n_samples + 1, 4)
     assert rows.tobytes() == apart.tobytes()
+
+
+@pytest.mark.parametrize("n_samples,t", [(3, 700), (5, 840), (7, 600), (10, 630), (14, 1500)])
+def test_reduced_comparison_on_a_coarse_grid_exits_2_after_the_truth(tmp_path, monkeypatch,
+                                                                      capsys, n_samples, t):
+    # RK4 steps of 15-70 s overflow the comparison's models: the command names
+    # the first model that left the finite numbers, writes no reduced.csv and
+    # raises no numpy warning; the truth, which stays finite, is written first
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "coarse.json"
+    cfgfile.write_text(json.dumps({"n_samples": n_samples}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = parse_and_dispatch(["simulate", "--reduced", "--config", str(cfgfile),
+                                   "--serial", "--out", "coarse"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"the 3-state model of the reduced comparison diverged by t={t:.1f}\n"
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert len(_csv_lines(tmp_path / "coarse" / "truth.csv")) == n_samples + 2
+    assert not (tmp_path / "coarse" / "reduced.csv").exists()
 
 
 def test_ekf_from_zero_temperature_fails_at_its_first_step_with_exit_2(tmp_path, monkeypatch,

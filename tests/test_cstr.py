@@ -2,9 +2,9 @@
 
 Every kernel and model test works on the joint state (CA, CB, T, beta).
 Oracles: high-precision re-evaluation of the Arrhenius expression, central
-finite differences for every Jacobian entry, the noise-free joint model with
-beta held at its configured value for the reduced models, and
-back-substitution residuals for the steady-state curve.
+finite differences for every Jacobian entry, the closed-form reduced models
+of ``closedform`` against the noise-free joint model with beta held at its
+configured value, and back-substitution residuals for the steady-state curve.
 """
 import dataclasses
 import math
@@ -23,19 +23,17 @@ from cdassim.cstr import (
     V,
     CstrParams,
     adiabatic_concentrations,
-    cstr1_drift,
-    cstr2_drift,
     cstr3_drift,
     cstr3_linearize,
     cstr3_rates,
     default_experiment_model,
-    rate_constant,
     steady_state_curve,
     steady_state_flow,
     steady_state_range,
 )
 from cdassim.sde import DivergenceError, NoiseStream, rk4_inputs, rk4_step
 
+from closedform import arrhenius, one_state_rate, two_state_rates
 from stages import UNIT_SCALING, euler_maruyama_path, fd_jacobian, interval_inputs
 
 CONFIG = load_config()
@@ -64,35 +62,34 @@ def random_joint_state(rng):
     return x
 
 
+def rate_k(T):
+    """The rate constant k(T) of the one rate law, cstr3_rates."""
+    return cstr3_rates(CA_IN, CB_IN, T, PARAMS.beta, 0.0)[3]
+
+
 class TestRateConstant:
     def test_frozen_high_precision_value(self):
         # independent single-exp evaluation of the same formula
         expected = math.exp(24.6 - 8500.0 / 273.65)
-        got = rate_constant(273.65)
+        got = rate_k(273.65)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.56e-3, rel=2e-3)
 
     def test_monotone_in_temperature(self):
-        T = np.linspace(250.0, 600.0, 200)
-        k = rate_constant(T)
-        assert k.shape == T.shape
+        k = [rate_k(T) for T in np.linspace(250.0, 600.0, 200).tolist()]
         assert np.all(np.diff(k) > 0)
 
     def test_high_temperature_limit_is_prefactor(self):
-        assert rate_constant(1e14) == pytest.approx(K0, rel=1e-9)
+        assert rate_k(1e14) == pytest.approx(K0, rel=1e-9)
 
     @pytest.mark.parametrize("T", [300.0, 300, [300, 310.5, 0.0], np.asarray(305.25),
                                    np.array([[300.0, 0.0], [-0.0, 450.0]]), 0.0, -0.0, 0])
     def test_helpers_keep_the_values_and_types_of_an_asarray_read(self, T):
         # against a reference that reads T through np.asarray(T, dtype=float):
-        # every input kind gives the same bits and type, and T = 0 raises nothing
-        T_old = np.asarray(T, dtype=float)
-        with np.errstate(divide="ignore"):
-            expected = [K0 * np.exp(-EA_R / T_old)]
-            got = [rate_constant(T)]
-        rise = (T_old - T_IN) / PARAMS.beta
-        expected += [CA_IN - rise, CB_IN - 2.0 * rise]
-        got += adiabatic_concentrations(T, PARAMS)
+        # every input kind gives the same bits and type
+        rise = (np.asarray(T, dtype=float) - T_IN) / PARAMS.beta
+        expected = [CA_IN - rise, CB_IN - 2.0 * rise]
+        got = adiabatic_concentrations(T, PARAMS)
         for g, e in zip(got, expected):
             assert type(g) is type(e) and np.shape(g) == np.shape(e)
             assert np.asarray(g).tobytes() == np.asarray(e).tobytes()
@@ -205,7 +202,7 @@ class TestJacobian:
         x = np.array([0.4, 0.9, 330.0, PARAMS.beta])
         F = 0.007
         J = jacobian(x, F)
-        k = rate_constant(330.0)
+        k = arrhenius(330.0)
         assert J[1, 0] == pytest.approx(-2.0 * k * x[1], rel=1e-14)
         assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / V), rel=1e-12)
 
@@ -351,16 +348,21 @@ class TestJointKernel:
 
 
 class TestReducedModels:
+    # the closed-form 2- and 1-state models, which the reduced comparison
+    # must reproduce bitwise (tests/test_cli.py), against the one rate law
     def test_two_state_at_fresh_feed(self):
-        k = rate_constant(T_IN)
-        d = cstr2_drift(0.0, T_IN, 0.007, PARAMS)
+        dCA, dCB, dT, k, r = cstr3_rates(CA_IN, CB_IN, T_IN, PARAMS.beta, 0.007 / V)
+        d = two_state_rates(0.0, T_IN, 0.007, PARAMS.beta)
         assert d[0] == pytest.approx(2.0 * k * CA_IN * CB_IN / CB_IN, rel=1e-12)
+        assert d[0] == pytest.approx(-dCB / CB_IN, rel=1e-12)
         assert d[1] == pytest.approx(PARAMS.beta * k * CA_IN * CB_IN, rel=1e-12)
+        assert d[1] == pytest.approx(dT, rel=1e-12)
 
     def test_one_state_at_inlet_temperature(self):
-        k = rate_constant(T_IN)
-        d = cstr1_drift(T_IN, 0.007, PARAMS)
+        dCA, dCB, dT, k, r = cstr3_rates(CA_IN, CB_IN, T_IN, PARAMS.beta, 0.007 / V)
+        d = one_state_rate(T_IN, 0.007, PARAMS.beta)
         assert d == pytest.approx(PARAMS.beta * k * CA_IN * CB_IN, rel=1e-12)
+        assert d == pytest.approx(dT, rel=1e-12)
 
     def test_adiabatic_concentrations_at_inlet(self):
         CA, CB = adiabatic_concentrations(T_IN, PARAMS)
@@ -378,9 +380,10 @@ class TestReducedModels:
         for i, inputs in enumerate(rk4_inputs(FLOW, 0.0, [2100.0], 2100)[0]):
             t = i * h
             x3 = rk4_step(lambda tt, z, u: cstr3_drift(z, u[0]), t, x3, h, inputs)
-            x2 = rk4_step(lambda tt, z, u: cstr2_drift(z[0], z[1], u[0], PARAMS), t, x2, h, inputs)
-            x1 = rk4_step(lambda tt, z, u: np.array([cstr1_drift(z[0], u[0], PARAMS)]), t, x1, h,
-                          inputs)
+            x2 = rk4_step(lambda tt, z, u: two_state_rates(z[0], z[1], u[0], PARAMS.beta), t, x2,
+                          h, inputs)
+            x1 = rk4_step(lambda tt, z, u: np.array([one_state_rate(z[0], u[0], PARAMS.beta)]), t,
+                          x1, h, inputs)
             worst2 = max(worst2, abs(x3[2, 0] - x2[1]))
             worst1 = max(worst1, abs(x3[2, 0] - x1[0]))
         assert worst2 < 1.0
@@ -483,7 +486,7 @@ class TestModelWiring:
         # the appended parameter state uses the live column, not params.beta
         d = m.drift(0.0, z[:, None], u)[:, 0]
         F = u[0]
-        r = rate_constant(310.0) * 0.3 * 0.6
+        r = arrhenius(310.0) * 0.3 * 0.6
         assert d[2] == pytest.approx(F / V * (T_IN - 310.0) + 128.0 * r, rel=1e-12)
 
     def test_augmented_jacobian_vs_finite_differences(self):
@@ -500,7 +503,7 @@ class TestModelWiring:
         m = joint_model()
         z = np.array([0.5, 0.7, 320.0, 120.0])
         col = m.linearize(0.0, z, np.array([0.007]))[1:, 3]
-        r = rate_constant(320.0) * 0.5 * 0.7
+        r = arrhenius(320.0) * 0.5 * 0.7
         np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
     def test_parameter_noise_adds_channel(self):
