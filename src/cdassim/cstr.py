@@ -275,7 +275,6 @@ def default_experiment_model(params: CstrParams, flow: PiecewiseConstant,
         return g
 
     model = SdeModel(
-        dim_state=4,
         dim_noise=dim_noise,
         drift=lambda t, x, u: cstr3_drift(x, u[0]),
         diffusion=diffusion,

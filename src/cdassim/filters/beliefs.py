@@ -56,17 +56,17 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Weighted sample representation; particles are columns.
+    """Weighted sample representation; members (the particles) are columns.
 
     Weights are non-negative and sum to one (within roundoff).
     """
 
-    particles: np.ndarray
+    members: np.ndarray
     weights: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.particles, dtype=float))
+        X = np.atleast_2d(np.asarray(self.members, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.size != X.shape[1]:
             raise ValueError("one weight per particle required")
@@ -75,12 +75,12 @@ class ParticleSet:
         s = float(w.sum())
         if not np.isfinite(s) or abs(s - 1.0) > 1e-8:
             raise ValueError(f"weights must sum to one (got {s!r})")
-        object.__setattr__(self, "particles", X)
+        object.__setattr__(self, "members", X)
         object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
-        return self.particles.shape[1]
+        return self.members.shape[1]
 
 
 def posterior_summary(sample) -> GaussianBelief:
@@ -99,7 +99,7 @@ def posterior_summary(sample) -> GaussianBelief:
         P = (dev @ dev.T) / (n - 1)
         return GaussianBelief(m, symmetrize(P), t)
     if isinstance(sample, ParticleSet):
-        X, w, t = sample.particles, sample.weights, sample.time
+        X, w, t = sample.members, sample.weights, sample.time
         n = X.shape[1]
         m = X @ w
         if n == 1:

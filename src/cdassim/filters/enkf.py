@@ -1,6 +1,7 @@
-"""Ensemble Kalman filter with perturbed observations.
+"""Ensemble Kalman filter with perturbed observations: the analysis step.
 
-The analysis step perturbs the observation once per member with fresh
+The prediction is the runner's Monte Carlo one, shared with the PF. The
+analysis step perturbs the observation once per member with fresh
 measurement noise, drawn as one ``(len(y), N)`` block from a generator
 positioned at the start of its stream, estimates the cross and innovation
 covariances from the sample deviations with 1/(N-1) normalization, adds the
@@ -13,20 +14,9 @@ import numpy as np
 
 from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.linalg import chol_psd, solve_spd
-from cdassim.sde import SdeModel, propagate_members
+from cdassim.sde import SdeModel
 
-__all__ = ["enkf_predict", "enkf_update"]
-
-
-def enkf_predict(model: SdeModel, ensemble: Ensemble, inputs: np.ndarray, t1: float,
-                 rng: np.random.Generator) -> Ensemble:
-    """Propagate every member through the SDE to ``t1`` with increments from ``rng``.
-
-    ``inputs`` holds the interval's rows of the run's stage-input table; see
-    :func:`~cdassim.sde.propagate_members`.
-    """
-    X = propagate_members(model, ensemble.members, inputs, ensemble.time, t1, rng)
-    return Ensemble(X, t1)
+__all__ = ["enkf_update"]
 
 
 def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarray,

@@ -8,10 +8,12 @@ systematic (one uniform offset, n_p strata) and triggered by a
 :class:`ResamplePolicy`; the packaged config resamples when the effective
 sample size falls below half the particle count.
 
-A step is :func:`pf_predict` (propagate, keep the weights), :func:`pf_update`
-(reweight) and :func:`pf_resample`. Each draw takes a generator positioned at
-the start of its stream: the runner seats step ``k``'s increments at
-``stream.child(1).child(k)`` and the resampling offset at its child 0.
+A step is the Monte Carlo prediction the PF shares with the EnKF (the
+runner moves the particles with :func:`~cdassim.sde.propagate_members` and
+keeps the weights), :func:`pf_update` (reweight) and :func:`pf_resample`.
+Each draw takes a generator positioned at the start of its stream: the
+runner seats step ``k``'s increments at ``stream.child(1).child(k)`` and the
+resampling offset at its child 0.
 """
 from __future__ import annotations
 
@@ -21,13 +23,12 @@ import numpy as np
 
 from cdassim.filters.beliefs import ParticleSet
 from cdassim.filters.linalg import chol_psd, solve_lower
-from cdassim.sde import DivergenceError, SdeModel, propagate_members
+from cdassim.sde import DivergenceError, SdeModel
 
 __all__ = [
     "ResamplePolicy",
     "effective_sample_size",
     "systematic_resample",
-    "pf_predict",
     "pf_update",
     "pf_resample",
 ]
@@ -85,7 +86,7 @@ def systematic_resample(particles: ParticleSet, rng: np.random.Generator) -> Par
     cumw = np.cumsum(particles.weights)
     cumw[-1] = np.inf  # the last stratum may round up to 1; the last particle takes it
     idx = np.searchsorted(cumw, positions, side="right")
-    return ParticleSet(particles.particles[:, idx], np.full(n, 1.0 / n), particles.time)
+    return ParticleSet(particles.members[:, idx], np.full(n, 1.0 / n), particles.time)
 
 
 def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -93,17 +94,6 @@ def _log_gaussian(e: np.ndarray, R: np.ndarray) -> np.ndarray:
     LR = chol_psd(R)
     z = solve_lower(LR, e)
     return -0.5 * np.einsum("ij,ij->j", z, z)
-
-
-def pf_predict(model: SdeModel, particles: ParticleSet, inputs: np.ndarray, t1: float,
-               rng: np.random.Generator) -> ParticleSet:
-    """Propagate every particle to ``t1`` with increments from ``rng``; weights are kept.
-
-    ``inputs`` holds the interval's rows of the run's stage-input table; see
-    :func:`~cdassim.sde.propagate_members`.
-    """
-    X = propagate_members(model, particles.particles, inputs, particles.time, t1, rng)
-    return ParticleSet(X, particles.weights, t1)
 
 
 def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
@@ -117,7 +107,7 @@ def pf_update(particles: ParticleSet, model: SdeModel, y: np.ndarray,
     Takes ``y`` ``(ny,)`` and ``R`` ``(ny, ny)`` as float arrays, as
     ``run_filter`` passes them.
     """
-    X, w, t = particles.particles, particles.weights, particles.time
+    X, w, t = particles.members, particles.weights, particles.time
     Yp = np.atleast_2d(np.asarray(model.measure(t, X), dtype=float))
     yhat = Yp @ w
     dY = Yp - yhat[:, None]

@@ -1,27 +1,30 @@
 """Measurement-sequence driver shared by the four filter kinds.
 
-Every kind is a prediction and a Bayes update on its own state (a
-:class:`GaussianBelief`, an :class:`Ensemble` or a :class:`ParticleSet`),
-and one loop runs them all. Step ``k`` is ``state = predict(state, inputs,
-t1, k)``, ``prior = summary(state)``, ``state, e, Re = update(state, y, k)``,
-``post = summary(state)``, where ``summary`` is the identity on a belief and
-:func:`posterior_summary` on a sample; the PF then resamples by its policy.
-Per-step diagnostics (moments, innovations, NIS, timing) go to a
-:class:`FilterOutput`. Reproducibility comes from fixed child-stream roles
-under the configured noise stream. Sample-based filters draw their initial
-members from role ``STREAM_INIT``; step ``k`` draws from one block stream
-per role, ``stream.child(role).child(k)``: ``STREAM_PROPAGATE`` for EnKF
-and PF propagation, whose child 0 gives the PF's resampling offset, and
-``STREAM_PERTURB`` for the EnKF observation perturbations. A run builds one
-generator per noise role and, before each step's draw, seats it at that
-step's stream (:meth:`~cdassim.sde.NoiseStream.seat`), which replays the
-stream exactly as a fresh generator would. Two runs with the same stream
-are therefore bitwise identical however work is scheduled.
+Three predictions feed four updates: the EKF's moment ODE, the UKF's sigma
+points, and the Monte Carlo members that the EnKF and the PF share
+(:func:`~cdassim.sde.propagate_members`; a PF keeps its weights). Each kind
+updates its own state (a :class:`GaussianBelief`, an :class:`Ensemble` or a
+:class:`ParticleSet`), and one loop runs them all. Step ``k`` is ``state =
+predict(state, inputs, t1, k)``, ``prior = summary(state)``, ``state, e, Re
+= update(state, y, k)``, ``post = summary(state)``, where ``summary`` is the
+identity on a belief and :func:`posterior_summary` on a sample; the PF then
+resamples by its policy. Per-step diagnostics (moments, innovations, NIS,
+timing) go to a :class:`FilterOutput`. Reproducibility comes from fixed
+child-stream roles under the configured noise stream. Sample-based filters
+draw their initial members from role ``STREAM_INIT``; step ``k`` draws from
+one block stream per role, ``stream.child(role).child(k)``:
+``STREAM_PROPAGATE`` for the members' propagation, whose child 0 gives the
+PF's resampling offset, and ``STREAM_PERTURB`` for the EnKF observation
+perturbations. A run builds one generator per noise role and, before each
+step's draw, seats it at that step's stream
+(:meth:`~cdassim.sde.NoiseStream.seat`), which replays the stream exactly as
+a fresh generator would. Two runs with the same stream are therefore bitwise
+identical however work is scheduled.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,12 +35,19 @@ from cdassim.filters.beliefs import (
     ParticleSet,
     posterior_summary,
 )
-from cdassim.filters.enkf import enkf_predict, enkf_update
+from cdassim.filters.enkf import enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd, condition_number, solve_spd
-from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
+from cdassim.filters.pf import ResamplePolicy, pf_resample, pf_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_update
-from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
+from cdassim.sde import (
+    DivergenceError,
+    NoiseStream,
+    PiecewiseConstant,
+    SdeModel,
+    propagate_members,
+    rk4_inputs,
+)
 
 __all__ = [
     "FILTER_KINDS",
@@ -138,20 +148,23 @@ def _contract(kind: str, model: SdeModel, config: FilterConfig):
     X0 = model.constrain(config.initial.mean[:, None] + chol_psd(config.initial.cov) @ draws)
     propagate_root = config.stream.child(STREAM_PROPAGATE)
     propagate_rng = propagate_root.generator()
+
+    def predict(sample, inputs, t1, k):
+        X = propagate_members(model, sample.members, inputs, sample.time, t1,
+                              propagate_root.child(k).seat(propagate_rng))
+        return replace(sample, members=X, time=t1)
+
     if kind == "enkf":
         perturb_root = config.stream.child(STREAM_PERTURB)
         perturb_rng = perturb_root.generator()
-        return (Ensemble(X0, config.initial.time),
-                lambda ens, inputs, t1, k: enkf_predict(
-                    model, ens, inputs, t1, propagate_root.child(k).seat(propagate_rng)),
+        return (Ensemble(X0, config.initial.time), predict,
                 lambda ens, y, k: enkf_update(ens, model, y, R,
                                               perturb_root.child(k).seat(perturb_rng)),
                 None)
     offset_rng = propagate_root.generator()
     policy = config.resample
     return (ParticleSet(X0, np.full(config.size, 1.0 / config.size), config.initial.time),
-            lambda ps, inputs, t1, k: pf_predict(
-                model, ps, inputs, t1, propagate_root.child(k).seat(propagate_rng)),
+            predict,
             lambda ps, y, k: pf_update(ps, model, y, R),
             lambda ps, k: pf_resample(ps, policy,
                                       propagate_root.child(k).child(0).seat(offset_rng)))
@@ -161,10 +174,10 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                u: PiecewiseConstant) -> FilterOutput:
     """Assimilate a measurement sequence with the requested filter.
 
-    ``times`` are strictly increasing measurement times at or after the
-    initial belief's time; ``measurements`` holds one observation row per
-    time, shaped here once: each update takes its ``(ny,)`` float row and
-    the checked ``(ny, ny)`` ``obs_cov`` as they are. ``u`` is the
+    ``times`` are finite, strictly increasing measurement times at or after
+    the initial belief's time; ``measurements`` holds one finite observation
+    row per time, shaped here once: each update takes its ``(ny,)`` float
+    row and the checked ``(ny, ny)`` ``obs_cov`` as they are. ``u`` is the
     :class:`~cdassim.sde.PiecewiseConstant` input profile. Its values at
     every Runge-Kutta stage time of the run are looked up once, in one
     :func:`~cdassim.sde.rk4_inputs` table, and each prediction receives its
@@ -197,6 +210,10 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
         Y = Y[:, None] if ny == 1 else np.atleast_2d(Y)
     if Y.shape != (times.size, ny):
         raise ValueError(f"measurements shape {Y.shape}, expected {(times.size, ny)}")
+    if not np.isfinite(times).all():
+        raise ValueError("measurement times must be finite")
+    if not np.isfinite(Y).all():
+        raise ValueError("measurements must be finite")
     if np.any(np.diff(times) <= 0):
         raise ValueError("measurement times must be strictly increasing")
     if times.size and times[0] < config.initial.time:

@@ -119,7 +119,7 @@ class SdeModel:
     must accept column-batched states ``(n, m)`` by broadcasting.
 
     Diffusion contract: ``diffusion(u)`` takes the input alone and returns
-    one ``(dim_state, dim_noise)`` matrix, so the noise is additive at each
+    one ``(n, dim_noise)`` matrix, so the noise is additive at each
     input value, the case every integrator here approximates. Each of them
     evaluates it through :func:`per_input`, once per distinct input value.
 
@@ -135,7 +135,6 @@ class SdeModel:
     argument in place and must return it.
     """
 
-    dim_state: int
     dim_noise: int
     drift: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
@@ -147,8 +146,6 @@ class SdeModel:
     def __post_init__(self):
         if self.dim_noise < 0:
             raise ValueError("dim_noise must be non-negative")
-        if self.dim_state < 1:
-            raise ValueError("dim_state must be positive")
 
 
 @dataclass(frozen=True)

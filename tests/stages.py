@@ -56,7 +56,6 @@ def linear_sde(a: float, sigma: float) -> SdeModel:
     ``constant(b)``; its linearization and measurement Jacobian are exact.
     """
     return SdeModel(
-        dim_state=1,
         dim_noise=1,
         drift=lambda t, x, u: -a * x + u,
         diffusion=lambda u: np.array([[sigma]]),

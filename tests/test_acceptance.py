@@ -25,8 +25,8 @@ from cdassim.cstr import (
     default_experiment_model,
 )
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
-from cdassim.filters.enkf import enkf_predict, enkf_update
-from cdassim.filters.pf import pf_predict, pf_update
+from cdassim.filters.enkf import enkf_update
+from cdassim.filters.pf import pf_update
 from cdassim.filters.runner import FILTER_KINDS, FilterConfig, run_filter
 from cdassim.harness import (
     ensemble_size_sweep,
@@ -35,7 +35,7 @@ from cdassim.harness import (
     run_one_filter,
     uncertainty_comparison,
 )
-from cdassim.sde import NoiseStream
+from cdassim.sde import NoiseStream, propagate_members
 
 from closedform import scalar_kalman
 from stages import (
@@ -182,11 +182,12 @@ def test_criterion_02_monte_carlo_convergence_rate(ou):
         prop_p = NoiseStream(SEED, 940 + j)
         for r in range(N_SEEDS):
             x0 = OU_M0 + np.sqrt(OU_P0) * init_rng.standard_normal((1, n))
-            ens = enkf_predict(model, Ensemble(x0.copy(), 0.0), inputs, OU_DT,
-                               prop_e.child(r).generator())
-            ens, _, _ = enkf_update(ens, model, y1, Rm, pert_e.child(r).generator())
-            particles = ParticleSet(x0.copy(), np.full(n, 1.0 / n), 0.0)
-            particles = pf_predict(model, particles, inputs, OU_DT, prop_p.child(r).generator())
+            # both share the Monte Carlo prediction; only the update differs
+            X = propagate_members(model, x0, inputs, 0.0, OU_DT, prop_e.child(r).generator())
+            ens, _, _ = enkf_update(Ensemble(X, OU_DT), model, y1, Rm,
+                                    pert_e.child(r).generator())
+            X = propagate_members(model, x0, inputs, 0.0, OU_DT, prop_p.child(r).generator())
+            particles = ParticleSet(X, np.full(n, 1.0 / n), OU_DT)
             particles, _, _ = pf_update(particles, model, y1, Rm)
             for kind, sample in (("enkf", ens), ("pf", particles)):
                 errs[kind][r, j] = abs(float(posterior_summary(sample).mean[0]) - kf_mean)

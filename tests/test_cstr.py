@@ -478,9 +478,9 @@ class TestModelWiring:
 
     def test_default_experiment_bundle(self):
         m = joint_model(CONFIG.sigma_theta)
-        assert (m.dim_state, m.dim_noise) == (4, 1)
         z = np.array([0.3, 0.6, 310.0, 128.0])
         u = FLOW.at(0.0)
+        assert m.dim_noise == 1 and m.diffusion(u).shape == (4, 1)
         np.testing.assert_array_equal(m.measure_jacobian(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
         assert m.drift(0.0, z[:, None], u)[3, 0] == 0.0
         # the appended parameter state uses the live column, not params.beta

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cdassim.filters.beliefs import Ensemble, posterior_summary
-from cdassim.filters.enkf import enkf_predict, enkf_update
+from cdassim.filters.enkf import enkf_update
 from cdassim.filters.linalg import chol_psd
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
 
@@ -43,7 +43,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
     A = np.array([[-0.5, 0.2], [0.1, -0.3]])
     G = np.array([[0.4, 0.0], [0.3, 0.2]])
     model = SdeModel(
-        dim_state=2, dim_noise=2,
+        dim_noise=2,
         drift=lambda t, x, u: A @ x + u[:, None] * (1.0 + t),
         diffusion=lambda u: G,
         measure=lambda t, x: x[:1],
@@ -70,7 +70,7 @@ def test_propagate_members_is_euler_maruyama_over_one_block():
 def test_propagate_members_reports_diverged_member():
     # a bounded drift that pushes positive members past the float range
     model = SdeModel(
-        dim_state=1, dim_noise=1,
+        dim_noise=1,
         drift=lambda t, x, u: np.where(x > 0, 1.7e308, 0.0),
         diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -87,7 +87,7 @@ def test_propagate_members_reports_diverged_member():
 def test_propagate_members_converts_midstep_overflow():
     # drift itself overflows during a substep; still surfaces as divergence
     model = SdeModel(
-        dim_state=1, dim_noise=1,
+        dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,
@@ -105,17 +105,16 @@ def test_ensemble_needs_two_members():
     assert Ensemble(np.ones((3, 2))).members.shape == (3, 2)
 
 
-def test_enkf_predict_is_reproducible_per_stream():
+def test_member_prediction_is_reproducible_per_stream():
     model = linear_sde(1.0, 0.5)
-    ens = Ensemble(np.linspace(-1.0, 1.0, 8)[None, :])
+    X = np.linspace(-1.0, 1.0, 8)[None, :]
     stream = NoiseStream(12, 5)
     u = interval_inputs(constant(0.0), 0.0, 0.5)
-    a = enkf_predict(model, ens, u, 0.5, stream.generator())
-    b = enkf_predict(model, ens, u, 0.5, stream.generator())
-    c = enkf_predict(model, ens, u, 0.5, stream.child(1).generator())
-    assert np.array_equal(a.members, b.members)
-    assert not np.array_equal(a.members, c.members)
-    assert a.time == 0.5
+    a = propagate_members(model, X, u, 0.0, 0.5, stream.generator())
+    b = propagate_members(model, X, u, 0.0, 0.5, stream.generator())
+    c = propagate_members(model, X, u, 0.0, 0.5, stream.child(1).generator())
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_enkf_update_zero_spread_is_a_fixed_point():
@@ -139,7 +138,7 @@ def test_enkf_update_matches_direct_formulas():
     R = np.diag([0.09, 0.04])
     y = np.array([0.4, -0.2])
     model = SdeModel(
-        dim_state=n, dim_noise=n,
+        dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
         diffusion=lambda u: np.eye(n),
         measure=lambda t, x: C @ x,

@@ -37,7 +37,7 @@ def test_update_joseph_form_keeps_covariance_psd():
         B = rng.standard_normal((ny, ny))
         R = B @ B.T + 0.1 * np.eye(ny)
         model = SdeModel(
-            dim_state=n, dim_noise=n,
+            dim_noise=n,
             drift=lambda t, x, u: np.zeros(n),
             diffusion=lambda u: np.eye(n),
             measure=lambda t, x, C=C: C @ x,
@@ -151,7 +151,7 @@ def test_moment_rate_is_the_drift_over_the_lyapunov_rate_bitwise():
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_predict_flags_divergence():
     model = SdeModel(
-        dim_state=1, dim_noise=1,
+        dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,

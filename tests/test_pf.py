@@ -9,7 +9,6 @@ from cdassim.filters.linalg import chol_psd
 from cdassim.filters.pf import (
     ResamplePolicy,
     effective_sample_size,
-    pf_predict,
     pf_resample,
     pf_update,
     systematic_resample,
@@ -31,8 +30,9 @@ def assimilate(model, ps, t1, y, R, stream, policy):
     Returns (propagated set, reweighted set, set after the policy, ESS,
     whether it resampled); the offset comes from ``stream.child(0)``.
     """
-    propagated = pf_predict(model, ps, interval_inputs(constant(0.0), ps.time, t1), t1,
-                            stream.generator())
+    X = propagate_members(model, ps.members, interval_inputs(constant(0.0), ps.time, t1),
+                          ps.time, t1, stream.generator())
+    propagated = ParticleSet(X, ps.weights, t1)
     weighted, _, _ = pf_update(propagated, model, np.array([y]), np.array([[R]]))
     out, ess, resampled = pf_resample(weighted, policy, stream.child(0).generator())
     return propagated, weighted, out, ess, resampled
@@ -63,7 +63,7 @@ def test_resample_policy_validation():
 def test_systematic_resample_uniform_weights_is_identity():
     ps = uniform_particles(np.arange(16.0))
     out = systematic_resample(ps, NoiseStream(5).generator())
-    assert np.array_equal(np.sort(out.particles[0]), ps.particles[0])
+    assert np.array_equal(np.sort(out.members[0]), ps.members[0])
     assert np.allclose(out.weights, 1.0 / 16.0)
 
 
@@ -72,7 +72,7 @@ def test_systematic_resample_single_survivor():
     w[2] = 1.0
     ps = ParticleSet(np.arange(6.0)[None, :], w)
     out = systematic_resample(ps, NoiseStream(8).generator())
-    assert np.all(out.particles[0] == 2.0)
+    assert np.all(out.members[0] == 2.0)
 
 
 @pytest.mark.parametrize("weights, u, drawn", [
@@ -87,7 +87,7 @@ def test_systematic_resample_tie_with_a_cumulative_weight(weights, u, drawn):
     # a stub generator fixes the offset; a tie goes to the next particle
     ps = ParticleSet(np.arange(float(len(weights)))[None, :], np.array(weights))
     out = systematic_resample(ps, SimpleNamespace(uniform=lambda: u))
-    assert np.array_equal(out.particles[0], drawn)
+    assert np.array_equal(out.members[0], drawn)
 
 
 def test_systematic_resample_counts_stay_within_strata_bounds():
@@ -102,7 +102,7 @@ def test_systematic_resample_counts_stay_within_strata_bounds():
     passes = 400
     for _ in range(passes):
         out = systematic_resample(ps, g)
-        counts = np.bincount(out.particles[0].astype(int), minlength=n)
+        counts = np.bincount(out.members[0].astype(int), minlength=n)
         assert np.all(counts >= np.floor(n * w))
         assert np.all(counts <= np.ceil(n * w))
         totals += counts
@@ -142,7 +142,7 @@ def test_pf_step_log_weights_survive_extreme_likelihood_ratios():
     _, _, out, ess, _ = assimilate(model, ps, 0.1, 0.0, 0.01, NoiseStream(42),
                                    ResamplePolicy("always", 0.5))
     assert ess == pytest.approx(50.0, rel=0.01)
-    assert np.all(np.abs(out.particles[0]) < 1.0)
+    assert np.all(np.abs(out.members[0]) < 1.0)
 
 
 def test_pf_step_innovation_is_taken_under_the_incoming_weights():
@@ -151,9 +151,9 @@ def test_pf_step_innovation_is_taken_under_the_incoming_weights():
     w = rng.uniform(0.1, 1.0, 50)
     ps = ParticleSet(rng.standard_normal((1, 50)), w / w.sum(), 0.5)
     weighted, e, Re = pf_update(ps, linear_sde(0.0, 1.0), np.array([0.7]), np.array([[0.3]]))
-    yhat = ps.particles[0] @ ps.weights
+    yhat = ps.members[0] @ ps.weights
     assert e[0] == pytest.approx(0.7 - yhat, abs=1e-14)
-    assert Re[0, 0] == pytest.approx(((ps.particles[0] - yhat) ** 2) @ ps.weights + 0.3,
+    assert Re[0, 0] == pytest.approx(((ps.members[0] - yhat) ** 2) @ ps.weights + 0.3,
                                      rel=1e-12)
     assert not np.allclose(weighted.weights, ps.weights)
 
@@ -162,8 +162,9 @@ def test_pf_step_innovation_is_taken_under_the_incoming_weights():
 def test_pf_step_raises_when_every_weight_underflows():
     model = linear_sde(0.0, 1e-3)
     ps = uniform_particles(np.zeros(20))
-    propagated = pf_predict(model, ps, interval_inputs(constant(0.0), 0.0, 0.1), 0.1,
-                            NoiseStream(43).generator())
+    X = propagate_members(model, ps.members, interval_inputs(constant(0.0), 0.0, 0.1), 0.0, 0.1,
+                          NoiseStream(43).generator())
+    propagated = ParticleSet(X, ps.weights, 0.1)
     with pytest.raises(DivergenceError, match="all particle weights underflowed at t=0.1"):
         pf_update(propagated, model, np.array([1e200]), np.array([[1.0]]))
 
@@ -206,7 +207,7 @@ def test_pf_step_stream_layout_matches_documented_contract():
         w /= w.sum()
         assert np.array_equal(run.post_mean[k], X @ w)
         by_parts = systematic_resample(ParticleSet(X, w, t1), step.child(0).generator())
-        X, w, t0 = by_parts.particles, by_parts.weights, t1
+        X, w, t0 = by_parts.members, by_parts.weights, t1
     assert run.resampled.all()
 
 
@@ -217,6 +218,6 @@ def test_pf_step_is_reproducible_per_stream():
     a = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
     b = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
     c = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(47), ESS_HALF)[2]
-    assert np.array_equal(a.particles, b.particles)
+    assert np.array_equal(a.members, b.members)
     assert np.array_equal(a.weights, b.weights)
-    assert not np.array_equal(a.particles, c.particles)
+    assert not np.array_equal(a.members, c.members)

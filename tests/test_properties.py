@@ -27,13 +27,12 @@ from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd, symmetrize
 from cdassim.filters.pf import (
     ResamplePolicy,
-    pf_predict,
     pf_resample,
     pf_update,
     systematic_resample,
 )
 from cdassim.filters.unscented import ukf_predict, ukf_update
-from cdassim.sde import NoiseStream, SdeModel
+from cdassim.sde import NoiseStream, SdeModel, propagate_members
 
 from stages import UNIT_SCALING, interval_inputs
 
@@ -127,7 +126,7 @@ def linear_scalar_updates(draw):
 def test_joseph_update_equals_standard_form(case):
     belief, C, R, y = case
     n = belief.dim
-    model = SdeModel(dim_state=n, dim_noise=n,
+    model = SdeModel(dim_noise=n,
                      drift=lambda t, x, u: np.zeros_like(x),
                      diffusion=lambda u: np.eye(n),
                      measure=lambda t, x: C @ x,
@@ -152,12 +151,12 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     rng = np.random.default_rng(seed)
     X = sample_members(belief, n_p, rng)
     w = rng.uniform(0.05, 1.0, n_p)
-    particles = ParticleSet(X, w / w.sum(), belief.time)
     t1 = belief.time + DT
     y = np.array([belief.mean[2] + residual])
     stream = NoiseStream(seed)
-    propagated = pf_predict(MODEL, particles, interval_inputs(FLOW, belief.time, t1), t1,
-                            stream.generator())
+    X = propagate_members(MODEL, X, interval_inputs(FLOW, belief.time, t1), belief.time, t1,
+                          stream.generator())
+    propagated = ParticleSet(X, w / w.sum(), t1)
     weighted, _, _ = pf_update(propagated, MODEL, y, R)
     out, ess, _ = pf_resample(weighted, ResamplePolicy(policy, 0.5),
                               stream.child(0).generator())
@@ -165,7 +164,7 @@ def test_pf_step_leaves_normalized_weights_and_bounded_ess(belief, residual, n_p
     assert abs(float(out.weights.sum()) - 1.0) <= 1e-12
     # 1 <= ESS <= N holds exactly for normalized weights; allow roundoff in 1 / sum(w^2)
     assert 1.0 - 1e-12 <= ess <= n_p * (1.0 + 1e-12)
-    assert np.all(np.isfinite(out.particles))
+    assert np.all(np.isfinite(out.members))
     check(posterior_summary(weighted))
 
 
@@ -211,6 +210,6 @@ def test_systematic_resample_keeps_every_particle_of_weight_at_least_one_over_n(
     n = weights.size
     labels = np.arange(n, dtype=float)[None, :]
     out = systematic_resample(ParticleSet(labels, weights), np.random.default_rng(seed))
-    kept = set(out.particles[0].astype(int))
+    kept = set(out.members[0].astype(int))
     heavy = np.flatnonzero(weights >= 1.0 / n)
     assert set(heavy) <= kept, f"dropped {sorted(set(heavy) - kept)}"

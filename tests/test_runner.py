@@ -6,10 +6,10 @@ import pytest
 
 from cdassim.filters import runner
 from cdassim.filters.beliefs import Ensemble, GaussianBelief, ParticleSet, posterior_summary
-from cdassim.filters.enkf import enkf_predict, enkf_update
+from cdassim.filters.enkf import enkf_update
 from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.filters.pf import ResamplePolicy, pf_predict, pf_resample, pf_update
+from cdassim.filters.pf import ResamplePolicy, pf_resample, pf_update
 from cdassim.filters.unscented import ukf_predict, ukf_update
 from cdassim.filters.runner import (
     FILTER_KINDS,
@@ -21,7 +21,7 @@ from cdassim.filters.runner import (
     FilterRunError,
     run_filter,
 )
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
 
 from closedform import scalar_kalman
 from stages import FILTER_SETTINGS, constant, euler_maruyama_path, interval_inputs, linear_sde
@@ -65,6 +65,14 @@ def test_rejects_bad_requests(ou_data):
         run_filter("ekf", MODEL, cfg, times, ys[:-1], U_IN)
     with pytest.raises(ValueError):
         run_filter("enkf", MODEL, base_config("enkf", stream=None), times, ys, U_IN)  # no stream
+    # a non-finite time or measurement is a bad request, not a divergence at a later step
+    for kind in FILTER_KINDS:
+        cfg = base_config(kind)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^measurement times must be finite$"):
+                run_filter(kind, MODEL, cfg, [1.0, 2.0, bad], [0.1, 0.2, 0.3], U_IN)
+            with pytest.raises(ValueError, match="^measurements must be finite$"):
+                run_filter(kind, MODEL, cfg, [1.0, 2.0, 3.0], [0.1, bad, 0.3], U_IN)
 
 
 def test_zero_measurements_returns_initial_belief():
@@ -144,18 +152,19 @@ def test_every_kind_replays_through_the_step_contract():
     propagate, perturb = root.child(STREAM_PROPAGATE), root.child(STREAM_PERTURB)
     prop_rng, pert_rng, offset_rng = propagate.generator(), perturb.generator(), root.generator()
     scaling = FILTER_SETTINGS["ukf"]["scaling"]
+
+    def members(s, u, t1, k):  # the one Monte Carlo prediction of both sample kinds
+        X = propagate_members(model, s.members, u, s.time, t1, propagate.child(k).seat(prop_rng))
+        return dataclasses.replace(s, members=X, time=t1)
+
     contracts = {
         "ekf": (init, lambda b, u, t1, k: ekf_predict(model, b, u, t1),
                 lambda b, y, k: kalman_update(b, model, y, R)),
         "ukf": (init, lambda b, u, t1, k: ukf_predict(model, b, u, t1, scaling),
                 lambda b, y, k: ukf_update(b, model, y, R, scaling)),
-        "enkf": (Ensemble(x0, 0.0),
-                 lambda s, u, t1, k: enkf_predict(model, s, u, t1,
-                                                  propagate.child(k).seat(prop_rng)),
+        "enkf": (Ensemble(x0, 0.0), members,
                  lambda s, y, k: enkf_update(s, model, y, R, perturb.child(k).seat(pert_rng))),
-        "pf": (ParticleSet(x0, np.full(N, 1.0 / N), 0.0),
-               lambda s, u, t1, k: pf_predict(model, s, u, t1,
-                                              propagate.child(k).seat(prop_rng)),
+        "pf": (ParticleSet(x0, np.full(N, 1.0 / N), 0.0), members,
                lambda s, y, k: pf_update(s, model, y, R)),
     }
     assert tuple(contracts) == FILTER_KINDS
@@ -206,7 +215,7 @@ def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypat
 
 def test_failures_carry_step_information():
     model = SdeModel(
-        dim_state=1, dim_noise=1,
+        dim_noise=1,
         drift=lambda t, x, u: x**3,
         diffusion=lambda u: np.zeros((1, 1)),
         measure=lambda t, x: x,

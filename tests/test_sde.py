@@ -117,7 +117,7 @@ class TestEulerMaruyamaStep:
 
     def test_nonfinite_drift_raises(self):
         bad = SdeModel(
-            dim_state=1, dim_noise=1,
+            dim_noise=1,
             drift=lambda t, x, u: np.array([np.inf]),
             diffusion=lambda u: np.array([[1.0]]),
             measure=lambda t, x: x,
@@ -133,7 +133,7 @@ class TestSimulatePath:
     def test_grid_and_shapes(self):
         seen = []
         model = SdeModel(
-            dim_state=1, dim_noise=1,
+            dim_noise=1,
             drift=lambda t, x, u: seen.append(t) or -0.5 * x,
             diffusion=lambda u: np.array([[0.1]]),
             measure=lambda t, x: x,
@@ -160,7 +160,7 @@ class TestSimulatePath:
 
     def test_constrain_hook_applied(self):
         m = SdeModel(
-            dim_state=1, dim_noise=1,
+            dim_noise=1,
             drift=lambda t, x, u: np.full_like(x, -10.0),
             diffusion=lambda u: np.array([[0.0]]),
             measure=lambda t, x: x,
@@ -182,7 +182,7 @@ class TestSimulatePath:
         # including the steps that start exactly on a breakpoint
         p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
         m = SdeModel(
-            dim_state=1, dim_noise=1,
+            dim_noise=1,
             drift=lambda t, x, u: u - x,
             diffusion=lambda u: np.atleast_2d(0.3 * u),
             measure=lambda t, x: x,
@@ -216,7 +216,7 @@ class TestDrivenRows:
             return g
 
         return SdeModel(
-            dim_state=4, dim_noise=channels,
+            dim_noise=channels,
             drift=lambda t, x, u: u[0] * np.cos(x) - 0.4 * x,  # rows do not interact
             diffusion=diffusion,
             measure=lambda t, x: x[:1],
@@ -247,7 +247,6 @@ def gbm_bundle_model(mu: float, n_paths: int) -> SdeModel:
     # its noise nu x dw depends on the state, so no diffusion(u) can state
     # it: the reference path takes it as its own sigma(t, x, u)
     return SdeModel(
-        dim_state=n_paths,
         dim_noise=n_paths,
         drift=lambda t, x, u: mu * x,
         diffusion=None,

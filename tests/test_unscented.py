@@ -130,7 +130,7 @@ def test_update_matches_kalman_for_linear_measure():
     R = B @ B.T + 0.2 * np.eye(ny)
     y = rng.standard_normal(ny)
     model = SdeModel(
-        dim_state=n, dim_noise=n,
+        dim_noise=n,
         drift=lambda t, x, u: np.zeros(n),
         diffusion=lambda u: np.eye(n),
         measure=lambda t, x: C @ x,
@@ -162,7 +162,7 @@ def test_update_weakly_nonlinear_against_sampling_oracle():
     var_mc = float(w @ (xs - mean_mc) ** 2)
 
     model = SdeModel(
-        dim_state=1, dim_noise=1,
+        dim_noise=1,
         drift=lambda t, x, u: np.zeros(1),
         diffusion=lambda u: np.eye(1),
         measure=lambda t, x: h(x),
