@@ -221,9 +221,9 @@ def _cmd_sweep(config: ExperimentConfig, args, out: Path) -> int:
 
 def _cmd_oracle(config: ExperimentConfig, args, out: Path) -> int:
     truth = generate_truth_and_measurements(config)
-    unc = uncertainty_comparison(config, truth, filters=args.filters,
-                                 serial=args.serial)
-    _announce(write_uncertainty_report(config, truth, unc, out))
+    record, series = uncertainty_comparison(config, truth, filters=args.filters,
+                                            serial=args.serial)
+    _announce(write_uncertainty_report(config, truth, record, series, out))
     return EXIT_OK
 
 

@@ -6,7 +6,8 @@ measurement noise, drawn as one ``(len(y), N)`` block from a generator
 positioned at the start of its stream, estimates the cross and innovation
 covariances from the sample deviations with 1/(N-1) normalization, adds the
 measurement-noise covariance to the innovation covariance, and applies one
-shared gain to every member.
+shared gain to every member. An analysis that leaves the finite numbers
+raises :class:`~cdassim.sde.DivergenceError`, as the other updates do.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from cdassim.filters.beliefs import Ensemble
 from cdassim.filters.linalg import chol_psd, solve_spd
-from cdassim.sde import SdeModel
+from cdassim.sde import DivergenceError, SdeModel
 
 __all__ = ["enkf_update"]
 
@@ -47,4 +48,7 @@ def enkf_update(ensemble: Ensemble, model: SdeModel, y: np.ndarray, R: np.ndarra
     Rxy = (Xd @ Yd.T) / (N - 1)
     Ryy = (Yd @ Yd.T) / (N - 1) + R
     K = solve_spd(Ryy, Rxy.T).T
-    return Ensemble(X + K @ E, t), y - yhat, Ryy
+    Xa = X + K @ E
+    if not np.isfinite(Xa).all():
+        raise DivergenceError(f"EnKF update diverged at t={t}")
+    return Ensemble(Xa, t), y - yhat, Ryy

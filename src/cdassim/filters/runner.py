@@ -56,7 +56,6 @@ __all__ = [
     "STREAM_PROPAGATE",
     "STREAM_PERTURB",
     "FilterConfig",
-    "FilterRunError",
     "run_filter",
 ]
 
@@ -76,16 +75,6 @@ SAMPLE_KINDS = tuple(k for k, (_, settings) in _READS.items() if "size" in setti
 STREAM_INIT = 0
 STREAM_PROPAGATE = 1
 STREAM_PERTURB = 2
-
-
-class FilterRunError(RuntimeError):
-    """A filter failed mid-run; carries the filter kind, step index and time."""
-
-    def __init__(self, kind: str, step: int, at: float, cause: Exception):
-        super().__init__(f"{kind} failed at step {step} (t={at:g}): {cause}")
-        self.kind = kind
-        self.step = step
-        self.time = at
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -185,12 +174,12 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     model field and config setting the kind reads is checked present (the
     EKF reads the model's closed-form ``linearize`` and ``measure_jacobian``;
     see ``_READS``), and a missing one raises ValueError naming the kind and
-    the field. A :class:`~cdassim.sde.DivergenceError` raises
-    :class:`FilterRunError` with the offending step attached. The loop runs
-    with numpy's division-by-zero, overflow and invalid-value warnings off:
-    a blow-up, such as the EKF's linearization at T = 0, reaches the caller
-    as that error, naming the filter, step and time, not as a warning
-    naming a source line.
+    the field. A :class:`~cdassim.sde.DivergenceError` of step ``k`` is
+    raised again as one whose message names the filter, step and time ahead
+    of the cause's, with ``step=k``. The loop runs with numpy's
+    division-by-zero, overflow and invalid-value warnings off: a blow-up,
+    such as the EKF's linearization at T = 0, reaches the caller as that
+    error, not as a warning naming a source line.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"unknown filter kind {kind!r}; expected one of {FILTER_KINDS}")
@@ -254,7 +243,8 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
                 out.nis[k] = e @ solve_spd(Re, e)
                 out.gain_condition[k] = condition_number(Re)
             except DivergenceError as exc:
-                raise FilterRunError(kind, k, t1, exc) from exc
+                raise DivergenceError(f"{kind} failed at step {k} (t={t1:g}): {exc}",
+                                      step=k) from exc
             out.prior_mean[k] = prior.mean
             out.prior_cov[k] = prior.cov
             out.post_mean[k] = post.mean

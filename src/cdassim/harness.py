@@ -38,7 +38,6 @@ from cdassim.filters.runner import (
     FILTER_KINDS,
     SAMPLE_KINDS,
     FilterConfig,
-    FilterRunError,
     run_filter,
 )
 from cdassim.sde import DivergenceError, NoiseStream, PiecewiseConstant, SdeModel, rk4_inputs
@@ -50,7 +49,6 @@ __all__ = [
     "STREAM_ORACLE",
     "TruthData",
     "FilterMetrics",
-    "UncertaintyReport",
     "generate_truth_and_measurements",
     "run_one_filter",
     "requested_kinds",
@@ -285,11 +283,16 @@ def _score(kind: str, out: FilterOutput, config: ExperimentConfig,
 def run_one_filter(kind: str, config: ExperimentConfig, truth: TruthData, model: SdeModel,
                    flow: PiecewiseConstant, *, size: int | None = None,
                    stream_tag: int | None = None) -> FilterMetrics:
-    """Run one filter of the joint ``model`` driven by ``flow``; failures become a record."""
+    """Run one filter of the joint ``model`` driven by ``flow``; failures become a record.
+
+    A :class:`~cdassim.sde.DivergenceError` becomes a failed record whose
+    ``failed_step`` is the error's ``step``: None when the run failed before
+    its first step, as on an initial covariance that does not factor.
+    """
     fc = _filter_config(config, kind, size=size, stream_tag=stream_tag)
     try:
         out = run_filter(kind, model, fc, truth.times, truth.measurements, u=flow)
-    except FilterRunError as exc:
+    except DivergenceError as exc:
         return FilterMetrics(kind=kind, status=f"failed: {exc}", collapsed=True,
                              failed_step=exc.step)
     return _score(kind, out, config, truth)
@@ -366,27 +369,14 @@ def run_all_filters(config: ExperimentConfig, truth: TruthData,
     return dict(zip(kinds, _run_filters(config, truth, tasks, serial)))
 
 
-@dataclass
-class UncertaintyReport:
-    """Per-filter posterior-spread comparison against the reference run; no copied inputs."""
-
-    oracle_status: str
-    oracle_min_ess: float
-    # per filter: dict of series, each shape (n_steps,) or (n_steps, 4)
-    series: dict[str, dict[str, np.ndarray]]
-    summary: dict[str, dict]
-
-    def to_dict(self) -> dict:
-        return {
-            "oracle_status": self.oracle_status,
-            "oracle_min_ess": self.oracle_min_ess,
-            "filters": self.summary,
-        }
-
-
 def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=None,
-                           serial: bool = False) -> UncertaintyReport:
+                           serial: bool = False) -> tuple[dict, dict]:
     """Compare each filter's posterior spread against a big-particle reference.
+
+    Returns ``(record, series)``: ``record`` holds ``oracle_status``,
+    ``oracle_min_ess`` and each requested kind's summary under ``filters``;
+    ``series`` holds, per kind that ran beside a running reference, per-step
+    arrays shaped ``(n_steps,)`` or ``(n_steps, 4)``.
 
     The reference is the particle filter itself at ``oracle_particle_count``
     samples, which must be at least 10x the largest configured Monte Carlo
@@ -439,8 +429,7 @@ def uncertainty_comparison(config: ExperimentConfig, truth: TruthData, filters=N
             "mean_err_max": float(series[kind]["mean_err"].max()),
             "cov_frobenius_max": float(series[kind]["cov_frobenius"].max()),
         }
-    return UncertaintyReport(oracle_status=status, oracle_min_ess=min_ess, series=series,
-                             summary=summary)
+    return {"oracle_status": status, "oracle_min_ess": min_ess, "filters": summary}, series
 
 
 def ensemble_size_sweep(config: ExperimentConfig, truth: TruthData, sizes,
@@ -546,20 +535,21 @@ def write_report(config: ExperimentConfig, filters: dict[str, FilterMetrics],
     return paths
 
 
-def write_uncertainty_report(config: ExperimentConfig, truth: TruthData,
-                             unc: UncertaintyReport, out_dir) -> list[Path]:
+def write_uncertainty_report(config: ExperimentConfig, truth: TruthData, record: dict,
+                             series: dict[str, dict[str, np.ndarray]], out_dir) -> list[Path]:
     """Write uncertainty.json plus one per-filter divergence CSV into ``out_dir``.
 
-    uncertainty.json also records the config's seed, hash and
-    ``oracle_particle_count``; each CSV has one row per ``truth.times``.
+    Takes ``uncertainty_comparison``'s ``(record, series)``. uncertainty.json
+    is ``record`` plus the config's seed, hash and ``oracle_particle_count``;
+    each CSV has one row per ``truth.times``.
     """
     out = Path(out_dir)
     doc = {"seed": config.seed, "config_hash": config.config_hash(),
-           "oracle_particles": config.oracle_particle_count, **unc.to_dict()}
+           "oracle_particles": config.oracle_particle_count, **record}
     paths = [write_json(out / "uncertainty.json", doc)]
     header = ("t", "mean_err", "cov_frobenius", *(f"var_ratio_{s}" for s in STATE_COLUMNS),
               "t_std_ratio")
-    for kind, s in unc.series.items():
+    for kind, s in series.items():
         table = np.column_stack([truth.times, s["mean_err"], s["cov_frobenius"],
                                  s["var_ratio"], s["t_std_ratio"]])
         paths.append(write_table(out / f"uncertainty_{kind}.csv", header, table))

@@ -50,8 +50,14 @@ class DivergenceError(RuntimeError):
 
     The one numerical-failure type of the truth's propagation and of every
     filter's predict and update, factorizations included; the message names
-    what failed and when.
+    what failed and when. ``step`` is the index of the filter step that
+    failed once :func:`~cdassim.filters.runner.run_filter` has named it, and
+    None otherwise.
     """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 def _splitmix64(z: int) -> int:

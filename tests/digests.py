@@ -16,9 +16,11 @@ default config, with the ``t_cpu_s`` timings dropped; those of
 ``simulate --reduced`` on a 211-sample grid, whose interval steps are not
 all ``dt_sample / substeps``; those of ``simulate --reduced`` and
 ``steady-state`` on an endothermic reactor (negative beta); and the same for
-``estimate`` on two coarse sampling grids on which the EKF and UKF fail,
-with each filter's status and the command's error output in plain text,
-so that the failure messages are compared too. JSON files are digested in their written key order, so a reordered
+``estimate`` on three coarse sampling grids on which each filter kind fails
+at least once (the EKF, the EnKF and the PF at step 0 of the one-sample
+grid, the UKF on the other two), with each filter's status and the
+command's error output in plain text, so that the failure messages are
+compared too. JSON files are digested in their written key order, so a reordered
 key shows up. A change that claims no numeric change prints the same
 lines as its parent. Save the parent's output to a file and check a
 change against it in one command,
@@ -57,8 +59,8 @@ REDUCED_GRID = 211
 # simulate --reduced and steady-state on an endothermic reactor
 ENDOTHERMIC = {"truth": {"beta": -133.7792}}
 ENDOTHERMIC_COMMANDS = (("simulate", "--reduced"), ("steady-state",))
-# estimate on coarse grids, where the Gaussian filters fail in several ways
-COARSE_GRIDS = (14, 30)
+# estimate on coarse grids, where every filter kind fails in some way
+COARSE_GRIDS = (1, 14, 30)
 COARSE_SIZES = {"ensemble_size": 50, "particle_count": 50}
 TIMING = "t_cpu_s"
 

@@ -236,14 +236,14 @@ def test_criterion_04_filter_ranking(seed_bank):
 
 def test_criterion_05_uncertainty_versus_oracle(default_run):
     tic = time.perf_counter()
-    report = uncertainty_comparison(default_run["cfg"], default_run["truth"])
+    record, _ = uncertainty_comparison(default_run["cfg"], default_run["truth"])
     seconds = default_run["seconds"] + time.perf_counter() - tic
-    fracs = {k: s["t_std_ratio_within_factor3_fraction"] for k, s in report.summary.items()}
+    fracs = {k: s["t_std_ratio_within_factor3_fraction"] for k, s in record["filters"].items()}
     print("criterion 5: T-std within factor 3 at "
           + " ".join(f"{k} {v:.0%}" for k, v in fracs.items()) + f" of steps ({seconds:.0f} s)")
-    assert report.oracle_status == "ok"
+    assert record["oracle_status"] == "ok"
     for kind in FILTER_KINDS:
-        assert report.summary[kind]["status"] == "ok"
+        assert record["filters"][kind]["status"] == "ok"
         assert fracs[kind] >= 0.80, kind
     assert seconds < 900.0
 

@@ -163,3 +163,20 @@ def test_enkf_update_requires_matching_measurement_shape():
     ens = Ensemble(np.ones((1, 4)))
     with pytest.raises(ValueError):
         enkf_update(ens, model, np.array([1.0, 2.0]), np.eye(2), NoiseStream(0).generator())
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_enkf_update_reports_an_analysis_that_leaves_the_finite_numbers():
+    # 50 members measured in a row about N(0, 1), with an unmeasured row about
+    # 1e306 times it: the innovation covariance is finite and the gain
+    # solves, yet the gain times a large innovation overflows that row
+    x = np.random.default_rng(5).standard_normal(50)
+    model = SdeModel(
+        dim_noise=1,
+        drift=lambda t, x, u: np.zeros_like(x),
+        diffusion=lambda u: np.zeros((2, 1)),
+        measure=lambda t, x: x[:1],
+    )
+    with pytest.raises(DivergenceError, match=r"^EnKF update diverged at t=4\.0$"):
+        enkf_update(Ensemble(np.vstack((x, 1e306 * x)), 4.0), model, np.array([1e3]),
+                    np.array([[1.0]]), NoiseStream(6).generator())

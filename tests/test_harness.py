@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cdassim import harness
-from cdassim.config import load_config
+from cdassim.config import ExperimentConfig, load_config
 from cdassim.cstr import default_experiment_model
 from cdassim.filters.beliefs import FilterOutput, GaussianBelief
 from cdassim.harness import (
@@ -276,16 +276,29 @@ def test_a_request_runs_each_filter_once(small_cfg, small_truth, monkeypatch):
     assert list(bank) == ["ekf"]
 
     runs.clear()
-    unc = uncertainty_comparison(small_cfg, small_truth, filters=["ukf", "ekf", "ukf"],
-                                 serial=True)
+    record, _ = uncertainty_comparison(small_cfg, small_truth, filters=["ukf", "ekf", "ukf"],
+                                       serial=True)
     assert runs == [("pf", 1000), ("ekf", None), ("ukf", None)]  # the reference first
-    assert list(unc.summary) == ["ekf", "ukf"]
+    assert list(record["filters"]) == ["ekf", "ukf"]
 
     runs.clear()
     rows = ensemble_size_sweep(small_cfg, small_truth, [8, 8], filters=["pf", "enkf", "pf"],
                                serial=True)
     assert runs == [("enkf", 8), ("pf", 8)]
     assert [(m.kind, size) for size, m in rows] == [("enkf", 8), ("pf", 8)]
+
+
+def test_a_failure_before_the_first_step_is_recorded(small_cfg, small_truth, monkeypatch):
+    # the EnKF's initial covariance does not factor, so the run fails before
+    # its first step: a failed record that names no step, not an escaped error
+    monkeypatch.setattr(ExperimentConfig, "filter_init_cov",
+                        lambda self: np.diag([1.0, -1.0, 1.0, 1.0]))
+    exp = default_experiment_model(small_cfg.cstr_params(), small_cfg.flow_profile(),
+                                   param_diffusion=small_cfg.sigma_theta)
+    m = run_one_filter("enkf", small_cfg, small_truth, exp.model, exp.flow)
+    assert not m.ok and m.collapsed
+    assert m.status.startswith("failed: covariance not factorizable after jitter")
+    assert m.failed_step is None and m.output is None
 
 
 def test_only_member_kinds_get_a_size(small_cfg):
@@ -371,9 +384,9 @@ def _metrics_fingerprint(m) -> tuple:
 
 
 def _uncertainty_fingerprint(unc) -> tuple:
-    series = {kind: _digest(*(s[name] for name in sorted(s)))
-              for kind, s in unc.series.items()}
-    return (unc.to_dict(), series)
+    record, series = unc
+    return (record, {kind: _digest(*(s[name] for name in sorted(s)))
+                     for kind, s in series.items()})
 
 
 @pytest.fixture(scope="module")
@@ -401,7 +414,8 @@ def test_pooled_runs_equal_serial_in_every_field(threads, small_cfg, small_truth
     # the reference run shares the pool with the filter bank
     unc = uncertainty_comparison(small_cfg, small_truth)
     assert _uncertainty_fingerprint(unc) == _uncertainty_fingerprint(small_uncertainty)
-    assert unc.oracle_status == "ok" and set(unc.series) == set(FILTER_STREAM)
+    record, series = unc
+    assert record["oracle_status"] == "ok" and set(series) == set(FILTER_STREAM)
 
 
 # -- size sweep ---------------------------------------------------------------
@@ -433,15 +447,15 @@ def test_uncertainty_requires_big_oracle(small_truth):
 
 
 def test_uncertainty_summary_structure(small_uncertainty):
-    unc = small_uncertainty
-    assert unc.oracle_status == "ok"
-    assert unc.oracle_min_ess > 0.0
+    record, all_series = small_uncertainty
+    assert record["oracle_status"] == "ok"
+    assert record["oracle_min_ess"] > 0.0
     for kind in ("ekf", "ukf", "enkf", "pf"):
-        s = unc.summary[kind]
+        s = record["filters"][kind]
         assert s["status"] == "ok"
         assert 0.0 <= s["t_std_ratio_within_factor3_fraction"] <= 1.0
         assert 0.0 < s["t_std_ratio_min"] <= s["t_std_ratio_max"]
-        series = unc.series[kind]
+        series = all_series[kind]
         assert series["mean_err"].shape == (30,)
         assert series["var_ratio"].shape == (30, 4)
 
@@ -451,8 +465,8 @@ def test_degenerate_reference_gives_inf_ratios_without_a_warning():
     # 20 reference particles lose all beta spread: inf ratios, not numpy warnings
     cfg = load_config(overrides={"horizon_minutes": 5, "n_samples": 30, "monte_carlo": {
         "ensemble_size": 2, "particle_count": 2, "oracle_particle_count": 20}})
-    unc = uncertainty_comparison(cfg, generate_truth_and_measurements(cfg), serial=True)
-    assert all(np.isinf(s["var_ratio"][:, 3]).sum() == 3 for s in unc.series.values())
+    _, series = uncertainty_comparison(cfg, generate_truth_and_measurements(cfg), serial=True)
+    assert all(np.isinf(s["var_ratio"][:, 3]).sum() == 3 for s in series.values())
 
 
 @pytest.mark.parametrize("fired, status", [
@@ -466,10 +480,11 @@ def test_collapsed_oracle_status_names_the_heuristics_that_fired(
     # a fraction limit below zero forces its heuristic to fire on the healthy reference
     for name in fired:
         monkeypatch.setattr(harness, f"{name}_COLLAPSE_FRACTION", -1.0)
-    unc = uncertainty_comparison(small_cfg, small_truth, filters=["ekf"], serial=True)
-    assert unc.oracle_status == status
-    assert unc.oracle_min_ess == small_uncertainty.oracle_min_ess
-    assert unc.summary["ekf"] == small_uncertainty.summary["ekf"]
+    record, _ = uncertainty_comparison(small_cfg, small_truth, filters=["ekf"], serial=True)
+    reference, _ = small_uncertainty
+    assert record["oracle_status"] == status
+    assert record["oracle_min_ess"] == reference["oracle_min_ess"]
+    assert record["filters"]["ekf"] == reference["filters"]["ekf"]
 
 
 # -- report files -------------------------------------------------------------
@@ -541,7 +556,7 @@ def test_write_sweep_and_uncertainty_reports(tmp_path, small_cfg, small_truth,
         ["kind", "size", "status", "mse_x", "mse_p", "t_cpu_s", "collapsed"]] * len(rows)
 
     (tmp_path / "unc").mkdir()
-    upaths = write_uncertainty_report(small_cfg, small_truth, small_uncertainty,
+    upaths = write_uncertainty_report(small_cfg, small_truth, *small_uncertainty,
                                       tmp_path / "unc")
     assert {p.name for p in upaths} == {"uncertainty.json",
                                         "uncertainty_ekf.csv", "uncertainty_ukf.csv",

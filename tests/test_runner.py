@@ -18,7 +18,6 @@ from cdassim.filters.runner import (
     STREAM_PERTURB,
     STREAM_PROPAGATE,
     FilterConfig,
-    FilterRunError,
     run_filter,
 )
 from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
@@ -213,31 +212,54 @@ def test_sample_runs_build_one_generator_per_noise_role(kind, ou_data, monkeypat
     assert counts == [3, 3, 3]
 
 
-def test_failures_carry_step_information():
-    model = SdeModel(
-        dim_noise=1,
-        drift=lambda t, x, u: x**3,
-        diffusion=lambda u: np.zeros((1, 1)),
-        measure=lambda t, x: x,
-    )
-    cfg = FilterConfig(initial=GaussianBelief(np.array([50.0]), np.array([[1.0]])),
-                       obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
-                       **{**FILTER_SETTINGS["enkf"], "size": 4, "substeps": 5})
-    with pytest.raises(FilterRunError) as err:
-        run_filter("enkf", model, cfg, [1.0], [[0.0]], constant())
-    assert err.value.kind == "enkf"
-    assert err.value.step == 0
-    assert "failed at step 0" in str(err.value)
+@pytest.mark.parametrize("kind", FILTER_KINDS)
+def test_failures_carry_step_information(kind):
+    # the linear model's drift and linearization turn NaN from t = 2.5 on,
+    # inside step 2's prediction interval (2, 3]
+    def rate(t, x, u):
+        return (-A * x + u) * (1.0 if t < 2.5 else np.nan)
+
+    model = dataclasses.replace(MODEL, drift=rate,
+                                linearize=lambda t, x, u: np.vstack((rate(t, x, u), [[-A]])))
+    with pytest.raises(DivergenceError) as err:
+        run_filter(kind, model, base_config(kind), [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4],
+                   U_IN)
+    assert err.value.step == 2
+    assert str(err.value).startswith(f"{kind} failed at step 2 (t=3): ")
+    assert type(err.value.__cause__) is DivergenceError
+    assert err.value.__cause__.step is None
+    assert str(err.value).endswith(str(err.value.__cause__))
 
 
 def test_linear_algebra_failure_is_a_divergence_with_step_information():
     # an infinite measurement Jacobian makes the innovation covariance
     # non-finite, so the gain's Cholesky solve fails inside the update
     model = dataclasses.replace(MODEL, measure_jacobian=lambda t, x: np.array([[np.inf]]))
-    with pytest.raises(FilterRunError) as err:
+    with pytest.raises(DivergenceError) as err:
         run_filter("ekf", model, base_config("ekf"), [1.0], [[0.0]], U_IN)
     assert type(err.value.__cause__) is DivergenceError
+    assert err.value.step == 0
     assert str(err.value) == "ekf failed at step 0 (t=1): innovation covariance is non-finite"
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_enkf_analysis_failure_carries_step_information():
+    # the constraint keeps an unmeasured row at 1e306 times the measured one,
+    # so the analysis of a large innovation overflows it
+    model = SdeModel(
+        dim_noise=1,
+        drift=lambda t, x, u: np.zeros_like(x),
+        diffusion=lambda u: np.zeros((2, 1)),
+        measure=lambda t, x: x[:1],
+        constrain=lambda x: np.vstack((x[:1], 1e306 * x[:1])),
+    )
+    cfg = FilterConfig(initial=GaussianBelief(np.zeros(2), np.eye(2)),
+                       obs_cov=np.array([[1.0]]), stream=NoiseStream(8),
+                       **{**FILTER_SETTINGS["enkf"], "size": 50, "substeps": 1})
+    with pytest.raises(DivergenceError) as err:
+        run_filter("enkf", model, cfg, [1.0], [[1e3]], constant())
+    assert err.value.step == 0
+    assert str(err.value) == "enkf failed at step 0 (t=1): EnKF update diverged at t=1.0"
 
 
 def test_config_validation():
