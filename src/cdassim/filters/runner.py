@@ -176,7 +176,9 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
     see ``_READS``), and a missing one raises ValueError naming the kind and
     the field. A :class:`~cdassim.sde.DivergenceError` of step ``k`` is
     raised again as one whose message names the filter, step and time ahead
-    of the cause's, with ``step=k``. The loop runs with numpy's
+    of the cause's, with ``step=k``; one before the first step, such as an
+    initial covariance that does not factor, as one that names the filter,
+    with ``step=None``. The loop runs with numpy's
     division-by-zero, overflow and invalid-value warnings off: a blow-up,
     such as the EKF's linearization at T = 0, reaches the caller as that
     error, not as a warning naming a source line.
@@ -210,7 +212,10 @@ def run_filter(kind: str, model: SdeModel, config: FilterConfig, times, measurem
 
     n_steps = times.size
     stage_inputs = rk4_inputs(u, config.initial.time, times, config.substeps)
-    state, predict, update, resample = _contract(kind, model, config)
+    try:
+        state, predict, update, resample = _contract(kind, model, config)
+    except DivergenceError as exc:  # the sample kinds' initial draw
+        raise DivergenceError(f"{kind} failed before its first step: {exc}", step=None) from exc
     summary = posterior_summary if kind in SAMPLE_KINDS else (lambda belief: belief)
     out = FilterOutput(
         initial=config.initial,

@@ -90,15 +90,19 @@ def _without_timing(value):
     return value
 
 
+def strip_timing(csv_text: str) -> str:
+    """A CSV report's text without its timing column, so that runs compare on their numbers."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name != TIMING]
+    return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+
 def _file_digest(path: Path) -> str:
     """Digest of a result file with its timing column or keys removed."""
     if path.suffix == ".json":
-        doc = _without_timing(json.loads(path.read_text()))
-        text = json.dumps(doc)
+        text = json.dumps(_without_timing(json.loads(path.read_text())))
     else:
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        keep = [i for i, name in enumerate(rows[0]) if name != TIMING]
-        text = "\n".join(",".join(row[i] for i in keep) for row in rows)
+        text = strip_timing(path.read_text())
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -38,6 +38,7 @@ from cdassim.harness import (
 from cdassim.sde import NoiseStream, propagate_members
 
 from closedform import scalar_kalman
+from digests import _file_digest
 from stages import (
     FILTER_SETTINGS,
     SMALL_CONFIG,
@@ -304,25 +305,6 @@ def test_criterion_09_steady_state_curve(tmp_path, child_env):
     assert worst <= 1e-8
 
 
-def _canonical(path: Path) -> bytes:
-    """File bytes with CPU-timing fields removed, so runs compare on numbers."""
-    raw = path.read_bytes()
-    if path.suffix == ".json":
-        def scrub(node):
-            if isinstance(node, dict):
-                return {k: scrub(v) for k, v in node.items() if k != "t_cpu_s"}
-            if isinstance(node, list):
-                return [scrub(v) for v in node]
-            return node
-        return json.dumps(scrub(json.loads(raw)), sort_keys=True).encode()
-    lines = raw.decode().strip().split("\n")
-    head = lines[0].split(",")
-    if "t_cpu_s" in head:
-        keep = [i for i, name in enumerate(head) if name != "t_cpu_s"]
-        lines = ["\x1f".join(row.split(",")[i] for i in keep) for row in lines]
-    return "\n".join(lines).encode()
-
-
 def test_criterion_10_determinism_across_thread_counts(tmp_path, child_env):
     cfg_path = tmp_path / "small.json"
     cfg_path.write_text(json.dumps(SMALL_CONFIG))
@@ -349,6 +331,6 @@ def test_criterion_10_determinism_across_thread_counts(tmp_path, child_env):
         names_a = sorted(p.name for p in a.iterdir())
         assert names_a == sorted(p.name for p in b.iterdir()), name
         for fname in names_a:
-            assert _canonical(a / fname) == _canonical(b / fname), (name, fname)
+            assert _file_digest(a / fname) == _file_digest(b / fname), (name, fname)
     print(f"criterion 10: {len(commands)} subcommands byte-identical across "
           f"CDASSIM_THREADS=1 and =4")

@@ -1,4 +1,9 @@
-"""Command-line behavior: dispatch, artifacts, exit codes, determinism."""
+"""Command-line behavior: dispatch, artifacts, seeds, exit codes.
+
+Equal configs give equal files across runs, working directories and worker
+counts: criterion 10 of ``test_acceptance.py``, and in process
+``test_harness.test_pooled_runs_equal_serial_in_every_field``.
+"""
 import dataclasses
 import json
 import os
@@ -16,10 +21,9 @@ from cdassim.cstr import (
     CA_IN,
     CB_IN,
     T_IN,
-    V,
-    adiabatic_concentrations,
     cstr3_drift,
     cstr3_rates,
+    steady_state_curve,
 )
 from cdassim.harness import (
     ensemble_size_sweep,
@@ -43,12 +47,6 @@ def small_config_file(tmp_path, monkeypatch):
 
 def _csv_lines(path):
     return path.read_text().strip().split("\n")
-
-
-def _strip_timing(lines):
-    head = lines[0].split(",")
-    keep = [i for i, name in enumerate(head) if name != "t_cpu_s"]
-    return ["\x1f".join(row.split(",")[i] for i in keep) for row in lines]
 
 
 # -- happy paths ---------------------------------------------------------------
@@ -95,9 +93,9 @@ def test_estimate_filter_subset(tmp_path, small_config_file):
     assert not (tmp_path / "est2" / "trajectory_pf.csv").exists()
 
 
-def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_file):
-    # the configured exothermic reactor, then an endothermic one, whose
-    # admissible temperatures lie below T_IN
+def test_steady_state_writes_the_curve(tmp_path, small_config_file):
+    # the configured exothermic reactor, then an endothermic one; the curve's
+    # residuals are test_cstr.TestSteadyState's
     for name, truth in (("curve", {}), ("endothermic", {"beta": -133.7792})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**SMALL_CONFIG, "truth": truth}))
@@ -106,13 +104,9 @@ def test_steady_state_curve_satisfies_residual_oracle(tmp_path, small_config_fil
         lines = _csv_lines(tmp_path / name / "steady_state.csv")
         assert lines[0] == "T_s,F_s"
         assert len(lines) == 1 + 400
-        params = load_config(path).cstr_params()
-        for row in lines[1::20]:  # back-substitute a spread of rows
-            T_s, F_s = map(float, row.split(","))
-            CA, CB = adiabatic_concentrations(T_s, params)
-            d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s)
-            scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
-            assert np.max(np.abs(d)) <= 1e-9 * scale
+        rows = np.loadtxt(tmp_path / name / "steady_state.csv", delimiter=",", skiprows=1)
+        curve = steady_state_curve(load_config(path).cstr_params())
+        assert rows.tobytes() == np.column_stack(curve).tobytes()
 
 
 def test_sweep_writes_rows(tmp_path, small_config_file):
@@ -162,38 +156,7 @@ def test_cli_import_does_not_load_scipy(tmp_path, child_env):
     assert proc.stdout.strip() == "[]"
 
 
-# -- determinism ---------------------------------------------------------------
-
-def test_estimate_twice_gives_identical_files(tmp_path, small_config_file, monkeypatch):
-    # equal resolved configs: same relative out_dir, separate working dirs
-    for run in ("run1", "run2"):
-        workdir = tmp_path / run
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert parse_and_dispatch(["estimate", "--config", small_config_file,
-                                   "--seed", "42", "--serial"]) == 0
-    a, b = tmp_path / "run1" / "results", tmp_path / "run2" / "results"
-    for name in ("config.json", "trajectory_ekf.csv", "trajectory_ukf.csv",
-                 "trajectory_enkf.csv", "trajectory_pf.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    assert _strip_timing(_csv_lines(a / "metrics.csv")) == \
-           _strip_timing(_csv_lines(b / "metrics.csv"))
-
-
-def test_thread_count_cannot_change_numbers(tmp_path, small_config_file, monkeypatch):
-    for run, threads in (("t1", "1"), ("t4", "4")):
-        workdir = tmp_path / run
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        monkeypatch.setenv("CDASSIM_THREADS", threads)
-        assert parse_and_dispatch(["estimate", "--config", small_config_file]) == 0
-    a, b = tmp_path / "t1" / "results", tmp_path / "t4" / "results"
-    for name in ("config.json", "trajectory_ekf.csv", "trajectory_ukf.csv",
-                 "trajectory_enkf.csv", "trajectory_pf.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes(), name
-    assert _strip_timing(_csv_lines(a / "metrics.csv")) == \
-           _strip_timing(_csv_lines(b / "metrics.csv"))
-
+# -- seeds ---------------------------------------------------------------
 
 def test_seed_override_changes_realization(tmp_path, small_config_file):
     for out, seed in (("s1", "7"), ("s2", "7"), ("s3", "8")):
@@ -239,20 +202,12 @@ def test_unusable_out_exits_1_without_traceback(tmp_path, child_env):
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_zero_observation_variance_cannot_run_a_filter(tmp_path, monkeypatch, capsys, threads):
+    # on two worker processes the config's ValueError is raised there and
+    # must reach the command as the same exit and message
     monkeypatch.chdir(tmp_path)
-    cfgfile = tmp_path / "noiseless.json"
-    cfgfile.write_text(json.dumps({**SMALL_CONFIG, "noise": {"obs_variance": 0}}))
-    assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1
-    assert "noise.obs_variance" in capsys.readouterr().err
-
-
-def test_zero_observation_variance_exits_1_from_worker_processes(tmp_path, monkeypatch,
-                                                                 capsys):
-    # the filters run on two worker processes; the config's ValueError is
-    # raised there and must reach the command as the same exit and message
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("CDASSIM_THREADS", "2")
+    monkeypatch.setenv("CDASSIM_THREADS", threads)
     cfgfile = tmp_path / "noiseless.json"
     cfgfile.write_text(json.dumps({**SMALL_CONFIG, "noise": {"obs_variance": 0}}))
     assert parse_and_dispatch(["estimate", "--config", str(cfgfile)]) == 1

@@ -74,10 +74,14 @@ def test_unknown_keys_are_all_listed():
     assert "unknown key: ukf.gamma" in msg
 
 
-def test_type_violations_are_all_listed():
+# the truth's step is the sampling interval over a whole substep count, so a
+# step that does not divide the interval cannot be asked for
+@pytest.mark.parametrize("substeps", [2.5, 0])
+def test_type_violations_are_all_listed(substeps):
     bad = {
         "seed": True,  # bool is not an integer here
         "n_samples": 0,
+        "substeps": substeps,
         "noise": {"obs_variance": -1.0},
         "resample": {"kind": "sometimes"},
         "filter": {"init_cov_diag": [1.0, 1.0, 1.0]},
@@ -86,7 +90,7 @@ def test_type_violations_are_all_listed():
         load_config(overrides=bad)
     problems = err.value.problems
     paths = [p.split(":")[0] for p in problems]
-    for path in ("seed", "n_samples", "noise.obs_variance", "resample.kind",
+    for path in ("seed", "n_samples", "substeps", "noise.obs_variance", "resample.kind",
                  "filter.init_cov_diag"):
         assert path in paths, f"missing problem for {path}: {problems}"
 

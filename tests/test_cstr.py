@@ -1,10 +1,14 @@
-"""Reactor benchmark tests.
+"""The reactor: its one rate law, the joint model built on it, the reduced models, the steady state.
 
 Every kernel and model test works on the joint state (CA, CB, T, beta).
-Oracles: high-precision re-evaluation of the Arrhenius expression, central
-finite differences for every Jacobian entry, the closed-form reduced models
-of ``closedform`` against the noise-free joint model with beta held at its
-configured value, and back-substitution residuals for the steady-state curve.
+This module is the home of the rate law's bitwise contract: a batch
+column, a one-column batch, the linearization's rate row and the float
+rates give the same bytes. Oracles: high-precision re-evaluation of the
+Arrhenius expression, central finite differences for every Jacobian entry,
+the closed-form reduced models of ``closedform`` against the noise-free
+joint model with beta held at its configured value, a sampled cross-check
+of the EKF's moments, and back-substitution residuals for the steady-state
+curve.
 """
 import dataclasses
 import math
@@ -31,10 +35,10 @@ from cdassim.cstr import (
     steady_state_flow,
     steady_state_range,
 )
-from cdassim.sde import DivergenceError, NoiseStream, rk4_inputs, rk4_step
+from cdassim.sde import NoiseStream, rk4_inputs, rk4_step
 
 from closedform import arrhenius, one_state_rate, two_state_rates
-from stages import UNIT_SCALING, euler_maruyama_path, fd_jacobian, interval_inputs
+from stages import fd_jacobian, interval_inputs
 
 CONFIG = load_config()
 PARAMS = CONFIG.cstr_params()
@@ -126,10 +130,14 @@ class TestDrift:
         d = cstr3_drift(np.array([[0.0], [0.0], [320.0], [PARAMS.beta]]), F)[:, 0]
         assert np.array_equal(d, [FV * CA_IN, FV * CB_IN, FV * (T_IN - 320.0), 0.0])
 
-    def test_stoichiometric_and_energy_coupling(self):
+    @pytest.mark.parametrize("random_state", [random_admissible_state, random_joint_state],
+                             ids=["admissible", "random-beta"])
+    def test_stoichiometric_and_energy_coupling(self, random_state):
+        # rearranged, these are the mixing invariants: d/dt[2CA - CB] and
+        # d/dt[T + beta CA] relax by pure mixing, at the state's own beta
         rng = np.random.default_rng(11)
         for _ in range(20):
-            x = random_admissible_state(rng)
+            x = random_state(rng)
             F = rng.uniform(1e-3, 0.02)
             FV = F / V
             dCA, dCB, dT, dbeta = cstr3_drift(x[:, None], F)[:, 0]
@@ -138,32 +146,79 @@ class TestDrift:
             assert dT - FV * (T_IN - x[2]) == pytest.approx(-x[3] * reac_A, abs=1e-10)
             assert dbeta == 0.0
 
-    def test_mixing_invariants(self):
-        # d/dt[2CA - CB] and d/dt[T + beta CA] relax by pure mixing
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            x = random_admissible_state(rng)
-            F = rng.uniform(1e-3, 0.02)
-            FV = F / V
-            dCA, dCB, dT, _ = cstr3_drift(x[:, None], F)[:, 0]
-            beta = x[3]
-            lhs = 2.0 * dCA - dCB
-            rhs = FV * ((2.0 * CA_IN - CB_IN) - (2.0 * x[0] - x[1]))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-            lhs = dT + beta * dCA
-            rhs = FV * ((T_IN + beta * CA_IN) - (x[2] + beta * x[0]))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_batch_matches_columns(self):
-        # bytes, not np.array_equal, which calls -0.0 and 0.0 equal; the
-        # truth starts from an empty reactor (CA = CB = 0) at T_IN
-        rng = np.random.default_rng(13)
-        X = np.column_stack([random_admissible_state(rng) for _ in range(8)]
-                            + [EMPTY_REACTOR, [0.0, 0.0, 320.0, PARAMS.beta]])
-        D = cstr3_drift(X, 0.006)
-        assert D.shape == (4, 10)
-        for i in range(10):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006).tobytes()
+# T = 0 of either sign, and a T whose square underflows to zero, where
+# Python's float division raises and numpy's gives infinities
+VANISHING_T = [[0.6, 0.8, 0.0, 130.0], [0.6, 0.8, -0.0, 130.0], [-0.1, 0.8, 0.0, 130.0],
+               [0.0, 0.0, 0.0, 130.0], [0.6, 0.8, 1e-200, 130.0], [0.6, 0.8, -1e-200, 130.0]]
+
+# kind -> (a random state of that kind, the states that fill the first columns of its batches)
+RATE_STATES = {
+    # at the truth's beta, from the empty reactor on, as the truth path runs
+    "admissible": (random_admissible_state, [EMPTY_REACTOR, [0.0, 0.0, 320.0, PARAMS.beta]]),
+    # at a random positive beta, as the filters' beliefs explore it, and one negative beta
+    "random-beta": (random_joint_state, [[*EMPTY_REACTOR[:3], 120.0],
+                                         [0.0, 0.0, 320.0, -120.0]]),
+    # a vanishing, negative, huge, infinite or NaN entry
+    "edge": (random_joint_state, [*VANISHING_T,
+                                  [np.nan, 0.8, 300.0, 130.0], [0.6, 0.8, np.nan, 130.0],
+                                  [0.6, 0.8, 300.0, np.nan], [0.6, 0.8, np.inf, 130.0],
+                                  [0.6, 0.8, -np.inf, 130.0], [np.inf, -np.inf, 300.0, 130.0],
+                                  [0.6, 0.8, -5.0, 130.0], [-0.3, -0.4, 300.0, -130.0],
+                                  [-0.3, 0.4, 1e4, 130.0]]),
+}
+ENVELOPE = [np.array([CA, CB, T, PARAMS.beta]) for T in np.linspace(273.0, 500.0, 6)
+            for CA in np.linspace(0.0, 1.5, 4) for CB in np.linspace(0.0, 1.5, 4)]
+
+
+class TestRateLaw:
+    @pytest.mark.parametrize("kind", list(RATE_STATES))
+    @pytest.mark.parametrize("width", [1, 2, 11, 1000])
+    def test_every_evaluation_gives_the_same_bits(self, width, kind, monkeypatch):
+        # a column of a batch (the UKF's points and the members run these
+        # widths), the column alone, the linearization's rate row (the EKF)
+        # and the float rates (the truth and the reduced models): bytes, not
+        # np.array_equal, which calls -0.0 and 0.0 equal and no two NaNs
+        # equal. Each width runs on its own constant tables: the cache is
+        # emptied and first holds the other widths' tables
+        monkeypatch.setattr(cstr, "_TABLES", {})
+        for other in (1000, 11, 2, 1):
+            if other != width:
+                cstr3_drift(np.ones((4, other)), 0.006)
+        random_state, special = RATE_STATES[kind]
+        rng = np.random.default_rng(width)
+        for start in range(0, len(special), width):
+            X = np.column_stack([random_state(rng) for _ in range(width)])
+            chunk = special[start:start + width]
+            X[:, :len(chunk)] = np.transpose(chunk)
+            F = rng.uniform(1e-3, 0.02)
+            with np.errstate(all="ignore"):
+                D = cstr3_drift(X, F)
+                for i, x in enumerate(X.T):
+                    column = cstr3_drift(X[:, i:i + 1], F)
+                    rates = np.array([*cstr3_rates(*x.tolist(), F / V)[:3], 0.0])
+                    assert column.shape == (4, 1)
+                    for got in (column[:, 0], cstr3_linearize(x, F)[0], rates):
+                        assert got.tobytes() == D[:, i].tobytes(), (x, got, D[:, i])
+        assert set(cstr._TABLES) == {1, 2, 11, 1000}
+
+    @pytest.mark.parametrize("kind, rtol, floor", [
+        ("admissible", 1e-6, 1e-10),
+        ("random-beta", 1e-6, 1e-10),  # the beta column is the reaction rate
+        ("envelope", 1e-5, 1e-8),  # the operating envelope, at the looser published tolerance
+    ])
+    def test_jacobian_matches_finite_differences(self, kind, rtol, floor):
+        # the joint model's linearization below its rates, against central
+        # differences of its drift
+        model = joint_model()
+        rng = np.random.default_rng(21)
+        states = ENVELOPE if kind == "envelope" else [RATE_STATES[kind][0](rng)
+                                                      for _ in range(100)]
+        for x in states:
+            u = np.array([rng.uniform(1e-3, 0.02)])
+            J = model.linearize(0.0, x, u)[1:]
+            Jfd = fd_jacobian(lambda z: model.drift(0.0, z[:, None], u)[:, 0], x)
+            assert np.all(np.abs(J - Jfd) <= rtol * np.maximum(np.abs(Jfd), floor))
 
 
 def jacobian(x, F):
@@ -171,27 +226,6 @@ def jacobian(x, F):
 
 
 class TestJacobian:
-    def test_matches_finite_differences_random(self):
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            x = random_admissible_state(rng)
-            F = rng.uniform(1e-3, 0.02)
-            J = jacobian(x, F)
-            Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], F)[:, 0], x)
-            assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
-
-    def test_matches_finite_differences_envelope(self):
-        # operating-envelope sweep at the looser published tolerance
-        grid_T = np.linspace(273.0, 500.0, 6)
-        grid_C = np.linspace(0.0, 1.5, 4)
-        for T in grid_T:
-            for CA in grid_C:
-                for CB in grid_C:
-                    x = np.array([CA, CB, T, PARAMS.beta])
-                    J = jacobian(x, 0.007)
-                    Jfd = fd_jacobian(lambda z: cstr3_drift(z[:, None], 0.007)[:, 0], x)
-                    assert np.all(np.abs(J - Jfd) <= 1e-5 * np.maximum(np.abs(Jfd), 1e-8))
-
     def test_diagonal_at_zero_concentrations(self):
         F = 0.01
         J = jacobian(np.array([0.0, 0.0, 300.0, PARAMS.beta]), F)
@@ -207,102 +241,16 @@ class TestJacobian:
         assert J[1, 0] == pytest.approx(2.0 * (J[0, 0] + F / V), rel=1e-12)
 
 
-class TestLinearize:
-    @pytest.mark.parametrize("random_beta", [False, True])
-    def test_drift_is_bitwise_the_drift_kernel(self, random_beta):
-        # the EKF takes its drift from the one-exp linearization, the other
-        # filters from cstr3_drift: both must give the same bits, at the
-        # truth's beta and at the filters' random ones
-        rng = np.random.default_rng(16 + random_beta)
-        states = [random_joint_state(rng) if random_beta else random_admissible_state(rng)
-                  for _ in range(1200)]
-        for x in states[:50]:  # the empty reactor, where the rate vanishes
-            x[:2] = 0.0
-        model = joint_model()
-        for x in states:
-            u = np.array([rng.uniform(1e-3, 0.02)])
-            # the model's linearization is the EKF's fresh, writable [f; A] block
-            block = model.linearize(0.0, x, u)
-            assert block.shape == (5, 4) and block.flags.writeable
-            assert block[0].tobytes() == cstr3_drift(x[:, None], u[0])[:, 0].tobytes()
-            again = model.linearize(0.0, x, u)
-            assert again is not block and not np.shares_memory(again, block)
-            assert again.tobytes() == block.tobytes()
-
-
 class TestVanishingTemperature:
-    # T = 0 (of either sign) and a T whose square underflows to zero, where
-    # Python's float division raises and numpy's gives infinities
-    STATES = [[0.6, 0.8, 0.0, 130.0], [0.6, 0.8, -0.0, 130.0], [-0.1, 0.8, 0.0, 130.0],
-              [0.0, 0.0, 0.0, 130.0], [0.6, 0.8, 1e-200, 130.0], [0.6, 0.8, -1e-200, 130.0]]
-
-    @pytest.mark.parametrize("x", STATES)
-    def test_linearize_gives_the_kernel_rates_and_a_non_finite_dk_dT(self, x):
-        x = np.array(x)
+    @pytest.mark.parametrize("x", VANISHING_T)
+    def test_linearize_gives_a_non_finite_dk_dT(self, x):
+        # its rate row is the kernel's (TestRateLaw)
         with np.errstate(all="ignore"):
-            block = cstr3_linearize(x, 0.006)
-            batch = cstr3_drift(np.column_stack([x, x]), 0.006)
-        np.testing.assert_array_equal(block[0], batch[:, 0])
+            block = cstr3_linearize(np.array(x), 0.006)
         assert not np.isfinite(block[1:4, 2]).any()  # every entry with dk/dT
-
-    @pytest.mark.parametrize("width", [2, 11])
-    def test_one_column_is_its_column_in_a_batch_on_edge_states(self, width):
-        edges = [*self.STATES,
-                 [np.nan, 0.8, 300.0, 130.0], [0.6, 0.8, np.nan, 130.0],
-                 [0.6, 0.8, 300.0, np.nan], [0.6, 0.8, np.inf, 130.0],
-                 [0.6, 0.8, -np.inf, 130.0], [np.inf, -np.inf, 300.0, 130.0],
-                 [0.6, 0.8, -5.0, 130.0], [-0.3, -0.4, 300.0, -130.0],
-                 [-0.3, 0.4, 1e4, 130.0]]
-        rng = np.random.default_rng(33 + width)
-        for k, edge in enumerate(edges):
-            X = np.column_stack([random_joint_state(rng) for _ in range(width)])
-            i = k % width
-            X[:, i] = edge
-            with np.errstate(all="ignore"):
-                batch = cstr3_drift(X, 0.006)[:, i]
-                one = cstr3_drift(X[:, i:i + 1], 0.006)
-                rates = np.array([*cstr3_rates(*edge, 0.006 / V)[:3], 0.0])
-            assert one.shape == (4, 1)
-            for got in (one[:, 0], rates):
-                np.testing.assert_array_equal(got, batch)  # NaNs match by position
-                assert np.array_equal(np.signbit(got), np.signbit(batch))
 
 
 class TestJointKernel:
-    def test_batch_equals_columns_bitwise(self):
-        # the UKF, EnKF and PF evaluate column batches
-        rng = np.random.default_rng(14)
-        X = np.column_stack([random_joint_state(rng) for _ in range(9)]
-                            + [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]])
-        D = cstr3_drift(X, 0.006)
-        assert D.shape == (4, 11)
-        for i in range(11):
-            assert D[:, i].tobytes() == cstr3_drift(X[:, i:i + 1], 0.006).tobytes()
-
-    @pytest.mark.parametrize("width", [1, 11, 1000])
-    def test_every_width_is_bitwise_its_columns_and_the_linearization(self, width, monkeypatch):
-        # the UKF and the members run at these widths, and one column takes
-        # the same batch path, each width on its own constant tables; an
-        # empty cache first builds the other widths'
-        monkeypatch.setattr(cstr, "_TABLES", {})
-        for other in (1000, 11, 1, 3):
-            if other != width:
-                cstr3_drift(np.ones((4, other)), 0.006)
-        rng = np.random.default_rng(30 + width)
-        states = [random_joint_state(rng) for _ in range(width)]
-        states[:2] = [[*EMPTY_REACTOR[:3], 120.0], [0.0, 0.0, 320.0, -120.0]][:width]
-        X = np.column_stack(states)
-        F = rng.uniform(1e-3, 0.02)
-        D = cstr3_drift(X, F)
-        assert D.shape == (4, width)
-        for i in range(width):
-            column = cstr3_drift(X[:, i:i + 1], F)[:, 0]
-            f = cstr3_linearize(X[:, i], F)[0]
-            # the float kernel that the EKF, the truth and the reduced models use
-            rates = np.array([*cstr3_rates(*X[:, i].tolist(), F / V)[:3], 0.0])
-            assert D[:, i].tobytes() == column.tobytes() == f.tobytes() == rates.tobytes()
-        assert set(cstr._TABLES) == {1000, 11, 1, 3}
-
     def test_width_tables_are_read_only_and_rates_are_fresh(self, monkeypatch):
         monkeypatch.setattr(cstr, "_TABLES", {})
         rng = np.random.default_rng(31)
@@ -334,8 +282,6 @@ class TestJointKernel:
         np.testing.assert_array_equal(D[3], 0.0)
         for i in range(X.shape[1]):
             block, other = cstr3_linearize(X[:, i], F), cstr3_linearize(Y[:, i], F)
-            assert block[0].tobytes() == D[:, i].tobytes()
-            assert other[0].tobytes() == E[:, i].tobytes()
             np.testing.assert_array_equal(block[[1, 2, 4]], other[[1, 2, 4]])
             np.testing.assert_array_equal(block[4], 0.0)
             r = block[3, 3]  # d(dT/dt)/d(beta), the reaction rate
@@ -392,12 +338,15 @@ class TestReducedModels:
 
 
 class TestSteadyState:
-    def test_residual_after_back_substitution(self):
-        lo, hi = steady_state_range(PARAMS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["exothermic", "endothermic"])
+    def test_residual_after_back_substitution(self, sign):
+        # an endothermic reactor's admissible temperatures lie below T_IN
+        params = dataclasses.replace(PARAMS, beta=sign * PARAMS.beta)
+        lo, hi = steady_state_range(params)
         for T_s in np.linspace(lo + 0.5, hi - 0.5, 50):
-            F_s = steady_state_flow(float(T_s), PARAMS)
-            CA, CB = adiabatic_concentrations(T_s, PARAMS)
-            d = cstr3_drift(np.array([[CA], [CB], [T_s], [PARAMS.beta]]), F_s)
+            F_s = steady_state_flow(float(T_s), params)
+            CA, CB = adiabatic_concentrations(T_s, params)
+            d = cstr3_drift(np.array([[CA], [CB], [T_s], [params.beta]]), F_s)
             scale = F_s / V * max(CA_IN, CB_IN, T_s - T_IN)
             assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -483,28 +432,15 @@ class TestModelWiring:
         assert m.dim_noise == 1 and m.diffusion(u).shape == (4, 1)
         np.testing.assert_array_equal(m.measure_jacobian(0.0, z), [[0.0, 0.0, 1.0, 0.0]])
         assert m.drift(0.0, z[:, None], u)[3, 0] == 0.0
+        # the linearization is the EKF's [f; A] block, fresh and writable at every call
+        block, again = m.linearize(0.0, z, u), m.linearize(0.0, z, u)
+        assert block.shape == (5, 4) and block.flags.writeable
+        assert not np.shares_memory(again, block) and again.tobytes() == block.tobytes()
         # the appended parameter state uses the live column, not params.beta
         d = m.drift(0.0, z[:, None], u)[:, 0]
         F = u[0]
         r = arrhenius(310.0) * 0.3 * 0.6
         assert d[2] == pytest.approx(F / V * (T_IN - 310.0) + 128.0 * r, rel=1e-12)
-
-    def test_augmented_jacobian_vs_finite_differences(self):
-        m = joint_model()
-        rng = np.random.default_rng(31)
-        u = np.array([0.007])
-        for _ in range(20):
-            z = random_joint_state(rng)
-            J = m.linearize(0.0, z, u)[1:]
-            Jfd = fd_jacobian(lambda w: m.drift(0.0, w[:, None], u)[:, 0], z)
-            assert np.all(np.abs(J - Jfd) <= 1e-6 * np.maximum(np.abs(Jfd), 1e-10))
-
-    def test_beta_jacobian_formula(self):
-        m = joint_model()
-        z = np.array([0.5, 0.7, 320.0, 120.0])
-        col = m.linearize(0.0, z, np.array([0.007]))[1:, 3]
-        r = arrhenius(320.0) * 0.5 * 0.7
-        np.testing.assert_allclose(col, [0.0, 0.0, r, 0.0], rtol=1e-14)
 
     def test_parameter_noise_adds_channel(self):
         m = joint_model(0.5)
@@ -514,173 +450,6 @@ class TestModelWiring:
         assert g[3, 1] == 0.5
         with pytest.raises(ValueError):
             joint_model(-0.5)
-
-
-BREAKPOINT_INTERVALS = [(195.0, 205.0, 10), (199.25, 201.25, 4)]
-
-
-def per_stage_inputs(u, t0, t1, substeps):
-    # the interval's stage inputs looked up one stage time at a time
-    h = (t1 - t0) / substeps
-    return np.array([[u.at(t), u.at(t + 0.5 * h), u.at(t + h)]
-                     for t in (t0 + j * h for j in range(substeps))])
-
-
-def uncached_ekf_predict(model, belief, u, t1, substeps):
-    # the moment ODEs with the diffusion evaluated afresh at every stage
-    n = belief.dim
-
-    def rhs(t, y, u):
-        m = y[:n]
-        out = np.empty_like(y)
-        out[:n] = model.drift(t, m[:, None], u)[:, 0]
-        A = model.linearize(t, m, u)[1:]
-        g = np.asarray(model.diffusion(u), dtype=float)
-        AP = A @ y[n:].reshape(n, n)
-        out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
-        return out
-
-    h = (t1 - belief.time) / substeps
-    y = np.concatenate((belief.mean, belief.cov.ravel()))
-    for j, inputs in enumerate(interval_inputs(u, belief.time, t1, substeps)):
-        y = rk4_step(rhs, belief.time + j * h, y, h, inputs)
-        P = y[n:].reshape(n, n)
-        P[...] = 0.5 * (P + P.T)
-        y[:n] = model.constrain(y[:n])
-    return y[:n], y[n:].reshape(n, n)
-
-
-def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
-    # the sigma-point push with g dW evaluated afresh at both half-steps
-    from cdassim.filters.beliefs import GaussianBelief
-    from cdassim.filters.unscented import ukf_sigma_points
-
-    t0 = belief.time
-    n, q = belief.dim, model.dim_noise
-    cov = np.zeros((n + q, n + q))
-    cov[:n, :n] = belief.cov
-    cov[n:, n:] = (t1 - t0) * np.eye(q)
-    points, wm, wc = ukf_sigma_points(
-        GaussianBelief(np.concatenate((belief.mean, np.zeros(q))), cov, t0), scaling)
-    h = (t1 - t0) / substeps
-    pts = points[:n]
-    dW = points[n:] / (2.0 * substeps)
-    for j, inputs in enumerate(interval_inputs(u, t0, t1, substeps)):
-        t = t0 + j * h
-        pts = pts + model.diffusion(inputs[0]) @ dW
-        pts = rk4_step(model.drift, t, pts, h, inputs)
-        pts = pts + model.diffusion(inputs[2]) @ dW
-        pts = model.constrain(pts)
-    m = pts @ wm
-    dev = pts - m[:, None]
-    S = (dev * wc) @ dev.T
-    return m, 0.5 * (S + S.T)
-
-
-class TestStageInputs:
-    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
-    def test_predictions_across_a_breakpoint_match_per_call_lookup(self, t0, t1, substeps):
-        # the vectorized stage-input table must reproduce one lookup per stage
-        from cdassim.filters.beliefs import GaussianBelief
-        from cdassim.filters.kalman import ekf_predict
-        from cdassim.filters.unscented import ukf_predict
-
-        model = joint_model()
-        belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
-                                np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
-        for predict in (
-            lambda inputs: ekf_predict(model, belief, inputs, t1),
-            lambda inputs: ukf_predict(model, belief, inputs, t1, UNIT_SCALING),
-        ):
-            table = predict(interval_inputs(FLOW, t0, t1, substeps))
-            calls = predict(per_stage_inputs(FLOW, t0, t1, substeps))
-            assert np.array_equal(table.mean, calls.mean)
-            assert np.array_equal(table.cov, calls.cov)
-
-    @pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
-    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
-    def test_diffusion_table_matches_per_stage_evaluation(self, t0, t1, substeps, sigma_theta):
-        # the predictions evaluate the diffusion once per input value; a
-        # wrong table key would reuse the pre-breakpoint flow's noise after it
-        from cdassim.filters.beliefs import GaussianBelief
-        from cdassim.filters.kalman import ekf_predict
-        from cdassim.filters.unscented import UkfScaling, ukf_predict
-
-        model = joint_model(sigma_theta)
-        belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
-                                np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
-        scaling = UkfScaling(alpha=0.2, beta=2.0, kappa=0.0)
-        inputs = interval_inputs(FLOW, t0, t1, substeps)
-        pairs = (
-            (ekf_predict(model, belief, inputs, t1),
-             uncached_ekf_predict(model, belief, FLOW, t1, substeps)),
-            (ukf_predict(model, belief, inputs, t1, scaling),
-             uncached_ukf_predict(model, belief, FLOW, t1, scaling, substeps)),
-        )
-        for got, (mean, cov) in pairs:
-            assert np.array_equal(got.mean, mean)
-            assert np.array_equal(got.cov, cov)
-
-    @pytest.mark.parametrize("t0, t1, substeps", BREAKPOINT_INTERVALS)
-    def test_member_propagation_across_a_breakpoint_matches_per_call_lookup(
-            self, t0, t1, substeps):
-        from cdassim.sde import propagate_members
-
-        model = joint_model(0.05)
-        rng = np.random.default_rng(17)
-        X = np.column_stack([random_joint_state(rng) for _ in range(50)])
-        stream = NoiseStream(23)
-        table = propagate_members(model, X, interval_inputs(FLOW, t0, t1, substeps), t0, t1,
-                                  stream.generator())
-        calls = propagate_members(model, X, per_stage_inputs(FLOW, t0, t1, substeps), t0, t1,
-                                  stream.generator())
-        assert np.array_equal(table, calls)
-        # both arms above share the stage table; the reference looks up each substep
-        _, path = euler_maruyama_path(model, X, FLOW, t0, t1, (t1 - t0) / substeps, stream)
-        assert np.array_equal(table, path[-1])
-
-
-class TestMemberKernel:
-    """The members' in-place Euler-Maruyama loop against the reference path."""
-
-    T0, T1, SUBSTEPS = 195.0, 205.0, 10  # crosses the 200 s flow breakpoint
-
-    @pytest.mark.parametrize("sigma_theta, channels", [(0.0, 1), (0.05, 2)])
-    def test_matches_euler_maruyama_steps_bit_for_bit(self, sigma_theta, channels):
-        from cdassim.sde import propagate_members
-
-        model = joint_model(sigma_theta)
-        assert model.dim_noise == channels
-        rng = np.random.default_rng(29)
-        X0 = np.column_stack([random_joint_state(rng) for _ in range(1000)])
-        inputs = interval_inputs(FLOW, self.T0, self.T1, self.SUBSTEPS)
-        stream = NoiseStream(41, channels)
-        X1 = propagate_members(model, X0, inputs, self.T0, self.T1, stream.generator())
-
-        h = (self.T1 - self.T0) / self.SUBSTEPS
-        _, path = euler_maruyama_path(model, X0, FLOW, self.T0, self.T1, h, stream)
-        assert np.array_equal(X1, path[-1])
-        assert X1.flags.c_contiguous
-        assert not np.array_equal(X1, X0)
-
-    def test_non_finite_diffusion_names_the_first_substep_with_its_input(self):
-        from cdassim.sde import propagate_members
-
-        model = joint_model(0.05)
-        early_flow, late_flow = FLOW.at(self.T0)[0], FLOW.at(self.T1)[0]
-        calls = []
-
-        def diffusion(u):
-            calls.append(u[0])
-            g = model.diffusion(u)
-            return g * np.nan if u[0] == late_flow else g
-
-        broken = dataclasses.replace(model, diffusion=diffusion)
-        X0 = np.column_stack([EMPTY_REACTOR] * 8)
-        with pytest.raises(DivergenceError, match=r"non-finite drift/diffusion at t=200\.0$"):
-            propagate_members(broken, X0, interval_inputs(FLOW, self.T0, self.T1, self.SUBSTEPS),
-                              self.T0, self.T1, NoiseStream(3).generator())
-        assert calls == [early_flow, late_flow]  # once per distinct input value
 
 
 class TestMomentConsistency:

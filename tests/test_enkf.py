@@ -1,101 +1,17 @@
-"""Tests for ensemble propagation and the perturbed-observation analysis."""
+"""The ensemble and the EnKF's perturbed-observation analysis.
+
+The members' prediction, which the EnKF shares with the PF, is tested in
+``test_sde.py``; a whole run's noise streams in ``test_runner.py``.
+"""
 import numpy as np
 import pytest
 
 from cdassim.filters.beliefs import Ensemble, posterior_summary
 from cdassim.filters.enkf import enkf_update
 from cdassim.filters.linalg import chol_psd
-from cdassim.sde import DivergenceError, NoiseStream, SdeModel, propagate_members
+from cdassim.sde import DivergenceError, NoiseStream, SdeModel
 
-from stages import constant, interval_inputs, linear_sde
-
-
-def test_propagate_members_matches_discrete_chain_moments():
-    # the per-substep update has exactly computable mean and variance, so
-    # the sample statistics must match them to Monte Carlo accuracy
-    a, sigma, x0, t1 = 0.8, 0.5, 2.0, 1.0
-    K, N = 40, 20000
-    model = linear_sde(a, sigma)
-    X1 = propagate_members(model, np.full((1, N), x0), interval_inputs(constant(0.0), 0.0, t1, K),
-                           0.0, t1, NoiseStream(7, 3).generator())
-    h = t1 / K
-    factor = 1.0 - a * h
-    mean_exact = x0 * factor**K
-    var_exact = sigma**2 * h * (1.0 - factor ** (2 * K)) / (1.0 - factor**2)
-    assert X1.mean() == pytest.approx(mean_exact, abs=4.0 * np.sqrt(var_exact / N))
-    assert X1.var(ddof=1) == pytest.approx(var_exact, rel=4.0 * np.sqrt(2.0 / N))
-
-
-def test_propagate_members_time_edges():
-    model = linear_sde(1.0, 0.5)
-    X = np.array([[1.0, 2.0]])
-    noise = NoiseStream(1).generator()
-    same = propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 3.0), 3.0, 3.0, noise)
-    assert np.array_equal(same, X)
-    assert same is not X
-    with pytest.raises(ValueError):
-        propagate_members(model, X, interval_inputs(constant(0.0), 3.0, 2.0), 3.0, 2.0, noise)
-
-
-def test_propagate_members_is_euler_maruyama_over_one_block():
-    # every increment comes from one (substeps, n_w, N) draw of the stream:
-    # substep j of member i uses block[j, :, i]
-    A = np.array([[-0.5, 0.2], [0.1, -0.3]])
-    G = np.array([[0.4, 0.0], [0.3, 0.2]])
-    model = SdeModel(
-        dim_noise=2,
-        drift=lambda t, x, u: A @ x + u[:, None] * (1.0 + t),
-        diffusion=lambda u: G,
-        measure=lambda t, x: x[:1],
-    )
-    rng = np.random.default_rng(3)
-    X0 = rng.standard_normal((2, 7))
-    u = np.array([0.1, -0.2])
-    t0, t1, K = 0.5, 1.3, 6
-    stream = NoiseStream(31, 4)
-    X1 = propagate_members(model, X0, interval_inputs(constant(u), t0, t1, K), t0, t1,
-                           stream.generator())
-
-    h = (t1 - t0) / K
-    block = stream.generator().standard_normal((K, 2, 7)) * np.sqrt(h)
-    X = X0.copy()
-    for j in range(K):
-        t = t0 + j * h
-        X = X + (A @ X + u[:, None] * (1.0 + t)) * h + G @ block[j]
-    assert np.array_equal(X1, X)
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_propagate_members_reports_diverged_member():
-    # a bounded drift that pushes positive members past the float range
-    model = SdeModel(
-        dim_noise=1,
-        drift=lambda t, x, u: np.where(x > 0, 1.7e308, 0.0),
-        diffusion=lambda u: np.zeros((1, 1)),
-        measure=lambda t, x: x,
-    )
-    with pytest.raises(DivergenceError) as err:
-        propagate_members(model, np.array([[-1.0, 50.0]]),
-                          interval_inputs(constant(0.0), 0.0, 2.0, 8), 0.0, 2.0,
-                          NoiseStream(2).generator())
-    assert "member 1" in str(err.value)
-
-
-@pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.filterwarnings("ignore:invalid value")
-def test_propagate_members_converts_midstep_overflow():
-    # drift itself overflows during a substep; still surfaces as divergence
-    model = SdeModel(
-        dim_noise=1,
-        drift=lambda t, x, u: x**3,
-        diffusion=lambda u: np.zeros((1, 1)),
-        measure=lambda t, x: x,
-    )
-    with pytest.raises(DivergenceError):
-        propagate_members(model, np.array([[0.1, 50.0]]),
-                          interval_inputs(constant(0.0), 0.0, 5.0, 5), 0.0, 5.0,
-                          NoiseStream(2).generator())
+from stages import linear_sde
 
 
 def test_ensemble_needs_two_members():
@@ -103,18 +19,6 @@ def test_ensemble_needs_two_members():
     with pytest.raises(ValueError, match="at least two members"):
         Ensemble(np.ones((3, 1)))
     assert Ensemble(np.ones((3, 2))).members.shape == (3, 2)
-
-
-def test_member_prediction_is_reproducible_per_stream():
-    model = linear_sde(1.0, 0.5)
-    X = np.linspace(-1.0, 1.0, 8)[None, :]
-    stream = NoiseStream(12, 5)
-    u = interval_inputs(constant(0.0), 0.0, 0.5)
-    a = propagate_members(model, X, u, 0.0, 0.5, stream.generator())
-    b = propagate_members(model, X, u, 0.0, 0.5, stream.generator())
-    c = propagate_members(model, X, u, 0.0, 0.5, stream.child(1).generator())
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_enkf_update_zero_spread_is_a_fixed_point():

@@ -1,5 +1,4 @@
 """Tests for the moment-ODE prediction and Joseph-form measurement update."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -77,20 +76,6 @@ def test_predict_with_constant_input_matches_exact_transition():
     phi, shift, q = ou_transition(a, b, sigma, 0.7)
     assert pred.mean[0] == pytest.approx(phi * 2.0 + shift, rel=1e-8)
     assert pred.cov[0, 0] == pytest.approx(phi**2 * 0.5 + q, rel=1e-8)
-
-
-def test_predict_time_handling():
-    model, belief = linear_sde(1.0, 0.0), GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ekf_predict(model, belief, interval_inputs(constant(), 1.0, 1.0), 1.0) is belief
-    with pytest.raises(ValueError):
-        ekf_predict(model, belief, interval_inputs(constant(), 1.0, 0.5), 0.5)
-
-
-def test_predict_applies_constraint_to_mean():
-    model = dataclasses.replace(linear_sde(5.0, 0.0), constrain=lambda x: np.maximum(x, 0.5))
-    pred = ekf_predict(model, GaussianBelief(np.ones(1), np.ones((1, 1))),
-                       interval_inputs(constant(0.0), 0.0, 2.0), 2.0)
-    assert pred.mean[0] == pytest.approx(0.5)
 
 
 def cstr_across_breakpoint(sigma_theta):

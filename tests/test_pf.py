@@ -1,11 +1,13 @@
-"""Tests for the particle filter building blocks."""
+"""The particle filter's building blocks: weights, resampling and one assimilation step.
+
+A whole run's noise-stream layout is tested in ``test_runner.py``.
+"""
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cdassim.filters.beliefs import GaussianBelief, ParticleSet, posterior_summary
-from cdassim.filters.linalg import chol_psd
+from cdassim.filters.beliefs import ParticleSet, posterior_summary
 from cdassim.filters.pf import (
     ResamplePolicy,
     effective_sample_size,
@@ -13,7 +15,6 @@ from cdassim.filters.pf import (
     pf_update,
     systematic_resample,
 )
-from cdassim.filters.runner import STREAM_INIT, STREAM_PROPAGATE, FilterConfig, run_filter
 from cdassim.sde import DivergenceError, NoiseStream, propagate_members
 
 from stages import ESS_HALF, constant, interval_inputs, linear_sde
@@ -155,7 +156,10 @@ def test_pf_step_innovation_is_taken_under_the_incoming_weights():
     assert e[0] == pytest.approx(0.7 - yhat, abs=1e-14)
     assert Re[0, 0] == pytest.approx(((ps.members[0] - yhat) ** 2) @ ps.weights + 0.3,
                                      rel=1e-12)
-    assert not np.allclose(weighted.weights, ps.weights)
+    # the incoming weights times the Gaussian likelihood, normalized
+    logw = np.log(ps.weights) - 0.5 * (0.7 - ps.members[0]) ** 2 / 0.3
+    w = np.exp(logw - logw.max())
+    np.testing.assert_allclose(weighted.weights, w / w.sum(), rtol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -178,46 +182,3 @@ def test_pf_step_never_policy_keeps_weighted_set():
     assert not resampled
     assert out is weighted
     assert out.weights.max() > 2.0 / 500.0  # informative data reweighted the set
-
-
-def test_pf_step_stream_layout_matches_documented_contract():
-    # step k propagates from stream.child(1).child(k) itself and draws its
-    # resampling offset from that stream's child 0
-    model = linear_sde(0.0, 0.5)
-    init = GaussianBelief(np.array([0.0]), np.array([[4.0]]))
-    root = NoiseStream(45)
-    times, ys, N = np.array([0.5, 1.0]), np.array([0.3, -0.2]), 30
-    always = ResamplePolicy("always", 0.5)
-    run = run_filter("pf", model, FilterConfig(initial=init, obs_cov=np.array([[0.25]]),
-                                               stream=root, substeps=10, size=N,
-                                               resample=always),
-                     times, ys, constant(0.0))
-    X = init.mean[:, None] + chol_psd(init.cov) @ (
-        root.child(STREAM_INIT).generator().standard_normal((1, N)))
-    w = np.full(N, 1.0 / N)
-    t0 = 0.0
-    for k, t1 in enumerate(times):
-        step = root.child(STREAM_PROPAGATE).child(k)
-        X = propagate_members(model, X, interval_inputs(constant(0.0), t0, t1), t0, t1,
-                              step.generator())
-        assert np.array_equal(run.prior_mean[k], X @ w)
-        z = (ys[k] - X[0]) / 0.5
-        logw = np.log(w) + -0.5 * (z * z)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        assert np.array_equal(run.post_mean[k], X @ w)
-        by_parts = systematic_resample(ParticleSet(X, w, t1), step.child(0).generator())
-        X, w, t0 = by_parts.members, by_parts.weights, t1
-    assert run.resampled.all()
-
-
-def test_pf_step_is_reproducible_per_stream():
-    model = linear_sde(0.0, 1.0)
-    rng = np.random.default_rng(10)
-    ps = uniform_particles(rng.standard_normal(100))
-    a = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
-    b = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(46), ESS_HALF)[2]
-    c = assimilate(model, ps, 0.2, 0.1, 0.5, NoiseStream(47), ESS_HALF)[2]
-    assert np.array_equal(a.members, b.members)
-    assert np.array_equal(a.weights, b.weights)
-    assert not np.array_equal(a.members, c.members)

@@ -1,10 +1,24 @@
-"""SDE core: the members' Euler-Maruyama kernel, integrator ordering, noise streams, the shared RK4 stepper."""
+"""The integrators' shared contracts and the noise streams.
+
+The members' Euler-Maruyama kernel, :func:`~cdassim.sde.propagate_members`,
+against the plain reference path of ``stages.euler_maruyama_path``; each
+integrator (the EKF's moments, the UKF's sigma points, the members) on the
+one stage-input table against its own per-stage reference; the table
+itself, the shared RK4 stepper, the input profiles and the counter-based
+:class:`~cdassim.sde.NoiseStream`.
+"""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from cdassim.config import ConfigError, load_config
+from cdassim.config import load_config
+from cdassim.cstr import default_experiment_model
+from cdassim.filters.beliefs import GaussianBelief
+from cdassim.filters.kalman import ekf_predict
+from cdassim.filters.unscented import ukf_predict, ukf_sigma_points
 from cdassim.sde import (
     DivergenceError,
     NoiseStream,
@@ -15,7 +29,22 @@ from cdassim.sde import (
     rk4_step,
 )
 
-from stages import constant, euler_maruyama_path, fd_jacobian, interval_inputs, linear_sde
+from stages import (
+    UNIT_SCALING,
+    constant,
+    euler_maruyama_path,
+    fd_jacobian,
+    interval_inputs,
+    linear_sde,
+)
+
+CONFIG = load_config()
+FLOW = CONFIG.flow_profile()
+
+
+def cstr_model(sigma_theta: float) -> SdeModel:
+    """The joint CSTR model with beta's random-walk channel at ``sigma_theta``."""
+    return default_experiment_model(CONFIG.cstr_params(), FLOW, param_diffusion=sigma_theta).model
 
 
 class FixedNormals:
@@ -84,161 +113,267 @@ class TestNoiseStream:
         assert repr(g.bit_generator.state) == repr(fresh.bit_generator.state)
 
 
-class TestEulerMaruyamaStep:
-    """One substep of :func:`propagate_members`: ``x + f dt + g dw``."""
+class TestPropagateMembers:
+    """The members' Euler-Maruyama kernel: each substep is ``x + f dt + g dw``."""
 
-    def test_zero_drift_zero_noise_is_identity(self):
-        x = np.array([[3.0]])
-        out = propagate_members(linear_sde(0.0, 0.0), x,
-                                interval_inputs(constant(0.0), 0.0, 0.1, 1), 0.0, 0.1,
-                                NoiseStream(seed=1).generator())
-        assert np.array_equal(out, x)
+    @pytest.mark.parametrize("a, sigma, x0, h, z, expected", [
+        (0.0, 0.0, [3.0], 0.1, 0.0, [3.0]),  # zero drift and noise: the identity
+        (1.0, 0.0, [1.0], 0.1, 0.0, [0.9]),  # a deterministic linear step
+        (0.0, 2.0, [0.0], 0.25, 1.0, [1.0]),  # a standard normal of 1 is dw = sqrt(h) = 0.5
+        (1.0, 1.0, [1.0, 2.0, 4.0], 0.5, np.array([0.1, 0.0, -0.1]) / np.sqrt(0.5),
+         [0.6, 1.0, 1.9]),  # a batch, each member with its own increment
+    ], ids=["identity", "linear step", "noise", "batch"])
+    def test_one_substep(self, a, sigma, x0, h, z, expected):
+        # dx = -a x dt + sigma dw on fixed standard normals z; every expected
+        # value but the batch's, whose increments are rounded, is exact
+        out = propagate_members(linear_sde(a, sigma), np.array([x0]),
+                                interval_inputs(constant(0.0), 0.0, h, 1), 0.0, h,
+                                FixedNormals(z))
+        if len(x0) == 1:
+            assert np.array_equal(out, [expected])
+        else:
+            np.testing.assert_allclose(out, [expected], rtol=1e-15, atol=1e-15)
 
-    def test_deterministic_linear_step(self):
-        out = propagate_members(linear_sde(1.0, 0.0), np.array([[1.0]]),
-                                interval_inputs(constant(0.0), 0.0, 0.1, 1), 0.0, 0.1,
-                                NoiseStream(seed=1).generator())
-        assert out[0, 0] == pytest.approx(0.9)
+    def test_matches_discrete_chain_moments(self):
+        # the per-substep update has exactly computable mean and variance, so
+        # the sample statistics must match them to Monte Carlo accuracy
+        a, sigma, x0, t1 = 0.8, 0.5, 2.0, 1.0
+        K, N = 40, 20000
+        X1 = propagate_members(linear_sde(a, sigma), np.full((1, N), x0),
+                               interval_inputs(constant(0.0), 0.0, t1, K), 0.0, t1,
+                               NoiseStream(7, 3).generator())
+        h = t1 / K
+        factor = 1.0 - a * h
+        mean_exact = x0 * factor**K
+        var_exact = sigma**2 * h * (1.0 - factor ** (2 * K)) / (1.0 - factor**2)
+        assert X1.mean() == pytest.approx(mean_exact, abs=4.0 * np.sqrt(var_exact / N))
+        assert X1.var(ddof=1) == pytest.approx(var_exact, rel=4.0 * np.sqrt(2.0 / N))
 
-    def test_noise_enters_linearly(self):
-        # h = 0.25, so a standard normal of 1 is the increment dw = 0.5
-        out = propagate_members(linear_sde(0.0, 2.0), np.array([[0.0]]),
-                                interval_inputs(constant(0.0), 0.0, 0.25, 1), 0.0, 0.25,
-                                FixedNormals(1.0))
-        assert out[0, 0] == pytest.approx(1.0)
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("drift, x0, message", [
+        (lambda t, x, u: np.full_like(x, np.inf), [1.0], r"^non-finite drift/diffusion at t=0\.0$"),
+        # a bounded drift that pushes positive members past the float range
+        (lambda t, x, u: np.where(x > 0, 1.7e308, 0.0), [-1.0, 50.0], "member 1"),
+        # the drift itself overflows during a substep
+        (lambda t, x, u: x**3, [0.1, 50.0], r"^non-finite drift/diffusion at t=1\.0$"),
+    ], ids=["non-finite drift", "diverged member", "mid-step overflow"])
+    def test_divergence_is_reported(self, drift, x0, message):
+        model = SdeModel(dim_noise=1, drift=drift, diffusion=lambda u: np.zeros((1, 1)),
+                         measure=lambda t, x: x)
+        with pytest.raises(DivergenceError, match=message):
+            propagate_members(model, np.array([x0]), interval_inputs(constant(0.0), 0.0, 2.0, 8),
+                              0.0, 2.0, NoiseStream(2).generator())
 
-    def test_batch_states(self):
-        dw = np.array([0.1, 0.0, -0.1])
-        out = propagate_members(linear_sde(1.0, 1.0), np.array([[1.0, 2.0, 4.0]]),
-                                interval_inputs(constant(0.0), 0.0, 0.5, 1), 0.0, 0.5,
-                                FixedNormals(dw / np.sqrt(0.5)))
-        assert out.shape == (1, 3)
-        assert np.allclose(out, [[0.6, 1.0, 1.9]])
+    def test_non_finite_diffusion_names_the_first_substep_with_its_input(self):
+        model = cstr_model(0.05)
+        calls = []
 
-    def test_nonfinite_drift_raises(self):
-        bad = SdeModel(
-            dim_noise=1,
-            drift=lambda t, x, u: np.array([np.inf]),
-            diffusion=lambda u: np.array([[1.0]]),
-            measure=lambda t, x: x,
-        )
-        with pytest.raises(DivergenceError, match="non-finite drift/diffusion at t=0.0"):
-            propagate_members(bad, np.array([[1.0]]), interval_inputs(constant(), 0.0, 0.1, 1),
-                              0.0, 0.1, NoiseStream(seed=1).generator())
-
-
-class TestSimulatePath:
-    """A sample path: :func:`propagate_members` across the substeps of an interval."""
-
-    def test_grid_and_shapes(self):
-        seen = []
-        model = SdeModel(
-            dim_noise=1,
-            drift=lambda t, x, u: seen.append(t) or -0.5 * x,
-            diffusion=lambda u: np.array([[0.1]]),
-            measure=lambda t, x: x,
-        )
-        out = propagate_members(model, np.ones((1, 3)), interval_inputs(constant(), 0.0, 2.0, 8),
-                                0.0, 2.0, NoiseStream(seed=3).generator())
-        assert out.shape == (1, 3)
-        assert seen == [0.25 * j for j in range(8)]
-
-    def test_determinism_bitwise(self):
-        def path():
-            return propagate_members(linear_sde(0.1, 0.3), np.ones((1, 5)),
-                                     interval_inputs(constant(0.0), 0.0, 1.0, 100), 0.0, 1.0,
-                                     NoiseStream(seed=11, stream_id=2).generator())
-        assert np.array_equal(path(), path())
-
-    def test_incommensurate_dt_rejected(self):
-        # the truth's step is the sampling interval over a whole substep
-        # count, so a step that does not divide the interval cannot be asked for
-        assert load_config(overrides={"substeps": 4}).substeps == 4
-        for substeps in (2.5, 0):
-            with pytest.raises(ConfigError, match="substeps"):
-                load_config(overrides={"substeps": substeps})
-
-    def test_constrain_hook_applied(self):
-        m = SdeModel(
-            dim_noise=1,
-            drift=lambda t, x, u: np.full_like(x, -10.0),
-            diffusion=lambda u: np.array([[0.0]]),
-            measure=lambda t, x: x,
-            constrain=lambda x: np.maximum(x, 0.0, out=x),
-        )
-        # one interval per substep, as the truth is recorded at each sample
-        x = np.array([[0.5]])
-        rng = NoiseStream(seed=1).generator()
-        states = []
-        for k in range(10):
-            t0, t1 = 0.1 * k, 0.1 * (k + 1)
-            x = propagate_members(m, x, interval_inputs(constant(), t0, t1, 1), t0, t1, rng)
-            states.append(x[0, 0])
-        assert min(states) >= 0.0
-        assert states[-1] == 0.0
-
-    def test_input_table_matches_per_step_lookup(self):
-        # one table for the interval must reproduce one lookup per step,
-        # including the steps that start exactly on a breakpoint
-        p = PiecewiseConstant(times=[0.0, 0.5, 0.75], values=[[1.0], [-2.0], [0.5]])
-        m = SdeModel(
-            dim_noise=1,
-            drift=lambda t, x, u: u - x,
-            diffusion=lambda u: np.atleast_2d(0.3 * u),
-            measure=lambda t, x: x,
-        )
-        table = interval_inputs(p, 0.0, 1.0, 20)
-        times, states = euler_maruyama_path(m, [[0.2]], p, 0.0, 1.0, 0.05, NoiseStream(seed=4))
-        np.testing.assert_array_equal(table[:, 0], [p.at(t) for t in times[:-1]])
-        assert set(table[:, 0].ravel()) == {1.0, -2.0, 0.5}
-        out = propagate_members(m, np.array([[0.2]]), table, 0.0, 1.0,
-                                NoiseStream(seed=4).generator())
-        assert np.array_equal(out, states[-1])
-
-
-class TestDrivenRows:
-    """:func:`propagate_members` pushes ``g dw`` only into the rows the diffusion drives."""
-
-    # rows of a (4, channels) diffusion that are nonzero; each entry scales with the input
-    PATTERNS = {
-        "one row": {2: (0.4, -0.1)},
-        "rows 0 and 3": {0: (0.3, 0.0), 3: (-0.2, 0.5)},
-        "rows 1 and 2": {1: (0.25, 0.0), 2: (-0.6, 0.3)},
-        "no row": {},
-    }
-
-    @staticmethod
-    def model(channels: int, driven: dict) -> SdeModel:
         def diffusion(u):
-            g = np.zeros((4, channels))
-            for row, scales in driven.items():
-                g[row] = u[0] * np.array(scales[:channels])
-            return g
+            calls.append(u[0])
+            g = model.diffusion(u)
+            return g * np.nan if u[0] == FLOW.at(205.0)[0] else g
 
-        return SdeModel(
-            dim_noise=channels,
-            drift=lambda t, x, u: u[0] * np.cos(x) - 0.4 * x,  # rows do not interact
-            diffusion=diffusion,
-            measure=lambda t, x: x[:1],
-        )
+        broken = dataclasses.replace(model, diffusion=diffusion)
+        X0 = np.column_stack([[0.0, 0.0, 273.65, 133.7792]] * 8)
+        with pytest.raises(DivergenceError, match=r"non-finite drift/diffusion at t=200\.0$"):
+            propagate_members(broken, X0, interval_inputs(FLOW, 195.0, 205.0, 10), 195.0, 205.0,
+                              NoiseStream(3).generator())
+        assert calls == [FLOW.at(195.0)[0], FLOW.at(205.0)[0]]  # once per distinct input value
 
-    @pytest.mark.parametrize("channels", [1, 2])
-    @pytest.mark.parametrize("pattern", list(PATTERNS))
-    def test_matches_the_reference_path_bit_for_bit(self, channels, pattern):
-        # two input values inside the interval, so two diffusions and spans
-        p = PiecewiseConstant(times=[0.0, 0.45], values=[[1.5], [0.7]])
-        model = self.model(channels, self.PATTERNS[pattern])
-        X0 = np.random.default_rng(channels).uniform(0.5, 2.0, (4, 7))
-        stream = NoiseStream(seed=19, stream_id=channels)
-        out = propagate_members(model, X0, interval_inputs(p, 0.0, 1.0, 20), 0.0, 1.0,
-                                stream.generator())
-        _, states = euler_maruyama_path(model, X0, p, 0.0, 1.0, 0.05, stream)
-        assert np.array_equal(out, states[-1])
-        # another noise stream moves exactly the driven rows
-        _, other = euler_maruyama_path(model, X0, p, 0.0, 1.0, 0.05,
-                                       NoiseStream(seed=20, stream_id=channels))
-        np.testing.assert_array_equal((out != other[-1]).any(axis=1),
-                                      [row in self.PATTERNS[pattern] for row in range(4)])
+
+def predict(integrator: str, model: SdeModel, state, t0: float, t1: float):
+    """``state`` from ``t0`` to ``t1`` on a zero input: a belief at ``t0`` for
+    the EKF and the UKF, a member batch for the members' kernel."""
+    inputs = interval_inputs(constant(0.0), t0, t1)
+    if integrator == "members":
+        return propagate_members(model, state, inputs, t0, t1, NoiseStream(1).generator())
+    if integrator == "ekf":
+        return ekf_predict(model, state, inputs, t1)
+    return ukf_predict(model, state, inputs, t1, UNIT_SCALING)
+
+
+@pytest.mark.parametrize("integrator", ["ekf", "ukf", "members"])
+def test_each_integrator_keeps_a_zero_length_interval_and_rejects_a_backward_one(integrator):
+    # a belief comes back as itself, members as an equal copy
+    model = linear_sde(1.0, 0.5)
+    state = (np.array([[1.0, 2.0]]) if integrator == "members"
+             else GaussianBelief(np.ones(1), np.ones((1, 1)), time=3.0))
+    same = predict(integrator, model, state, 3.0, 3.0)
+    if integrator == "members":
+        assert np.array_equal(same, state) and same is not state
+    else:
+        assert same is state
+    with pytest.raises(ValueError):
+        predict(integrator, model, state, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("constrain", [lambda x: np.maximum(x, 0.5),
+                                       lambda x: np.maximum(x, 0.5, out=x)],
+                         ids=["returns a new array", "writes in place"])
+@pytest.mark.parametrize("integrator", ["ekf", "ukf", "members"])
+def test_each_integrator_applies_the_constraint(integrator, constrain):
+    # a fast decay toward 0, held at 0.5 by the constraint in either form the
+    # model allows, so a prediction must use what it returns: the EKF's mean,
+    # the UKF's sigma points (so no spread is left), the members
+    model = dataclasses.replace(linear_sde(5.0, 0.0), constrain=constrain)
+    state = (np.array([[0.9, 1.0, 1.1]]) if integrator == "members"
+             else GaussianBelief(np.ones(1), 0.01 * np.ones((1, 1))))
+    out = predict(integrator, model, state, 0.0, 2.0)
+    if integrator == "members":
+        assert np.all(out == 0.5)
+    else:
+        assert out.mean[0] == pytest.approx(0.5)
+    if integrator == "ukf":
+        assert out.cov[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def driven_rows_model(channels: int, driven: dict) -> SdeModel:
+    # a (4, channels) diffusion nonzero in the rows of ``driven``, each entry
+    # scaling with the input, and a drift whose rows do not interact
+    def diffusion(u):
+        g = np.zeros((4, channels))
+        for row, scales in driven.items():
+            g[row] = u[0] * np.array(scales[:channels])
+        return g
+
+    return SdeModel(dim_noise=channels, drift=lambda t, x, u: u[0] * np.cos(x) - 0.4 * x,
+                    diffusion=diffusion, measure=lambda t, x: x[:1])
+
+
+DRIVEN_ROWS = {"one row": {2: (0.4, -0.1)},
+               "rows 0 and 3": {0: (0.3, 0.0), 3: (-0.2, 0.5)},
+               "rows 1 and 2": {1: (0.25, 0.0), 2: (-0.6, 0.3)},
+               "no row": {}}
+A2, G2 = np.array([[-0.5, 0.2], [0.1, -0.3]]), np.array([[0.4, 0.0], [0.3, 0.2]])
+
+# name -> (model, members, input profile, t0, t1, substeps, noise stream, rows that
+# another stream moves)
+REFERENCE_CASES = {
+    # a time-varying drift through two noise channels
+    "linear 2-d": lambda: (
+        SdeModel(dim_noise=2, drift=lambda t, x, u: A2 @ x + u[:, None] * (1.0 + t),
+                 diffusion=lambda u: G2, measure=lambda t, x: x[:1]),
+        np.random.default_rng(3).standard_normal((2, 7)), constant([0.1, -0.2]), 0.5, 1.3, 6,
+        NoiseStream(31, 4), [True, True]),
+    # input breakpoints on substep starts, and a noise that scales with the input
+    "breakpoints on substeps": lambda: (
+        SdeModel(dim_noise=1, drift=lambda t, x, u: u - x,
+                 diffusion=lambda u: np.atleast_2d(0.3 * u), measure=lambda t, x: x),
+        np.array([[0.2]]), PiecewiseConstant(times=[0.0, 0.5, 0.75],
+                                             values=[[1.0], [-2.0], [0.5]]), 0.0, 1.0, 20,
+        NoiseStream(4), [True]),
+    # g dw goes only into the span of rows the diffusion drives; two input
+    # values inside the interval, so two diffusions and spans
+    **{f"{pattern} ({channels} channel{'s' * (channels > 1)})":
+       lambda channels=channels, driven=driven: (
+           driven_rows_model(channels, driven),
+           np.random.default_rng(channels).uniform(0.5, 2.0, (4, 7)),
+           PiecewiseConstant(times=[0.0, 0.45], values=[[1.5], [0.7]]), 0.0, 1.0, 20,
+           NoiseStream(19, channels), [row in driven for row in range(4)])
+       for pattern, driven in DRIVEN_ROWS.items() for channels in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_propagate_members_is_the_reference_path_bit_for_bit(case):
+    # every increment comes from one (substeps, dim_noise, N) draw of the
+    # stream: substep j of member i uses block[j, :, i], as in the reference
+    model, X0, u, t0, t1, substeps, stream, moved = REFERENCE_CASES[case]()
+    out = propagate_members(model, X0, interval_inputs(u, t0, t1, substeps), t0, t1,
+                            stream.generator())
+    _, states = euler_maruyama_path(model, X0, u, t0, t1, (t1 - t0) / substeps, stream)
+    assert np.array_equal(out, states[-1]) and out.flags.c_contiguous
+    _, other = euler_maruyama_path(model, X0, u, t0, t1, (t1 - t0) / substeps,
+                                   NoiseStream(stream.seed + 1, stream.stream_id))
+    np.testing.assert_array_equal((out != other[-1]).any(axis=1), moved)
+
+
+def per_stage_inputs(u, t0, t1, substeps):
+    # the interval's stage inputs looked up one stage time at a time
+    h = (t1 - t0) / substeps
+    return np.array([[u.at(t), u.at(t + 0.5 * h), u.at(t + h)]
+                     for t in (t0 + j * h for j in range(substeps))])
+
+
+def uncached_ekf_predict(model, belief, u, t1, substeps):
+    # the moment ODEs on per-stage lookups, the diffusion evaluated afresh at every stage
+    n = belief.dim
+
+    def rhs(t, y, u):
+        m = y[:n]
+        out = np.empty_like(y)
+        out[:n] = model.drift(t, m[:, None], u)[:, 0]
+        A = model.linearize(t, m, u)[1:]
+        g = np.asarray(model.diffusion(u), dtype=float)
+        AP = A @ y[n:].reshape(n, n)
+        out[n:].reshape(n, n)[...] = AP + AP.T + g @ g.T
+        return out
+
+    h = (t1 - belief.time) / substeps
+    y = np.concatenate((belief.mean, belief.cov.ravel()))
+    for j, inputs in enumerate(per_stage_inputs(u, belief.time, t1, substeps)):
+        y = rk4_step(rhs, belief.time + j * h, y, h, inputs)
+        P = y[n:].reshape(n, n)
+        P[...] = 0.5 * (P + P.T)
+        y[:n] = model.constrain(y[:n])
+    return y[:n], y[n:].reshape(n, n)
+
+
+def uncached_ukf_predict(model, belief, u, t1, scaling, substeps):
+    # the sigma-point push on per-stage lookups, g dW evaluated afresh at both half-steps
+    t0 = belief.time
+    n, q = belief.dim, model.dim_noise
+    cov = np.zeros((n + q, n + q))
+    cov[:n, :n] = belief.cov
+    cov[n:, n:] = (t1 - t0) * np.eye(q)
+    points, wm, wc = ukf_sigma_points(
+        GaussianBelief(np.concatenate((belief.mean, np.zeros(q))), cov, t0), scaling)
+    h = (t1 - t0) / substeps
+    pts = points[:n]
+    dW = points[n:] / (2.0 * substeps)
+    for j, inputs in enumerate(per_stage_inputs(u, t0, t1, substeps)):
+        t = t0 + j * h
+        pts = pts + model.diffusion(inputs[0]) @ dW
+        pts = rk4_step(model.drift, t, pts, h, inputs)
+        pts = pts + model.diffusion(inputs[2]) @ dW
+        pts = model.constrain(pts)
+    m = pts @ wm
+    dev = pts - m[:, None]
+    S = (dev * wc) @ dev.T
+    return m, 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("sigma_theta", [0.0, 0.05])
+@pytest.mark.parametrize("t0, t1, substeps", [(195.0, 205.0, 10), (199.25, 201.25, 4)])
+@pytest.mark.parametrize("integrator", ["ekf", "ukf", "members"])
+def test_each_integrator_on_the_stage_table_is_its_per_stage_reference(integrator, t0, t1,
+                                                                       substeps, sigma_theta):
+    # across the 200 s flow step, with stages that land on it: the one stage
+    # table, and the diffusion evaluated once per input value, give what a
+    # lookup and a diffusion call per stage give; a wrong table key would
+    # reuse the pre-breakpoint flow's noise after it
+    model = cstr_model(sigma_theta)
+    table = interval_inputs(FLOW, t0, t1, substeps)
+    belief = GaussianBelief(np.array([0.4, 0.8, 300.0, 125.0]),
+                            np.diag([1e-4, 1e-4, 4.0, 25.0]), time=t0)
+    if integrator == "members":  # the reference path looks up each substep's input
+        X = np.random.default_rng(17).uniform([[0.0], [0.0], [273.0], [100.0]],
+                                              [[1.5], [1.5], [500.0], [160.0]], (4, 100))
+        got = propagate_members(model, X, table, t0, t1, NoiseStream(23).generator())
+        _, path = euler_maruyama_path(model, X, FLOW, t0, t1, (t1 - t0) / substeps,
+                                      NoiseStream(23))
+        assert np.array_equal(got, path[-1])
+        return
+    scaling = CONFIG.ukf_scaling()
+    if integrator == "ekf":
+        got = ekf_predict(model, belief, table, t1)
+        mean, cov = uncached_ekf_predict(model, belief, FLOW, t1, substeps)
+    else:
+        got = ukf_predict(model, belief, table, t1, scaling)
+        mean, cov = uncached_ukf_predict(model, belief, FLOW, t1, scaling, substeps)
+    assert np.array_equal(got.mean, mean)
+    assert np.array_equal(got.cov, cov)
 
 
 def gbm_bundle_model(mu: float, n_paths: int) -> SdeModel:

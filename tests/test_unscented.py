@@ -1,5 +1,4 @@
 """Tests for the sigma-point machinery and the unscented filter steps."""
-import dataclasses
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from cdassim.filters.kalman import ekf_predict, kalman_update
 from cdassim.filters.unscented import UkfScaling, ukf_predict, ukf_sigma_points, ukf_update
 from cdassim.sde import SdeModel
 
-from closedform import ou_transition
 from stages import UNIT_SCALING, constant, interval_inputs, linear_sde
 
 
@@ -102,22 +100,6 @@ def test_predict_pure_diffusion_is_exact():
         interval_inputs(constant(0.0), 0.0, 2.0, substeps=7), 2.0, UNIT_SCALING)
     assert pred.mean[0] == pytest.approx(0.0, abs=1e-15)
     assert pred.cov[0, 0] == pytest.approx(0.25 + 0.7**2 * 2.0, rel=1e-12)
-
-
-def test_predict_time_handling():
-    model, belief = linear_sde(1.0, 0.0), GaussianBelief(np.ones(1), np.ones((1, 1)), time=1.0)
-    assert ukf_predict(model, belief, interval_inputs(constant(), 1.0, 1.0), 1.0,
-                       UNIT_SCALING) is belief
-    with pytest.raises(ValueError):
-        ukf_predict(model, belief, interval_inputs(constant(), 1.0, 0.5), 0.5, UNIT_SCALING)
-
-
-def test_predict_applies_constraint_to_points():
-    model = dataclasses.replace(linear_sde(5.0, 0.0), constrain=lambda x: np.maximum(x, 0.5))
-    pred = ukf_predict(model, GaussianBelief(np.ones(1), 0.01 * np.ones((1, 1))),
-                       interval_inputs(constant(0.0), 0.0, 2.0), 2.0, UNIT_SCALING)
-    assert pred.mean[0] == pytest.approx(0.5)
-    assert pred.cov[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_update_matches_kalman_for_linear_measure():
